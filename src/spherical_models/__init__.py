@@ -14,7 +14,6 @@ from .lattice import (
     fixed_sublattice,
     group_invariants,
     hnf,
-    lattice_membership,
     quotient_group,
     snf,
 )
@@ -55,7 +54,6 @@ from .spherical import (
     omega_sets,
     quasiaffine_cover,
     quasiaffine_test,
-    sigma2,
     sigma_two,
     sigma_variants,
 )

@@ -35,7 +35,7 @@ from .decision import (
     theta_lattice,
 )
 from .embeddings import ColoredFan
-from .galoismodule import PADIC, REAL, GaloisAction, galois_from_permutations
+from .galoismodule import PADIC, REAL, galois_from_permutations
 from .horospherical import HorosphericalDatum
 from .lattice import Lattice
 from .rootdata import (
@@ -64,7 +64,7 @@ def _need(doc, key, path):
 
 def _parse_galois(entry, rd, path):
     if entry == "trivial":
-        return GaloisAction.trivial(rd.rank)
+        return galois_from_permutations(rd, [])
     if entry == "flip":
         flips = [a for a in diagram_automorphism_group(rd.type) if a.order() == 2]
         if not flips:
@@ -75,27 +75,33 @@ def _parse_galois(entry, rd, path):
     group = _need(entry, "group", path)
     gens = entry.get("generators", [])
     if group == "trivial":
-        return GaloisAction.trivial(rd.rank)
+        return galois_from_permutations(rd, [])
     autos = []
     for k, one_line in enumerate(gens):
         if sorted(one_line) != list(range(1, rd.rank + 1)):
             _fail(path, "generator %d is not a permutation of 1..%d" % (k + 1, rd.rank))
         autos.append(DiagramAutomorphism(tuple(i - 1 for i in one_line)))
     try:
-        from .rootdata import star_action_matrix
-
-        mats = [star_action_matrix(rd, a) for a in autos]
-        return GaloisAction(group, mats)
+        return galois_from_permutations(rd, autos, group_name=str(group))
     except ValueError as e:
         _fail(path, str(e))
 
 
-def _parse_tits(entry, path):
+def _parse_tits(entry, rd, path):
     if entry is None or entry == "zero" or entry == "trivial":
         return TitsClassSpec.zero()
     if isinstance(entry, dict):
         if "catalog" in entry:
-            return TitsClassSpec.from_catalog(entry["catalog"])
+            name = str(entry["catalog"])
+            try:
+                form = catalog_lookup(name)
+            except KeyError as e:
+                _fail(path, e.args[0])
+            except ValueError as e:
+                _fail(path, str(e))
+            if form.type != rd.type:
+                _fail(path, "catalog entry %s is a form of %s, not of %s" % (name, form.type, rd.type))
+            return form.tits
         if "values" in entry:
             try:
                 return TitsClassSpec.from_values([Fraction(str(v)) for v in entry["values"]])
@@ -157,15 +163,20 @@ def _build_common(doc, path):
         _fail(path + ".root_datum", str(e))
     galois = _parse_galois(doc.get("galois", "trivial"), rd, path + ".galois")
     field = _parse_field(_need(doc, "field", path), rd, galois, path + ".field")
-    tits = _parse_tits(doc.get("tits", "zero"), path + ".tits")
+    tits = _parse_tits(doc.get("tits", "zero"), rd, path + ".tits")
     return rd, galois, field, tits
 
 
 def _build_payload(doc, rd, kind, path):
     if kind == "horospherical":
+        nodes, rows = doc.get("I", []), _need(doc, "M", path)
+        if not isinstance(nodes, list):
+            _fail(path + ".I", "I must be a list of simple-root nodes")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            _fail(path + ".M", "M must be a list of integer rows")
         try:
-            return HorosphericalDatum(rd, doc.get("I", []), _need(doc, "M", path))
-        except ValueError as e:
+            return HorosphericalDatum(rd, nodes, rows)
+        except (TypeError, ValueError) as e:
             _fail(path, str(e))
     if kind in ("spherical", "embedding"):
         try:
@@ -198,6 +209,8 @@ def run_decide(doc, path):
             n = len(doc["factors"])
         else:
             deltas = _need(doc, "deltas", path)
+            if not isinstance(deltas, list):
+                _fail(path + ".deltas", "deltas must be a list of markers")
             markers = [
                 "trivial" if d in ("trivial", None) else d for d in deltas
             ]

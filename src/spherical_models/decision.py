@@ -24,6 +24,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .galoismodule import (
     PADIC,
@@ -47,6 +48,7 @@ from .lattice import (
     apply_row,
 )
 from .rootdata import (
+    DiagramAutomorphism,
     SimpleType,
     based_root_datum,
     diagram_automorphism_group,
@@ -99,16 +101,15 @@ class FieldDescriptor:
 
 @dataclass(frozen=True)
 class TitsClassSpec:
-    """How the obstruction class is given: zero, explicit values, or by name.
+    """How the obstruction class is given: zero or explicit values.
 
     Explicit values are aligned with the SNF generators of the fixed-point
     group of the center characters, exactly as printed by the invariants
-    report.
+    report.  A form named in the catalog carries its own spec.
     """
 
     kind: str = "zero"
     values: tuple = ()
-    catalog_name: str = ""
 
     @classmethod
     def zero(cls):
@@ -118,17 +119,10 @@ class TitsClassSpec:
     def from_values(cls, values):
         return cls("values", tuple(Fraction(str(v)) for v in values))
 
-    @classmethod
-    def from_catalog(cls, name):
-        return cls("catalog", (), name)
-
     def resolve(self, inv_group):
         if self.kind == "zero":
             return BrCharacter.zero(inv_group)
-        if self.kind == "values":
-            return BrCharacter(inv_group, self.values)
-        entry = catalog_lookup(self.catalog_name)
-        return entry.tits.resolve(inv_group)
+        return BrCharacter(inv_group, self.values)
 
 
 @dataclass(frozen=True)
@@ -161,16 +155,26 @@ def _reason(condition, ok, **extra):
 
 
 # -- center-character plumbing ---------------------------------------------
-
-
-def center_module(rd, galois):
-    """The center character group (weights mod roots) with the Galois action."""
-    return module_with_action(rd.weight_lattice, rd.root_lattice, galois)
+#
+# Everything derived from the type and the Galois image alone (and, for the
+# kernel preimage, the character values) is computed once per process.  The
+# caches sit on private helpers: the public names stay plain functions, which
+# is what perfbench/tracer.py can wrap and count.
 
 
 def center_invariants(rd, galois):
-    """(module, fixed subgroup, inclusion) for the center characters."""
-    mod = center_module(rd, galois)
+    """(module, fixed subgroup, inclusion) for the center characters.
+
+    The module is the center character group (weights mod roots) with the
+    Galois action.
+    """
+    return _center_invariants(rd.type, galois)
+
+
+@lru_cache(maxsize=None)
+def _center_invariants(t, galois):
+    rd = based_root_datum(t)
+    mod = module_with_action(rd.weight_lattice, rd.root_lattice, galois)
     inv, incl = group_invariants(mod)
     return mod, inv, incl
 
@@ -187,8 +191,8 @@ def resolve_local_character(rd, galois, tits, mode):
     t0 = tits.resolve(inv)
     val_galois, val_mod = galois, mod
     if mode == REAL and galois.is_trivial_group():
-        val_galois = GaloisAction("cyclic2", [IntMatrix.identity(galois.n)])
-        val_mod = center_module(rd, val_galois)
+        val_galois = _trivial_c2(rd)
+        val_mod = center_invariants(rd, val_galois)[0]
     problems = validate_br_character(
         t0, mode, ambient=val_mod, galois=val_galois, embedding=incl
     )
@@ -204,12 +208,18 @@ def theta_lattice(rd, galois, t0):
     subgroup of the fixed center characters and theta_p the sublattice of
     the fixed weights whose center class the character kills.
     """
-    mod, inv, incl = center_invariants(rd, galois)
+    _, inv, _ = center_invariants(rd, galois)
     if t0.source.invariant_factors != inv.invariant_factors:
         raise ValueError("character source does not match the fixed center characters")
-    denom = 1
-    for v in t0.values:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
+    return _theta_lattice(rd.type, galois, t0.values)
+
+
+@lru_cache(maxsize=None)
+def _theta_lattice(t, galois, values):
+    rd = based_root_datum(t)
+    mod, inv, incl = center_invariants(rd, galois)
+    t0 = BrCharacter(inv, values)
+    denom = t0.order()
     # kernel inside the fixed subgroup
     col = IntMatrix([[int(v * denom)] for v in t0.values], cols=1)
     rows = preimage_lattice(col, Lattice(1, [[denom]]))
@@ -232,26 +242,22 @@ def theta_lattice(rd, galois, t0):
     return theta, theta_incl, theta_p
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def kappa_on_invariants(datum, galois, mod, inv, incl):
+def kappa_on_invariants(datum, characters, mod, inv, incl):
     """The map from fixed automorphism characters to fixed center characters.
 
-    The orbit lattice sits inside the weight lattice, so classes of orbit
-    weights modulo the doubled spherical roots push to classes modulo the
-    root lattice; restricting to fixed points gives the hom whose vanishing
-    under the Tits character is the local existence condition.
+    ``characters`` is one of the character groups of aut_character_lattices,
+    carrying the Galois action: that of the automorphism group, or that of
+    its color-fixing subgroup.  The orbit lattice sits inside the weight
+    lattice, so classes of orbit weights modulo the doubled spherical roots
+    push to classes modulo the root lattice; restricting to fixed points
+    gives the hom whose vanishing under the Tits character is the local
+    existence condition.
     """
-    xa, xa_ker, proj = aut_character_lattices(datum, galois=galois)
-    xa_inv, xa_incl = group_invariants(xa)
+    xa_inv, xa_incl = group_invariants(characters)
     images = []
     for i in range(xa_inv.rank):
         e = tuple(1 if j == i else 0 for j in range(xa_inv.rank))
-        coords = xa.lift(xa_incl.apply(e))  # coordinates in the orbit-lattice basis
+        coords = characters.lift(xa_incl.apply(e))  # coordinates in the orbit-lattice basis
         ambient = apply_row(coords, datum.lattice.basis)
         weight = ambient[: datum.rd.rank]
         cls = incl.preimage(mod.from_ambient(weight))
@@ -261,24 +267,39 @@ def kappa_on_invariants(datum, galois, mod, inv, incl):
     return GroupHom(xa_inv, inv, images)
 
 
-def kappa_ker_on_invariants(datum, galois, mod, inv, incl):
-    """Same pushforward computed through the color-fixing subgroup's characters."""
-    xa, xa_ker, proj = aut_character_lattices(datum, galois=galois)
-    k_inv, k_incl = group_invariants(xa_ker)
-    images = []
-    for i in range(k_inv.rank):
-        e = tuple(1 if j == i else 0 for j in range(k_inv.rank))
-        coords = xa_ker.lift(k_incl.apply(e))
-        ambient = apply_row(coords, datum.lattice.basis)
-        weight = ambient[: datum.rd.rank]
-        cls = incl.preimage(mod.from_ambient(weight))
-        if cls is None:
-            raise ValueError("fixed automorphism character with non-fixed center class")
-        images.append(cls)
-    return GroupHom(k_inv, inv, images)
-
-
 # -- the decision procedures -------------------------------------------------
+
+
+def _stability_reason(datum, galois):
+    witness = invariants_stable(datum, galois, witness=True)
+    return _reason(
+        "invariants-stability",
+        witness is None,
+        witness=None if witness is None else "generator %d" % (witness + 1,),
+    )
+
+
+def _kappa_cohomology(datum, galois, t0, mod, inv, incl, crosscheck=False):
+    """The cohomology reason of a spherical orbit.
+
+    The Tits character must vanish on the pushed-forward fixed automorphism
+    characters.  With ``crosscheck`` the test is repeated through the
+    color-fixing subgroup's characters, and the two routes must agree.
+    """
+    if t0.is_zero():
+        return _reason("cohomology", True, rule="t0-trivial")
+    xa, xa_ker, _ = aut_character_lattices(datum, galois=galois)
+    kappa = kappa_on_invariants(datum, xa, mod, inv, incl)
+    ok = br_vanishing_test(t0, kappa)
+    if crosscheck:
+        kappa_ker = kappa_on_invariants(datum, xa_ker, mod, inv, incl)
+        if ok != br_vanishing_test(t0, kappa_ker):
+            raise AssertionError(
+                "the two equivalent cohomological routes disagree; data inconsistent"
+            )
+        return _reason("cohomology", ok, rule="generic-theta", crosscheck="kernel-route-agrees")
+    bad = next((list(img) for img in kappa.images if t0.evaluate(img) != 0), None)
+    return _reason("cohomology", ok, rule="generic-theta", witness=bad)
 
 
 def decide_local_general(datum, galois, tits, mode):
@@ -289,79 +310,89 @@ def decide_local_general(datum, galois, tits, mode):
     characters.
     """
     mod, inv, incl, t0 = resolve_local_character(datum.rd, galois, tits, mode)
-    reasons = []
-    witness = invariants_stable(datum, galois, witness=True)
-    stable = witness is None
-    reasons.append(
-        _reason(
-            "invariants-stability",
-            stable,
-            witness=None if stable else "generator %d" % (witness + 1,),
-        )
-    )
+    reasons = [_stability_reason(datum, galois)]
     citations = ["necessary stability of the combinatorial invariants"]
-    if not stable:
+    if not reasons[0]["ok"]:
         return Verdict(False, tuple(reasons), tuple(citations))
-    if t0.is_zero():
-        reasons.append(_reason("cohomology", True, rule="t0-trivial"))
-    else:
-        kappa = kappa_on_invariants(datum, galois, mod, inv, incl)
-        ok = br_vanishing_test(t0, kappa)
-        bad = None
-        if not ok:
-            for img in kappa.images:
-                if t0.evaluate(img) != 0:
-                    bad = list(img)
-                    break
-        reasons.append(
-            _reason("cohomology", ok, rule="generic-theta", witness=bad)
-        )
+    reasons.append(_kappa_cohomology(datum, galois, t0, mod, inv, incl))
     citations.append("vanishing of the pushed-forward degree-2 obstruction")
     exists = all(r["ok"] for r in reasons)
     return Verdict(exists, tuple(reasons), tuple(citations))
+
+
+def _fundamental_class(mod, incl, n, k):
+    """Fixed center class of the k-th fundamental weight (0-based)."""
+    return incl.preimage(mod.from_ambient(tuple(1 if j == k else 0 for j in range(n))))
+
+
+def _shortcut_label(rd, galois, t0, mod, inv, incl):
+    """The tabulated condition, *1 to *5, covering a type, action and character.
+
+    Returns None outside the table.  The label names the rule of a verdict;
+    the verdict itself always comes from the kernel-preimage test.
+    """
+    fam, n = rd.type.family, rd.type.rank
+    trivial = galois.is_trivial_action()
+    if mod.order() == 2:
+        return "*1"
+    if not trivial and inv.order() == 2 and fam in ("A", "D"):
+        return "*2"
+    if trivial and (fam == "A" and n >= 2 or fam == "D" and n % 2 == 1):
+        return "*3"
+    if trivial and fam == "D":
+        spins = [t0.evaluate(_fundamental_class(mod, incl, n, k)) for k in (n - 2, n - 1)]
+        return "*4" if all(spins) else "*5"
+    return None
 
 
 def _horospherical_fast_path(rd, galois, t0, m_lattice, mod, inv, incl):
     """The tabulated shortcut conditions for simple types over local fields.
 
     Returns (label, ok) when the type/action matches the table, else None.
-    The labels are *1 through *5; the evaluation is a direct lattice test.
+    The labels are *1 through *5, as named by _shortcut_label; the
+    evaluation is a direct lattice test, kept as a cross-check of the
+    kernel-preimage test that decides.
     """
-    fam, n = rd.type.family, rd.type.rank
-    trivial = galois.is_trivial_action()
-    pq_order = mod.order()
+    label = _shortcut_label(rd, galois, t0, mod, inv, incl)
+    n = rd.rank
     q_lat = rd.root_lattice
-    if pq_order == 2:
+    if label == "*1":
         # A1, B, C, E7: the condition is containment in the root lattice
-        return "*1", q_lat.contains(m_lattice)
-    if not trivial and inv.order() == 2 and fam in ("A", "D"):
+        return label, q_lat.contains(m_lattice)
+    if label == "*2":
         m_fixed = fixed_sublattice(m_lattice, list(galois.matrices))
         q_fixed = fixed_sublattice(q_lat, list(galois.matrices))
-        return "*2", q_fixed.contains(m_fixed)
-    if trivial and fam == "A" and n >= 2:
+        return label, q_fixed.contains(m_fixed)
+    if label == "*3":
         ell = t0.order()
         target = Lattice(
             n, [[ell if i == j else 0 for j in range(n)] for i in range(n)]
         ).sum(q_lat)
-        return "*3", target.contains(m_lattice)
-    if trivial and fam == "D" and n % 2 == 1:
-        ell = t0.order()
-        target = Lattice(
-            n, [[ell if i == j else 0 for j in range(n)] for i in range(n)]
-        ).sum(q_lat)
-        return "*3", target.contains(m_lattice)
-    if trivial and fam == "D" and n % 2 == 0:
-        spin1 = incl.preimage(mod.from_ambient(tuple(1 if k == n - 2 else 0 for k in range(n))))
-        spin2 = incl.preimage(mod.from_ambient(tuple(1 if k == n - 1 else 0 for k in range(n))))
-        v1, v2 = t0.evaluate(spin1), t0.evaluate(spin2)
-        if v1 != 0 and v2 != 0:
-            ok = all(in_epsilon_lattice(rd.type, row) for row in m_lattice.basis.data)
-            return "*4", ok
-        keep = n - 1 if v1 == 0 else n  # the spin weight the character kills
+        return label, target.contains(m_lattice)
+    if label == "*4":
+        return label, all(in_epsilon_lattice(rd.type, row) for row in m_lattice.basis.data)
+    if label == "*5":
+        # the spin weight the character kills
+        keep = n - 1 if t0.evaluate(_fundamental_class(mod, incl, n, n - 2)) == 0 else n
         gen = tuple(1 if k == keep - 1 else 0 for k in range(n))
-        target = q_lat.sum(Lattice(n, [gen]))
-        return "*5", target.contains(m_lattice)
+        return label, q_lat.sum(Lattice(n, [gen])).contains(m_lattice)
     return None
+
+
+def _horospherical_cohomology(datum, galois, t0, mod, inv, incl):
+    """(ok, rule, witness) of the cohomology condition of a stable pair.
+
+    For a nonzero character the fixed sublattice of M must lie inside the
+    preimage of the character kernel; the witness is the first basis row of
+    the fixed part outside it.
+    """
+    if t0.is_zero():
+        return True, "t0-trivial", None
+    theta_p = theta_lattice(datum.rd, galois, t0)[2]
+    m_fixed = fixed_sublattice(datum.M, list(galois.matrices))
+    offender = next((list(r) for r in m_fixed.basis.data if not theta_p.member(r)), None)
+    rule = _shortcut_label(datum.rd, galois, t0, mod, inv, incl) or "generic-theta"
+    return offender is None, rule, offender
 
 
 def decide_horospherical(datum, galois, tits, mode):
@@ -378,29 +409,15 @@ def decide_horospherical(datum, galois, tits, mode):
             "invalid horospherical datum: "
             + "; ".join("node %d pairs with %r" % (i, list(r)) for i, r in bad)
         )
-    rd = datum.rd
-    mod, inv, incl, t0 = resolve_local_character(rd, galois, tits, mode)
-    reasons = []
+    mod, inv, incl, t0 = resolve_local_character(datum.rd, galois, tits, mode)
     stable = datum.stable(galois)
-    reasons.append(_reason("pair-stability", stable))
+    reasons = [_reason("pair-stability", stable)]
     citations = ["necessary stability of the horospherical pair"]
     if not stable:
         return Verdict(False, tuple(reasons), tuple(citations))
-    if t0.is_zero():
-        reasons.append(_reason("cohomology", True, rule="t0-trivial"))
-    else:
-        theta, theta_incl, theta_p = theta_lattice(rd, galois, t0)
-        m_fixed = fixed_sublattice(datum.M, list(galois.matrices))
-        ok = theta_p.contains(m_fixed)
-        fast = _horospherical_fast_path(rd, galois, t0, datum.M, mod, inv, incl)
-        rule = fast[0] if fast else "generic-theta"
-        extra = {}
-        if not ok:
-            offender = next(
-                (list(r) for r in m_fixed.basis.data if not theta_p.member(r)), None
-            )
-            extra["witness"] = offender
-        reasons.append(_reason("cohomology", ok, rule=rule, **extra))
+    ok, rule, witness = _horospherical_cohomology(datum, galois, t0, mod, inv, incl)
+    extra = {} if ok else {"witness": witness}
+    reasons.append(_reason("cohomology", ok, rule=rule, **extra))
     citations.append("fixed part of M inside the character-kernel preimage")
     exists = all(r["ok"] for r in reasons)
     note = None
@@ -417,16 +434,13 @@ def decide_number_field(datum, galois, sites):
 
     The pair must be stable under the global action, and at every listed
     completion the local condition must hold; sites marked trivial impose
-    none.  Each site's image must sit inside the global image.
+    none.  Each site's image must sit inside the global image, so the pair
+    is stable under it as well.
     """
-    if datum.rd.type.family not in ("A", "B", "C", "D", "E", "F", "G"):
-        raise ValueError("unknown type")
-    bad = datum.validate()
-    if bad:
+    if datum.validate():
         raise ValueError("invalid horospherical datum")
-    reasons = []
     stable = datum.stable(galois)
-    reasons.append(_reason("pair-stability", stable))
+    reasons = [_reason("pair-stability", stable)]
     citations = [
         "necessary stability of the horospherical pair",
         "place-by-place vanishing for simply connected simple groups",
@@ -444,16 +458,9 @@ def decide_number_field(datum, galois, sites):
             )
             continue
         tits = TitsClassSpec.from_values(site.t0_values)
-        local = decide_horospherical(datum, site.galois, tits, site.mode)
-        coh = [r for r in local.reasons if r["condition"] == "cohomology"][0]
-        reasons.append(
-            _reason(
-                "site:%s" % site.label,
-                coh["ok"],
-                rule=coh.get("rule"),
-                witness=coh.get("witness"),
-            )
-        )
+        mod, inv, incl, t0 = resolve_local_character(datum.rd, site.galois, tits, site.mode)
+        ok, rule, witness = _horospherical_cohomology(datum, site.galois, t0, mod, inv, incl)
+        reasons.append(_reason("site:%s" % site.label, ok, rule=rule, witness=witness))
     exists = all(r["ok"] for r in reasons)
     return Verdict(exists, tuple(reasons), tuple(citations))
 
@@ -508,22 +515,13 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
     from .embeddings import exists_stabilizing_lift
 
     mod, inv, incl, t0 = resolve_local_character(datum.rd, galois, tits, mode)
-    reasons = []
-    witness = invariants_stable(datum, galois, witness=True)
-    stable = witness is None
-    reasons.append(
-        _reason(
-            "invariants-stability",
-            stable,
-            witness=None if stable else "generator %d" % (witness + 1,),
-        )
-    )
+    reasons = [_stability_reason(datum, galois)]
     citations = [
         "necessary stability of the combinatorial invariants",
         "stable colored fan under some color lift",
         "vanishing of the pushed-forward degree-2 obstruction",
     ]
-    if not stable:
+    if not reasons[0]["ok"]:
         return Verdict(False, tuple(reasons), tuple(citations))
     reasons.append(
         _reason(
@@ -543,18 +541,7 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
             lift=None if lift is None else [list(p) for p in lift.generator_maps],
         )
     )
-    if t0.is_zero():
-        reasons.append(_reason("cohomology", True, rule="t0-trivial"))
-    else:
-        kappa = kappa_on_invariants(datum, galois, mod, inv, incl)
-        ok = br_vanishing_test(t0, kappa)
-        kappa_ker = kappa_ker_on_invariants(datum, galois, mod, inv, incl)
-        ok_ker = br_vanishing_test(t0, kappa_ker)
-        if ok != ok_ker:
-            raise AssertionError(
-                "the two equivalent cohomological routes disagree; data inconsistent"
-            )
-        reasons.append(_reason("cohomology", ok, rule="generic-theta", crosscheck="kernel-route-agrees"))
+    reasons.append(_kappa_cohomology(datum, galois, t0, mod, inv, incl, crosscheck=True))
     exists = all(r["ok"] for r in reasons)
     return Verdict(exists, tuple(reasons), tuple(citations))
 
@@ -607,7 +594,8 @@ def _flip_action(rd):
 
 
 def _trivial_c2(rd):
-    return GaloisAction("cyclic2", [IntMatrix.identity(rd.rank)])
+    identity = DiagramAutomorphism(tuple(range(rd.rank)))
+    return galois_from_permutations(rd, [identity], group_name="cyclic2")
 
 
 def catalog_lookup(name):
@@ -712,7 +700,7 @@ def _extension_entries():
             rd = based_root_datum(t)
             gname = entry.get("galois", "trivial")
             if gname == "trivial":
-                galois = GaloisAction.trivial(rd.rank)
+                galois = galois_from_permutations(rd, [])
             elif gname == "flip":
                 galois = _flip_action(rd)
             elif gname == "trivial-c2":

@@ -22,7 +22,7 @@ from .polyhedra import (
     extreme_rays,
     relative_interior_point_satisfies,
 )
-from .spherical import enumerate_lifts, invariants_stable, omega_action
+from .spherical import _fmt_fraction, enumerate_lifts, invariants_stable, omega_action
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class ColoredFan:
     def to_dict(self):
         return [
             {
-                "generators": [[_fmt(x) for x in r] for r in c.rays],
+                "generators": [[_fmt_fraction(x) for x in r] for r in c.rays],
                 "colors": sorted(c.colors),
             }
             for c in self.cones
@@ -108,11 +108,6 @@ class ColoredFan:
             for entry in doc
         ]
         return cls(cones, datum, check_valuation_cone=check_valuation_cone)
-
-
-def _fmt(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _cartesian
+from math import lcm
 
 from .lattice import (
     FgAbelianGroup,
@@ -25,6 +27,7 @@ from .lattice import (
     apply_row,
     group_invariants,
 )
+from .rootdata import based_root_datum, star_action_matrix
 
 REAL = "real"
 PADIC = "padic"
@@ -63,10 +66,12 @@ class GaloisAction:
     groups, two for S3: first of order 3, then of order 2).  Matrices for all
     elements are derived by words and the homomorphism property is verified
     against the multiplication table.  Vectors are rows and act on the right,
-    so rep(ab) = rep(a) rep(b).
+    so rep(ab) = rep(a) rep(b).  Two actions are equal when they name the same
+    abstract group and have the same element matrices, so the trivial group
+    and the order-2 group acting trivially stay distinct.
     """
 
-    __slots__ = ("n", "group_name", "mult", "generators", "matrices")
+    __slots__ = ("n", "group_name", "mult", "generators", "matrices", "_hash")
 
     def __init__(self, group_name, generator_matrices, n=None):
         table, gen_idx = _group_table(group_name)
@@ -106,6 +111,7 @@ class GaloisAction:
         self.mult = table
         self.generators = gen_idx
         self.matrices = tuple(mats)
+        self._hash = hash((group_name, self.matrices))
 
     @classmethod
     def trivial(cls, n):
@@ -142,6 +148,16 @@ class GaloisAction:
         """True iff the image of this action sits inside the image of ``other``."""
         return set(self.matrices).issubset(set(other.matrices))
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, GaloisAction)
+            and self.group_name == other.group_name
+            and self.matrices == other.matrices
+        )
+
+    def __hash__(self):
+        return self._hash
+
     def __repr__(self):
         return "GaloisAction(%s, n=%d)" % (self.group_name, self.n)
 
@@ -151,10 +167,15 @@ def galois_from_permutations(rd, automorphisms, group_name=None):
 
     With one automorphism the group is cyclic of that automorphism's order;
     explicitly passing ``group_name`` allows a non-faithful action such as a
-    quadratic extension acting trivially.
+    quadratic extension acting trivially.  Each distinct input is built (and
+    its multiplication table checked) once per process.
     """
-    from .rootdata import star_action_matrix
+    return _galois_from_permutations(rd.type, tuple(automorphisms), group_name)
 
+
+@lru_cache(maxsize=None)
+def _galois_from_permutations(t, automorphisms, group_name):
+    rd = based_root_datum(t)
     mats = [star_action_matrix(rd, a) for a in automorphisms]
     if group_name is None:
         if not automorphisms:
@@ -335,21 +356,10 @@ class BrCharacter:
         return all(v == 0 for v in self.values)
 
     def order(self):
-        out = 1
-        for v in self.values:
-            d = v.denominator
-            g = _gcd(out, d)
-            out = out * d // g
-        return out
+        return lcm(*(v.denominator for v in self.values))
 
     def serialize(self):
         return ["%d/%d" % (v.numerator, v.denominator) if v else "0" for v in self.values]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def validate_br_character(t0, field_mode, ambient=None, galois=None, embedding=None):

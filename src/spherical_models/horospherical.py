@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import Lattice, apply_row
+from .rootdata import node_permutation
 from .spherical import Color, SphericalDatum
 
 
@@ -37,7 +38,7 @@ class HorosphericalDatum:
         """True iff every generator fixes I setwise and maps M onto M."""
         for gi in galois.generators:
             m = galois.matrices[gi]
-            perm = _node_images(self.rd, m)
+            perm = node_permutation(self.rd, m)
             if perm is None or {perm[i] for i in self.I} != self.I:
                 return False
             moved = Lattice(self.rd.rank, [apply_row(r, m) for r in self.M.basis.data])
@@ -70,28 +71,3 @@ class HorosphericalDatum:
     @classmethod
     def from_dict(cls, rd, doc):
         return cls(rd, doc.get("I", []), doc.get("M", []))
-
-
-def _node_images(rd, mat):
-    """Node permutation induced by a star-action matrix, or None."""
-    roots = {rd.simple_root(i): i for i in range(1, rd.rank + 1)}
-    perm = {}
-    for i in range(1, rd.rank + 1):
-        img = apply_row(rd.simple_root(i), mat)
-        j = roots.get(img)
-        if j is None:
-            return None
-        perm[i] = j
-    return perm
-
-
-def validate(datum):
-    return datum.validate()
-
-
-def stable(datum, galois):
-    return datum.stable(galois)
-
-
-def to_spherical(datum):
-    return datum.to_spherical()

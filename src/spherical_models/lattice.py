@@ -409,11 +409,6 @@ class Lattice:
         return "Lattice(%d, %r)" % (self.ambient_rank, list(map(list, self.basis.data)))
 
 
-def lattice_membership(v, lattice):
-    """True iff v is an integral combination of the basis rows of ``lattice``."""
-    return lattice.member(tuple(v))
-
-
 def stabilizes(lattice, mats):
     """True iff every matrix maps the lattice into itself."""
     return all(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import FgAbelianGroup, IntMatrix, Lattice, quotient_group
+from .lattice import FgAbelianGroup, IntMatrix, Lattice, apply_row, quotient_group
 
 _FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -123,8 +123,7 @@ class BasedRootDatum:
 
     @property
     def root_lattice(self):
-        c = self.cartan
-        return Lattice(self.rank, [c.col(j) for j in range(self.rank)])
+        return _root_lattice(self.type)
 
     def simple_root(self, i):
         """The i-th simple root (1-based) as a weight-coordinate vector."""
@@ -133,6 +132,12 @@ class BasedRootDatum:
     def coroot_pairing(self, chi, i):
         """<chi, alpha_i^vee> for a weight-coordinate vector chi (i 1-based)."""
         return chi[i - 1]
+
+
+@lru_cache(maxsize=None)
+def _root_lattice(t: SimpleType) -> Lattice:
+    c = cartan_matrix(t)
+    return Lattice(t.rank, [c.col(j) for j in range(t.rank)])
 
 
 def based_root_datum(label) -> BasedRootDatum:
@@ -228,8 +233,6 @@ def star_action_matrix(rd: BasedRootDatum, a: DiagramAutomorphism) -> IntMatrix:
         [[1 if j == a.permutation[i] else 0 for j in range(n)] for i in range(n)]
     )
     q = rd.root_lattice
-    from .lattice import apply_row
-
     for j in range(1, n + 1):
         img = apply_row(rd.simple_root(j), m)
         if img != rd.simple_root(a.image(j)):
@@ -237,6 +240,22 @@ def star_action_matrix(rd: BasedRootDatum, a: DiagramAutomorphism) -> IntMatrix:
         if not q.member(img):
             raise ValueError("action does not preserve the root lattice")
     return m
+
+
+def node_permutation(rd: BasedRootDatum, mat: IntMatrix):
+    """Node permutation induced by a star-action matrix, or None.
+
+    Maps each 1-based node to the node whose simple root is the image of its
+    simple root; None when ``mat`` does not permute the simple roots.
+    """
+    roots = {rd.simple_root(i): i for i in range(1, rd.rank + 1)}
+    perm = {}
+    for i in range(1, rd.rank + 1):
+        j = roots.get(apply_row(rd.simple_root(i), mat))
+        if j is None:
+            return None
+        perm[i] = j
+    return perm
 
 
 @lru_cache(maxsize=None)

@@ -28,6 +28,7 @@ from .lattice import (
     solve_row,
 )
 from .polyhedra import DIM_CAP, strictly_convex
+from .rootdata import node_permutation
 
 MAX_COLORS = 16
 
@@ -265,9 +266,6 @@ def _node_of_simple_root(datum, s):
     return None
 
 
-sigma2 = sigma_two
-
-
 def sigma_variants(datum):
     """The two doubled root sets presenting the automorphism character groups.
 
@@ -350,18 +348,6 @@ def _restriction_to_basis(datum, mat):
     return IntMatrix(rows)
 
 
-def _simple_node_permutation(datum, mat):
-    """Node permutation induced by ``mat``, or None if roots are not permuted."""
-    perm = {}
-    for i in range(1, datum.rd.rank + 1):
-        img = apply_row(datum._simple_root_vec(i), mat)
-        j = _node_of_simple_root(datum, img)
-        if j is None:
-            return None
-        perm[i] = j
-    return perm
-
-
 def _transformed_omega(datum, elem, r_inv, node_perm):
     rho = tuple(
         sum((Fraction(r_inv.data[i][j]) * elem.rho[j] for j in range(len(elem.rho))), Fraction(0))
@@ -381,15 +367,15 @@ def invariants_stable(datum, galois, witness=False):
     index.
     """
     mats = _extended_matrices(datum, galois)
-    gen_mats = [mats[i] for i in galois.generators]
     omega1, omega2 = omega_sets(datum)
-    for k, m in enumerate(gen_mats):
+    for k, gi in enumerate(galois.generators):
+        m = mats[gi]
         moved = Lattice(datum.ambient_dim, [apply_row(r, m) for r in datum.basis.data])
         if moved != datum.lattice:
             return k if witness else False
         if {apply_row(s, m) for s in datum.sigma} != set(datum.sigma):
             return k if witness else False
-        node_perm = _simple_node_permutation(datum, m)
+        node_perm = node_permutation(datum.rd, galois.matrices[gi])
         restriction = _restriction_to_basis(datum, m)
         if node_perm is None or restriction is None:
             return k if witness else False
@@ -417,7 +403,7 @@ def omega_action(datum, galois):
     perms = []
     for gi in galois.generators:
         m = mats[gi]
-        node_perm = _simple_node_permutation(datum, m)
+        node_perm = node_permutation(datum.rd, galois.matrices[gi])
         restriction = _restriction_to_basis(datum, m)
         if node_perm is None or restriction is None:
             raise ValueError("action does not preserve the invariants")

@@ -93,6 +93,39 @@ def test_decide_pairing_violation(tmp_path, capsys):
     assert code == 2 and "node 1" in err
 
 
+HORO_A2 = {
+    "version": 1,
+    "kind": "horospherical",
+    "root_datum": "A2",
+    "galois": "trivial",
+    "field": {"mode": "real"},
+    "I": [],
+    "M": [[1, 1]],
+}
+
+
+@pytest.mark.parametrize("name", ["SU(nope)", "SU(9,9)"])
+def test_decide_rejects_catalog_form_of_another_type(tmp_path, capsys, name):
+    doc = dict(HORO_A2, tits={"catalog": name})
+    path = write(tmp_path, doc)
+    for command in ("decide", "invariants"):
+        code, _, err = run(capsys, command, path)
+        assert code == 2 and ".tits" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("M", 5), ("I", 5), ("deltas", "xyz")],
+)
+def test_decide_rejects_malformed_shapes(tmp_path, capsys, key, value):
+    if key == "deltas":
+        doc = {"version": 1, "kind": "diagonal", "deltas": value}
+    else:
+        doc = dict(HORO_A2, tits="zero", **{key: value})
+    code, _, err = run(capsys, "decide", write(tmp_path, doc))
+    assert code == 2 and "." + key in err
+
+
 def test_json_output_is_stable(tmp_path, capsys):
     path = write(tmp_path, SL3_BASE)
     _, out1, _ = run(capsys, "decide", path, "--json")

@@ -51,6 +51,20 @@ def test_s3_action_from_d4_automorphisms():
     assert g.group_name == "s3" and g.order == 6
 
 
+def test_action_value_equality_and_hash(rd_a5):
+    from spherical_models import diagram_automorphism_group, star_action_matrix
+
+    flip = [a for a in diagram_automorphism_group(rd_a5.type) if a.order() == 2][0]
+    built = GaloisAction("cyclic2", [star_action_matrix(rd_a5, flip)])
+    derived = galois_from_permutations(rd_a5, [flip])
+    assert built == derived and hash(built) == hash(derived)
+    assert GaloisAction.trivial(5) == GaloisAction("trivial", [], n=5)
+    # the trivial group and the order-2 group acting trivially stay distinct
+    assert GaloisAction.trivial(5) != GaloisAction("cyclic2", [IntMatrix.identity(5)])
+    # different generator matrices give different actions
+    assert built != GaloisAction("cyclic2", [IntMatrix.identity(5)])
+
+
 def test_subaction_check(rd_a5, galois_a5_flip):
     triv = GaloisAction.trivial(5)
     assert triv.is_subaction_of(galois_a5_flip)

@@ -14,7 +14,6 @@ from spherical_models import (
     fixed_sublattice,
     group_invariants,
     hnf,
-    lattice_membership,
     quotient_group,
     snf,
 )
@@ -112,14 +111,14 @@ def test_snf_against_minor_gcd_oracle(rows):
 
 
 def test_membership_zero_vector(rd_a2):
-    assert lattice_membership((0, 0), rd_a2.root_lattice)
+    assert rd_a2.root_lattice.member((0, 0))
 
 
 def test_membership_root_sum_in_root_lattice(rd_a2):
     a1 = rd_a2.simple_root(1)
     a2 = rd_a2.simple_root(2)
     s = tuple(x + y for x, y in zip(a1, a2))
-    assert lattice_membership(s, rd_a2.root_lattice)
+    assert rd_a2.root_lattice.member(s)
 
 
 def test_membership_fundamental_weight_not_in_root_lattice(rd_a2):
@@ -131,12 +130,12 @@ def test_membership_fundamental_weight_not_in_root_lattice(rd_a2):
         for y in range(-9, 10)
     )
     assert not found
-    assert not lattice_membership((1, 0), rd_a2.root_lattice)
+    assert not rd_a2.root_lattice.member((1, 0))
 
 
 def test_membership_dimension_mismatch(rd_a2):
     with pytest.raises(ValueError):
-        lattice_membership((1, 0, 0), rd_a2.root_lattice)
+        rd_a2.root_lattice.member((1, 0, 0))
 
 
 # -- fixed sublattices --------------------------------------------------------
