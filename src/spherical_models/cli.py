@@ -129,15 +129,23 @@ def _parse_field(entry, rd, global_galois, path):
         if not sg.is_subaction_of(global_galois):
             _fail(spath, "site image is not contained in the global image")
         t0 = s.get("t0", "trivial")
-        values = None if t0 in ("trivial", None) else tuple(str(v) for v in t0)
+        if t0 in ("trivial", None):
+            values = None
+        elif isinstance(t0, list):
+            values = tuple(str(v) for v in t0)
+        else:
+            _fail(spath + ".t0", "t0 must be 'trivial' or a list of character values")
         sites.append(LocalSite(label, smode, sg, values))
     return FieldDescriptor(NUMBER_FIELD, tuple(sites))
 
 
 def load_problem(path):
+    def reject_float(literal):
+        _fail(path, "float %s is not allowed; write rationals as \"p/q\" strings" % literal)
+
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+            doc = json.load(f, parse_float=reject_float, parse_constant=reject_float)
     except OSError as e:
         raise ProblemError("%s: cannot read (%s)" % (path, e))
     except json.JSONDecodeError as e:
@@ -295,7 +303,10 @@ def invariants_report(doc, path):
         lines.append("M basis:")
         for r in h.M.basis.data:
             lines.append("  %s" % _fmt_vec(r))
-        datum = h.to_spherical()
+        try:
+            datum = h.to_spherical()
+        except ValueError as e:
+            _fail(path, str(e))
         lines.append("derived orbit datum: one color per simple root outside I")
     elif kind == "spherical":
         datum = _build_payload(doc, rd, kind, path)

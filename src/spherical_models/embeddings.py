@@ -13,7 +13,7 @@ are checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .lattice import _unimodular_inverse
@@ -22,7 +22,14 @@ from .polyhedra import (
     extreme_rays,
     relative_interior_point_satisfies,
 )
-from .spherical import _fmt_fraction, enumerate_lifts, invariants_stable, omega_action
+from .spherical import (
+    _extended_matrices,
+    _fmt_fraction,
+    _restriction_to_basis,
+    enumerate_lifts,
+    invariants_stable,
+    omega_action,
+)
 
 
 @dataclass(frozen=True)
@@ -63,9 +70,13 @@ def cone_canonicalize(cone, datum):
 
 
 class ColoredFan:
-    """Maximal colored cones of an embedding, canonicalized and distinct."""
+    """Maximal colored cones of an embedding, canonicalized and distinct.
 
-    __slots__ = ("cones", "datum")
+    ``keys`` holds the canonical key of every maximal cone, with the rays
+    as integer tuples (canonical rays are primitive integer vectors).
+    """
+
+    __slots__ = ("cones", "datum", "keys")
 
     def __init__(self, cones, datum, check_valuation_cone=False):
         canon = []
@@ -78,6 +89,9 @@ class ColoredFan:
             canon.append(cc)
         self.cones = tuple(canon)
         self.datum = datum
+        self.keys = frozenset(
+            (tuple(tuple(int(x) for x in r) for r in rays), colors) for rays, colors in seen
+        )
         if check_valuation_cone:
             vrows = datum.valuation_cone_inequalities()
             for cc in self.cones:
@@ -87,7 +101,7 @@ class ColoredFan:
                     )
 
     def contains(self, cone):
-        return cone.key() in {c.key() for c in self.cones}
+        return cone.key() in self.keys
 
     def to_dict(self):
         return [
@@ -116,25 +130,29 @@ class FanGaloisData:
 
     ``v_matrices[k]`` acts on ray coordinates for the k-th generator; it is
     the inverse transpose of the generator's restriction to the orbit
-    lattice in the chosen basis, which is verified at construction.
+    lattice in the chosen basis.  ``omega`` is ``omega_action(datum,
+    galois)``.  Neither depends on the lift, so a search over lifts builds
+    once and swaps the lift in with ``dataclasses.replace``.
     """
 
     galois: object
     lift: object
     v_matrices: tuple
+    omega: tuple = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, datum, galois, lift):
-        from .spherical import _extended_matrices, _restriction_to_basis
-
+        """Check that the action preserves the invariants, then derive its data."""
+        if invariants_stable(datum, galois) is not True:
+            raise ValueError("the action does not preserve the combinatorial invariants")
         mats = _extended_matrices(datum, galois)
-        v_mats = []
-        for gi in galois.generators:
-            r = _restriction_to_basis(datum, mats[gi])
-            if r is None:
-                raise ValueError("action does not stabilize the orbit lattice")
-            v_mats.append(_unimodular_inverse(r).transpose())
-        return cls(galois, lift, tuple(v_mats))
+        # invariants_stable checked that each generator preserves the orbit
+        # lattice, so every restriction exists
+        v_mats = tuple(
+            _unimodular_inverse(_restriction_to_basis(datum, mats[gi])).transpose()
+            for gi in galois.generators
+        )
+        return cls(galois, lift, v_mats, omega_action(datum, galois))
 
     def apply_ray(self, k, ray):
         m = self.v_matrices[k]
@@ -149,31 +167,39 @@ def fan_stable(fan, datum, fan_galois):
 
     For each generator the image of every maximal colored cone (rays moved
     contragrediently, colors moved by the lift) must again be a maximal cone
-    of the fan.
+    of the fan.  ``fan_galois`` must come from ``FanGaloisData.build`` on
+    ``datum``, which rejects actions that do not preserve the invariants.
+
+    The image of a canonical cone is already canonical, so it is moved, not
+    recomputed: v is unimodular and sends the primitive extreme rays to the
+    primitive extreme rays of the image, and since the lift covers the
+    action on color images, each moved color's functional is v of the old
+    one and lies in the moved cone.
     """
-    galois = fan_galois.galois
-    if invariants_stable(datum, galois) is not True:
-        raise ValueError("the action does not preserve the combinatorial invariants")
-    _check_lift_covers_omega(datum, galois, fan_galois.lift)
-    for k in range(len(galois.generators)):
+    _check_lift_covers_omega(fan_galois)
+    for k, v in enumerate(fan_galois.v_matrices):
         gmap = fan_galois.lift.mapping(k)
-        for cone in fan.cones:
-            moved = ColoredCone(
-                tuple(fan_galois.apply_ray(k, r) for r in cone.rays),
-                frozenset(gmap[c] for c in cone.colors),
-            )
-            if not fan.contains(cone_canonicalize(moved, datum)):
-                return False
+        if any(_moved_key(key, v, gmap) not in fan.keys for key in fan.keys):
+            return False
     return True
 
 
-def _check_lift_covers_omega(datum, galois, lift):
-    fibers, perms = omega_action(datum, galois)
+def _moved_key(key, v, gmap):
+    """Canonical key of the image of a canonical colored cone (see fan_stable)."""
+    rays, colors = key
+    v_cols = tuple(zip(*v.data))
+    moved = sorted(tuple(sum(a * b for a, b in zip(col, r)) for col in v_cols) for r in rays)
+    return (tuple(moved), tuple(sorted(gmap[c] for c in colors)))
+
+
+def _check_lift_covers_omega(fan_galois):
+    fibers, perms = fan_galois.omega
     color_fiber = {}
     for key, ids in fibers.items():
         for cid in ids:
             color_fiber[cid] = key
-    if len(lift.generator_maps) != len(galois.generators):
+    lift = fan_galois.lift
+    if len(lift.generator_maps) != len(fan_galois.galois.generators):
         raise ValueError("lift has the wrong number of generator maps")
     for k, perm in enumerate(perms):
         gmap = lift.mapping(k)
@@ -185,9 +211,13 @@ def _check_lift_covers_omega(datum, galois, lift):
 
 
 def exists_stabilizing_lift(fan, datum, galois):
-    """First lift (in enumeration order) making the fan stable, or None."""
-    for lift in enumerate_lifts(datum, galois):
-        fg = FanGaloisData.build(datum, galois, lift)
-        if fan_stable(fan, datum, fg):
+    """First lift (in enumeration order) making the fan stable, or None.
+
+    The lift-independent data are built once per search.
+    """
+    lifts = enumerate_lifts(datum, galois)
+    base = FanGaloisData.build(datum, galois, lifts[0])
+    for lift in lifts:
+        if fan_stable(fan, datum, replace(base, lift=lift)):
             return lift
     return None

@@ -1,89 +1,91 @@
 """Exact rational polyhedral feasibility at desk scale.
 
-Fourier-Motzkin elimination over Fraction arithmetic.  Everything here is a
-helper for cone questions in dimension <= 8: membership of a vector in a
-finitely generated cone, strict convexity, extreme-ray filtering, and
-"relative interior meets a half-space system" tests.  No floats, ever.
+Fraction-free integer Fourier-Motzkin elimination.  Each constraint is
+scaled once to an integer row; equalities are removed by fraction-free
+Gaussian elimination and inequalities by Fourier-Motzkin on rows of content
+1, so every intermediate number is a Python int and no rational is ever
+normalized.  Everything here is a helper for cone questions in dimension
+<= 8: membership of a vector in a finitely generated cone, strict
+convexity, extreme-ray filtering, and "relative interior meets a
+half-space system" tests.  Inputs may be ints or Fractions.  No floats,
+ever.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 DIM_CAP = 8
 
 
-def _norm_ineq(coeffs, rhs, strict):
-    """Scale an inequality to integer coefficients with content 1."""
-    den = 1
-    for c in list(coeffs) + [rhs]:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    r = int(rhs * den)
-    g = 0
-    for c in ints + [r]:
-        g = gcd(g, abs(c))
+def _integer_row(values):
+    """A rational row times the lcm of its denominators, as a list of ints."""
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def _add_row(system, coeffs, rhs, strict):
+    """Add coeffs.x >= rhs (> if strict), scaled to content 1.
+
+    A row without variables is decided on the spot and not added; the
+    result is False exactly when such a row fails.
+    """
+    if not any(coeffs):
+        return rhs < 0 or (rhs == 0 and not strict)
+    g = gcd(*coeffs, rhs)
     if g > 1:
-        ints = [c // g for c in ints]
-        r = r // g
-    return (tuple(ints), r, strict)
+        coeffs = tuple(c // g for c in coeffs)
+        rhs //= g
+    system.add((coeffs, rhs, strict))
+    return True
+
+
+def _pivot_out(row, pivot_row, p, col):
+    """p * row - row[col] * pivot_row (p > 0), which clears column col."""
+    f = row[col]
+    return [p * x - f * y for x, y in zip(row, pivot_row)]
 
 
 def feasible(n, eqs=(), ge=(), gt=()):
     """Is there a rational x in QQ^n with a.x = b, a.x >= b, a.x > b as given?
 
-    Constraints are (coeff_tuple, rhs) pairs.  Equalities are eliminated by
-    exact Gaussian substitution first, then Fourier-Motzkin eliminates one
-    variable at a time; strictness propagates through combinations.
+    Constraints are (coeff_tuple, rhs) pairs with int or Fraction entries.
+    Equalities are eliminated first by fraction-free Gaussian elimination
+    with a positive pivot, so substituting into an inequality never flips
+    it; then Fourier-Motzkin eliminates one variable at a time, and
+    strictness propagates through combinations.
     """
-    eqs = [([Fraction(c) for c in a], Fraction(b)) for a, b in eqs]
-    rows = [([Fraction(c) for c in a], Fraction(b), False) for a, b in ge]
-    rows += [([Fraction(c) for c in a], Fraction(b), True) for a, b in gt]
+    eqs = [_integer_row((*a, b)) for a, b in eqs]
+    rows = [(_integer_row((*a, b)), False) for a, b in ge]
+    rows += [(_integer_row((*a, b)), True) for a, b in gt]
 
-    # Gaussian elimination on the equalities
-    pivots = []
-    for e in range(len(eqs)):
-        a, b = eqs[e]
-        col = next((j for j in range(n) if a[j] != 0 and j not in [p[1] for p in pivots]), None)
+    pivot_cols = set()
+    for e, eq in enumerate(eqs):
+        # earlier pivots were cleared from this row, so any nonzero entry
+        # is a new pivot column
+        col = next((j for j in range(n) if eq[j]), None)
         if col is None:
-            if b != 0 and all(c == 0 for c in a):
+            if eq[n]:
                 return False
             continue
-        inv = 1 / a[col]
-        a = [c * inv for c in a]
-        b = b * inv
-        eqs[e] = (a, b)
-        for e2 in range(len(eqs)):
-            if e2 != e and eqs[e2][0][col] != 0:
-                f = eqs[e2][0][col]
-                eqs[e2] = (
-                    [c2 - f * c1 for c2, c1 in zip(eqs[e2][0], a)],
-                    eqs[e2][1] - f * b,
-                )
-        pivots.append((e, col))
-    for a, b in eqs:
-        if all(c == 0 for c in a) and b != 0:
-            return False
-    # substitute pivots into the inequalities
-    for e, col in pivots:
-        a, b = eqs[e]
-        new_rows = []
-        for c, r, s in rows:
-            f = c[col]
-            if f != 0:
-                c = [ci - f * ai for ci, ai in zip(c, a)]
-                r = r - f * b
-            new_rows.append((c, r, s))
-        rows = new_rows
+        if eq[col] < 0:
+            eq = [-x for x in eq]
+        p = eq[col]
+        pivot_cols.add(col)
+        for e2 in range(e + 1, len(eqs)):
+            if eqs[e2][col]:
+                eqs[e2] = _pivot_out(eqs[e2], eq, p, col)
+        rows = [(_pivot_out(r, eq, p, col) if r[col] else r, s) for r, s in rows]
 
-    live = [j for j in range(n) if j not in [p[1] for p in pivots]]
+    live = [j for j in range(n) if j not in pivot_cols]
     system = set()
-    for c, r, s in rows:
-        system.add(_norm_ineq([Fraction(c[j]) for j in live], Fraction(r), s))
+    for r, s in rows:
+        if not _add_row(system, tuple(r[j] for j in live), r[n], s):
+            return False
 
-    for k in range(len(live)):
-        pos, neg, rest = [], [], []
+    for _ in live:
+        pos, neg = [], []
+        reduced = set()
         for coeffs, r, s in system:
             c = coeffs[0]
             if c > 0:
@@ -91,37 +93,26 @@ def feasible(n, eqs=(), ge=(), gt=()):
             elif c < 0:
                 neg.append((coeffs, r, s))
             else:
-                rest.append((coeffs[1:], r, s))
-        new_system = set(_norm_ineq([Fraction(c) for c in cs], Fraction(r), s) for cs, r, s in rest)
+                reduced.add((coeffs[1:], r, s))
         for cp, rp, sp in pos:
             for cn, rn, sn in neg:
                 # eliminate: combine with weights |cn[0]| and cp[0]
                 w1, w2 = -cn[0], cp[0]
-                comb = [Fraction(w1 * a + w2 * b) for a, b in zip(cp[1:], cn[1:])]
-                rhs = Fraction(w1 * rp + w2 * rn)
-                new_system.add(_norm_ineq(comb, rhs, sp or sn))
-        system = new_system
-    for coeffs, r, s in system:
-        if s:
-            if not 0 > r:
-                return False
-        else:
-            if not 0 >= r:
-                return False
+                comb = tuple(w1 * a + w2 * b for a, b in zip(cp[1:], cn[1:]))
+                if not _add_row(reduced, comb, w1 * rp + w2 * rn, sp or sn):
+                    return False
+        system = reduced
     return True
 
 
 def cone_member(v, generators):
     """Is v a nonnegative rational combination of the generators?"""
-    gens = [tuple(Fraction(x) for x in g) for g in generators]
-    v = tuple(Fraction(x) for x in v)
+    gens = [tuple(g) for g in generators]
+    v = tuple(v)
     if not gens:
         return all(x == 0 for x in v)
-    d = len(v)
     m = len(gens)
-    eqs = []
-    for j in range(d):
-        eqs.append(([gens[i][j] for i in range(m)], v[j]))
+    eqs = [([g[j] for g in gens], v[j]) for j in range(len(v))]
     ge = [([1 if i == k else 0 for i in range(m)], 0) for k in range(m)]
     return feasible(m, eqs=eqs, ge=ge)
 
@@ -132,7 +123,7 @@ def strictly_convex(generators):
     Equivalent, for a finitely generated cone with nonzero generators, to the
     existence of a functional strictly positive on every generator.
     """
-    gens = [tuple(Fraction(x) for x in g) for g in generators]
+    gens = [tuple(g) for g in generators]
     if not gens:
         return True
     if any(all(x == 0 for x in g) for g in gens):
@@ -146,14 +137,8 @@ def strictly_convex(generators):
 
 def primitive(vec):
     """Scale a rational row to a primitive integer vector (same ray)."""
-    vec = [Fraction(x) for x in vec]
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    ints = _integer_row(tuple(vec))
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
@@ -187,13 +172,13 @@ def relative_interior_point_satisfies(rays, inequalities):
     positive combinations.  Used for the "cone meets the valuation cone"
     validation toggle.
     """
-    rays = [tuple(Fraction(x) for x in r) for r in rays]
     if not rays:
-        return all(True for _ in inequalities)
+        return True  # the relative interior of {0} is {0}, and a.0 <= 0
+    # positive rescaling moves neither the relative interior nor a.x <= 0
+    rays = [primitive(r) for r in rays]
     m = len(rays)
     ge = [([1 if i == k else 0 for i in range(m)], 1) for k in range(m)]
     for a in inequalities:
-        a = tuple(Fraction(x) for x in a)
-        coeffs = [sum(rays[i][j] * a[j] for j in range(len(a))) for i in range(m)]
-        ge.append(([-c for c in coeffs], 0))
+        a = primitive(a)
+        ge.append(([-sum(x * y for x, y in zip(r, a)) for r in rays], 0))
     return feasible(m, ge=ge)

@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's own algorithms: invariant factors via
 gcds of minors, cohomology via literal cocycle enumeration, lift counting
-via filtering all permutations.
+via filtering all permutations, cone questions via Fourier-Motzkin in
+Fraction arithmetic.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
@@ -234,3 +236,151 @@ def all_color_lifts_by_filter(datum, galois):
     for combo in product(*candidates):
         out.add(tuple(combo))
     return out
+
+
+def _norm_ineq(coeffs, rhs, strict):
+    """Scale an inequality to integer coefficients with content 1."""
+    den = 1
+    for c in list(coeffs) + [rhs]:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    r = int(rhs * den)
+    g = 0
+    for c in ints + [r]:
+        g = gcd(g, abs(c))
+    if g > 1:
+        ints = [c // g for c in ints]
+        r = r // g
+    return (tuple(ints), r, strict)
+
+
+def fraction_feasible(n, eqs=(), ge=(), gt=()):
+    """Rational feasibility of a.x = b, a.x >= b, a.x > b by Fraction arithmetic.
+
+    Gauss-Jordan substitution of the equalities with Fraction pivots, then
+    Fourier-Motzkin on the inequalities, all checked at the very end.
+    """
+    eqs = [([Fraction(c) for c in a], Fraction(b)) for a, b in eqs]
+    rows = [([Fraction(c) for c in a], Fraction(b), False) for a, b in ge]
+    rows += [([Fraction(c) for c in a], Fraction(b), True) for a, b in gt]
+
+    pivots = []
+    for e in range(len(eqs)):
+        a, b = eqs[e]
+        col = next((j for j in range(n) if a[j] != 0 and j not in [p[1] for p in pivots]), None)
+        if col is None:
+            if b != 0 and all(c == 0 for c in a):
+                return False
+            continue
+        inv = 1 / a[col]
+        a = [c * inv for c in a]
+        b = b * inv
+        eqs[e] = (a, b)
+        for e2 in range(len(eqs)):
+            if e2 != e and eqs[e2][0][col] != 0:
+                f = eqs[e2][0][col]
+                eqs[e2] = (
+                    [c2 - f * c1 for c2, c1 in zip(eqs[e2][0], a)],
+                    eqs[e2][1] - f * b,
+                )
+        pivots.append((e, col))
+    for a, b in eqs:
+        if all(c == 0 for c in a) and b != 0:
+            return False
+    for e, col in pivots:
+        a, b = eqs[e]
+        new_rows = []
+        for c, r, s in rows:
+            f = c[col]
+            if f != 0:
+                c = [ci - f * ai for ci, ai in zip(c, a)]
+                r = r - f * b
+            new_rows.append((c, r, s))
+        rows = new_rows
+
+    live = [j for j in range(n) if j not in [p[1] for p in pivots]]
+    system = set()
+    for c, r, s in rows:
+        system.add(_norm_ineq([Fraction(c[j]) for j in live], Fraction(r), s))
+
+    for _ in range(len(live)):
+        pos, neg, rest = [], [], []
+        for coeffs, r, s in system:
+            c = coeffs[0]
+            if c > 0:
+                pos.append((coeffs, r, s))
+            elif c < 0:
+                neg.append((coeffs, r, s))
+            else:
+                rest.append((coeffs[1:], r, s))
+        new_system = set(_norm_ineq([Fraction(c) for c in cs], Fraction(r), s) for cs, r, s in rest)
+        for cp, rp, sp in pos:
+            for cn, rn, sn in neg:
+                w1, w2 = -cn[0], cp[0]
+                comb = [Fraction(w1 * a + w2 * b) for a, b in zip(cp[1:], cn[1:])]
+                rhs = Fraction(w1 * rp + w2 * rn)
+                new_system.add(_norm_ineq(comb, rhs, sp or sn))
+        system = new_system
+    for coeffs, r, s in system:
+        if (s and not 0 > r) or (not s and not 0 >= r):
+            return False
+    return True
+
+
+def fraction_cone_member(v, generators):
+    """Is v a nonnegative combination of the generators (Fraction FM)?"""
+    gens = [tuple(Fraction(x) for x in g) for g in generators]
+    v = tuple(Fraction(x) for x in v)
+    if not gens:
+        return all(x == 0 for x in v)
+    m = len(gens)
+    eqs = [([g[j] for g in gens], v[j]) for j in range(len(v))]
+    ge = [([1 if i == k else 0 for i in range(m)], 0) for k in range(m)]
+    return fraction_feasible(m, eqs=eqs, ge=ge)
+
+
+def fraction_strictly_convex(generators):
+    """Some functional is positive on every generator, none of which is 0."""
+    gens = [tuple(Fraction(x) for x in g) for g in generators]
+    if not gens:
+        return True
+    if any(all(x == 0 for x in g) for g in gens):
+        return False
+    return fraction_feasible(len(gens[0]), ge=[(g, 1) for g in gens])
+
+
+def fraction_relative_interior_point_satisfies(rays, inequalities):
+    """Some strictly positive combination x of the rays has a.x <= 0 for all a."""
+    rays = [tuple(Fraction(x) for x in r) for r in rays]
+    if not rays:
+        return True
+    m = len(rays)
+    ge = [([1 if i == k else 0 for i in range(m)], 1) for k in range(m)]
+    for a in inequalities:
+        ge.append(([-sum(Fraction(x) * y for x, y in zip(a, r)) for r in rays], 0))
+    return fraction_feasible(m, ge=ge)
+
+
+def fraction_extreme_rays(generators):
+    """Primitive sorted extreme rays of a strictly convex cone, or None if not strictly convex.
+
+    A primitive generator is extreme iff it is not in the cone of the other
+    distinct primitive generators.
+    """
+    rays = []
+    for g in generators:
+        g = [Fraction(x) for x in g]
+        den = 1
+        for x in g:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in g]
+        content = 0
+        for x in ints:
+            content = gcd(content, abs(x))
+        if content:
+            p = tuple(x // content for x in ints)
+            if p not in rays:
+                rays.append(p)
+    if len(rays) > 1 and not fraction_strictly_convex(rays):
+        return None
+    return tuple(sorted(r for r in rays if not fraction_cone_member(r, [x for x in rays if x != r])))

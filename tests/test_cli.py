@@ -195,6 +195,13 @@ def test_sample_problem_files(capsys):
         code = main(["decide", str(PROBLEMS / name)])
         capsys.readouterr()
         assert code == expect, name
+    # invariants derive data only, so every valid file exits 0
+    for name in cases:
+        code, _, err = run(capsys, "invariants", str(PROBLEMS / name))
+        if name in ("bad_pairing.json", "unsupported_field.json"):
+            assert code == 2 and err.startswith("error: "), name
+        else:
+            assert code == 0, name
 
 
 def test_decide_gu_kinds(tmp_path, capsys):
@@ -287,6 +294,40 @@ def test_number_field_invalid_site_character(tmp_path, capsys):
     }
     code, _, err = run(capsys, "decide", write(tmp_path, doc))
     assert code == 2 and "invalid Tits character" in err
+
+
+def test_number_field_site_t0_must_be_a_list(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "kind": "horospherical",
+        "root_datum": "A5",
+        "galois": "flip",
+        "field": {
+            "mode": "number_field",
+            "sites": [{"label": "inf", "mode": "real", "galois": "flip", "t0": "1/2"}],
+        },
+        "I": [],
+        "M": [[1, 0, 0, 0, 1]],
+    }
+    for command in ("decide", "invariants"):
+        code, _, err = run(capsys, command, write(tmp_path, doc))
+        assert code == 2 and ".field.sites[0].t0" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(SL3_BASE, colors=[dict(SL3_BASE["colors"][0], rho=[0.5, 1]), SL3_BASE["colors"][1]]),
+        dict(SL3_BASE, X=[[1.0, 0], [0, 1]]),
+        dict(SL3_BASE, tits={"values": [1e-1]}),
+        {"version": 1, "kind": "diagonal", "deltas": [float("nan")]},
+    ],
+)
+def test_floats_are_rejected_anywhere(tmp_path, capsys, doc):
+    path = write(tmp_path, doc)
+    for command in ("decide", "invariants"):
+        code, _, err = run(capsys, command, path)
+        assert code == 2 and "float" in err
 
 
 def test_problem_round_trip(tmp_path, capsys):

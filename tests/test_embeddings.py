@@ -154,3 +154,51 @@ def test_lift_validation_in_fan_stability(sl6_fan, sl6_datum, galois_a5_flip):
     fg = FanGaloisData.build(sl6_datum, galois_a5_flip, bogus)
     with pytest.raises(ValueError):
         fan_stable(sl6_fan, sl6_datum, fg)
+
+
+def _d4_triality_case():
+    # the order-3 generator acts by a non-symmetric permutation matrix, so a
+    # transposed action would move the cone elsewhere
+    rd = based_root_datum("D4")
+    autos = diagram_automorphism_group(rd.type)
+    three = [a for a in autos if a.order() == 3][0]
+    two = [a for a in autos if a.order() == 2][0]
+    g = galois_from_permutations(rd, [three, two])
+    datum = SphericalDatum(rd, [list(rd.simple_root(i)) for i in range(1, 5)], [], [])
+    cone = ColoredCone(((1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 2, 0), (0, 0, 1, 3)), frozenset())
+    return ColoredFan([cone], datum), datum, g
+
+
+@pytest.mark.parametrize("case", ["sl3_trivial", "sl3_flip", "sl6_flip", "d4_triality"])
+def test_moved_canonical_cone_equals_recanonicalized(
+    case, sl3_fan, sl3_datum, sl6_fan, sl6_datum, rd_a2, galois_a5_flip
+):
+    from spherical_models.embeddings import _moved_key
+
+    if case == "sl3_trivial":
+        fan, datum, g = sl3_fan, sl3_datum, GaloisAction.trivial(2)
+    elif case == "sl3_flip":
+        flip = diagram_automorphism_group(rd_a2.type)[1]
+        fan, datum, g = sl3_fan, sl3_datum, galois_from_permutations(rd_a2, [flip])
+    elif case == "sl6_flip":
+        fan, datum, g = sl6_fan, sl6_datum, galois_a5_flip
+    else:
+        fan, datum, g = _d4_triality_case()
+    lifts = enumerate_lifts(datum, g)
+    for lift in lifts:
+        fg = FanGaloisData.build(datum, g, lift)
+        for k, v in enumerate(fg.v_matrices):
+            gmap = lift.mapping(k)
+            for cone in fan.cones:
+                moved = ColoredCone(
+                    tuple(fg.apply_ray(k, r) for r in cone.rays),
+                    frozenset(gmap[c] for c in cone.colors),
+                )
+                assert _moved_key(cone.key(), v, gmap) == cone_canonicalize(moved, datum).key()
+
+
+def test_fan_keys_hold_integer_rays(sl6_fan):
+    assert sl6_fan.keys == {c.key() for c in sl6_fan.cones}
+    for rays, _ in sl6_fan.keys:
+        assert all(type(x) is int for r in rays for x in r)
+    assert all(sl6_fan.contains(c) for c in sl6_fan.cones)

@@ -2,6 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    fraction_cone_member,
+    fraction_extreme_rays,
+    fraction_feasible,
+    fraction_relative_interior_point_satisfies,
+    fraction_strictly_convex,
+)
 
 from spherical_models.polyhedra import (
     cone_member,
@@ -27,6 +36,10 @@ def test_feasible_basic():
     # equality pinning: x + y = 1, x >= 1, y >= 1 infeasible
     assert not feasible(2, eqs=[((1, 1), 1)], ge=[((1, 0), 1), ((0, 1), 1)])
     assert feasible(2, eqs=[((1, 1), 2)], ge=[((1, 0), 1), ((0, 1), 1)])
+    # strictness survives elimination: x > y and y >= x combine to 0 > 0
+    assert not feasible(2, gt=[((1, -1), 0)], ge=[((-1, 1), 0)])
+    assert feasible(2, ge=[((1, -1), 0), ((-1, 1), 0)])
+    assert not feasible(2, eqs=[((1, 1), 0)], gt=[((1, 0), 0), ((0, 1), 0)])
 
 
 def test_cone_membership_random_nonnegative_combinations():
@@ -111,3 +124,79 @@ def test_dimension_cap():
 
 def test_relative_interior_empty_cone():
     assert relative_interior_point_satisfies([], [(1, 1)])
+    assert relative_interior_point_satisfies([], [])
+
+
+# -- integer kernel against the Fraction Fourier-Motzkin oracle ---------------
+
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+def vectors(d):
+    return st.lists(entries, min_size=d, max_size=d).map(tuple)
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 4))
+    # homogeneous rows are where strictness decides the answer
+    row = st.tuples(vectors(n), st.one_of(st.just(0), entries))
+    total = draw(st.integers(0, 7))
+    n_eq = draw(st.integers(0, total))
+    n_ge = draw(st.integers(0, total - n_eq))
+    rows = draw(st.lists(row, min_size=total, max_size=total))
+    return n, rows[:n_eq], rows[n_eq : n_eq + n_ge], rows[n_eq + n_ge :]
+
+
+@st.composite
+def cones(draw):
+    d = draw(st.integers(1, 4))
+    gens = draw(st.lists(vectors(d), min_size=0, max_size=7))
+    return d, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_feasible_matches_fraction_oracle(system):
+    n, eqs, ge, gt = system
+    assert feasible(n, eqs=eqs, ge=ge, gt=gt) == fraction_feasible(n, eqs=eqs, ge=ge, gt=gt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cones(), st.data())
+def test_cone_member_matches_fraction_oracle(cone, data):
+    d, gens = cone
+    v = data.draw(vectors(d))
+    assert cone_member(v, gens) == fraction_cone_member(v, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cones())
+def test_strictly_convex_matches_fraction_oracle(cone):
+    _, gens = cone
+    assert strictly_convex(gens) == fraction_strictly_convex(gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cones())
+def test_extreme_rays_match_fraction_oracle(cone):
+    _, gens = cone
+    expected = fraction_extreme_rays(gens)
+    if expected is None:
+        with pytest.raises(ValueError):
+            extreme_rays(gens)
+    else:
+        assert extreme_rays(gens) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(cones(), st.data())
+def test_relative_interior_matches_fraction_oracle(cone, data):
+    d, rays = cone
+    inequalities = data.draw(st.lists(vectors(d), max_size=3))
+    assert relative_interior_point_satisfies(
+        rays, inequalities
+    ) == fraction_relative_interior_point_satisfies(rays, inequalities)
