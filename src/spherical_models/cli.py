@@ -62,6 +62,50 @@ def _need(doc, key, path):
     return doc[key]
 
 
+def _not_an_int(path, x):
+    _fail(path, "expected an integer, got %s" % json.dumps(x))
+
+
+def _check_int_list(value, path):
+    if not isinstance(value, list):
+        _fail(path, "expected a list of integers")
+    for k, x in enumerate(value):
+        if type(x) is not int:  # a JSON integer: no booleans, no strings
+            _not_an_int("%s[%d]" % (path, k), x)
+
+
+def _check_integers(doc, kind, path):
+    """Every integer entry that ``kind`` reads must be a JSON integer.
+
+    Strings and booleans are refused here rather than coerced downstream, so
+    the exact kernels only ever see integers.
+    """
+    if kind == "horospherical":
+        lists, row_lists = ("I",), ("M",)
+    elif kind in ("spherical", "embedding"):
+        lists, row_lists = (), ("X", "sigma", "sigma234")
+    else:
+        return
+    for key in lists:
+        if key in doc:
+            _check_int_list(doc[key], "%s.%s" % (path, key))
+    for key in row_lists:
+        if key not in doc:
+            continue
+        if not isinstance(doc[key], list):
+            _fail("%s.%s" % (path, key), "expected a list of integer rows")
+        for k, row in enumerate(doc[key]):
+            _check_int_list(row, "%s.%s[%d]" % (path, key, k))
+    if kind == "horospherical":
+        return
+    if "torus_rank" in doc and type(doc["torus_rank"]) is not int:
+        _not_an_int(path + ".torus_rank", doc["torus_rank"])
+    colors = doc.get("colors", [])
+    for k, c in enumerate(colors if isinstance(colors, list) else []):
+        if isinstance(c, dict) and "sigma_set" in c:
+            _check_int_list(c["sigma_set"], "%s.colors[%d].sigma_set" % (path, k))
+
+
 def _parse_galois(entry, rd, path):
     if entry == "trivial":
         return galois_from_permutations(rd, [])
@@ -78,6 +122,7 @@ def _parse_galois(entry, rd, path):
         return galois_from_permutations(rd, [])
     autos = []
     for k, one_line in enumerate(gens):
+        _check_int_list(one_line, "%s.generators[%d]" % (path, k))
         if sorted(one_line) != list(range(1, rd.rank + 1)):
             _fail(path, "generator %d is not a permutation of 1..%d" % (k + 1, rd.rank))
         autos.append(DiagramAutomorphism(tuple(i - 1 for i in one_line)))
@@ -157,6 +202,7 @@ def load_problem(path):
     kind = _need(doc, "kind", path)
     if kind not in KINDS:
         raise ProblemError("%s: unknown kind %r (expected one of %s)" % (path, kind, ", ".join(KINDS)))
+    _check_integers(doc, kind, path)
     return doc, kind
 
 
@@ -177,11 +223,8 @@ def _build_common(doc, path):
 
 def _build_payload(doc, rd, kind, path):
     if kind == "horospherical":
+        # load_problem checked that I and M are lists of integers
         nodes, rows = doc.get("I", []), _need(doc, "M", path)
-        if not isinstance(nodes, list):
-            _fail(path + ".I", "I must be a list of simple-root nodes")
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            _fail(path + ".M", "M must be a list of integer rows")
         try:
             return HorosphericalDatum(rd, nodes, rows)
         except (TypeError, ValueError) as e:

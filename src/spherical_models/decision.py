@@ -226,8 +226,8 @@ def _theta_lattice(t, galois, values):
     theta, theta_incl = _subquotient(inv, rows)
     if not t0.is_zero() and theta.order() == inv.order():
         raise ValueError("nonzero character with full kernel; inconsistent data")
-    # preimage in the fixed weights
-    p_fixed = fixed_sublattice(rd.rank, list(galois.matrices))
+    # preimage in the fixed weights (the generators fix what the group fixes)
+    p_fixed = fixed_sublattice(rd.rank, galois.generator_matrices())
     vals = []
     for b in p_fixed.basis.data:
         cls = incl.preimage(mod.from_ambient(b))
@@ -360,8 +360,8 @@ def _horospherical_fast_path(rd, galois, t0, m_lattice, mod, inv, incl):
         # A1, B, C, E7: the condition is containment in the root lattice
         return label, q_lat.contains(m_lattice)
     if label == "*2":
-        m_fixed = fixed_sublattice(m_lattice, list(galois.matrices))
-        q_fixed = fixed_sublattice(q_lat, list(galois.matrices))
+        m_fixed = fixed_sublattice(m_lattice, galois.generator_matrices())
+        q_fixed = fixed_sublattice(q_lat, galois.generator_matrices())
         return label, q_fixed.contains(m_fixed)
     if label == "*3":
         ell = t0.order()
@@ -389,7 +389,7 @@ def _horospherical_cohomology(datum, galois, t0, mod, inv, incl):
     if t0.is_zero():
         return True, "t0-trivial", None
     theta_p = theta_lattice(datum.rd, galois, t0)[2]
-    m_fixed = fixed_sublattice(datum.M, list(galois.matrices))
+    m_fixed = fixed_sublattice(datum.M, galois.generator_matrices())
     offender = next((list(r) for r in m_fixed.basis.data if not theta_p.member(r)), None)
     rule = _shortcut_label(datum.rd, galois, t0, mod, inv, incl) or "generic-theta"
     return offender is None, rule, offender

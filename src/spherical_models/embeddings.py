@@ -26,9 +26,8 @@ from .spherical import (
     _extended_matrices,
     _fmt_fraction,
     _restriction_to_basis,
+    _stable_omega_action,
     enumerate_lifts,
-    invariants_stable,
-    omega_action,
 )
 
 
@@ -141,10 +140,14 @@ class FanGaloisData:
     omega: tuple = field(compare=False, repr=False)
 
     @classmethod
-    def build(cls, datum, galois, lift):
-        """Check that the action preserves the invariants, then derive its data."""
-        if invariants_stable(datum, galois) is not True:
-            raise ValueError("the action does not preserve the combinatorial invariants")
+    def build(cls, datum, galois, lift, omega=None):
+        """Check that the action preserves the invariants, then derive its data.
+
+        ``omega`` is ``omega_action(datum, galois)`` for a caller that has
+        already checked ``invariants_stable``; without it both are run here.
+        """
+        if omega is None:
+            omega = _stable_omega_action(datum, galois)
         mats = _extended_matrices(datum, galois)
         # invariants_stable checked that each generator preserves the orbit
         # lattice, so every restriction exists
@@ -152,7 +155,7 @@ class FanGaloisData:
             _unimodular_inverse(_restriction_to_basis(datum, mats[gi])).transpose()
             for gi in galois.generators
         )
-        return cls(galois, lift, v_mats, omega_action(datum, galois))
+        return cls(galois, lift, v_mats, omega)
 
     def apply_ray(self, k, ray):
         m = self.v_matrices[k]
@@ -213,10 +216,13 @@ def _check_lift_covers_omega(fan_galois):
 def exists_stabilizing_lift(fan, datum, galois):
     """First lift (in enumeration order) making the fan stable, or None.
 
-    The lift-independent data are built once per search.
+    The lift-independent data are built once per search: one stability check
+    and one action on the color images serve both the enumeration and the
+    fan data.
     """
-    lifts = enumerate_lifts(datum, galois)
-    base = FanGaloisData.build(datum, galois, lifts[0])
+    omega = _stable_omega_action(datum, galois)
+    lifts = enumerate_lifts(datum, galois, omega)
+    base = FanGaloisData.build(datum, galois, lifts[0], omega)
     for lift in lifts:
         if fan_stable(fan, datum, replace(base, lift=lift)):
             return lift

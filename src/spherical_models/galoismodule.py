@@ -125,8 +125,9 @@ class GaloisAction:
         return self.order == 1
 
     def is_trivial_action(self):
+        """True iff every element acts as the identity; the generators decide it."""
         ident = IntMatrix.identity(self.n)
-        return all(m == ident for m in self.matrices)
+        return all(m == ident for m in self.generator_matrices())
 
     def is_cyclic(self):
         return self.order in (1, 2, 3)

@@ -12,9 +12,9 @@ tuples reduced modulo the invariant factors (0 encodes a free ZZ factor).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 
 
 def _xgcd(a, b):
@@ -38,7 +38,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        data = tuple(tuple(int(x) for x in row) for row in data)
+        data = tuple(tuple(map(int, row)) for row in data)
         self.rows = len(data)
         self.cols = len(data[0]) if data else (0 if cols is None else cols)
         if any(len(row) != self.cols for row in data):
@@ -69,9 +69,9 @@ class IntMatrix:
             return IntMatrix([[x * other for x in row] for row in self.data])
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        bt = tuple(zip(*other.data))
+        bt = _columns(other)
         return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data],
+            [[sum(map(mul, row, col)) for col in bt] for row in self.data],
             cols=other.cols,
         )
 
@@ -127,11 +127,76 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
+def _columns(m):
+    """The columns of ``m`` as tuples (all empty when ``m`` has no rows)."""
+    return tuple(zip(*m.data)) if m.rows else ((),) * m.cols
+
+
 def apply_row(v, m):
     """Image of the row vector ``v`` under the matrix ``m`` (v @ m)."""
     if len(v) != m.rows:
         raise ValueError("dimension mismatch")
-    return tuple(sum(v[i] * m.data[i][j] for i in range(m.rows)) for j in range(m.cols))
+    return tuple(sum(map(mul, v, col)) for col in _columns(m))
+
+
+def _combine(rows, i, k, f):
+    """rows[i] -= f * rows[k]."""
+    rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+
+
+def _hnf_in_place(a, cols, u=None):
+    """Bring the rows ``a`` (lists of ints) to row-style HNF, in place.
+
+    Returns the pivot column of each nonzero row; those rows come first, in
+    pivot order, and the zero rows follow.  When ``u`` (a list of rows) is
+    given, every row operation on ``a`` is applied to it as well, so starting
+    from the identity it ends as the unimodular transform.
+    """
+    rows = len(a)
+    pivots = []
+    r = 0
+    for col in range(cols):
+        if r == rows:
+            break
+        # gcd out the entries at/below row r in this column
+        piv = next((i for i in range(r, rows) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            if u is not None:
+                u[r], u[piv] = u[piv], u[r]
+        for i in range(r + 1, rows):
+            q = a[i][col]
+            if not q:
+                continue
+            p = a[r][col]
+            if q % p == 0:
+                _combine(a, i, r, q // p)
+                if u is not None:
+                    _combine(u, i, r, q // p)
+                continue
+            g, x, y = _xgcd(p, q)
+            p_, q_ = p // g, q // g
+            # unimodular 2x2 combination of the two rows; it clears a[i][col]
+            for m in (a,) if u is None else (a, u):
+                top, low = m[r], m[i]
+                m[r] = [x * s + y * t for s, t in zip(top, low)]
+                m[i] = [p_ * t - q_ * s for s, t in zip(top, low)]
+        if a[r][col] < 0:
+            a[r] = [-x for x in a[r]]
+            if u is not None:
+                u[r] = [-x for x in u[r]]
+        p = a[r][col]
+        for i in range(r):
+            f = a[i][col] // p
+            if f:
+                _combine(a, i, r, f)
+                if u is not None:
+                    _combine(u, i, r, f)
+        pivots.append(col)
+        r += 1
+    return pivots
 
 
 def hnf(m):
@@ -142,55 +207,9 @@ def hnf(m):
     of h equals the row space of m, so h is the canonical basis of it.
     """
     a = [list(row) for row in m.data]
-    rows, cols = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    pivot_row = 0
-    for col in range(cols):
-        # gcd out the entries at/below pivot_row in this column
-        piv = None
-        for i in range(pivot_row, rows):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != pivot_row:
-            a[pivot_row], a[piv] = a[piv], a[pivot_row]
-            u[pivot_row], u[piv] = u[piv], u[pivot_row]
-        for i in range(pivot_row + 1, rows):
-            while a[i][col] != 0:
-                p, q = a[pivot_row][col], a[i][col]
-                if q % p == 0:
-                    f = q // p
-                    for j in range(cols):
-                        a[i][j] -= f * a[pivot_row][j]
-                    for j in range(rows):
-                        u[i][j] -= f * u[pivot_row][j]
-                else:
-                    g, x, y = _xgcd(p, q)
-                    p_, q_ = p // g, q // g
-                    # unimodular 2x2 combination of the two rows
-                    r1 = [x * a[pivot_row][j] + y * a[i][j] for j in range(cols)]
-                    r2 = [-q_ * a[pivot_row][j] + p_ * a[i][j] for j in range(cols)]
-                    a[pivot_row], a[i] = r1, r2
-                    s1 = [x * u[pivot_row][j] + y * u[i][j] for j in range(rows)]
-                    s2 = [-q_ * u[pivot_row][j] + p_ * u[i][j] for j in range(rows)]
-                    u[pivot_row], u[i] = s1, s2
-        if a[pivot_row][col] < 0:
-            a[pivot_row] = [-x for x in a[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
-        p = a[pivot_row][col]
-        for i in range(pivot_row):
-            f = a[i][col] // p
-            if f:
-                for j in range(cols):
-                    a[i][j] -= f * a[pivot_row][j]
-                for j in range(rows):
-                    u[i][j] -= f * u[pivot_row][j]
-        pivot_row += 1
-        if pivot_row == rows:
-            break
-    return IntMatrix(a, cols=cols), IntMatrix(u, cols=rows)
+    u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+    _hnf_in_place(a, m.cols, u)
+    return IntMatrix(a, cols=m.cols), IntMatrix(u, cols=m.rows)
 
 
 def snf(m):
@@ -280,38 +299,44 @@ def snf(m):
 def kernel_basis(m):
     """Basis (list of rows) of {x : x @ m = 0}; the kernel is saturated."""
     h, u = hnf(m)
-    out = []
-    for i in range(m.rows):
-        if all(x == 0 for x in h.data[i]):
-            out.append(u.data[i])
-    return out
+    return [u.data[i] for i in range(m.rows) if not any(h.data[i])]
+
+
+class _RowSolver:
+    """Solves x @ m = v for one fixed m, through a single HNF of m.
+
+    With u*m = h, solve y @ h = v by back substitution on the pivots and set
+    x = y @ u; only the pivot rows of h and u are kept.
+    """
+
+    __slots__ = ("rows", "pivots", "u")
+
+    def __init__(self, m):
+        a = [list(row) for row in m.data]
+        u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+        self.pivots = _hnf_in_place(a, m.cols, u)
+        k = len(self.pivots)
+        self.rows = a[:k]
+        self.u = IntMatrix(u[:k], cols=m.rows)
+
+    def solve(self, v):
+        rest = list(v)
+        y = []
+        for row, j in zip(self.rows, self.pivots):
+            c, r = divmod(rest[j], row[j])
+            if r:
+                return None
+            y.append(c)
+            if c:
+                rest = [x - c * z for x, z in zip(rest, row)]
+        if any(rest):
+            return None
+        return apply_row(y, self.u)
 
 
 def solve_row(m, v):
-    """One integer solution x of x @ m = v, or None.
-
-    Works through the HNF of m: with u*m = h, solve y @ h = v by back
-    substitution on the pivots and set x = y @ u.
-    """
-    h, u = hnf(m)
-    pivots = []
-    for i in range(m.rows):
-        row = h.data[i]
-        j = next((k for k, x in enumerate(row) if x != 0), None)
-        if j is not None:
-            pivots.append((i, j))
-    y = [0] * m.rows
-    rest = list(v)
-    for i, j in pivots:
-        if rest[j] % h.data[i][j]:
-            return None
-        c = rest[j] // h.data[i][j]
-        y[i] = c
-        for k in range(m.cols):
-            rest[k] -= c * h.data[i][k]
-    if any(rest):
-        return None
-    return apply_row(tuple(y), u)
+    """One integer solution x of x @ m = v, or None (see _RowSolver)."""
+    return _RowSolver(m).solve(v)
 
 
 def preimage_lattice(m, target):
@@ -331,17 +356,18 @@ def preimage_lattice(m, target):
 class Lattice:
     """A sublattice of ZZ^n, stored by its canonical (HNF) basis."""
 
-    __slots__ = ("ambient_rank", "basis")
+    __slots__ = ("ambient_rank", "basis", "pivots")
 
     def __init__(self, ambient_rank, rows=()):
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [list(map(int, r)) for r in rows]
         for r in rows:
             if len(r) != ambient_rank:
                 raise ValueError("row length != ambient rank")
-        h, _ = hnf(IntMatrix(rows) if rows else IntMatrix.zero(0, ambient_rank))
-        keep = [row for row in h.data if any(row)]
+        pivots = _hnf_in_place(rows, ambient_rank)
         self.ambient_rank = ambient_rank
-        self.basis = IntMatrix(keep, cols=ambient_rank)
+        self.basis = IntMatrix(rows[: len(pivots)], cols=ambient_rank)
+        # the pivot column of each basis row
+        self.pivots = tuple(pivots)
 
     @classmethod
     def full(cls, n):
@@ -360,17 +386,17 @@ class Lattice:
         """Integer coordinates of v in the canonical basis, or None."""
         if len(v) != self.ambient_rank:
             raise ValueError("dimension mismatch")
-        # back substitution on the HNF pivot structure
+        # back substitution on the HNF pivot structure; a basis row vanishes
+        # before its pivot, so each update starts there
         rest = list(v)
         coeffs = []
-        for row in self.basis.data:
-            j = next((k for k, x in enumerate(row) if x != 0), None)
-            if rest[j] % row[j]:
+        for row, j in zip(self.basis.data, self.pivots):
+            c, r = divmod(rest[j], row[j])
+            if r:
                 return None
-            c = rest[j] // row[j]
             coeffs.append(c)
-            for k in range(self.ambient_rank):
-                rest[k] -= c * row[k]
+            if c:
+                rest[j:] = [x - c * y for x, y in zip(rest[j:], row[j:])]
         if any(rest):
             return None
         return tuple(coeffs)
@@ -420,7 +446,10 @@ def fixed_sublattice(lattice, mats):
     """The sublattice of points of ``lattice`` fixed by every matrix.
 
     ``lattice`` may be a Lattice or an integer n (meaning all of ZZ^n).  The
-    matrices must stabilize the lattice; that is checked, not assumed.
+    matrices must stabilize the lattice; that is checked, not assumed.  For a
+    finite group, its generator matrices give the same answer as all of its
+    elements: a lattice stable under the generators is stable under the group,
+    and a point fixed by the generators is fixed by the group.
     """
     if isinstance(lattice, int):
         lattice = Lattice.full(lattice)
@@ -624,7 +653,7 @@ class GroupHom:
     checked at construction.
     """
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "target", "images", "_solver")
 
     def __init__(self, source, target, images):
         images = tuple(tuple(img) for img in images)
@@ -636,6 +665,7 @@ class GroupHom:
         self.source = source
         self.target = target
         self.images = images
+        self._solver = None
 
     def apply(self, element):
         out = self.target.zero()
@@ -650,20 +680,24 @@ class GroupHom:
         )
 
     def preimage(self, element):
-        """Some source element mapping to ``element``, or None."""
-        k = self.source.rank
-        img_rows = [list(img) for img in self.images]
-        mod_rows = []
-        for j, d in enumerate(self.target.invariant_factors):
-            if d > 0:
-                row = [0] * self.target.rank
-                row[j] = d
-                mod_rows.append(row)
-        m = IntMatrix(img_rows + mod_rows)
-        sol = solve_row(m, tuple(element))
+        """Some source element mapping to ``element``, or None.
+
+        The solving matrix (images over the target's moduli) is put in HNF
+        on the first call and reused by every later one.
+        """
+        if self._solver is None:
+            mod_rows = []
+            for j, d in enumerate(self.target.invariant_factors):
+                if d > 0:
+                    row = [0] * self.target.rank
+                    row[j] = d
+                    mod_rows.append(row)
+            m = IntMatrix(list(self.images) + mod_rows, cols=self.target.rank)
+            self._solver = _RowSolver(m)
+        sol = self._solver.solve(element)
         if sol is None:
             return None
-        return self.source.reduce_reduced(sol[:k])
+        return self.source.reduce_reduced(sol[: self.source.rank])
 
     def kernel(self):
         """Kernel as (subgroup, inclusion GroupHom into source)."""

@@ -246,16 +246,25 @@ def node_permutation(rd: BasedRootDatum, mat: IntMatrix):
     """Node permutation induced by a star-action matrix, or None.
 
     Maps each 1-based node to the node whose simple root is the image of its
-    simple root; None when ``mat`` does not permute the simple roots.
+    simple root; None when ``mat`` does not permute the simple roots.  Each
+    (type, matrix) is computed once per process; every call returns a fresh
+    dict.
     """
+    items = _node_permutation(rd.type, mat)
+    return None if items is None else dict(items)
+
+
+@lru_cache(maxsize=None)
+def _node_permutation(t: SimpleType, mat: IntMatrix):
+    rd = BasedRootDatum(t)
     roots = {rd.simple_root(i): i for i in range(1, rd.rank + 1)}
-    perm = {}
+    items = []
     for i in range(1, rd.rank + 1):
         j = roots.get(apply_row(rd.simple_root(i), mat))
         if j is None:
             return None
-        perm[i] = j
-    return perm
+        items.append((i, j))
+    return tuple(items)
 
 
 @lru_cache(maxsize=None)

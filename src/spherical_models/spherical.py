@@ -419,7 +419,14 @@ def omega_action(datum, galois):
     return fibers, perms
 
 
-def enumerate_lifts(datum, galois):
+def _stable_omega_action(datum, galois):
+    """omega_action, after checking that the action preserves the invariants."""
+    if invariants_stable(datum, galois) is not True:
+        raise ValueError("the action does not preserve the combinatorial invariants")
+    return omega_action(datum, galois)
+
+
+def enumerate_lifts(datum, galois, omega=None):
     """All lifts of the Galois action on color images to the colors.
 
     A lift assigns to each generator a bijection of colors covering that
@@ -427,12 +434,15 @@ def enumerate_lifts(datum, galois):
     independent binary choice per generator.  Enumeration order is
     deterministic: fibers in sorted key order, identity pairing before the
     swap.  The count is the number of fiber-wise bijection systems.
+
+    ``omega`` is ``omega_action(datum, galois)`` for a caller that has
+    already checked ``invariants_stable``; without it both are run here.
     """
     if len(datum.colors) > MAX_COLORS:
         raise ValueError("more than %d colors is out of scope" % MAX_COLORS)
-    if invariants_stable(datum, galois) is not True:
-        raise ValueError("the action does not preserve the combinatorial invariants")
-    fibers, perms = omega_action(datum, galois)
+    if omega is None:
+        omega = _stable_omega_action(datum, galois)
+    fibers, perms = omega
     keys = sorted(fibers, key=lambda k: (sorted(k[1]), k[0]))
     lifts = []
     per_generator_choices = []

@@ -1,14 +1,24 @@
 """Independent oracles the tests check the engine against.
 
-These deliberately avoid the library's own algorithms: invariant factors via
-gcds of minors, cohomology via literal cocycle enumeration, lift counting
-via filtering all permutations, cone questions via Fourier-Motzkin in
-Fraction arithmetic.
+These deliberately avoid the library's own algorithms: matrix products
+entry by entry, invariant factors via gcds of minors, cohomology via literal
+cocycle enumeration, lift counting via filtering all permutations, cone
+questions via Fourier-Motzkin in Fraction arithmetic.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
+
+
+def naive_apply_row(v, rows, cols):
+    """v @ m entry by entry, for m given by its rows (``cols`` columns)."""
+    return tuple(sum(v[i] * rows[i][j] for i in range(len(rows))) for j in range(cols))
+
+
+def naive_product(a, b, b_cols):
+    """a @ b entry by entry, for matrices given by their rows."""
+    return [naive_apply_row(row, b, b_cols) for row in a]
 
 
 def minor_gcd_invariant_factors(rows):

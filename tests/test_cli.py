@@ -345,3 +345,45 @@ def test_problem_round_trip(tmp_path, capsys):
     v1 = run_decide(doc, "x")
     v2 = run_decide(doc2, "x")
     assert v1.exists == v2.exists
+
+
+HORO_A3 = dict(HORO_A2, root_datum="A3", I=[2], M=[[1, 0, 0]])
+SO10_QUATERNIONIC = json.loads((PROBLEMS / "so10_quaternionic.json").read_text())
+
+
+def _with_color_sigma_set(doc, value):
+    colors = [dict(doc["colors"][0], sigma_set=value)] + doc["colors"][1:]
+    return dict(doc, colors=colors)
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (dict(HORO_A3, M=[["1", 0, 0]]), ".M[0][0]"),
+        (dict(HORO_A3, M=[[True, 0, 0]]), ".M[0][0]"),
+        (dict(HORO_A3, M=[[1, 0, 0], 7]), ".M[1]"),
+        (dict(HORO_A3, I=["2"]), ".I[0]"),
+        (dict(HORO_A3, I=[False]), ".I[0]"),
+        (dict(SO10_QUATERNIONIC, X=[["1", 0, 0, 0, 0]]), ".X[0][0]"),
+        (dict(SO10_QUATERNIONIC, X=5), ".X"),
+        (dict(SO10_QUATERNIONIC, sigma=[[2, 0, 0, 0, "0"]]), ".sigma[0][4]"),
+        (dict(SO10_QUATERNIONIC, sigma234=[[True, 0, 0, 0, 0]]), ".sigma234[0][0]"),
+        (dict(SO10_QUATERNIONIC, torus_rank="0"), ".torus_rank"),
+        (dict(SO10_QUATERNIONIC, torus_rank=False), ".torus_rank"),
+        (_with_color_sigma_set(SO10_QUATERNIONIC, ["1"]), ".colors[0].sigma_set[0]"),
+        (_with_color_sigma_set(SO10_QUATERNIONIC, [True]), ".colors[0].sigma_set[0]"),
+        (dict(HORO_A3, galois={"group": "cyclic2", "generators": [["3", 2, 1]]}), ".galois.generators[0][0]"),
+        (dict(HORO_A3, galois={"group": "cyclic2", "generators": [[3, 2, True]]}), ".galois.generators[0][2]"),
+    ],
+)
+def test_non_integer_entries_are_rejected_at_load(tmp_path, capsys, doc, where):
+    path = write(tmp_path, doc)
+    for command in ("decide", "invariants"):
+        code, out, err = run(capsys, command, path)
+        assert code == 2 and out == "", (command, err)
+        assert err.startswith("error: " + path + where + ": "), err
+
+
+def test_integer_documents_still_decide(tmp_path, capsys):
+    assert run(capsys, "decide", write(tmp_path, HORO_A3))[0] == 0
+    assert run(capsys, "decide", write(tmp_path, SO10_QUATERNIONIC))[0] == 1

@@ -202,3 +202,29 @@ def test_fan_keys_hold_integer_rays(sl6_fan):
     for rays, _ in sl6_fan.keys:
         assert all(type(x) is int for r in rays for x in r)
     assert all(sl6_fan.contains(c) for c in sl6_fan.cones)
+
+
+def test_lift_search_checks_stability_and_computes_omega_once(
+    sl6_fan, sl6_datum, galois_a5_flip, rd_a2, monkeypatch
+):
+    from spherical_models import HorosphericalDatum, spherical
+
+    calls = {"invariants_stable": 0, "omega_action": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(spherical, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(spherical, name, counting)
+    assert exists_stabilizing_lift(sl6_fan, sl6_datum, galois_a5_flip) is not None
+    assert calls == {"invariants_stable": 1, "omega_action": 1}
+    # on its own, enumerate_lifts still checks stability itself
+    assert len(enumerate_lifts(sl6_datum, galois_a5_flip)) == 4
+    assert calls == {"invariants_stable": 2, "omega_action": 2}
+    # an action that moves the orbit lattice is refused by the search too
+    moved = HorosphericalDatum(rd_a2, [2], [[1, 0]]).to_spherical()
+    flip = galois_from_permutations(rd_a2, [diagram_automorphism_group(rd_a2.type)[1]])
+    fan = ColoredFan([ColoredCone(((1,),), frozenset())], moved)
+    for search in (lambda: enumerate_lifts(moved, flip), lambda: exists_stabilizing_lift(fan, moved, flip)):
+        with pytest.raises(ValueError, match="does not preserve"):
+            search()

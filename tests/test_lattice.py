@@ -1,23 +1,27 @@
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import minor_gcd_invariant_factors
+from oracles import minor_gcd_invariant_factors, naive_apply_row, naive_product
 from spherical_models import (
     FgAbelianGroup,
     IntMatrix,
     Lattice,
     based_root_datum,
+    diagram_automorphism_group,
     fixed_sublattice,
+    galois_from_permutations,
     group_invariants,
     hnf,
     quotient_group,
     snf,
 )
-from spherical_models.lattice import apply_row, kernel_basis, solve_row
+from spherical_models.lattice import GroupHom, apply_row, kernel_basis, solve_row
+from spherical_models.rootdata import node_permutation
 
 
 def small_matrices(max_dim=4, lo=-5, hi=5):
@@ -285,3 +289,148 @@ def test_kernel_basis_annihilates():
     assert len(ker) == 2
     for row in ker:
         assert apply_row(row, m) == (0, 0)
+
+
+# -- kernels against naive formulas -------------------------------------------
+
+
+def shaped_matrix(rows, cols, lo=-6, hi=6):
+    return st.lists(
+        st.lists(st.integers(lo, hi), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    )
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b, b_cols) with a: r x k and b: k x c; any dimension may be 0."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    return draw(shaped_matrix(r, k)), draw(shaped_matrix(k, c)), k, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pairs())
+def test_products_match_naive_formula(pair):
+    a, b, k, c = pair
+    ma, mb = IntMatrix(a, cols=k), IntMatrix(b, cols=c)
+    prod = ma * mb
+    assert (prod.rows, prod.cols) == (len(a), c)
+    assert [list(r) for r in prod.data] == [list(r) for r in naive_product(a, b, c)]
+    for v in a:
+        assert apply_row(v, mb) == naive_apply_row(v, b, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices())
+def test_lattice_basis_is_the_nonzero_hnf_rows(rows):
+    lat = Lattice(len(rows[0]), rows)
+    h, _ = hnf(IntMatrix(rows))
+    assert lat.basis.data == tuple(r for r in h.data if any(r))
+    for row, j in zip(lat.basis.data, lat.pivots):
+        assert row[j] > 0 and not any(row[:j])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices(), st.lists(st.integers(-8, 8), min_size=4, max_size=4), st.data())
+def test_coords_of_agrees_with_solve_row(rows, v, data):
+    n = len(rows[0])
+    lat = Lattice(n, rows)
+    coeffs = [data.draw(st.integers(-3, 3)) for _ in range(lat.rank)]
+    member = apply_row(tuple(coeffs), lat.basis) if lat.rank else (0,) * n
+    for w in (member, tuple(v[:n])):
+        c = lat.coords_of(w)
+        sol = solve_row(lat.basis, w) if lat.rank else (() if not any(w) else None)
+        # the basis rows are independent, so a solution is unique
+        assert c == (None if sol is None else tuple(sol))
+    assert lat.coords_of(member) == tuple(coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from([0, 2, 3, 4, 6]), min_size=1, max_size=3),
+    st.lists(st.sampled_from([0, 2, 3, 4, 6]), min_size=1, max_size=3),
+    st.data(),
+)
+def test_repeated_preimage_agrees_with_fresh_solve(src_mod, tgt_mod, data):
+    source, target = (
+        FgAbelianGroup(len(mod), [[d if i == j else 0 for i in range(len(mod))] for j, d in enumerate(mod)])
+        for mod in (src_mod, tgt_mod)
+    )
+    images = []
+    for d in source.invariant_factors:
+        img = [data.draw(st.integers(-5, 5)) for _ in range(target.rank)]
+        if d:
+            # an element of order d maps into the d-torsion of the target
+            img = [0 if e == 0 else x * (e // gcd(e, d)) for x, e in zip(img, target.invariant_factors)]
+        images.append(target.reduce_reduced(img))
+    hom = GroupHom(source, target, images)
+    mod_rows = [
+        [d if i == j else 0 for i in range(target.rank)]
+        for j, d in enumerate(target.invariant_factors)
+        if d > 0
+    ]
+    m = IntMatrix([list(r) for r in images] + mod_rows, cols=target.rank)
+    for _ in range(4):
+        x = tuple(data.draw(st.integers(-6, 6)) for _ in range(source.rank))
+        for el in (hom.apply(source.reduce_reduced(x)), tuple(data.draw(st.integers(-6, 6)) for _ in range(target.rank))):
+            el = target.reduce_reduced(el)
+            fresh = solve_row(m, el)
+            expect = None if fresh is None else source.reduce_reduced(fresh[: source.rank])
+            got = hom.preimage(el)
+            assert got == expect
+            if got is not None:
+                assert hom.apply(got) == el
+
+
+def _galois_cases():
+    """(label, GaloisAction): trivial, Z/2, Z/3 and S3 images, D4 triality included."""
+    cases = []
+    for label in ("A1", "A3", "A4", "D4", "D5", "E6"):
+        rd = based_root_datum(label)
+        autos = diagram_automorphism_group(rd.type)
+        ident = autos[0]
+        cases.append((label + " trivial", galois_from_permutations(rd, [])))
+        cases.append((label + " Z/2 acting trivially", galois_from_permutations(rd, [ident], "cyclic2")))
+        for a in autos[1:]:
+            cases.append(("%s %s" % (label, a.one_line()), galois_from_permutations(rd, [a])))
+        if label == "D4":
+            three = [a for a in autos if a.order() == 3][0]
+            two = [a for a in autos if a.order() == 2][0]
+            cases.append(("D4 S3", galois_from_permutations(rd, [three, two])))
+    return cases
+
+
+@pytest.mark.parametrize("label, galois", _galois_cases(), ids=lambda x: x if isinstance(x, str) else "")
+def test_fixed_points_from_generators_equal_fixed_points_from_all_elements(label, galois):
+    rd = based_root_datum(label.split()[0])
+    gens = list(galois.generator_matrices())
+    elems = list(galois.matrices)
+    rng = random.Random(label)
+    lattices = [Lattice.full(rd.rank), rd.root_lattice]
+    for _ in range(4):
+        # the sum of the orbit of a random lattice is stable
+        rows = [[rng.randint(-3, 3) for _ in range(rd.rank)] for _ in range(rng.randint(1, 2))]
+        lattices.append(Lattice(rd.rank, [apply_row(r, g) for r in rows for g in elems]))
+    for lat in lattices:
+        assert fixed_sublattice(lat, gens) == fixed_sublattice(lat, elems)
+    assert fixed_sublattice(rd.rank, gens) == fixed_sublattice(rd.rank, elems)
+
+
+def test_fixed_sublattice_checks_stability_under_the_generators():
+    rd = based_root_datum("A3")
+    flip = galois_from_permutations(rd, [diagram_automorphism_group(rd.type)[1]])
+    with pytest.raises(ValueError):
+        fixed_sublattice(Lattice(3, [[1, 0, 0]]), list(flip.generator_matrices()))
+
+
+def test_node_permutation_returns_a_fresh_dict():
+    rd = based_root_datum("A5")
+    flip = galois_from_permutations(rd, [diagram_automorphism_group(rd.type)[1]])
+    mat = flip.generator_matrices()[0]
+    first = node_permutation(rd, mat)
+    assert first == {1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
+    first[1] = 1
+    del first[2]
+    assert node_permutation(rd, mat) == {1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
+    assert node_permutation(rd, IntMatrix([[0, 1, 0, 0, 0]] + [[0] * 5] * 4)) is None
