@@ -43,7 +43,14 @@ from .rootdata import (
     based_root_datum,
     diagram_automorphism_group,
 )
-from .spherical import SphericalDatum, aut_character_lattices, omega_sets, sigma_two, sigma_variants
+from .spherical import (
+    SphericalDatum,
+    aut_character_lattices,
+    check_integer_entries,
+    omega_sets,
+    sigma_two,
+    sigma_variants,
+)
 
 KINDS = ("horospherical", "spherical", "embedding", "gu", "diagonal")
 
@@ -62,48 +69,21 @@ def _need(doc, key, path):
     return doc[key]
 
 
-def _not_an_int(path, x):
-    _fail(path, "expected an integer, got %s" % json.dumps(x))
-
-
-def _check_int_list(value, path):
-    if not isinstance(value, list):
-        _fail(path, "expected a list of integers")
-    for k, x in enumerate(value):
-        if type(x) is not int:  # a JSON integer: no booleans, no strings
-            _not_an_int("%s[%d]" % (path, k), x)
+# the datum class whose integer entries each kind reads
+_DATUM_CLASS = {
+    "horospherical": HorosphericalDatum,
+    "spherical": SphericalDatum,
+    "embedding": SphericalDatum,
+}
 
 
 def _check_integers(doc, kind, path):
-    """Every integer entry that ``kind`` reads must be a JSON integer.
-
-    Strings and booleans are refused here rather than coerced downstream, so
-    the exact kernels only ever see integers.
-    """
-    if kind == "horospherical":
-        lists, row_lists = ("I",), ("M",)
-    elif kind in ("spherical", "embedding"):
-        lists, row_lists = (), ("X", "sigma", "sigma234")
-    else:
-        return
-    for key in lists:
-        if key in doc:
-            _check_int_list(doc[key], "%s.%s" % (path, key))
-    for key in row_lists:
-        if key not in doc:
-            continue
-        if not isinstance(doc[key], list):
-            _fail("%s.%s" % (path, key), "expected a list of integer rows")
-        for k, row in enumerate(doc[key]):
-            _check_int_list(row, "%s.%s[%d]" % (path, key, k))
-    if kind == "horospherical":
-        return
-    if "torus_rank" in doc and type(doc["torus_rank"]) is not int:
-        _not_an_int(path + ".torus_rank", doc["torus_rank"])
-    colors = doc.get("colors", [])
-    for k, c in enumerate(colors if isinstance(colors, list) else []):
-        if isinstance(c, dict) and "sigma_set" in c:
-            _check_int_list(c["sigma_set"], "%s.colors[%d].sigma_set" % (path, k))
+    """Refuse strings and booleans where ``kind`` reads integers."""
+    if kind in _DATUM_CLASS:
+        try:
+            check_integer_entries(doc, _DATUM_CLASS[kind].INTEGER_ENTRIES, path)
+        except ValueError as e:
+            raise ProblemError(str(e))
 
 
 def _parse_galois(entry, rd, path):
@@ -121,8 +101,11 @@ def _parse_galois(entry, rd, path):
     if group == "trivial":
         return galois_from_permutations(rd, [])
     autos = []
+    try:
+        check_integer_entries(entry, {"generators": [[int]]}, path)
+    except ValueError as e:
+        raise ProblemError(str(e))
     for k, one_line in enumerate(gens):
-        _check_int_list(one_line, "%s.generators[%d]" % (path, k))
         if sorted(one_line) != list(range(1, rd.rank + 1)):
             _fail(path, "generator %d is not a permutation of 1..%d" % (k + 1, rd.rank))
         autos.append(DiagramAutomorphism(tuple(i - 1 for i in one_line)))

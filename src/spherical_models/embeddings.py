@@ -25,9 +25,9 @@ from .polyhedra import (
 from .spherical import (
     _extended_matrices,
     _fmt_fraction,
+    _lifts_from_omega,
     _restriction_to_basis,
     _stable_omega_action,
-    enumerate_lifts,
 )
 
 
@@ -140,14 +140,9 @@ class FanGaloisData:
     omega: tuple = field(compare=False, repr=False)
 
     @classmethod
-    def build(cls, datum, galois, lift, omega=None):
-        """Check that the action preserves the invariants, then derive its data.
-
-        ``omega`` is ``omega_action(datum, galois)`` for a caller that has
-        already checked ``invariants_stable``; without it both are run here.
-        """
-        if omega is None:
-            omega = _stable_omega_action(datum, galois)
+    def build(cls, datum, galois, lift):
+        """Check that the action preserves the invariants, then derive its data."""
+        omega = _stable_omega_action(datum, galois)
         mats = _extended_matrices(datum, galois)
         # invariants_stable checked that each generator preserves the orbit
         # lattice, so every restriction exists
@@ -216,14 +211,12 @@ def _check_lift_covers_omega(fan_galois):
 def exists_stabilizing_lift(fan, datum, galois):
     """First lift (in enumeration order) making the fan stable, or None.
 
-    The lift-independent data are built once per search: one stability check
-    and one action on the color images serve both the enumeration and the
-    fan data.
+    The lift-independent data are built once per search, without a lift: its
+    stability check and action on the color images also serve the
+    enumeration (SphericalDatum already caps the number of colors).
     """
-    omega = _stable_omega_action(datum, galois)
-    lifts = enumerate_lifts(datum, galois, omega)
-    base = FanGaloisData.build(datum, galois, lifts[0], omega)
-    for lift in lifts:
+    base = FanGaloisData.build(datum, galois, None)
+    for lift in _lifts_from_omega(base.omega):
         if fan_stable(fan, datum, replace(base, lift=lift)):
             return lift
     return None

@@ -12,11 +12,14 @@ from fractions import Fraction
 
 from .lattice import Lattice, apply_row
 from .rootdata import node_permutation
-from .spherical import Color, SphericalDatum
+from .spherical import Color, SphericalDatum, check_integer_entries
 
 
 class HorosphericalDatum:
     __slots__ = ("rd", "I", "M")
+
+    # the integer entries of a problem document (see check_integer_entries)
+    INTEGER_ENTRIES = {"I": [int], "M": [[int]]}
 
     def __init__(self, rd, nodes, m_rows):
         self.rd = rd
@@ -70,4 +73,5 @@ class HorosphericalDatum:
 
     @classmethod
     def from_dict(cls, rd, doc):
+        check_integer_entries(doc, cls.INTEGER_ENTRIES)
         return cls(rd, doc.get("I", []), doc.get("M", []))

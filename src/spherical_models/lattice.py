@@ -206,10 +206,16 @@ def hnf(m):
     each pivot reduced to [0, pivot), zero rows at the bottom.  The row space
     of h equals the row space of m, so h is the canonical basis of it.
     """
+    a, u, _ = _hnf_with_transform(m)
+    return IntMatrix(a, cols=m.cols), IntMatrix(u, cols=m.rows)
+
+
+def _hnf_with_transform(m):
+    """HNF rows of ``m``, the unimodular transform rows, and the pivots."""
     a = [list(row) for row in m.data]
     u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-    _hnf_in_place(a, m.cols, u)
-    return IntMatrix(a, cols=m.cols), IntMatrix(u, cols=m.rows)
+    pivots = _hnf_in_place(a, m.cols, u)
+    return a, u, pivots
 
 
 def snf(m):
@@ -312,9 +318,7 @@ class _RowSolver:
     __slots__ = ("rows", "pivots", "u")
 
     def __init__(self, m):
-        a = [list(row) for row in m.data]
-        u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-        self.pivots = _hnf_in_place(a, m.cols, u)
+        a, u, self.pivots = _hnf_with_transform(m)
         k = len(self.pivots)
         self.rows = a[:k]
         self.u = IntMatrix(u[:k], cols=m.rows)

@@ -15,6 +15,7 @@ are first class.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -89,6 +90,15 @@ class SphericalDatum:
     """
 
     __slots__ = ("rd", "basis", "sigma", "colors", "sigma234", "torus_rank", "lattice")
+
+    # the integer entries of a problem document (see check_integer_entries)
+    INTEGER_ENTRIES = {
+        "X": [[int]],
+        "sigma": [[int]],
+        "sigma234": [int],
+        "torus_rank": int,
+        "colors": [{"sigma_set": [int]}],
+    }
 
     def __init__(self, rd, basis, sigma, colors, sigma234=(), torus_rank=0):
         self.rd = rd
@@ -205,6 +215,7 @@ class SphericalDatum:
 
     @classmethod
     def from_dict(cls, rd, doc):
+        check_integer_entries(doc, cls.INTEGER_ENTRIES)
         colors = [
             Color(
                 str(c["id"]),
@@ -221,6 +232,47 @@ class SphericalDatum:
             sigma234=doc.get("sigma234", []),
             torus_rank=doc.get("torus_rank", 0),
         )
+
+
+def check_integer_entries(doc, shape, path=""):
+    """Raise ValueError at the first entry of ``doc`` that does not fit ``shape``.
+
+    A shape is ``int`` (a JSON integer), ``[item]`` (a list of items) or
+    ``{key: shape}`` (an object; absent keys are not checked).  Strings and
+    booleans are refused rather than coerced, so the exact kernels only ever
+    see integers.
+    """
+    err = _shape_error(doc, shape)
+    if err is not None:
+        raise ValueError("%s%s: %s" % (path, err[0], err[1]))
+
+
+def _shape_error(value, shape):
+    """(path suffix, message) for the first misfit in ``value``, or None."""
+    if shape is int:
+        if type(value) is int:  # no booleans, no strings
+            return None
+        return "", "expected an integer, got %s" % json.dumps(value, default=repr)
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return "", "expected an object"
+        for key, sub in shape.items():
+            if key in value:
+                err = _shape_error(value[key], sub)
+                if err is not None:
+                    return ".%s%s" % (key, err[0]), err[1]
+        return None
+    (item,) = shape
+    if not isinstance(value, (list, tuple)):
+        of = " of integers" if item is int else " of integer rows" if item == [int] else ""
+        return "", "expected a list" + of
+    if item is int and all(type(x) is int for x in value):
+        return None  # the common case, without a call per entry
+    for k, x in enumerate(value):
+        err = _shape_error(x, item)
+        if err is not None:
+            return "[%d]%s" % (k, err[0]), err[1]
+    return None
 
 
 def _fmt_fraction(x):
@@ -426,7 +478,7 @@ def _stable_omega_action(datum, galois):
     return omega_action(datum, galois)
 
 
-def enumerate_lifts(datum, galois, omega=None):
+def enumerate_lifts(datum, galois):
     """All lifts of the Galois action on color images to the colors.
 
     A lift assigns to each generator a bijection of colors covering that
@@ -434,14 +486,14 @@ def enumerate_lifts(datum, galois, omega=None):
     independent binary choice per generator.  Enumeration order is
     deterministic: fibers in sorted key order, identity pairing before the
     swap.  The count is the number of fiber-wise bijection systems.
-
-    ``omega`` is ``omega_action(datum, galois)`` for a caller that has
-    already checked ``invariants_stable``; without it both are run here.
     """
     if len(datum.colors) > MAX_COLORS:
         raise ValueError("more than %d colors is out of scope" % MAX_COLORS)
-    if omega is None:
-        omega = _stable_omega_action(datum, galois)
+    return _lifts_from_omega(_stable_omega_action(datum, galois))
+
+
+def _lifts_from_omega(omega):
+    """enumerate_lifts from an already computed ``omega_action``."""
     fibers, perms = omega
     keys = sorted(fibers, key=lambda k: (sorted(k[1]), k[0]))
     lifts = []

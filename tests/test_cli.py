@@ -367,11 +367,14 @@ def _with_color_sigma_set(doc, value):
         (dict(SO10_QUATERNIONIC, X=[["1", 0, 0, 0, 0]]), ".X[0][0]"),
         (dict(SO10_QUATERNIONIC, X=5), ".X"),
         (dict(SO10_QUATERNIONIC, sigma=[[2, 0, 0, 0, "0"]]), ".sigma[0][4]"),
-        (dict(SO10_QUATERNIONIC, sigma234=[[True, 0, 0, 0, 0]]), ".sigma234[0][0]"),
+        (dict(SO10_QUATERNIONIC, sigma234=[True]), ".sigma234[0]"),
+        (dict(SO10_QUATERNIONIC, sigma234=["0"]), ".sigma234[0]"),
+        (dict(SO10_QUATERNIONIC, sigma234=[[0]]), ".sigma234[0]"),
         (dict(SO10_QUATERNIONIC, torus_rank="0"), ".torus_rank"),
         (dict(SO10_QUATERNIONIC, torus_rank=False), ".torus_rank"),
         (_with_color_sigma_set(SO10_QUATERNIONIC, ["1"]), ".colors[0].sigma_set[0]"),
         (_with_color_sigma_set(SO10_QUATERNIONIC, [True]), ".colors[0].sigma_set[0]"),
+        (dict(SO10_QUATERNIONIC, colors=[5]), ".colors[0]"),
         (dict(HORO_A3, galois={"group": "cyclic2", "generators": [["3", 2, 1]]}), ".galois.generators[0][0]"),
         (dict(HORO_A3, galois={"group": "cyclic2", "generators": [[3, 2, True]]}), ".galois.generators[0][2]"),
     ],
@@ -387,3 +390,19 @@ def test_non_integer_entries_are_rejected_at_load(tmp_path, capsys, doc, where):
 def test_integer_documents_still_decide(tmp_path, capsys):
     assert run(capsys, "decide", write(tmp_path, HORO_A3))[0] == 0
     assert run(capsys, "decide", write(tmp_path, SO10_QUATERNIONIC))[0] == 1
+    # sigma234 is a flat list of indices into sigma
+    assert run(capsys, "decide", write(tmp_path, dict(SO10_QUATERNIONIC, sigma234=[0])))[0] == 1
+
+
+def test_datum_with_doubling_flags_round_trips_through_cli(tmp_path, capsys):
+    from spherical_models import SphericalDatum, based_root_datum
+
+    rd = based_root_datum("D5")
+    datum = SphericalDatum.from_dict(rd, dict(SO10_QUATERNIONIC, sigma234=[0]))
+    doc = dict(SO10_QUATERNIONIC, **datum.to_dict())
+    assert doc["sigma234"] == [0]
+    code, out, err = run(capsys, "decide", write(tmp_path, doc))
+    assert code in (0, 1) and err == "", err
+    # from_dict reads the same integer shapes as the CLI
+    with pytest.raises(ValueError, match=r"^\.sigma234\[0\]: "):
+        SphericalDatum.from_dict(rd, dict(doc, sigma234=["0"]))

@@ -221,10 +221,17 @@ def test_lift_search_checks_stability_and_computes_omega_once(
     # on its own, enumerate_lifts still checks stability itself
     assert len(enumerate_lifts(sl6_datum, galois_a5_flip)) == 4
     assert calls == {"invariants_stable": 2, "omega_action": 2}
+    # and so does FanGaloisData.build
+    FanGaloisData.build(sl6_datum, galois_a5_flip, None)
+    assert calls == {"invariants_stable": 3, "omega_action": 3}
     # an action that moves the orbit lattice is refused by the search too
     moved = HorosphericalDatum(rd_a2, [2], [[1, 0]]).to_spherical()
     flip = galois_from_permutations(rd_a2, [diagram_automorphism_group(rd_a2.type)[1]])
     fan = ColoredFan([ColoredCone(((1,),), frozenset())], moved)
-    for search in (lambda: enumerate_lifts(moved, flip), lambda: exists_stabilizing_lift(fan, moved, flip)):
+    for search in (
+        lambda: enumerate_lifts(moved, flip),
+        lambda: FanGaloisData.build(moved, flip, None),
+        lambda: exists_stabilizing_lift(fan, moved, flip),
+    ):
         with pytest.raises(ValueError, match="does not preserve"):
             search()
