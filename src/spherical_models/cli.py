@@ -419,7 +419,7 @@ def cmd_catalog(args):
         return 0
     try:
         entry = catalog_lookup(args.name)
-    except KeyError as e:
+    except (KeyError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     doc = entry.to_dict()

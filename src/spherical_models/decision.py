@@ -54,7 +54,7 @@ from .rootdata import (
     diagram_automorphism_group,
     in_epsilon_lattice,
 )
-from .spherical import aut_character_lattices, invariants_stable
+from .spherical import _aut_characters, aut_character_lattices, invariants_stable
 
 NUMBER_FIELD = "number_field"
 _LOCAL_MODES = (REAL, PADIC)
@@ -288,7 +288,10 @@ def _kappa_cohomology(datum, galois, t0, mod, inv, incl, crosscheck=False):
     """
     if t0.is_zero():
         return _reason("cohomology", True, rule="t0-trivial")
-    xa, xa_ker, _ = aut_character_lattices(datum, galois=galois)
+    if crosscheck:
+        xa, xa_ker, _ = aut_character_lattices(datum, galois=galois)
+    else:
+        xa = _aut_characters(datum, galois)
     kappa = kappa_on_invariants(datum, xa, mod, inv, incl)
     ok = br_vanishing_test(t0, kappa)
     if crosscheck:

@@ -2,19 +2,20 @@
 
 A colored cone is a set of ray generators in Hom(orbit lattice, QQ)
 together with a set of color ids whose functionals are adjoined to the
-cone.  Canonical form is the sorted tuple of primitive integer extreme rays
-of the merged cone plus the sorted color ids, so equality of colored cones
-is structural equality.  Fans are given by their maximal colored cones;
-face closure is not validated (stability testing only needs equality of
-colored cones), but strict convexity, distinctness, containment of color
-functionals, and optionally "relative interior meets the valuation cone"
-are checked.
+cone.  Ray entries are exact rationals, an ``int`` when integral and a
+``Fraction`` otherwise, like the color functionals.  Canonical form is the
+sorted tuple of primitive integer extreme rays of the merged cone plus the
+sorted color ids, so equality of colored cones is structural equality.
+Fans are given by their maximal colored cones; face closure is not
+validated (stability testing only needs equality of colored cones), but
+strict convexity, distinctness, containment of color functionals, and
+optionally "relative interior meets the valuation cone" are checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from operator import mul
 
 from .lattice import _unimodular_inverse
 from .polyhedra import (
@@ -23,8 +24,10 @@ from .polyhedra import (
     relative_interior_point_satisfies,
 )
 from .spherical import (
+    _exact_rational,
     _extended_matrices,
     _fmt_fraction,
+    _json_rational,
     _lifts_from_omega,
     _restriction_to_basis,
     _stable_omega_action,
@@ -40,7 +43,7 @@ class ColoredCone:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "rays", tuple(tuple(Fraction(x) for x in r) for r in self.rays)
+            self, "rays", tuple(tuple(map(_exact_rational, r)) for r in self.rays)
         )
         object.__setattr__(self, "colors", frozenset(str(c) for c in self.colors))
 
@@ -54,7 +57,7 @@ def cone_canonicalize(cone, datum):
     Rejects non-strictly-convex cones and colors with zero functional.
     """
     by_id = {c.id: c for c in datum.colors}
-    gens = [tuple(Fraction(x) for x in r) for r in cone.rays]
+    gens = list(cone.rays)
     for cid in sorted(cone.colors):
         if cid not in by_id:
             raise ValueError("unknown color id %r" % (cid,))
@@ -88,9 +91,7 @@ class ColoredFan:
             canon.append(cc)
         self.cones = tuple(canon)
         self.datum = datum
-        self.keys = frozenset(
-            (tuple(tuple(int(x) for x in r) for r in rays), colors) for rays, colors in seen
-        )
+        self.keys = frozenset(seen)
         if check_valuation_cone:
             vrows = datum.valuation_cone_inequalities()
             for cc in self.cones:
@@ -115,7 +116,7 @@ class ColoredFan:
     def from_dict(cls, doc, datum, check_valuation_cone=False):
         cones = [
             ColoredCone(
-                tuple(tuple(Fraction(str(x)) for x in r) for r in entry["generators"]),
+                tuple(tuple(map(_json_rational, r)) for r in entry["generators"]),
                 frozenset(entry.get("colors", [])),
             )
             for entry in doc
@@ -143,20 +144,17 @@ class FanGaloisData:
     def build(cls, datum, galois, lift):
         """Check that the action preserves the invariants, then derive its data."""
         omega = _stable_omega_action(datum, galois)
-        mats = _extended_matrices(datum, galois)
         # invariants_stable checked that each generator preserves the orbit
         # lattice, so every restriction exists
         v_mats = tuple(
-            _unimodular_inverse(_restriction_to_basis(datum, mats[gi])).transpose()
-            for gi in galois.generators
+            _unimodular_inverse(_restriction_to_basis(datum, m)).transpose()
+            for m in _extended_matrices(datum, galois)
         )
         return cls(galois, lift, v_mats, omega)
 
     def apply_ray(self, k, ray):
-        m = self.v_matrices[k]
         return tuple(
-            sum((Fraction(m.data[j][i]) * ray[j] for j in range(m.rows)), Fraction(0))
-            for i in range(m.cols)
+            _exact_rational(sum(map(mul, ray, col))) for col in zip(*self.v_matrices[k].data)
         )
 
 
@@ -186,7 +184,7 @@ def _moved_key(key, v, gmap):
     """Canonical key of the image of a canonical colored cone (see fan_stable)."""
     rays, colors = key
     v_cols = tuple(zip(*v.data))
-    moved = sorted(tuple(sum(a * b for a, b in zip(col, r)) for col in v_cols) for r in rays)
+    moved = sorted(tuple(sum(map(mul, col, r)) for col in v_cols) for r in rays)
     return (tuple(moved), tuple(sorted(gmap[c] for c in colors)))
 
 

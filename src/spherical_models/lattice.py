@@ -12,6 +12,7 @@ tuples reduced modulo the invariant factors (0 encodes a free ZZ factor).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import gcd
 from operator import mul
@@ -46,8 +47,20 @@ class IntMatrix:
         self.data = data
 
     @classmethod
+    def _of(cls, data, cols):
+        """A matrix whose rows ``data`` are already int tuples of length ``cols``.
+
+        Internal results (products, normal forms) are integer by construction,
+        so they skip the coercion and the shape check of ``__init__``.
+        """
+        m = object.__new__(cls)
+        m.rows, m.cols, m.data = len(data), cols, data
+        return m
+
+    @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        """The n x n identity, built once per n (matrices are immutable)."""
+        return _identity(n)
 
     @classmethod
     def zero(cls, rows, cols):
@@ -62,7 +75,7 @@ class IntMatrix:
     def transpose(self):
         if not self.rows:
             return IntMatrix([[] for _ in range(self.cols)], cols=0)
-        return IntMatrix(tuple(zip(*self.data)), cols=self.rows)
+        return IntMatrix._of(tuple(zip(*self.data)), self.rows)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -70,9 +83,9 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         bt = _columns(other)
-        return IntMatrix(
-            [[sum(map(mul, row, col)) for col in bt] for row in self.data],
-            cols=other.cols,
+        return IntMatrix._of(
+            tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self.data),
+            other.cols,
         )
 
     def __add__(self, other):
@@ -125,6 +138,16 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
+
+
+@lru_cache(maxsize=None)
+def _identity(n):
+    return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+
+
+def _matrix(rows, cols):
+    """IntMatrix of the int lists ``rows`` from an exact kernel."""
+    return IntMatrix._of(tuple(map(tuple, rows)), cols)
 
 
 def _columns(m):
@@ -207,7 +230,7 @@ def hnf(m):
     of h equals the row space of m, so h is the canonical basis of it.
     """
     a, u, _ = _hnf_with_transform(m)
-    return IntMatrix(a, cols=m.cols), IntMatrix(u, cols=m.rows)
+    return _matrix(a, m.cols), _matrix(u, m.rows)
 
 
 def _hnf_with_transform(m):
@@ -299,7 +322,7 @@ def snf(m):
         t += 1
         if t == min(rows, cols):
             break
-    return IntMatrix(a, cols=cols), IntMatrix(p, cols=rows), IntMatrix(q, cols=cols)
+    return _matrix(a, cols), _matrix(p, rows), _matrix(q, cols)
 
 
 def kernel_basis(m):
@@ -321,7 +344,7 @@ class _RowSolver:
         a, u, self.pivots = _hnf_with_transform(m)
         k = len(self.pivots)
         self.rows = a[:k]
-        self.u = IntMatrix(u[:k], cols=m.rows)
+        self.u = _matrix(u[:k], m.rows)
 
     def solve(self, v):
         rest = list(v)
@@ -369,7 +392,7 @@ class Lattice:
                 raise ValueError("row length != ambient rank")
         pivots = _hnf_in_place(rows, ambient_rank)
         self.ambient_rank = ambient_rank
-        self.basis = IntMatrix(rows[: len(pivots)], cols=ambient_rank)
+        self.basis = _matrix(rows[: len(pivots)], ambient_rank)
         # the pivot column of each basis row
         self.pivots = tuple(pivots)
 

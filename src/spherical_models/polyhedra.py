@@ -9,6 +9,11 @@ normalized.  Everything here is a helper for cone questions in dimension
 convexity, extreme-ray filtering, and "relative interior meets a
 half-space system" tests.  Inputs may be ints or Fractions.  No floats,
 ever.
+
+A simplicial cone skips elimination altogether: when the distinct
+primitive generators are linearly independent (an exact rank test by
+fraction-free Gaussian elimination), the cone is pointed and every
+generator spans an extreme ray.
 """
 
 from __future__ import annotations
@@ -144,18 +149,42 @@ def primitive(vec):
     return tuple(ints)
 
 
+def linearly_independent(rows):
+    """Are the rational rows linearly independent over QQ?
+
+    Fraction-free Gaussian elimination on the rows scaled to integers: each
+    row must keep a pivot after the earlier pivots are cleared from it.
+    """
+    rows = [_integer_row(tuple(r)) for r in rows]
+    if rows and len(rows) > len(rows[0]):
+        return False
+    for i, row in enumerate(rows):
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            return False
+        p = row[col]
+        for k in range(i + 1, len(rows)):
+            if rows[k][col]:
+                rows[k] = _pivot_out(rows[k], row, p, col)
+    return True
+
+
 def extreme_rays(generators):
     """The extreme rays of a strictly convex cone, primitive and sorted.
 
-    Collinear duplicates are merged first; a generator is dropped iff it lies
-    in the cone of the others.
+    Collinear duplicates are merged first.  Linearly independent generators
+    span a simplicial cone, which is pointed with every generator extreme;
+    otherwise the cone must be strictly convex, and a generator is dropped
+    iff it lies in the cone of the others.
     """
     rays = []
     for g in generators:
         p = primitive(g)
         if any(x != 0 for x in p) and p not in rays:
             rays.append(p)
-    if len(rays) > 1 and not strictly_convex(rays):
+    if linearly_independent(rays):
+        return tuple(sorted(rays))
+    if not strictly_convex(rays):
         raise ValueError("cone is not strictly convex")
     keep = list(rays)
     for r in list(rays):

@@ -20,13 +20,17 @@ _FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
 
+# No type of higher rank is accepted: the exact kernels grow at least
+# cubically with the rank, so far beyond it a problem never finishes.
+MAX_RANK = 64
+
 
 @dataclass(frozen=True)
 class SimpleType:
     """A simple type label such as A5 or D4.
 
     C2 is accepted and normalized to the synonymous B2.  C_n for n >= 3 keeps
-    its own family letter.
+    its own family letter.  Ranks above MAX_RANK are refused.
     """
 
     family: str
@@ -44,6 +48,8 @@ class SimpleType:
                 raise ValueError("invalid rank for %s" % fam)
         elif rank < _MIN_RANK[fam]:
             raise ValueError("rank too small for family %s" % fam)
+        elif rank > MAX_RANK:
+            raise ValueError("rank %d exceeds the supported maximum %d" % (rank, MAX_RANK))
         if fam == "C" and rank == 2:
             object.__setattr__(self, "family", "B")
 
@@ -119,7 +125,7 @@ class BasedRootDatum:
 
     @property
     def weight_lattice(self):
-        return Lattice.full(self.rank)
+        return _weight_lattice(self.type)
 
     @property
     def root_lattice(self):
@@ -132,6 +138,11 @@ class BasedRootDatum:
     def coroot_pairing(self, chi, i):
         """<chi, alpha_i^vee> for a weight-coordinate vector chi (i 1-based)."""
         return chi[i - 1]
+
+
+@lru_cache(maxsize=None)
+def _weight_lattice(t: SimpleType) -> Lattice:
+    return Lattice.full(t.rank)
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,11 @@ of its color-fixing subgroup, Galois stability, lifts of the Galois action
 from color images to colors, and the quasi-affine cover datum.
 
 Functionals on the weight lattice of the orbit are exact rational row
-vectors in the coordinates dual to the chosen basis; half-integral values
-are first class.
+vectors in the coordinates dual to the chosen basis, with an ``int`` for
+each integral entry and a ``Fraction`` only for a proper fraction (equal
+values compare and hash the same either way); half-integral values are
+first class.  The Galois action moves them as integer numerators over one
+common denominator per datum.
 """
 
 from __future__ import annotations
@@ -19,16 +22,20 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
+from math import lcm
+from operator import mul
 
 from .lattice import (
     GroupHom,
     IntMatrix,
     Lattice,
+    _RowSolver,
     _unimodular_inverse,
     apply_row,
+    quotient_group,
     solve_row,
 )
-from .polyhedra import DIM_CAP, strictly_convex
+from .polyhedra import DIM_CAP, linearly_independent, strictly_convex
 from .rootdata import node_permutation
 
 MAX_COLORS = 16
@@ -43,7 +50,7 @@ class Color:
     sigma_set: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", tuple(Fraction(x) for x in self.rho))
+        object.__setattr__(self, "rho", tuple(map(_exact_rational, self.rho)))
         object.__setattr__(self, "sigma_set", frozenset(int(i) for i in self.sigma_set))
 
 
@@ -191,7 +198,7 @@ class SphericalDatum:
             c = self.coords_in_basis(s)
             if c is None:
                 raise ValueError("spherical root outside the lattice")
-            rows.append(tuple(Fraction(x) for x in c))
+            rows.append(tuple(c))
         return tuple(rows)
 
     def to_dict(self):
@@ -219,7 +226,7 @@ class SphericalDatum:
         colors = [
             Color(
                 str(c["id"]),
-                tuple(Fraction(str(x)) for x in c["rho"]),
+                tuple(map(_json_rational, c["rho"])),
                 frozenset(c["sigma_set"]),
             )
             for c in doc.get("colors", [])
@@ -275,16 +282,36 @@ def _shape_error(value, shape):
     return None
 
 
+def _exact_rational(x):
+    """``x`` as an int when it is integral, otherwise as a Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _json_rational(x):
+    """A rational entry of a problem document: an int as it is, else its "p/q" string."""
+    return x if type(x) is int else Fraction(str(x))
+
+
 def _fmt_fraction(x):
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
 
 
-def omega_sets(datum):
-    """Split the color image into one-preimage and two-preimage parts."""
+def _fibers(datum):
+    """Color ids per color image (rho, sigma_set), in color order."""
     fibers = {}
     for c in datum.colors:
         fibers.setdefault((c.rho, c.sigma_set), []).append(c.id)
+    return fibers
+
+
+def omega_sets(datum):
+    """Split the color image into one-preimage and two-preimage parts."""
+    fibers = _fibers(datum)
     omega1, omega2 = [], []
     for (rho, sig), ids in sorted(fibers.items(), key=lambda kv: (sorted(kv[0][1]), kv[0][0])):
         if len(ids) > 2:
@@ -347,22 +374,13 @@ def aut_character_lattices(datum, galois=None):
     lattice by the span of the fully doubled roots, xa_ker the quotient by
     the span of the partially doubled ones, and projection the natural
     surjection.  With ``galois`` given, both quotients carry the induced
-    action (one endomorphism per group element).
+    action, one endomorphism per Galois generator: a quotient stable under
+    the generators is stable under the group, with the same fixed points.
     """
     sc, n = sigma_variants(datum)
-    ambient = datum.ambient_dim
-    lat = datum.lattice
-    span_n = Lattice(ambient, n)
-    span_sc = Lattice(ambient, sc)
-    if not lat.contains(span_n):
-        raise ValueError("doubled spherical roots leave the orbit lattice")
-    mats = None
-    if galois is not None:
-        mats = list(_extended_matrices(datum, galois))
-    from .lattice import quotient_group
-
-    xa = quotient_group(lat, span_n, action=mats)
-    xa_ker = quotient_group(lat, span_sc, action=mats)
+    mats = None if galois is None else _extended_matrices(datum, galois)
+    xa = _doubled_quotient(datum, n, mats)
+    xa_ker = _doubled_quotient(datum, sc, mats)
     images = []
     for i in range(xa.rank):
         e = tuple(1 if j == i else 0 for j in range(xa.rank))
@@ -371,15 +389,28 @@ def aut_character_lattices(datum, galois=None):
     return xa, xa_ker, proj
 
 
+def _aut_characters(datum, galois):
+    """The first group of aut_character_lattices alone, with its Galois action."""
+    return _doubled_quotient(datum, sigma_variants(datum)[1], _extended_matrices(datum, galois))
+
+
+def _doubled_quotient(datum, roots, mats):
+    """The orbit lattice modulo the span of ``roots``, with the induced action."""
+    return quotient_group(datum.lattice, Lattice(datum.ambient_dim, roots), action=mats)
+
+
 def _extended_matrices(datum, galois):
-    """Galois matrices extended by the identity on the central-torus block."""
+    """The Galois generator matrices, extended by the identity on the central torus.
+
+    Entry k belongs to the k-th generator.
+    """
     if galois.n != datum.rd.rank:
         raise ValueError("Galois action lives on the wrong lattice")
     t = datum.torus_rank
     if t == 0:
-        return galois.matrices
+        return galois.generator_matrices()
     out = []
-    for m in galois.matrices:
+    for m in galois.generator_matrices():
         rows = []
         for i in range(datum.rd.rank):
             rows.append(list(m.data[i]) + [0] * t)
@@ -391,22 +422,37 @@ def _extended_matrices(datum, galois):
 
 def _restriction_to_basis(datum, mat):
     """Matrix of the action on the orbit lattice in the chosen basis, or None."""
+    solver = _RowSolver(datum.basis)
     rows = []
     for r in datum.basis.data:
-        c = datum.coords_in_basis(apply_row(r, mat))
+        c = solver.solve(apply_row(r, mat))
         if c is None:
             return None
-        rows.append(list(c))
-    return IntMatrix(rows)
+        rows.append(c)
+    return IntMatrix(rows, cols=datum.rank)
 
 
-def _transformed_omega(datum, elem, r_inv, node_perm):
-    rho = tuple(
-        sum((Fraction(r_inv.data[i][j]) * elem.rho[j] for j in range(len(elem.rho))), Fraction(0))
-        for i in range(len(elem.rho))
+def _integer_images(keys):
+    """Each color image (rho, sigma_set) with rho as integer numerators.
+
+    All functionals share one common denominator, so a unimodular change
+    of coordinates moves the numerators exactly as it moves the functionals.
+    """
+    den = lcm(*(x.denominator for rho, _ in keys for x in rho))
+    return {
+        key: (tuple(x.numerator * (den // x.denominator) for x in key[0]), key[1])
+        for key in keys
+    }
+
+
+def _moved_image(image, r_inv, node_perm):
+    """An integer color image under one generator: functionals transform
+    contragrediently (by ``r_inv``), moving sets by the node permutation."""
+    nums, sig = image
+    return (
+        tuple(sum(map(mul, row, nums)) for row in r_inv.data),
+        frozenset(node_perm[i] for i in sig),
     )
-    sig = frozenset(node_perm[i] for i in elem.sigma_set)
-    return OmegaElement(rho, sig, elem.multiplicity)
 
 
 def invariants_stable(datum, galois, witness=False):
@@ -418,23 +464,26 @@ def invariants_stable(datum, galois, witness=False):
     With ``witness=True`` returns None for stable or the offending generator
     index.
     """
-    mats = _extended_matrices(datum, galois)
     omega1, omega2 = omega_sets(datum)
-    for k, gi in enumerate(galois.generators):
-        m = mats[gi]
+    images = _integer_images([(e.rho, e.sigma_set) for e in omega1 + omega2])
+    images1 = {images[(e.rho, e.sigma_set)] for e in omega1}
+    images2 = {images[(e.rho, e.sigma_set)] for e in omega2}
+    mats = _extended_matrices(datum, galois)
+    for k, g in enumerate(galois.generator_matrices()):
+        m = mats[k]
         moved = Lattice(datum.ambient_dim, [apply_row(r, m) for r in datum.basis.data])
         if moved != datum.lattice:
             return k if witness else False
         if {apply_row(s, m) for s in datum.sigma} != set(datum.sigma):
             return k if witness else False
-        node_perm = node_permutation(datum.rd, galois.matrices[gi])
+        node_perm = node_permutation(datum.rd, g)
         restriction = _restriction_to_basis(datum, m)
         if node_perm is None or restriction is None:
             return k if witness else False
         r_inv = _unimodular_inverse(restriction)
-        if {_transformed_omega(datum, e, r_inv, node_perm) for e in omega1} != set(omega1):
+        if {_moved_image(i, r_inv, node_perm) for i in images1} != images1:
             return k if witness else False
-        if {_transformed_omega(datum, e, r_inv, node_perm) for e in omega2} != set(omega2):
+        if {_moved_image(i, r_inv, node_perm) for i in images2} != images2:
             return k if witness else False
     return None if witness else True
 
@@ -446,27 +495,25 @@ def omega_action(datum, galois):
     its sorted color ids; ``perms[k]`` maps each key to its image key under
     the k-th generator.
     """
-    fibers = {}
-    for c in datum.colors:
-        fibers.setdefault((c.rho, c.sigma_set), []).append(c.id)
+    fibers = _fibers(datum)
     for ids in fibers.values():
         ids.sort()
+    images = _integer_images(fibers)
+    key_of = {image: key for key, image in images.items()}
     mats = _extended_matrices(datum, galois)
     perms = []
-    for gi in galois.generators:
-        m = mats[gi]
-        node_perm = node_permutation(datum.rd, galois.matrices[gi])
-        restriction = _restriction_to_basis(datum, m)
+    for k, g in enumerate(galois.generator_matrices()):
+        node_perm = node_permutation(datum.rd, g)
+        restriction = _restriction_to_basis(datum, mats[k])
         if node_perm is None or restriction is None:
             raise ValueError("action does not preserve the invariants")
         r_inv = _unimodular_inverse(restriction)
         perm = {}
-        for (rho, sig) in fibers:
-            e = _transformed_omega(datum, OmegaElement(rho, sig, 1), r_inv, node_perm)
-            key = (e.rho, e.sigma_set)
-            if key not in fibers or len(fibers[key]) != len(fibers[(rho, sig)]):
+        for key, image in images.items():
+            dst = key_of.get(_moved_image(image, r_inv, node_perm))
+            if dst is None or len(fibers[dst]) != len(fibers[key]):
                 raise ValueError("action does not preserve the color images")
-            perm[(rho, sig)] = key
+            perm[key] = dst
         perms.append(perm)
     return fibers, perms
 
@@ -561,8 +608,8 @@ def quasiaffine_cover(datum, q=1):
     new_rank = len(rows)
     new_colors = []
     for k, c in enumerate(datum.colors):
-        rho = list(c.rho) + [Fraction(0)] * ncol
-        rho[datum.rank + k] = Fraction(q)
+        rho = list(c.rho) + [0] * ncol
+        rho[datum.rank + k] = q
         new_colors.append(Color(c.id, tuple(rho), c.sigma_set))
     new_sigma = [tuple(s) + (0,) * ncol for s in datum.sigma]
     cover = SphericalDatum(
@@ -582,29 +629,10 @@ def quasiaffine_cover(datum, q=1):
     # quasi-affineness: the functionals are linearly independent by the
     # block-triangular q entries, so none vanish and the cone is strictly
     # convex; verified by an exact rank computation (no dimension cap)
-    if new_colors and _rational_rank([c.rho for c in new_colors]) != len(new_colors):
+    if not linearly_independent([c.rho for c in new_colors]):
         raise ValueError("cover datum is not quasi-affine")
     inequalities = tuple(c.rho for c in new_colors)
     return cover, inequalities
-
-
-def _rational_rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / Fraction(rows[rank][col])
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def _check_cover_cases(datum):

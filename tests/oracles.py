@@ -394,3 +394,100 @@ def fraction_extreme_rays(generators):
     if len(rays) > 1 and not fraction_strictly_convex(rays):
         return None
     return tuple(sorted(r for r in rays if not fraction_cone_member(r, [x for x in rays if x != r])))
+
+
+def fraction_rank(rows):
+    """Rank over QQ by Gauss-Jordan elimination in Fraction arithmetic."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for col in range(cols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _fraction_inverse(rows):
+    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [x / p for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [r[n:] for r in aug]
+
+
+def all_element_matrices(datum, galois):
+    """Every element matrix of the Galois image, extended by the identity on the
+    central torus of the datum (entry i belongs to group element i)."""
+    from spherical_models import IntMatrix
+
+    t, n = datum.torus_rank, datum.rd.rank
+    return [
+        IntMatrix(
+            [list(m.data[i]) + [0] * t for i in range(n)]
+            + [[0] * n + [int(i == j) for j in range(t)] for i in range(t)]
+        )
+        for m in galois.matrices
+    ]
+
+
+def all_element_aut_character_lattices(datum, galois):
+    """(xa, xa_ker) with one induced endomorphism per group element."""
+    from spherical_models import Lattice, sigma_variants
+    from spherical_models.lattice import quotient_group
+
+    sc, n = sigma_variants(datum)
+    mats = all_element_matrices(datum, galois)
+    ambient = datum.ambient_dim
+    return (
+        quotient_group(datum.lattice, Lattice(ambient, n), action=mats),
+        quotient_group(datum.lattice, Lattice(ambient, sc), action=mats),
+    )
+
+
+def fraction_omega_perms(datum, galois):
+    """Per generator, each color image (rho, sigma_set) moved in Fraction arithmetic.
+
+    The generator's restriction R to the chosen basis is inverted over QQ, and
+    a functional moves to R^-1 rho; moving sets follow the node permutation.
+    Returns, per generator, a dict from image to moved image (which need not
+    be an image: then the action does not preserve the colors).
+    """
+    from spherical_models.rootdata import node_permutation
+
+    mats = all_element_matrices(datum, galois)
+    basis = [list(r) for r in datum.basis.data]
+    # coordinates of a row v of the row space of B: v B^T (B B^T)^-1
+    gram_inv = _fraction_inverse([[sum(a * b for a, b in zip(r, s)) for s in basis] for r in basis])
+    images = {(c.rho, c.sigma_set) for c in datum.colors}
+    out = []
+    for gi in galois.generators:
+        moved = [[sum(x * y for x, y in zip(r, col)) for col in zip(*mats[gi].data)] for r in basis]
+        dots = [[sum(a * b for a, b in zip(v, s)) for s in basis] for v in moved]
+        restriction = [[sum(d * g[j] for d, g in zip(row, gram_inv)) for j in range(len(basis))] for row in dots]
+        r_inv = _fraction_inverse(restriction)
+        perm = node_permutation(datum.rd, galois.matrices[gi])
+        out.append(
+            {
+                (rho, sig): (
+                    tuple(sum((a * Fraction(x) for a, x in zip(row, rho)), Fraction(0)) for row in r_inv),
+                    frozenset(perm[i] for i in sig),
+                )
+                for rho, sig in images
+            }
+        )
+    return out

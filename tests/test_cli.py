@@ -406,3 +406,77 @@ def test_datum_with_doubling_flags_round_trips_through_cli(tmp_path, capsys):
     # from_dict reads the same integer shapes as the CLI
     with pytest.raises(ValueError, match=r"^\.sigma234\[0\]: "):
         SphericalDatum.from_dict(rd, dict(doc, sigma234=["0"]))
+
+
+def _embedding_doc(rho1, rho2, ray1, ray2):
+    return {
+        "version": 1,
+        "kind": "embedding",
+        "root_datum": "A2",
+        "galois": "flip",
+        "field": {"mode": "real"},
+        "tits": "zero",
+        "X": [[1, 0], [0, 1]],
+        "sigma": [[1, 1]],
+        "colors": [
+            {"id": "D1", "rho": rho1, "sigma_set": [1]},
+            {"id": "D2", "rho": rho2, "sigma_set": [2]},
+        ],
+        "fan": [
+            {"generators": [ray1], "colors": ["D1"]},
+            {"generators": [ray2], "colors": ["D2"]},
+        ],
+    }
+
+
+def test_integral_values_as_strings_or_integers_give_identical_output(tmp_path, capsys):
+    strings = _embedding_doc(["2", "1/2"], ["1/2", "2"], ["-2", "0"], ["0", "-2"])
+    ints = _embedding_doc([2, "1/2"], ["1/2", 2], [-2, 0], [0, -2])
+    a, b = write(tmp_path, strings, "s.json"), write(tmp_path, ints, "i.json")
+    for command in (("decide", "--json"), ("decide", "--explain"), ("invariants",)):
+        code_a, out_a, err_a = run(capsys, *command, a)
+        code_b, out_b, err_b = run(capsys, *command, b)
+        assert (code_a, out_a, err_a) == (code_b, out_b, err_b), command
+        assert code_a == 0 and err_a == ""
+    a = write(tmp_path, dict(strings, kind="spherical"), "s2.json")
+    b = write(tmp_path, dict(ints, kind="spherical"), "i2.json")
+    assert run(capsys, "decide", "--json", a) == run(capsys, "decide", "--json", b)
+
+
+def test_rho_entries_that_are_not_rationals_exit_2(tmp_path, capsys):
+    for bad in (True, [1], None):
+        doc = dict(SL3_BASE, colors=[dict(SL3_BASE["colors"][0], rho=[bad, "0"]), SL3_BASE["colors"][1]])
+        code, out, err = run(capsys, "decide", write(tmp_path, doc))
+        assert code == 2 and out == "" and "bad spherical datum" in err, (bad, err)
+
+
+def _limit_memory():
+    import resource
+
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_root_datum_above_the_rank_bound_exits_2_at_once(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    doc = dict(HORO_A3, root_datum="A99999", I=[], M=[])
+    path = write(tmp_path, doc)
+    # Without the bound the first matrix alone would need 10^10 entries: the
+    # child's address space is capped, and the timeout catches a slow run,
+    # so a missing bound fails this test instead of exhausting the machine.
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherical_models.cli", "decide", path],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: " + path + ".root_datum: rank 99999 exceeds"), proc.stderr
+
+
+def test_catalog_form_above_the_rank_bound_exits_2(capsys):
+    code, out, err = run(capsys, "catalog", "show", "SU(40,40)")
+    assert code == 2 and out == "" and "exceeds" in err

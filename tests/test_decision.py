@@ -436,3 +436,31 @@ def test_verdict_reasons_replay_everywhere(sl6_fan, sl6_datum, galois_a5_flip, r
     ]
     for v in verdicts:
         assert replay(v) == v.exists
+
+
+def test_local_decision_builds_only_the_automorphism_characters(monkeypatch, capsys):
+    # the color-fixing quotient and the projection serve only the embedding
+    # cross-check; the local verdict must not build them
+    import json
+    from pathlib import Path
+
+    from spherical_models import decision
+    from spherical_models.cli import main
+
+    problems = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    expected = {}
+    for name in ("so10_quaternionic.json", "sl6_embedding_su42.json"):
+        main(["decide", "--json", str(problems / name)])
+        expected[name] = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("aut_character_lattices called")
+
+    monkeypatch.setattr(decision, "aut_character_lattices", refuse)
+    path = str(problems / "so10_quaternionic.json")
+    assert json.loads(expected["so10_quaternionic.json"])["reasons"][1]["rule"] == "generic-theta"
+    assert main(["decide", "--json", path]) == 1
+    assert capsys.readouterr().out == expected["so10_quaternionic.json"]
+    # the embedding verdict keeps its kernel-route cross-check
+    with pytest.raises(AssertionError, match="aut_character_lattices called"):
+        main(["decide", "--json", str(problems / "sl6_embedding_su42.json")])

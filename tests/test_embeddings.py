@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spherical_models import (
     Color,
@@ -19,7 +21,7 @@ from spherical_models import (
     galois_from_permutations,
 )
 from spherical_models.lattice import _unimodular_inverse
-from spherical_models.spherical import _extended_matrices, _restriction_to_basis
+from spherical_models.spherical import _restriction_to_basis
 
 
 def test_canonicalize_collinear(sl3_datum):
@@ -35,10 +37,9 @@ def test_canonicalize_drops_interior_generator(sl3_datum):
 def test_canonicalize_sl6_cone_extreme(sl6_datum):
     # independent generators of a pointed cone are all extreme; rank check
     gens = ((-1, 1, -1), (1, 0, 0), (0, 0, 1))
-    rows = [list(g) for g in gens]
-    from spherical_models.spherical import _rational_rank
+    from spherical_models.polyhedra import linearly_independent
 
-    assert _rational_rank(rows) == 3
+    assert linearly_independent(gens)
     c = cone_canonicalize(ColoredCone(gens, frozenset()), sl6_datum)
     assert set(c.rays) == set(gens)
 
@@ -129,8 +130,8 @@ def test_v_action_is_contragredient_and_functorial():
     two = [a for a in autos if a.order() == 2][0]
     g = galois_from_permutations(rd, [three, two])
     datum = SphericalDatum(rd, [list(rd.simple_root(i)) for i in range(1, 5)], [], [])
-    mats = _extended_matrices(datum, g)
-    restr = {i: _restriction_to_basis(datum, m) for i, m in enumerate(mats)}
+    # no central torus, so every element matrix acts on the orbit lattice as is
+    restr = {i: _restriction_to_basis(datum, m) for i, m in enumerate(g.matrices)}
     for a in range(g.order):
         for b in range(g.order):
             assert restr[a] * restr[b] == restr[g.mult[a][b]]
@@ -235,3 +236,43 @@ def test_lift_search_checks_stability_and_computes_omega_once(
     ):
         with pytest.raises(ValueError, match="does not preserve"):
             search()
+
+
+# -- exact values: an int for each integral entry, never a float -------------
+
+_entries = st.one_of(st.integers(-4, 4), st.builds(F, st.integers(-6, 6), st.integers(1, 3)))
+
+
+def _exact(values):
+    return all(type(x) is int or (type(x) is F and x.denominator != 1) for x in values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_entries, _entries), min_size=1, max_size=4), st.sets(st.sampled_from(["D1", "D2"])))
+def test_cone_rays_are_ints_where_integral(sl3_datum, rays, colors):
+    from spherical_models.polyhedra import strictly_convex
+
+    cone = ColoredCone(tuple(rays), frozenset(colors))
+    assert all(_exact(r) for r in cone.rays)
+    assert cone.rays == tuple(tuple(F(x) for x in r) for r in rays)
+    rho = {c.id: c.rho for c in sl3_datum.colors}
+    gens = list(cone.rays) + [rho[c] for c in sorted(colors)]
+    assume(all(any(r) for r in rays) and strictly_convex(gens))
+    canon = cone_canonicalize(cone, sl3_datum)
+    assert all(type(x) is int for r in canon.rays for x in r)
+
+
+def test_fan_from_dict_reads_integer_strings_and_ints_alike(sl3_datum):
+    a = ColoredFan.from_dict([{"generators": [["-2", "1/2"], [-1, "0"]]}], sl3_datum)
+    b = ColoredFan.from_dict([{"generators": [[-2, "1/2"], ["-1", 0]]}], sl3_datum)
+    assert a.keys == b.keys and a.to_dict() == b.to_dict()
+    assert a.cones[0].rays == ((-4, 1), (-1, 0))
+
+
+def test_moved_rays_hold_no_float(sl3_fan, sl3_datum, rd_a2):
+    flip = diagram_automorphism_group(rd_a2.type)[1]
+    g = galois_from_permutations(rd_a2, [flip])
+    fg = FanGaloisData.build(sl3_datum, g, enumerate_lifts(sl3_datum, g)[0])
+    assert fg.apply_ray(0, (F(1, 2), 3)) == (3, F(1, 2))
+    assert _exact(fg.apply_ray(0, (F(1, 2), 3)))
+    assert _exact(fg.apply_ray(0, (F(4, 2), 3)))

@@ -434,3 +434,28 @@ def test_node_permutation_returns_a_fresh_dict():
     del first[2]
     assert node_permutation(rd, mat) == {1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
     assert node_permutation(rd, IntMatrix([[0, 1, 0, 0, 0]] + [[0] * 5] * 4)) is None
+
+
+def _same_as_constructed(m):
+    """``m`` equals, and hashes like, the matrix the public constructor builds
+    from its rows: int tuples of the recorded shape."""
+    fresh = IntMatrix([list(r) for r in m.data], cols=m.cols)
+    assert (m.rows, m.cols) == (fresh.rows, fresh.cols)
+    assert all(type(r) is tuple and all(type(x) is int for x in r) for r in m.data)
+    assert m == fresh and hash(m) == hash(fresh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs())
+def test_internal_results_are_plain_int_matrices(pair):
+    a, b, k, c = pair
+    ma, mb = IntMatrix(a, cols=k), IntMatrix(b, cols=c)
+    for m in (ma * mb, ma.transpose(), *hnf(ma), *snf(ma)):
+        _same_as_constructed(m)
+    _same_as_constructed(Lattice(k, a).basis)
+
+
+def test_identity_is_built_once_per_size():
+    assert IntMatrix.identity(4) is IntMatrix.identity(4)
+    _same_as_constructed(IntMatrix.identity(4))
+    assert IntMatrix.identity(0).data == ()

@@ -2,20 +2,23 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     fraction_cone_member,
     fraction_extreme_rays,
     fraction_feasible,
+    fraction_rank,
     fraction_relative_interior_point_satisfies,
     fraction_strictly_convex,
 )
 
+from spherical_models import polyhedra
 from spherical_models.polyhedra import (
     cone_member,
     extreme_rays,
     feasible,
+    linearly_independent,
     primitive,
     relative_interior_point_satisfies,
     strictly_convex,
@@ -200,3 +203,66 @@ def test_relative_interior_matches_fraction_oracle(cone, data):
     assert relative_interior_point_satisfies(
         rays, inequalities
     ) == fraction_relative_interior_point_satisfies(rays, inequalities)
+
+
+# -- simplicial cones: a rank test instead of Fourier-Motzkin -----------------
+
+
+@st.composite
+def independent_generators(draw):
+    """Linearly independent integer rows (dimension <= 6), shuffled together
+    with positive multiples of some of them and, optionally, negated copies."""
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(0, d))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=k, max_size=k))
+    assume(fraction_rank(rows) == k)
+    gens = [tuple(r) for r in rows]
+    for r in rows:
+        for scale in draw(st.lists(st.integers(1, 3), max_size=2)):
+            gens.append(tuple(scale * x for x in r))
+    negate = draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []
+    gens += [tuple(-x for x in r) for r in negate]
+    return draw(st.permutations(gens)), bool(negate)
+
+
+@settings(max_examples=150, deadline=None)
+@given(independent_generators())
+def test_extreme_rays_of_independent_generators_match_fraction_oracle(case):
+    gens, negated = case
+    expected = fraction_extreme_rays(gens)
+    assert (expected is None) == negated
+    if expected is None:
+        with pytest.raises(ValueError):
+            extreme_rays(gens)
+    else:
+        assert extreme_rays(gens) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(independent_generators())
+def test_simplicial_cones_skip_elimination(case):
+    gens, negated = case
+    assume(not negated)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simplicial cone reached Fourier-Motzkin")
+
+    saved = polyhedra.strictly_convex, polyhedra.cone_member, polyhedra.feasible
+    polyhedra.strictly_convex = polyhedra.cone_member = polyhedra.feasible = refuse
+    try:
+        rays = extreme_rays(gens)
+    finally:
+        polyhedra.strictly_convex, polyhedra.cone_member, polyhedra.feasible = saved
+    assert rays == tuple(sorted({primitive(g) for g in gens}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(vectors(d), max_size=7)))
+def test_linearly_independent_matches_fraction_rank(rows):
+    assert linearly_independent(rows) == (fraction_rank(rows) == len(rows))
+
+
+def test_independent_generators_beyond_the_cap_need_no_elimination():
+    # nine unit vectors in dimension 9 form a simplicial cone
+    gens = [tuple(1 if i == j else 0 for i in range(9)) for j in range(9)]
+    assert extreme_rays(gens) == tuple(sorted(gens))

@@ -184,3 +184,23 @@ def test_epsilon_membership_is_exact(rd_d5):
     # omega5 is half-integral, its double is integral
     assert not in_epsilon_lattice(rd_d5.type, (0, 0, 0, 0, 1))
     assert in_epsilon_lattice(rd_d5.type, (0, 0, 0, 0, 2))
+
+
+def test_rank_bound():
+    from spherical_models.rootdata import MAX_RANK
+
+    assert MAX_RANK == 64
+    for fam in ("A", "B", "C", "D"):
+        assert SimpleType(fam, MAX_RANK).rank == MAX_RANK
+        with pytest.raises(ValueError, match="exceeds the supported maximum 64"):
+            SimpleType(fam, MAX_RANK + 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        based_root_datum("A99999")
+
+
+def test_weight_lattice_is_built_once_per_type():
+    rd = based_root_datum("D5")
+    assert rd.weight_lattice is based_root_datum("D5").weight_lattice
+    assert rd.weight_lattice.basis.data == tuple(
+        tuple(int(i == j) for j in range(5)) for i in range(5)
+    )

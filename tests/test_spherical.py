@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import all_color_lifts_by_filter
 from spherical_models import (
@@ -338,3 +340,224 @@ def test_cover_rejects_colorless_node_with_nonvanishing_coroot(sl6_datum):
     with pytest.raises(ValueError) as err:
         quasiaffine_cover(sl6_datum)
     assert "case (4) at node 3" in str(err.value)
+
+
+# -- integer color transforms and generator-only character actions ----------
+
+
+def _mixed_denominator_datum(rd_a2, e2=(F(2, 3), F(1, 3))):
+    """Functionals with denominators 1, 2 and 3, including collinear ones."""
+    return SphericalDatum(
+        rd_a2,
+        [[1, 0], [0, 1]],
+        [],
+        [
+            Color("D1", (F(1, 2), 0), frozenset({1})),
+            Color("D2", (0, F(1, 2)), frozenset({2})),
+            Color("E1", (F(1, 3), F(2, 3)), frozenset()),
+            Color("E2", e2, frozenset()),
+            Color("F1", (1, 0), frozenset()),
+            Color("F2", (0, 1), frozenset()),
+            # collinear with F1 and F2 under the same (empty) moving set: only
+            # one common denominator keeps their numerators apart
+            Color("H1", (F(1, 2), 0), frozenset()),
+            Color("H2", (0, F(1, 2)), frozenset()),
+        ],
+    )
+
+
+def _d4_half_datum():
+    rd = based_root_datum("D4")
+    half = F(1, 2)
+    colors = [
+        Color("C1", (half, 0, 0, 0), frozenset({1})),
+        Color("C3", (0, 0, half, 0), frozenset({3})),
+        Color("C4", (0, 0, 0, half), frozenset({4})),
+        Color("G", (F(1, 3), 0, F(1, 3), F(1, 3)), frozenset()),
+    ]
+    return SphericalDatum(rd, [[1 if i == j else 0 for j in range(4)] for i in range(4)], [], colors)
+
+
+def _d4_actions():
+    rd = based_root_datum("D4")
+    autos = diagram_automorphism_group(rd.type)
+    three = [a for a in autos if a.order() == 3][0]
+    two = [a for a in autos if a.order() == 2][0]
+    return galois_from_permutations(rd, [three]), galois_from_permutations(rd, [three, two])
+
+
+@pytest.mark.parametrize("case", ["a2_flip", "a2_flip_unstable", "a2_trivial", "d4_z3", "d4_s3"])
+def test_color_transform_matches_fraction_oracle(case, rd_a2):
+    from oracles import fraction_omega_perms
+
+    from spherical_models.spherical import omega_action
+
+    if case.startswith("a2"):
+        e2 = (F(2, 3), F(1, 2)) if case == "a2_flip_unstable" else (F(2, 3), F(1, 3))
+        datum = _mixed_denominator_datum(rd_a2, e2)
+        g = GaloisAction.trivial(2) if case == "a2_trivial" else galois_from_permutations(
+            rd_a2, [diagram_automorphism_group(rd_a2.type)[1]]
+        )
+    else:
+        datum = _d4_half_datum()
+        g = _d4_actions()[0 if case == "d4_z3" else 1]
+    images = {(c.rho, c.sigma_set) for c in datum.colors}
+    expected = fraction_omega_perms(datum, g)
+    stable = all(moved in images for perm in expected for moved in perm.values())
+    assert stable == (case != "a2_flip_unstable")
+    assert invariants_stable(datum, g) is stable
+    if not stable:
+        with pytest.raises(ValueError):
+            omega_action(datum, g)
+        return
+    fibers, perms = omega_action(datum, g)
+    assert set(fibers) == images
+    assert len(perms) == len(g.generators)
+    for perm, want in zip(perms, expected):
+        assert perm == want
+
+
+def test_omega_action_refuses_fibers_of_different_sizes(rd_a2):
+    from spherical_models.spherical import omega_action
+
+    # the flip sends the two-color fiber over node 1 to the one-color fiber
+    # over node 2
+    datum = SphericalDatum(
+        rd_a2,
+        [[1, 0], [0, 1]],
+        [tuple(rd_a2.simple_root(1))],
+        [
+            Color("D1+", (1, 0), frozenset({1})),
+            Color("D1-", (1, 0), frozenset({1})),
+            Color("D2", (0, 1), frozenset({2})),
+        ],
+    )
+    g = galois_from_permutations(rd_a2, [diagram_automorphism_group(rd_a2.type)[1]])
+    assert not invariants_stable(datum, g)
+    with pytest.raises(ValueError, match="color images"):
+        omega_action(datum, g)
+
+
+def _sl6_with_torus(sl6_datum):
+    """The sl6 datum with one central torus coordinate adjoined to its lattice."""
+    basis = [list(r) + [0] for r in sl6_datum.basis.data] + [[0] * 5 + [1]]
+    colors = [Color(c.id, c.rho + (0,), c.sigma_set) for c in sl6_datum.colors]
+    sigma = [tuple(s) + (0,) for s in sl6_datum.sigma]
+    return SphericalDatum(sl6_datum.rd, basis, sigma, colors, torus_rank=1)
+
+
+def _aut_cases(sl6_datum, sl3_datum, rd_a2, rd_a5):
+    flip_a2 = galois_from_permutations(rd_a2, [diagram_automorphism_group(rd_a2.type)[1]])
+    flip_a5 = galois_from_permutations(rd_a5, [diagram_automorphism_group(rd_a5.type)[1]])
+    flagged = SphericalDatum(rd_a2, [[1, 0], [0, 1]], [(1, 1)], sl3_datum.colors, sigma234=[0])
+    z3, s3 = _d4_actions()
+    rd_d4 = based_root_datum("D4")
+    from spherical_models import HorosphericalDatum
+
+    d4_q = HorosphericalDatum(rd_d4, [], rd_d4.root_lattice.basis.data).to_spherical()
+    d4_torus = SphericalDatum(
+        rd_d4, [list(r) + [0, 0] for r in rd_d4.root_lattice.basis.data] + [[0] * 4 + [1, 1], [0] * 5 + [2]], [], [],
+        torus_rank=2,
+    )
+    return {
+        "sl3_flags_trivial": (flagged, GaloisAction.trivial(2)),
+        "sl3_flags_z2": (flagged, flip_a2),
+        "sl6_z2": (sl6_datum, flip_a5),
+        "sl6_z2_acting_trivially": (
+            sl6_datum, GaloisAction("cyclic2", [IntMatrix.identity(5)])
+        ),
+        "sl6_torus_z2": (_sl6_with_torus(sl6_datum), flip_a5),
+        "d4_z3": (d4_q, z3),
+        "d4_s3": (d4_q, s3),
+        "d4_torus_s3": (d4_torus, s3),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "sl3_flags_trivial", "sl3_flags_z2", "sl6_z2", "sl6_z2_acting_trivially",
+        "sl6_torus_z2", "d4_z3", "d4_s3", "d4_torus_s3",
+    ],
+)
+def test_aut_character_actions_from_generators_match_all_elements(
+    case, sl6_datum, sl3_datum, rd_a2, rd_a5
+):
+    from oracles import all_element_aut_character_lattices
+
+    from spherical_models.lattice import group_invariants
+
+    datum, g = _aut_cases(sl6_datum, sl3_datum, rd_a2, rd_a5)[case]
+    xa, xa_ker, _ = aut_character_lattices(datum, galois=g)
+    want = all_element_aut_character_lattices(datum, g)
+    for got, oracle in zip((xa, xa_ker), want):
+        assert len(got.action) == len(g.generators)
+        assert len(oracle.action) == g.order
+        assert got.invariant_factors == oracle.invariant_factors
+        inv, incl = group_invariants(got)
+        inv_o, incl_o = group_invariants(oracle)
+        assert inv.invariant_factors == inv_o.invariant_factors
+        assert incl.images == incl_o.images
+
+
+def test_generator_actions_refuse_an_ill_defined_quotient(rd_a2):
+    # swapping the coordinates does not preserve the span of (2, 0): the
+    # generator alone must be refused, as the full element list is
+    from spherical_models.lattice import Lattice, quotient_group
+
+    swap = IntMatrix([[0, 1], [1, 0]])
+    with pytest.raises(ValueError):
+        quotient_group(Lattice.full(2), Lattice(2, [(2, 0)]), action=[swap])
+
+
+# -- exact values: an int for each integral entry, never a float -------------
+
+_rationals = st.one_of(
+    st.integers(-6, 6),
+    st.builds(F, st.integers(-8, 8), st.integers(1, 4)),
+    st.builds(lambda p, q: "%d/%d" % (p, q), st.integers(-8, 8), st.integers(1, 4)),
+)
+
+
+def _exact(values):
+    return all(
+        type(x) is int or (type(x) is F and x.denominator != 1) for x in values
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_rationals, min_size=1, max_size=5))
+def test_color_functionals_are_ints_where_integral(values):
+    rho = Color("c", tuple(F(x) if isinstance(x, str) else x for x in values), frozenset()).rho
+    assert _exact(rho)
+    assert rho == tuple(F(x) for x in values)
+
+
+def test_from_dict_reads_integer_strings_and_ints_alike(rd_a2):
+    doc = {
+        "X": [[1, 0], [0, 1]],
+        "sigma": [[1, 1]],
+        "colors": [
+            {"id": "D1", "rho": ["2", "1/2"], "sigma_set": [1]},
+            {"id": "D2", "rho": [2, "-4/2"], "sigma_set": [2]},
+        ],
+    }
+    d = SphericalDatum.from_dict(rd_a2, doc)
+    assert [c.rho for c in d.colors] == [(2, F(1, 2)), (2, -2)]
+    assert all(_exact(c.rho) for c in d.colors)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_cover_output_holds_no_float(q, sl3_datum, so10_datum, rd_a5, m_2p_plus_q):
+    from spherical_models import HorosphericalDatum
+
+    # a doubled simple root: the color's functional is half the coroot
+    half = SphericalDatum(
+        based_root_datum("A1"), [[1]], [(4,)], [Color("D", (F(1, 2),), frozenset({1}))]
+    )
+    horo = HorosphericalDatum(rd_a5, [1], [r for r in m_2p_plus_q.basis.data if r[0] == 0])
+    for datum in (sl3_datum, so10_datum, horo.to_spherical(), half):
+        cover, ineqs = quasiaffine_cover(datum, q)
+        assert all(_exact(c.rho) for c in cover.colors)
+        assert all(_exact(row) for row in ineqs)
+    assert ineqs == ((F(1, 2), q),)
