@@ -2,7 +2,8 @@
 
 Problem files are JSON documents with integers and "p/q" strings only (never
 floats).  Exit codes: 0 when the model exists, 1 when it does not, 2 on any
-input or validation error, so shell pipelines can branch on the verdict.
+input or validation error, 3 on an internal error (a fault of the engine, so
+never read as a verdict), so shell pipelines can branch on the verdict.
 The schema is documented in the README; `invariants` prints the canonical
 presentations (including the fixed center characters) that Tits-character
 value lists refer to.
@@ -41,7 +42,7 @@ from .lattice import Lattice
 from .rootdata import (
     DiagramAutomorphism,
     based_root_datum,
-    diagram_automorphism_group,
+    diagram_flip,
 )
 from .spherical import (
     SphericalDatum,
@@ -90,10 +91,10 @@ def _parse_galois(entry, rd, path):
     if entry == "trivial":
         return galois_from_permutations(rd, [])
     if entry == "flip":
-        flips = [a for a in diagram_automorphism_group(rd.type) if a.order() == 2]
-        if not flips:
+        flip = diagram_flip(rd.type)
+        if flip is None:
             _fail(path, "type %s has no order-2 diagram automorphism" % rd.type)
-        return galois_from_permutations(rd, [flips[0]])
+        return galois_from_permutations(rd, [flip])
     if not isinstance(entry, dict):
         _fail(path, "galois must be 'trivial', 'flip', or an object")
     group = _need(entry, "group", path)
@@ -375,6 +376,12 @@ def invariants_report(doc, path):
 # -- commands ----------------------------------------------------------------
 
 
+def _internal_error(e):
+    """Exit 3 for a fault of the engine: 1 would read as "does not exist"."""
+    print("internal error: %r" % (e,), file=sys.stderr)
+    return 3
+
+
 def cmd_decide(args):
     try:
         doc, kind = load_problem(args.path)
@@ -382,6 +389,8 @@ def cmd_decide(args):
     except ProblemError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except Exception as e:
+        return _internal_error(e)
     if args.json:
         print(json.dumps(verdict.to_dict(), sort_keys=True, indent=2))
     else:
@@ -407,6 +416,8 @@ def cmd_invariants(args):
     except ProblemError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except Exception as e:
+        return _internal_error(e)
     for line in lines:
         print(line)
     return 0
@@ -434,7 +445,7 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decide", help="decide a problem file (exit 0 exists / 1 not / 2 error)")
+    p = sub.add_parser("decide", help="decide a problem file (exit 0 exists / 1 not / 2 error / 3 internal)")
     p.add_argument("path")
     p.add_argument("--json", action="store_true", help="print the verdict as JSON")
     p.add_argument("--explain", action="store_true", help="print each condition with its witness")

@@ -51,10 +51,11 @@ from .rootdata import (
     DiagramAutomorphism,
     SimpleType,
     based_root_datum,
-    diagram_automorphism_group,
+    diagram_flip,
     in_epsilon_lattice,
 )
-from .spherical import _aut_characters, aut_character_lattices, invariants_stable
+from .embeddings import _stabilizing_lift
+from .spherical import _aut_characters, _generator_actions, _unstable_generator
 
 NUMBER_FIELD = "number_field"
 _LOCAL_MODES = (REAL, PADIC)
@@ -270,8 +271,8 @@ def kappa_on_invariants(datum, characters, mod, inv, incl):
 # -- the decision procedures -------------------------------------------------
 
 
-def _stability_reason(datum, galois):
-    witness = invariants_stable(datum, galois, witness=True)
+def _stability_reason(datum, galois, actions):
+    witness = _unstable_generator(datum, galois, actions)
     return _reason(
         "invariants-stability",
         witness is None,
@@ -279,28 +280,17 @@ def _stability_reason(datum, galois):
     )
 
 
-def _kappa_cohomology(datum, galois, t0, mod, inv, incl, crosscheck=False):
+def _kappa_cohomology(datum, galois, t0, mod, inv, incl):
     """The cohomology reason of a spherical orbit.
 
     The Tits character must vanish on the pushed-forward fixed automorphism
-    characters.  With ``crosscheck`` the test is repeated through the
-    color-fixing subgroup's characters, and the two routes must agree.
+    characters; the witness is the first pushed-forward class on which it
+    does not.
     """
     if t0.is_zero():
         return _reason("cohomology", True, rule="t0-trivial")
-    if crosscheck:
-        xa, xa_ker, _ = aut_character_lattices(datum, galois=galois)
-    else:
-        xa = _aut_characters(datum, galois)
-    kappa = kappa_on_invariants(datum, xa, mod, inv, incl)
+    kappa = kappa_on_invariants(datum, _aut_characters(datum, galois), mod, inv, incl)
     ok = br_vanishing_test(t0, kappa)
-    if crosscheck:
-        kappa_ker = kappa_on_invariants(datum, xa_ker, mod, inv, incl)
-        if ok != br_vanishing_test(t0, kappa_ker):
-            raise AssertionError(
-                "the two equivalent cohomological routes disagree; data inconsistent"
-            )
-        return _reason("cohomology", ok, rule="generic-theta", crosscheck="kernel-route-agrees")
     bad = next((list(img) for img in kappa.images if t0.evaluate(img) != 0), None)
     return _reason("cohomology", ok, rule="generic-theta", witness=bad)
 
@@ -313,7 +303,7 @@ def decide_local_general(datum, galois, tits, mode):
     characters.
     """
     mod, inv, incl, t0 = resolve_local_character(datum.rd, galois, tits, mode)
-    reasons = [_stability_reason(datum, galois)]
+    reasons = [_stability_reason(datum, galois, _generator_actions(datum, galois))]
     citations = ["necessary stability of the combinatorial invariants"]
     if not reasons[0]["ok"]:
         return Verdict(False, tuple(reasons), tuple(citations))
@@ -512,13 +502,13 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
 
     Condition one: some lift of the Galois action to the colors keeps the
     colored fan stable.  Condition two: the cohomological test of the open
-    orbit.  The second condition is recomputed through the color-fixing
-    subgroup's characters and both routes must agree.
+    orbit, the same test and witness as decide_local_general.  The action of
+    the generators on the orbit lattice is derived once and serves both the
+    stability check and the lift search.
     """
-    from .embeddings import exists_stabilizing_lift
-
     mod, inv, incl, t0 = resolve_local_character(datum.rd, galois, tits, mode)
-    reasons = [_stability_reason(datum, galois)]
+    actions = _generator_actions(datum, galois)
+    reasons = [_stability_reason(datum, galois, actions)]
     citations = [
         "necessary stability of the combinatorial invariants",
         "stable colored fan under some color lift",
@@ -536,7 +526,7 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
     reasons.append(
         _reason("fan-axioms", True, note="face-closure and support axioms assumed, not validated")
     )
-    lift = exists_stabilizing_lift(fan, datum, galois)
+    lift = _stabilizing_lift(fan, datum, galois, actions)
     reasons.append(
         _reason(
             "fan-stability",
@@ -544,7 +534,7 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
             lift=None if lift is None else [list(p) for p in lift.generator_maps],
         )
     )
-    reasons.append(_kappa_cohomology(datum, galois, t0, mod, inv, incl, crosscheck=True))
+    reasons.append(_kappa_cohomology(datum, galois, t0, mod, inv, incl))
     exists = all(r["ok"] for r in reasons)
     return Verdict(exists, tuple(reasons), tuple(citations))
 
@@ -590,10 +580,10 @@ def _flip_action(rd):
     Catalog entries are real forms, where the Galois group is always of
     order 2; only the star action may degenerate.
     """
-    autos = [a for a in diagram_automorphism_group(rd.type) if a.order() == 2]
-    if not autos:
+    flip = diagram_flip(rd.type)
+    if flip is None:
         return _trivial_c2(rd)
-    return galois_from_permutations(rd, [autos[0]])
+    return galois_from_permutations(rd, [flip])
 
 
 def _trivial_c2(rd):

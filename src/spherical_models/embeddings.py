@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from operator import mul
 
-from .lattice import _unimodular_inverse
 from .polyhedra import (
     DIM_CAP,
     extreme_rays,
@@ -25,12 +24,11 @@ from .polyhedra import (
 )
 from .spherical import (
     _exact_rational,
-    _extended_matrices,
     _fmt_fraction,
     _json_rational,
     _lifts_from_omega,
-    _restriction_to_basis,
-    _stable_omega_action,
+    _omega_from_actions,
+    _stable_actions,
 )
 
 
@@ -143,14 +141,13 @@ class FanGaloisData:
     @classmethod
     def build(cls, datum, galois, lift):
         """Check that the action preserves the invariants, then derive its data."""
-        omega = _stable_omega_action(datum, galois)
-        # invariants_stable checked that each generator preserves the orbit
-        # lattice, so every restriction exists
-        v_mats = tuple(
-            _unimodular_inverse(_restriction_to_basis(datum, m)).transpose()
-            for m in _extended_matrices(datum, galois)
-        )
-        return cls(galois, lift, v_mats, omega)
+        return cls._from_actions(datum, galois, lift, _stable_actions(datum, galois))
+
+    @classmethod
+    def _from_actions(cls, datum, galois, lift, actions):
+        """build, from the ``_generator_actions`` of an action that preserves the invariants."""
+        v_mats = tuple(r_inv.transpose() for _, r_inv in actions)
+        return cls(galois, lift, v_mats, _omega_from_actions(datum, actions))
 
     def apply_ray(self, k, ray):
         return tuple(
@@ -209,11 +206,20 @@ def _check_lift_covers_omega(fan_galois):
 def exists_stabilizing_lift(fan, datum, galois):
     """First lift (in enumeration order) making the fan stable, or None.
 
-    The lift-independent data are built once per search, without a lift: its
-    stability check and action on the color images also serve the
-    enumeration (SphericalDatum already caps the number of colors).
+    Refuses an action that does not preserve the invariants.
     """
-    base = FanGaloisData.build(datum, galois, None)
+    return _stabilizing_lift(fan, datum, galois, _stable_actions(datum, galois))
+
+
+def _stabilizing_lift(fan, datum, galois, actions):
+    """exists_stabilizing_lift, from the ``_generator_actions`` of an action that
+    preserves the invariants.
+
+    The lift-independent data are built once per search, without a lift: its
+    action on the color images also serves the enumeration (SphericalDatum
+    already caps the number of colors).
+    """
+    base = FanGaloisData._from_actions(datum, galois, None, actions)
     for lift in _lifts_from_omega(base.omega):
         if fan_stable(fan, datum, replace(base, lift=lift)):
             return lift

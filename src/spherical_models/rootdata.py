@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from .lattice import FgAbelianGroup, IntMatrix, Lattice, apply_row, quotient_group
 
@@ -199,35 +200,30 @@ class DiagramAutomorphism:
 def diagram_automorphism_group(t: SimpleType):
     """All node permutations preserving the Cartan matrix, identity first.
 
-    The result is closed under composition (it is the full symmetry group of
-    the diagram: trivial, Z/2, or S3 on the D4 fork).
+    Read off the classification (Bourbaki, Plates I-IX): the reversal of
+    A_n for n >= 2, the swap of the last two nodes of D_n (all of S3 on
+    nodes 1, 3, 4 for D4), the reversal (6, 2, 5, 4, 3, 1) of E6, and the
+    identity alone for every other type.  The result is closed under
+    composition; after the identity it is in sorted order.
     """
-    c = cartan_matrix(t)
     n = t.rank
-    found = []
+    identity = tuple(range(n))
+    if t.family == "A" and n >= 2:
+        perms = {identity[::-1]}
+    elif t.family == "D" and n == 4:
+        perms = {(a, 1, b, c) for a, b, c in permutations((0, 2, 3))}
+    elif t.family == "D":
+        perms = {identity[:-2] + (n - 1, n - 2)}
+    elif t.family == "E" and n == 6:
+        perms = {(5, 1, 4, 3, 2, 0)}
+    else:
+        perms = set()
+    return [DiagramAutomorphism(p) for p in [identity] + sorted(perms - {identity})]
 
-    def extend(partial):
-        i = len(partial)
-        if i == n:
-            found.append(tuple(partial))
-            return
-        for img in range(n):
-            if img in partial:
-                continue
-            ok = all(
-                c.data[j][i] == c.data[partial[j]][img]
-                and c.data[i][j] == c.data[img][partial[j]]
-                for j in range(i)
-            ) and c.data[i][i] == c.data[img][img]
-            if ok:
-                partial.append(img)
-                extend(partial)
-                partial.pop()
 
-    extend([])
-    autos = [DiagramAutomorphism(p) for p in sorted(found)]
-    autos.sort(key=lambda a: (not a.is_identity(), a.permutation))
-    return autos
+def diagram_flip(t: SimpleType):
+    """The first order-2 diagram automorphism of ``t``, or None when there is none."""
+    return next((a for a in diagram_automorphism_group(t) if a.order() == 2), None)
 
 
 def star_action_matrix(rd: BasedRootDatum, a: DiagramAutomorphism) -> IntMatrix:
@@ -311,39 +307,6 @@ def epsilon_coordinates(t: SimpleType, v):
         sum((Fraction(v[i]) * rows[i][k] for i in range(n)), Fraction(0))
         for k in range(n)
     )
-
-
-def weight_coordinates_from_epsilon(t: SimpleType, eps):
-    """Inverse of epsilon_coordinates, exact; raises if not in the weight lattice."""
-    rows = _epsilon_basis_matrix(t)
-    n = t.rank
-    # solve x @ rows = eps by Gaussian elimination over QQ
-    aug = [list(rows[i]) + [Fraction(0)] * n for i in range(n)]
-    for i in range(n):
-        aug[i][n + i] = Fraction(1)
-    col = 0
-    pivots = []
-    for r in range(n):
-        piv = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        while piv is None:
-            col += 1
-            piv = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        col += 1
-    # now rows of aug[:, n:] give the inverse transpose bookkeeping
-    inv_rows = [row[n:] for row in aug]
-    out = tuple(
-        sum((Fraction(eps[k]) * inv_rows[k][i] for k in range(n)), Fraction(0))
-        for i in range(n)
-    )
-    return out
 
 
 def in_epsilon_lattice(t: SimpleType, v):

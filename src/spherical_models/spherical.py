@@ -455,6 +455,27 @@ def _moved_image(image, r_inv, node_perm):
     )
 
 
+def _generator_actions(datum, galois):
+    """How each Galois generator moves the color images: one entry per generator.
+
+    Entry k is (node permutation, inverse restriction) of the k-th generator:
+    the permutation of the simple-root nodes, which moves the moving sets, and
+    the inverse of the restriction to the orbit lattice in the chosen basis,
+    which moves the functionals contragrediently.  It is None when the
+    generator does not permute the simple roots or does not map the orbit
+    lattice into itself; a generator has finite order, so into is onto.
+    """
+    out = []
+    for g, m in zip(galois.generator_matrices(), _extended_matrices(datum, galois)):
+        node_perm = node_permutation(datum.rd, g)
+        restriction = _restriction_to_basis(datum, m)
+        if node_perm is None or restriction is None:
+            out.append(None)
+        else:
+            out.append((node_perm, _unimodular_inverse(restriction)))
+    return tuple(out)
+
+
 def invariants_stable(datum, galois, witness=False):
     """Does every Galois generator preserve the combinatorial invariants?
 
@@ -464,28 +485,37 @@ def invariants_stable(datum, galois, witness=False):
     With ``witness=True`` returns None for stable or the offending generator
     index.
     """
+    k = _unstable_generator(datum, galois, _generator_actions(datum, galois))
+    return k if witness else k is None
+
+
+def _unstable_generator(datum, galois, actions):
+    """The first generator that moves the invariants, or None; ``actions`` is
+    ``_generator_actions(datum, galois)``."""
     omega1, omega2 = omega_sets(datum)
     images = _integer_images([(e.rho, e.sigma_set) for e in omega1 + omega2])
     images1 = {images[(e.rho, e.sigma_set)] for e in omega1}
     images2 = {images[(e.rho, e.sigma_set)] for e in omega2}
     mats = _extended_matrices(datum, galois)
-    for k, g in enumerate(galois.generator_matrices()):
-        m = mats[k]
-        moved = Lattice(datum.ambient_dim, [apply_row(r, m) for r in datum.basis.data])
-        if moved != datum.lattice:
-            return k if witness else False
-        if {apply_row(s, m) for s in datum.sigma} != set(datum.sigma):
-            return k if witness else False
-        node_perm = node_permutation(datum.rd, g)
-        restriction = _restriction_to_basis(datum, m)
-        if node_perm is None or restriction is None:
-            return k if witness else False
-        r_inv = _unimodular_inverse(restriction)
+    for k, action in enumerate(actions):
+        if action is None:
+            return k
+        if {apply_row(s, mats[k]) for s in datum.sigma} != set(datum.sigma):
+            return k
+        node_perm, r_inv = action
         if {_moved_image(i, r_inv, node_perm) for i in images1} != images1:
-            return k if witness else False
+            return k
         if {_moved_image(i, r_inv, node_perm) for i in images2} != images2:
-            return k if witness else False
-    return None if witness else True
+            return k
+    return None
+
+
+def _stable_actions(datum, galois):
+    """_generator_actions, after checking that the action preserves the invariants."""
+    actions = _generator_actions(datum, galois)
+    if _unstable_generator(datum, galois, actions) is not None:
+        raise ValueError("the action does not preserve the combinatorial invariants")
+    return actions
 
 
 def omega_action(datum, galois):
@@ -495,19 +525,21 @@ def omega_action(datum, galois):
     its sorted color ids; ``perms[k]`` maps each key to its image key under
     the k-th generator.
     """
+    return _omega_from_actions(datum, _generator_actions(datum, galois))
+
+
+def _omega_from_actions(datum, actions):
+    """omega_action from ``_generator_actions`` of the same datum and action."""
     fibers = _fibers(datum)
     for ids in fibers.values():
         ids.sort()
     images = _integer_images(fibers)
     key_of = {image: key for key, image in images.items()}
-    mats = _extended_matrices(datum, galois)
     perms = []
-    for k, g in enumerate(galois.generator_matrices()):
-        node_perm = node_permutation(datum.rd, g)
-        restriction = _restriction_to_basis(datum, mats[k])
-        if node_perm is None or restriction is None:
+    for action in actions:
+        if action is None:
             raise ValueError("action does not preserve the invariants")
-        r_inv = _unimodular_inverse(restriction)
+        node_perm, r_inv = action
         perm = {}
         for key, image in images.items():
             dst = key_of.get(_moved_image(image, r_inv, node_perm))
@@ -516,13 +548,6 @@ def omega_action(datum, galois):
             perm[key] = dst
         perms.append(perm)
     return fibers, perms
-
-
-def _stable_omega_action(datum, galois):
-    """omega_action, after checking that the action preserves the invariants."""
-    if invariants_stable(datum, galois) is not True:
-        raise ValueError("the action does not preserve the combinatorial invariants")
-    return omega_action(datum, galois)
 
 
 def enumerate_lifts(datum, galois):
@@ -536,7 +561,7 @@ def enumerate_lifts(datum, galois):
     """
     if len(datum.colors) > MAX_COLORS:
         raise ValueError("more than %d colors is out of scope" % MAX_COLORS)
-    return _lifts_from_omega(_stable_omega_action(datum, galois))
+    return _lifts_from_omega(_omega_from_actions(datum, _stable_actions(datum, galois)))
 
 
 def _lifts_from_omega(omega):

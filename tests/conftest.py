@@ -15,14 +15,13 @@ from spherical_models import (
     Lattice,
     SphericalDatum,
     based_root_datum,
-    diagram_automorphism_group,
     galois_from_permutations,
 )
+from spherical_models.rootdata import diagram_flip
 
 
 def flip_of(rd):
-    autos = [a for a in diagram_automorphism_group(rd.type) if a.order() == 2]
-    return galois_from_permutations(rd, [autos[0]])
+    return galois_from_permutations(rd, [diagram_flip(rd.type)])
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: matrix products
 entry by entry, invariant factors via gcds of minors, cohomology via literal
 cocycle enumeration, lift counting via filtering all permutations, cone
-questions via Fourier-Motzkin in Fraction arithmetic.
+questions via Fourier-Motzkin in Fraction arithmetic, diagram automorphisms
+via a search over node permutations.
 """
 
 from fractions import Fraction
@@ -491,3 +492,39 @@ def fraction_omega_perms(datum, galois):
             }
         )
     return out
+
+
+def weight_coordinates_from_epsilon(t, eps):
+    """Weight coordinates of an epsilon-coordinate vector (types B/C/D), in Fraction
+    arithmetic: eps times the inverse of the epsilon basis of the fundamental weights."""
+    from spherical_models.rootdata import _epsilon_basis_matrix
+
+    inv = _fraction_inverse(_epsilon_basis_matrix(t))
+    return tuple(sum(Fraction(e) * row[i] for e, row in zip(eps, inv)) for i in range(t.rank))
+
+
+def diagram_automorphisms_by_search(t):
+    """Every node permutation preserving the Cartan matrix, by backtracking over
+    the image of each node in turn; identity first, then in sorted order."""
+    from spherical_models.rootdata import DiagramAutomorphism, cartan_matrix
+
+    c = cartan_matrix(t).data
+    n = t.rank
+    found = []
+
+    def extend(partial):
+        i = len(partial)
+        if i == n:
+            found.append(tuple(partial))
+            return
+        for img in range(n):
+            if img in partial or c[i][i] != c[img][img]:
+                continue
+            if all(c[j][i] == c[partial[j]][img] and c[i][j] == c[img][partial[j]] for j in range(i)):
+                partial.append(img)
+                extend(partial)
+                partial.pop()
+
+    extend([])
+    found.sort(key=lambda p: (p != tuple(range(n)), p))
+    return [DiagramAutomorphism(p) for p in found]

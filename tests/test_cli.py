@@ -480,3 +480,19 @@ def test_root_datum_above_the_rank_bound_exits_2_at_once(tmp_path):
 def test_catalog_form_above_the_rank_bound_exits_2(capsys):
     code, out, err = run(capsys, "catalog", "show", "SU(40,40)")
     assert code == 2 and out == "" and "exceeds" in err
+
+
+@pytest.mark.parametrize("command,engine", [("decide", "run_decide"), ("invariants", "invariants_report")])
+def test_internal_error_exits_3_not_1(tmp_path, capsys, monkeypatch, command, engine):
+    from spherical_models import cli
+
+    def crash(doc, path):
+        raise RuntimeError("engine fault\non two lines")
+
+    monkeypatch.setattr(cli, engine, crash)
+    code, out, err = run(capsys, command, write(tmp_path, SL3_BASE))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    # an input error is still exit 2
+    assert run(capsys, command, str(tmp_path / "missing.json"))[0] == 2

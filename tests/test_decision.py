@@ -30,6 +30,7 @@ from spherical_models import (
     replay,
     theta_lattice,
 )
+from spherical_models.rootdata import diagram_flip
 from spherical_models.decision import (
     center_invariants,
     check_local_mode,
@@ -439,12 +440,12 @@ def test_verdict_reasons_replay_everywhere(sl6_fan, sl6_datum, galois_a5_flip, r
 
 
 def test_local_decision_builds_only_the_automorphism_characters(monkeypatch, capsys):
-    # the color-fixing quotient and the projection serve only the embedding
-    # cross-check; the local verdict must not build them
+    # the color-fixing quotient and the projection are a second route to the
+    # same cohomology test; neither the local nor the embedding verdict builds them
     import json
     from pathlib import Path
 
-    from spherical_models import decision
+    from spherical_models import spherical
     from spherical_models.cli import main
 
     problems = Path(__file__).resolve().parent.parent / "demos" / "problems"
@@ -456,11 +457,137 @@ def test_local_decision_builds_only_the_automorphism_characters(monkeypatch, cap
     def refuse(*args, **kwargs):
         raise AssertionError("aut_character_lattices called")
 
-    monkeypatch.setattr(decision, "aut_character_lattices", refuse)
-    path = str(problems / "so10_quaternionic.json")
+    quotients = []
+
+    def counting(datum, roots, mats, _real=spherical._doubled_quotient):
+        quotients.append(roots)
+        return _real(datum, roots, mats)
+
+    monkeypatch.setattr(spherical, "aut_character_lattices", refuse)
+    monkeypatch.setattr(spherical, "_doubled_quotient", counting)
     assert json.loads(expected["so10_quaternionic.json"])["reasons"][1]["rule"] == "generic-theta"
-    assert main(["decide", "--json", path]) == 1
-    assert capsys.readouterr().out == expected["so10_quaternionic.json"]
-    # the embedding verdict keeps its kernel-route cross-check
-    with pytest.raises(AssertionError, match="aut_character_lattices called"):
-        main(["decide", "--json", str(problems / "sl6_embedding_su42.json")])
+    for name, code in (("so10_quaternionic.json", 1), ("sl6_embedding_su42.json", 1)):
+        del quotients[:]
+        assert main(["decide", "--json", str(problems / name)]) == code
+        assert capsys.readouterr().out == expected[name]
+        # one quotient per verdict: the orbit lattice by the fully doubled roots
+        assert len(quotients) == 1
+
+
+def _sl6_demo():
+    from pathlib import Path
+
+    from spherical_models import cli
+
+    path = str(Path(__file__).resolve().parent.parent / "demos" / "problems" / "sl6_embedding_su42.json")
+    doc, kind = cli.load_problem(path)
+    rd, galois, field, tits = cli._build_common(doc, path)
+    datum, fan = cli._build_payload(doc, rd, kind, path)
+    return fan, datum, galois, tits, field.mode
+
+
+def test_embedding_cohomology_reason_is_the_local_one():
+    fan, datum, galois, tits, mode = _sl6_demo()
+    embedding = decide_embedding(fan, datum, galois, tits, mode)
+    local = decide_local_general(datum, galois, tits, mode)
+    assert embedding.reasons[-1] == local.reasons[-1]
+    assert embedding.reasons[-1] == {
+        "condition": "cohomology", "ok": False, "rule": "generic-theta", "witness": [1],
+    }
+
+
+def test_one_embedding_decision_restricts_each_generator_once(monkeypatch):
+    from spherical_models import spherical
+
+    from test_embeddings import _d4_triality_case
+
+    fan, datum, galois, tits, mode = _sl6_demo()
+    d4_fan, d4_datum, d4_galois = _d4_triality_case()
+    cases = [
+        (fan, datum, galois, tits, mode),
+        (d4_fan, d4_datum, d4_galois, TitsClassSpec.zero(), PADIC),
+    ]
+    calls = []
+
+    def counting(datum, mat, _real=spherical._restriction_to_basis):
+        calls.append(mat)
+        return _real(datum, mat)
+
+    for case in cases:
+        decide_embedding(*case)  # warm the type-level caches
+    monkeypatch.setattr(spherical, "_restriction_to_basis", counting)
+    for case, generators in zip(cases, (1, 2)):
+        del calls[:]
+        verdict = decide_embedding(*case)
+        # stable, so the lift search ran too
+        assert verdict.reasons[0]["ok"] and verdict.reasons[3]["condition"] == "fan-stability"
+        assert len(calls) == generators
+
+
+def _stable_horospherical_lattice(rng, rd, galois):
+    """The root lattice plus random multiples of the fixed orbit sums of the
+    fundamental weights: a lattice every element of the Galois image preserves."""
+    n = rd.rank
+    rows = [list(rd.simple_root(i)) for i in range(1, n + 1)]
+    seen = set()
+    for i in range(n):
+        orbit = {next(j for j in range(n) if m.data[i][j]) for m in galois.matrices}
+        if orbit & seen:
+            continue
+        seen |= orbit
+        k = rng.choice((0, 1, 2, 3))
+        if k:
+            rows.append([k if j in orbit else 0 for j in range(n)])
+    return Lattice(n, rows)
+
+
+KERNEL_ROUTE_TYPES = ("A1", "A2", "A3", "A5", "B3", "C3", "D4", "D5", "E6", "E7")
+
+
+@pytest.mark.parametrize("label", KERNEL_ROUTE_TYPES)
+def test_kernel_route_agrees_on_horospherical_orbits(label):
+    from spherical_models import invariants_stable
+
+    rd = based_root_datum(label)
+    autos = diagram_automorphism_group(rd.type)
+    actions = [GaloisAction.trivial(rd.rank)] + [
+        galois_from_permutations(rd, [a]) for a in autos if a.order() in (2, 3)
+    ]
+    if len(autos) == 6:
+        three = next(a for a in autos if a.order() == 3)
+        actions.append(galois_from_permutations(rd, [three, diagram_flip(rd.type)]))
+    rng = random.Random(label)
+    checked = 0
+    for galois in actions:
+        mod, inv, incl = center_invariants(rd, galois)
+        chars = [c for c in all_characters(inv) if not c.is_zero()]
+        for _ in range(4):
+            m_lat = _stable_horospherical_lattice(rng, rd, galois)
+            datum = HorosphericalDatum(rd, [], m_lat.basis.data).to_spherical()
+            assert invariants_stable(datum, galois)
+            checked += _assert_routes_agree(datum, galois, chars, mod, inv, incl)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("action", ["trivial", "flip"])
+def test_kernel_route_agrees_on_the_sl6_datum(sl6_datum, rd_a5, action):
+    galois = GaloisAction.trivial(5) if action == "trivial" else galois_from_permutations(
+        rd_a5, [diagram_flip(rd_a5.type)]
+    )
+    mod, inv, incl = center_invariants(rd_a5, galois)
+    chars = [c for c in all_characters(inv) if not c.is_zero()]
+    assert _assert_routes_agree(sl6_datum, galois, chars, mod, inv, incl) == len(chars) > 0
+
+
+def _assert_routes_agree(datum, galois, chars, mod, inv, incl):
+    """The automorphism route and the color-fixing (kernel) route give the same
+    vanishing test for every character; returns the number of characters checked."""
+    from spherical_models import aut_character_lattices, br_vanishing_test
+    from spherical_models.decision import kappa_on_invariants
+
+    xa, xa_ker, _ = aut_character_lattices(datum, galois=galois)
+    kappa = kappa_on_invariants(datum, xa, mod, inv, incl)
+    kappa_ker = kappa_on_invariants(datum, xa_ker, mod, inv, incl)
+    for t0 in chars:
+        assert br_vanishing_test(t0, kappa) == br_vanishing_test(t0, kappa_ker)
+    return len(chars)

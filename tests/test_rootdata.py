@@ -13,10 +13,9 @@ from spherical_models import (
     star_action_matrix,
 )
 from spherical_models.lattice import apply_row
-from spherical_models.rootdata import (
-    in_epsilon_lattice,
-    weight_coordinates_from_epsilon,
-)
+from spherical_models.rootdata import diagram_flip, in_epsilon_lattice
+
+from oracles import diagram_automorphisms_by_search, weight_coordinates_from_epsilon
 
 ALL_TYPES_RANK8 = (
     [SimpleType("A", n) for n in range(1, 9)]
@@ -87,6 +86,44 @@ def test_diagram_automorphism_group_orders(label, order):
     for a in autos:
         for b in autos:
             assert a.compose(b).permutation in perms
+
+
+ORACLE_TYPES = (
+    [SimpleType("A", n) for n in range(1, 21)]
+    + [SimpleType("B", n) for n in range(2, 11)]
+    + [SimpleType("C", n) for n in range(3, 11)]
+    + [SimpleType("D", n) for n in range(3, 21)]
+    + [SimpleType("E", n) for n in (6, 7, 8)]
+    + [SimpleType("F", 4), SimpleType("G", 2)]
+)
+
+
+@pytest.mark.parametrize("t", ORACLE_TYPES, ids=str)
+def test_diagram_automorphism_table_equals_search(t):
+    assert diagram_automorphism_group(t) == diagram_automorphisms_by_search(t)
+
+
+def test_diagram_automorphism_table_is_immediate_at_the_rank_bound():
+    import time
+
+    t = SimpleType("A", 64)
+    start = time.perf_counter()
+    autos = diagram_automorphism_group(t)
+    assert time.perf_counter() - start < 0.01
+    assert [a.one_line() for a in autos] == [tuple(range(1, 65)), tuple(range(64, 0, -1))]
+
+
+@pytest.mark.parametrize(
+    "label,one_line",
+    [("A1", None), ("A5", (5, 4, 3, 2, 1)), ("B3", None), ("D4", (1, 2, 4, 3)),
+     ("D5", (1, 2, 3, 5, 4)), ("E6", (6, 2, 5, 4, 3, 1)), ("E7", None), ("G2", None)],
+)
+def test_diagram_flip_is_the_first_involution(label, one_line):
+    flip = diagram_flip(SimpleType.parse(label))
+    assert (flip and flip.one_line()) == one_line
+    if flip is not None:
+        autos = diagram_automorphism_group(SimpleType.parse(label))
+        assert flip == next(a for a in autos if a.order() == 2)
 
 
 def test_a5_flip_one_line():

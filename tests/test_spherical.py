@@ -193,6 +193,18 @@ def test_stability_quadric_flip(so10_datum, galois_d5_flip):
     assert invariants_stable(so10_datum, galois_d5_flip)
 
 
+def test_stability_moved_spherical_roots():
+    # lattice and colors are flip-stable, the spherical root a1 + a2 is not
+    rd = based_root_datum("A3")
+    roots = [list(rd.simple_root(i)) for i in (1, 2, 3)]
+    colors = [Color("D%d" % i, tuple(r), frozenset({i})) for i, r in zip((1, 2, 3), roots)]
+    d = SphericalDatum(rd, roots, [tuple(a + b for a, b in zip(roots[0], roots[1]))], colors)
+    g = galois_from_permutations(rd, [diagram_automorphism_group(rd.type)[1]])
+    assert invariants_stable(SphericalDatum(rd, roots, [], colors), g)
+    assert not invariants_stable(d, g)
+    assert invariants_stable(d, g, witness=True) == 0
+
+
 # -- lifts ----------------------------------------------------------------------
 
 
