@@ -1,24 +1,23 @@
-"""Exact rational polyhedral feasibility at desk scale.
+"""Exact cone questions at desk scale, by double description.
 
-Fraction-free integer Fourier-Motzkin elimination.  Each constraint is
-scaled once to an integer row; equalities are removed by fraction-free
-Gaussian elimination and inequalities by Fourier-Motzkin on rows of content
-1, so every intermediate number is a Python int and no rational is ever
-normalized.  Everything here is a helper for cone questions in dimension
-<= 8: membership of a vector in a finitely generated cone, strict
-convexity, extreme-ray filtering, and "relative interior meets a
-half-space system" tests.  Inputs may be ints or Fractions.  No floats,
-ever.
-
-A simplicial cone skips elimination altogether: when the distinct
-primitive generators are linearly independent (an exact rank test by
-fraction-free Gaussian elimination), the cone is pointed and every
-generator spans an extreme ray.
+One double-description step (Fukuda-Prodon 1996) answers every question
+here: a pointed cone, held as its extreme rays with an integer bitmask of
+the constraints each is tight on, is cut by a half-space h.x >= 0.  The
+rays on its side stay, and each adjacent pair across the hyperplane, told
+by the masks alone, gives a new primitive ray on it.  Only integer dot
+products run.  Inputs may be ints or Fractions; no floats, ever.
+``extreme_rays`` and ``strictly_convex`` cut the facets of a simplicial
+subcone by the other generators, and ``relative_interior_point_satisfies``
+cuts the orthant of combination coefficients by the inequalities.  A cone
+whose distinct primitive generators are linearly independent (an exact
+rank test by fraction-free elimination) is simplicial: it is pointed, every
+generator spans an extreme ray, and no step runs.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 DIM_CAP = 8
 
@@ -29,97 +28,126 @@ def _integer_row(values):
     return [x.numerator * (den // x.denominator) for x in values]
 
 
-def _add_row(system, coeffs, rhs, strict):
-    """Add coeffs.x >= rhs (> if strict), scaled to content 1.
-
-    A row without variables is decided on the spot and not added; the
-    result is False exactly when such a row fails.
-    """
-    if not any(coeffs):
-        return rhs < 0 or (rhs == 0 and not strict)
-    g = gcd(*coeffs, rhs)
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        rhs //= g
-    system.add((coeffs, rhs, strict))
-    return True
+def _content_free(row):
+    """An integer row divided by the gcd of its entries (same sign)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _pivot_out(row, pivot_row, p, col):
-    """p * row - row[col] * pivot_row (p > 0), which clears column col."""
+    """p * row - row[col] * pivot_row, which clears column col."""
     f = row[col]
     return [p * x - f * y for x, y in zip(row, pivot_row)]
 
 
-def feasible(n, eqs=(), ge=(), gt=()):
-    """Is there a rational x in QQ^n with a.x = b, a.x >= b, a.x > b as given?
+def _check_dimension(d):
+    if d > DIM_CAP:
+        raise ValueError("dimension %d exceeds the supported cap %d" % (d, DIM_CAP))
 
-    Constraints are (coeff_tuple, rhs) pairs with int or Fraction entries.
-    Equalities are eliminated first by fraction-free Gaussian elimination
-    with a positive pivot, so substituting into an inequality never flips
-    it; then Fourier-Motzkin eliminates one variable at a time, and
-    strictness propagates through combinations.
+
+def primitive(vec):
+    """Scale a rational row to a primitive integer vector (same ray)."""
+    return tuple(_content_free(_integer_row(tuple(vec))))
+
+
+def _basis(rows):
+    """Indices and pivot columns of the first maximal independent subset of
+    integer rows, by fraction-free elimination: each row keeps a pivot iff
+    one is left after the earlier pivots are cleared from it."""
+    picked, pivots = [], []
+    for i, row in enumerate(rows):
+        for prow, col in pivots:
+            if row[col]:
+                row = _pivot_out(row, prow, prow[col], col)
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is not None:
+            picked.append(i)
+            pivots.append((_content_free(row), col))
+    return picked, [col for _, col in pivots]
+
+
+def linearly_independent(rows):
+    """Are the rational rows linearly independent over QQ?"""
+    rows = [_integer_row(tuple(r)) for r in rows]
+    return len(_basis(rows)[0]) == len(rows)
+
+
+def _dd_step(gens, h, bit, dim):
+    """The pointed cone of ``gens`` in QQ^dim cut by h.x >= 0.
+
+    ``gens`` are its extreme rays, each paired with the mask of constraints
+    it is tight on; ``bit`` is the new constraint's own bit.  Two rays on
+    opposite sides are adjacent when their common mask has at least dim - 2
+    bits and no third ray's mask contains it; each adjacent pair is combined
+    into a primitive ray on the hyperplane.
     """
-    eqs = [_integer_row((*a, b)) for a, b in eqs]
-    rows = [(_integer_row((*a, b)), False) for a, b in ge]
-    rows += [(_integer_row((*a, b)), True) for a, b in gt]
-
-    pivot_cols = set()
-    for e, eq in enumerate(eqs):
-        # earlier pivots were cleared from this row, so any nonzero entry
-        # is a new pivot column
-        col = next((j for j in range(n) if eq[j]), None)
-        if col is None:
-            if eq[n]:
-                return False
-            continue
-        if eq[col] < 0:
-            eq = [-x for x in eq]
-        p = eq[col]
-        pivot_cols.add(col)
-        for e2 in range(e + 1, len(eqs)):
-            if eqs[e2][col]:
-                eqs[e2] = _pivot_out(eqs[e2], eq, p, col)
-        rows = [(_pivot_out(r, eq, p, col) if r[col] else r, s) for r, s in rows]
-
-    live = [j for j in range(n) if j not in pivot_cols]
-    system = set()
-    for r, s in rows:
-        if not _add_row(system, tuple(r[j] for j in live), r[n], s):
-            return False
-
-    for _ in live:
-        pos, neg = [], []
-        reduced = set()
-        for coeffs, r, s in system:
-            c = coeffs[0]
-            if c > 0:
-                pos.append((coeffs, r, s))
-            elif c < 0:
-                neg.append((coeffs, r, s))
-            else:
-                reduced.add((coeffs[1:], r, s))
-        for cp, rp, sp in pos:
-            for cn, rn, sn in neg:
-                # eliminate: combine with weights |cn[0]| and cp[0]
-                w1, w2 = -cn[0], cp[0]
-                comb = tuple(w1 * a + w2 * b for a, b in zip(cp[1:], cn[1:]))
-                if not _add_row(reduced, comb, w1 * rp + w2 * rn, sp or sn):
-                    return False
-        system = reduced
-    return True
+    out, pos, neg = [], [], []
+    for v, m in gens:
+        x = sum(map(mul, v, h))
+        if x > 0:
+            out.append((v, m))
+            pos.append((v, m, x))
+        elif x < 0:
+            neg.append((v, m, x))
+        else:
+            out.append((v, m | bit))
+    masks = [m for _, m in gens]
+    for vp, mp, xp in pos:
+        for vn, mn, xn in neg:
+            common = mp & mn
+            if common.bit_count() >= dim - 2 and not any(
+                (m & common) == common and m != mp and m != mn for m in masks
+            ):
+                w = _content_free([xp * a - xn * b for a, b in zip(vn, vp)])
+                out.append((w, common | bit))
+    return out
 
 
-def cone_member(v, generators):
-    """Is v a nonnegative rational combination of the generators?"""
-    gens = [tuple(g) for g in generators]
-    v = tuple(v)
-    if not gens:
-        return all(x == 0 for x in v)
-    m = len(gens)
-    eqs = [([g[j] for g in gens], v[j]) for j in range(len(v))]
-    ge = [([1 if i == k else 0 for i in range(m)], 0) for k in range(m)]
-    return feasible(m, eqs=eqs, ge=ge)
+def _simplex_facets(rows):
+    """Primitive f_j with rows[i].f_j = 0 for i != j and rows[j].f_j > 0.
+
+    The rows of D (B^T)^-1, that is the columns of D B^-1, for the square
+    invertible B of ``rows``, by fraction-free Gauss-Jordan on [B^T | I].
+    """
+    k = len(rows)
+    a = [[b[r] for b in rows] + [int(r == c) for c in range(k)] for r in range(k)]
+    for c in range(k):
+        piv = next(r for r in range(c, k) if a[r][c])
+        a[c], a[piv] = a[piv], a[c]
+        prow = a[c]
+        for r in range(k):
+            if r != c and a[r][c]:
+                a[r] = _content_free(_pivot_out(a[r], prow, prow[c], c))
+    # row j is [d_j e_j | E_j] with E_j.rows[i] = d_j delta_ij
+    return [_content_free(row[k:] if row[j] > 0 else [-x for x in row[k:]]) for j, row in enumerate(a)]
+
+
+def _extreme_indices(rays):
+    """Indices of the extreme rays among distinct nonzero primitive rays, or
+    None when their cone is not strictly convex.
+
+    The cone's span is coordinatized by the pivot columns of a basis B of
+    the rays.  Double description on the dual cone starts from the facets
+    of cone(B) and adds every other ray r as the half-space r.f >= 0; when
+    no facet is positive on r, -r lies in the cone.  The final facets carry
+    the mask of rays tight on them, and a ray is extreme iff no other ray is
+    tight on all of its facets.
+    """
+    basis, cols = _basis(rays)
+    if len(basis) == len(rays):
+        return range(len(rays))
+    _check_dimension(len(rays[0]))
+    k = len(basis)
+    points = [[r[c] for c in cols] for r in rays]
+    tight = sum(1 << i for i in basis)
+    facets = _simplex_facets([points[i] for i in basis])
+    gens = [(f, tight & ~(1 << i)) for i, f in zip(basis, facets)]
+    for i in [i for i in range(len(rays)) if i not in basis]:
+        gens = _dd_step(gens, points[i], 1 << i, k)
+        if all(m >> i & 1 for _, m in gens):
+            return None
+    facets_of = [sum(1 << j for j, (_, m) in enumerate(gens) if m >> i & 1) for i in range(len(rays))]
+    return [i for i, t in enumerate(facets_of) if sum((u & t) == t for u in facets_of) == 1]
 
 
 def strictly_convex(generators):
@@ -133,40 +161,8 @@ def strictly_convex(generators):
         return True
     if any(all(x == 0 for x in g) for g in gens):
         return False
-    d = len(gens[0])
-    if d > DIM_CAP:
-        raise ValueError("dimension %d exceeds the supported cap %d" % (d, DIM_CAP))
-    ge = [(g, 1) for g in gens]
-    return feasible(d, ge=ge)
-
-
-def primitive(vec):
-    """Scale a rational row to a primitive integer vector (same ray)."""
-    ints = _integer_row(tuple(vec))
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
-def linearly_independent(rows):
-    """Are the rational rows linearly independent over QQ?
-
-    Fraction-free Gaussian elimination on the rows scaled to integers: each
-    row must keep a pivot after the earlier pivots are cleared from it.
-    """
-    rows = [_integer_row(tuple(r)) for r in rows]
-    if rows and len(rows) > len(rows[0]):
-        return False
-    for i, row in enumerate(rows):
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
-            return False
-        p = row[col]
-        for k in range(i + 1, len(rows)):
-            if rows[k][col]:
-                rows[k] = _pivot_out(rows[k], row, p, col)
-    return True
+    _check_dimension(len(gens[0]))
+    return _extreme_indices(list(dict.fromkeys(map(primitive, gens)))) is not None
 
 
 def extreme_rays(generators):
@@ -174,40 +170,33 @@ def extreme_rays(generators):
 
     Collinear duplicates are merged first.  Linearly independent generators
     span a simplicial cone, which is pointed with every generator extreme;
-    otherwise the cone must be strictly convex, and a generator is dropped
-    iff it lies in the cone of the others.
+    otherwise the cone must be strictly convex.
     """
-    rays = []
-    for g in generators:
-        p = primitive(g)
-        if any(x != 0 for x in p) and p not in rays:
-            rays.append(p)
-    if linearly_independent(rays):
-        return tuple(sorted(rays))
-    if not strictly_convex(rays):
+    rays = [p for p in dict.fromkeys(map(primitive, generators)) if any(p)]
+    keep = _extreme_indices(rays)
+    if keep is None:
         raise ValueError("cone is not strictly convex")
-    keep = list(rays)
-    for r in list(rays):
-        others = [x for x in keep if x != r]
-        if others and cone_member(r, others):
-            keep = others
-    return tuple(sorted(keep))
+    return tuple(sorted(rays[i] for i in keep))
 
 
 def relative_interior_point_satisfies(rays, inequalities):
     """Does some point of the relative interior satisfy every a.x <= 0?
 
     ``rays`` generate the cone; the relative interior consists of strictly
-    positive combinations.  Used for the "cone meets the valuation cone"
-    validation toggle.
+    positive combinations.  The coefficients lambda of the combinations that
+    satisfy the system form a pointed cone, the orthant cut by
+    -sum_i lambda_i (a.r_i) >= 0 for each a; it has a strictly positive point
+    iff each coordinate is positive on one of its extreme rays.  Used for
+    the "cone meets the valuation cone" validation toggle.
     """
     if not rays:
         return True  # the relative interior of {0} is {0}, and a.0 <= 0
     # positive rescaling moves neither the relative interior nor a.x <= 0
     rays = [primitive(r) for r in rays]
     m = len(rays)
-    ge = [([1 if i == k else 0 for i in range(m)], 1) for k in range(m)]
-    for a in inequalities:
+    axes = (1 << m) - 1
+    gens = [([int(i == j) for j in range(m)], axes & ~(1 << i)) for i in range(m)]
+    for t, a in enumerate(inequalities):
         a = primitive(a)
-        ge.append(([-sum(x * y for x, y in zip(r, a)) for r in rays], 0))
-    return feasible(m, ge=ge)
+        gens = _dd_step(gens, [-sum(map(mul, r, a)) for r in rays], 1 << (m + t), m)
+    return all(any(v[i] for v, _ in gens) for i in range(m))

@@ -292,8 +292,14 @@ def _exact_rational(x):
 
 
 def _json_rational(x):
-    """A rational entry of a problem document: an int as it is, else its "p/q" string."""
-    return x if type(x) is int else Fraction(str(x))
+    """A rational entry of a problem document: an int as it is, an integral
+    string as an int, else its "p/q" string as a Fraction; ValueError if none."""
+    if type(x) is str and (x[1:] if x[:1] in "+-" else x).isdecimal():
+        return int(x)  # exactly the strings Fraction reads as [sign]digits
+    try:
+        return x if type(x) is int else Fraction(str(x))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (x,)) from None
 
 
 def _fmt_fraction(x):

@@ -3,6 +3,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# A failing property prints a blob that @reproduce_failure replays locally.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 sys.path.insert(0, str(Path(__file__).parent))
 

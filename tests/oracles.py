@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: matrix products
 entry by entry, invariant factors via gcds of minors, cohomology via literal
 cocycle enumeration, lift counting via filtering all permutations, cone
-questions via Fourier-Motzkin in Fraction arithmetic, diagram automorphisms
+questions via Fourier-Motzkin (in Fraction arithmetic, and fraction-free in
+integers) where the engine runs double description, diagram automorphisms
 via a search over node permutations.
 """
 
@@ -332,6 +333,9 @@ def fraction_feasible(n, eqs=(), ge=(), gt=()):
                 rhs = Fraction(w1 * rp + w2 * rn)
                 new_system.add(_norm_ineq(comb, rhs, sp or sn))
         system = new_system
+        # a row without variables is decided now; a false one stays false
+        if any(not any(c) and (r > 0 or (s and r == 0)) for c, r, s in system):
+            return False
     for coeffs, r, s in system:
         if (s and not 0 > r) or (not s and not 0 >= r):
             return False
@@ -395,6 +399,159 @@ def fraction_extreme_rays(generators):
     if len(rays) > 1 and not fraction_strictly_convex(rays):
         return None
     return tuple(sorted(r for r in rays if not fraction_cone_member(r, [x for x in rays if x != r])))
+
+
+# -- fraction-free integer Fourier-Motzkin ------------------------------------
+
+
+def _integer_row(values):
+    """A rational row times the lcm of its denominators, as a list of ints."""
+    den = 1
+    for x in values:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def _pivot_out(row, pivot_row, p, col):
+    """p * row - row[col] * pivot_row (p > 0), which clears column col."""
+    f = row[col]
+    return [p * x - f * y for x, y in zip(row, pivot_row)]
+
+
+def _add_row(system, coeffs, rhs, strict):
+    """Add coeffs.x >= rhs (> if strict), scaled to content 1.
+
+    A row without variables is decided on the spot and not added; the
+    result is False exactly when such a row fails.
+    """
+    if not any(coeffs):
+        return rhs < 0 or (rhs == 0 and not strict)
+    g = gcd(*coeffs, rhs)
+    if g > 1:
+        coeffs = tuple(c // g for c in coeffs)
+        rhs //= g
+    system.add((coeffs, rhs, strict))
+    return True
+
+
+def feasible(n, eqs=(), ge=(), gt=()):
+    """Is there a rational x in QQ^n with a.x = b, a.x >= b, a.x > b as given?
+
+    Constraints are (coeff_tuple, rhs) pairs with int or Fraction entries.
+    Each is scaled once to an integer row.  Equalities are eliminated first
+    by fraction-free Gaussian elimination with a positive pivot, so
+    substituting into an inequality never flips it; then Fourier-Motzkin
+    eliminates one variable at a time on rows of content 1, and strictness
+    propagates through combinations.
+    """
+    eqs = [_integer_row((*a, b)) for a, b in eqs]
+    rows = [(_integer_row((*a, b)), False) for a, b in ge]
+    rows += [(_integer_row((*a, b)), True) for a, b in gt]
+
+    pivot_cols = set()
+    for e, eq in enumerate(eqs):
+        # earlier pivots were cleared from this row, so any nonzero entry
+        # is a new pivot column
+        col = next((j for j in range(n) if eq[j]), None)
+        if col is None:
+            if eq[n]:
+                return False
+            continue
+        if eq[col] < 0:
+            eq = [-x for x in eq]
+        p = eq[col]
+        pivot_cols.add(col)
+        for e2 in range(e + 1, len(eqs)):
+            if eqs[e2][col]:
+                eqs[e2] = _pivot_out(eqs[e2], eq, p, col)
+        rows = [(_pivot_out(r, eq, p, col) if r[col] else r, s) for r, s in rows]
+
+    live = [j for j in range(n) if j not in pivot_cols]
+    system = set()
+    for r, s in rows:
+        if not _add_row(system, tuple(r[j] for j in live), r[n], s):
+            return False
+
+    for _ in live:
+        pos, neg = [], []
+        reduced = set()
+        for coeffs, r, s in system:
+            c = coeffs[0]
+            if c > 0:
+                pos.append((coeffs, r, s))
+            elif c < 0:
+                neg.append((coeffs, r, s))
+            else:
+                reduced.add((coeffs[1:], r, s))
+        for cp, rp, sp in pos:
+            for cn, rn, sn in neg:
+                # eliminate: combine with weights |cn[0]| and cp[0]
+                w1, w2 = -cn[0], cp[0]
+                comb = tuple(w1 * a + w2 * b for a, b in zip(cp[1:], cn[1:]))
+                if not _add_row(reduced, comb, w1 * rp + w2 * rn, sp or sn):
+                    return False
+        system = reduced
+    return True
+
+
+def cone_member(v, generators):
+    """Is v a nonnegative rational combination of the generators?"""
+    gens = [tuple(g) for g in generators]
+    v = tuple(v)
+    if not gens:
+        return all(x == 0 for x in v)
+    m = len(gens)
+    eqs = [([g[j] for g in gens], v[j]) for j in range(len(v))]
+    ge = [([1 if i == k else 0 for i in range(m)], 0) for k in range(m)]
+    return feasible(m, eqs=eqs, ge=ge)
+
+
+def fm_strictly_convex(generators):
+    """Some functional is positive on every generator, none of which is 0 (integer FM)."""
+    gens = [tuple(g) for g in generators]
+    if not gens:
+        return True
+    if any(all(x == 0 for x in g) for g in gens):
+        return False
+    return feasible(len(gens[0]), ge=[(g, 1) for g in gens])
+
+
+def _distinct_primitive(generators):
+    rays = []
+    for g in generators:
+        ints = _integer_row([Fraction(x) for x in g])
+        content = gcd(*ints)
+        if content:
+            p = tuple(x // content for x in ints)
+            if p not in rays:
+                rays.append(p)
+    return rays
+
+
+def fm_extreme_rays(generators):
+    """Primitive sorted extreme rays of a strictly convex cone, or None if not
+    strictly convex: a generator is dropped iff it lies in the cone of the
+    others kept so far (integer FM)."""
+    rays = _distinct_primitive(generators)
+    if not fm_strictly_convex(rays):
+        return None
+    keep = list(rays)
+    for r in rays:
+        others = [x for x in keep if x != r]
+        if others and cone_member(r, others):
+            keep = others
+    return tuple(sorted(keep))
+
+
+def fm_relative_interior_point_satisfies(rays, inequalities):
+    """Some strictly positive combination x of the rays has a.x <= 0 for all a (integer FM)."""
+    if not rays:
+        return True
+    m = len(rays)
+    ge = [([1 if i == k else 0 for i in range(m)], 1) for k in range(m)]
+    for a in inequalities:
+        ge.append(([-sum(Fraction(x) * y for x, y in zip(a, r)) for r in rays], 0))
+    return feasible(m, ge=ge)
 
 
 def fraction_rank(rows):

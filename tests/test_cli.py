@@ -444,10 +444,16 @@ def test_integral_values_as_strings_or_integers_give_identical_output(tmp_path, 
 
 
 def test_rho_entries_that_are_not_rationals_exit_2(tmp_path, capsys):
-    for bad in (True, [1], None):
+    for bad in (True, [1], None, "abc", "1/0", "1.2.3", ""):
         doc = dict(SL3_BASE, colors=[dict(SL3_BASE["colors"][0], rho=[bad, "0"]), SL3_BASE["colors"][1]])
         code, out, err = run(capsys, "decide", write(tmp_path, doc))
         assert code == 2 and out == "" and "bad spherical datum" in err, (bad, err)
+
+
+def test_zero_denominator_in_a_fan_generator_exits_2(tmp_path, capsys):
+    doc = _embedding_doc(["2", "1/2"], ["1/2", "2"], ["1/0", "0"], ["0", "-2"])
+    code, out, err = run(capsys, "decide", write(tmp_path, doc))
+    assert code == 2 and out == "" and "zero denominator" in err, err
 
 
 def _limit_memory():

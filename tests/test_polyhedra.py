@@ -1,10 +1,16 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    cone_member,
+    feasible,
+    fm_extreme_rays,
+    fm_relative_interior_point_satisfies,
+    fm_strictly_convex,
     fraction_cone_member,
     fraction_extreme_rays,
     fraction_feasible,
@@ -15,9 +21,7 @@ from oracles import (
 
 from spherical_models import polyhedra
 from spherical_models.polyhedra import (
-    cone_member,
     extreme_rays,
-    feasible,
     linearly_independent,
     primitive,
     relative_interior_point_satisfies,
@@ -130,7 +134,7 @@ def test_relative_interior_empty_cone():
     assert relative_interior_point_satisfies([], [])
 
 
-# -- integer kernel against the Fraction Fourier-Motzkin oracle ---------------
+# -- double description against the two Fourier-Motzkin oracles --------------
 
 entries = st.one_of(
     st.integers(-3, 3),
@@ -156,9 +160,25 @@ def systems(draw):
 
 @st.composite
 def cones(draw):
-    d = draw(st.integers(1, 4))
-    gens = draw(st.lists(vectors(d), min_size=0, max_size=7))
-    return d, gens
+    """Up to 9 generators in dimension <= 6: at most d + 1 drawn freely, the
+    rest zero, collinear with, opposite to or a combination of those; all of
+    them optionally inside a random proper subspace."""
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 9))
+    free = draw(st.lists(vectors(d), max_size=min(m, d + 1)))
+    derived = st.one_of(
+        st.just((0,) * d),
+        st.tuples(st.sampled_from(free), st.integers(1, 3)).map(lambda t: tuple(t[1] * x for x in t[0])),
+        st.sampled_from(free).map(lambda g: tuple(-x for x in g)),
+        st.tuples(st.sampled_from(free), st.sampled_from(free), st.integers(0, 2), st.integers(0, 2)).map(
+            lambda t: tuple(t[2] * x + t[3] * y for x, y in zip(t[0], t[1]))
+        ),
+    ) if free else st.just((0,) * d)
+    gens = free + draw(st.lists(derived, min_size=m - len(free), max_size=m - len(free)))
+    if d > 1 and draw(st.booleans()):
+        span = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=1, max_size=d - 1))
+        gens = [tuple(sum(c * row[j] for c, row in zip(g, span)) for j in range(d)) for g in gens]
+    return d, draw(st.permutations(gens))
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,7 +200,7 @@ def test_cone_member_matches_fraction_oracle(cone, data):
 @given(cones())
 def test_strictly_convex_matches_fraction_oracle(cone):
     _, gens = cone
-    assert strictly_convex(gens) == fraction_strictly_convex(gens)
+    assert strictly_convex(gens) == fraction_strictly_convex(gens) == fm_strictly_convex(gens)
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,8 +208,9 @@ def test_strictly_convex_matches_fraction_oracle(cone):
 def test_extreme_rays_match_fraction_oracle(cone):
     _, gens = cone
     expected = fraction_extreme_rays(gens)
+    assert fm_extreme_rays(gens) == expected
     if expected is None:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cone is not strictly convex$"):
             extreme_rays(gens)
     else:
         assert extreme_rays(gens) == expected
@@ -200,12 +221,12 @@ def test_extreme_rays_match_fraction_oracle(cone):
 def test_relative_interior_matches_fraction_oracle(cone, data):
     d, rays = cone
     inequalities = data.draw(st.lists(vectors(d), max_size=3))
-    assert relative_interior_point_satisfies(
-        rays, inequalities
-    ) == fraction_relative_interior_point_satisfies(rays, inequalities)
+    got = relative_interior_point_satisfies(rays, inequalities)
+    assert got == fraction_relative_interior_point_satisfies(rays, inequalities)
+    assert got == fm_relative_interior_point_satisfies(rays, inequalities)
 
 
-# -- simplicial cones: a rank test instead of Fourier-Motzkin -----------------
+# -- simplicial cones: a rank test instead of double description -------------
 
 
 @st.composite
@@ -245,14 +266,14 @@ def test_simplicial_cones_skip_elimination(case):
     assume(not negated)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a simplicial cone reached Fourier-Motzkin")
+        raise AssertionError("a simplicial cone reached double description")
 
-    saved = polyhedra.strictly_convex, polyhedra.cone_member, polyhedra.feasible
-    polyhedra.strictly_convex = polyhedra.cone_member = polyhedra.feasible = refuse
+    saved = polyhedra.strictly_convex, polyhedra._dd_step
+    polyhedra.strictly_convex = polyhedra._dd_step = refuse
     try:
         rays = extreme_rays(gens)
     finally:
-        polyhedra.strictly_convex, polyhedra.cone_member, polyhedra.feasible = saved
+        polyhedra.strictly_convex, polyhedra._dd_step = saved
     assert rays == tuple(sorted({primitive(g) for g in gens}))
 
 
@@ -266,3 +287,46 @@ def test_independent_generators_beyond_the_cap_need_no_elimination():
     # nine unit vectors in dimension 9 form a simplicial cone
     gens = [tuple(1 if i == j else 0 for i in range(9)) for j in range(9)]
     assert extreme_rays(gens) == tuple(sorted(gens))
+
+
+# -- edge cones: known answers and seeded random cones at the dimension cap --
+
+
+def _moment_curve_cone(points, dim, total, seed):
+    """Moment-curve points (1, t, ..., t^(dim-1)), t = 1..points, shuffled
+    with positive combinations of two of them up to ``total`` generators."""
+    rng = random.Random(seed)
+    curve = [tuple(t**i for i in range(dim)) for t in range(1, points + 1)]
+    gens = list(curve)
+    while len(gens) < total:
+        (a, b), u, w = rng.sample(curve, 2), rng.randint(1, 3), rng.randint(1, 3)
+        gens.append(tuple(u * x + w * y for x, y in zip(a, b)))
+    rng.shuffle(gens)
+    return curve, gens
+
+
+@pytest.mark.parametrize("points,dim,total", [(8, 5, 12), (12, 6, 16), (16, 8, 24), (20, 8, 24)])
+def test_moment_curve_cones_have_the_curve_points_as_extreme_rays(points, dim, total):
+    # every point of the moment curve spans an extreme ray of the cone over
+    # the curve points (the cyclic polytope), and the combinations do not
+    curve, gens = _moment_curve_cone(points, dim, total, seed=points)
+    start = time.process_time()
+    rays = extreme_rays(gens)
+    assert time.process_time() - start < 1.0
+    assert rays == tuple(sorted(curve))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_pointed_cones_at_the_dimension_cap(seed):
+    rng = random.Random(seed)
+    gens = [tuple([rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(7)]) for _ in range(24)]
+    start = time.process_time()
+    rays = extreme_rays(gens)
+    assert time.process_time() - start < 1.0
+    assert set(rays) <= {primitive(g) for g in gens}
+    # the answer depends neither on the order nor on the scale of the generators
+    rng.shuffle(gens)
+    scaled = [tuple(c * x for x in g) for c, g in zip(rng.choices(range(1, 4), k=len(gens)), gens)]
+    assert extreme_rays(scaled) == rays
+    # every generator that is not extreme is dropped again beside the extreme rays
+    assert extreme_rays(list(rays) + gens[:4]) == rays

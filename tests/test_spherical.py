@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,7 @@ from spherical_models import (
     sigma_two,
     sigma_variants,
 )
+from spherical_models.spherical import _json_rational
 
 
 # -- construction validation --------------------------------------------------
@@ -557,6 +559,31 @@ def test_from_dict_reads_integer_strings_and_ints_alike(rd_a2):
     d = SphericalDatum.from_dict(rd_a2, doc)
     assert [c.rho for c in d.colors] == [(2, F(1, 2)), (2, -2)]
     assert all(_exact(c.rho) for c in d.colors)
+
+
+# Strings at the edges of what Fraction(str(x)) accepts: signs, whitespace,
+# underscores, other scripts' digits, decimals, exponents, zero denominators
+# (which Fraction refuses with ZeroDivisionError and the parser with ValueError).
+_EDGE_STRINGS = [
+    "0", "-0", "+7", "007", " 12 ", "\t-3\n", "\u00a05\u2003", "\x1c9", "6/2", "-4/2",
+    "3 / 1", "1/0", "1.5", "1.", ".5", "1e2", "1E-2", "2.5e1", "1_0", "1__0", "_1",
+    "1_", "1_0/2", "+-1", "--1", "0x10", "0b1", "", " ", "abc", "inf", "nan",
+    "1 2", "\u0661\u0662", "\uff11\uff12", "\u00b2", "3/-4", "9" * 40,
+]
+
+
+@pytest.mark.parametrize("text", _EDGE_STRINGS)
+def test_json_rational_matches_fraction_of_the_string(text):
+    def outcome(parse):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            return "refused"
+
+    got = outcome(_json_rational)
+    assert got == outcome(lambda x: F(str(x)))
+    if re.fullmatch(r"[-+]?\d+", text):
+        assert type(got) is int
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
