@@ -52,6 +52,7 @@ from .spherical import (
     enumerate_lifts,
     invariants_stable,
     omega_sets,
+    orbit_action,
     quasiaffine_cover,
     quasiaffine_test,
     sigma_two,

@@ -424,17 +424,18 @@ def cmd_invariants(args):
 
 
 def cmd_catalog(args):
-    if args.action == "list":
-        for name in catalog_names():
-            print(name)
-        return 0
     try:
-        entry = catalog_lookup(args.name)
+        if args.action == "list":
+            lines = catalog_names()
+        else:
+            lines = [json.dumps(catalog_lookup(args.name).to_dict(), sort_keys=True, indent=2)]
     except (KeyError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    doc = entry.to_dict()
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    except Exception as e:
+        return _internal_error(e)
+    for line in lines:
+        print(line)
     return 0
 
 

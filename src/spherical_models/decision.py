@@ -54,8 +54,8 @@ from .rootdata import (
     diagram_flip,
     in_epsilon_lattice,
 )
-from .embeddings import _stabilizing_lift
-from .spherical import _aut_characters, _generator_actions, _unstable_generator
+from .embeddings import stabilizing_lift
+from .spherical import _aut_characters, orbit_action
 
 NUMBER_FIELD = "number_field"
 _LOCAL_MODES = (REAL, PADIC)
@@ -271,8 +271,8 @@ def kappa_on_invariants(datum, characters, mod, inv, incl):
 # -- the decision procedures -------------------------------------------------
 
 
-def _stability_reason(datum, galois, actions):
-    witness = _unstable_generator(datum, galois, actions)
+def _stability_reason(action):
+    witness = action.unstable
     return _reason(
         "invariants-stability",
         witness is None,
@@ -303,7 +303,7 @@ def decide_local_general(datum, galois, tits, mode):
     characters.
     """
     mod, inv, incl, t0 = resolve_local_character(datum.rd, galois, tits, mode)
-    reasons = [_stability_reason(datum, galois, _generator_actions(datum, galois))]
+    reasons = [_stability_reason(orbit_action(datum, galois))]
     citations = ["necessary stability of the combinatorial invariants"]
     if not reasons[0]["ok"]:
         return Verdict(False, tuple(reasons), tuple(citations))
@@ -502,13 +502,13 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
 
     Condition one: some lift of the Galois action to the colors keeps the
     colored fan stable.  Condition two: the cohomological test of the open
-    orbit, the same test and witness as decide_local_general.  The action of
-    the generators on the orbit lattice is derived once and serves both the
-    stability check and the lift search.
+    orbit, the same test and witness as decide_local_general.  The
+    orbit_action is derived once and serves both the stability check and the
+    lift search.
     """
     mod, inv, incl, t0 = resolve_local_character(datum.rd, galois, tits, mode)
-    actions = _generator_actions(datum, galois)
-    reasons = [_stability_reason(datum, galois, actions)]
+    action = orbit_action(datum, galois)
+    reasons = [_stability_reason(action)]
     citations = [
         "necessary stability of the combinatorial invariants",
         "stable colored fan under some color lift",
@@ -526,7 +526,7 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
     reasons.append(
         _reason("fan-axioms", True, note="face-closure and support axioms assumed, not validated")
     )
-    lift = _stabilizing_lift(fan, datum, galois, actions)
+    lift = stabilizing_lift(fan, datum, action)
     reasons.append(
         _reason(
             "fan-stability",
@@ -681,14 +681,28 @@ def catalog_names():
 
 
 def _extension_entries():
+    """The entries of the catalog files named by SPHERICAL_MODELS_CATALOG.
+
+    A file that cannot be read, is not a JSON object, or holds an entry
+    without a "type" raises ValueError naming the file and the fault.
+    """
     paths = os.environ.get("SPHERICAL_MODELS_CATALOG", "")
     out = {}
     for path in paths.split(os.pathsep):
         if not path:
             continue
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                doc = json.load(f)
+        except OSError as e:
+            raise ValueError("catalog file %s: cannot read (%s)" % (path, e)) from None
+        except ValueError as e:
+            raise ValueError("catalog file %s: not valid JSON (%s)" % (path, e)) from None
+        if not isinstance(doc, dict):
+            raise ValueError("catalog file %s: must be an object mapping names to entries" % path)
         for name, entry in doc.items():
+            if not isinstance(entry, dict) or not isinstance(entry.get("type"), str):
+                raise ValueError('catalog file %s: entry %s has no "type" label' % (path, name))
             t = SimpleType.parse(entry["type"])
             rd = based_root_datum(t)
             gname = entry.get("galois", "trivial")
@@ -699,7 +713,7 @@ def _extension_entries():
             elif gname == "trivial-c2":
                 galois = _trivial_c2(rd)
             else:
-                raise ValueError("catalog extension %s: unknown galois %r" % (name, gname))
+                raise ValueError("catalog file %s: entry %s has unknown galois %r" % (path, name, gname))
             vals = entry.get("t0", [])
             tits = TitsClassSpec.from_values(vals) if vals else TitsClassSpec.zero()
             out[name] = CatalogEntry(

@@ -26,9 +26,7 @@ from .spherical import (
     _exact_rational,
     _fmt_fraction,
     _json_rational,
-    _lifts_from_omega,
-    _omega_from_actions,
-    _stable_actions,
+    orbit_action,
 )
 
 
@@ -124,30 +122,28 @@ class ColoredFan:
 
 @dataclass(frozen=True)
 class FanGaloisData:
-    """A Galois action on the dual space together with a chosen color lift.
+    """A stable Galois action on the dual space together with a chosen color lift.
 
-    ``v_matrices[k]`` acts on ray coordinates for the k-th generator; it is
-    the inverse transpose of the generator's restriction to the orbit
-    lattice in the chosen basis.  ``omega`` is ``omega_action(datum,
-    galois)``.  Neither depends on the lift, so a search over lifts builds
-    once and swaps the lift in with ``dataclasses.replace``.
+    ``action`` is the ``orbit_action`` of the datum.  ``v_matrices[k]`` acts
+    on ray coordinates for the k-th generator; it is the transpose of the
+    inverse restriction ``action.r_invs[k]``.  Neither depends on the lift,
+    so a search over lifts builds once and swaps the lift in with
+    ``dataclasses.replace``.
     """
 
-    galois: object
     lift: object
     v_matrices: tuple
-    omega: tuple = field(compare=False, repr=False)
+    action: object = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, datum, galois, lift):
         """Check that the action preserves the invariants, then derive its data."""
-        return cls._from_actions(datum, galois, lift, _stable_actions(datum, galois))
+        return cls.of(orbit_action(datum, galois), lift)
 
     @classmethod
-    def _from_actions(cls, datum, galois, lift, actions):
-        """build, from the ``_generator_actions`` of an action that preserves the invariants."""
-        v_mats = tuple(r_inv.transpose() for _, r_inv in actions)
-        return cls(galois, lift, v_mats, _omega_from_actions(datum, actions))
+    def of(cls, action, lift):
+        """build, from the ``orbit_action`` of the datum."""
+        return cls(lift, tuple(r.transpose() for r in action.stable().r_invs), action)
 
     def apply_ray(self, k, ray):
         return tuple(
@@ -186,15 +182,12 @@ def _moved_key(key, v, gmap):
 
 
 def _check_lift_covers_omega(fan_galois):
-    fibers, perms = fan_galois.omega
-    color_fiber = {}
-    for key, ids in fibers.items():
-        for cid in ids:
-            color_fiber[cid] = key
+    action = fan_galois.action
+    color_fiber = {cid: key for key, ids in action.fibers.items() for cid in ids}
     lift = fan_galois.lift
-    if len(lift.generator_maps) != len(fan_galois.galois.generators):
+    if len(lift.generator_maps) != len(action.perms):
         raise ValueError("lift has the wrong number of generator maps")
-    for k, perm in enumerate(perms):
+    for k, perm in enumerate(action.perms):
         gmap = lift.mapping(k)
         if set(gmap) != set(color_fiber) or set(gmap.values()) != set(color_fiber):
             raise ValueError("lift is not a permutation of the colors")
@@ -208,19 +201,15 @@ def exists_stabilizing_lift(fan, datum, galois):
 
     Refuses an action that does not preserve the invariants.
     """
-    return _stabilizing_lift(fan, datum, galois, _stable_actions(datum, galois))
+    return stabilizing_lift(fan, datum, orbit_action(datum, galois))
 
 
-def _stabilizing_lift(fan, datum, galois, actions):
-    """exists_stabilizing_lift, from the ``_generator_actions`` of an action that
-    preserves the invariants.
+def stabilizing_lift(fan, datum, action):
+    """exists_stabilizing_lift, from the ``orbit_action`` of the datum.
 
-    The lift-independent data are built once per search, without a lift: its
-    action on the color images also serves the enumeration (SphericalDatum
-    already caps the number of colors).
+    The lift-independent data are built once per search and the lifts come
+    from the same value (SphericalDatum already caps the number of colors).
     """
-    base = FanGaloisData._from_actions(datum, galois, None, actions)
-    for lift in _lifts_from_omega(base.omega):
-        if fan_stable(fan, datum, replace(base, lift=lift)):
-            return lift
-    return None
+    base = FanGaloisData.of(action, None)
+    stable = (lift for lift in action.lifts() if fan_stable(fan, datum, replace(base, lift=lift)))
+    return next(stable, None)

@@ -132,13 +132,6 @@ class GaloisAction:
     def is_cyclic(self):
         return self.order in (1, 2, 3)
 
-    def element_order(self, i):
-        k, cur = 1, i
-        while cur != 0:
-            cur = self.mult[cur][i]
-            k += 1
-        return k
-
     def generator_matrices(self):
         return tuple(self.matrices[i] for i in self.generators)
 

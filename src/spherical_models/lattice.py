@@ -66,9 +66,6 @@ class IntMatrix:
     def zero(cls, rows, cols):
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
-    def row(self, i):
-        return self.data[i]
-
     def col(self, j):
         return tuple(row[j] for row in self.data)
 
@@ -97,9 +94,6 @@ class IntMatrix:
         return IntMatrix(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
         )
-
-    def __neg__(self):
-        return IntMatrix([[-x for x in row] for row in self.data])
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.data == other.data
@@ -374,7 +368,6 @@ def preimage_lattice(m, target):
     r = m.rows
     if target is None or target.basis.rows == 0:
         return kernel_basis(m)
-    t = target.basis.rows
     stacked = IntMatrix(list(m.data) + [[-x for x in row] for row in target.basis.data])
     ker = kernel_basis(stacked)
     return [row[:r] for row in ker]
@@ -435,18 +428,6 @@ class Lattice:
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient mismatch")
         return Lattice(self.ambient_rank, list(self.basis.data) + list(other.basis.data))
-
-    def intersection(self, other):
-        if self.ambient_rank != other.ambient_rank:
-            raise ValueError("ambient mismatch")
-        rows_a = list(self.basis.data)
-        rows_b = list(other.basis.data)
-        if not rows_a or not rows_b:
-            return Lattice(self.ambient_rank)
-        stacked = IntMatrix(rows_a + [[-x for x in r] for r in rows_b])
-        ker = kernel_basis(stacked)
-        mixed = [apply_row(row[: len(rows_a)], IntMatrix(rows_a)) for row in ker]
-        return Lattice(self.ambient_rank, mixed)
 
     def __eq__(self, other):
         return (
@@ -616,11 +597,6 @@ class FgAbelianGroup:
         ranges = [range(d) for d in self.invariant_factors]
         return (tuple(t) for t in product(*ranges))
 
-    def is_isomorphic_to(self, other):
-        return _normalized_factors(self.invariant_factors) == _normalized_factors(
-            other.invariant_factors
-        )
-
     def __repr__(self):
         if not self.invariant_factors:
             return "FgAbelianGroup(trivial)"
@@ -656,12 +632,6 @@ class FgAbelianGroup:
         return tuple(
             x % d if d > 0 else x for x, d in zip(coords, self.invariant_factors)
         )
-
-
-def _normalized_factors(factors):
-    fin = sorted(d for d in factors if d > 1)
-    free = sum(1 for d in factors if d == 0)
-    return (tuple(fin), free)
 
 
 def _unimodular_inverse(m):

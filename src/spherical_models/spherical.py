@@ -308,23 +308,30 @@ def _fmt_fraction(x):
 
 
 def _fibers(datum):
-    """Color ids per color image (rho, sigma_set), in color order."""
+    """The sorted color ids over each color image (rho, sigma_set).
+
+    Images come in the order of their sorted moving sets, then functionals;
+    three colors over one image are refused.
+    """
     fibers = {}
     for c in datum.colors:
         fibers.setdefault((c.rho, c.sigma_set), []).append(c.id)
-    return fibers
+    out = {}
+    for key in sorted(fibers, key=lambda k: (sorted(k[1]), k[0])):
+        ids = tuple(sorted(fibers[key]))
+        if len(ids) > 2:
+            raise ValueError("three colors share the same image: %s" % ", ".join(ids))
+        out[key] = ids
+    return out
 
 
 def omega_sets(datum):
     """Split the color image into one-preimage and two-preimage parts."""
-    fibers = _fibers(datum)
-    omega1, omega2 = [], []
-    for (rho, sig), ids in sorted(fibers.items(), key=lambda kv: (sorted(kv[0][1]), kv[0][0])):
-        if len(ids) > 2:
-            raise ValueError("three colors share the same image: %s" % ", ".join(sorted(ids)))
-        elem = OmegaElement(rho, sig, len(ids))
-        (omega1 if len(ids) == 1 else omega2).append(elem)
-    return tuple(omega1), tuple(omega2)
+    elems = [OmegaElement(rho, sig, len(ids)) for (rho, sig), ids in _fibers(datum).items()]
+    return (
+        tuple(e for e in elems if e.multiplicity == 1),
+        tuple(e for e in elems if e.multiplicity == 2),
+    )
 
 
 def sigma_two(datum):
@@ -412,18 +419,14 @@ def _extended_matrices(datum, galois):
     """
     if galois.n != datum.rd.rank:
         raise ValueError("Galois action lives on the wrong lattice")
-    t = datum.torus_rank
+    t, n = datum.torus_rank, datum.rd.rank
     if t == 0:
         return galois.generator_matrices()
-    out = []
-    for m in galois.generator_matrices():
-        rows = []
-        for i in range(datum.rd.rank):
-            rows.append(list(m.data[i]) + [0] * t)
-        for i in range(t):
-            rows.append([0] * datum.rd.rank + [1 if j == i else 0 for j in range(t)])
-        out.append(IntMatrix(rows))
-    return tuple(out)
+    torus = [[0] * n + [int(i == j) for j in range(t)] for i in range(t)]
+    return tuple(
+        IntMatrix([list(row) + [0] * t for row in m.data] + torus)
+        for m in galois.generator_matrices()
+    )
 
 
 def _restriction_to_basis(datum, mat):
@@ -438,161 +441,127 @@ def _restriction_to_basis(datum, mat):
     return IntMatrix(rows, cols=datum.rank)
 
 
-def _integer_images(keys):
-    """Each color image (rho, sigma_set) with rho as integer numerators.
+@dataclass(frozen=True, eq=False)
+class OrbitAction:
+    """How the Galois generators move the combinatorial invariants of an orbit.
 
-    All functionals share one common denominator, so a unimodular change
-    of coordinates moves the numerators exactly as it moves the functionals.
+    ``unstable`` is the index of the first generator that moves them, or
+    None.  For a stable action, ``fibers`` maps each color image
+    (rho, sigma_set) to its sorted color ids, ``perms[k]`` maps each image
+    to its image under the k-th generator, and ``r_invs[k]`` is the inverse
+    of that generator's restriction to the orbit lattice in the chosen
+    basis: it moves functionals and rays of the dual space contragrediently.
     """
-    den = lcm(*(x.denominator for rho, _ in keys for x in rho))
-    return {
-        key: (tuple(x.numerator * (den // x.denominator) for x in key[0]), key[1])
-        for key in keys
+
+    unstable: object
+    fibers: dict
+    perms: tuple = ()
+    r_invs: tuple = ()
+
+    def stable(self):
+        """The value itself; ValueError if the action moves the invariants."""
+        if self.unstable is not None:
+            raise ValueError(
+                "the action does not preserve the combinatorial invariants: generator %d "
+                "moves the simple roots, the orbit lattice, the spherical roots or the "
+                "color images" % (self.unstable + 1)
+            )
+        return self
+
+    def lifts(self):
+        """All lifts of the action on color images to the colors.
+
+        A lift assigns to each generator a bijection of colors covering that
+        generator's permutation of the images; fibers of size two contribute
+        an independent binary choice per generator.  Enumeration order is
+        deterministic: fibers in key order, identity pairing before the
+        swap.  The count is the number of fiber-wise bijection systems.
+        """
+        per_generator_choices = []
+        for perm in self.stable().perms:
+            fiber_options = []
+            for key, src in self.fibers.items():
+                dst = self.fibers[perm[key]]
+                if len(src) == 1:
+                    fiber_options.append([((src[0], dst[0]),)])
+                else:
+                    a, b = src
+                    c, d = dst
+                    fiber_options.append([((a, c), (b, d)), ((a, d), (b, c))])
+            per_generator_choices.append(
+                [tuple(sorted(sum(combo, ()))) for combo in _cartesian(*fiber_options)]
+            )
+        return [ColorLift(tuple(a)) for a in _cartesian(*per_generator_choices)]
+
+
+def orbit_action(datum, galois):
+    """The Galois action on the invariants of an orbit, derived in one pass.
+
+    Per generator: the permutation of the simple-root nodes, which moves the
+    moving sets, and the restriction to the orbit lattice, whose inverse
+    moves the functionals contragrediently (a generator has finite order,
+    so into is onto).  Each color image is moved once, its functional as
+    integer numerators over one common denominator of all functionals (a
+    unimodular change of coordinates moves the numerators exactly as it
+    moves the functionals).  A generator is unstable when
+    it does not permute the simple roots, does not map the orbit lattice
+    into itself, moves the spherical-root set (which pins the valuation
+    cone), or sends a color image to a non-image or to a fiber of another
+    size; the moved-image map is injective, so the last two say exactly
+    that the one- and two-color image sets are preserved.
+    """
+    mats = _extended_matrices(datum, galois)
+    fibers = _fibers(datum)
+    den = lcm(*(x.denominator for rho, _ in fibers for x in rho))
+    images = {
+        (rho, sig): (tuple(x.numerator * (den // x.denominator) for x in rho), sig)
+        for rho, sig in fibers
     }
-
-
-def _moved_image(image, r_inv, node_perm):
-    """An integer color image under one generator: functionals transform
-    contragrediently (by ``r_inv``), moving sets by the node permutation."""
-    nums, sig = image
-    return (
-        tuple(sum(map(mul, row, nums)) for row in r_inv.data),
-        frozenset(node_perm[i] for i in sig),
-    )
-
-
-def _generator_actions(datum, galois):
-    """How each Galois generator moves the color images: one entry per generator.
-
-    Entry k is (node permutation, inverse restriction) of the k-th generator:
-    the permutation of the simple-root nodes, which moves the moving sets, and
-    the inverse of the restriction to the orbit lattice in the chosen basis,
-    which moves the functionals contragrediently.  It is None when the
-    generator does not permute the simple roots or does not map the orbit
-    lattice into itself; a generator has finite order, so into is onto.
-    """
-    out = []
-    for g, m in zip(galois.generator_matrices(), _extended_matrices(datum, galois)):
+    key_of = {image: key for key, image in images.items()}
+    sigma = set(datum.sigma)
+    perms, r_invs = [], []
+    for k, (g, m) in enumerate(zip(galois.generator_matrices(), mats)):
         node_perm = node_permutation(datum.rd, g)
         restriction = _restriction_to_basis(datum, m)
-        if node_perm is None or restriction is None:
-            out.append(None)
-        else:
-            out.append((node_perm, _unimodular_inverse(restriction)))
-    return tuple(out)
+        if node_perm is None or restriction is None or {apply_row(s, m) for s in sigma} != sigma:
+            return OrbitAction(k, fibers)
+        r_inv = _unimodular_inverse(restriction)
+        perm = {}
+        for key, (nums, sig) in images.items():
+            moved = tuple(sum(map(mul, row, nums)) for row in r_inv.data)
+            dst = key_of.get((moved, frozenset(node_perm[i] for i in sig)))
+            if dst is None or len(fibers[dst]) != len(fibers[key]):
+                return OrbitAction(k, fibers)
+            perm[key] = dst
+        perms.append(perm)
+        r_invs.append(r_inv)
+    return OrbitAction(None, fibers, tuple(perms), tuple(r_invs))
 
 
 def invariants_stable(datum, galois, witness=False):
     """Does every Galois generator preserve the combinatorial invariants?
 
-    Checks, per generator: the orbit lattice, the spherical-root set (which
-    pins the valuation cone), and both color-image sets, where functionals
-    transform contragrediently and moving sets by the node permutation.
-    With ``witness=True`` returns None for stable or the offending generator
-    index.
+    See orbit_action.  With ``witness=True`` returns None for stable or the
+    offending generator index.
     """
-    k = _unstable_generator(datum, galois, _generator_actions(datum, galois))
+    k = orbit_action(datum, galois).unstable
     return k if witness else k is None
-
-
-def _unstable_generator(datum, galois, actions):
-    """The first generator that moves the invariants, or None; ``actions`` is
-    ``_generator_actions(datum, galois)``."""
-    omega1, omega2 = omega_sets(datum)
-    images = _integer_images([(e.rho, e.sigma_set) for e in omega1 + omega2])
-    images1 = {images[(e.rho, e.sigma_set)] for e in omega1}
-    images2 = {images[(e.rho, e.sigma_set)] for e in omega2}
-    mats = _extended_matrices(datum, galois)
-    for k, action in enumerate(actions):
-        if action is None:
-            return k
-        if {apply_row(s, mats[k]) for s in datum.sigma} != set(datum.sigma):
-            return k
-        node_perm, r_inv = action
-        if {_moved_image(i, r_inv, node_perm) for i in images1} != images1:
-            return k
-        if {_moved_image(i, r_inv, node_perm) for i in images2} != images2:
-            return k
-    return None
-
-
-def _stable_actions(datum, galois):
-    """_generator_actions, after checking that the action preserves the invariants."""
-    actions = _generator_actions(datum, galois)
-    if _unstable_generator(datum, galois, actions) is not None:
-        raise ValueError("the action does not preserve the combinatorial invariants")
-    return actions
 
 
 def omega_action(datum, galois):
     """Per-generator permutation of the fibers of the color-image map.
 
-    Returns (fibers, perms): ``fibers`` maps a fiber key (rho, sigma_set) to
-    its sorted color ids; ``perms[k]`` maps each key to its image key under
-    the k-th generator.
+    Returns (fibers, perms) of the orbit_action; refuses an action that
+    moves the invariants.
     """
-    return _omega_from_actions(datum, _generator_actions(datum, galois))
-
-
-def _omega_from_actions(datum, actions):
-    """omega_action from ``_generator_actions`` of the same datum and action."""
-    fibers = _fibers(datum)
-    for ids in fibers.values():
-        ids.sort()
-    images = _integer_images(fibers)
-    key_of = {image: key for key, image in images.items()}
-    perms = []
-    for action in actions:
-        if action is None:
-            raise ValueError("action does not preserve the invariants")
-        node_perm, r_inv = action
-        perm = {}
-        for key, image in images.items():
-            dst = key_of.get(_moved_image(image, r_inv, node_perm))
-            if dst is None or len(fibers[dst]) != len(fibers[key]):
-                raise ValueError("action does not preserve the color images")
-            perm[key] = dst
-        perms.append(perm)
-    return fibers, perms
+    action = orbit_action(datum, galois).stable()
+    return action.fibers, action.perms
 
 
 def enumerate_lifts(datum, galois):
-    """All lifts of the Galois action on color images to the colors.
-
-    A lift assigns to each generator a bijection of colors covering that
-    generator's permutation of the images; fibers of size two contribute an
-    independent binary choice per generator.  Enumeration order is
-    deterministic: fibers in sorted key order, identity pairing before the
-    swap.  The count is the number of fiber-wise bijection systems.
-    """
-    if len(datum.colors) > MAX_COLORS:
-        raise ValueError("more than %d colors is out of scope" % MAX_COLORS)
-    return _lifts_from_omega(_omega_from_actions(datum, _stable_actions(datum, galois)))
-
-
-def _lifts_from_omega(omega):
-    """enumerate_lifts from an already computed ``omega_action``."""
-    fibers, perms = omega
-    keys = sorted(fibers, key=lambda k: (sorted(k[1]), k[0]))
-    lifts = []
-    per_generator_choices = []
-    for perm in perms:
-        fiber_options = []
-        for key in keys:
-            src = fibers[key]
-            dst = fibers[perm[key]]
-            if len(src) == 1:
-                fiber_options.append([((src[0], dst[0]),)])
-            else:
-                a, b = src
-                c, d = dst
-                fiber_options.append([((a, c), (b, d)), ((a, d), (b, c))])
-        per_generator_choices.append(
-            [tuple(sorted(sum(combo, ()))) for combo in _cartesian(*fiber_options)]
-        )
-    for assignment in _cartesian(*per_generator_choices):
-        lifts.append(ColorLift(tuple(assignment)))
-    return lifts
+    """All lifts of the Galois action on color images to the colors (see
+    OrbitAction.lifts); refuses an action that moves the invariants."""
+    return orbit_action(datum, galois).lifts()
 
 
 def quasiaffine_test(datum):

@@ -617,6 +617,32 @@ def all_element_aut_character_lattices(datum, galois):
     )
 
 
+def _fraction_restriction(datum, mat):
+    """Rows: the Fraction coordinates, in the chosen basis, of each basis row
+    moved by ``mat``, by projecting onto the row space of the basis B
+    (v B^T (B B^T)^-1), with the check that the projection recovers the row.
+    None when some moved row leaves the rational span of the basis."""
+    basis = [list(r) for r in datum.basis.data]
+    gram_inv = _fraction_inverse([[sum(a * b for a, b in zip(r, s)) for s in basis] for r in basis])
+    rows = []
+    for r in basis:
+        v = naive_apply_row(r, mat.data, mat.cols)
+        dots = [sum(a * b for a, b in zip(v, s)) for s in basis]
+        coords = [sum(d * g[j] for d, g in zip(dots, gram_inv)) for j in range(len(basis))]
+        if tuple(sum(c * s[j] for c, s in zip(coords, basis)) for j in range(mat.cols)) != v:
+            return None
+        rows.append(coords)
+    return rows
+
+
+def _fraction_moved_image(image, r_inv, perm):
+    rho, sig = image
+    return (
+        tuple(sum((a * Fraction(x) for a, x in zip(row, rho)), Fraction(0)) for row in r_inv),
+        frozenset(perm[i] for i in sig),
+    )
+
+
 def fraction_omega_perms(datum, galois):
     """Per generator, each color image (rho, sigma_set) moved in Fraction arithmetic.
 
@@ -628,27 +654,47 @@ def fraction_omega_perms(datum, galois):
     from spherical_models.rootdata import node_permutation
 
     mats = all_element_matrices(datum, galois)
-    basis = [list(r) for r in datum.basis.data]
-    # coordinates of a row v of the row space of B: v B^T (B B^T)^-1
-    gram_inv = _fraction_inverse([[sum(a * b for a, b in zip(r, s)) for s in basis] for r in basis])
     images = {(c.rho, c.sigma_set) for c in datum.colors}
     out = []
     for gi in galois.generators:
-        moved = [[sum(x * y for x, y in zip(r, col)) for col in zip(*mats[gi].data)] for r in basis]
-        dots = [[sum(a * b for a, b in zip(v, s)) for s in basis] for v in moved]
-        restriction = [[sum(d * g[j] for d, g in zip(row, gram_inv)) for j in range(len(basis))] for row in dots]
-        r_inv = _fraction_inverse(restriction)
+        r_inv = _fraction_inverse(_fraction_restriction(datum, mats[gi]))
         perm = node_permutation(datum.rd, galois.matrices[gi])
-        out.append(
-            {
-                (rho, sig): (
-                    tuple(sum((a * Fraction(x) for a, x in zip(row, rho)), Fraction(0)) for row in r_inv),
-                    frozenset(perm[i] for i in sig),
-                )
-                for rho, sig in images
-            }
-        )
+        out.append({image: _fraction_moved_image(image, r_inv, perm) for image in images})
     return out
+
+
+def set_based_unstable_generator(datum, galois):
+    """The first generator that moves the invariants, or None, checked set by set.
+
+    Per generator, in Fraction arithmetic: it permutes the simple roots; it
+    maps the orbit lattice into itself (each moved basis row lies in the
+    rational span with integer coordinates); it preserves the spherical-root
+    set; and it preserves the set of one-color images and the set of
+    two-color images, each compared as a whole.
+    """
+    n = datum.rd.rank
+    simple = [tuple(datum.rd.simple_root(i)) for i in range(1, n + 1)]
+    mats = all_element_matrices(datum, galois)
+    counts = {}
+    for c in datum.colors:
+        counts[(c.rho, c.sigma_set)] = counts.get((c.rho, c.sigma_set), 0) + 1
+    by_size = [{image for image, k in counts.items() if k == size} for size in (1, 2)]
+    for k, gi in enumerate(galois.generators):
+        g, m = galois.matrices[gi], mats[gi]
+        moved_simple = [naive_apply_row(s, g.data, n) for s in simple]
+        if sorted(moved_simple) != sorted(simple):
+            return k
+        perm = {i + 1: simple.index(v) + 1 for i, v in enumerate(moved_simple)}
+        restriction = _fraction_restriction(datum, m)
+        if restriction is None or any(Fraction(x).denominator != 1 for r in restriction for x in r):
+            return k
+        if {naive_apply_row(s, m.data, m.cols) for s in datum.sigma} != set(datum.sigma):
+            return k
+        r_inv = _fraction_inverse(restriction)
+        for images in by_size:
+            if {_fraction_moved_image(i, r_inv, perm) for i in images} != images:
+                return k
+    return None
 
 
 def weight_coordinates_from_epsilon(t, eps):

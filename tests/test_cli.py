@@ -502,3 +502,47 @@ def test_internal_error_exits_3_not_1(tmp_path, capsys, monkeypatch, command, en
     assert err.startswith("internal error: ") and err.count("\n") == 1
     # an input error is still exit 2
     assert run(capsys, command, str(tmp_path / "missing.json"))[0] == 2
+
+
+# -- bad SPHERICAL_MODELS_CATALOG files ------------------------------------------
+
+CATALOG_FAULTS = {
+    "missing": (None, "cannot read"),
+    "not_json": ("{not json", "not valid JSON"),
+    "no_type": (json.dumps({"MyForm": {"galois": "flip"}}), 'entry MyForm has no "type"'),
+}
+
+CATALOG_COMMANDS = {
+    "list": ("catalog", "list"),
+    "show": ("catalog", "show", "SU(4,2)"),
+    "decide": ("decide", str(PROBLEMS / "sl6_embedding_su42.json"), "--json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CATALOG_COMMANDS))
+@pytest.mark.parametrize("fault", sorted(CATALOG_FAULTS))
+def test_bad_catalog_file_exits_2_naming_file_and_fault(tmp_path, capsys, monkeypatch, fault, command):
+    text, fault_msg = CATALOG_FAULTS[fault]
+    path = tmp_path / "extra.json"
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setenv("SPHERICAL_MODELS_CATALOG", str(path))
+    argv = CATALOG_COMMANDS[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    where = argv[1] + ".tits: " if command == "decide" else ""
+    assert err.startswith("error: %scatalog file %s: " % (where, path)), err
+    assert fault_msg in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("action", [("list",), ("show", "SU(3)")])
+def test_catalog_internal_error_exits_3(capsys, monkeypatch, action):
+    from spherical_models import cli
+
+    def crash(*args):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli, "catalog_names" if action[0] == "list" else "catalog_lookup", crash)
+    code, out, err = run(capsys, "catalog", *action)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ")

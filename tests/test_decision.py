@@ -544,11 +544,8 @@ def _stable_horospherical_lattice(rng, rd, galois):
 KERNEL_ROUTE_TYPES = ("A1", "A2", "A3", "A5", "B3", "C3", "D4", "D5", "E6", "E7")
 
 
-@pytest.mark.parametrize("label", KERNEL_ROUTE_TYPES)
-def test_kernel_route_agrees_on_horospherical_orbits(label):
-    from spherical_models import invariants_stable
-
-    rd = based_root_datum(label)
+def diagram_actions(rd):
+    """The trivial action, each diagram action of order 2 or 3, and S3 on D4."""
     autos = diagram_automorphism_group(rd.type)
     actions = [GaloisAction.trivial(rd.rank)] + [
         galois_from_permutations(rd, [a]) for a in autos if a.order() in (2, 3)
@@ -556,9 +553,17 @@ def test_kernel_route_agrees_on_horospherical_orbits(label):
     if len(autos) == 6:
         three = next(a for a in autos if a.order() == 3)
         actions.append(galois_from_permutations(rd, [three, diagram_flip(rd.type)]))
+    return actions
+
+
+@pytest.mark.parametrize("label", KERNEL_ROUTE_TYPES)
+def test_kernel_route_agrees_on_horospherical_orbits(label):
+    from spherical_models import invariants_stable
+
+    rd = based_root_datum(label)
     rng = random.Random(label)
     checked = 0
-    for galois in actions:
+    for galois in diagram_actions(rd):
         mod, inv, incl = center_invariants(rd, galois)
         chars = [c for c in all_characters(inv) if not c.is_zero()]
         for _ in range(4):

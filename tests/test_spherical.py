@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_color_lifts_by_filter
+from oracles import all_color_lifts_by_filter, fraction_omega_perms, set_based_unstable_generator
 from spherical_models import (
     Color,
     GaloisAction,
+    HorosphericalDatum,
     IntMatrix,
     SphericalDatum,
     aut_character_lattices,
@@ -24,7 +25,8 @@ from spherical_models import (
     sigma_two,
     sigma_variants,
 )
-from spherical_models.spherical import _json_rational
+from spherical_models.spherical import _json_rational, omega_action
+from test_decision import KERNEL_ROUTE_TYPES, _stable_horospherical_lattice, diagram_actions
 
 
 # -- construction validation --------------------------------------------------
@@ -205,6 +207,132 @@ def test_stability_moved_spherical_roots():
     assert invariants_stable(SphericalDatum(rd, roots, [], colors), g)
     assert not invariants_stable(d, g)
     assert invariants_stable(d, g, witness=True) == 0
+    # the color images alone are permuted, but the action is refused
+    assert fraction_omega_perms(d, g)[0] == fraction_omega_perms(SphericalDatum(rd, roots, [], colors), g)[0]
+    with pytest.raises(ValueError, match="does not preserve"):
+        omega_action(d, g)
+
+
+def _assert_stability_matches_oracles(datum, galois):
+    """The merged stability check against the set-based oracle, and the
+    color-image permutations against the Fraction oracle; returns the witness."""
+    want = set_based_unstable_generator(datum, galois)
+    assert invariants_stable(datum, galois, witness=True) == want
+    if want is not None:
+        with pytest.raises(ValueError, match="does not preserve"):
+            omega_action(datum, galois)
+        return want
+    fibers, perms = omega_action(datum, galois)
+    assert set(fibers) == {(c.rho, c.sigma_set) for c in datum.colors}
+    assert list(perms) == fraction_omega_perms(datum, galois)
+    return None
+
+
+def _random_horospherical(rng, rd):
+    """A horospherical datum with random nodes I and a random lattice M
+    orthogonal to their coroots, rarely stable under a diagram action."""
+    n = rd.rank
+    nodes = {i for i in range(1, n + 1) if rng.random() < 0.3}
+    free = [j for j in range(n) if j + 1 not in nodes]
+    if not free:
+        nodes, free = (), list(range(n))
+    rows = [
+        [rng.randint(-2, 2) if j in free else 0 for j in range(n)]
+        for _ in range(rng.randint(1, len(free)))
+    ]
+    rows.append([rng.choice((1, 2)) if j == free[0] else 0 for j in range(n)])
+    return HorosphericalDatum(rd, nodes, rows)
+
+
+@pytest.mark.parametrize("label", KERNEL_ROUTE_TYPES)
+def test_merged_stability_matches_set_oracle_on_horospherical_orbits(label):
+    rd = based_root_datum(label)
+    rng = random.Random("stability:" + label)
+    actions = diagram_actions(rd)
+    unstable = 0
+    for galois in actions:
+        for _ in range(4):
+            stable_m = _stable_horospherical_lattice(rng, rd, galois)
+            for h in (HorosphericalDatum(rd, [], stable_m.basis.data), _random_horospherical(rng, rd)):
+                unstable += _assert_stability_matches_oracles(h.to_spherical(), galois) is not None
+    # every type but A1 has a diagram action that moves some random datum
+    assert (unstable > 0) == (len(actions) > 1)
+
+
+def _stability_cases(sl3_datum, sl6_datum, so10_datum, rd_a2, rd_a5, rd_d5):
+    flip_a2 = galois_from_permutations(rd_a2, [diagram_automorphism_group(rd_a2.type)[1]])
+    flip_a5 = galois_from_permutations(rd_a5, [diagram_automorphism_group(rd_a5.type)[1]])
+    flip_d5 = galois_from_permutations(rd_d5, [diagram_automorphism_group(rd_d5.type)[1]])
+    rd_a3 = based_root_datum("A3")
+    roots = [list(rd_a3.simple_root(i)) for i in (1, 2, 3)]
+    colors = [Color("D%d" % i, tuple(r), frozenset({i})) for i, r in zip((1, 2, 3), roots)]
+    moved_roots = SphericalDatum(rd_a3, roots, [tuple(a + b for a, b in zip(roots[0], roots[1]))], colors)
+    unequal_fibers = SphericalDatum(
+        rd_a2,
+        [[1, 0], [0, 1]],
+        [tuple(rd_a2.simple_root(1))],
+        [
+            Color("D1+", (1, 0), frozenset({1})),
+            Color("D1-", (1, 0), frozenset({1})),
+            Color("D2", (0, 1), frozenset({2})),
+        ],
+    )
+    # the flip swaps the images of a two-color and a one-color fiber, and
+    # moves nothing else
+    unequal_free_fibers = SphericalDatum(
+        rd_a2,
+        [[1, 0], [0, 1]],
+        [],
+        [
+            Color("E1", (1, 0), frozenset()),
+            Color("E2", (1, 0), frozenset()),
+            Color("E3", (0, 1), frozenset()),
+        ],
+    )
+    z3, s3 = _d4_actions()
+    # the triality orbit of one weight spans a lattice the order-3 generator
+    # preserves and the flip moves
+    rd_d4 = based_root_datum("D4")
+    shifts = [(1, 0, 2, 3), (3, 0, 1, 2), (2, 0, 3, 1)]
+    triality_lattice = HorosphericalDatum(rd_d4, [2], shifts)
+    return {
+        "sl3_trivial": (sl3_datum, GaloisAction.trivial(2)),
+        "sl3_flip": (sl3_datum, flip_a2),
+        "sl3_negation": (sl3_datum, GaloisAction("cyclic2", [IntMatrix([[-1, 0], [0, -1]])])),
+        "sl6_trivial": (sl6_datum, GaloisAction.trivial(5)),
+        "sl6_flip": (sl6_datum, flip_a5),
+        "sl6_z2_acting_trivially": (sl6_datum, GaloisAction("cyclic2", [IntMatrix.identity(5)])),
+        "sl6_torus_flip": (_sl6_with_torus(sl6_datum), flip_a5),
+        "so10_trivial": (so10_datum, GaloisAction.trivial(5)),
+        "so10_flip": (so10_datum, flip_d5),
+        "mixed_trivial": (_mixed_denominator_datum(rd_a2), GaloisAction.trivial(2)),
+        "mixed_flip": (_mixed_denominator_datum(rd_a2), flip_a2),
+        "mixed_flip_unstable": (_mixed_denominator_datum(rd_a2, (F(2, 3), F(1, 2))), flip_a2),
+        "d4_half_z3": (_d4_half_datum(), z3),
+        "d4_half_s3": (_d4_half_datum(), s3),
+        "a3_moved_roots": (moved_roots, galois_from_permutations(rd_a3, [diagram_automorphism_group(rd_a3.type)[1]])),
+        "a2_unequal_fibers": (unequal_fibers, flip_a2),
+        "a2_unequal_free_fibers": (unequal_free_fibers, flip_a2),
+        "d4_triality_lattice_z3": (triality_lattice.to_spherical(), z3),
+        "d4_triality_lattice_s3": (triality_lattice.to_spherical(), s3),
+    }
+
+
+# the expected unstable generator of each case, or None
+STABILITY_CASES = {
+    "sl3_trivial": None, "sl3_flip": None, "sl3_negation": 0, "sl6_trivial": None,
+    "sl6_flip": None, "sl6_z2_acting_trivially": None, "sl6_torus_flip": None,
+    "so10_trivial": None, "so10_flip": None, "mixed_trivial": None, "mixed_flip": None,
+    "mixed_flip_unstable": 0, "d4_half_z3": None, "d4_half_s3": None,
+    "a3_moved_roots": 0, "a2_unequal_fibers": 0, "a2_unequal_free_fibers": 0,
+    "d4_triality_lattice_z3": None, "d4_triality_lattice_s3": 1,
+}
+
+
+@pytest.mark.parametrize("case", sorted(STABILITY_CASES))
+def test_merged_stability_matches_set_oracle(case, sl3_datum, sl6_datum, so10_datum, rd_a2, rd_a5, rd_d5):
+    datum, galois = _stability_cases(sl3_datum, sl6_datum, so10_datum, rd_a2, rd_a5, rd_d5)[case]
+    assert _assert_stability_matches_oracles(datum, galois) == STABILITY_CASES[case]
 
 
 # -- lifts ----------------------------------------------------------------------
