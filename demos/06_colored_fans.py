@@ -12,7 +12,6 @@ from spherical_models import (
     Color,
     ColoredCone,
     ColoredFan,
-    FanGaloisData,
     REAL,
     SphericalDatum,
     TitsClassSpec,
@@ -20,10 +19,10 @@ from spherical_models import (
     catalog_lookup,
     decide_embedding,
     diagram_automorphism_group,
-    enumerate_lifts,
-    exists_stabilizing_lift,
     fan_stable,
     galois_from_permutations,
+    orbit_action,
+    stabilizing_lift,
 )
 
 # --- rank two: the product of two projective spaces ---------------------------
@@ -48,7 +47,7 @@ fan = ColoredFan(
 flip = diagram_automorphism_group(rd2.type)[1]
 outer = galois_from_permutations(rd2, [flip])
 print("two-cone fan, outer action: stabilizing lift =",
-      exists_stabilizing_lift(fan, orbit, outer))
+      stabilizing_lift(fan, orbit_action(orbit, outer)))
 v = decide_embedding(fan, orbit, outer, TitsClassSpec.zero(), REAL)
 print("embedding verdict:", "exists" if v.exists else "no model")
 
@@ -76,9 +75,9 @@ fan6 = ColoredFan(
 outer6 = galois_from_permutations(rd6, [diagram_automorphism_group(rd6.type)[1]])
 
 print("\none-cone fan in rank three; lifts of the outer action to the colors:")
-for lift in enumerate_lifts(orbit6, outer6):
-    fg = FanGaloisData.build(orbit6, outer6, lift)
-    tag = "stabilizes" if fan_stable(fan6, orbit6, fg) else "moves the colored cone"
+action6 = orbit_action(orbit6, outer6)
+for lift in action6.lifts():
+    tag = "stabilizes" if fan_stable(fan6, action6, lift) else "moves the colored cone"
     pairs = ", ".join("%s>%s" % p for p in lift.generator_maps[0] if p[0].startswith("D1"))
     print("  %-22s %s" % (pairs, tag))
 

@@ -49,8 +49,6 @@ from .spherical import (
     OmegaElement,
     SphericalDatum,
     aut_character_lattices,
-    enumerate_lifts,
-    invariants_stable,
     omega_sets,
     orbit_action,
     quasiaffine_cover,
@@ -62,10 +60,9 @@ from .horospherical import HorosphericalDatum
 from .embeddings import (
     ColoredCone,
     ColoredFan,
-    FanGaloisData,
     cone_canonicalize,
-    exists_stabilizing_lift,
     fan_stable,
+    stabilizing_lift,
 )
 from .decision import (
     NUMBER_FIELD,

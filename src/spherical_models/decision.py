@@ -55,7 +55,7 @@ from .rootdata import (
     in_epsilon_lattice,
 )
 from .embeddings import stabilizing_lift
-from .spherical import _aut_characters, orbit_action
+from .spherical import _aut_characters, _json_rational, orbit_action
 
 NUMBER_FIELD = "number_field"
 _LOCAL_MODES = (REAL, PADIC)
@@ -526,7 +526,7 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
     reasons.append(
         _reason("fan-axioms", True, note="face-closure and support axioms assumed, not validated")
     )
-    lift = stabilizing_lift(fan, datum, action)
+    lift = stabilizing_lift(fan, action)
     reasons.append(
         _reason(
             "fan-stability",
@@ -684,7 +684,9 @@ def _extension_entries():
     """The entries of the catalog files named by SPHERICAL_MODELS_CATALOG.
 
     A file that cannot be read, is not a JSON object, or holds an entry
-    without a "type" raises ValueError naming the file and the fault.
+    without a "type", with an unknown "galois", with a "t0" that is not a
+    list of rationals or with a "mode" other than real or padic raises
+    ValueError naming the file and the fault.
     """
     paths = os.environ.get("SPHERICAL_MODELS_CATALOG", "")
     out = {}
@@ -714,11 +716,23 @@ def _extension_entries():
                 galois = _trivial_c2(rd)
             else:
                 raise ValueError("catalog file %s: entry %s has unknown galois %r" % (path, name, gname))
-            vals = entry.get("t0", [])
+            t0 = entry.get("t0", [])
+            try:
+                if not isinstance(t0, list) or any(type(v) not in (int, str) for v in t0):
+                    raise ValueError
+                vals = [_json_rational(v) for v in t0]
+            except ValueError:
+                raise ValueError(
+                    'catalog file %s: entry %s has "t0" %r, not a list of rationals' % (path, name, t0)
+                ) from None
+            mode = entry.get("mode", REAL)
+            if mode not in (REAL, PADIC):
+                raise ValueError(
+                    'catalog file %s: entry %s has "mode" %r, not "real" or "padic"' % (path, name, mode)
+                )
             tits = TitsClassSpec.from_values(vals) if vals else TitsClassSpec.zero()
             out[name] = CatalogEntry(
-                name, t, galois, tits, entry.get("mode", REAL),
-                entry.get("citation", "user-supplied catalog extension"),
+                name, t, galois, tits, mode, entry.get("citation", "user-supplied catalog extension")
             )
     return out
 

@@ -14,7 +14,7 @@ optionally "relative interior meets the valuation cone" are checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from operator import mul
 
 from .polyhedra import (
@@ -26,7 +26,6 @@ from .spherical import (
     _exact_rational,
     _fmt_fraction,
     _json_rational,
-    orbit_action,
 )
 
 
@@ -120,71 +119,39 @@ class ColoredFan:
         return cls(cones, datum, check_valuation_cone=check_valuation_cone)
 
 
-@dataclass(frozen=True)
-class FanGaloisData:
-    """A stable Galois action on the dual space together with a chosen color lift.
-
-    ``action`` is the ``orbit_action`` of the datum.  ``v_matrices[k]`` acts
-    on ray coordinates for the k-th generator; it is the transpose of the
-    inverse restriction ``action.r_invs[k]``.  Neither depends on the lift,
-    so a search over lifts builds once and swaps the lift in with
-    ``dataclasses.replace``.
-    """
-
-    lift: object
-    v_matrices: tuple
-    action: object = field(compare=False, repr=False)
-
-    @classmethod
-    def build(cls, datum, galois, lift):
-        """Check that the action preserves the invariants, then derive its data."""
-        return cls.of(orbit_action(datum, galois), lift)
-
-    @classmethod
-    def of(cls, action, lift):
-        """build, from the ``orbit_action`` of the datum."""
-        return cls(lift, tuple(r.transpose() for r in action.stable().r_invs), action)
-
-    def apply_ray(self, k, ray):
-        return tuple(
-            _exact_rational(sum(map(mul, ray, col))) for col in zip(*self.v_matrices[k].data)
-        )
-
-
-def fan_stable(fan, datum, fan_galois):
+def fan_stable(fan, action, lift):
     """Is the fan stable under every generator, with the chosen color lift?
 
-    For each generator the image of every maximal colored cone (rays moved
-    contragrediently, colors moved by the lift) must again be a maximal cone
-    of the fan.  ``fan_galois`` must come from ``FanGaloisData.build`` on
-    ``datum``, which rejects actions that do not preserve the invariants.
+    ``action`` is the ``orbit_action`` of the fan's datum; an action that
+    does not preserve the invariants is refused.  For each generator the
+    image of every maximal colored cone (rays moved contragrediently by
+    ``action.r_invs[k]``, colors moved by the lift) must again be a maximal
+    cone of the fan.
 
     The image of a canonical cone is already canonical, so it is moved, not
-    recomputed: v is unimodular and sends the primitive extreme rays to the
-    primitive extreme rays of the image, and since the lift covers the
-    action on color images, each moved color's functional is v of the old
-    one and lies in the moved cone.
+    recomputed: the inverse restriction is unimodular and sends the
+    primitive extreme rays to the primitive extreme rays of the image, and
+    since the lift covers the action on color images, each moved color's
+    functional is the moved old one and lies in the moved cone.
     """
-    _check_lift_covers_omega(fan_galois)
-    for k, v in enumerate(fan_galois.v_matrices):
-        gmap = fan_galois.lift.mapping(k)
-        if any(_moved_key(key, v, gmap) not in fan.keys for key in fan.keys):
+    action = action.stable()
+    _check_lift_covers_omega(action, lift)
+    for k, r_inv in enumerate(action.r_invs):
+        gmap = lift.mapping(k)
+        if any(_moved_key(key, r_inv.data, gmap) not in fan.keys for key in fan.keys):
             return False
     return True
 
 
-def _moved_key(key, v, gmap):
+def _moved_key(key, rows, gmap):
     """Canonical key of the image of a canonical colored cone (see fan_stable)."""
     rays, colors = key
-    v_cols = tuple(zip(*v.data))
-    moved = sorted(tuple(sum(map(mul, col, r)) for col in v_cols) for r in rays)
+    moved = sorted(tuple(sum(map(mul, row, r)) for row in rows) for r in rays)
     return (tuple(moved), tuple(sorted(gmap[c] for c in colors)))
 
 
-def _check_lift_covers_omega(fan_galois):
-    action = fan_galois.action
+def _check_lift_covers_omega(action, lift):
     color_fiber = {cid: key for key, ids in action.fibers.items() for cid in ids}
-    lift = fan_galois.lift
     if len(lift.generator_maps) != len(action.perms):
         raise ValueError("lift has the wrong number of generator maps")
     for k, perm in enumerate(action.perms):
@@ -196,20 +163,10 @@ def _check_lift_covers_omega(fan_galois):
                 raise ValueError("lift does not cover the action on color images")
 
 
-def exists_stabilizing_lift(fan, datum, galois):
-    """First lift (in enumeration order) making the fan stable, or None.
+def stabilizing_lift(fan, action):
+    """First lift (in ``action.lifts()`` order) making the fan stable, or None.
 
-    Refuses an action that does not preserve the invariants.
+    ``action`` is the ``orbit_action`` of the fan's datum; an action that
+    does not preserve the invariants is refused.
     """
-    return stabilizing_lift(fan, datum, orbit_action(datum, galois))
-
-
-def stabilizing_lift(fan, datum, action):
-    """exists_stabilizing_lift, from the ``orbit_action`` of the datum.
-
-    The lift-independent data are built once per search and the lifts come
-    from the same value (SphericalDatum already caps the number of colors).
-    """
-    base = FanGaloisData.of(action, None)
-    stable = (lift for lift in action.lifts() if fan_stable(fan, datum, replace(base, lift=lift)))
-    return next(stable, None)
+    return next((lift for lift in action.lifts() if fan_stable(fan, action, lift)), None)

@@ -743,13 +743,11 @@ def _restriction_matrix(lattice, g):
     return IntMatrix(rows)
 
 
-def _subquotient(group, lat_rows, extra_relations=None):
+def _subquotient(group, lat_rows):
     """Subgroup of ``group`` spanned (mod relations) by the rows ``lat_rows``.
 
     The rows live in the reduced coordinate space ZZ^rank of ``group``.
-    Returns (subgroup, inclusion hom).  ``extra_relations`` (rows in the same
-    space) are divided out on top of the ambient moduli, for quotients of one
-    sublattice by another (e.g. fixed points modulo norms).
+    Returns (subgroup, inclusion hom).
     """
     k = group.rank
     mod_rows = [
@@ -758,15 +756,8 @@ def _subquotient(group, lat_rows, extra_relations=None):
         if d > 0
     ]
     span = Lattice(k, list(lat_rows) + mod_rows)
-    rel_rows = list(mod_rows)
-    if extra_relations:
-        rel_rows += [list(r) for r in extra_relations]
-    relations = []
-    for row in rel_rows:
-        c = span.coords_of(tuple(row))
-        if c is None:
-            raise ValueError("relations do not lie in the span")
-        relations.append(list(c))
+    # the moduli lie in the span by construction
+    relations = [list(span.coords_of(tuple(row))) for row in mod_rows]
     sub = FgAbelianGroup(span.rank, relations)
     images = []
     for idx in range(sub.rank):

@@ -77,12 +77,6 @@ class ColorLift:
     def mapping(self, gen_index):
         return dict(self.generator_maps[gen_index])
 
-    def apply(self, gen_index, color_id):
-        return self.mapping(gen_index)[color_id]
-
-    def is_identity(self):
-        return all(a == b for gmap in self.generator_maps for a, b in gmap)
-
 
 class SphericalDatum:
     """Spherical-orbit invariants over a fixed based root datum.
@@ -536,32 +530,6 @@ def orbit_action(datum, galois):
         perms.append(perm)
         r_invs.append(r_inv)
     return OrbitAction(None, fibers, tuple(perms), tuple(r_invs))
-
-
-def invariants_stable(datum, galois, witness=False):
-    """Does every Galois generator preserve the combinatorial invariants?
-
-    See orbit_action.  With ``witness=True`` returns None for stable or the
-    offending generator index.
-    """
-    k = orbit_action(datum, galois).unstable
-    return k if witness else k is None
-
-
-def omega_action(datum, galois):
-    """Per-generator permutation of the fibers of the color-image map.
-
-    Returns (fibers, perms) of the orbit_action; refuses an action that
-    moves the invariants.
-    """
-    action = orbit_action(datum, galois).stable()
-    return action.fibers, action.perms
-
-
-def enumerate_lifts(datum, galois):
-    """All lifts of the Galois action on color images to the colors (see
-    OrbitAction.lifts); refuses an action that moves the invariants."""
-    return orbit_action(datum, galois).lifts()
 
 
 def quasiaffine_test(datum):

@@ -228,9 +228,10 @@ def build_cyclic_module(moduli, sigma_images, order):
 
 def all_color_lifts_by_filter(datum, galois):
     """Lifts found by filtering every permutation tuple of the colors."""
-    from spherical_models.spherical import omega_action
+    from spherical_models.spherical import orbit_action
 
-    fibers, perms = omega_action(datum, galois)
+    action = orbit_action(datum, galois).stable()
+    fibers, perms = action.fibers, action.perms
     color_fiber = {}
     for key, ids in fibers.items():
         for cid in ids:

@@ -40,10 +40,10 @@ from spherical_models import (
     decide_number_field,
     delta_markers_from_catalog,
     diagram_automorphism_group,
-    enumerate_lifts,
-    exists_stabilizing_lift,
     galois_from_permutations,
     h2_cyclic,
+    orbit_action,
+    stabilizing_lift,
     theta_lattice,
 )
 from spherical_models.decision import _horospherical_fast_path, center_invariants
@@ -136,18 +136,15 @@ def test_criterion_05_rank_five_embedding(sl6_fan, sl6_datum, rd_a5, galois_a5_f
             decide_embedding(sl6_fan, sl6_datum, entry.galois, entry.tits, REAL).exists
         )
     assert got == [False, True, False, True]
-    lifts = enumerate_lifts(sl6_datum, galois_a5_flip)
+    lifts = orbit_action(sl6_datum, galois_a5_flip).lifts()
     assert len(lifts) == 4
-    found = exists_stabilizing_lift(sl6_fan, sl6_datum, galois_a5_flip)
+    found = stabilizing_lift(sl6_fan, orbit_action(sl6_datum, galois_a5_flip))
     gmap = found.mapping(0)
     assert gmap["D1+"] == "D5-" and gmap["D5-"] == "D1+"
-    from spherical_models import FanGaloisData, fan_stable, sigma_variants
+    from spherical_models import fan_stable, sigma_variants
 
-    count = sum(
-        1
-        for L in lifts
-        if fan_stable(sl6_fan, sl6_datum, FanGaloisData.build(sl6_datum, galois_a5_flip, L))
-    )
+    action = orbit_action(sl6_datum, galois_a5_flip)
+    count = sum(1 for L in lifts if fan_stable(sl6_fan, action, L))
     assert count == 1
     a1, a5 = rd_a5.simple_root(1), rd_a5.simple_root(5)
     _, sigma_n = sigma_variants(sl6_datum)
@@ -166,9 +163,7 @@ def test_criterion_06_two_cone_fan(sl3_fan, sl3_datum, rd_a2):
     """Two-cone fan: orbit stable but no stabilizing lift under the outer form."""
     flip = diagram_automorphism_group(rd_a2.type)[1]
     outer = galois_from_permutations(rd_a2, [flip])
-    from spherical_models import invariants_stable
-
-    assert invariants_stable(sl3_datum, outer)
+    assert orbit_action(sl3_datum, outer).unstable is None
     v = decide_embedding(sl3_fan, sl3_datum, outer, TitsClassSpec.zero(), REAL)
     assert not v.exists
     fan_reason = [r for r in v.reasons if r["condition"] == "fan-stability"][0]

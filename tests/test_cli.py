@@ -510,6 +510,18 @@ CATALOG_FAULTS = {
     "missing": (None, "cannot read"),
     "not_json": ("{not json", "not valid JSON"),
     "no_type": (json.dumps({"MyForm": {"galois": "flip"}}), 'entry MyForm has no "type"'),
+    "t0_zero_denominator": (
+        json.dumps({"MyForm": {"type": "A5", "galois": "flip", "t0": ["1/0"]}}),
+        "entry MyForm has \"t0\" ['1/0'], not a list of rationals",
+    ),
+    "t0_not_a_list": (
+        json.dumps({"MyForm": {"type": "A5", "galois": "flip", "t0": "abc"}}),
+        "entry MyForm has \"t0\" 'abc', not a list of rationals",
+    ),
+    "bad_mode": (
+        json.dumps({"MyForm": {"type": "A5", "galois": "flip", "mode": "complex"}}),
+        "entry MyForm has \"mode\" 'complex', not \"real\" or \"padic\"",
+    ),
 }
 
 CATALOG_COMMANDS = {

@@ -558,7 +558,7 @@ def diagram_actions(rd):
 
 @pytest.mark.parametrize("label", KERNEL_ROUTE_TYPES)
 def test_kernel_route_agrees_on_horospherical_orbits(label):
-    from spherical_models import invariants_stable
+    from spherical_models import orbit_action
 
     rd = based_root_datum(label)
     rng = random.Random(label)
@@ -569,7 +569,7 @@ def test_kernel_route_agrees_on_horospherical_orbits(label):
         for _ in range(4):
             m_lat = _stable_horospherical_lattice(rng, rd, galois)
             datum = HorosphericalDatum(rd, [], m_lat.basis.data).to_spherical()
-            assert invariants_stable(datum, galois)
+            assert orbit_action(datum, galois).unstable is None
             checked += _assert_routes_agree(datum, galois, chars, mod, inv, incl)
     assert checked > 0
 

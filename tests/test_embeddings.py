@@ -8,20 +8,24 @@ from spherical_models import (
     Color,
     ColoredCone,
     ColoredFan,
-    FanGaloisData,
     GaloisAction,
     IntMatrix,
     SphericalDatum,
     based_root_datum,
     cone_canonicalize,
     diagram_automorphism_group,
-    enumerate_lifts,
-    exists_stabilizing_lift,
     fan_stable,
     galois_from_permutations,
+    orbit_action,
+    stabilizing_lift,
 )
 from spherical_models.lattice import _unimodular_inverse
-from spherical_models.spherical import _restriction_to_basis
+from spherical_models.spherical import _exact_rational, _restriction_to_basis
+
+
+def _move_ray(action, k, ray):
+    """A ray moved contragrediently by the k-th generator of a stable action."""
+    return tuple(_exact_rational(sum(a * b for a, b in zip(row, ray))) for row in action.r_invs[k].data)
 
 
 def test_canonicalize_collinear(sl3_datum):
@@ -90,23 +94,22 @@ def test_fan_valuation_cone_toggle(sl3_datum):
 
 
 def test_fan_stable_trivial_action(sl3_fan, sl3_datum):
-    g = GaloisAction.trivial(2)
-    lift = enumerate_lifts(sl3_datum, g)[0]
-    fg = FanGaloisData.build(sl3_datum, g, lift)
-    assert fan_stable(sl3_fan, sl3_datum, fg)
+    action = orbit_action(sl3_datum, GaloisAction.trivial(2))
+    lift = action.lifts()[0]
+    assert fan_stable(sl3_fan, action, lift)
 
 
 def test_fan_not_stable_under_flip(sl3_fan, sl3_datum, rd_a2):
     flip = diagram_automorphism_group(rd_a2.type)[1]
-    g = galois_from_permutations(rd_a2, [flip])
-    lift = enumerate_lifts(sl3_datum, g)[0]
-    fg = FanGaloisData.build(sl3_datum, g, lift)
-    assert not fan_stable(sl3_fan, sl3_datum, fg)
-    assert exists_stabilizing_lift(sl3_fan, sl3_datum, g) is None
+    action = orbit_action(sl3_datum, galois_from_permutations(rd_a2, [flip]))
+    lift = action.lifts()[0]
+    assert not fan_stable(sl3_fan, action, lift)
+    assert stabilizing_lift(sl3_fan, action) is None
 
 
 def test_sl6_stabilizing_lift_is_cross_swap(sl6_fan, sl6_datum, galois_a5_flip):
-    lift = exists_stabilizing_lift(sl6_fan, sl6_datum, galois_a5_flip)
+    action = orbit_action(sl6_datum, galois_a5_flip)
+    lift = stabilizing_lift(sl6_fan, action)
     assert lift is not None
     gmap = lift.mapping(0)
     assert gmap["D1+"] == "D5-" and gmap["D5-"] == "D1+"
@@ -114,11 +117,10 @@ def test_sl6_stabilizing_lift_is_cross_swap(sl6_fan, sl6_datum, galois_a5_flip):
     # the straight swap does not stabilize
     straight = [
         L
-        for L in enumerate_lifts(sl6_datum, galois_a5_flip)
+        for L in action.lifts()
         if L.mapping(0)["D1+"] == "D5+" and L.mapping(0)["D5+"] == "D1+"
     ][0]
-    fg = FanGaloisData.build(sl6_datum, galois_a5_flip, straight)
-    assert not fan_stable(sl6_fan, sl6_datum, fg)
+    assert not fan_stable(sl6_fan, action, straight)
 
 
 def test_v_action_is_contragredient_and_functorial():
@@ -159,11 +161,11 @@ def test_v_matrices_move_color_functionals_as_the_lift_moves_colors(
         g = galois_from_permutations(rd, [three, two])
         datum = HorosphericalDatum(rd, [], [[int(i == j) for j in range(4)] for i in range(4)]).to_spherical()
     rho = {c.id: c.rho for c in datum.colors}
-    for lift in enumerate_lifts(datum, g):
-        fg = FanGaloisData.build(datum, g, lift)
+    action = orbit_action(datum, g)
+    for lift in action.lifts():
         for k in range(len(g.generators)):
             for cid in rho:
-                assert fg.apply_ray(k, rho[cid]) == rho[lift.apply(k, cid)]
+                assert _move_ray(action, k, rho[cid]) == rho[lift.mapping(k)[cid]]
 
 
 def test_fan_serialization_round_trip(sl6_fan, sl6_datum):
@@ -177,9 +179,9 @@ def test_lift_validation_in_fan_stability(sl6_fan, sl6_datum, galois_a5_flip):
     from spherical_models import ColorLift
 
     bogus = ColorLift(((("D1+", "D1+"), ("D1-", "D1-"), ("D2", "D2"), ("D4", "D4"), ("D5+", "D5+"), ("D5-", "D5-")),))
-    fg = FanGaloisData.build(sl6_datum, galois_a5_flip, bogus)
+    action = orbit_action(sl6_datum, galois_a5_flip)
     with pytest.raises(ValueError):
-        fan_stable(sl6_fan, sl6_datum, fg)
+        fan_stable(sl6_fan, action, bogus)
 
 
 def _d4_triality_case():
@@ -210,17 +212,16 @@ def test_moved_canonical_cone_equals_recanonicalized(
         fan, datum, g = sl6_fan, sl6_datum, galois_a5_flip
     else:
         fan, datum, g = _d4_triality_case()
-    lifts = enumerate_lifts(datum, g)
-    for lift in lifts:
-        fg = FanGaloisData.build(datum, g, lift)
-        for k, v in enumerate(fg.v_matrices):
+    action = orbit_action(datum, g)
+    for lift in action.lifts():
+        for k, r_inv in enumerate(action.r_invs):
             gmap = lift.mapping(k)
             for cone in fan.cones:
                 moved = ColoredCone(
-                    tuple(fg.apply_ray(k, r) for r in cone.rays),
+                    tuple(_move_ray(action, k, r) for r in cone.rays),
                     frozenset(gmap[c] for c in cone.colors),
                 )
-                assert _moved_key(cone.key(), v, gmap) == cone_canonicalize(moved, datum).key()
+                assert _moved_key(cone.key(), r_inv.data, gmap) == cone_canonicalize(moved, datum).key()
 
 
 def test_fan_keys_hold_integer_rays(sl6_fan):
@@ -244,22 +245,19 @@ def test_lift_search_checks_stability_and_computes_omega_once(
         return _real(datum, mat)
 
     monkeypatch.setattr(spherical, "_restriction_to_basis", counting)
-    assert exists_stabilizing_lift(sl6_fan, sl6_datum, galois_a5_flip) is not None
+    assert stabilizing_lift(sl6_fan, orbit_action(sl6_datum, galois_a5_flip)) is not None
     assert len(calls) == 1
-    # on its own, enumerate_lifts still checks stability itself
-    assert len(enumerate_lifts(sl6_datum, galois_a5_flip)) == 4
+    # on its own, the lift enumeration still checks stability itself
+    assert len(orbit_action(sl6_datum, galois_a5_flip).lifts()) == 4
     assert len(calls) == 2
-    # and so does FanGaloisData.build
-    FanGaloisData.build(sl6_datum, galois_a5_flip, None)
-    assert len(calls) == 3
     # an action that moves the orbit lattice is refused by the search too
     moved = HorosphericalDatum(rd_a2, [2], [[1, 0]]).to_spherical()
     flip = galois_from_permutations(rd_a2, [diagram_automorphism_group(rd_a2.type)[1]])
     fan = ColoredFan([ColoredCone(((1,),), frozenset())], moved)
     for search in (
-        lambda: enumerate_lifts(moved, flip),
-        lambda: FanGaloisData.build(moved, flip, None),
-        lambda: exists_stabilizing_lift(fan, moved, flip),
+        lambda: orbit_action(moved, flip).lifts(),
+        lambda: fan_stable(fan, orbit_action(moved, flip), None),
+        lambda: stabilizing_lift(fan, orbit_action(moved, flip)),
     ):
         with pytest.raises(ValueError, match="does not preserve"):
             search()
@@ -298,8 +296,7 @@ def test_fan_from_dict_reads_integer_strings_and_ints_alike(sl3_datum):
 
 def test_moved_rays_hold_no_float(sl3_fan, sl3_datum, rd_a2):
     flip = diagram_automorphism_group(rd_a2.type)[1]
-    g = galois_from_permutations(rd_a2, [flip])
-    fg = FanGaloisData.build(sl3_datum, g, enumerate_lifts(sl3_datum, g)[0])
-    assert fg.apply_ray(0, (F(1, 2), 3)) == (3, F(1, 2))
-    assert _exact(fg.apply_ray(0, (F(1, 2), 3)))
-    assert _exact(fg.apply_ray(0, (F(4, 2), 3)))
+    action = orbit_action(sl3_datum, galois_from_permutations(rd_a2, [flip]))
+    assert _move_ray(action, 0, (F(1, 2), 3)) == (3, F(1, 2))
+    assert _exact(_move_ray(action, 0, (F(1, 2), 3)))
+    assert _exact(_move_ray(action, 0, (F(4, 2), 3)))

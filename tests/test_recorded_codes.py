@@ -1,0 +1,68 @@
+"""Verdicts against the exit codes the benchmark recorded.
+
+The benchmark corpora (``perfbench/corpus.py``) are pure functions of the
+index, and ``perfbench/expected/<workload>.json`` holds one code per index:
+"0" exists, "1" does not, "2" input error, "-" filtered out.  A change to
+the engine that flips any of them is a changed verdict.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from spherical_models import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+# the prefix of each corpus decided here
+PREFIX = 2000
+
+
+def _corpus():
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _recorded(name):
+    with open(PERFBENCH / "expected" / (name + ".json"), encoding="utf-8") as f:
+        return json.load(f)
+
+
+def _code(doc, path):
+    try:
+        return "0" if cli.run_decide(doc, path).exists else "1"
+    except cli.ProblemError:
+        return "2"
+
+
+@pytest.mark.parametrize("workload", ["horo_sweep", "embed_fans"])
+def test_corpus_verdicts_match_the_recorded_codes(workload):
+    corpus = _corpus()
+    codes = _recorded(workload)["codes"][:PREFIX]
+    mismatches = []
+    for k, want in enumerate(codes):
+        if want == corpus.SKIP:
+            continue
+        got = _code(corpus.problem(workload, k), "%s[%d]" % (workload, k))
+        if got != want:
+            mismatches.append((k, want, got))
+    assert any(c != corpus.SKIP for c in codes)
+    assert mismatches == [], "index, recorded, got: %s" % mismatches[:10]
+
+
+def test_demo_verdicts_match_the_recorded_codes():
+    recorded = _recorded("cli_cold")["demos"]
+    demos = sorted((ROOT / "demos" / "problems").glob("*.json"))
+    assert sorted(p.name for p in demos) == sorted(recorded)
+    for path in demos:
+        try:
+            doc, _ = cli.load_problem(str(path))
+        except cli.ProblemError:
+            got = "2"
+        else:
+            got = _code(doc, str(path))
+        assert got == recorded[path.name]["code"], path.name

@@ -16,16 +16,15 @@ from spherical_models import (
     aut_character_lattices,
     based_root_datum,
     diagram_automorphism_group,
-    enumerate_lifts,
     galois_from_permutations,
-    invariants_stable,
     omega_sets,
+    orbit_action,
     quasiaffine_cover,
     quasiaffine_test,
     sigma_two,
     sigma_variants,
 )
-from spherical_models.spherical import _json_rational, omega_action
+from spherical_models.spherical import _json_rational
 from test_decision import KERNEL_ROUTE_TYPES, _stable_horospherical_lattice, diagram_actions
 
 
@@ -177,24 +176,24 @@ def test_aut_lattices_full_quotient(rd_a2):
 
 
 def test_stability_sl6(sl6_datum, galois_a5_flip):
-    assert invariants_stable(sl6_datum, galois_a5_flip)
+    assert orbit_action(sl6_datum, galois_a5_flip).unstable is None
 
 
 def test_stability_sl3(sl3_datum, rd_a2):
     flip = diagram_automorphism_group(rd_a2.type)[1]
-    assert invariants_stable(sl3_datum, galois_from_permutations(rd_a2, [flip]))
+    assert orbit_action(sl3_datum, galois_from_permutations(rd_a2, [flip])).unstable is None
 
 
 def test_stability_moved_lattice(rd_a2):
     flip = diagram_automorphism_group(rd_a2.type)[1]
     g = galois_from_permutations(rd_a2, [flip])
     d = SphericalDatum(rd_a2, [[1, 0]], [], [])
-    assert not invariants_stable(d, g)
-    assert invariants_stable(d, g, witness=True) == 0
+    assert orbit_action(d, g).unstable is not None
+    assert orbit_action(d, g).unstable == 0
 
 
 def test_stability_quadric_flip(so10_datum, galois_d5_flip):
-    assert invariants_stable(so10_datum, galois_d5_flip)
+    assert orbit_action(so10_datum, galois_d5_flip).unstable is None
 
 
 def test_stability_moved_spherical_roots():
@@ -204,25 +203,26 @@ def test_stability_moved_spherical_roots():
     colors = [Color("D%d" % i, tuple(r), frozenset({i})) for i, r in zip((1, 2, 3), roots)]
     d = SphericalDatum(rd, roots, [tuple(a + b for a, b in zip(roots[0], roots[1]))], colors)
     g = galois_from_permutations(rd, [diagram_automorphism_group(rd.type)[1]])
-    assert invariants_stable(SphericalDatum(rd, roots, [], colors), g)
-    assert not invariants_stable(d, g)
-    assert invariants_stable(d, g, witness=True) == 0
+    assert orbit_action(SphericalDatum(rd, roots, [], colors), g).unstable is None
+    assert orbit_action(d, g).unstable is not None
+    assert orbit_action(d, g).unstable == 0
     # the color images alone are permuted, but the action is refused
     assert fraction_omega_perms(d, g)[0] == fraction_omega_perms(SphericalDatum(rd, roots, [], colors), g)[0]
     with pytest.raises(ValueError, match="does not preserve"):
-        omega_action(d, g)
+        orbit_action(d, g).stable()
 
 
 def _assert_stability_matches_oracles(datum, galois):
     """The merged stability check against the set-based oracle, and the
     color-image permutations against the Fraction oracle; returns the witness."""
     want = set_based_unstable_generator(datum, galois)
-    assert invariants_stable(datum, galois, witness=True) == want
+    assert orbit_action(datum, galois).unstable == want
     if want is not None:
         with pytest.raises(ValueError, match="does not preserve"):
-            omega_action(datum, galois)
+            orbit_action(datum, galois).stable()
         return want
-    fibers, perms = omega_action(datum, galois)
+    action = orbit_action(datum, galois).stable()
+    fibers, perms = action.fibers, action.perms
     assert set(fibers) == {(c.rho, c.sigma_set) for c in datum.colors}
     assert list(perms) == fraction_omega_perms(datum, galois)
     return None
@@ -339,30 +339,29 @@ def test_merged_stability_matches_set_oracle(case, sl3_datum, sl6_datum, so10_da
 
 
 def test_lift_counts(sl6_datum, sl3_datum, galois_a5_flip, rd_a2):
-    assert len(enumerate_lifts(sl6_datum, galois_a5_flip)) == 4
+    assert len(orbit_action(sl6_datum, galois_a5_flip).lifts()) == 4
     flip3 = diagram_automorphism_group(rd_a2.type)[1]
-    assert len(enumerate_lifts(sl3_datum, galois_from_permutations(rd_a2, [flip3]))) == 1
-    assert len(enumerate_lifts(sl3_datum, GaloisAction.trivial(2))) == 1
+    assert len(orbit_action(sl3_datum, galois_from_permutations(rd_a2, [flip3])).lifts()) == 1
+    assert len(orbit_action(sl3_datum, GaloisAction.trivial(2)).lifts()) == 1
 
 
 def test_lift_count_trivial_action_two_fibers(sl6_datum):
     g = GaloisAction("cyclic2", [IntMatrix.identity(5)])
     o1, o2 = omega_sets(sl6_datum)
-    assert len(enumerate_lifts(sl6_datum, g)) == 2 ** len(o2)
+    assert len(orbit_action(sl6_datum, g).lifts()) == 2 ** len(o2)
 
 
 def test_sl6_contains_cross_swap_lift(sl6_datum, galois_a5_flip):
-    lifts = enumerate_lifts(sl6_datum, galois_a5_flip)
+    lifts = orbit_action(sl6_datum, galois_a5_flip).lifts()
     wanted = {("D1+", "D5-"), ("D1-", "D5+"), ("D5+", "D1-"), ("D5-", "D1+")}
     assert any(wanted <= set(L.generator_maps[0]) for L in lifts)
 
 
 def test_lifts_cover_omega_action(sl6_datum, galois_a5_flip):
-    from spherical_models.spherical import omega_action
-
-    fibers, perms = omega_action(sl6_datum, galois_a5_flip)
+    action = orbit_action(sl6_datum, galois_a5_flip).stable()
+    fibers, perms = action.fibers, action.perms
     color_fiber = {cid: key for key, ids in fibers.items() for cid in ids}
-    for L in enumerate_lifts(sl6_datum, galois_a5_flip):
+    for L in action.lifts():
         gmap = L.mapping(0)
         for cid, img in gmap.items():
             assert color_fiber[img] == perms[0][color_fiber[cid]]
@@ -377,7 +376,7 @@ def test_lift_enumeration_matches_permutation_filter(case, sl6_datum, sl3_datum,
     else:
         flip3 = diagram_automorphism_group(rd_a2.type)[1]
         datum, galois = sl3_datum, galois_from_permutations(rd_a2, [flip3])
-    ours = {L.generator_maps for L in enumerate_lifts(datum, galois)}
+    ours = {L.generator_maps for L in orbit_action(datum, galois).lifts()}
     oracle = all_color_lifts_by_filter(datum, galois)
     assert ours == oracle
 
@@ -387,7 +386,7 @@ def test_lifts_require_stability(rd_a2):
     g = galois_from_permutations(rd_a2, [flip])
     d = SphericalDatum(rd_a2, [[1, 0]], [], [])
     with pytest.raises(ValueError):
-        enumerate_lifts(d, g)
+        orbit_action(d, g).lifts()
 
 
 # -- quasi-affineness -----------------------------------------------------------
@@ -532,8 +531,6 @@ def _d4_actions():
 def test_color_transform_matches_fraction_oracle(case, rd_a2):
     from oracles import fraction_omega_perms
 
-    from spherical_models.spherical import omega_action
-
     if case.startswith("a2"):
         e2 = (F(2, 3), F(1, 2)) if case == "a2_flip_unstable" else (F(2, 3), F(1, 3))
         datum = _mixed_denominator_datum(rd_a2, e2)
@@ -547,12 +544,13 @@ def test_color_transform_matches_fraction_oracle(case, rd_a2):
     expected = fraction_omega_perms(datum, g)
     stable = all(moved in images for perm in expected for moved in perm.values())
     assert stable == (case != "a2_flip_unstable")
-    assert invariants_stable(datum, g) is stable
+    assert (orbit_action(datum, g).unstable is None) is stable
     if not stable:
         with pytest.raises(ValueError):
-            omega_action(datum, g)
+            orbit_action(datum, g).stable()
         return
-    fibers, perms = omega_action(datum, g)
+    action = orbit_action(datum, g).stable()
+    fibers, perms = action.fibers, action.perms
     assert set(fibers) == images
     assert len(perms) == len(g.generators)
     for perm, want in zip(perms, expected):
@@ -560,8 +558,6 @@ def test_color_transform_matches_fraction_oracle(case, rd_a2):
 
 
 def test_omega_action_refuses_fibers_of_different_sizes(rd_a2):
-    from spherical_models.spherical import omega_action
-
     # the flip sends the two-color fiber over node 1 to the one-color fiber
     # over node 2
     datum = SphericalDatum(
@@ -575,9 +571,9 @@ def test_omega_action_refuses_fibers_of_different_sizes(rd_a2):
         ],
     )
     g = galois_from_permutations(rd_a2, [diagram_automorphism_group(rd_a2.type)[1]])
-    assert not invariants_stable(datum, g)
+    assert orbit_action(datum, g).unstable is not None
     with pytest.raises(ValueError, match="color images"):
-        omega_action(datum, g)
+        orbit_action(datum, g).stable()
 
 
 def _sl6_with_torus(sl6_datum):
