@@ -47,7 +47,7 @@ from .rootdata import (
 from .spherical import (
     SphericalDatum,
     aut_character_lattices,
-    check_integer_entries,
+    check_shapes,
     omega_sets,
     sigma_two,
     sigma_variants,
@@ -70,21 +70,20 @@ def _need(doc, key, path):
     return doc[key]
 
 
-# the datum class whose integer entries each kind reads
-_DATUM_CLASS = {
-    "horospherical": HorosphericalDatum,
-    "spherical": SphericalDatum,
-    "embedding": SphericalDatum,
+# the shapes of the payload entries each kind reads
+_PAYLOAD_SHAPES = {
+    "horospherical": HorosphericalDatum.SHAPES,
+    "spherical": SphericalDatum.SHAPES,
+    "embedding": dict(SphericalDatum.SHAPES, fan=ColoredFan.SHAPES),
 }
 
 
-def _check_integers(doc, kind, path):
-    """Refuse strings and booleans where ``kind`` reads integers."""
-    if kind in _DATUM_CLASS:
-        try:
-            check_integer_entries(doc, _DATUM_CLASS[kind].INTEGER_ENTRIES, path)
-        except ValueError as e:
-            raise ProblemError(str(e))
+def _check_shapes(doc, shape, path):
+    """Refuse, at its path, an entry that does not fit ``shape`` (see check_shapes)."""
+    try:
+        check_shapes(doc, shape, path)
+    except ValueError as e:
+        raise ProblemError(str(e))
 
 
 def _parse_galois(entry, rd, path):
@@ -102,10 +101,7 @@ def _parse_galois(entry, rd, path):
     if group == "trivial":
         return galois_from_permutations(rd, [])
     autos = []
-    try:
-        check_integer_entries(entry, {"generators": [[int]]}, path)
-    except ValueError as e:
-        raise ProblemError(str(e))
+    _check_shapes(entry, {"generators": [[int]]}, path)
     for k, one_line in enumerate(gens):
         if sorted(one_line) != list(range(1, rd.rank + 1)):
             _fail(path, "generator %d is not a permutation of 1..%d" % (k + 1, rd.rank))
@@ -132,6 +128,7 @@ def _parse_tits(entry, rd, path):
                 _fail(path, "catalog entry %s is a form of %s, not of %s" % (name, form.type, rd.type))
             return form.tits
         if "values" in entry:
+            _check_shapes(entry, {"values": list}, path)
             try:
                 return TitsClassSpec.from_values([Fraction(str(v)) for v in entry["values"]])
             except (ValueError, ZeroDivisionError) as e:
@@ -147,6 +144,7 @@ def _parse_field(entry, rd, global_galois, path):
         return FieldDescriptor(mode)
     if mode != NUMBER_FIELD:
         _fail(path, "unsupported base field: %r" % (mode,))
+    _check_shapes(entry, {"sites": [{}]}, path)
     sites = []
     for k, s in enumerate(entry.get("sites", [])):
         spath = "%s.sites[%d]" % (path, k)
@@ -186,7 +184,8 @@ def load_problem(path):
     kind = _need(doc, "kind", path)
     if kind not in KINDS:
         raise ProblemError("%s: unknown kind %r (expected one of %s)" % (path, kind, ", ".join(KINDS)))
-    _check_integers(doc, kind, path)
+    if kind in _PAYLOAD_SHAPES:
+        _check_shapes(doc, _PAYLOAD_SHAPES[kind], path)
     return doc, kind
 
 
@@ -237,15 +236,18 @@ def run_decide(doc, path):
     kind = doc["kind"]
     if kind == "diagonal":
         if "factors" in doc:
+            factors = doc["factors"]
+            if not isinstance(factors, list) or len(factors) < 2:
+                _fail(path + ".factors", "factors must be a list of at least two catalog names")
             try:
-                markers = delta_markers_from_catalog([str(x) for x in doc["factors"]])
+                markers = delta_markers_from_catalog([str(x) for x in factors])
             except (KeyError, ValueError) as e:
                 _fail(path + ".factors", str(e))
-            n = len(doc["factors"])
+            n = len(factors)
         else:
             deltas = _need(doc, "deltas", path)
-            if not isinstance(deltas, list):
-                _fail(path + ".deltas", "deltas must be a list of markers")
+            if not isinstance(deltas, list) or not deltas:
+                _fail(path + ".deltas", "deltas must be a list of markers, one per non-base factor")
             markers = [
                 "trivial" if d in ("trivial", None) else d for d in deltas
             ]
@@ -306,9 +308,8 @@ def invariants_report(doc, path):
     mod, inv, incl = center_invariants(rd, galois)
     lines.append("center characters P/Q: %s" % _fmt_group(mod))
     lines.append("fixed center characters (P/Q)^G: %s" % _fmt_group(inv))
-    for i in range(inv.rank):
-        e = tuple(1 if j == i else 0 for j in range(inv.rank))
-        lines.append("  generator %d image in P/Q: %s" % (i + 1, _fmt_vec(incl.apply(e))))
+    for i, img in enumerate(incl.images, start=1):
+        lines.append("  generator %d image in P/Q: %s" % (i, _fmt_vec(img)))
     local_mode = field.mode if field.mode in (REAL, PADIC) else REAL
     t0 = None
     try:

@@ -192,7 +192,7 @@ def resolve_local_character(rd, galois, tits, mode):
     t0 = tits.resolve(inv)
     val_galois, val_mod = galois, mod
     if mode == REAL and galois.is_trivial_group():
-        val_galois = _trivial_c2(rd)
+        val_galois = _named_galois(rd, "trivial-c2")
         val_mod = center_invariants(rd, val_galois)[0]
     problems = validate_br_character(
         t0, mode, ambient=val_mod, galois=val_galois, embedding=incl
@@ -256,9 +256,8 @@ def kappa_on_invariants(datum, characters, mod, inv, incl):
     """
     xa_inv, xa_incl = group_invariants(characters)
     images = []
-    for i in range(xa_inv.rank):
-        e = tuple(1 if j == i else 0 for j in range(xa_inv.rank))
-        coords = characters.lift(xa_incl.apply(e))  # coordinates in the orbit-lattice basis
+    for img in xa_incl.images:
+        coords = characters.lift(img)  # coordinates in the orbit-lattice basis
         ambient = apply_row(coords, datum.lattice.basis)
         weight = ambient[: datum.rd.rank]
         cls = incl.preimage(mod.from_ambient(weight))
@@ -565,128 +564,103 @@ class CatalogEntry:
         }
 
 
-_SU_RE = re.compile(r"^SU\((\d+)(?:,(\d+))?\)$")
-_SL_R_RE = re.compile(r"^SL\((\d+),R\)$")
-_SL_H_RE = re.compile(r"^SL\((\d+),H\)$")
-_SP_R_RE = re.compile(r"^Sp\((\d+),R\)$")
-_SP_PQ_RE = re.compile(r"^Sp\((\d+),(\d+)\)$")
-
 _TABLE_CITATION = "Tits-algebra tables for the classical real forms"
+_SPLIT_CITATION = "split forms have trivial Tits class"
+_HALF = ("1/2",)
 
 
-def _flip_action(rd):
-    """The order-2 outer action when the diagram has one, else trivial C2.
+def _su(p, q):
+    n = p + q
+    if n < 2:
+        return None
+    half = n % 2 == 0 and (n // 2 - p) % 2
+    return "A%d" % (n - 1), "flip", _HALF if half else (), _TABLE_CITATION
 
-    Catalog entries are real forms, where the Galois group is always of
-    order 2; only the star action may degenerate.
+
+# The built-in families: display name, pattern (read with re.match) and a
+# function from the pattern's integers to (type label, Galois image name,
+# t0 values, citation), or None outside the family.  All are real forms.
+_FAMILIES = (
+    ("SU(p,q)", re.compile(r"^SU\((\d+),(\d+)\)$"), _su),
+    ("SU(n)", re.compile(r"^SU\((\d+)\)$"), lambda n: _su(n, 0)),
+    ("SL(n,R)", re.compile(r"^SL\((\d+),R\)$"),
+     lambda n: ("A%d" % (n - 1), "trivial-c2", (), _SPLIT_CITATION) if n >= 2 else None),
+    ("SL(m,H)", re.compile(r"^SL\((\d+),H\)$"),
+     lambda m: ("A%d" % (2 * m - 1), "trivial-c2", _HALF, _TABLE_CITATION) if m >= 1 else None),
+    ("Sp(2n,R)", re.compile(r"^Sp\((\d+),R\)$"),
+     lambda two_n: ("C%d" % (two_n // 2), "trivial-c2", (), _SPLIT_CITATION)
+     if two_n >= 4 and two_n % 2 == 0 else None),
+    ("Sp(p,q)", re.compile(r"^Sp\((\d+),(\d+)\)$"),
+     lambda p, q: ("C%d" % (p + q), "trivial-c2", _HALF, _TABLE_CITATION) if p + q >= 2 else None),
+    # \Z, not $: the name is matched exactly, without a trailing newline
+    ("SO*(10)", re.compile(r"^SO\*\(10\)\Z"), lambda: ("D5", "flip", _HALF, _TABLE_CITATION)),
+)
+
+_GALOIS_NAMES = ("trivial", "trivial-c2", "flip")
+
+
+def _named_galois(rd, name):
+    """The Galois image a catalog entry names, one of _GALOIS_NAMES.
+
+    "trivial-c2" is the order-2 group acting trivially; "flip" is the
+    order-2 outer action, or trivial-c2 when the diagram has none (the
+    Galois group of a real form always has order 2, only the star action may
+    degenerate).
     """
-    flip = diagram_flip(rd.type)
-    if flip is None:
-        return _trivial_c2(rd)
-    return galois_from_permutations(rd, [flip])
-
-
-def _trivial_c2(rd):
+    flip = diagram_flip(rd.type) if name == "flip" else None
+    if flip is not None:
+        return galois_from_permutations(rd, [flip])
+    if name == "trivial":
+        return galois_from_permutations(rd, [])
     identity = DiagramAutomorphism(tuple(range(rd.rank)))
     return galois_from_permutations(rd, [identity], group_name="cyclic2")
+
+
+def _catalog_entry(name, label, galois, t0, citation, mode=REAL):
+    """The one builder of catalog entries, built-in or read from a file.
+
+    Parses the type label (ValueError on a bad label or a rank over the
+    cap), resolves the Galois image by name and makes the Tits spec: zero
+    for an empty ``t0``.
+    """
+    t = SimpleType.parse(label)
+    tits = TitsClassSpec.from_values(t0) if t0 else TitsClassSpec.zero()
+    return CatalogEntry(name, t, _named_galois(based_root_datum(t), galois), tits, mode, citation)
 
 
 def catalog_lookup(name):
     """A literature-backed form: its type, Galois image, and Tits character.
 
-    Supported names: SU(p,q) and SU(n) over the reals, SL(n,R), SL(m,H),
-    Sp(2n,R), Sp(p,q), SO*(10), plus any entries loaded from the files named
-    by the SPHERICAL_MODELS_CATALOG environment variable.
+    Supported names: the built-in families of _FAMILIES (SU(p,q) and SU(n)
+    over the reals, SL(n,R), SL(m,H), Sp(2n,R), Sp(p,q), SO*(10)), plus any
+    entries loaded from the files named by the SPHERICAL_MODELS_CATALOG
+    environment variable, which take precedence.
     """
     ext = _extension_entries()
     if name in ext:
         return ext[name]
-    m = _SU_RE.match(name)
-    if m:
-        p = int(m.group(1))
-        q = int(m.group(2)) if m.group(2) is not None else 0
-        n = p + q
-        if n < 2:
-            raise KeyError("unknown catalog name %r" % (name,))
-        t = SimpleType("A", n - 1)
-        rd = based_root_datum(t)
-        galois = _flip_action(rd)
-        if n % 2 == 1:
-            tits = TitsClassSpec.zero()
-        else:
-            half = (n // 2 - p) % 2
-            tits = (
-                TitsClassSpec.from_values([Fraction(1, 2)])
-                if half
-                else TitsClassSpec.zero()
-            )
-        return CatalogEntry(name, t, galois, tits, REAL, _TABLE_CITATION)
-    m = _SL_R_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        if n < 2:
-            raise KeyError("unknown catalog name %r" % (name,))
-        t = SimpleType("A", n - 1)
-        rd = based_root_datum(t)
-        return CatalogEntry(
-            name, t, _trivial_c2(rd), TitsClassSpec.zero(), REAL,
-            "split forms have trivial Tits class",
-        )
-    m = _SL_H_RE.match(name)
-    if m:
-        mm = int(m.group(1))
-        if mm < 1:
-            raise KeyError("unknown catalog name %r" % (name,))
-        t = SimpleType("A", 2 * mm - 1)
-        rd = based_root_datum(t)
-        return CatalogEntry(
-            name, t, _trivial_c2(rd),
-            TitsClassSpec.from_values([Fraction(1, 2)]), REAL, _TABLE_CITATION,
-        )
-    m = _SP_R_RE.match(name)
-    if m:
-        two_n = int(m.group(1))
-        if two_n < 4 or two_n % 2:
-            raise KeyError("unknown catalog name %r" % (name,))
-        t = SimpleType("C", two_n // 2)
-        rd = based_root_datum(t)
-        return CatalogEntry(
-            name, t, _trivial_c2(rd), TitsClassSpec.zero(), REAL,
-            "split forms have trivial Tits class",
-        )
-    m = _SP_PQ_RE.match(name)
-    if m:
-        p, q = int(m.group(1)), int(m.group(2))
-        if p + q < 2:
-            raise KeyError("unknown catalog name %r" % (name,))
-        t = SimpleType("C", p + q)
-        rd = based_root_datum(t)
-        return CatalogEntry(
-            name, t, _trivial_c2(rd),
-            TitsClassSpec.from_values([Fraction(1, 2)]), REAL, _TABLE_CITATION,
-        )
-    if name == "SO*(10)":
-        t = SimpleType("D", 5)
-        rd = based_root_datum(t)
-        return CatalogEntry(
-            name, t, _flip_action(rd),
-            TitsClassSpec.from_values([Fraction(1, 2)]), REAL, _TABLE_CITATION,
-        )
+    for _, pattern, family in _FAMILIES:
+        m = pattern.match(name)
+        if m:
+            row = family(*map(int, m.groups()))
+            if row is not None:
+                return _catalog_entry(name, *row)
+            break
     raise KeyError("unknown catalog name %r" % (name,))
 
 
 def catalog_names():
-    names = ["SU(p,q)", "SU(n)", "SL(n,R)", "SL(m,H)", "Sp(2n,R)", "Sp(p,q)", "SO*(10)"]
-    return names + sorted(_extension_entries())
+    return [display for display, _, _ in _FAMILIES] + sorted(_extension_entries())
 
 
 def _extension_entries():
     """The entries of the catalog files named by SPHERICAL_MODELS_CATALOG.
 
     A file that cannot be read, is not a JSON object, or holds an entry
-    without a "type", with an unknown "galois", with a "t0" that is not a
-    list of rationals or with a "mode" other than real or padic raises
-    ValueError naming the file and the fault.
+    without a "type", with a bad type label or rank, with an unknown
+    "galois", with a "t0" that is not a list of rationals or with a "mode"
+    other than real or padic raises ValueError naming the file, the entry
+    and the fault.
     """
     paths = os.environ.get("SPHERICAL_MODELS_CATALOG", "")
     out = {}
@@ -703,37 +677,27 @@ def _extension_entries():
         if not isinstance(doc, dict):
             raise ValueError("catalog file %s: must be an object mapping names to entries" % path)
         for name, entry in doc.items():
+            where = "catalog file %s: entry %s" % (path, name)
             if not isinstance(entry, dict) or not isinstance(entry.get("type"), str):
-                raise ValueError('catalog file %s: entry %s has no "type" label' % (path, name))
-            t = SimpleType.parse(entry["type"])
-            rd = based_root_datum(t)
+                raise ValueError('%s has no "type" label' % where)
             gname = entry.get("galois", "trivial")
-            if gname == "trivial":
-                galois = galois_from_permutations(rd, [])
-            elif gname == "flip":
-                galois = _flip_action(rd)
-            elif gname == "trivial-c2":
-                galois = _trivial_c2(rd)
-            else:
-                raise ValueError("catalog file %s: entry %s has unknown galois %r" % (path, name, gname))
+            if gname not in _GALOIS_NAMES:
+                raise ValueError("%s has unknown galois %r" % (where, gname))
             t0 = entry.get("t0", [])
             try:
                 if not isinstance(t0, list) or any(type(v) not in (int, str) for v in t0):
                     raise ValueError
                 vals = [_json_rational(v) for v in t0]
             except ValueError:
-                raise ValueError(
-                    'catalog file %s: entry %s has "t0" %r, not a list of rationals' % (path, name, t0)
-                ) from None
+                raise ValueError('%s has "t0" %r, not a list of rationals' % (where, t0)) from None
             mode = entry.get("mode", REAL)
             if mode not in (REAL, PADIC):
-                raise ValueError(
-                    'catalog file %s: entry %s has "mode" %r, not "real" or "padic"' % (path, name, mode)
-                )
-            tits = TitsClassSpec.from_values(vals) if vals else TitsClassSpec.zero()
-            out[name] = CatalogEntry(
-                name, t, galois, tits, mode, entry.get("citation", "user-supplied catalog extension")
-            )
+                raise ValueError('%s has "mode" %r, not "real" or "padic"' % (where, mode))
+            citation = entry.get("citation", "user-supplied catalog extension")
+            try:
+                out[name] = _catalog_entry(name, entry["type"], gname, vals, citation, mode)
+            except ValueError as e:
+                raise ValueError("%s: %s" % (where, e)) from None
     return out
 
 

@@ -26,6 +26,7 @@ from .spherical import (
     _exact_rational,
     _fmt_fraction,
     _json_rational,
+    check_shapes,
 )
 
 
@@ -49,8 +50,12 @@ class ColoredCone:
 def cone_canonicalize(cone, datum):
     """Canonical form: primitive integer extreme rays of cone(rays + color functionals).
 
-    Rejects non-strictly-convex cones and colors with zero functional.
+    Rejects generators whose length is not the orbit rank, non-strictly-convex
+    cones and colors with zero functional.
     """
+    for r in cone.rays:
+        if len(r) != datum.rank:
+            raise ValueError("a generator has length %d, not the orbit rank %d" % (len(r), datum.rank))
     by_id = {c.id: c for c in datum.colors}
     gens = list(cone.rays)
     for cid in sorted(cone.colors):
@@ -74,6 +79,10 @@ class ColoredFan:
     """
 
     __slots__ = ("cones", "datum", "keys")
+
+    # the shape of the "fan" entry of a problem document (see check_shapes);
+    # color ids are compared as strings
+    SHAPES = [{"generators": [list], "colors": list}]
 
     def __init__(self, cones, datum, check_valuation_cone=False):
         canon = []
@@ -109,10 +118,11 @@ class ColoredFan:
 
     @classmethod
     def from_dict(cls, doc, datum, check_valuation_cone=False):
+        check_shapes(doc, cls.SHAPES)
         cones = [
             ColoredCone(
                 tuple(tuple(map(_json_rational, r)) for r in entry["generators"]),
-                frozenset(entry.get("colors", [])),
+                tuple(entry.get("colors", [])),
             )
             for entry in doc
         ]

@@ -246,32 +246,19 @@ def h2_cyclic(module, galois):
         triv = FgAbelianGroup(0, [])
         zero_map = GroupHom(inv, triv, [() for _ in range(inv.rank)])
         return triv, zero_map
-    n_mat = _norm_matrix(module, galois)
     norm_rows = []
-    for j in range(module.rank):
-        e = tuple(1 if i == j else 0 for i in range(module.rank))
-        img = module.reduce_reduced(apply_row(e, n_mat))
-        pre = incl.preimage(img)
+    for row in _norm_matrix(module, galois).data:
+        pre = incl.preimage(module.reduce_reduced(row))
         if pre is None:
             raise ValueError("norm image is not fixed; inconsistent action")
         norm_rows.append(list(pre))
-    rel = norm_rows + [list(r) for r in _full_relations(inv)]
-    h2 = FgAbelianGroup(inv.rank, rel)
+    h2 = FgAbelianGroup(inv.rank, norm_rows + inv.relations())
     images = []
     for idx in range(inv.rank):
         e = tuple(1 if i == idx else 0 for i in range(inv.rank))
         images.append(h2.from_ambient(e))
     class_hom = GroupHom(inv, h2, images)
     return h2, class_hom
-
-
-def _full_relations(group):
-    k = group.rank
-    return [
-        tuple(d if i == j else 0 for i in range(k))
-        for j, d in enumerate(group.invariant_factors)
-        if d > 0
-    ]
 
 
 @dataclass(frozen=True)
@@ -376,11 +363,8 @@ def validate_br_character(t0, field_mode, ambient=None, galois=None, embedding=N
         if ambient is not None and galois is not None:
             if embedding is None:
                 raise ValueError("norm check needs the embedding of the source")
-            n_mat = _norm_matrix(ambient, galois)
-            for j in range(ambient.rank):
-                e = tuple(1 if i == j else 0 for i in range(ambient.rank))
-                norm = ambient.reduce_reduced(apply_row(e, n_mat))
-                pre = embedding.preimage(norm)
+            for j, row in enumerate(_norm_matrix(ambient, galois).data):
+                pre = embedding.preimage(ambient.reduce_reduced(row))
                 if pre is None:
                     problems.append("a norm element does not lie in the fixed points")
                     continue

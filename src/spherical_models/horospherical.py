@@ -10,16 +10,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import Lattice, apply_row
+from .lattice import Lattice, stabilizes
 from .rootdata import node_permutation
-from .spherical import Color, SphericalDatum, check_integer_entries
+from .spherical import Color, SphericalDatum, check_shapes
 
 
 class HorosphericalDatum:
     __slots__ = ("rd", "I", "M")
 
-    # the integer entries of a problem document (see check_integer_entries)
-    INTEGER_ENTRIES = {"I": [int], "M": [[int]]}
+    # the shapes of the entries of a problem document (see check_shapes)
+    SHAPES = {"I": [int], "M": [[int]]}
 
     def __init__(self, rd, nodes, m_rows):
         self.rd = rd
@@ -38,16 +38,16 @@ class HorosphericalDatum:
         return out
 
     def stable(self, galois):
-        """True iff every generator fixes I setwise and maps M onto M."""
-        for gi in galois.generators:
-            m = galois.matrices[gi]
+        """True iff every generator fixes I setwise and maps M onto M.
+
+        A generator has finite order, so mapping M into M is mapping it onto M.
+        """
+        mats = galois.generator_matrices()
+        for m in mats:
             perm = node_permutation(self.rd, m)
             if perm is None or {perm[i] for i in self.I} != self.I:
                 return False
-            moved = Lattice(self.rd.rank, [apply_row(r, m) for r in self.M.basis.data])
-            if moved != self.M:
-                return False
-        return True
+        return stabilizes(self.M, mats)
 
     def to_spherical(self):
         """The combinatorial invariants of the corresponding open orbit.
@@ -73,5 +73,5 @@ class HorosphericalDatum:
 
     @classmethod
     def from_dict(cls, rd, doc):
-        check_integer_entries(doc, cls.INTEGER_ENTRIES)
+        check_shapes(doc, cls.SHAPES)
         return cls(rd, doc.get("I", []), doc.get("M", []))

@@ -533,6 +533,11 @@ class FgAbelianGroup:
     def zero(self):
         return (0,) * self.rank
 
+    def relations(self):
+        """The rows d*e_j of the reduced coordinates, one per finite invariant factor d."""
+        k = self.rank
+        return [[d if i == j else 0 for i in range(k)] for j, d in enumerate(self.invariant_factors) if d > 0]
+
     def is_trivial(self):
         return self.rank == 0
 
@@ -683,13 +688,7 @@ class GroupHom:
         on the first call and reused by every later one.
         """
         if self._solver is None:
-            mod_rows = []
-            for j, d in enumerate(self.target.invariant_factors):
-                if d > 0:
-                    row = [0] * self.target.rank
-                    row[j] = d
-                    mod_rows.append(row)
-            m = IntMatrix(list(self.images) + mod_rows, cols=self.target.rank)
+            m = IntMatrix(list(self.images) + self.target.relations(), cols=self.target.rank)
             self._solver = _RowSolver(m)
         sol = self._solver.solve(element)
         if sol is None:
@@ -698,17 +697,8 @@ class GroupHom:
 
     def kernel(self):
         """Kernel as (subgroup, inclusion GroupHom into source)."""
-        img_rows = [list(img) for img in self.images]
-        target_rel = Lattice(
-            self.target.rank,
-            [
-                [d if i == j else 0 for i in range(self.target.rank)]
-                for j, d in enumerate(self.target.invariant_factors)
-                if d > 0
-            ],
-        )
-        m = IntMatrix(img_rows) if img_rows else IntMatrix.zero(0, self.target.rank)
-        lat_rows = preimage_lattice(m, target_rel)
+        m = IntMatrix(self.images, cols=self.target.rank)
+        lat_rows = preimage_lattice(m, Lattice(self.target.rank, self.target.relations()))
         return _subquotient(self.source, lat_rows)
 
 
@@ -750,11 +740,7 @@ def _subquotient(group, lat_rows):
     Returns (subgroup, inclusion hom).
     """
     k = group.rank
-    mod_rows = [
-        [d if i == j else 0 for i in range(k)]
-        for j, d in enumerate(group.invariant_factors)
-        if d > 0
-    ]
+    mod_rows = group.relations()
     span = Lattice(k, list(lat_rows) + mod_rows)
     # the moduli lie in the span by construction
     relations = [list(span.coords_of(tuple(row))) for row in mod_rows]
@@ -784,14 +770,11 @@ def group_invariants(group):
     for m in group.action:
         blocks.append(m - ident)
     stacked = IntMatrix([sum((list(b.data[i]) for b in blocks), []) for i in range(k)])
-    mod_target_rows = []
-    nblocks = len(blocks)
-    for bi in range(nblocks):
-        for j, d in enumerate(group.invariant_factors):
-            if d > 0:
-                row = [0] * (k * nblocks)
-                row[bi * k + j] = d
-                mod_target_rows.append(row)
-    target = Lattice(k * nblocks, mod_target_rows)
+    # the relations of the group, once per block
+    nblocks, rels = len(blocks), group.relations()
+    target = Lattice(
+        k * nblocks,
+        [[0] * (bi * k) + r + [0] * ((nblocks - 1 - bi) * k) for bi in range(nblocks) for r in rels],
+    )
     lat_rows = preimage_lattice(stacked, target)
     return _subquotient(group, lat_rows)

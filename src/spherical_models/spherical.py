@@ -92,13 +92,13 @@ class SphericalDatum:
 
     __slots__ = ("rd", "basis", "sigma", "colors", "sigma234", "torus_rank", "lattice")
 
-    # the integer entries of a problem document (see check_integer_entries)
-    INTEGER_ENTRIES = {
+    # the shapes of the entries of a problem document (see check_shapes)
+    SHAPES = {
         "X": [[int]],
         "sigma": [[int]],
         "sigma234": [int],
         "torus_rank": int,
-        "colors": [{"sigma_set": [int]}],
+        "colors": [{"sigma_set": [int], "rho": list}],
     }
 
     def __init__(self, rd, basis, sigma, colors, sigma234=(), torus_rank=0):
@@ -216,7 +216,7 @@ class SphericalDatum:
 
     @classmethod
     def from_dict(cls, rd, doc):
-        check_integer_entries(doc, cls.INTEGER_ENTRIES)
+        check_shapes(doc, cls.SHAPES)
         colors = [
             Color(
                 str(c["id"]),
@@ -235,10 +235,11 @@ class SphericalDatum:
         )
 
 
-def check_integer_entries(doc, shape, path=""):
+def check_shapes(doc, shape, path=""):
     """Raise ValueError at the first entry of ``doc`` that does not fit ``shape``.
 
-    A shape is ``int`` (a JSON integer), ``[item]`` (a list of items) or
+    A shape is ``int`` (a JSON integer), ``list`` (a list whose entries are
+    read later, such as rationals), ``[item]`` (a list of items) or
     ``{key: shape}`` (an object; absent keys are not checked).  Strings and
     booleans are refused rather than coerced, so the exact kernels only ever
     see integers.
@@ -254,6 +255,8 @@ def _shape_error(value, shape):
         if type(value) is int:  # no booleans, no strings
             return None
         return "", "expected an integer, got %s" % json.dumps(value, default=repr)
+    if shape is list:
+        return None if isinstance(value, (list, tuple)) else ("", "expected a list")
     if isinstance(shape, dict):
         if not isinstance(value, dict):
             return "", "expected an object"

@@ -115,11 +115,19 @@ def test_decide_rejects_catalog_form_of_another_type(tmp_path, capsys, name):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("M", 5), ("I", 5), ("deltas", "xyz")],
+    [
+        ("M", 5),
+        ("I", 5),
+        ("deltas", "xyz"),
+        ("deltas", []),
+        ("factors", 5),
+        ("factors", []),
+        ("factors", ["SU(2,2)"]),
+    ],
 )
 def test_decide_rejects_malformed_shapes(tmp_path, capsys, key, value):
-    if key == "deltas":
-        doc = {"version": 1, "kind": "diagonal", "deltas": value}
+    if key in ("deltas", "factors"):
+        doc = {"version": 1, "kind": "diagonal", key: value}
     else:
         doc = dict(HORO_A2, tits="zero", **{key: value})
     code, _, err = run(capsys, "decide", write(tmp_path, doc))
@@ -522,6 +530,14 @@ CATALOG_FAULTS = {
         json.dumps({"MyForm": {"type": "A5", "galois": "flip", "mode": "complex"}}),
         "entry MyForm has \"mode\" 'complex', not \"real\" or \"padic\"",
     ),
+    "bad_type_label": (
+        json.dumps({"MyForm": {"type": "Z9"}}),
+        "entry MyForm: cannot parse type label 'Z9'",
+    ),
+    "rank_over_cap": (
+        json.dumps({"MyForm": {"type": "A99"}}),
+        "entry MyForm: rank 99 exceeds the supported maximum 64",
+    ),
 }
 
 CATALOG_COMMANDS = {
@@ -558,3 +574,185 @@ def test_catalog_internal_error_exits_3(capsys, monkeypatch, action):
     code, out, err = run(capsys, "catalog", *action)
     assert code == 3 and out == ""
     assert err.startswith("internal error: ")
+
+
+# -- the catalog, pinned ---------------------------------------------------------
+
+_TABLES = "Tits-algebra tables for the classical real forms"
+_SPLIT = "split forms have trivial Tits class"
+
+# `catalog show` on every built-in family at and just outside its bounds: the
+# type, the Galois image name ("flip", or "trivial-c2" for the order-2 group
+# acting trivially), the Tits character values and the citation of a real
+# form; or the error line
+CATALOG_SHOW = {
+    "SU(0,1)": "\"unknown catalog name 'SU(0,1)'\"",
+    "SU(1,1)": ("A1", "trivial-c2", [], _TABLES),
+    "SU(4,2)": ("A5", "flip", ["1/2"], _TABLES),
+    "SU(5,1)": ("A5", "flip", [], _TABLES),
+    "SU(32,33)": ("A64", "flip", [], _TABLES),
+    "SU(33,33)": "rank 65 exceeds the supported maximum 64",
+    "SU(1)": "\"unknown catalog name 'SU(1)'\"",
+    "SU(2)": ("A1", "trivial-c2", ["1/2"], _TABLES),
+    "SU(6)": ("A5", "flip", ["1/2"], _TABLES),
+    "SU(65)": ("A64", "flip", [], _TABLES),
+    "SU(66)": "rank 65 exceeds the supported maximum 64",
+    "SU(3,3)\n": ("A5", "flip", [], _TABLES),
+    "SL(1,R)": "\"unknown catalog name 'SL(1,R)'\"",
+    "SL(2,R)": ("A1", "trivial-c2", [], _SPLIT),
+    "SL(65,R)": ("A64", "trivial-c2", [], _SPLIT),
+    "SL(66,R)": "rank 65 exceeds the supported maximum 64",
+    "SL(0,H)": "\"unknown catalog name 'SL(0,H)'\"",
+    "SL(1,H)": ("A1", "trivial-c2", ["1/2"], _TABLES),
+    "SL(32,H)": ("A63", "trivial-c2", ["1/2"], _TABLES),
+    "SL(33,H)": "rank 65 exceeds the supported maximum 64",
+    "Sp(2,R)": "\"unknown catalog name 'Sp(2,R)'\"",
+    "Sp(4,R)": ("B2", "trivial-c2", [], _SPLIT),
+    "Sp(5,R)": "\"unknown catalog name 'Sp(5,R)'\"",
+    "Sp(128,R)": ("C64", "trivial-c2", [], _SPLIT),
+    "Sp(130,R)": "rank 65 exceeds the supported maximum 64",
+    "Sp(0,1)": "\"unknown catalog name 'Sp(0,1)'\"",
+    "Sp(1,1)": ("B2", "trivial-c2", ["1/2"], _TABLES),
+    "Sp(32,32)": ("C64", "trivial-c2", ["1/2"], _TABLES),
+    "Sp(33,32)": "rank 65 exceeds the supported maximum 64",
+    "SO*(10)": ("D5", "flip", ["1/2"], _TABLES),
+    "SO*(10)\n": "\"unknown catalog name 'SO*(10)\\\\n'\"",
+    "SO*(12)": "\"unknown catalog name 'SO*(12)'\"",
+    "SU(40,40)": "rank 79 exceeds the supported maximum 64",
+    "SU(3, 3)": "\"unknown catalog name 'SU(3, 3)'\"",
+    "bogus": "\"unknown catalog name 'bogus'\"",
+}
+
+CATALOG_LIST = "SU(p,q)\nSU(n)\nSL(n,R)\nSL(m,H)\nSp(2n,R)\nSp(p,q)\nSO*(10)\n"
+
+# a valid catalog file; its "SU(3,3)" takes precedence over the built-in one
+EXTRA_CATALOG = {
+    "MyForm": {"type": "A3", "galois": "flip", "t0": ["1/2"]},
+    "Quadric": {"type": "D4", "galois": "trivial-c2", "t0": [], "mode": "padic", "citation": "x"},
+    "SU(3,3)": {"type": "A5", "galois": "trivial", "t0": ["1/2"]},
+    "Twin": {"type": "c2", "galois": "flip", "t0": ["0", 1]},
+}
+EXTRA_SHOW = {
+    "MyForm": ("A3", "flip", ["1/2"], "user-supplied catalog extension"),
+    "Quadric": ("D4", "trivial-c2", [], "x", "padic"),
+    "SU(3,3)": ("A5", "trivial", ["1/2"], "user-supplied catalog extension"),
+    "Twin": ("B2", "trivial-c2", ["0", "1"], "user-supplied catalog extension"),
+}
+
+
+def _shown(name, type_label, star, values, citation, mode="real"):
+    doc = {
+        "name": name,
+        "type": type_label,
+        "galois": "trivial" if star == "trivial" else "cyclic2",
+        "tits": {"kind": "values" if values else "zero", "values": values},
+        "mode": mode,
+        "citation": citation,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("with_file", [False, True])
+def test_catalog_output_is_pinned(tmp_path, capsys, monkeypatch, with_file):
+    from spherical_models import catalog_lookup
+
+    shows = dict(CATALOG_SHOW)
+    listed = CATALOG_LIST
+    if with_file:
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(EXTRA_CATALOG))
+        monkeypatch.setenv("SPHERICAL_MODELS_CATALOG", str(path))
+        shows.update(EXTRA_SHOW)
+        listed += "".join(n + "\n" for n in sorted(EXTRA_CATALOG))
+    assert run(capsys, "catalog", "list") == (0, listed, "")
+    for name, want in shows.items():
+        if isinstance(want, str):
+            assert run(capsys, "catalog", "show", name) == (2, "", "error: %s\n" % want), name
+            continue
+        assert run(capsys, "catalog", "show", name) == (0, _shown(name, *want), ""), name
+        # the printed group name does not tell the flip from the trivial action
+        assert catalog_lookup(name).galois.is_trivial_action() == (want[1] != "flip"), name
+
+
+# -- malformed shapes exit 2 at their path ----------------------------------------
+
+
+def _demo(name):
+    return json.loads((PROBLEMS / name).read_text())
+
+
+def _replaced(doc, where, value):
+    """``doc`` with the node at the key path ``where`` replaced by ``value``."""
+    if not where:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    return doc
+
+
+SL6 = _demo("sl6_embedding_su42.json")
+SL6_UNCHECKED = dict(SL6, check_valuation_cone=False)
+
+MALFORMED = [
+    (_replaced(_demo("su6_number_field.json"), ["field", "sites"], 5), ".field.sites: expected a list"),
+    (_replaced(_demo("su6_number_field.json"), ["field", "sites", 0], "x"), ".field.sites[0]: expected an object"),
+    (_replaced(_demo("sl3_slh.json"), ["tits", "values"], 5), ".tits.values: expected a list"),
+    (_replaced(_demo("sl3_slh.json"), ["colors", 0, "rho"], None), ".colors[0].rho: expected a list"),
+    (_replaced(SL6, ["fan"], 5), ".fan: expected a list"),
+    (_replaced(SL6, ["fan"], {}), ".fan: expected a list"),
+    (_replaced(SL6, ["fan", 0], []), ".fan[0]: expected an object"),
+    (_replaced(SL6, ["fan", 0, "generators"], 5), ".fan[0].generators: expected a list"),
+    (_replaced(SL6, ["fan", 0, "colors"], "D1+"), ".fan[0].colors: expected a list"),
+    (_replaced(SL6, ["fan", 0, "generators", 0], True), ".fan[0].generators[0]: expected a list"),
+    (_replaced(SL6, ["fan", 0, "colors", 0], ["D1+"]), ".fan: unknown color id"),
+    (_replaced(SL6, ["fan", 0, "generators", 0], [5]), ".fan: a generator has length 1, not the orbit rank 3"),
+    (
+        _replaced(SL6_UNCHECKED, ["fan", 0, "generators", 0], [1, 0, 0, 7]),
+        ".fan: a generator has length 4, not the orbit rank 3",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, where", MALFORMED)
+def test_malformed_shapes_exit_2_at_their_path(tmp_path, capsys, doc, where):
+    path = write(tmp_path, doc)
+    for command in ("decide", "invariants"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (2, ""), (command, err)
+        assert err.startswith("error: " + path + where), (command, err)
+
+
+def _nodes(doc, where=()):
+    """The key path of every node of a JSON document, the root first."""
+    yield where
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, where + (key,))
+
+
+def _schema(where):
+    return tuple("[]" if isinstance(key, int) else key for key in where)
+
+
+def test_one_node_sweep_over_the_demo_files_never_exits_3(tmp_path, capsys):
+    # each node of each demo problem replaced in turn by a value of another
+    # shape; the first node of each schema path (list indices read alike)
+    # stands for the others, which keeps the sweep to a few seconds
+    internal = []
+    for demo in sorted(PROBLEMS.glob("*.json")):
+        doc = json.loads(demo.read_text())
+        seen = set()
+        for where in _nodes(doc):
+            if _schema(where) in seen:
+                continue
+            seen.add(_schema(where))
+            for value in (5, "x", [], {}, [5], None, True):
+                path = write(tmp_path, _replaced(doc, list(where), value))
+                for command in ("decide", "invariants"):
+                    code, _, err = run(capsys, command, path)
+                    if code == 3:
+                        internal.append((demo.name, where, value, command, err))
+    assert internal == []

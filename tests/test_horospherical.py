@@ -1,20 +1,27 @@
 import random
+import time
 
 import pytest
 
 from spherical_models import (
+    PADIC,
+    REAL,
     GaloisAction,
     HorosphericalDatum,
     IntMatrix,
     Lattice,
     SimpleType,
+    TitsClassSpec,
+    all_characters,
     aut_character_lattices,
     based_root_datum,
+    decide_horospherical,
     diagram_automorphism_group,
     galois_from_permutations,
     omega_sets,
     orbit_action,
 )
+from spherical_models.decision import center_invariants, resolve_local_character
 
 
 def test_validate_no_constraint_cases(rd_a2):
@@ -140,3 +147,58 @@ def test_serialization_round_trip(rd_a5, m_2p_plus_q):
     back = HorosphericalDatum.from_dict(rd_a5, doc)
     assert back.I == h.I and back.M == h.M
     assert back.to_dict() == doc
+
+
+# -- edge families: each type at its largest rank, under every diagram action --
+
+
+def _diagram_actions(label):
+    """(label, generators, id) for the trivial action, each nontrivial diagram
+    automorphism on its own, and S3 (a 3-cycle, then a transposition) on D4."""
+    autos = diagram_automorphism_group(SimpleType.parse(label))[1:]
+    out = [(label, (), label + "-trivial")]
+    for k, a in enumerate(autos):
+        out.append((label, (a,), "%s-order%d-%d" % (label, a.order(), k)))
+    cycles = [a for a in autos if a.order() == 3]
+    if cycles:
+        flip = next(a for a in autos if a.order() == 2)
+        out.append((label, (cycles[0], flip), label + "-s3"))
+    return out
+
+
+EDGE_ACTIONS = [
+    case
+    for label in ("A64", "B64", "C64", "D64", "E6", "E7", "E8", "F4", "G2", "D4")
+    for case in _diagram_actions(label)
+]
+
+
+def _first_valid_nonzero_character(rd, galois, mode):
+    inv = center_invariants(rd, galois)[1]
+    for ch in all_characters(inv)[1:]:
+        spec = TitsClassSpec.from_values(ch.values)
+        try:
+            resolve_local_character(rd, galois, spec, mode)
+        except ValueError:
+            continue
+        return spec
+    return None
+
+
+@pytest.mark.parametrize("label, gens", [c[:2] for c in EDGE_ACTIONS], ids=[c[2] for c in EDGE_ACTIONS])
+def test_edge_families_decide_within_a_second_warm(label, gens):
+    rd = based_root_datum(label)
+    galois = galois_from_permutations(rd, list(gens))
+    for mode in (REAL, PADIC):
+        nonzero = _first_valid_nonzero_character(rd, galois, mode)
+        specs = [TitsClassSpec.zero()] + ([nonzero] if nonzero is not None else [])
+        for m in (Lattice.full(rd.rank), rd.root_lattice):
+            datum = HorosphericalDatum(rd, [], m.basis.data)
+            for spec in specs:
+                decide_horospherical(datum, galois, spec, mode)
+                start = time.process_time()
+                verdict = decide_horospherical(datum, galois, spec, mode)
+                assert time.process_time() - start < 1.0, (mode, m.rank, spec)
+                # the root lattice has the zero center class, which every character kills
+                if spec.kind == "zero" or m == rd.root_lattice:
+                    assert verdict.exists, (mode, m.rank, spec)
