@@ -4,7 +4,10 @@ Problem files are JSON documents with integers and "p/q" strings only (never
 floats).  Exit codes: 0 when the model exists, 1 when it does not, 2 on any
 input or validation error, 3 on an internal error (a fault of the engine, so
 never read as a verdict), so shell pipelines can branch on the verdict.
-The schema is documented in the README; `invariants` prints the canonical
+`load_problem` checks a document once, against its kind's entry of
+`SCHEMA` and the few rules that are not types, before any mathematics runs;
+the readers after it trust that check.  The schema is documented in the
+README; `invariants` prints the canonical
 presentations (including the fixed center characters) that Tits-character
 value lists refer to.
 """
@@ -35,25 +38,131 @@ from .decision import (
     resolve_local_character,
     theta_lattice,
 )
-from .embeddings import ColoredFan
+from .embeddings import ColoredCone, ColoredFan
 from .galoismodule import PADIC, REAL, galois_from_permutations
 from .horospherical import HorosphericalDatum
-from .lattice import Lattice
 from .rootdata import (
     DiagramAutomorphism,
     based_root_datum,
     diagram_flip,
 )
 from .spherical import (
+    Color,
     SphericalDatum,
+    _json_rational,
     aut_character_lattices,
-    check_shapes,
     omega_sets,
     sigma_two,
     sigma_variants,
 )
 
-KINDS = ("horospherical", "spherical", "embedding", "gu", "diagonal")
+
+class Required:
+    """The shape of an object key that must be present (see SCHEMA)."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape):
+        self.shape = shape
+
+
+# One shape per kind of problem document, checked by load_problem before any
+# mathematics runs.  A shape is ``int`` or ``str`` (a JSON integer or string,
+# never coerced, so the exact kernels only ever see integers), ``object``
+# (any value), ``list`` (a list whose entries are read later, such as
+# rationals), ``[item]`` (a list of items), ``{key: shape}`` (an object;
+# absent keys are not checked unless their shape is ``Required``), or a tuple
+# of alternatives: strings and ``None`` stand for those literals, and an
+# object alternative is told from another by its required keys.
+_GALOIS = (
+    "trivial",
+    "flip",
+    {"group": Required(("trivial", "cyclic2", "cyclic3", "s3")), "generators": [[int]]},
+)
+_COMMON = {
+    "root_datum": Required(str),
+    "galois": _GALOIS,
+    "field": Required({
+        "mode": Required(object),  # its values are a rule of load_problem
+        "sites": [{"mode": Required((REAL, PADIC)), "galois": _GALOIS, "t0": ("trivial", None, list)}],
+    }),
+    "tits": ("zero", "trivial", None, {"catalog": Required(str)}, {"values": Required(list)}),
+}
+_SPHERICAL = dict(
+    _COMMON,
+    X=Required([[int]]),
+    sigma=[[int]],
+    sigma234=[int],
+    torus_rank=int,
+    colors=[{"id": Required(object), "rho": Required(list), "sigma_set": Required([int])}],
+)
+SCHEMA = {
+    "horospherical": dict(_COMMON, I=[int], M=Required([[int]])),
+    "spherical": _SPHERICAL,
+    # color ids are compared as strings
+    "embedding": dict(_SPHERICAL, fan=Required([{"generators": Required([list]), "colors": list}])),
+    "gu": _COMMON,
+    "diagonal": {"factors": [str], "deltas": [("trivial", "nontrivial", None)]},
+}
+KINDS = tuple(SCHEMA)
+
+
+def _shape_error(value, shape):
+    """(path suffix, message) for the first misfit of ``value`` to ``shape``, or None."""
+    if shape is int:
+        if type(value) is int:  # no booleans, no strings
+            return None
+        return "", "expected an integer, got %s" % json.dumps(value, default=repr)
+    if shape is str:
+        return None if type(value) is str else ("", "expected a string")
+    if shape is object:
+        return None
+    if shape is list:
+        return None if isinstance(value, (list, tuple)) else ("", "expected a list")
+    if isinstance(shape, tuple):
+        if value in shape:  # a JSON value equals no alternative but a literal
+            return None
+        for alt in shape:
+            if alt is list and isinstance(value, list) or (
+                isinstance(alt, dict) and isinstance(value, dict)
+                and all(key in value for key in _required(alt))
+            ):
+                return _shape_error(value, alt)
+        words = [
+            "null" if alt is None else "a list" if alt is list
+            else 'an object with "%s"' % '", "'.join(_required(alt)) if isinstance(alt, dict)
+            else json.dumps(alt)
+            for alt in shape
+        ]
+        return "", "expected %s or %s" % (", ".join(words[:-1]), words[-1])
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return "", "expected an object"
+        for key, sub in shape.items():
+            if type(sub) is Required:
+                if key not in value:
+                    return "", "missing required key %r" % key
+                sub = sub.shape
+            if key in value:
+                err = _shape_error(value[key], sub)
+                if err is not None:
+                    return ".%s%s" % (key, err[0]), err[1]
+        return None
+    (item,) = shape
+    if not isinstance(value, (list, tuple)):
+        of = " of integers" if item is int else " of integer rows" if item == [int] else ""
+        return "", "expected a list" + of
+    if item is int and all(type(x) is int for x in value):
+        return None  # the common case, without a call per entry
+    for k, x in enumerate(value):
+        err = _shape_error(x, item)
+        if err is not None:
+            return "[%d]%s" % (k, err[0]), err[1]
+    return None
+
+
+def _required(shape):
+    return [key for key, sub in shape.items() if type(sub) is Required]
 
 
 class ProblemError(ValueError):
@@ -70,22 +179,6 @@ def _need(doc, key, path):
     return doc[key]
 
 
-# the shapes of the payload entries each kind reads
-_PAYLOAD_SHAPES = {
-    "horospherical": HorosphericalDatum.SHAPES,
-    "spherical": SphericalDatum.SHAPES,
-    "embedding": dict(SphericalDatum.SHAPES, fan=ColoredFan.SHAPES),
-}
-
-
-def _check_shapes(doc, shape, path):
-    """Refuse, at its path, an entry that does not fit ``shape`` (see check_shapes)."""
-    try:
-        check_shapes(doc, shape, path)
-    except ValueError as e:
-        raise ProblemError(str(e))
-
-
 def _parse_galois(entry, rd, path):
     if entry == "trivial":
         return galois_from_permutations(rd, [])
@@ -94,79 +187,65 @@ def _parse_galois(entry, rd, path):
         if flip is None:
             _fail(path, "type %s has no order-2 diagram automorphism" % rd.type)
         return galois_from_permutations(rd, [flip])
-    if not isinstance(entry, dict):
-        _fail(path, "galois must be 'trivial', 'flip', or an object")
-    group = _need(entry, "group", path)
-    gens = entry.get("generators", [])
+    group = entry["group"]
     if group == "trivial":
         return galois_from_permutations(rd, [])
     autos = []
-    _check_shapes(entry, {"generators": [[int]]}, path)
-    for k, one_line in enumerate(gens):
+    for k, one_line in enumerate(entry.get("generators", [])):
         if sorted(one_line) != list(range(1, rd.rank + 1)):
             _fail(path, "generator %d is not a permutation of 1..%d" % (k + 1, rd.rank))
         autos.append(DiagramAutomorphism(tuple(i - 1 for i in one_line)))
     try:
-        return galois_from_permutations(rd, autos, group_name=str(group))
+        return galois_from_permutations(rd, autos, group_name=group)
     except ValueError as e:
         _fail(path, str(e))
 
 
 def _parse_tits(entry, rd, path):
-    if entry is None or entry == "zero" or entry == "trivial":
+    if entry in (None, "zero", "trivial"):
         return TitsClassSpec.zero()
-    if isinstance(entry, dict):
-        if "catalog" in entry:
-            name = str(entry["catalog"])
-            try:
-                form = catalog_lookup(name)
-            except KeyError as e:
-                _fail(path, e.args[0])
-            except ValueError as e:
-                _fail(path, str(e))
-            if form.type != rd.type:
-                _fail(path, "catalog entry %s is a form of %s, not of %s" % (name, form.type, rd.type))
-            return form.tits
-        if "values" in entry:
-            _check_shapes(entry, {"values": list}, path)
-            try:
-                return TitsClassSpec.from_values([Fraction(str(v)) for v in entry["values"]])
-            except (ValueError, ZeroDivisionError) as e:
-                _fail(path, "bad character value: %s" % e)
-    _fail(path, "tits must be 'zero', {'values': [...]}, or {'catalog': name}")
+    if "catalog" in entry:
+        name = entry["catalog"]
+        try:
+            form = catalog_lookup(name)
+        except KeyError as e:
+            _fail(path, e.args[0])
+        except ValueError as e:
+            _fail(path, str(e))
+        if form.type != rd.type:
+            _fail(path, "catalog entry %s is a form of %s, not of %s" % (name, form.type, rd.type))
+        return form.tits
+    try:
+        return TitsClassSpec.from_values([Fraction(str(v)) for v in entry["values"]])
+    except (ValueError, ZeroDivisionError) as e:
+        _fail(path, "bad character value: %s" % e)
 
 
 def _parse_field(entry, rd, global_galois, path):
-    if not isinstance(entry, dict):
-        _fail(path, "field must be an object with a 'mode'")
-    mode = _need(entry, "mode", path)
-    if mode in (REAL, PADIC):
-        return FieldDescriptor(mode)
-    if mode != NUMBER_FIELD:
-        _fail(path, "unsupported base field: %r" % (mode,))
-    _check_shapes(entry, {"sites": [{}]}, path)
+    if entry["mode"] != NUMBER_FIELD:
+        return FieldDescriptor(entry["mode"])
     sites = []
     for k, s in enumerate(entry.get("sites", [])):
         spath = "%s.sites[%d]" % (path, k)
-        label = str(s.get("label", "v%d" % k))
-        smode = _need(s, "mode", spath)
-        if smode not in (REAL, PADIC):
-            _fail(spath, "unsupported base field: %r" % (smode,))
         sg = _parse_galois(s.get("galois", "trivial"), rd, spath + ".galois")
         if not sg.is_subaction_of(global_galois):
             _fail(spath, "site image is not contained in the global image")
-        t0 = s.get("t0", "trivial")
-        if t0 in ("trivial", None):
-            values = None
-        elif isinstance(t0, list):
-            values = tuple(str(v) for v in t0)
-        else:
-            _fail(spath + ".t0", "t0 must be 'trivial' or a list of character values")
-        sites.append(LocalSite(label, smode, sg, values))
+        t0 = s.get("t0")
+        try:
+            values = None if t0 in ("trivial", None) else TitsClassSpec.from_values(t0).values
+        except (ValueError, ZeroDivisionError) as e:
+            _fail(spath + ".t0", "bad character value: %s" % e)
+        sites.append(LocalSite(str(s.get("label", "v%d" % k)), s["mode"], sg, values))
     return FieldDescriptor(NUMBER_FIELD, tuple(sites))
 
 
 def load_problem(path):
+    """The problem document at ``path`` and its kind, checked against SCHEMA.
+
+    Besides the shapes, it enforces the rules that are not types: the
+    field mode, number fields only for the horospherical and gu kinds, at
+    least two diagonal factors and a non-empty list of markers.
+    """
     def reject_float(literal):
         _fail(path, "float %s is not allowed; write rationals as \"p/q\" strings" % literal)
 
@@ -184,103 +263,104 @@ def load_problem(path):
     kind = _need(doc, "kind", path)
     if kind not in KINDS:
         raise ProblemError("%s: unknown kind %r (expected one of %s)" % (path, kind, ", ".join(KINDS)))
-    if kind in _PAYLOAD_SHAPES:
-        _check_shapes(doc, _PAYLOAD_SHAPES[kind], path)
+    err = _shape_error(doc, SCHEMA[kind])
+    if err is not None:
+        _fail(path + err[0], err[1])
+    if kind == "diagonal":
+        if "factors" in doc:
+            if len(doc["factors"]) < 2:
+                _fail(path + ".factors", "factors must be a list of at least two catalog names")
+        elif not _need(doc, "deltas", path):
+            _fail(path + ".deltas", "deltas must be a list of markers, one per non-base factor")
+        return doc, kind
+    mode = doc["field"]["mode"]
+    if mode not in (REAL, PADIC, NUMBER_FIELD):
+        _fail(path + ".field", "unsupported base field: %r" % (mode,))
+    if mode == NUMBER_FIELD and kind not in ("horospherical", "gu"):
+        _fail(path, "number_field mode is supported for horospherical and gu kinds only")
     return doc, kind
 
 
 def _build_common(doc, path):
-    kind = doc["kind"]
-    if kind == "diagonal":
+    if doc["kind"] == "diagonal":
         return None, None, None, None
-    label = _need(doc, "root_datum", path)
     try:
-        rd = based_root_datum(str(label))
+        rd = based_root_datum(doc["root_datum"])
     except ValueError as e:
         _fail(path + ".root_datum", str(e))
     galois = _parse_galois(doc.get("galois", "trivial"), rd, path + ".galois")
-    field = _parse_field(_need(doc, "field", path), rd, galois, path + ".field")
-    tits = _parse_tits(doc.get("tits", "zero"), rd, path + ".tits")
+    field = _parse_field(doc["field"], rd, galois, path + ".field")
+    tits = _parse_tits(doc.get("tits"), rd, path + ".tits")
     return rd, galois, field, tits
 
 
 def _build_payload(doc, rd, kind, path):
-    if kind == "horospherical":
-        # load_problem checked that I and M are lists of integers
-        nodes, rows = doc.get("I", []), _need(doc, "M", path)
-        try:
-            return HorosphericalDatum(rd, nodes, rows)
-        except (TypeError, ValueError) as e:
-            _fail(path, str(e))
-    if kind in ("spherical", "embedding"):
-        try:
-            datum = SphericalDatum.from_dict(rd, doc)
-        except (KeyError, ValueError) as e:
-            _fail(path, "bad spherical datum: %s" % e)
-        if kind == "spherical":
-            return datum
-        try:
-            fan = ColoredFan.from_dict(
-                _need(doc, "fan", path), datum,
-                check_valuation_cone=bool(doc.get("check_valuation_cone", False)),
-            )
-        except (KeyError, ValueError) as e:
-            _fail(path + ".fan", str(e))
-        return datum, fan
+    """The datum of a problem: a HorosphericalDatum (the full weight lattice
+    for ``gu``), a SphericalDatum, or a (SphericalDatum, ColoredFan) pair."""
     if kind == "gu":
-        return None
-    raise AssertionError(kind)
+        return HorosphericalDatum(rd, [], rd.weight_lattice.basis.data)
+    if kind == "horospherical":
+        try:
+            return HorosphericalDatum(rd, doc.get("I", []), doc["M"])
+        except ValueError as e:
+            _fail(path, str(e))
+    try:
+        colors = [
+            Color(str(c["id"]), tuple(map(_json_rational, c["rho"])), frozenset(c["sigma_set"]))
+            for c in doc.get("colors", [])
+        ]
+        datum = SphericalDatum(
+            rd, doc["X"], doc.get("sigma", []), colors,
+            sigma234=doc.get("sigma234", []), torus_rank=doc.get("torus_rank", 0),
+        )
+    except ValueError as e:
+        _fail(path, "bad spherical datum: %s" % e)
+    if kind == "spherical":
+        return datum
+    try:
+        cones = [
+            ColoredCone(
+                tuple(tuple(map(_json_rational, r)) for r in entry["generators"]),
+                tuple(entry.get("colors", [])),
+            )
+            for entry in doc["fan"]
+        ]
+        fan = ColoredFan(cones, datum, check_valuation_cone=bool(doc.get("check_valuation_cone", False)))
+    except ValueError as e:
+        _fail(path + ".fan", str(e))
+    return datum, fan
 
 
 def run_decide(doc, path):
     kind = doc["kind"]
     if kind == "diagonal":
-        if "factors" in doc:
-            factors = doc["factors"]
-            if not isinstance(factors, list) or len(factors) < 2:
-                _fail(path + ".factors", "factors must be a list of at least two catalog names")
-            try:
-                markers = delta_markers_from_catalog([str(x) for x in factors])
-            except (KeyError, ValueError) as e:
-                _fail(path + ".factors", str(e))
-            n = len(factors)
-        else:
-            deltas = _need(doc, "deltas", path)
-            if not isinstance(deltas, list) or not deltas:
-                _fail(path + ".deltas", "deltas must be a list of markers, one per non-base factor")
-            markers = [
-                "trivial" if d in ("trivial", None) else d for d in deltas
-            ]
-            n = len(markers) + 1
-        return decide_diagonal(n, markers)
+        if "factors" not in doc:
+            return decide_diagonal(len(doc["deltas"]) + 1, doc["deltas"])
+        try:
+            markers = delta_markers_from_catalog(doc["factors"])
+        except (KeyError, ValueError) as e:
+            _fail(path + ".factors", str(e))
+        return decide_diagonal(len(doc["factors"]), markers)
     rd, galois, field, tits = _build_common(doc, path)
     payload = _build_payload(doc, rd, kind, path)
     try:
-        if field.mode == NUMBER_FIELD:
-            if kind == "horospherical":
-                return decide_number_field(payload, galois, list(field.sites))
-            if kind == "gu":
-                full = Lattice.full(rd.rank)
-                datum = HorosphericalDatum(rd, [], full.basis.data)
-                return decide_number_field(datum, galois, list(field.sites))
-            _fail(path, "number_field mode is supported for horospherical and gu kinds only")
+        if field.mode == NUMBER_FIELD:  # horospherical or gu, as load_problem checked
+            return decide_number_field(payload, galois, list(field.sites))
         if kind == "horospherical":
             return decide_horospherical(payload, galois, tits, field.mode)
         if kind == "gu":
             return decide_gu(rd, galois, tits, field.mode)
         if kind == "spherical":
             return decide_local_general(payload, galois, tits, field.mode)
-        if kind == "embedding":
-            datum, fan = payload
-            return decide_embedding(
-                fan, datum, galois, tits, field.mode,
-                quasi_projective=bool(doc.get("quasi_projective", True)),
-            )
+        datum, fan = payload
+        return decide_embedding(
+            fan, datum, galois, tits, field.mode,
+            quasi_projective=bool(doc.get("quasi_projective", True)),
+        )
     except UnsupportedBaseField as e:
         _fail(path + ".field", str(e))
     except ValueError as e:
         _fail(path, str(e))
-    raise AssertionError(kind)
 
 
 # -- reports -----------------------------------------------------------------
@@ -350,7 +430,7 @@ def invariants_report(doc, path):
                 )
             )
     elif kind == "gu":
-        datum = HorosphericalDatum(rd, [], Lattice.full(rd.rank).basis.data).to_spherical()
+        datum = _build_payload(doc, rd, kind, path).to_spherical()
     if datum is not None:
         lines.append("orbit lattice rank: %d" % datum.rank)
         for r in datum.basis.data:

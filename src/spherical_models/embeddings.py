@@ -22,12 +22,7 @@ from .polyhedra import (
     extreme_rays,
     relative_interior_point_satisfies,
 )
-from .spherical import (
-    _exact_rational,
-    _fmt_fraction,
-    _json_rational,
-    check_shapes,
-)
+from .spherical import _exact_rational, _fmt_fraction
 
 
 @dataclass(frozen=True)
@@ -80,10 +75,6 @@ class ColoredFan:
 
     __slots__ = ("cones", "datum", "keys")
 
-    # the shape of the "fan" entry of a problem document (see check_shapes);
-    # color ids are compared as strings
-    SHAPES = [{"generators": [list], "colors": list}]
-
     def __init__(self, cones, datum, check_valuation_cone=False):
         canon = []
         seen = set()
@@ -115,18 +106,6 @@ class ColoredFan:
             }
             for c in self.cones
         ]
-
-    @classmethod
-    def from_dict(cls, doc, datum, check_valuation_cone=False):
-        check_shapes(doc, cls.SHAPES)
-        cones = [
-            ColoredCone(
-                tuple(tuple(map(_json_rational, r)) for r in entry["generators"]),
-                tuple(entry.get("colors", [])),
-            )
-            for entry in doc
-        ]
-        return cls(cones, datum, check_valuation_cone=check_valuation_cone)
 
 
 def fan_stable(fan, action, lift):

@@ -12,14 +12,11 @@ from fractions import Fraction
 
 from .lattice import Lattice, stabilizes
 from .rootdata import node_permutation
-from .spherical import Color, SphericalDatum, check_shapes
+from .spherical import Color, SphericalDatum
 
 
 class HorosphericalDatum:
     __slots__ = ("rd", "I", "M")
-
-    # the shapes of the entries of a problem document (see check_shapes)
-    SHAPES = {"I": [int], "M": [[int]]}
 
     def __init__(self, rd, nodes, m_rows):
         self.rd = rd
@@ -70,8 +67,3 @@ class HorosphericalDatum:
             "I": sorted(self.I),
             "M": [list(r) for r in self.M.basis.data],
         }
-
-    @classmethod
-    def from_dict(cls, rd, doc):
-        check_shapes(doc, cls.SHAPES)
-        return cls(rd, doc.get("I", []), doc.get("M", []))

@@ -18,7 +18,6 @@ common denominator per datum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -92,16 +91,10 @@ class SphericalDatum:
 
     __slots__ = ("rd", "basis", "sigma", "colors", "sigma234", "torus_rank", "lattice")
 
-    # the shapes of the entries of a problem document (see check_shapes)
-    SHAPES = {
-        "X": [[int]],
-        "sigma": [[int]],
-        "sigma234": [int],
-        "torus_rank": int,
-        "colors": [{"sigma_set": [int], "rho": list}],
-    }
-
     def __init__(self, rd, basis, sigma, colors, sigma234=(), torus_rank=0):
+        colors = tuple(colors)
+        if len(colors) > MAX_COLORS:
+            raise ValueError("more than %d colors is out of scope" % MAX_COLORS)
         self.rd = rd
         self.torus_rank = int(torus_rank)
         ambient = rd.rank + self.torus_rank
@@ -128,7 +121,6 @@ class SphericalDatum:
             if sig_lat.rank != len(sigma):
                 raise ValueError("spherical roots are not linearly independent")
         self.sigma = sigma
-        colors = tuple(colors)
         seen = set()
         for c in colors:
             if c.id in seen:
@@ -138,8 +130,6 @@ class SphericalDatum:
                 raise ValueError("functional of %s has wrong length" % c.id)
             if not c.sigma_set <= set(range(1, rd.rank + 1)):
                 raise ValueError("moving set of %s mentions unknown nodes" % c.id)
-        if len(colors) > MAX_COLORS:
-            raise ValueError("more than %d colors is out of scope" % MAX_COLORS)
         self.colors = colors
         sigma234 = frozenset(int(i) for i in sigma234)
         if not sigma234 <= set(range(len(sigma))):
@@ -213,70 +203,6 @@ class SphericalDatum:
         if self.torus_rank:
             doc["torus_rank"] = self.torus_rank
         return doc
-
-    @classmethod
-    def from_dict(cls, rd, doc):
-        check_shapes(doc, cls.SHAPES)
-        colors = [
-            Color(
-                str(c["id"]),
-                tuple(map(_json_rational, c["rho"])),
-                frozenset(c["sigma_set"]),
-            )
-            for c in doc.get("colors", [])
-        ]
-        return cls(
-            rd,
-            doc["X"],
-            doc.get("sigma", []),
-            colors,
-            sigma234=doc.get("sigma234", []),
-            torus_rank=doc.get("torus_rank", 0),
-        )
-
-
-def check_shapes(doc, shape, path=""):
-    """Raise ValueError at the first entry of ``doc`` that does not fit ``shape``.
-
-    A shape is ``int`` (a JSON integer), ``list`` (a list whose entries are
-    read later, such as rationals), ``[item]`` (a list of items) or
-    ``{key: shape}`` (an object; absent keys are not checked).  Strings and
-    booleans are refused rather than coerced, so the exact kernels only ever
-    see integers.
-    """
-    err = _shape_error(doc, shape)
-    if err is not None:
-        raise ValueError("%s%s: %s" % (path, err[0], err[1]))
-
-
-def _shape_error(value, shape):
-    """(path suffix, message) for the first misfit in ``value``, or None."""
-    if shape is int:
-        if type(value) is int:  # no booleans, no strings
-            return None
-        return "", "expected an integer, got %s" % json.dumps(value, default=repr)
-    if shape is list:
-        return None if isinstance(value, (list, tuple)) else ("", "expected a list")
-    if isinstance(shape, dict):
-        if not isinstance(value, dict):
-            return "", "expected an object"
-        for key, sub in shape.items():
-            if key in value:
-                err = _shape_error(value[key], sub)
-                if err is not None:
-                    return ".%s%s" % (key, err[0]), err[1]
-        return None
-    (item,) = shape
-    if not isinstance(value, (list, tuple)):
-        of = " of integers" if item is int else " of integer rows" if item == [int] else ""
-        return "", "expected a list" + of
-    if item is int and all(type(x) is int for x in value):
-        return None  # the common case, without a call per entry
-    for k, x in enumerate(value):
-        err = _shape_error(x, item)
-        if err is not None:
-            return "[%d]%s" % (k, err[0]), err[1]
-    return None
 
 
 def _exact_rational(x):

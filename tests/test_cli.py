@@ -123,6 +123,10 @@ def test_decide_rejects_catalog_form_of_another_type(tmp_path, capsys, name):
         ("factors", 5),
         ("factors", []),
         ("factors", ["SU(2,2)"]),
+        ("deltas", ["trivil"]),
+        ("deltas", [True]),
+        ("deltas", [5]),
+        ("deltas", [{}]),
     ],
 )
 def test_decide_rejects_malformed_shapes(tmp_path, capsys, key, value):
@@ -241,10 +245,12 @@ def test_decide_gu_kinds(tmp_path, capsys):
 
 
 def test_decide_number_field_unsupported_kind(tmp_path, capsys):
-    doc = dict(SL3_BASE)
-    doc["field"] = {"mode": "number_field", "sites": []}
-    code, _, err = run(capsys, "decide", write(tmp_path, doc))
-    assert code == 2 and "horospherical and gu kinds" in err
+    embedding = dict(SL3_BASE, kind="embedding", fan=[{"generators": [[-1, 0]], "colors": []}])
+    for base in (SL3_BASE, embedding):
+        doc = dict(base, field={"mode": "number_field", "sites": []})
+        for command in ("decide", "invariants"):
+            code, out, err = run(capsys, command, write(tmp_path, doc))
+            assert (code, out) == (2, "") and "horospherical and gu kinds" in err, (base["kind"], command)
 
 
 GOLDEN_SL6_INVARIANTS = """\
@@ -317,9 +323,13 @@ def test_number_field_site_t0_must_be_a_list(tmp_path, capsys):
         "I": [],
         "M": [[1, 0, 0, 0, 1]],
     }
+    # a list whose value is not a rational is refused at the same path
+    bad_value = json.loads(json.dumps(doc))
+    bad_value["field"]["sites"][0]["t0"] = ["1/0"]
     for command in ("decide", "invariants"):
-        code, _, err = run(capsys, command, write(tmp_path, doc))
-        assert code == 2 and ".field.sites[0].t0" in err
+        for d in (doc, bad_value):
+            code, _, err = run(capsys, command, write(tmp_path, d))
+            assert code == 2 and ".field.sites[0].t0" in err, err
 
 
 @pytest.mark.parametrize(
@@ -340,15 +350,15 @@ def test_floats_are_rejected_anywhere(tmp_path, capsys, doc):
 
 def test_problem_round_trip(tmp_path, capsys):
     # parse -> rebuild datum -> serialize -> parse again must be stable
-    from spherical_models import SphericalDatum, based_root_datum
-    from spherical_models.cli import load_problem, run_decide
+    from spherical_models import based_root_datum
+    from spherical_models.cli import _build_payload, load_problem, run_decide
 
     doc, kind = load_problem(str(PROBLEMS / "sl6_embedding_su42.json"))
     rd = based_root_datum(doc["root_datum"])
-    datum = SphericalDatum.from_dict(rd, doc)
+    datum = _build_payload(doc, rd, "spherical", "x")
     doc2 = dict(doc)
     doc2.update(datum.to_dict())
-    datum2 = SphericalDatum.from_dict(rd, doc2)
+    datum2 = _build_payload(doc2, rd, "spherical", "x")
     assert datum2.to_dict() == datum.to_dict()
     v1 = run_decide(doc, "x")
     v2 = run_decide(doc2, "x")
@@ -403,17 +413,17 @@ def test_integer_documents_still_decide(tmp_path, capsys):
 
 
 def test_datum_with_doubling_flags_round_trips_through_cli(tmp_path, capsys):
-    from spherical_models import SphericalDatum, based_root_datum
+    from spherical_models import based_root_datum
+    from spherical_models.cli import SCHEMA, _build_payload, _shape_error
 
     rd = based_root_datum("D5")
-    datum = SphericalDatum.from_dict(rd, dict(SO10_QUATERNIONIC, sigma234=[0]))
+    datum = _build_payload(dict(SO10_QUATERNIONIC, sigma234=[0]), rd, "spherical", "x")
     doc = dict(SO10_QUATERNIONIC, **datum.to_dict())
     assert doc["sigma234"] == [0]
     code, out, err = run(capsys, "decide", write(tmp_path, doc))
     assert code in (0, 1) and err == "", err
-    # from_dict reads the same integer shapes as the CLI
-    with pytest.raises(ValueError, match=r"^\.sigma234\[0\]: "):
-        SphericalDatum.from_dict(rd, dict(doc, sigma234=["0"]))
+    # the schema refuses the same integer shapes at the same path
+    assert _shape_error(dict(doc, sigma234=["0"]), SCHEMA["spherical"])[0] == ".sigma234[0]"
 
 
 def _embedding_doc(rho1, rho2, ray1, ray2):
@@ -718,6 +728,29 @@ MALFORMED = [
 
 @pytest.mark.parametrize("doc, where", MALFORMED)
 def test_malformed_shapes_exit_2_at_their_path(tmp_path, capsys, doc, where):
+    path = write(tmp_path, doc)
+    for command in ("decide", "invariants"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (2, ""), (command, err)
+        assert err.startswith("error: " + path + where), (command, err)
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (_replaced(SL6, ["galois"], 5), '.galois: expected "trivial", "flip" or an object with "group"'),
+        (_replaced(_demo("su6_number_field.json"), ["field", "sites", 0], "x"), ".field.sites[0]: expected an object"),
+        (_replaced(_demo("sl3_slh.json"), ["tits", "values"], 5), ".tits.values: expected a list"),
+        (_replaced(SL6, ["fan", 0, "generators"], 5), ".fan[0].generators: expected a list"),
+    ],
+)
+def test_misfits_exit_2_before_the_root_datum_is_built(tmp_path, capsys, monkeypatch, doc, where):
+    from spherical_models import cli
+
+    def no_mathematics(label):
+        raise RuntimeError("the root datum was built")
+
+    monkeypatch.setattr(cli, "based_root_datum", no_mathematics)
     path = write(tmp_path, doc)
     for command in ("decide", "invariants"):
         code, out, err = run(capsys, command, path)

@@ -19,6 +19,7 @@ from spherical_models import (
     orbit_action,
     stabilizing_lift,
 )
+from spherical_models.cli import _build_payload
 from spherical_models.lattice import _unimodular_inverse
 from spherical_models.spherical import _exact_rational, _restriction_to_basis
 
@@ -168,9 +169,14 @@ def test_v_matrices_move_color_functionals_as_the_lift_moves_colors(
                 assert _move_ray(action, k, rho[cid]) == rho[lift.mapping(k)[cid]]
 
 
+def _fan_from_doc(fan_doc, datum):
+    doc = dict(datum.to_dict(), fan=fan_doc)
+    return _build_payload(doc, datum.rd, "embedding", "x")[1]
+
+
 def test_fan_serialization_round_trip(sl6_fan, sl6_datum):
     doc = sl6_fan.to_dict()
-    back = ColoredFan.from_dict(doc, sl6_datum)
+    back = _fan_from_doc(doc, sl6_datum)
     assert back.to_dict() == doc
     assert {c.key() for c in back.cones} == {c.key() for c in sl6_fan.cones}
 
@@ -287,9 +293,9 @@ def test_cone_rays_are_ints_where_integral(sl3_datum, rays, colors):
     assert all(type(x) is int for r in canon.rays for x in r)
 
 
-def test_fan_from_dict_reads_integer_strings_and_ints_alike(sl3_datum):
-    a = ColoredFan.from_dict([{"generators": [["-2", "1/2"], [-1, "0"]]}], sl3_datum)
-    b = ColoredFan.from_dict([{"generators": [[-2, "1/2"], ["-1", 0]]}], sl3_datum)
+def test_fan_from_doc_reads_integer_strings_and_ints_alike(sl3_datum):
+    a = _fan_from_doc([{"generators": [["-2", "1/2"], [-1, "0"]]}], sl3_datum)
+    b = _fan_from_doc([{"generators": [[-2, "1/2"], ["-1", 0]]}], sl3_datum)
     assert a.keys == b.keys and a.to_dict() == b.to_dict()
     assert a.cones[0].rays == ((-4, 1), (-1, 0))
 

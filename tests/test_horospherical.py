@@ -21,6 +21,7 @@ from spherical_models import (
     omega_sets,
     orbit_action,
 )
+from spherical_models.cli import _build_payload
 from spherical_models.decision import center_invariants, resolve_local_character
 
 
@@ -144,7 +145,7 @@ def test_stability_agrees_with_orbit_invariants(rd_a5, galois_a5_flip):
 def test_serialization_round_trip(rd_a5, m_2p_plus_q):
     h = HorosphericalDatum(rd_a5, [2, 4], [[0, 2, 0, 0, 0], [0, 0, 0, 2, 0]])
     doc = h.to_dict()
-    back = HorosphericalDatum.from_dict(rd_a5, doc)
+    back = _build_payload(doc, rd_a5, "horospherical", "x")
     assert back.I == h.I and back.M == h.M
     assert back.to_dict() == doc
 

@@ -24,6 +24,7 @@ from spherical_models import (
     sigma_two,
     sigma_variants,
 )
+from spherical_models.cli import _build_payload
 from spherical_models.spherical import _json_rational
 from test_decision import KERNEL_ROUTE_TYPES, _stable_horospherical_lattice, diagram_actions
 
@@ -34,6 +35,13 @@ from test_decision import KERNEL_ROUTE_TYPES, _stable_horospherical_lattice, dia
 def test_rejects_dependent_basis(rd_a2):
     with pytest.raises(ValueError):
         SphericalDatum(rd_a2, [[1, 0], [2, 0]], [], [])
+
+
+def test_color_cap_is_checked_before_the_lattice(rd_a2):
+    # 17 colors and dependent basis rows: the cap is reported, not the HNF result
+    cols = [Color("c%d" % i, (0, 0), frozenset()) for i in range(17)]
+    with pytest.raises(ValueError, match="more than 16 colors"):
+        SphericalDatum(rd_a2, [[1, 0], [2, 0]], [], cols)
 
 
 def test_rejects_root_outside_root_lattice(rd_a2):
@@ -671,7 +679,7 @@ def test_color_functionals_are_ints_where_integral(values):
     assert rho == tuple(F(x) for x in values)
 
 
-def test_from_dict_reads_integer_strings_and_ints_alike(rd_a2):
+def test_payload_reads_integer_strings_and_ints_alike(rd_a2):
     doc = {
         "X": [[1, 0], [0, 1]],
         "sigma": [[1, 1]],
@@ -680,7 +688,7 @@ def test_from_dict_reads_integer_strings_and_ints_alike(rd_a2):
             {"id": "D2", "rho": [2, "-4/2"], "sigma_set": [2]},
         ],
     }
-    d = SphericalDatum.from_dict(rd_a2, doc)
+    d = _build_payload(doc, rd_a2, "spherical", "x")
     assert [c.rho for c in d.colors] == [(2, F(1, 2)), (2, -2)]
     assert all(_exact(c.rho) for c in d.colors)
 
