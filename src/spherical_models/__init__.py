@@ -32,11 +32,9 @@ from .galoismodule import (
     PADIC,
     REAL,
     BrCharacter,
-    CohomologyClassRepr,
     GaloisAction,
     all_characters,
     br_vanishing_test,
-    cohomology_class,
     galois_from_permutations,
     h2_cyclic,
     module_with_action,
@@ -51,8 +49,6 @@ from .spherical import (
     aut_character_lattices,
     omega_sets,
     orbit_action,
-    quasiaffine_cover,
-    quasiaffine_test,
     sigma_two,
     sigma_variants,
 )
@@ -81,7 +77,6 @@ from .decision import (
     decide_local_general,
     decide_number_field,
     delta_markers_from_catalog,
-    replay,
     theta_lattice,
 )
 

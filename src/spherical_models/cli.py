@@ -240,12 +240,7 @@ def _parse_field(entry, rd, global_galois, path):
 
 
 def load_problem(path):
-    """The problem document at ``path`` and its kind, checked against SCHEMA.
-
-    Besides the shapes, it enforces the rules that are not types: the
-    field mode, number fields only for the horospherical and gu kinds, at
-    least two diagonal factors and a non-empty list of markers.
-    """
+    """The problem document at ``path`` and its kind, checked by _check_problem."""
     def reject_float(literal):
         _fail(path, "float %s is not allowed; write rationals as \"p/q\" strings" % literal)
 
@@ -256,6 +251,16 @@ def load_problem(path):
         raise ProblemError("%s: cannot read (%s)" % (path, e))
     except json.JSONDecodeError as e:
         raise ProblemError("%s: not valid JSON (%s)" % (path, e))
+    return doc, _check_problem(doc, path)
+
+
+def _check_problem(doc, path):
+    """The kind of a problem document, checked against SCHEMA.
+
+    Besides the shapes, it enforces the rules that are not types: the
+    field mode, number fields only for the horospherical and gu kinds, at
+    least two diagonal factors and a non-empty list of markers.
+    """
     if not isinstance(doc, dict):
         raise ProblemError("%s: document must be an object" % path)
     if doc.get("version", 1) != 1:
@@ -272,13 +277,13 @@ def load_problem(path):
                 _fail(path + ".factors", "factors must be a list of at least two catalog names")
         elif not _need(doc, "deltas", path):
             _fail(path + ".deltas", "deltas must be a list of markers, one per non-base factor")
-        return doc, kind
+        return kind
     mode = doc["field"]["mode"]
     if mode not in (REAL, PADIC, NUMBER_FIELD):
         _fail(path + ".field", "unsupported base field: %r" % (mode,))
     if mode == NUMBER_FIELD and kind not in ("horospherical", "gu"):
         _fail(path, "number_field mode is supported for horospherical and gu kinds only")
-    return doc, kind
+    return kind
 
 
 def _build_common(doc, path):

@@ -8,8 +8,8 @@ and p-adic fields the pushforward vanishing is equivalent to the vanishing
 of the character on explicit fixed-point classes, which is what runs here;
 over number fields the horospherical problem localizes place by place.
 
-Verdicts carry machine-readable reasons: replaying the conjunction of the
-recorded condition bits reproduces the verdict exactly.
+Verdicts carry machine-readable reasons, and a verdict's ``exists`` is the
+conjunction of their condition bits.
 
 Inner-twist cocycles are never represented; the inputs are the derived
 characters, and validation documents that the caller asserts existence of a
@@ -128,10 +128,14 @@ class TitsClassSpec:
 
 @dataclass(frozen=True)
 class Verdict:
-    exists: bool
     reasons: tuple
     citations: tuple = ()
     uniqueness_note: str | None = None
+
+    @property
+    def exists(self):
+        """The conjunction of the reasons' condition bits."""
+        return all(r["ok"] for r in self.reasons)
 
     def to_dict(self):
         doc = {
@@ -142,11 +146,6 @@ class Verdict:
         if self.uniqueness_note:
             doc["uniqueness_note"] = self.uniqueness_note
         return doc
-
-
-def replay(verdict):
-    """Recompute the verdict bit from the recorded facts."""
-    return all(r["ok"] for r in verdict.reasons if "ok" in r)
 
 
 def _reason(condition, ok, **extra):
@@ -305,11 +304,10 @@ def decide_local_general(datum, galois, tits, mode):
     reasons = [_stability_reason(orbit_action(datum, galois))]
     citations = ["necessary stability of the combinatorial invariants"]
     if not reasons[0]["ok"]:
-        return Verdict(False, tuple(reasons), tuple(citations))
+        return Verdict(tuple(reasons), tuple(citations))
     reasons.append(_kappa_cohomology(datum, galois, t0, mod, inv, incl))
     citations.append("vanishing of the pushed-forward degree-2 obstruction")
-    exists = all(r["ok"] for r in reasons)
-    return Verdict(exists, tuple(reasons), tuple(citations))
+    return Verdict(tuple(reasons), tuple(citations))
 
 
 def _fundamental_class(mod, incl, n, k):
@@ -406,19 +404,18 @@ def decide_horospherical(datum, galois, tits, mode):
     reasons = [_reason("pair-stability", stable)]
     citations = ["necessary stability of the horospherical pair"]
     if not stable:
-        return Verdict(False, tuple(reasons), tuple(citations))
+        return Verdict(tuple(reasons), tuple(citations))
     ok, rule, witness = _horospherical_cohomology(datum, galois, t0, mod, inv, incl)
     extra = {} if ok else {"witness": witness}
     reasons.append(_reason("cohomology", ok, rule=rule, **extra))
     citations.append("fixed part of M inside the character-kernel preimage")
-    exists = all(r["ok"] for r in reasons)
     note = None
-    if exists and galois.is_trivial_action():
+    if ok and galois.is_trivial_action():
         note = (
             "unique model: inner form of a split group and a connected "
             "automorphism torus (split torus, vanishing first cohomology)"
         )
-    return Verdict(exists, tuple(reasons), tuple(citations), uniqueness_note=note)
+    return Verdict(tuple(reasons), tuple(citations), uniqueness_note=note)
 
 
 def decide_number_field(datum, galois, sites):
@@ -438,7 +435,7 @@ def decide_number_field(datum, galois, sites):
         "place-by-place vanishing for simply connected simple groups",
     ]
     if not stable:
-        return Verdict(False, tuple(reasons), tuple(citations))
+        return Verdict(tuple(reasons), tuple(citations))
     for site in sites:
         if not site.galois.is_subaction_of(galois):
             raise ValueError(
@@ -453,8 +450,7 @@ def decide_number_field(datum, galois, sites):
         mod, inv, incl, t0 = resolve_local_character(datum.rd, site.galois, tits, site.mode)
         ok, rule, witness = _horospherical_cohomology(datum, site.galois, t0, mod, inv, incl)
         reasons.append(_reason("site:%s" % site.label, ok, rule=rule, witness=witness))
-    exists = all(r["ok"] for r in reasons)
-    return Verdict(exists, tuple(reasons), tuple(citations))
+    return Verdict(tuple(reasons), tuple(citations))
 
 
 def decide_gu(rd, galois, tits, mode):
@@ -465,15 +461,8 @@ def decide_gu(rd, galois, tits, mode):
     fixed center characters.
     """
     mod, inv, incl, t0 = resolve_local_character(rd, galois, tits, mode)
-    ok = t0.is_zero()
-    reasons = (
-        _reason("cohomology", ok, rule="tits-class-vanishes"),
-    )
-    return Verdict(
-        ok,
-        reasons,
-        ("triviality of the Tits class",),
-    )
+    reasons = (_reason("cohomology", t0.is_zero(), rule="tits-class-vanishes"),)
+    return Verdict(reasons, ("triviality of the Tits class",))
 
 
 def decide_diagonal(n, deltas):
@@ -492,8 +481,7 @@ def decide_diagonal(n, deltas):
         reasons.append(
             _reason("factor-%d-pure-inner" % i, trivial)
         )
-    exists = all(r["ok"] for r in reasons)
-    return Verdict(exists, tuple(reasons), ("pure-inner-form criterion for diagonal quotients",))
+    return Verdict(tuple(reasons), ("pure-inner-form criterion for diagonal quotients",))
 
 
 def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
@@ -514,7 +502,7 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
         "vanishing of the pushed-forward degree-2 obstruction",
     ]
     if not reasons[0]["ok"]:
-        return Verdict(False, tuple(reasons), tuple(citations))
+        return Verdict(tuple(reasons), tuple(citations))
     reasons.append(
         _reason(
             "quasi-projectivity",
@@ -534,8 +522,7 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
         )
     )
     reasons.append(_kappa_cohomology(datum, galois, t0, mod, inv, incl))
-    exists = all(r["ok"] for r in reasons)
-    return Verdict(exists, tuple(reasons), tuple(citations))
+    return Verdict(tuple(reasons), tuple(citations))
 
 
 # -- catalog of literature-backed forms --------------------------------------

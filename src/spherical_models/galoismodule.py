@@ -262,42 +262,6 @@ def h2_cyclic(module, galois):
 
 
 @dataclass(frozen=True)
-class CohomologyClassRepr:
-    """A degree-2 class of a cyclic action, as a fixed point modulo norms.
-
-    Tags the abstract group and the module it belongs to (through the
-    invariant factors of the class group); arithmetic is in the quotient.
-    """
-
-    group_name: str
-    h2: FgAbelianGroup
-    element: tuple
-
-    def is_zero(self):
-        return all(x == 0 for x in self.element)
-
-    def add(self, other):
-        if self.group_name != other.group_name or self.h2.invariant_factors != other.h2.invariant_factors:
-            raise ValueError("classes live in different cohomology groups")
-        return CohomologyClassRepr(
-            self.group_name, self.h2, self.h2.add(self.element, other.element)
-        )
-
-    def neg(self):
-        return CohomologyClassRepr(self.group_name, self.h2, self.h2.neg(self.element))
-
-
-def cohomology_class(module, galois, fixed_element):
-    """The class of a fixed module element in fixed-points-modulo-norms."""
-    h2, class_map = h2_cyclic(module, galois)
-    _, incl = group_invariants(module)
-    pre = incl.preimage(module.reduce_reduced(fixed_element))
-    if pre is None:
-        raise ValueError("representative is not a fixed point")
-    return CohomologyClassRepr(galois.group_name, h2, class_map.apply(pre))
-
-
-@dataclass(frozen=True)
 class BrCharacter:
     """A homomorphism from a finite abelian group to QQ/ZZ.
 

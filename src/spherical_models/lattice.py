@@ -325,41 +325,6 @@ def kernel_basis(m):
     return [u.data[i] for i in range(m.rows) if not any(h.data[i])]
 
 
-class _RowSolver:
-    """Solves x @ m = v for one fixed m, through a single HNF of m.
-
-    With u*m = h, solve y @ h = v by back substitution on the pivots and set
-    x = y @ u; only the pivot rows of h and u are kept.
-    """
-
-    __slots__ = ("rows", "pivots", "u")
-
-    def __init__(self, m):
-        a, u, self.pivots = _hnf_with_transform(m)
-        k = len(self.pivots)
-        self.rows = a[:k]
-        self.u = _matrix(u[:k], m.rows)
-
-    def solve(self, v):
-        rest = list(v)
-        y = []
-        for row, j in zip(self.rows, self.pivots):
-            c, r = divmod(rest[j], row[j])
-            if r:
-                return None
-            y.append(c)
-            if c:
-                rest = [x - c * z for x, z in zip(rest, row)]
-        if any(rest):
-            return None
-        return apply_row(y, self.u)
-
-
-def solve_row(m, v):
-    """One integer solution x of x @ m = v, or None (see _RowSolver)."""
-    return _RowSolver(m).solve(v)
-
-
 def preimage_lattice(m, target):
     """Basis of the lattice {x in ZZ^r : x @ m lies in ``target``}.
 
@@ -398,8 +363,6 @@ class Lattice:
         return self.basis.rows
 
     def member(self, v):
-        if len(v) != self.ambient_rank:
-            raise ValueError("dimension mismatch")
         return self.coords_of(v) is not None
 
     def coords_of(self, v):
@@ -441,6 +404,34 @@ class Lattice:
 
     def __repr__(self):
         return "Lattice(%d, %r)" % (self.ambient_rank, list(map(list, self.basis.data)))
+
+
+class _RowSolver(Lattice):
+    """The row lattice of one fixed m, which also solves x @ m = v.
+
+    With u*m = h in HNF, the pivot rows of h are the canonical basis, so
+    coords_of gives y with y @ h = v, and x = y @ u; only the pivot rows of
+    h and u are kept.
+    """
+
+    __slots__ = ("u",)
+
+    def __init__(self, m):
+        a, u, pivots = _hnf_with_transform(m)
+        k = len(pivots)
+        self.ambient_rank = m.cols
+        self.basis = _matrix(a[:k], m.cols)
+        self.pivots = tuple(pivots)
+        self.u = _matrix(u[:k], m.rows)
+
+    def solve(self, v):
+        y = self.coords_of(v)
+        return None if y is None else apply_row(y, self.u)
+
+
+def solve_row(m, v):
+    """One integer solution x of x @ m = v, or None (see _RowSolver)."""
+    return _RowSolver(m).solve(v)
 
 
 def stabilizes(lattice, mats):
@@ -627,12 +618,6 @@ class FgAbelianGroup:
                 elif v != 0:
                     raise ValueError("action not well defined on the quotient")
 
-    def apply_action(self, k, element):
-        """Image of an element under the k-th action matrix."""
-        if self.action is None:
-            raise ValueError("group carries no action")
-        return self.reduce_reduced(apply_row(element, self.action[k]))
-
     def reduce_reduced(self, coords):
         return tuple(
             x % d if d > 0 else x for x, d in zip(coords, self.invariant_factors)
@@ -675,12 +660,6 @@ class GroupHom:
             out = self.target.add(out, self.target.scale(img, x))
         return out
 
-    def compose(self, inner):
-        """self o inner (inner maps into self.source)."""
-        return GroupHom(
-            inner.source, self.target, [self.apply(img) for img in inner.images]
-        )
-
     def preimage(self, element):
         """Some source element mapping to ``element``, or None.
 
@@ -719,18 +698,26 @@ def quotient_group(lattice, sub, action=None):
     if action is not None:
         if not stabilizes(sub, action):
             raise ValueError("action does not stabilize the subgroup of relations")
-        induced = [_restriction_matrix(lattice, g) for g in action]
+        induced = [_restriction_matrix(lattice.basis, lattice.coords_of, g) for g in action]
+        if any(m is None for m in induced):
+            raise ValueError("action does not stabilize the lattice")
     return FgAbelianGroup(lattice.rank, rel, action=induced)
 
 
-def _restriction_matrix(lattice, g):
+def _restriction_matrix(basis, solve, g):
+    """The matrix of g on the lattice spanned by the rows of ``basis``, in
+    that basis, or None when g does not map the lattice into itself.
+
+    ``solve(w)`` gives the coordinates of w in ``basis`` (None off the
+    lattice); row i holds those of basis row i moved by g.
+    """
     rows = []
-    for row in lattice.basis.data:
-        c = lattice.coords_of(apply_row(row, g))
+    for row in basis.data:
+        c = solve(apply_row(row, g))
         if c is None:
-            raise ValueError("action does not stabilize the lattice")
-        rows.append(list(c))
-    return IntMatrix(rows)
+            return None
+        rows.append(c)
+    return _matrix(rows, basis.rows)
 
 
 def _subquotient(group, lat_rows):

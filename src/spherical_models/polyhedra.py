@@ -6,12 +6,12 @@ the constraints each is tight on, is cut by a half-space h.x >= 0.  The
 rays on its side stay, and each adjacent pair across the hyperplane, told
 by the masks alone, gives a new primitive ray on it.  Only integer dot
 products run.  Inputs may be ints or Fractions; no floats, ever.
-``extreme_rays`` and ``strictly_convex`` cut the facets of a simplicial
-subcone by the other generators, and ``relative_interior_point_satisfies``
-cuts the orthant of combination coefficients by the inequalities.  A cone
-whose distinct primitive generators are linearly independent (an exact
-rank test by fraction-free elimination) is simplicial: it is pointed, every
-generator spans an extreme ray, and no step runs.
+``extreme_rays`` cuts the facets of a simplicial subcone by the other
+generators, and ``relative_interior_point_satisfies`` cuts the orthant of
+combination coefficients by the inequalities.  A cone whose distinct
+primitive generators are linearly independent (an exact rank test by
+fraction-free elimination) is simplicial: it is pointed, every generator
+spans an extreme ray, and no step runs.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ def _pivot_out(row, pivot_row, p, col):
     return [p * x - f * y for x, y in zip(row, pivot_row)]
 
 
-def _check_dimension(d):
-    if d > DIM_CAP:
-        raise ValueError("dimension %d exceeds the supported cap %d" % (d, DIM_CAP))
-
-
 def primitive(vec):
     """Scale a rational row to a primitive integer vector (same ray)."""
     return tuple(_content_free(_integer_row(tuple(vec))))
@@ -64,12 +59,6 @@ def _basis(rows):
             picked.append(i)
             pivots.append((_content_free(row), col))
     return picked, [col for _, col in pivots]
-
-
-def linearly_independent(rows):
-    """Are the rational rows linearly independent over QQ?"""
-    rows = [_integer_row(tuple(r)) for r in rows]
-    return len(_basis(rows)[0]) == len(rows)
 
 
 def _dd_step(gens, h, bit, dim):
@@ -122,21 +111,26 @@ def _simplex_facets(rows):
     return [_content_free(row[k:] if row[j] > 0 else [-x for x in row[k:]]) for j, row in enumerate(a)]
 
 
-def _extreme_indices(rays):
-    """Indices of the extreme rays among distinct nonzero primitive rays, or
-    None when their cone is not strictly convex.
+def extreme_rays(generators):
+    """The extreme rays of a strictly convex cone, primitive and sorted.
 
-    The cone's span is coordinatized by the pivot columns of a basis B of
-    the rays.  Double description on the dual cone starts from the facets
-    of cone(B) and adds every other ray r as the half-space r.f >= 0; when
-    no facet is positive on r, -r lies in the cone.  The final facets carry
-    the mask of rays tight on them, and a ray is extreme iff no other ray is
-    tight on all of its facets.
+    Collinear duplicates are merged first.  Linearly independent generators
+    span a simplicial cone, which is pointed with every generator extreme.
+    Otherwise the cone's span is coordinatized by the pivot columns of a
+    basis B of the rays, and double description on the dual cone starts
+    from the facets of cone(B) and adds every other ray r as the half-space
+    r.f >= 0; when no facet is positive on r, -r lies in the cone, which is
+    then not strictly convex.  The final facets carry the mask of rays tight
+    on them, and a ray is extreme iff no other ray is tight on all of its
+    facets.
     """
+    rays = [p for p in dict.fromkeys(map(primitive, generators)) if any(p)]
     basis, cols = _basis(rays)
     if len(basis) == len(rays):
-        return range(len(rays))
-    _check_dimension(len(rays[0]))
+        return tuple(sorted(rays))
+    d = len(rays[0])
+    if d > DIM_CAP:
+        raise ValueError("dimension %d exceeds the supported cap %d" % (d, DIM_CAP))
     k = len(basis)
     points = [[r[c] for c in cols] for r in rays]
     tight = sum(1 << i for i in basis)
@@ -145,38 +139,9 @@ def _extreme_indices(rays):
     for i in [i for i in range(len(rays)) if i not in basis]:
         gens = _dd_step(gens, points[i], 1 << i, k)
         if all(m >> i & 1 for _, m in gens):
-            return None
+            raise ValueError("cone is not strictly convex")
     facets_of = [sum(1 << j for j, (_, m) in enumerate(gens) if m >> i & 1) for i in range(len(rays))]
-    return [i for i, t in enumerate(facets_of) if sum((u & t) == t for u in facets_of) == 1]
-
-
-def strictly_convex(generators):
-    """cone(generators) meets its negative only in 0.
-
-    Equivalent, for a finitely generated cone with nonzero generators, to the
-    existence of a functional strictly positive on every generator.
-    """
-    gens = [tuple(g) for g in generators]
-    if not gens:
-        return True
-    if any(all(x == 0 for x in g) for g in gens):
-        return False
-    _check_dimension(len(gens[0]))
-    return _extreme_indices(list(dict.fromkeys(map(primitive, gens)))) is not None
-
-
-def extreme_rays(generators):
-    """The extreme rays of a strictly convex cone, primitive and sorted.
-
-    Collinear duplicates are merged first.  Linearly independent generators
-    span a simplicial cone, which is pointed with every generator extreme;
-    otherwise the cone must be strictly convex.
-    """
-    rays = [p for p in dict.fromkeys(map(primitive, generators)) if any(p)]
-    keep = _extreme_indices(rays)
-    if keep is None:
-        raise ValueError("cone is not strictly convex")
-    return tuple(sorted(rays[i] for i in keep))
+    return tuple(sorted(r for r, t in zip(rays, facets_of) if sum((u & t) == t for u in facets_of) == 1))
 
 
 def relative_interior_point_satisfies(rays, inequalities):

@@ -5,8 +5,8 @@ the ambient weight coordinates), the spherical roots, and the colors with
 their valuation functionals and moving simple roots.  From these the engine
 derives the one- and two-fiber color images, the doubled spherical roots
 that present the character groups of the equivariant automorphism group and
-of its color-fixing subgroup, Galois stability, lifts of the Galois action
-from color images to colors, and the quasi-affine cover datum.
+of its color-fixing subgroup, Galois stability, and lifts of the Galois
+action from color images to colors.
 
 Functionals on the weight lattice of the orbit are exact rational row
 vectors in the coordinates dual to the chosen basis, with an ``int`` for
@@ -29,12 +29,12 @@ from .lattice import (
     IntMatrix,
     Lattice,
     _RowSolver,
+    _restriction_matrix,
     _unimodular_inverse,
     apply_row,
     quotient_group,
     solve_row,
 )
-from .polyhedra import DIM_CAP, linearly_independent, strictly_convex
 from .rootdata import node_permutation
 
 MAX_COLORS = 16
@@ -354,14 +354,7 @@ def _extended_matrices(datum, galois):
 
 def _restriction_to_basis(datum, mat):
     """Matrix of the action on the orbit lattice in the chosen basis, or None."""
-    solver = _RowSolver(datum.basis)
-    rows = []
-    for r in datum.basis.data:
-        c = solver.solve(apply_row(r, mat))
-        if c is None:
-            return None
-        rows.append(c)
-    return IntMatrix(rows, cols=datum.rank)
+    return _restriction_matrix(datum.basis, _RowSolver(datum.basis).solve, mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,99 +452,3 @@ def orbit_action(datum, galois):
         perms.append(perm)
         r_invs.append(r_inv)
     return OrbitAction(None, fibers, tuple(perms), tuple(r_invs))
-
-
-def quasiaffine_test(datum):
-    """True iff no functional vanishes and they span a strictly convex cone."""
-    rhos = [c.rho for c in datum.colors]
-    if any(all(x == 0 for x in rho) for rho in rhos):
-        return False
-    if datum.rank > DIM_CAP:
-        raise ValueError("orbit lattice rank exceeds the supported cap")
-    return strictly_convex(rhos)
-
-
-def quasiaffine_cover(datum, q=1):
-    """The cover datum over the group extended by one torus factor per color.
-
-    Adjoins, for each color, the weight that is q (doubled for colors moved
-    only inside half the spherical roots) times the sum of the fundamental
-    weights it moves, tagged by a fresh torus coordinate.  The returned
-    datum's functionals take the old values on the old lattice, q on their
-    own new weight and 0 on the others.  The defining case conditions are
-    re-verified on the result, and the weight-monoid inequalities cutting
-    out the regular functions are returned alongside.
-    """
-    q = int(q)
-    if q < 1:
-        raise ValueError("the stretching integer must be positive")
-    rd = datum.rd
-    old_ambient = datum.ambient_dim
-    ncol = len(datum.colors)
-    ambient = old_ambient + ncol
-    half_sigma_nodes = {
-        i
-        for i in range(1, rd.rank + 1)
-        if _double(datum._simple_root_vec(i)) in datum.sigma
-    }
-    rows = [list(r) + [0] * ncol for r in datum.basis.data]
-    for k, c in enumerate(datum.colors):
-        r_d = 2 if c.sigma_set and c.sigma_set <= half_sigma_nodes else 1
-        lam = [0] * ambient
-        for i in c.sigma_set:
-            lam[i - 1] = q * r_d
-        lam[old_ambient + k] = 1
-        rows.append(lam)
-    new_rank = len(rows)
-    new_colors = []
-    for k, c in enumerate(datum.colors):
-        rho = list(c.rho) + [0] * ncol
-        rho[datum.rank + k] = q
-        new_colors.append(Color(c.id, tuple(rho), c.sigma_set))
-    new_sigma = [tuple(s) + (0,) * ncol for s in datum.sigma]
-    cover = SphericalDatum(
-        rd,
-        rows,
-        new_sigma,
-        new_colors,
-        sigma234=datum.sigma234,
-        torus_rank=datum.torus_rank + ncol,
-    )
-    problems = _check_cover_cases(cover)
-    if problems:
-        raise ValueError(
-            "cover datum fails the color-functional case conditions: "
-            + "; ".join("case (%d) at node %d" % (case, node) for case, node in problems)
-        )
-    # quasi-affineness: the functionals are linearly independent by the
-    # block-triangular q entries, so none vanish and the cone is strictly
-    # convex; verified by an exact rank computation (no dimension cap)
-    if not linearly_independent([c.rho for c in new_colors]):
-        raise ValueError("cover datum is not quasi-affine")
-    inequalities = tuple(c.rho for c in new_colors)
-    return cover, inequalities
-
-
-def _check_cover_cases(datum):
-    """The four defining case conditions on color functionals, per node."""
-    problems = []
-    for i in range(1, datum.rd.rank + 1):
-        moved = datum.moved_colors(i)
-        coroot = tuple(
-            Fraction(r[i - 1]) for r in datum.basis.data
-        )  # <basis_j, alpha_i^vee>
-        doubled = _double(datum._simple_root_vec(i)) in datum.sigma
-        if len(moved) == 2:
-            total = tuple(a + b for a, b in zip(moved[0].rho, moved[1].rho))
-            if total != coroot:
-                problems.append((1, i))
-        elif len(moved) == 1:
-            expect = (
-                tuple(x / 2 for x in coroot) if doubled else coroot
-            )
-            if moved[0].rho != expect:
-                problems.append((2 if doubled else 3, i))
-        else:
-            if any(coroot):
-                problems.append((4, i))
-    return problems

@@ -4,8 +4,8 @@ These deliberately avoid the library's own algorithms: matrix products
 entry by entry, invariant factors via gcds of minors, cohomology via literal
 cocycle enumeration, lift counting via filtering all permutations, cone
 questions via Fourier-Motzkin (in Fraction arithmetic, and fraction-free in
-integers) where the engine runs double description, diagram automorphisms
-via a search over node permutations.
+integers) and pointedness via Caratheodory where the engine runs double
+description, diagram automorphisms via a search over node permutations.
 """
 
 from fractions import Fraction
@@ -355,14 +355,46 @@ def fraction_cone_member(v, generators):
     return fraction_feasible(m, eqs=eqs, ge=ge)
 
 
-def fraction_strictly_convex(generators):
-    """Some functional is positive on every generator, none of which is 0."""
+def _fraction_coordinates(basis, vectors):
+    """Coordinates in the linearly independent rows ``basis`` of each vector
+    of their span, by Gauss-Jordan elimination in Fraction arithmetic; None
+    when ``basis`` is dependent."""
+    r = len(basis)
+    columns = list(basis) + list(vectors)
+    rows = [[c[j] for c in columns] for j in range(len(columns[0]))] if columns else []
+    for col in range(r):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        rows[col] = [x / p for x in rows[col]]
+        for i in range(len(rows)):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return [[rows[i][r + j] for i in range(r)] for j in range(len(vectors))]
+
+
+def fraction_pointed(generators):
+    """No generator is 0 and the cone holds no line (Caratheodory).
+
+    A cone of nonzero generators holds a line iff the negative of some
+    generator g lies in it.  By Caratheodory, -g is then a nonnegative
+    combination of a linearly independent subset, which extends with zero
+    coefficients to a basis B of the span drawn from the generators; so g
+    has no positive coordinate in B.  That is one Fraction elimination per
+    subset of rank-many generators, at most C(m, rank) for m generators,
+    with no inequality eliminated.
+    """
     gens = [tuple(Fraction(x) for x in g) for g in generators]
-    if not gens:
-        return True
     if any(all(x == 0 for x in g) for g in gens):
         return False
-    return fraction_feasible(len(gens[0]), ge=[(g, 1) for g in gens])
+    for basis in combinations(gens, fraction_rank(gens)):
+        coords = _fraction_coordinates(basis, gens)
+        if coords is not None and any(all(x <= 0 for x in c) for c in coords):
+            return False
+    return True
 
 
 def fraction_relative_interior_point_satisfies(rays, inequalities):
@@ -397,7 +429,7 @@ def fraction_extreme_rays(generators):
             p = tuple(x // content for x in ints)
             if p not in rays:
                 rays.append(p)
-    if len(rays) > 1 and not fraction_strictly_convex(rays):
+    if len(rays) > 1 and not fraction_pointed(rays):
         return None
     return tuple(sorted(r for r in rays if not fraction_cone_member(r, [x for x in rays if x != r])))
 
@@ -507,14 +539,16 @@ def cone_member(v, generators):
     return feasible(m, eqs=eqs, ge=ge)
 
 
-def fm_strictly_convex(generators):
-    """Some functional is positive on every generator, none of which is 0 (integer FM)."""
+def fm_pointed(generators):
+    """No generator is 0 and the negative of none lies in the cone (integer FM).
+
+    Each membership test eliminates the equalities first, so FM runs on
+    only len(generators) - rank free coefficients.
+    """
     gens = [tuple(g) for g in generators]
-    if not gens:
-        return True
     if any(all(x == 0 for x in g) for g in gens):
         return False
-    return feasible(len(gens[0]), ge=[(g, 1) for g in gens])
+    return not any(cone_member(tuple(-x for x in g), gens) for g in gens)
 
 
 def _distinct_primitive(generators):
@@ -534,7 +568,7 @@ def fm_extreme_rays(generators):
     strictly convex: a generator is dropped iff it lies in the cone of the
     others kept so far (integer FM)."""
     rays = _distinct_primitive(generators)
-    if not fm_strictly_convex(rays):
+    if not fm_pointed(rays):
         return None
     keep = list(rays)
     for r in rays:

@@ -27,7 +27,6 @@ from spherical_models import (
     delta_markers_from_catalog,
     diagram_automorphism_group,
     galois_from_permutations,
-    replay,
     theta_lattice,
 )
 from spherical_models.rootdata import diagram_flip
@@ -80,12 +79,12 @@ def test_theta_a3_order_two_on_z4():
 def test_quadric_orthogonal_exists(so10_datum, galois_d5_flip):
     for galois, mode in ((GaloisAction.trivial(5), PADIC), (galois_d5_flip, REAL)):
         v = decide_local_general(so10_datum, galois, TitsClassSpec.zero(), mode)
-        assert v.exists and replay(v)
+        assert v.exists
 
 
 def test_quadric_quaternionic_fails(so10_datum, galois_d5_flip):
     v = decide_local_general(so10_datum, galois_d5_flip, TitsClassSpec.from_values(["1/2"]), REAL)
-    assert not v.exists and replay(v) == v.exists
+    assert not v.exists
     v = decide_local_general(
         so10_datum, GaloisAction.trivial(5), TitsClassSpec.from_values(["1/4"]), PADIC
     )
@@ -373,7 +372,6 @@ def test_embedding_su6_family(sl6_fan, sl6_datum):
         entry = catalog_lookup("SU(%d,%d)" % (6 - j, j))
         v = decide_embedding(sl6_fan, sl6_datum, entry.galois, entry.tits, REAL)
         outcomes.append(v.exists)
-        assert replay(v) == v.exists
     assert outcomes == [False, True, False, True]
 
 
@@ -423,6 +421,8 @@ def test_catalog_extension_env(tmp_path, monkeypatch):
 
 
 def test_verdict_reasons_replay_everywhere(sl6_fan, sl6_datum, galois_a5_flip, rd_a5, m_2p_plus_q):
+    import json
+
     verdicts = [
         decide_embedding(
             sl6_fan, sl6_datum, catalog_lookup("SU(6)").galois, catalog_lookup("SU(6)").tits, REAL
@@ -436,7 +436,9 @@ def test_verdict_reasons_replay_everywhere(sl6_fan, sl6_datum, galois_a5_flip, r
         decide_diagonal(2, ["trivial"]),
     ]
     for v in verdicts:
-        assert replay(v) == v.exists
+        # a reader of the JSON document recomputes the verdict from its reasons
+        doc = json.loads(json.dumps(v.to_dict()))
+        assert doc["exists"] == all(r["ok"] for r in doc["reasons"])
 
 
 def test_local_decision_builds_only_the_automorphism_characters(monkeypatch, capsys):

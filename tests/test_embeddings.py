@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_extreme_rays, fraction_rank
 from spherical_models import (
     Color,
     ColoredCone,
@@ -42,9 +43,7 @@ def test_canonicalize_drops_interior_generator(sl3_datum):
 def test_canonicalize_sl6_cone_extreme(sl6_datum):
     # independent generators of a pointed cone are all extreme; rank check
     gens = ((-1, 1, -1), (1, 0, 0), (0, 0, 1))
-    from spherical_models.polyhedra import linearly_independent
-
-    assert linearly_independent(gens)
+    assert fraction_rank(gens) == len(gens)
     c = cone_canonicalize(ColoredCone(gens, frozenset()), sl6_datum)
     assert set(c.rays) == set(gens)
 
@@ -281,14 +280,12 @@ def _exact(values):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_entries, _entries), min_size=1, max_size=4), st.sets(st.sampled_from(["D1", "D2"])))
 def test_cone_rays_are_ints_where_integral(sl3_datum, rays, colors):
-    from spherical_models.polyhedra import strictly_convex
-
     cone = ColoredCone(tuple(rays), frozenset(colors))
     assert all(_exact(r) for r in cone.rays)
     assert cone.rays == tuple(tuple(F(x) for x in r) for r in rays)
     rho = {c.id: c.rho for c in sl3_datum.colors}
     gens = list(cone.rays) + [rho[c] for c in sorted(colors)]
-    assume(all(any(r) for r in rays) and strictly_convex(gens))
+    assume(all(any(r) for r in rays) and fraction_extreme_rays(gens) is not None)
     canon = cone_canonicalize(cone, sl3_datum)
     assert all(type(x) is int for r in canon.rays for x in r)
 

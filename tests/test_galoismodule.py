@@ -24,7 +24,7 @@ from spherical_models import (
     norm_subgroup,
     validate_br_character,
 )
-from spherical_models.lattice import GroupHom, fixed_sublattice, group_invariants, quotient_group
+from spherical_models.lattice import GroupHom, apply_row, fixed_sublattice, group_invariants, quotient_group
 
 
 # -- GaloisAction construction ------------------------------------------------
@@ -150,17 +150,17 @@ def test_h2_matches_cocycle_oracle_sampled():
 
 
 def test_cohomology_class_representatives():
-    from spherical_models import cohomology_class
-
+    # the class of a fixed point is its image under the class map
     mod, galois = cyclic_module((6,), [(1,)], 2)
-    cls3 = cohomology_class(mod, galois, (3,))
-    cls2 = cohomology_class(mod, galois, (2,))  # a norm: 2 = 1 + g(1)
-    assert not cls3.is_zero() and cls2.is_zero()
-    assert cls3.add(cls3).is_zero()
-    assert cls3.neg().element == cls3.element  # order two
-    with pytest.raises(ValueError):
-        mod_neg, g_neg = cyclic_module((0,), [(-1,)], 2)
-        cohomology_class(mod_neg, g_neg, (1,))  # not a fixed point
+    h2, cmap = h2_cyclic(mod, galois)
+    _, incl = group_invariants(mod)
+    cls3 = cmap.apply(incl.preimage((3,)))
+    cls2 = cmap.apply(incl.preimage((2,)))  # a norm: 2 = 1 + g(1)
+    assert any(cls3) and not any(cls2)
+    assert not any(h2.add(cls3, cls3))
+    assert h2.neg(cls3) == cls3  # order two
+    mod_neg, _ = cyclic_module((0,), [(-1,)], 2)
+    assert group_invariants(mod_neg)[1].preimage((1,)) is None  # not a fixed point
 
 
 def test_h2_class_map_is_surjective_onto_classes():
@@ -225,7 +225,7 @@ def test_validate_real_character_constant_on_norm_cosets(rd_a5, galois_a5_flip):
         for _ in range(20):
             a = tuple(rng.randrange(6) for _ in range(mod.rank))
             a = mod.reduce_reduced(a)
-            norm = mod.add(a, mod.apply_action(1, a))
+            norm = mod.add(a, mod.reduce_reduced(apply_row(a, mod.action[1])))
             pre = incl.preimage(norm)
             assert pre is not None and t0.evaluate(pre) == 0
 

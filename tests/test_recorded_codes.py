@@ -33,7 +33,9 @@ def _recorded(name):
 
 
 def _code(doc, path):
+    # the load-time checks of ``sphmodels decide``, without the file
     try:
+        cli._check_problem(doc, path)
         return "0" if cli.run_decide(doc, path).exists else "1"
     except cli.ProblemError:
         return "2"

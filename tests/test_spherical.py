@@ -19,8 +19,6 @@ from spherical_models import (
     galois_from_permutations,
     omega_sets,
     orbit_action,
-    quasiaffine_cover,
-    quasiaffine_test,
     sigma_two,
     sigma_variants,
 )
@@ -397,100 +395,6 @@ def test_lifts_require_stability(rd_a2):
         orbit_action(d, g).lifts()
 
 
-# -- quasi-affineness -----------------------------------------------------------
-
-
-def test_quasiaffine_quadric(so10_datum):
-    assert quasiaffine_test(so10_datum)
-
-
-def test_quasiaffine_opposite_functionals(rd_a2):
-    a1 = tuple(rd_a2.simple_root(1))
-    d = SphericalDatum(
-        rd_a2,
-        [[1, 0], [0, 1]],
-        [a1],
-        [
-            Color("p", (F(1), F(0)), frozenset({1})),
-            Color("m", (F(-1), F(0)), frozenset({1})),
-        ],
-    )
-    assert not quasiaffine_test(d)
-
-
-def test_quasiaffine_zero_functional(rd_a2):
-    d = SphericalDatum(
-        rd_a2,
-        [[1, 0], [0, 1]],
-        [],
-        [Color("z", (F(0), F(0)), frozenset({1}))],
-    )
-    assert not quasiaffine_test(d)
-
-
-# -- the cover construction ------------------------------------------------------
-
-
-def test_cover_sl3(sl3_datum):
-    cover, ineqs = quasiaffine_cover(sl3_datum)
-    assert cover.rank == 4
-    assert len(ineqs) == 2
-    assert quasiaffine_test(cover)
-    # block triangular: each functional takes q = 1 on its own new weight
-    for k, rho in enumerate(ineqs):
-        assert rho[sl3_datum.rank + k] == 1
-
-
-def test_cover_horospherical_block(rd_a5, m_2p_plus_q):
-    from spherical_models import HorosphericalDatum
-
-    h = HorosphericalDatum(rd_a5, [], m_2p_plus_q.basis.data)
-    datum = h.to_spherical()
-    cover, ineqs = quasiaffine_cover(datum)
-    ncol = len(datum.colors)
-    assert cover.rank == datum.rank + ncol
-    for k, rho in enumerate(ineqs):
-        assert rho[datum.rank + k] == 1
-        assert all(rho[datum.rank + j] == 0 for j in range(ncol) if j != k)
-
-
-def test_cover_no_colors_point(rd_a2):
-    d = SphericalDatum(rd_a2, [], [], [])  # the one-point orbit
-    cover, ineqs = quasiaffine_cover(d)
-    assert cover.rank == 0 and ineqs == ()
-
-
-def test_cover_reports_failing_case(rd_a2):
-    # no colors but a coroot that does not vanish on the lattice
-    d = SphericalDatum(rd_a2, [[1, 1]], [(1, 1)], [])
-    with pytest.raises(ValueError) as err:
-        quasiaffine_cover(d)
-    assert "case (4)" in str(err.value)
-
-
-def test_cover_respects_q(sl3_datum):
-    cover, ineqs = quasiaffine_cover(sl3_datum, q=2)
-    for k, rho in enumerate(ineqs):
-        assert rho[sl3_datum.rank + k] == 2
-    with pytest.raises(ValueError):
-        quasiaffine_cover(sl3_datum, q=0)
-
-
-def test_cover_separates_color_images(so10_datum):
-    cover, _ = quasiaffine_cover(so10_datum)
-    o1, o2 = omega_sets(cover)
-    assert o2 == ()  # all functionals are separated by their new weights
-    assert len(o1) == len(so10_datum.colors)
-
-
-def test_cover_rejects_colorless_node_with_nonvanishing_coroot(sl6_datum):
-    # the middle node moves no color but pairs nontrivially with the lattice,
-    # so the augmentation's defining case conditions fail and say where
-    with pytest.raises(ValueError) as err:
-        quasiaffine_cover(sl6_datum)
-    assert "case (4) at node 3" in str(err.value)
-
-
 # -- integer color transforms and generator-only character actions ----------
 
 
@@ -716,19 +620,3 @@ def test_json_rational_matches_fraction_of_the_string(text):
     assert got == outcome(lambda x: F(str(x)))
     if re.fullmatch(r"[-+]?\d+", text):
         assert type(got) is int
-
-
-@pytest.mark.parametrize("q", [1, 2, 3])
-def test_cover_output_holds_no_float(q, sl3_datum, so10_datum, rd_a5, m_2p_plus_q):
-    from spherical_models import HorosphericalDatum
-
-    # a doubled simple root: the color's functional is half the coroot
-    half = SphericalDatum(
-        based_root_datum("A1"), [[1]], [(4,)], [Color("D", (F(1, 2),), frozenset({1}))]
-    )
-    horo = HorosphericalDatum(rd_a5, [1], [r for r in m_2p_plus_q.basis.data if r[0] == 0])
-    for datum in (sl3_datum, so10_datum, horo.to_spherical(), half):
-        cover, ineqs = quasiaffine_cover(datum, q)
-        assert all(_exact(c.rho) for c in cover.colors)
-        assert all(_exact(row) for row in ineqs)
-    assert ineqs == ((F(1, 2), q),)
