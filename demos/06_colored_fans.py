@@ -42,7 +42,6 @@ fan = ColoredFan(
         ColoredCone(((-1, 0),), frozenset({"D2"})),
     ],
     orbit,
-    check_valuation_cone=True,
 )
 flip = diagram_automorphism_group(rd2.type)[1]
 outer = galois_from_permutations(rd2, [flip])
@@ -70,7 +69,6 @@ orbit6 = SphericalDatum(
 fan6 = ColoredFan(
     [ColoredCone(((-1, 1, -1),), frozenset({"D1+", "D5-"}))],
     orbit6,
-    check_valuation_cone=True,
 )
 outer6 = galois_from_permutations(rd6, [diagram_automorphism_group(rd6.type)[1]])
 

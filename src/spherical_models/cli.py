@@ -67,7 +67,7 @@ class Required:
 
 
 # One shape per kind of problem document, checked by load_problem before any
-# mathematics runs.  A shape is ``int`` or ``str`` (a JSON integer or string,
+# mathematics runs.  A shape is ``int``, ``str`` or ``bool`` (that JSON type,
 # never coerced, so the exact kernels only ever see integers), ``object``
 # (any value), ``list`` (a list whose entries are read later, such as
 # rationals), ``[item]`` (a list of items), ``{key: shape}`` (an object;
@@ -84,7 +84,8 @@ _COMMON = {
     "galois": _GALOIS,
     "field": Required({
         "mode": Required(object),  # its values are a rule of load_problem
-        "sites": [{"mode": Required((REAL, PADIC)), "galois": _GALOIS, "t0": ("trivial", None, list)}],
+        "sites": [{"mode": Required((REAL, PADIC)), "galois": _GALOIS, "t0": ("trivial", None, list),
+                   "label": str}],
     }),
     "tits": ("zero", "trivial", None, {"catalog": Required(str)}, {"values": Required(list)}),
 }
@@ -100,7 +101,8 @@ SCHEMA = {
     "horospherical": dict(_COMMON, I=[int], M=Required([[int]])),
     "spherical": _SPHERICAL,
     # color ids are compared as strings
-    "embedding": dict(_SPHERICAL, fan=Required([{"generators": Required([list]), "colors": list}])),
+    "embedding": dict(_SPHERICAL, fan=Required([{"generators": Required([list]), "colors": list}]),
+                      quasi_projective=bool),
     "gu": _COMMON,
     "diagonal": {"factors": [str], "deltas": [("trivial", "nontrivial", None)]},
 }
@@ -115,6 +117,8 @@ def _shape_error(value, shape):
         return "", "expected an integer, got %s" % json.dumps(value, default=repr)
     if shape is str:
         return None if type(value) is str else ("", "expected a string")
+    if shape is bool:
+        return None if type(value) is bool else ("", "expected true or false")
     if shape is object:
         return None
     if shape is list:
@@ -188,13 +192,15 @@ def _parse_galois(entry, rd, path):
             _fail(path, "type %s has no order-2 diagram automorphism" % rd.type)
         return galois_from_permutations(rd, [flip])
     group = entry["group"]
-    if group == "trivial":
-        return galois_from_permutations(rd, [])
     autos = []
     for k, one_line in enumerate(entry.get("generators", [])):
         if sorted(one_line) != list(range(1, rd.rank + 1)):
             _fail(path, "generator %d is not a permutation of 1..%d" % (k + 1, rd.rank))
+        if group == "trivial" and one_line != sorted(one_line):
+            _fail(path, "generator %d of the trivial group is not the identity" % (k + 1))
         autos.append(DiagramAutomorphism(tuple(i - 1 for i in one_line)))
+    if group == "trivial":
+        return galois_from_permutations(rd, [])
     try:
         return galois_from_permutations(rd, autos, group_name=group)
     except ValueError as e:
@@ -235,7 +241,7 @@ def _parse_field(entry, rd, global_galois, path):
             values = None if t0 in ("trivial", None) else TitsClassSpec.from_values(t0).values
         except (ValueError, ZeroDivisionError) as e:
             _fail(spath + ".t0", "bad character value: %s" % e)
-        sites.append(LocalSite(str(s.get("label", "v%d" % k)), s["mode"], sg, values))
+        sites.append(LocalSite(s.get("label", "v%d" % k), s["mode"], sg, values))
     return FieldDescriptor(NUMBER_FIELD, tuple(sites))
 
 
@@ -263,8 +269,9 @@ def _check_problem(doc, path):
     """
     if not isinstance(doc, dict):
         raise ProblemError("%s: document must be an object" % path)
-    if doc.get("version", 1) != 1:
-        raise ProblemError("%s: unsupported version %r" % (path, doc.get("version")))
+    version = doc.get("version", 1)
+    if type(version) is not int or version != 1:
+        raise ProblemError("%s: unsupported version %r" % (path, version))
     kind = _need(doc, "kind", path)
     if kind not in KINDS:
         raise ProblemError("%s: unknown kind %r (expected one of %s)" % (path, kind, ", ".join(KINDS)))
@@ -330,7 +337,7 @@ def _build_payload(doc, rd, kind, path):
             )
             for entry in doc["fan"]
         ]
-        fan = ColoredFan(cones, datum, check_valuation_cone=bool(doc.get("check_valuation_cone", False)))
+        fan = ColoredFan(cones, datum)
     except ValueError as e:
         _fail(path + ".fan", str(e))
     return datum, fan
@@ -360,7 +367,7 @@ def run_decide(doc, path):
         datum, fan = payload
         return decide_embedding(
             fan, datum, galois, tits, field.mode,
-            quasi_projective=bool(doc.get("quasi_projective", True)),
+            quasi_projective=doc.get("quasi_projective", True),
         )
     except UnsupportedBaseField as e:
         _fail(path + ".field", str(e))

@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .galoismodule import (
     PADIC,
@@ -38,6 +39,7 @@ from .galoismodule import (
 )
 
 from .lattice import (
+    FgAbelianGroup,
     GroupHom,
     IntMatrix,
     Lattice,
@@ -179,6 +181,23 @@ def _center_invariants(t, galois):
     return mod, inv, incl
 
 
+class LocalCharacter(NamedTuple):
+    """A Tits character ``t0`` on the fixed subgroup ``inv`` of the center
+    characters ``mod`` (with their Galois action), and the inclusion ``incl``."""
+
+    mod: FgAbelianGroup
+    inv: FgAbelianGroup
+    incl: GroupHom
+    t0: BrCharacter
+
+    def class_of(self, weight):
+        """The class in ``inv`` of a weight; ValueError if its center class is not fixed."""
+        cls = self.incl.preimage(self.mod.from_ambient(weight))
+        if cls is None:
+            raise ValueError("weight %r has a non-fixed center class" % (list(weight),))
+        return cls
+
+
 def resolve_local_character(rd, galois, tits, mode):
     """Resolve and validate a Tits character on the center fixed points.
 
@@ -198,7 +217,7 @@ def resolve_local_character(rd, galois, tits, mode):
     )
     if problems:
         raise ValueError("invalid Tits character: " + "; ".join(problems))
-    return mod, inv, incl, t0
+    return LocalCharacter(mod, inv, incl, t0)
 
 
 def theta_lattice(rd, galois, t0):
@@ -219,6 +238,7 @@ def _theta_lattice(t, galois, values):
     rd = based_root_datum(t)
     mod, inv, incl = center_invariants(rd, galois)
     t0 = BrCharacter(inv, values)
+    local = LocalCharacter(mod, inv, incl, t0)
     denom = t0.order()
     # kernel inside the fixed subgroup
     col = IntMatrix([[int(v * denom)] for v in t0.values], cols=1)
@@ -228,12 +248,7 @@ def _theta_lattice(t, galois, values):
         raise ValueError("nonzero character with full kernel; inconsistent data")
     # preimage in the fixed weights (the generators fix what the group fixes)
     p_fixed = fixed_sublattice(rd.rank, galois.generator_matrices())
-    vals = []
-    for b in p_fixed.basis.data:
-        cls = incl.preimage(mod.from_ambient(b))
-        if cls is None:
-            raise ValueError("fixed weight with non-fixed center class")
-        vals.append(int(t0.evaluate(cls) * denom))
+    vals = [int(t0.evaluate(local.class_of(b)) * denom) for b in p_fixed.basis.data]
     colp = IntMatrix([[v] for v in vals], cols=1)
     coeff_rows = preimage_lattice(colp, Lattice(1, [[denom]]))
     theta_p = Lattice(
@@ -242,7 +257,7 @@ def _theta_lattice(t, galois, values):
     return theta, theta_incl, theta_p
 
 
-def kappa_on_invariants(datum, characters, mod, inv, incl):
+def kappa_on_invariants(datum, characters, local):
     """The map from fixed automorphism characters to fixed center characters.
 
     ``characters`` is one of the character groups of aut_character_lattices,
@@ -250,20 +265,16 @@ def kappa_on_invariants(datum, characters, mod, inv, incl):
     its color-fixing subgroup.  The orbit lattice sits inside the weight
     lattice, so classes of orbit weights modulo the doubled spherical roots
     push to classes modulo the root lattice; restricting to fixed points
-    gives the hom whose vanishing under the Tits character is the local
-    existence condition.
+    gives the hom whose vanishing under ``local.t0`` (a LocalCharacter) is
+    the local existence condition.
     """
     xa_inv, xa_incl = group_invariants(characters)
     images = []
     for img in xa_incl.images:
         coords = characters.lift(img)  # coordinates in the orbit-lattice basis
         ambient = apply_row(coords, datum.lattice.basis)
-        weight = ambient[: datum.rd.rank]
-        cls = incl.preimage(mod.from_ambient(weight))
-        if cls is None:
-            raise ValueError("fixed automorphism character with non-fixed center class")
-        images.append(cls)
-    return GroupHom(xa_inv, inv, images)
+        images.append(local.class_of(ambient[: datum.rd.rank]))
+    return GroupHom(xa_inv, local.inv, images)
 
 
 # -- the decision procedures -------------------------------------------------
@@ -278,16 +289,17 @@ def _stability_reason(action):
     )
 
 
-def _kappa_cohomology(datum, galois, t0, mod, inv, incl):
+def _kappa_cohomology(datum, galois, local):
     """The cohomology reason of a spherical orbit.
 
     The Tits character must vanish on the pushed-forward fixed automorphism
     characters; the witness is the first pushed-forward class on which it
     does not.
     """
+    t0 = local.t0
     if t0.is_zero():
         return _reason("cohomology", True, rule="t0-trivial")
-    kappa = kappa_on_invariants(datum, _aut_characters(datum, galois), mod, inv, incl)
+    kappa = kappa_on_invariants(datum, _aut_characters(datum, galois), local)
     ok = br_vanishing_test(t0, kappa)
     bad = next((list(img) for img in kappa.images if t0.evaluate(img) != 0), None)
     return _reason("cohomology", ok, rule="generic-theta", witness=bad)
@@ -300,22 +312,17 @@ def decide_local_general(datum, galois, tits, mode):
     of the Tits character on the pushed-forward fixed automorphism
     characters.
     """
-    mod, inv, incl, t0 = resolve_local_character(datum.rd, galois, tits, mode)
+    local = resolve_local_character(datum.rd, galois, tits, mode)
     reasons = [_stability_reason(orbit_action(datum, galois))]
     citations = ["necessary stability of the combinatorial invariants"]
     if not reasons[0]["ok"]:
         return Verdict(tuple(reasons), tuple(citations))
-    reasons.append(_kappa_cohomology(datum, galois, t0, mod, inv, incl))
+    reasons.append(_kappa_cohomology(datum, galois, local))
     citations.append("vanishing of the pushed-forward degree-2 obstruction")
     return Verdict(tuple(reasons), tuple(citations))
 
 
-def _fundamental_class(mod, incl, n, k):
-    """Fixed center class of the k-th fundamental weight (0-based)."""
-    return incl.preimage(mod.from_ambient(tuple(1 if j == k else 0 for j in range(n))))
-
-
-def _shortcut_label(rd, galois, t0, mod, inv, incl):
+def _shortcut_label(rd, galois, local):
     """The tabulated condition, *1 to *5, covering a type, action and character.
 
     Returns None outside the table.  The label names the rule of a verdict;
@@ -323,15 +330,16 @@ def _shortcut_label(rd, galois, t0, mod, inv, incl):
     """
     fam, n = rd.type.family, rd.type.rank
     trivial = galois.is_trivial_action()
-    if mod.order() == 2:
+    if local.mod.order() == 2:
         return "*1"
-    if not trivial and inv.order() == 2 and fam in ("A", "D"):
+    if not trivial and local.inv.order() == 2 and fam in ("A", "D"):
         return "*2"
     if trivial and (fam == "A" and n >= 2 or fam == "D" and n % 2 == 1):
         return "*3"
     if trivial and fam == "D":
-        spins = [t0.evaluate(_fundamental_class(mod, incl, n, k)) for k in (n - 2, n - 1)]
-        return "*4" if all(spins) else "*5"
+        # the fundamental weights are the basis of the weight lattice
+        spins = rd.weight_lattice.basis.data[n - 2 :]
+        return "*4" if all(local.t0.evaluate(local.class_of(w)) for w in spins) else "*5"
     return None
 
 
@@ -343,7 +351,8 @@ def _horospherical_fast_path(rd, galois, t0, m_lattice, mod, inv, incl):
     evaluation is a direct lattice test, kept as a cross-check of the
     kernel-preimage test that decides.
     """
-    label = _shortcut_label(rd, galois, t0, mod, inv, incl)
+    local = LocalCharacter(mod, inv, incl, t0)
+    label = _shortcut_label(rd, galois, local)
     n = rd.rank
     q_lat = rd.root_lattice
     if label == "*1":
@@ -363,25 +372,25 @@ def _horospherical_fast_path(rd, galois, t0, m_lattice, mod, inv, incl):
         return label, all(in_epsilon_lattice(rd.type, row) for row in m_lattice.basis.data)
     if label == "*5":
         # the spin weight the character kills
-        keep = n - 1 if t0.evaluate(_fundamental_class(mod, incl, n, n - 2)) == 0 else n
-        gen = tuple(1 if k == keep - 1 else 0 for k in range(n))
-        return label, q_lat.sum(Lattice(n, [gen])).contains(m_lattice)
+        spins = rd.weight_lattice.basis.data[n - 2 :]
+        keep = spins[0] if t0.evaluate(local.class_of(spins[0])) == 0 else spins[1]
+        return label, q_lat.sum(Lattice(n, [keep])).contains(m_lattice)
     return None
 
 
-def _horospherical_cohomology(datum, galois, t0, mod, inv, incl):
+def _horospherical_cohomology(datum, galois, local):
     """(ok, rule, witness) of the cohomology condition of a stable pair.
 
     For a nonzero character the fixed sublattice of M must lie inside the
     preimage of the character kernel; the witness is the first basis row of
     the fixed part outside it.
     """
-    if t0.is_zero():
+    if local.t0.is_zero():
         return True, "t0-trivial", None
-    theta_p = theta_lattice(datum.rd, galois, t0)[2]
+    theta_p = theta_lattice(datum.rd, galois, local.t0)[2]
     m_fixed = fixed_sublattice(datum.M, galois.generator_matrices())
     offender = next((list(r) for r in m_fixed.basis.data if not theta_p.member(r)), None)
-    rule = _shortcut_label(datum.rd, galois, t0, mod, inv, incl) or "generic-theta"
+    rule = _shortcut_label(datum.rd, galois, local) or "generic-theta"
     return offender is None, rule, offender
 
 
@@ -393,19 +402,13 @@ def decide_horospherical(datum, galois, tits, mode):
     When the simple type and action match the tabulated shortcut the reason
     names the matching condition.
     """
-    bad = datum.validate()
-    if bad:
-        raise ValueError(
-            "invalid horospherical datum: "
-            + "; ".join("node %d pairs with %r" % (i, list(r)) for i, r in bad)
-        )
-    mod, inv, incl, t0 = resolve_local_character(datum.rd, galois, tits, mode)
+    local = resolve_local_character(datum.rd, galois, tits, mode)
     stable = datum.stable(galois)
     reasons = [_reason("pair-stability", stable)]
     citations = ["necessary stability of the horospherical pair"]
     if not stable:
         return Verdict(tuple(reasons), tuple(citations))
-    ok, rule, witness = _horospherical_cohomology(datum, galois, t0, mod, inv, incl)
+    ok, rule, witness = _horospherical_cohomology(datum, galois, local)
     extra = {} if ok else {"witness": witness}
     reasons.append(_reason("cohomology", ok, rule=rule, **extra))
     citations.append("fixed part of M inside the character-kernel preimage")
@@ -426,8 +429,6 @@ def decide_number_field(datum, galois, sites):
     none.  Each site's image must sit inside the global image, so the pair
     is stable under it as well.
     """
-    if datum.validate():
-        raise ValueError("invalid horospherical datum")
     stable = datum.stable(galois)
     reasons = [_reason("pair-stability", stable)]
     citations = [
@@ -447,8 +448,8 @@ def decide_number_field(datum, galois, sites):
             )
             continue
         tits = TitsClassSpec.from_values(site.t0_values)
-        mod, inv, incl, t0 = resolve_local_character(datum.rd, site.galois, tits, site.mode)
-        ok, rule, witness = _horospherical_cohomology(datum, site.galois, t0, mod, inv, incl)
+        local = resolve_local_character(datum.rd, site.galois, tits, site.mode)
+        ok, rule, witness = _horospherical_cohomology(datum, site.galois, local)
         reasons.append(_reason("site:%s" % site.label, ok, rule=rule, witness=witness))
     return Verdict(tuple(reasons), tuple(citations))
 
@@ -460,7 +461,7 @@ def decide_gu(rd, galois, tits, mode):
     reduces to this because the fixed weights surject far enough onto the
     fixed center characters.
     """
-    mod, inv, incl, t0 = resolve_local_character(rd, galois, tits, mode)
+    t0 = resolve_local_character(rd, galois, tits, mode).t0
     reasons = (_reason("cohomology", t0.is_zero(), rule="tits-class-vanishes"),)
     return Verdict(reasons, ("triviality of the Tits class",))
 
@@ -493,7 +494,7 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
     orbit_action is derived once and serves both the stability check and the
     lift search.
     """
-    mod, inv, incl, t0 = resolve_local_character(datum.rd, galois, tits, mode)
+    local = resolve_local_character(datum.rd, galois, tits, mode)
     action = orbit_action(datum, galois)
     reasons = [_stability_reason(action)]
     citations = [
@@ -521,7 +522,7 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
             lift=None if lift is None else [list(p) for p in lift.generator_maps],
         )
     )
-    reasons.append(_kappa_cohomology(datum, galois, t0, mod, inv, incl))
+    reasons.append(_kappa_cohomology(datum, galois, local))
     return Verdict(tuple(reasons), tuple(citations))
 
 

@@ -9,7 +9,7 @@ description, plus the sorted color ids: equal colored cones are equal keys.
 Fans are given by their maximal colored cones; face closure is not
 validated (stability testing only needs equality of colored cones), but
 strict convexity, distinctness, containment of color functionals, and
-optionally "relative interior meets the valuation cone" are checked.
+"relative interior meets the valuation cone" are checked.
 """
 
 from __future__ import annotations
@@ -69,13 +69,15 @@ def cone_canonicalize(cone, datum):
 class ColoredFan:
     """Maximal colored cones of an embedding, canonicalized and distinct.
 
+    Each cone's relative interior must meet the valuation cone of the datum.
+
     ``keys`` holds the canonical key of every maximal cone, with the rays
     as integer tuples (canonical rays are primitive integer vectors).
     """
 
     __slots__ = ("cones", "datum", "keys")
 
-    def __init__(self, cones, datum, check_valuation_cone=False):
+    def __init__(self, cones, datum):
         canon = []
         seen = set()
         for c in cones:
@@ -87,13 +89,10 @@ class ColoredFan:
         self.cones = tuple(canon)
         self.datum = datum
         self.keys = frozenset(seen)
-        if check_valuation_cone:
-            vrows = datum.valuation_cone_inequalities()
-            for cc in self.cones:
-                if not relative_interior_point_satisfies(cc.rays, vrows):
-                    raise ValueError(
-                        "a maximal cone's relative interior misses the valuation cone"
-                    )
+        vrows = datum.valuation_cone_inequalities()
+        for cc in self.cones:
+            if not relative_interior_point_satisfies(cc.rays, vrows):
+                raise ValueError("a maximal cone's relative interior misses the valuation cone")
 
     def contains(self, cone):
         return cone.key() in self.keys

@@ -3,7 +3,8 @@
 A pair (I, M) with I a set of simple-root nodes and M a subgroup of the
 weight lattice pairing to zero with every coroot from I classifies a
 horospherical subgroup up to conjugacy.  M is stored exactly as given (no
-silent saturation); the only structural requirement is the orthogonality.
+silent saturation); the only structural requirement is the orthogonality,
+which the constructor checks.
 """
 
 from __future__ import annotations
@@ -24,15 +25,14 @@ class HorosphericalDatum:
         if not self.I <= set(range(1, rd.rank + 1)):
             raise ValueError("node set mentions unknown simple roots")
         self.M = Lattice(rd.rank, [list(r) for r in m_rows])
-
-    def validate(self):
-        """Orthogonality violations, one (node, basis_row) pair per failure."""
-        out = []
-        for row in self.M.basis.data:
-            for i in sorted(self.I):
-                if self.rd.coroot_pairing(row, i) != 0:
-                    out.append((i, tuple(row)))
-        return out
+        bad = [
+            "node %d pairs with %r" % (i, list(row))
+            for row in self.M.basis.data
+            for i in sorted(self.I)
+            if rd.coroot_pairing(row, i) != 0
+        ]
+        if bad:
+            raise ValueError("invalid horospherical datum: " + "; ".join(bad))
 
     def stable(self, galois):
         """True iff every generator fixes I setwise and maps M onto M.
@@ -53,8 +53,6 @@ class HorosphericalDatum:
         root outside I contributes one color whose functional is the coroot
         restricted to M (written in the canonical basis of M).
         """
-        if self.validate():
-            raise ValueError("datum violates the coroot-orthogonality condition")
         colors = []
         for i in sorted(set(range(1, self.rd.rank + 1)) - self.I):
             rho = tuple(Fraction(row[i - 1]) for row in self.M.basis.data)

@@ -429,11 +429,6 @@ class _RowSolver(Lattice):
         return None if y is None else apply_row(y, self.u)
 
 
-def solve_row(m, v):
-    """One integer solution x of x @ m = v, or None (see _RowSolver)."""
-    return _RowSolver(m).solve(v)
-
-
 def stabilizes(lattice, mats):
     """True iff every matrix maps the lattice into itself."""
     return all(

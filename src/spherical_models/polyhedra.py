@@ -152,10 +152,10 @@ def relative_interior_point_satisfies(rays, inequalities):
     satisfy the system form a pointed cone, the orthant cut by
     -sum_i lambda_i (a.r_i) >= 0 for each a; it has a strictly positive point
     iff each coordinate is positive on one of its extreme rays.  Used for
-    the "cone meets the valuation cone" validation toggle.
+    the colored-fan axiom "cone meets the valuation cone".
     """
-    if not rays:
-        return True  # the relative interior of {0} is {0}, and a.0 <= 0
+    if not rays or not inequalities:
+        return True  # a relative interior is never empty, and that of {0} is {0}
     # positive rescaling moves neither the relative interior nor a.x <= 0
     rays = [primitive(r) for r in rays]
     m = len(rays)

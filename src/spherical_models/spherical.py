@@ -33,7 +33,6 @@ from .lattice import (
     _unimodular_inverse,
     apply_row,
     quotient_group,
-    solve_row,
 )
 from .rootdata import node_permutation
 
@@ -101,7 +100,7 @@ class SphericalDatum:
         basis = IntMatrix([list(r) for r in basis], cols=ambient)
         if basis.cols != ambient:
             raise ValueError("basis rows must have the ambient length %d" % ambient)
-        self.lattice = Lattice(ambient, basis.data)
+        self.lattice = _RowSolver(basis)
         if self.lattice.rank != basis.rows:
             raise ValueError("basis rows are not linearly independent")
         self.basis = basis
@@ -168,8 +167,8 @@ class SphericalDatum:
         return tuple(c for c in self.colors if node in c.sigma_set)
 
     def coords_in_basis(self, v):
-        """Integer coordinates of an ambient vector in the chosen basis."""
-        return solve_row(self.basis, tuple(v))
+        """Integer coordinates of an ambient vector in the chosen basis, or None."""
+        return self.lattice.solve(tuple(v))
 
     def valuation_cone_inequalities(self):
         """Rows a with the valuation cone = {v : a . v <= 0 for all rows}.
@@ -354,7 +353,7 @@ def _extended_matrices(datum, galois):
 
 def _restriction_to_basis(datum, mat):
     """Matrix of the action on the orbit lattice in the chosen basis, or None."""
-    return _restriction_matrix(datum.basis, _RowSolver(datum.basis).solve, mat)
+    return _restriction_matrix(datum.basis, datum.lattice.solve, mat)
 
 
 @dataclass(frozen=True, eq=False)

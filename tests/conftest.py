@@ -92,7 +92,6 @@ def sl6_fan(sl6_datum):
     return ColoredFan(
         [ColoredCone(((-1, 1, -1),), frozenset({"D1+", "D5-"}))],
         sl6_datum,
-        check_valuation_cone=True,
     )
 
 
@@ -104,7 +103,6 @@ def sl3_fan(sl3_datum):
             ColoredCone(((-1, 0),), frozenset({"D2"})),
         ],
         sl3_datum,
-        check_valuation_cone=True,
     )
 
 

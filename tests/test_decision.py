@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +31,7 @@ from spherical_models import (
     galois_from_permutations,
     theta_lattice,
 )
-from spherical_models.rootdata import diagram_flip
+from spherical_models.rootdata import DiagramAutomorphism, diagram_flip
 from spherical_models.decision import (
     center_invariants,
     check_local_mode,
@@ -74,6 +76,24 @@ def test_theta_a3_order_two_on_z4():
 
 
 # -- local general -------------------------------------------------------------
+
+
+def test_center_invariant_coordinates_are_pinned():
+    # Tits values in problem files are aligned with the SNF generators of the
+    # fixed center characters; these are their invariant factors and images
+    # in P/Q for every (type, action) pair of the benchmark tables, recorded
+    # once.  A change of HNF/SNF pivoting would silently reinterpret every file.
+    pins = json.loads((Path(__file__).resolve().parent / "golden" / "center_invariants.json").read_text())
+    moved = []
+    for pin in pins:
+        rd = based_root_datum(pin["type"])
+        autos = [DiagramAutomorphism(tuple(i - 1 for i in g)) for g in pin["generators"]]
+        galois = galois_from_permutations(rd, autos, group_name=pin["group"])
+        _, inv, incl = center_invariants(rd, galois)
+        got = (list(inv.invariant_factors), [list(img) for img in incl.images])
+        if got != (pin["fixed_factors"], pin["images"]):
+            moved.append((pin["type"], pin["generators"], got))
+    assert len(pins) == 83 and moved == []
 
 
 def test_quadric_orthogonal_exists(so10_datum, galois_d5_flip):
@@ -566,13 +586,12 @@ def test_kernel_route_agrees_on_horospherical_orbits(label):
     rng = random.Random(label)
     checked = 0
     for galois in diagram_actions(rd):
-        mod, inv, incl = center_invariants(rd, galois)
-        chars = [c for c in all_characters(inv) if not c.is_zero()]
+        chars = [c for c in all_characters(center_invariants(rd, galois)[1]) if not c.is_zero()]
         for _ in range(4):
             m_lat = _stable_horospherical_lattice(rng, rd, galois)
             datum = HorosphericalDatum(rd, [], m_lat.basis.data).to_spherical()
             assert orbit_action(datum, galois).unstable is None
-            checked += _assert_routes_agree(datum, galois, chars, mod, inv, incl)
+            checked += _assert_routes_agree(datum, galois, chars)
     assert checked > 0
 
 
@@ -581,20 +600,22 @@ def test_kernel_route_agrees_on_the_sl6_datum(sl6_datum, rd_a5, action):
     galois = GaloisAction.trivial(5) if action == "trivial" else galois_from_permutations(
         rd_a5, [diagram_flip(rd_a5.type)]
     )
-    mod, inv, incl = center_invariants(rd_a5, galois)
-    chars = [c for c in all_characters(inv) if not c.is_zero()]
-    assert _assert_routes_agree(sl6_datum, galois, chars, mod, inv, incl) == len(chars) > 0
+    chars = [c for c in all_characters(center_invariants(rd_a5, galois)[1]) if not c.is_zero()]
+    assert _assert_routes_agree(sl6_datum, galois, chars) == len(chars) > 0
 
 
-def _assert_routes_agree(datum, galois, chars, mod, inv, incl):
+def _assert_routes_agree(datum, galois, chars):
     """The automorphism route and the color-fixing (kernel) route give the same
     vanishing test for every character; returns the number of characters checked."""
     from spherical_models import aut_character_lattices, br_vanishing_test
-    from spherical_models.decision import kappa_on_invariants
+    from spherical_models.decision import LocalCharacter, kappa_on_invariants
 
+    mod, inv, incl = center_invariants(datum.rd, galois)
+    # the map does not read the character, so the zero one stands in
+    local = LocalCharacter(mod, inv, incl, BrCharacter.zero(inv))
     xa, xa_ker, _ = aut_character_lattices(datum, galois=galois)
-    kappa = kappa_on_invariants(datum, xa, mod, inv, incl)
-    kappa_ker = kappa_on_invariants(datum, xa_ker, mod, inv, incl)
+    kappa = kappa_on_invariants(datum, xa, local)
+    kappa_ker = kappa_on_invariants(datum, xa_ker, local)
     for t0 in chars:
         assert br_vanishing_test(t0, kappa) == br_vanishing_test(t0, kappa_ker)
     return len(chars)

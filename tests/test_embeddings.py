@@ -83,13 +83,12 @@ def test_fan_rejects_duplicates(sl3_datum):
 
 def test_fan_valuation_cone_toggle(sl3_datum):
     # a cone whose interior is strictly dominant misses the valuation cone
-    good = ColoredFan([ColoredCone(((-1, 0),), frozenset())], sl3_datum, check_valuation_cone=True)
+    good = ColoredFan([ColoredCone(((-1, 0),), frozenset())], sl3_datum)
     assert len(good.cones) == 1
     with pytest.raises(ValueError):
         ColoredFan(
             [ColoredCone(((1, 0), (0, 1)), frozenset())],
             sl3_datum,
-            check_valuation_cone=True,
         )
 
 

@@ -26,15 +26,22 @@ from spherical_models.decision import center_invariants, resolve_local_character
 
 
 def test_validate_no_constraint_cases(rd_a2):
+    # no node or no lattice: nothing to pair, so both are built
     full = [[1, 0], [0, 1]]
-    assert HorosphericalDatum(rd_a2, [], full).validate() == []
-    assert HorosphericalDatum(rd_a2, [1, 2], []).validate() == []
+    assert HorosphericalDatum(rd_a2, [], full).M.rank == 2
+    assert HorosphericalDatum(rd_a2, [1, 2], []).I == {1, 2}
 
 
-def test_validate_pairing_violation(rd_a2):
-    h = HorosphericalDatum(rd_a2, [1], [[1, 0]])
-    bad = h.validate()
-    assert bad == [(1, (1, 0))]
+def test_validate_pairing_violation(rd_a2, rd_a5):
+    # the constructor names every node and basis row that pair nonzero
+    with pytest.raises(ValueError, match=r"^invalid horospherical datum: node 1 pairs with \[1, 0\]$"):
+        HorosphericalDatum(rd_a2, [1], [[1, 0]])
+    with pytest.raises(ValueError) as e:
+        HorosphericalDatum(rd_a5, [2, 4], [[0, 2, 0, 0, 0], [0, 0, 0, 2, 0]])
+    assert str(e.value) == (
+        "invalid horospherical datum: node 2 pairs with [0, 2, 0, 0, 0]; "
+        "node 4 pairs with [0, 0, 0, 2, 0]"
+    )
 
 
 def test_validate_unknown_node(rd_a2):
@@ -86,9 +93,9 @@ def test_to_spherical_index_two_sublattice(rd_a5, m_2p_plus_q):
 
 
 def test_to_spherical_rejects_invalid(rd_a2):
-    h = HorosphericalDatum(rd_a2, [1], [[1, 0]])
-    with pytest.raises(ValueError):
-        h.to_spherical()
+    # refused when built, so to_spherical only ever sees an orthogonal M
+    with pytest.raises(ValueError, match="node 1 pairs with"):
+        HorosphericalDatum(rd_a2, [1], [[1, 0]]).to_spherical()
 
 
 def test_to_spherical_omega_shape(rd_a5):
@@ -142,8 +149,9 @@ def test_stability_agrees_with_orbit_invariants(rd_a5, galois_a5_flip):
     assert orbit_action(h_bad.to_spherical(), galois_a5_flip).unstable is not None
 
 
-def test_serialization_round_trip(rd_a5, m_2p_plus_q):
-    h = HorosphericalDatum(rd_a5, [2, 4], [[0, 2, 0, 0, 0], [0, 0, 0, 2, 0]])
+def test_serialization_round_trip(rd_a5):
+    # M = <omega_1 + omega_5, 2 omega_3> pairs to zero with the coroots of I
+    h = HorosphericalDatum(rd_a5, [2, 4], [[1, 0, 0, 0, 1], [0, 0, 2, 0, 0]])
     doc = h.to_dict()
     back = _build_payload(doc, rd_a5, "horospherical", "x")
     assert back.I == h.I and back.M == h.M
