@@ -49,8 +49,6 @@ from .spherical import (
     aut_character_lattices,
     omega_sets,
     orbit_action,
-    sigma_two,
-    sigma_variants,
 )
 from .horospherical import HorosphericalDatum
 from .embeddings import (

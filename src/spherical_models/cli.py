@@ -52,8 +52,6 @@ from .spherical import (
     _json_rational,
     aut_character_lattices,
     omega_sets,
-    sigma_two,
-    sigma_variants,
 )
 
 
@@ -416,21 +414,21 @@ def invariants_report(doc, path):
             lines.append("kernel preimage in fixed weights, basis:")
             for r in theta_p.basis.data:
                 lines.append("  %s" % _fmt_vec(r))
-    datum = None
-    if kind == "horospherical":
+    if kind in ("horospherical", "gu"):
         h = _build_payload(doc, rd, kind, path)
-        lines.append("I: %s" % sorted(h.I))
-        lines.append("M basis:")
-        for r in h.M.basis.data:
-            lines.append("  %s" % _fmt_vec(r))
+        if kind == "horospherical":
+            lines.append("I: %s" % sorted(h.I))
+            lines.append("M basis:")
+            for r in h.M.basis.data:
+                lines.append("  %s" % _fmt_vec(r))
+            lines.append("derived orbit datum: one color per simple root outside I")
         try:
             datum = h.to_spherical()
         except ValueError as e:
             _fail(path, str(e))
-        lines.append("derived orbit datum: one color per simple root outside I")
     elif kind == "spherical":
         datum = _build_payload(doc, rd, kind, path)
-    elif kind == "embedding":
+    else:
         datum, fan = _build_payload(doc, rd, kind, path)
         lines.append("fan (canonical maximal colored cones):")
         for c in fan.cones:
@@ -441,28 +439,26 @@ def invariants_report(doc, path):
                     ", ".join(sorted(c.colors)),
                 )
             )
-    elif kind == "gu":
-        datum = _build_payload(doc, rd, kind, path).to_spherical()
-    if datum is not None:
-        lines.append("orbit lattice rank: %d" % datum.rank)
-        for r in datum.basis.data:
-            lines.append("  basis %s" % _fmt_vec(r))
-        lines.append("spherical roots: %s" % ("; ".join(_fmt_vec(s) for s in datum.sigma) or "none"))
-        s2 = sigma_two(datum)
-        lines.append("colinear-color simple roots: %s" % ("; ".join(_fmt_vec(s) for s in s2) or "none"))
-        sc, n = sigma_variants(datum)
-        lines.append("sigma_sc: %s" % ("; ".join(_fmt_vec(s) for s in sc) or "none"))
-        lines.append("sigma_N: %s" % ("; ".join(_fmt_vec(s) for s in n) or "none"))
-        o1, o2 = omega_sets(datum)
-        lines.append("omega1 (%d):" % len(o1))
-        for e in o1:
-            lines.append("  rho %s moves %s" % (_fmt_vec(e.rho), sorted(e.sigma_set)))
-        lines.append("omega2 (%d):" % len(o2))
-        for e in o2:
-            lines.append("  rho %s moves %s" % (_fmt_vec(e.rho), sorted(e.sigma_set)))
-        xa, xa_ker, _ = aut_character_lattices(datum)
-        lines.append("X*(A) = X/<sigma_N>: %s" % _fmt_group(xa))
-        lines.append("X*(A^ker) = X/<sigma_sc>: %s" % _fmt_group(xa_ker))
+    lines.append("orbit lattice rank: %d" % datum.rank)
+    for r in datum.basis.data:
+        lines.append("  basis %s" % _fmt_vec(r))
+    for label, roots in (
+        ("spherical roots", datum.sigma),
+        ("colinear-color simple roots", datum.sigma_two),
+        ("sigma_sc", datum.sigma_sc),
+        ("sigma_N", datum.sigma_n),
+    ):
+        lines.append("%s: %s" % (label, "; ".join(_fmt_vec(s) for s in roots) or "none"))
+    o1, o2 = omega_sets(datum)
+    lines.append("omega1 (%d):" % len(o1))
+    for e in o1:
+        lines.append("  rho %s moves %s" % (_fmt_vec(e.rho), sorted(e.sigma_set)))
+    lines.append("omega2 (%d):" % len(o2))
+    for e in o2:
+        lines.append("  rho %s moves %s" % (_fmt_vec(e.rho), sorted(e.sigma_set)))
+    xa, xa_ker, _ = aut_character_lattices(datum)
+    lines.append("X*(A) = X/<sigma_N>: %s" % _fmt_group(xa))
+    lines.append("X*(A^ker) = X/<sigma_sc>: %s" % _fmt_group(xa_ker))
     return lines
 
 

@@ -201,20 +201,16 @@ class LocalCharacter(NamedTuple):
 def resolve_local_character(rd, galois, tits, mode):
     """Resolve and validate a Tits character on the center fixed points.
 
-    Over the reals the Galois group is the order-2 group even when the
-    star action is trivial; a trivial abstract group is therefore upgraded
-    to the order-2 group acting trivially for the norm-vanishing check.
+    Over the reals the Galois group has order 2 even when the star action is
+    trivial.  Acting trivially, its norms are the doubles, which a
+    half-integral character kills, so the norm check needs a nontrivial
+    image only.
     """
     check_local_mode(mode)
     mod, inv, incl = center_invariants(rd, galois)
     t0 = tits.resolve(inv)
-    val_galois, val_mod = galois, mod
-    if mode == REAL and galois.is_trivial_group():
-        val_galois = _named_galois(rd, "trivial-c2")
-        val_mod = center_invariants(rd, val_galois)[0]
-    problems = validate_br_character(
-        t0, mode, ambient=val_mod, galois=val_galois, embedding=incl
-    )
+    ambient = None if galois.is_trivial_group() else mod
+    problems = validate_br_character(t0, mode, ambient=ambient, galois=galois, embedding=incl)
     if problems:
         raise ValueError("invalid Tits character: " + "; ".join(problems))
     return LocalCharacter(mod, inv, incl, t0)
@@ -427,8 +423,22 @@ def decide_number_field(datum, galois, sites):
     The pair must be stable under the global action, and at every listed
     completion the local condition must hold; sites marked trivial impose
     none.  Each site's image must sit inside the global image, so the pair
-    is stable under it as well.
+    is stable under it as well.  Every site is checked, its image and its
+    character, before any reason is given, as the local verdicts check
+    theirs.
     """
+    site_chars = []
+    for site in sites:
+        if not site.galois.is_subaction_of(galois):
+            raise ValueError(
+                "site %s: local image is not contained in the global image" % site.label
+            )
+        site_chars.append(
+            None if site.t0_values is None
+            else resolve_local_character(
+                datum.rd, site.galois, TitsClassSpec.from_values(site.t0_values), site.mode
+            )
+        )
     stable = datum.stable(galois)
     reasons = [_reason("pair-stability", stable)]
     citations = [
@@ -437,18 +447,10 @@ def decide_number_field(datum, galois, sites):
     ]
     if not stable:
         return Verdict(tuple(reasons), tuple(citations))
-    for site in sites:
-        if not site.galois.is_subaction_of(galois):
-            raise ValueError(
-                "site %s: local image is not contained in the global image" % site.label
-            )
-        if site.t0_values is None:
-            reasons.append(
-                _reason("site:%s" % site.label, True, rule="t0-trivial")
-            )
+    for site, local in zip(sites, site_chars):
+        if local is None:
+            reasons.append(_reason("site:%s" % site.label, True, rule="t0-trivial"))
             continue
-        tits = TitsClassSpec.from_values(site.t0_values)
-        local = resolve_local_character(datum.rd, site.galois, tits, site.mode)
         ok, rule, witness = _horospherical_cohomology(datum, site.galois, local)
         reasons.append(_reason("site:%s" % site.label, ok, rule=rule, witness=witness))
     return Verdict(tuple(reasons), tuple(citations))

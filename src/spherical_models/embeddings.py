@@ -89,9 +89,8 @@ class ColoredFan:
         self.cones = tuple(canon)
         self.datum = datum
         self.keys = frozenset(seen)
-        vrows = datum.valuation_cone_inequalities()
         for cc in self.cones:
-            if not relative_interior_point_satisfies(cc.rays, vrows):
+            if not relative_interior_point_satisfies(cc.rays, datum.valuation_rows):
                 raise ValueError("a maximal cone's relative interior misses the valuation cone")
 
     def contains(self, cone):

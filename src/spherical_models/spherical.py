@@ -86,9 +86,27 @@ class SphericalDatum:
     orbit lattice.  ``sigma234`` flags (indices into sigma) mark the roots
     that double in the normalizer computation; they are input data, never
     inferred.
+
+    The constructor is the one place where a datum is checked and its
+    combinatorics derived; ValueError on invalid data.  Derived attributes:
+
+    - ``valuation_rows``: the coordinates of each spherical root in the
+      chosen basis; the valuation cone is {v : a . v <= 0 for each row a}.
+    - ``fibers``: the sorted color ids over each color image (rho,
+      sigma_set), images in the order of their sorted moving sets, then
+      functionals; at most two colors share an image.
+    - ``sigma_two``: the simple spherical roots whose two colors share a
+      functional, in the order of ``sigma``.
+    - ``sigma_sc`` and ``sigma_n``: the doubled root sets presenting the
+      automorphism character groups.  The first doubles only the flagged
+      roots, the second also ``sigma_two``; the flags may not overlap
+      ``sigma_two``.
     """
 
-    __slots__ = ("rd", "basis", "sigma", "colors", "sigma234", "torus_rank", "lattice")
+    __slots__ = (
+        "rd", "basis", "sigma", "colors", "sigma234", "torus_rank", "lattice",
+        "valuation_rows", "fibers", "sigma_two", "sigma_sc", "sigma_n",
+    )
 
     def __init__(self, rd, basis, sigma, colors, sigma234=(), torus_rank=0):
         colors = tuple(colors)
@@ -106,6 +124,7 @@ class SphericalDatum:
         self.basis = basis
         sigma = tuple(tuple(int(x) for x in s) for s in sigma)
         root_lat = rd.root_lattice
+        rows = []
         for s in sigma:
             if len(s) != ambient:
                 raise ValueError("spherical root has wrong length")
@@ -113,13 +132,16 @@ class SphericalDatum:
                 raise ValueError("spherical roots have no central-torus component")
             if not root_lat.member(s[: rd.rank]):
                 raise ValueError("spherical root %r is not in the root lattice" % (s,))
-            if not self.lattice.member(s):
+            coords = self.lattice.solve(s)
+            if coords is None:
                 raise ValueError("spherical root %r is not in the orbit lattice" % (s,))
+            rows.append(coords)
         if sigma:
             sig_lat = Lattice(ambient, sigma)
             if sig_lat.rank != len(sigma):
                 raise ValueError("spherical roots are not linearly independent")
         self.sigma = sigma
+        self.valuation_rows = tuple(rows)
         seen = set()
         for c in colors:
             if c.id in seen:
@@ -134,26 +156,29 @@ class SphericalDatum:
         if not sigma234 <= set(range(len(sigma))):
             raise ValueError("doubling flags must index the spherical roots")
         self.sigma234 = sigma234
-        self._validate_moving_sets()
-
-    # -- construction-time structure checks --------------------------------
-
-    def _validate_moving_sets(self):
-        simple_in_sigma = {
-            i for i in range(1, self.rd.rank + 1) if self._simple_root_vec(i) in self.sigma
-        }
-        for i in range(1, self.rd.rank + 1):
-            moved = self.moved_colors(i)
+        # a node moves two colors exactly when its simple root is spherical
+        torus = (0,) * self.torus_rank
+        simple = {tuple(rd.simple_root(i)) + torus: i for i in range(1, rd.rank + 1)}
+        root_at = {simple[s]: s for s in sigma if s in simple}
+        two = set()
+        for i in range(1, rd.rank + 1):
+            moved = [c for c in colors if i in c.sigma_set]
             if len(moved) > 2:
                 raise ValueError("more than two colors moved by node %d" % i)
-            if (len(moved) == 2) != (i in simple_in_sigma):
+            if (len(moved) == 2) != (i in root_at):
                 raise ValueError(
                     "node %d moves %d colors, inconsistent with the spherical roots"
                     % (i, len(moved))
                 )
-
-    def _simple_root_vec(self, i):
-        return tuple(self.rd.simple_root(i)) + (0,) * self.torus_rank
+            if i in root_at and moved[0].rho == moved[1].rho:
+                two.add(root_at[i])
+        self.fibers = _fibers(colors)
+        self.sigma_two = tuple(s for s in sigma if s in two)
+        flagged = {sigma[i] for i in sigma234}
+        if flagged & two:
+            raise ValueError("doubling flags overlap the colinear-color simple roots")
+        self.sigma_sc = tuple(_double(s) if s in flagged else s for s in sigma)
+        self.sigma_n = tuple(_double(s) if s in flagged or s in two else s for s in sigma)
 
     @property
     def ambient_dim(self):
@@ -162,27 +187,6 @@ class SphericalDatum:
     @property
     def rank(self):
         return self.basis.rows
-
-    def moved_colors(self, node):
-        return tuple(c for c in self.colors if node in c.sigma_set)
-
-    def coords_in_basis(self, v):
-        """Integer coordinates of an ambient vector in the chosen basis, or None."""
-        return self.lattice.solve(tuple(v))
-
-    def valuation_cone_inequalities(self):
-        """Rows a with the valuation cone = {v : a . v <= 0 for all rows}.
-
-        In coordinates dual to the chosen basis, the row for a spherical
-        root sigma is its coordinate vector in the chosen basis.
-        """
-        rows = []
-        for s in self.sigma:
-            c = self.coords_in_basis(s)
-            if c is None:
-                raise ValueError("spherical root outside the lattice")
-            rows.append(tuple(c))
-        return tuple(rows)
 
     def to_dict(self):
         doc = {
@@ -229,14 +233,12 @@ def _fmt_fraction(x):
     return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
 
 
-def _fibers(datum):
-    """The sorted color ids over each color image (rho, sigma_set).
-
-    Images come in the order of their sorted moving sets, then functionals;
-    three colors over one image are refused.
-    """
+def _fibers(colors):
+    """The sorted color ids over each color image (rho, sigma_set), as
+    ``SphericalDatum.fibers`` describes; three colors over one image are
+    refused."""
     fibers = {}
-    for c in datum.colors:
+    for c in colors:
         fibers.setdefault((c.rho, c.sigma_set), []).append(c.id)
     out = {}
     for key in sorted(fibers, key=lambda k: (sorted(k[1]), k[0])):
@@ -249,53 +251,11 @@ def _fibers(datum):
 
 def omega_sets(datum):
     """Split the color image into one-preimage and two-preimage parts."""
-    elems = [OmegaElement(rho, sig, len(ids)) for (rho, sig), ids in _fibers(datum).items()]
+    elems = [OmegaElement(rho, sig, len(ids)) for (rho, sig), ids in datum.fibers.items()]
     return (
         tuple(e for e in elems if e.multiplicity == 1),
         tuple(e for e in elems if e.multiplicity == 2),
     )
-
-
-def sigma_two(datum):
-    """Spherical roots that are simple and whose two colors share a functional."""
-    out = []
-    for idx, s in enumerate(datum.sigma):
-        node = _node_of_simple_root(datum, s)
-        if node is None:
-            continue
-        moved = datum.moved_colors(node)
-        if len(moved) != 2:
-            raise ValueError(
-                "simple spherical root at node %d must move exactly two colors" % node
-            )
-        if moved[0].rho == moved[1].rho:
-            out.append(s)
-    return tuple(out)
-
-
-def _node_of_simple_root(datum, s):
-    for i in range(1, datum.rd.rank + 1):
-        if s == datum._simple_root_vec(i):
-            return i
-    return None
-
-
-def sigma_variants(datum):
-    """The two doubled root sets presenting the automorphism character groups.
-
-    The first doubles only the flagged roots; the second also doubles the
-    simple roots with colinear color pairs.  The flags may not overlap the
-    latter set.
-    """
-    s2 = set(sigma_two(datum))
-    flagged = {datum.sigma[i] for i in datum.sigma234}
-    if flagged & s2:
-        raise ValueError("doubling flags overlap the colinear-color simple roots")
-    sc, n = [], []
-    for s in datum.sigma:
-        sc.append(_double(s) if s in flagged else s)
-        n.append(_double(s) if (s in flagged or s in s2) else s)
-    return tuple(sc), tuple(n)
 
 
 def _double(v):
@@ -312,10 +272,9 @@ def aut_character_lattices(datum, galois=None):
     action, one endomorphism per Galois generator: a quotient stable under
     the generators is stable under the group, with the same fixed points.
     """
-    sc, n = sigma_variants(datum)
     mats = None if galois is None else _extended_matrices(datum, galois)
-    xa = _doubled_quotient(datum, n, mats)
-    xa_ker = _doubled_quotient(datum, sc, mats)
+    xa = _doubled_quotient(datum, datum.sigma_n, mats)
+    xa_ker = _doubled_quotient(datum, datum.sigma_sc, mats)
     images = []
     for i in range(xa.rank):
         e = tuple(1 if j == i else 0 for j in range(xa.rank))
@@ -326,7 +285,7 @@ def aut_character_lattices(datum, galois=None):
 
 def _aut_characters(datum, galois):
     """The first group of aut_character_lattices alone, with its Galois action."""
-    return _doubled_quotient(datum, sigma_variants(datum)[1], _extended_matrices(datum, galois))
+    return _doubled_quotient(datum, datum.sigma_n, _extended_matrices(datum, galois))
 
 
 def _doubled_quotient(datum, roots, mats):
@@ -426,7 +385,7 @@ def orbit_action(datum, galois):
     that the one- and two-color image sets are preserved.
     """
     mats = _extended_matrices(datum, galois)
-    fibers = _fibers(datum)
+    fibers = datum.fibers
     den = lcm(*(x.denominator for rho, _ in fibers for x in rho))
     images = {
         (rho, sig): (tuple(x.numerator * (den // x.denominator) for x in rho), sig)

@@ -640,10 +640,10 @@ def all_element_matrices(datum, galois):
 
 def all_element_aut_character_lattices(datum, galois):
     """(xa, xa_ker) with one induced endomorphism per group element."""
-    from spherical_models import Lattice, sigma_variants
+    from spherical_models import Lattice
     from spherical_models.lattice import quotient_group
 
-    sc, n = sigma_variants(datum)
+    sc, n = datum.sigma_sc, datum.sigma_n
     mats = all_element_matrices(datum, galois)
     ambient = datum.ambient_dim
     return (

@@ -141,17 +141,16 @@ def test_criterion_05_rank_five_embedding(sl6_fan, sl6_datum, rd_a5, galois_a5_f
     found = stabilizing_lift(sl6_fan, orbit_action(sl6_datum, galois_a5_flip))
     gmap = found.mapping(0)
     assert gmap["D1+"] == "D5-" and gmap["D5-"] == "D1+"
-    from spherical_models import fan_stable, sigma_variants
+    from spherical_models import fan_stable
 
     action = orbit_action(sl6_datum, galois_a5_flip)
     count = sum(1 for L in lifts if fan_stable(sl6_fan, action, L))
     assert count == 1
     a1, a5 = rd_a5.simple_root(1), rd_a5.simple_root(5)
-    _, sigma_n = sigma_variants(sl6_datum)
-    assert sigma_n == (tuple(2 * x for x in a1), tuple(2 * x for x in a5))
+    assert sl6_datum.sigma_n == (tuple(2 * x for x in a1), tuple(2 * x for x in a5))
     xa, xa_ker, _ = aut_character_lattices(sl6_datum)
     assert xa_ker.invariant_factors == (0,)
-    omega3_coords = sl6_datum.coords_in_basis((0, 0, 1, 0, 0))
+    omega3_coords = sl6_datum.lattice.solve((0, 0, 1, 0, 0))
     assert xa_ker.from_ambient(omega3_coords) in ((1,), (-1,))
     mod, galois_tag = build_cyclic_module((6,), [(1,)], 2)
     h2, _ = h2_cyclic(mod, galois_tag)

@@ -281,8 +281,36 @@ def test_number_field_invalid_site_character(tmp_path, capsys):
         "I": [],
         "M": [[1, 0, 0, 0, 1]],
     }
-    code, _, err = run(capsys, "decide", write(tmp_path, doc))
-    assert code == 2 and "invalid Tits character" in err
+    path = write(tmp_path, doc)
+    # the trivial group's norms over the reals are the doubles, so the
+    # half-integrality clause is the whole diagnosis
+    assert run(capsys, "decide", path) == (
+        2, "", "error: %s: invalid Tits character: value 1/6 not in (1/2)Z/Z\n" % path
+    )
+
+
+def test_number_field_site_character_is_checked_before_pair_stability(tmp_path, capsys):
+    # I = {1} is not stable under the flip, and 1/3 is no character of the
+    # fixed center characters Z/2: the site is refused, not read as "does not exist"
+    doc = {
+        "version": 1,
+        "kind": "horospherical",
+        "root_datum": "A5",
+        "galois": "flip",
+        "field": {
+            "mode": "number_field",
+            "sites": [{"label": "inf", "mode": "real", "galois": "flip", "t0": ["1/3"]}],
+        },
+        "I": [1],
+        "M": [[0, 0, 2, 0, 0]],
+    }
+    code, out, err = run(capsys, "decide", write(tmp_path, doc))
+    assert (code, out) == (2, ""), err
+    doc["field"]["sites"][0]["t0"] = ["1/2"]
+    assert run(capsys, "decide", "--explain", write(tmp_path, doc))[:2] == (
+        1, "does not exist\n  [FAIL] pair-stability\n  via: necessary stability of the horospherical pair\n"
+        "  via: place-by-place vanishing for simply connected simple groups\n"
+    )
 
 
 def test_number_field_site_t0_must_be_a_list(tmp_path, capsys):
@@ -718,6 +746,33 @@ def test_trivial_group_refuses_a_generator_other_than_the_identity(tmp_path, cap
     assert run(capsys, "decide", "--json", write(tmp_path, identity)) == run(
         capsys, "decide", "--json", write(tmp_path, trivial)
     )
+
+
+# Documents of a valid shape whose mathematics is invalid: each is refused
+# with exit 2 at the document's path, never exit 3.  The G/U verdict needs no
+# orbit datum, so only the invariants report meets the color cap on A20.
+_OVERLAP = _replaced(SL6, ["sigma234"], [0])
+INVALID_DATA = [
+    (_OVERLAP, "bad spherical datum: doubling flags overlap the colinear-color simple roots", 2),
+    (dict(_OVERLAP, tits="zero"), "bad spherical datum: doubling flags overlap the colinear-color simple roots", 2),
+    (
+        dict(SL3_BASE, colors=SL3_BASE["colors"] + [{"id": "E%d" % i, "rho": ["1", "1"], "sigma_set": []} for i in range(3)]),
+        "bad spherical datum: three colors share the same image: E0, E1, E2",
+        2,
+    ),
+    ({"version": 1, "kind": "gu", "root_datum": "A20", "field": {"mode": "real"}}, "more than 16 colors is out of scope", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message, decide_code", INVALID_DATA, ids=["overlap", "overlap-zero-tits", "three-colors", "gu-A20"]
+)
+def test_invalid_data_of_valid_shape_exits_2(tmp_path, capsys, doc, message, decide_code):
+    path = write(tmp_path, doc)
+    refused = (2, "", "error: %s: %s\n" % (path, message))
+    decided = run(capsys, "decide", path)
+    assert decided == (refused if decide_code == 2 else (0, "exists\n", ""))
+    assert run(capsys, "invariants", path) == refused
 
 
 @pytest.mark.parametrize("doc, where", MALFORMED)

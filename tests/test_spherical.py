@@ -19,8 +19,6 @@ from spherical_models import (
     galois_from_permutations,
     omega_sets,
     orbit_action,
-    sigma_two,
-    sigma_variants,
 )
 from spherical_models.cli import _build_payload
 from spherical_models.spherical import _json_rational
@@ -91,52 +89,43 @@ def test_omega_sets_no_colors(rd_a2):
 
 
 def test_sigma_two_sl6(sl6_datum, rd_a5):
-    assert sigma_two(sl6_datum) == (
+    assert sl6_datum.sigma_two == (
         tuple(rd_a5.simple_root(1)),
         tuple(rd_a5.simple_root(5)),
     )
 
 
 def test_sigma_two_quadric_empty(so10_datum):
-    assert sigma_two(so10_datum) == ()
+    assert so10_datum.sigma_two == ()
 
 
 def test_sigma_two_empty_sigma(rd_a2):
-    assert sigma_two(SphericalDatum(rd_a2, [[1, 1]], [], [])) == ()
+    assert SphericalDatum(rd_a2, [[1, 1]], [], []).sigma_two == ()
 
 
 def test_sigma_variants_sl6(sl6_datum, rd_a5):
-    sc, n = sigma_variants(sl6_datum)
+    sc, n = sl6_datum.sigma_sc, sl6_datum.sigma_n
     a1, a5 = tuple(rd_a5.simple_root(1)), tuple(rd_a5.simple_root(5))
     assert sc == (a1, a5)
     assert n == (tuple(2 * x for x in a1), tuple(2 * x for x in a5))
 
 
 def test_sigma_variants_sl3(sl3_datum):
-    sc, n = sigma_variants(sl3_datum)
-    assert sc == n == ((1, 1),)
+    assert sl3_datum.sigma_sc == sl3_datum.sigma_n == ((1, 1),)
 
 
 def test_sigma_variants_flag_overlap_rejected(sl6_datum, rd_a5):
-    clash = SphericalDatum(
-        rd_a5,
-        sl6_datum.basis.data,
-        sl6_datum.sigma,
-        sl6_datum.colors,
-        sigma234=[0],
-    )
-    with pytest.raises(ValueError):
-        sigma_variants(clash)
+    with pytest.raises(ValueError, match="doubling flags overlap"):
+        SphericalDatum(rd_a5, sl6_datum.basis.data, sl6_datum.sigma, sl6_datum.colors, sigma234=[0])
 
 
 def test_sigma_variants_elementary_two_quotient(sl6_datum):
     from spherical_models import Lattice, quotient_group
 
-    sc, n = sigma_variants(sl6_datum)
-    span_sc = Lattice(5, sc)
-    span_n = Lattice(5, n)
+    span_sc = Lattice(5, sl6_datum.sigma_sc)
+    span_n = Lattice(5, sl6_datum.sigma_n)
     q = quotient_group(span_sc, span_n)
-    assert q.order() == 2 ** len(sigma_two(sl6_datum))
+    assert q.order() == 2 ** len(sl6_datum.sigma_two)
     assert all(d == 2 for d in q.invariant_factors)
 
 
