@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .decision import (
     NUMBER_FIELD,
@@ -39,7 +38,7 @@ from .decision import (
     theta_lattice,
 )
 from .embeddings import ColoredCone, ColoredFan
-from .galoismodule import PADIC, REAL, galois_from_permutations
+from .galoismodule import _GROUPS, PADIC, REAL, galois_from_permutations
 from .horospherical import HorosphericalDatum
 from .rootdata import (
     DiagramAutomorphism,
@@ -49,7 +48,6 @@ from .rootdata import (
 from .spherical import (
     Color,
     SphericalDatum,
-    _json_rational,
     aut_character_lattices,
     omega_sets,
 )
@@ -75,7 +73,7 @@ class Required:
 _GALOIS = (
     "trivial",
     "flip",
-    {"group": Required(("trivial", "cyclic2", "cyclic3", "s3")), "generators": [[int]]},
+    {"group": Required(tuple(_GROUPS)), "generators": [[int]]},
 )
 _COMMON = {
     "root_datum": Required(str),
@@ -220,8 +218,8 @@ def _parse_tits(entry, rd, path):
             _fail(path, "catalog entry %s is a form of %s, not of %s" % (name, form.type, rd.type))
         return form.tits
     try:
-        return TitsClassSpec.from_values([Fraction(str(v)) for v in entry["values"]])
-    except (ValueError, ZeroDivisionError) as e:
+        return TitsClassSpec.from_values(entry["values"])
+    except ValueError as e:
         _fail(path, "bad character value: %s" % e)
 
 
@@ -237,7 +235,7 @@ def _parse_field(entry, rd, global_galois, path):
         t0 = s.get("t0")
         try:
             values = None if t0 in ("trivial", None) else TitsClassSpec.from_values(t0).values
-        except (ValueError, ZeroDivisionError) as e:
+        except ValueError as e:
             _fail(spath + ".t0", "bad character value: %s" % e)
         sites.append(LocalSite(s.get("label", "v%d" % k), s["mode"], sg, values))
     return FieldDescriptor(NUMBER_FIELD, tuple(sites))
@@ -316,7 +314,7 @@ def _build_payload(doc, rd, kind, path):
             _fail(path, str(e))
     try:
         colors = [
-            Color(str(c["id"]), tuple(map(_json_rational, c["rho"])), frozenset(c["sigma_set"]))
+            Color(str(c["id"]), c["rho"], c["sigma_set"])
             for c in doc.get("colors", [])
         ]
         datum = SphericalDatum(
@@ -329,10 +327,7 @@ def _build_payload(doc, rd, kind, path):
         return datum
     try:
         cones = [
-            ColoredCone(
-                tuple(tuple(map(_json_rational, r)) for r in entry["generators"]),
-                tuple(entry.get("colors", [])),
-            )
+            ColoredCone(entry["generators"], entry.get("colors", ()))
             for entry in doc["fan"]
         ]
         fan = ColoredFan(cones, datum)
@@ -407,7 +402,7 @@ def invariants_report(doc, path):
     except (ValueError, UnsupportedBaseField):
         pass
     if t0 is not None:
-        lines.append("tits character values: [%s]" % ", ".join(t0.serialize()))
+        lines.append("tits character values: [%s]" % ", ".join(map(str, t0.values)))
         if not t0.is_zero():
             theta, _, theta_p = theta_lattice(rd, galois, t0)
             lines.append("character kernel: %s" % _fmt_group(theta))
@@ -519,7 +514,8 @@ def cmd_catalog(args):
         else:
             lines = [json.dumps(catalog_lookup(args.name).to_dict(), sort_keys=True, indent=2)]
     except (KeyError, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
+        # a KeyError's str() quotes its message
+        print("error: %s" % (e.args[0] if isinstance(e, KeyError) else e), file=sys.stderr)
         return 2
     except Exception as e:
         return _internal_error(e)

@@ -23,7 +23,6 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -57,7 +56,7 @@ from .rootdata import (
     in_epsilon_lattice,
 )
 from .embeddings import stabilizing_lift
-from .spherical import _aut_characters, _json_rational, orbit_action
+from .spherical import _aut_characters, _exact_rational, orbit_action
 
 NUMBER_FIELD = "number_field"
 _LOCAL_MODES = (REAL, PADIC)
@@ -120,7 +119,7 @@ class TitsClassSpec:
 
     @classmethod
     def from_values(cls, values):
-        return cls("values", tuple(Fraction(str(v)) for v in values))
+        return cls("values", tuple(map(_exact_rational, values)))
 
     def resolve(self, inv_group):
         if self.kind == "zero":
@@ -433,12 +432,15 @@ def decide_number_field(datum, galois, sites):
             raise ValueError(
                 "site %s: local image is not contained in the global image" % site.label
             )
-        site_chars.append(
-            None if site.t0_values is None
-            else resolve_local_character(
-                datum.rd, site.galois, TitsClassSpec.from_values(site.t0_values), site.mode
+        try:
+            site_chars.append(
+                None if site.t0_values is None
+                else resolve_local_character(
+                    datum.rd, site.galois, TitsClassSpec.from_values(site.t0_values), site.mode
+                )
             )
-        )
+        except ValueError as e:
+            raise type(e)("site %s: %s" % (site.label, e)) from None
     stable = datum.stable(galois)
     reasons = [_reason("pair-stability", stable)]
     citations = [
@@ -677,7 +679,7 @@ def _extension_entries():
             try:
                 if not isinstance(t0, list) or any(type(v) not in (int, str) for v in t0):
                     raise ValueError
-                vals = [_json_rational(v) for v in t0]
+                vals = [_exact_rational(v) for v in t0]
             except ValueError:
                 raise ValueError('%s has "t0" %r, not a list of rationals' % (where, t0)) from None
             mode = entry.get("mode", REAL)

@@ -22,7 +22,7 @@ from .polyhedra import (
     extreme_rays,
     relative_interior_point_satisfies,
 )
-from .spherical import _exact_rational, _fmt_fraction
+from .spherical import _exact_rational
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class ColoredFan:
     def to_dict(self):
         return [
             {
-                "generators": [[_fmt_fraction(x) for x in r] for r in c.rays],
+                "generators": [[str(x) for x in r] for r in c.rays],
                 "colors": sorted(c.colors),
             }
             for c in self.cones

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as _cartesian
 from math import lcm
+from operator import mul
 
 from .lattice import (
     FgAbelianGroup,
@@ -32,53 +33,46 @@ from .rootdata import based_root_datum, star_action_matrix
 REAL = "real"
 PADIC = "padic"
 
-_GROUP_NAMES = ("trivial", "cyclic2", "cyclic3", "s3")
-
-
-def _group_table(name):
-    """Multiplication table and generator indices of a supported group."""
-    if name == "trivial":
-        return ((0,),), ()
-    if name == "cyclic2":
-        return tuple(tuple((i + j) % 2 for j in range(2)) for i in range(2)), (1,)
-    if name == "cyclic3":
-        return tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3)), (1,)
-    if name == "s3":
-        # elements as permutations of {0,1,2}: id, r, r^2, s, rs, r^2 s
-        perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (2, 1, 0)]
-        index = {p: i for i, p in enumerate(perms)}
-
-        def compose(p, q):  # p after q
-            return tuple(p[q[i]] for i in range(3))
-
-        table = tuple(
-            tuple(index[compose(perms[a], perms[b])] for b in range(6)) for a in range(6)
-        )
-        return table, (1, 3)  # a 3-cycle and a transposition generate
-    raise ValueError("unsupported group %r (expected one of %s)" % (name, ", ".join(_GROUP_NAMES)))
+# Each supported group by a presentation.  The generators are letters, in
+# the order of the generator matrices; the elements are words in them, in
+# element order (the identity first, and for S3: 1, r, r^2, s, rs, r^2 s);
+# the relators are the words that must act as the identity.
+_GROUPS = {
+    "trivial": ("", ("",), ()),
+    "cyclic2": ("g", ("", "g"), ("gg",)),
+    "cyclic3": ("g", ("", "g", "gg"), ("ggg",)),
+    "s3": ("rs", ("", "r", "rr", "s", "rs", "rrs"), ("rrr", "ss", "rsrs")),
+}
 
 
 class GaloisAction:
     """An abstract finite group with a matrix action on ZZ^n.
 
-    ``group_name`` picks the abstract group; ``generator_matrices`` gives the
-    representing matrix of each abstract generator (one for the cyclic
-    groups, two for S3: first of order 3, then of order 2).  Matrices for all
-    elements are derived by words and the homomorphism property is verified
-    against the multiplication table.  Vectors are rows and act on the right,
-    so rep(ab) = rep(a) rep(b).  Two actions are equal when they name the same
-    abstract group and have the same element matrices, so the trivial group
-    and the order-2 group acting trivially stay distinct.
+    ``group_name`` picks the abstract group of ``_GROUPS``;
+    ``generator_matrices`` gives the representing matrix of each abstract
+    generator (one for the cyclic groups, two for S3: first of order 3, then
+    of order 2).  The relators are checked on the generator matrices, and
+    each element's matrix is the product along its word; by von Dyck's
+    theorem this accepts exactly the homomorphisms from the group, faithful
+    or not.  Vectors are rows and act on the right, so rep(ab) = rep(a)
+    rep(b).  ``generators`` holds the element index of each generator.  Two
+    actions are equal when they name the same abstract group and have the
+    same element matrices, so the trivial group and the order-2 group acting
+    trivially stay distinct.
     """
 
-    __slots__ = ("n", "group_name", "mult", "generators", "matrices", "_hash")
+    __slots__ = ("n", "group_name", "generators", "matrices", "_hash")
 
     def __init__(self, group_name, generator_matrices, n=None):
-        table, gen_idx = _group_table(group_name)
-        gens = [m if isinstance(m, IntMatrix) else IntMatrix(m) for m in generator_matrices]
-        if len(gens) != len(gen_idx):
+        if group_name not in _GROUPS:
             raise ValueError(
-                "group %s needs %d generator matrices" % (group_name, len(gen_idx))
+                "unsupported group %r (expected one of %s)" % (group_name, ", ".join(_GROUPS))
+            )
+        letters, words, relators = _GROUPS[group_name]
+        gens = [m if isinstance(m, IntMatrix) else IntMatrix(m) for m in generator_matrices]
+        if len(gens) != len(letters):
+            raise ValueError(
+                "group %s needs %d generator matrices" % (group_name, len(letters))
             )
         if gens:
             n = gens[0].rows
@@ -87,30 +81,18 @@ class GaloisAction:
         for g in gens:
             if g.rows != n or g.cols != n:
                 raise ValueError("generator matrices must be square of equal size")
-        order = len(table)
-        mats = [None] * order
-        mats[0] = IntMatrix.identity(n)
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for gi, gm in zip(gen_idx, gens):
-                    e2 = table[e][gi]
-                    if mats[e2] is None:
-                        mats[e2] = mats[e] * gm
-                        nxt.append(e2)
-            frontier = nxt
-        if any(m is None for m in mats):
-            raise ValueError("generators do not generate the group")
-        for a in range(order):
-            for b in range(order):
-                if mats[a] * mats[b] != mats[table[a][b]]:
-                    raise ValueError("matrices do not satisfy the group relations")
+        ident = IntMatrix.identity(n)
+        by_letter = dict(zip(letters, gens))
+
+        def rep(word):
+            return reduce(mul, map(by_letter.get, word)) if word else ident
+
+        if any(rep(r) != ident for r in relators):
+            raise ValueError("matrices do not satisfy the group relations")
         self.n = n
         self.group_name = group_name
-        self.mult = table
-        self.generators = gen_idx
-        self.matrices = tuple(mats)
+        self.generators = tuple(map(words.index, letters))
+        self.matrices = tuple(map(rep, words))
         self._hash = hash((group_name, self.matrices))
 
     @classmethod
@@ -162,7 +144,7 @@ def galois_from_permutations(rd, automorphisms, group_name=None):
     With one automorphism the group is cyclic of that automorphism's order;
     explicitly passing ``group_name`` allows a non-faithful action such as a
     quadratic extension acting trivially.  Each distinct input is built (and
-    its multiplication table checked) once per process.
+    its relators checked) once per process.
     """
     return _galois_from_permutations(rd.type, tuple(automorphisms), group_name)
 
@@ -302,9 +284,6 @@ class BrCharacter:
 
     def order(self):
         return lcm(*(v.denominator for v in self.values))
-
-    def serialize(self):
-        return ["%d/%d" % (v.numerator, v.denominator) if v else "0" for v in self.values]
 
 
 def validate_br_character(t0, field_mode, ambient=None, galois=None, embedding=None):

@@ -9,8 +9,6 @@ which the constructor checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .lattice import Lattice, stabilizes
 from .rootdata import node_permutation
 from .spherical import Color, SphericalDatum
@@ -55,7 +53,7 @@ class HorosphericalDatum:
         """
         colors = []
         for i in sorted(set(range(1, self.rd.rank + 1)) - self.I):
-            rho = tuple(Fraction(row[i - 1]) for row in self.M.basis.data)
+            rho = tuple(row[i - 1] for row in self.M.basis.data)
             colors.append(Color("D(a%d)" % i, rho, frozenset({i})))
         return SphericalDatum(self.rd, self.M.basis.data, [], colors)
 

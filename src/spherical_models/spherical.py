@@ -196,7 +196,7 @@ class SphericalDatum:
             "colors": [
                 {
                     "id": c.id,
-                    "rho": [_fmt_fraction(x) for x in c.rho],
+                    "rho": [str(x) for x in c.rho],
                     "sigma_set": sorted(c.sigma_set),
                 }
                 for c in self.colors
@@ -209,28 +209,20 @@ class SphericalDatum:
 
 
 def _exact_rational(x):
-    """``x`` as an int when it is integral, otherwise as a Fraction."""
+    """The one reader of exact rationals: ``x`` as an int when it is integral,
+    otherwise as a reduced Fraction.  An int is kept, a ``"[sign]digits"``
+    string becomes an int, and any other value but a Fraction is read through
+    its string as Fraction reads a ``"p/q"`` string; ValueError if it is none."""
     if type(x) is int:
         return x
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _json_rational(x):
-    """A rational entry of a problem document: an int as it is, an integral
-    string as an int, else its "p/q" string as a Fraction; ValueError if none."""
     if type(x) is str and (x[1:] if x[:1] in "+-" else x).isdecimal():
         return int(x)  # exactly the strings Fraction reads as [sign]digits
-    try:
-        return x if type(x) is int else Fraction(str(x))
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (x,)) from None
-
-
-def _fmt_fraction(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+    if not isinstance(x, Fraction):
+        try:
+            x = Fraction(str(x))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (x,)) from None
+    return x.numerator if x.denominator == 1 else x
 
 
 def _fibers(colors):

@@ -188,8 +188,9 @@ def test_catalog_list_and_show(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["type"] == "A5" and doc["tits"]["kind"] == "zero"
-    code, _, err = run(capsys, "catalog", "show", "bogus")
-    assert code == 2
+    assert run(capsys, "catalog", "show", "bogus") == (
+        2, "", "error: unknown catalog name 'bogus'\n"
+    )
 
 
 def test_sample_problem_files(capsys):
@@ -285,7 +286,7 @@ def test_number_field_invalid_site_character(tmp_path, capsys):
     # the trivial group's norms over the reals are the doubles, so the
     # half-integrality clause is the whole diagnosis
     assert run(capsys, "decide", path) == (
-        2, "", "error: %s: invalid Tits character: value 1/6 not in (1/2)Z/Z\n" % path
+        2, "", "error: %s: site inf: invalid Tits character: value 1/6 not in (1/2)Z/Z\n" % path
     )
 
 
@@ -333,6 +334,22 @@ def test_number_field_site_t0_must_be_a_list(tmp_path, capsys):
         for d in (doc, bad_value):
             code, _, err = run(capsys, command, write(tmp_path, d))
             assert code == 2 and ".field.sites[0].t0" in err, err
+
+
+def test_zero_denominator_is_refused_where_it_is_read(tmp_path, capsys):
+    base = {"version": 1, "kind": "horospherical", "root_datum": "A5", "galois": "flip",
+            "I": [], "M": [[1, 0, 0, 0, 1]]}
+    site = {"label": "inf", "mode": "real", "galois": "flip", "t0": ["1/0"]}
+    cases = [
+        (dict(base, field={"mode": "real"}, tits={"values": ["1/0"]}), ".tits"),
+        (dict(base, field={"mode": "number_field", "sites": [site]}), ".field.sites[0].t0"),
+    ]
+    for doc, where in cases:
+        path = write(tmp_path, doc)
+        for command in ("decide", "invariants"):
+            assert run(capsys, command, path) == (
+                2, "", "error: %s%s: bad character value: zero denominator in '1/0'\n" % (path, where)
+            )
 
 
 @pytest.mark.parametrize(
@@ -599,41 +616,41 @@ _SPLIT = "split forms have trivial Tits class"
 # acting trivially), the Tits character values and the citation of a real
 # form; or the error line
 CATALOG_SHOW = {
-    "SU(0,1)": "\"unknown catalog name 'SU(0,1)'\"",
+    "SU(0,1)": "unknown catalog name 'SU(0,1)'",
     "SU(1,1)": ("A1", "trivial-c2", [], _TABLES),
     "SU(4,2)": ("A5", "flip", ["1/2"], _TABLES),
     "SU(5,1)": ("A5", "flip", [], _TABLES),
     "SU(32,33)": ("A64", "flip", [], _TABLES),
     "SU(33,33)": "rank 65 exceeds the supported maximum 64",
-    "SU(1)": "\"unknown catalog name 'SU(1)'\"",
+    "SU(1)": "unknown catalog name 'SU(1)'",
     "SU(2)": ("A1", "trivial-c2", ["1/2"], _TABLES),
     "SU(6)": ("A5", "flip", ["1/2"], _TABLES),
     "SU(65)": ("A64", "flip", [], _TABLES),
     "SU(66)": "rank 65 exceeds the supported maximum 64",
     "SU(3,3)\n": ("A5", "flip", [], _TABLES),
-    "SL(1,R)": "\"unknown catalog name 'SL(1,R)'\"",
+    "SL(1,R)": "unknown catalog name 'SL(1,R)'",
     "SL(2,R)": ("A1", "trivial-c2", [], _SPLIT),
     "SL(65,R)": ("A64", "trivial-c2", [], _SPLIT),
     "SL(66,R)": "rank 65 exceeds the supported maximum 64",
-    "SL(0,H)": "\"unknown catalog name 'SL(0,H)'\"",
+    "SL(0,H)": "unknown catalog name 'SL(0,H)'",
     "SL(1,H)": ("A1", "trivial-c2", ["1/2"], _TABLES),
     "SL(32,H)": ("A63", "trivial-c2", ["1/2"], _TABLES),
     "SL(33,H)": "rank 65 exceeds the supported maximum 64",
-    "Sp(2,R)": "\"unknown catalog name 'Sp(2,R)'\"",
+    "Sp(2,R)": "unknown catalog name 'Sp(2,R)'",
     "Sp(4,R)": ("B2", "trivial-c2", [], _SPLIT),
-    "Sp(5,R)": "\"unknown catalog name 'Sp(5,R)'\"",
+    "Sp(5,R)": "unknown catalog name 'Sp(5,R)'",
     "Sp(128,R)": ("C64", "trivial-c2", [], _SPLIT),
     "Sp(130,R)": "rank 65 exceeds the supported maximum 64",
-    "Sp(0,1)": "\"unknown catalog name 'Sp(0,1)'\"",
+    "Sp(0,1)": "unknown catalog name 'Sp(0,1)'",
     "Sp(1,1)": ("B2", "trivial-c2", ["1/2"], _TABLES),
     "Sp(32,32)": ("C64", "trivial-c2", ["1/2"], _TABLES),
     "Sp(33,32)": "rank 65 exceeds the supported maximum 64",
     "SO*(10)": ("D5", "flip", ["1/2"], _TABLES),
-    "SO*(10)\n": "\"unknown catalog name 'SO*(10)\\\\n'\"",
-    "SO*(12)": "\"unknown catalog name 'SO*(12)'\"",
+    "SO*(10)\n": "unknown catalog name 'SO*(10)\\n'",
+    "SO*(12)": "unknown catalog name 'SO*(12)'",
     "SU(40,40)": "rank 79 exceeds the supported maximum 64",
-    "SU(3, 3)": "\"unknown catalog name 'SU(3, 3)'\"",
-    "bogus": "\"unknown catalog name 'bogus'\"",
+    "SU(3, 3)": "unknown catalog name 'SU(3, 3)'",
+    "bogus": "unknown catalog name 'bogus'",
 }
 
 CATALOG_LIST = "SU(p,q)\nSU(n)\nSL(n,R)\nSL(m,H)\nSp(2n,R)\nSp(p,q)\nSO*(10)\n"

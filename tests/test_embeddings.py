@@ -135,10 +135,11 @@ def test_v_action_is_contragredient_and_functorial():
     restr = {i: _restriction_to_basis(datum, m) for i, m in enumerate(g.matrices)}
     for a in range(g.order):
         for b in range(g.order):
-            assert restr[a] * restr[b] == restr[g.mult[a][b]]
+            ab = g.matrices.index(g.matrices[a] * g.matrices[b])
+            assert restr[a] * restr[b] == restr[ab]
             va = _unimodular_inverse(restr[a]).transpose()
             vb = _unimodular_inverse(restr[b]).transpose()
-            vab = _unimodular_inverse(restr[g.mult[a][b]]).transpose()
+            vab = _unimodular_inverse(restr[ab]).transpose()
             assert va * vb == vab
 
 

@@ -17,11 +17,14 @@ from spherical_models import (
     PADIC,
     REAL,
     all_characters,
+    based_root_datum,
     br_vanishing_test,
+    diagram_automorphism_group,
     galois_from_permutations,
     h2_cyclic,
     module_with_action,
     norm_subgroup,
+    star_action_matrix,
     validate_br_character,
 )
 from spherical_models.lattice import GroupHom, apply_row, fixed_sublattice, group_invariants, quotient_group
@@ -49,6 +52,64 @@ def test_s3_action_from_d4_automorphisms():
     two = [a for a in autos if a.order() == 2][0]
     g = galois_from_permutations(rd, [three, two])
     assert g.group_name == "s3" and g.order == 6
+
+
+def _images(label):
+    """(group name, given generator matrices, action) for every image that
+    galois_from_permutations builds from the diagram automorphisms of a type."""
+    rd = based_root_datum(label)
+    autos = diagram_automorphism_group(rd.type)
+    gen_sets = [[a] for a in autos] + [
+        [r, s] for r in autos if r.order() == 3 for s in autos if s.order() == 2
+    ]
+    out = []
+    for gens in gen_sets:
+        g = galois_from_permutations(rd, gens)
+        given = [] if g.group_name == "trivial" else [star_action_matrix(rd, a) for a in gens]
+        out.append((g.group_name, given, g))
+    return out
+
+
+def _check_image(name, given, g):
+    assert g.group_name == name
+    assert g.matrices[0] == IntMatrix.identity(g.n)
+    assert list(g.generator_matrices()) == list(given)
+    elements = set(g.matrices)
+    assert all(a * b in elements for a in g.matrices for b in g.matrices)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "D4", "D5", "D6", "E6"])
+def test_presentations_build_every_diagram_image(label):
+    images = _images(label)
+    for name, given, g in images:
+        _check_image(name, given, g)
+    if label == "D4":
+        assert {name for name, _, _ in images} == {"trivial", "cyclic2", "cyclic3", "s3"}
+
+
+def test_presentations_build_non_faithful_images():
+    rd = based_root_datum("D4")
+    two = [a for a in diagram_automorphism_group(rd.type) if a.order() == 2][0]
+    ident = IntMatrix.identity(4)
+    cases = [("cyclic2", [ident]), ("cyclic3", [ident]), ("s3", [ident, star_action_matrix(rd, two)])]
+    images = [(name, given, GaloisAction(name, given)) for name, given in cases]
+    for name, given, g in images:
+        _check_image(name, given, g)
+    assert [g.order for _, _, g in images] == [2, 3, 6]
+    assert [len(set(g.matrices)) for _, _, g in images] == [1, 1, 2]
+
+
+def test_presentations_refuse_matrices_breaking_a_relator(rd_a5):
+    flip = star_action_matrix(rd_a5, diagram_automorphism_group(rd_a5.type)[1])
+    d4 = based_root_datum("D4")
+    threes = [star_action_matrix(d4, a) for a in diagram_automorphism_group(d4.type) if a.order() == 3]
+    for name, given in [
+        ("cyclic3", [flip]),
+        ("s3", threes),
+        ("s3", [threes[0], IntMatrix.identity(4)]),
+    ]:
+        with pytest.raises(ValueError, match="matrices do not satisfy the group relations"):
+            GaloisAction(name, given)
 
 
 def test_action_value_equality_and_hash(rd_a5):
@@ -186,7 +247,7 @@ def test_character_zero_and_evaluation():
     assert t.evaluate((1, 1)) == F(3, 4)
     assert t.evaluate((0, 0)) == 0
     assert BrCharacter.zero(g).is_zero()
-    assert t.serialize() == ["1/2", "1/4"]
+    assert [str(v) for v in t.values] == ["1/2", "1/4"]
 
 
 def test_validate_real_half_integer_rule():

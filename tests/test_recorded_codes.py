@@ -16,15 +16,20 @@ from spherical_models import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-# the prefix of each corpus decided here
+# the prefix of each corpus decided here, and the shorter one the recorder decides
 PREFIX = 2000
+RECORDER_PREFIX = 200
 
 
-def _corpus():
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH / "corpus.py")
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _corpus():
+    return _load("perfbench_corpus", "corpus.py")
 
 
 def _recorded(name):
@@ -68,3 +73,22 @@ def test_demo_verdicts_match_the_recorded_codes():
         else:
             got = _code(doc, str(path))
         assert got == recorded[path.name]["code"], path.name
+
+
+def test_recorder_reaches_the_engine_names_it_imports():
+    # perfbench/gen_expected.py decides through private engine names
+    # (cli._build_common and _build_payload, decision._horospherical_fast_path,
+    # the four fields of LocalCharacter, LocalSite.t0_values); the next
+    # re-recording breaks if they change shape
+    recorder = _load("perfbench_gen_expected", "gen_expected.py")
+    checks = {}
+    for workload in ("horo_sweep", "embed_fans"):
+        codes = _recorded(workload)["codes"][:RECORDER_PREFIX]
+        mismatches, checks[workload] = [], 0
+        for k, want in enumerate(codes):
+            got, _, _, made = recorder.decide_one(workload, k)
+            checks[workload] += made
+            if want != recorder.corpus.SKIP and got != want:
+                mismatches.append((k, want, got))
+        assert mismatches == [], "%s index, recorded, got: %s" % (workload, mismatches[:10])
+    assert checks["horo_sweep"] > 0

@@ -21,7 +21,7 @@ from spherical_models import (
     orbit_action,
 )
 from spherical_models.cli import _build_payload
-from spherical_models.spherical import _json_rational
+from spherical_models.spherical import _exact_rational
 from test_decision import KERNEL_ROUTE_TYPES, _stable_horospherical_lattice, diagram_actions
 
 
@@ -605,7 +605,27 @@ def test_json_rational_matches_fraction_of_the_string(text):
         except (ValueError, ZeroDivisionError):
             return "refused"
 
-    got = outcome(_json_rational)
+    got = outcome(_exact_rational)
     assert got == outcome(lambda x: F(str(x)))
     if re.fullmatch(r"[-+]?\d+", text):
         assert type(got) is int
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [(7, 7), (-(10**30), -(10**30)), (F(4, 2), 2), (F(-6, 3), -2), (F(1, 2), F(1, 2))],
+)
+def test_exact_rational_keeps_ints_and_reduces_fractions(value, want):
+    got = _exact_rational(value)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("value", [True, False, None, [1], {"p": 1}])
+def test_exact_rational_refuses_what_is_no_rational(value):
+    with pytest.raises(ValueError):
+        _exact_rational(value)
+
+
+def test_exact_rational_names_a_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        _exact_rational("1/0")
