@@ -5,13 +5,11 @@ This script walks through the primitives on the rank-5 weight lattice of
 the special linear group of degree six.
 """
 
-from spherical_models import (
+from spherical_models import based_root_datum, diagram_automorphism_group, galois_from_permutations
+from spherical_models.lattice import (
     IntMatrix,
     Lattice,
-    based_root_datum,
-    diagram_automorphism_group,
     fixed_sublattice,
-    galois_from_permutations,
     group_invariants,
     hnf,
     quotient_group,
@@ -40,7 +38,7 @@ for row in fixed.basis.data:
 
 pq = quotient_group(rd.weight_lattice, rd.root_lattice, action=list(galois.matrices))
 inv, incl = group_invariants(pq)
-print("\nFixed center classes under the flip:", sorted(incl.apply(e) for e in inv.elements()))
+print("\nFixed center classes under the flip:", inv, "generated by the class", incl.images[0])
 print("(the classes 0 and 3 in Z/6, exactly the 2-torsion)")
 
 doubled = Lattice(5, [[2 if i == j else 0 for j in range(5)] for i in range(5)])

@@ -1,57 +1,62 @@
-"""Degree-2 cohomology of cyclic actions and Brauer characters.
+"""Brauer characters of the fixed center classes, and the norm check.
 
 Over a local field, a degree-2 class of a finite multiplicative group is
 the same information as a homomorphism from the fixed character classes to
-QQ/ZZ.  The engine stores only that homomorphism; this script shows the
-underlying fixed-points-modulo-norms computations.
+QQ/ZZ.  The engine stores only that homomorphism.  Over the reals the
+Galois group has order 2 and H^2 is the fixed classes modulo the norms
+a + g(a), so a character is a class exactly when its values are
+half-integral and it kills every norm; ``validate_br_character`` checks
+both, and p-adically every character is a class.
 """
 
-from fractions import Fraction
-
 from spherical_models import (
-    BrCharacter,
     GaloisAction,
-    IntMatrix,
-    REAL,
-    PADIC,
+    all_characters,
     based_root_datum,
     diagram_automorphism_group,
     galois_from_permutations,
-    group_invariants,
-    h2_cyclic,
-    module_with_action,
-    norm_subgroup,
-    validate_br_character,
 )
+from spherical_models.decision import TitsClassSpec, center_invariants, resolve_local_character
+from spherical_models.galoismodule import PADIC, REAL, validate_br_character
+from spherical_models.rootdata import diagram_flip
 
-rd = based_root_datum("A5")
 
-# complex conjugation acting trivially (a split form): norms are doubles
-split = GaloisAction("cyclic2", [IntMatrix.identity(5)])
-mu6 = module_with_action(rd.weight_lattice, rd.root_lattice, split)
-norms, incl = norm_subgroup(mu6, split)
-print("trivial order-2 action on Z/6:")
-print("  norm subgroup:", sorted(incl.apply(e) for e in norms.elements()))
-h2, _ = h2_cyclic(mu6, split)
-print("  H^2 =", h2, " (the two-element group: +-1 inside the sixth roots)")
+def show(label, name, galois):
+    rd = based_root_datum(label)
+    mod, inv, incl = center_invariants(rd, galois)
+    print("%s, %s: center characters %s, fixed classes %s generated by %s"
+          % (label, name, mod, inv, [list(img) for img in incl.images]))
+    for t0 in all_characters(inv):
+        problems = validate_br_character(t0, REAL, ambient=mod, galois=galois, embedding=incl)
+        print("  values [%s] over the reals: %s"
+              % (", ".join(map(str, t0.values)), "; ".join(problems) or "valid"))
 
-# the outer action inverts the center characters: norms vanish
-flip = diagram_automorphism_group(rd.type)[1]
-outer = galois_from_permutations(rd, [flip])
-mu6_out = module_with_action(rd.weight_lattice, rd.root_lattice, outer)
-h2_out, _ = h2_cyclic(mu6_out, outer)
-print("\ninverting order-2 action on Z/6: H^2 =", h2_out)
 
-inv, incl = group_invariants(mu6_out)
-t0 = BrCharacter(inv, [Fraction(1, 2)])
-print("\na character of the fixed classes with value 1/2:")
-print("  valid over the reals?  ",
-      "yes" if not validate_br_character(t0, REAL, ambient=mu6_out, galois=outer, embedding=incl) else "no")
-print("  valid p-adically?      ",
-      "yes" if not validate_br_character(t0, PADIC) else "no")
+a5 = based_root_datum("A5")
+outer = galois_from_permutations(a5, [diagram_flip(a5.type)])
+# complex conjugation acting trivially (a split form): the norms are the doubles
+identity = diagram_automorphism_group(a5.type)[0]
+show("A5", "trivial order-2 action", galois_from_permutations(a5, [identity], "cyclic2"))
+print("  (the two valid characters are those of H^2 = Z/2: +-1 inside the sixth roots)\n")
 
-inv_t, _ = group_invariants(mu6)
-t_third = BrCharacter(inv_t, [Fraction(1, 3)])
-print("a character of order 3 on Z/6:")
-print("  over the reals:", validate_br_character(t_third, REAL))
-print("  p-adically:    ", validate_br_character(t_third, PADIC) or "valid")
+# the outer action inverts the center characters: the norms vanish
+show("A5", "inverting order-2 action", outer)
+print()
+
+# on D4 the flip swaps the two spin classes, whose sum is the fixed class:
+# every fixed class is a norm, so H^2 = 0 and only the zero character is valid
+d4 = based_root_datum("D4")
+show("D4", "flip", galois_from_permutations(d4, [diagram_flip(d4.type)]))
+
+# the decisions read a character through resolve_local_character, which
+# refuses an invalid one and returns a LocalCharacter for a valid one
+local = resolve_local_character(a5, outer, TitsClassSpec.from_values(["1/2"]), REAL)
+omega3 = local.class_of((0, 0, 1, 0, 0))
+print("\nA5 outer, character 1/2: omega_3 has class %s, on which it is %s"
+      % (omega3, local.t0.evaluate(omega3)))
+try:
+    resolve_local_character(a5, GaloisAction.trivial(5), TitsClassSpec.from_values(["1/3"]), REAL)
+except ValueError as e:
+    print("value 1/3 over the reals:", e)
+third = resolve_local_character(a5, GaloisAction.trivial(5), TitsClassSpec.from_values(["1/3"]), PADIC)
+print("value 1/3 p-adically: valid, of order", third.t0.order())

@@ -3,8 +3,6 @@
 from spherical_models import (
     GaloisAction,
     HorosphericalDatum,
-    IntMatrix,
-    Lattice,
     LocalSite,
     PADIC,
     REAL,
@@ -15,6 +13,7 @@ from spherical_models import (
     diagram_automorphism_group,
     galois_from_permutations,
 )
+from spherical_models.lattice import IntMatrix, Lattice
 
 # --- the order-two dichotomy in type E7 --------------------------------------
 rd7 = based_root_datum("E7")

@@ -23,7 +23,6 @@ from .decision import (
     FieldDescriptor,
     LocalSite,
     TitsClassSpec,
-    UnsupportedBaseField,
     catalog_lookup,
     catalog_names,
     center_invariants,
@@ -362,8 +361,6 @@ def run_decide(doc, path):
             fan, datum, galois, tits, field.mode,
             quasi_projective=doc.get("quasi_projective", True),
         )
-    except UnsupportedBaseField as e:
-        _fail(path + ".field", str(e))
     except ValueError as e:
         _fail(path, str(e))
 
@@ -399,7 +396,7 @@ def invariants_report(doc, path):
     t0 = None
     try:
         _, _, _, t0 = resolve_local_character(rd, galois, tits, local_mode)
-    except (ValueError, UnsupportedBaseField):
+    except ValueError:
         pass
     if t0 is not None:
         lines.append("tits character values: [%s]" % ", ".join(map(str, t0.values)))

@@ -53,7 +53,6 @@ from .rootdata import (
     SimpleType,
     based_root_datum,
     diagram_flip,
-    in_epsilon_lattice,
 )
 from .embeddings import stabilizing_lift
 from .spherical import _aut_characters, _exact_rational, orbit_action
@@ -94,11 +93,6 @@ class LocalSite:
 class FieldDescriptor:
     mode: str
     sites: tuple = ()
-
-    def __post_init__(self):
-        if self.mode == NUMBER_FIELD:
-            return
-        check_local_mode(self.mode)
 
 
 @dataclass(frozen=True)
@@ -363,13 +357,12 @@ def _horospherical_fast_path(rd, galois, t0, m_lattice, mod, inv, incl):
             n, [[ell if i == j else 0 for j in range(n)] for i in range(n)]
         ).sum(q_lat)
         return label, target.contains(m_lattice)
-    if label == "*4":
-        return label, all(in_epsilon_lattice(rd.type, row) for row in m_lattice.basis.data)
-    if label == "*5":
-        # the spin weight the character kills
-        spins = rd.weight_lattice.basis.data[n - 2 :]
-        keep = spins[0] if t0.evaluate(local.class_of(spins[0])) == 0 else spins[1]
-        return label, q_lat.sum(Lattice(n, [keep])).contains(m_lattice)
+    if label in ("*4", "*5"):
+        # M in Q + Zw for the weight w whose class the character kills: a
+        # spin weight (*5), or omega_1 when it kills neither (*4)
+        weights = rd.weight_lattice.basis.data
+        w = next((s for s in weights[n - 2 :] if t0.evaluate(local.class_of(s)) == 0), weights[0])
+        return label, q_lat.sum(Lattice(n, [w])).contains(m_lattice)
     return None
 
 

@@ -93,9 +93,6 @@ class ColoredFan:
             if not relative_interior_point_satisfies(cc.rays, datum.valuation_rows):
                 raise ValueError("a maximal cone's relative interior misses the valuation cone")
 
-    def contains(self, cone):
-        return cone.key() in self.keys
-
     def to_dict(self):
         return [
             {

@@ -1,4 +1,4 @@
-"""Finite Galois images acting on lattices, Tate cohomology, Brauer characters.
+"""Finite Galois images acting on lattices, and Brauer characters.
 
 The engine never touches the profinite Galois group itself; what acts is a
 finite quotient (trivial, Z/2, Z/3, or S3, the possible diagram-automorphism
@@ -20,14 +20,7 @@ from itertools import product as _cartesian
 from math import lcm
 from operator import mul
 
-from .lattice import (
-    FgAbelianGroup,
-    GroupHom,
-    IntMatrix,
-    _subquotient,
-    apply_row,
-    group_invariants,
-)
+from .lattice import FgAbelianGroup, IntMatrix, quotient_group
 from .rootdata import based_root_datum, star_action_matrix
 
 REAL = "real"
@@ -111,14 +104,8 @@ class GaloisAction:
         ident = IntMatrix.identity(self.n)
         return all(m == ident for m in self.generator_matrices())
 
-    def is_cyclic(self):
-        return self.order in (1, 2, 3)
-
     def generator_matrices(self):
         return tuple(self.matrices[i] for i in self.generators)
-
-    def apply(self, i, v):
-        return apply_row(tuple(v), self.matrices[i])
 
     def is_subaction_of(self, other):
         """True iff the image of this action sits inside the image of ``other``."""
@@ -175,11 +162,9 @@ def module_with_action(lattice, sub, galois):
     """The quotient lattice/sub with one induced endomorphism per group element.
 
     The returned FgAbelianGroup's ``action`` tuple is aligned with
-    ``galois.matrices``; pairing the two is how the cohomology routines
-    recover the abstract group structure.
+    ``galois.matrices``; pairing the two is how the norm check of
+    validate_br_character sums over the abstract group.
     """
-    from .lattice import quotient_group
-
     return quotient_group(lattice, sub, action=list(galois.matrices))
 
 
@@ -197,50 +182,6 @@ def _norm_matrix(module, galois):
     for m in mats:
         total = total + m
     return total
-
-
-def norm_subgroup(module, galois):
-    """Image of the norm endomorphism, as (subgroup, inclusion hom).
-
-    Defined for cyclic groups only; the norm sums over every group element,
-    so a non-faithful action (for example a trivial action of Z/2) still gets
-    the full norm (doubling in that example).
-    """
-    if not galois.is_cyclic():
-        raise ValueError("norms are defined for cyclic groups only")
-    n_mat = _norm_matrix(module, galois)
-    return _subquotient(module, list(n_mat.data))
-
-
-def h2_cyclic(module, galois):
-    """H^2 of a cyclic group as fixed points modulo norms (Tate's hat-H^0).
-
-    Returns (h2, class_map) where class_map is a GroupHom from the fixed
-    subgroup onto H^2.  Cyclic-group cohomology is 2-periodic, so this is
-    genuine H^2 for the supported orders; the trivial group yields the
-    trivial group.  Non-cyclic groups are refused: the decision paths only
-    ever consult H^2 through Brauer characters at cyclic completions.
-    """
-    if not galois.is_cyclic():
-        raise ValueError("H^2 is computed for cyclic groups only")
-    inv, incl = group_invariants(module)
-    if galois.is_trivial_group():
-        triv = FgAbelianGroup(0, [])
-        zero_map = GroupHom(inv, triv, [() for _ in range(inv.rank)])
-        return triv, zero_map
-    norm_rows = []
-    for row in _norm_matrix(module, galois).data:
-        pre = incl.preimage(module.reduce_reduced(row))
-        if pre is None:
-            raise ValueError("norm image is not fixed; inconsistent action")
-        norm_rows.append(list(pre))
-    h2 = FgAbelianGroup(inv.rank, norm_rows + inv.relations())
-    images = []
-    for idx in range(inv.rank):
-        e = tuple(1 if i == idx else 0 for i in range(inv.rank))
-        images.append(h2.from_ambient(e))
-    class_hom = GroupHom(inv, h2, images)
-    return h2, class_hom
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ tuples reduced modulo the invariant factors (0 encodes a free ZZ factor).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from math import gcd
 from operator import mul
 
 
@@ -69,11 +67,6 @@ class IntMatrix:
     def col(self, j):
         return tuple(row[j] for row in self.data)
 
-    def transpose(self):
-        if not self.rows:
-            return IntMatrix([[] for _ in range(self.cols)], cols=0)
-        return IntMatrix._of(tuple(zip(*self.data)), self.rows)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntMatrix([[x * other for x in row] for row in self.data])
@@ -103,35 +96,6 @@ class IntMatrix:
 
     def __repr__(self):
         return "IntMatrix(%r)" % (list(map(list, self.data)),)
-
-    def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
-
-    def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
 
 @lru_cache(maxsize=None)
@@ -516,16 +480,10 @@ class FgAbelianGroup:
     def rank(self):
         return len(self.keep)
 
-    def zero(self):
-        return (0,) * self.rank
-
     def relations(self):
         """The rows d*e_j of the reduced coordinates, one per finite invariant factor d."""
         k = self.rank
         return [[d if i == j else 0 for i in range(k)] for j, d in enumerate(self.invariant_factors) if d > 0]
-
-    def is_trivial(self):
-        return self.rank == 0
 
     def order(self):
         """Group order; 0 means infinite."""
@@ -557,36 +515,8 @@ class FgAbelianGroup:
             y[j] = element[idx]
         return apply_row(tuple(y), self.q_inv)
 
-    def add(self, a, b):
-        return tuple(
-            (x + y) % d if d > 0 else x + y
-            for x, y, d in zip(a, b, self.invariant_factors)
-        )
-
-    def neg(self, a):
-        return tuple((-x) % d if d > 0 else -x for x, d in zip(a, self.invariant_factors))
-
     def scale(self, a, k):
         return tuple((x * k) % d if d > 0 else x * k for x, d in zip(a, self.invariant_factors))
-
-    def element_order(self, a):
-        """Order of an element; 0 means infinite order."""
-        out = 1
-        for x, d in zip(a, self.invariant_factors):
-            if d == 0:
-                if x != 0:
-                    return 0
-                continue
-            if x:
-                o = d // gcd(d, x)
-                out = out * o // gcd(out, o)
-        return out
-
-    def elements(self):
-        if self.order() == 0:
-            raise ValueError("infinite group")
-        ranges = [range(d) for d in self.invariant_factors]
-        return (tuple(t) for t in product(*ranges))
 
     def __repr__(self):
         if not self.invariant_factors:
@@ -649,12 +579,6 @@ class GroupHom:
         self.images = images
         self._solver = None
 
-    def apply(self, element):
-        out = self.target.zero()
-        for x, img in zip(element, self.images):
-            out = self.target.add(out, self.target.scale(img, x))
-        return out
-
     def preimage(self, element):
         """Some source element mapping to ``element``, or None.
 
@@ -668,12 +592,6 @@ class GroupHom:
         if sol is None:
             return None
         return self.source.reduce_reduced(sol[: self.source.rank])
-
-    def kernel(self):
-        """Kernel as (subgroup, inclusion GroupHom into source)."""
-        m = IntMatrix(self.images, cols=self.target.rank)
-        lat_rows = preimage_lattice(m, Lattice(self.target.rank, self.target.relations()))
-        return _subquotient(self.source, lat_rows)
 
 
 def quotient_group(lattice, sub, action=None):

@@ -3,19 +3,16 @@
 The internal coordinate system is always fundamental-weight coordinates: the
 weight lattice P is ZZ^n, the pairing with the i-th simple coroot reads off
 the i-th coordinate, and the j-th simple root is the j-th column of the
-Cartan matrix.  Bourbaki numbering throughout.  Epsilon coordinates for the
-classical types B/C/D exist as an exact rational change of basis, used only
-where conditions are naturally stated in that basis.
+Cartan matrix.  Bourbaki numbering throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .lattice import FgAbelianGroup, IntMatrix, Lattice, apply_row, quotient_group
+from .lattice import IntMatrix, Lattice, apply_row
 
 _FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -157,12 +154,6 @@ def based_root_datum(label) -> BasedRootDatum:
     return BasedRootDatum(t)
 
 
-def center_character_group(t: SimpleType) -> FgAbelianGroup:
-    """The character group of the center, P/Q, in SNF presentation."""
-    rd = BasedRootDatum(t)
-    return quotient_group(rd.weight_lattice, rd.root_lattice)
-
-
 @dataclass(frozen=True)
 class DiagramAutomorphism:
     """A permutation of the simple-root nodes preserving the Cartan matrix.
@@ -272,43 +263,3 @@ def _node_permutation(t: SimpleType, mat: IntMatrix):
             return None
         items.append((i, j))
     return tuple(items)
-
-
-@lru_cache(maxsize=None)
-def _epsilon_basis_matrix(t: SimpleType):
-    """Rows are the epsilon-coordinate vectors of the fundamental weights."""
-    n = t.rank
-    half = Fraction(1, 2)
-    rows = []
-    if t.family == "B":
-        for i in range(1, n):
-            rows.append(tuple(Fraction(1) if k < i else Fraction(0) for k in range(n)))
-        rows.append(tuple(half for _ in range(n)))
-    elif t.family == "C":
-        for i in range(1, n + 1):
-            rows.append(tuple(Fraction(1) if k < i else Fraction(0) for k in range(n)))
-    elif t.family == "D":
-        for i in range(1, n - 1):
-            rows.append(tuple(Fraction(1) if k < i else Fraction(0) for k in range(n)))
-        rows.append(tuple([half] * (n - 1) + [-half]))
-        rows.append(tuple([half] * n))
-    else:
-        raise ValueError("epsilon coordinates are defined for types B, C, D only")
-    return tuple(rows)
-
-
-def epsilon_coordinates(t: SimpleType, v):
-    """Exact epsilon coordinates of a weight-coordinate vector (types B/C/D)."""
-    rows = _epsilon_basis_matrix(t)
-    n = t.rank
-    if len(v) != n:
-        raise ValueError("dimension mismatch")
-    return tuple(
-        sum((Fraction(v[i]) * rows[i][k] for i in range(n)), Fraction(0))
-        for k in range(n)
-    )
-
-
-def in_epsilon_lattice(t: SimpleType, v):
-    """True iff the weight-coordinate vector v lies in the integer span of the epsilon basis."""
-    return all(x.denominator == 1 for x in epsilon_coordinates(t, v))

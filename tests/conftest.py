@@ -1,4 +1,5 @@
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,19 +10,29 @@ from hypothesis import settings
 settings.register_profile("replayable", print_blob=True)
 settings.load_profile("replayable")
 
+# When a property fails, hypothesis's pytest plugin imports its patch writer,
+# which imports libcst, whose mypy_extensions warns DeprecationWarning.  Under
+# filterwarnings = error that warning is an INTERNALERROR that ends the test
+# run, so no later test is reported.  Import the writer once here, with
+# that warning ignored for this import only.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 from spherical_models import (
     Color,
     ColoredCone,
     ColoredFan,
-    GaloisAction,
-    HorosphericalDatum,
-    Lattice,
     SphericalDatum,
     based_root_datum,
     galois_from_permutations,
 )
+from spherical_models.lattice import Lattice
 from spherical_models.rootdata import diagram_flip
 
 

@@ -6,6 +6,12 @@ cocycle enumeration, lift counting via filtering all permutations, cone
 questions via Fourier-Motzkin (in Fraction arithmetic, and fraction-free in
 integers) and pointedness via Caratheodory where the engine runs double
 description, diagram automorphisms via a search over node permutations.
+
+Second routes to facts the engine decides some other way live here too:
+degree-2 cohomology of cyclic actions as fixed points modulo norms (the
+reference for the norm check of ``validate_br_character``), epsilon
+coordinates of the classical types (the reference for the ``*4`` shortcut),
+and element-by-element arithmetic in finite abelian groups.
 """
 
 from fractions import Fraction
@@ -199,7 +205,99 @@ def _is_cocycle3(f, add, neg, sig, sig2):
 
 def group_order_multiset(group):
     """Element orders of a finite FgAbelianGroup, sorted."""
-    return sorted(group.element_order(e) for e in group.elements())
+    return sorted(element_order(group, e) for e in group_elements(group))
+
+
+# -- finite abelian groups element by element ---------------------------------
+
+
+def group_elements(group):
+    """Every element of a finite FgAbelianGroup, in its reduced coordinates."""
+    if group.order() == 0:
+        raise ValueError("infinite group")
+    return list(product(*[range(d) for d in group.invariant_factors]))
+
+
+def element_order(group, a):
+    """The least k >= 1 with k*a = 0 in a finite FgAbelianGroup."""
+    k = 1
+    while any(group.scale(a, k)):
+        k += 1
+    return k
+
+
+def hom_apply(hom, element):
+    """The image of ``element`` under a GroupHom: the sum of its generator images."""
+    total = [0] * hom.target.rank
+    for x, img in zip(element, hom.images):
+        total = [t + x * y for t, y in zip(total, img)]
+    return hom.target.reduce_reduced(total)
+
+
+def hom_kernel(hom):
+    """The kernel of a GroupHom as (subgroup, inclusion into its source)."""
+    from spherical_models.lattice import IntMatrix, Lattice, _subquotient, preimage_lattice
+
+    m = IntMatrix(hom.images, cols=hom.target.rank)
+    rows = preimage_lattice(m, Lattice(hom.target.rank, hom.target.relations()))
+    return _subquotient(hom.source, rows)
+
+
+# -- degree-2 cohomology of cyclic actions --------------------------------------
+
+
+def is_cyclic(galois):
+    """True for the supported cyclic images: the trivial group, Z/2 and Z/3."""
+    return galois.order in (1, 2, 3)
+
+
+def norm_rows(module):
+    """Rows of a -> sum of g(a) over the group elements (reduced coordinates)."""
+    k = module.rank
+    return [
+        [sum(m.data[i][j] for m in module.action) for j in range(k)] for i in range(k)
+    ]
+
+
+def norm_subgroup(module, galois):
+    """Image of the norm of a cyclic action, as (subgroup, inclusion hom).
+
+    The norm sums over every group element, so a non-faithful action (for
+    example a trivial action of Z/2) still gets the full norm (doubling in
+    that example).
+    """
+    from spherical_models.lattice import _subquotient
+
+    if not is_cyclic(galois):
+        raise ValueError("norms are defined for cyclic groups only")
+    return _subquotient(module, norm_rows(module))
+
+
+def h2_cyclic(module, galois):
+    """H^2 of a cyclic group as fixed points modulo norms (Tate's hat-H^0).
+
+    Returns (h2, class_map) where class_map is a GroupHom from the fixed
+    subgroup onto H^2.  Cyclic-group cohomology is 2-periodic, so this is
+    genuine H^2 for the supported orders; the trivial group yields the
+    trivial group.
+    """
+    from spherical_models.lattice import FgAbelianGroup, GroupHom, group_invariants
+
+    if not is_cyclic(galois):
+        raise ValueError("H^2 is computed for cyclic groups only")
+    inv, incl = group_invariants(module)
+    if galois.order == 1:
+        triv = FgAbelianGroup(0, [])
+        return triv, GroupHom(inv, triv, [() for _ in range(inv.rank)])
+    norms = []
+    for row in norm_rows(module):
+        pre = incl.preimage(module.reduce_reduced(row))
+        if pre is None:
+            raise ValueError("norm image is not fixed; inconsistent action")
+        norms.append(list(pre))
+    h2 = FgAbelianGroup(inv.rank, norms + inv.relations())
+    images = [h2.from_ambient(tuple(int(i == j) for i in range(inv.rank))) for j in range(inv.rank)]
+    return h2, GroupHom(inv, h2, images)
 
 
 def build_cyclic_module(moduli, sigma_images, order):
@@ -209,7 +307,8 @@ def build_cyclic_module(moduli, sigma_images, order):
     per-element matrices are integer powers; the returned GaloisAction is the
     abstract-group tag (its own matrices are identities).
     """
-    from spherical_models import FgAbelianGroup, GaloisAction, IntMatrix
+    from spherical_models import GaloisAction
+    from spherical_models.lattice import FgAbelianGroup, IntMatrix
 
     k = len(moduli)
     rel = [
@@ -626,7 +725,7 @@ def _fraction_inverse(rows):
 def all_element_matrices(datum, galois):
     """Every element matrix of the Galois image, extended by the identity on the
     central torus of the datum (entry i belongs to group element i)."""
-    from spherical_models import IntMatrix
+    from spherical_models.lattice import IntMatrix
 
     t, n = datum.torus_rank, datum.rd.rank
     return [
@@ -640,8 +739,7 @@ def all_element_matrices(datum, galois):
 
 def all_element_aut_character_lattices(datum, galois):
     """(xa, xa_ker) with one induced endomorphism per group element."""
-    from spherical_models import Lattice
-    from spherical_models.lattice import quotient_group
+    from spherical_models.lattice import Lattice, quotient_group
 
     sc, n = datum.sigma_sc, datum.sigma_n
     mats = all_element_matrices(datum, galois)
@@ -732,11 +830,39 @@ def set_based_unstable_generator(datum, galois):
     return None
 
 
+# -- epsilon coordinates (types B, C, D) ----------------------------------------
+
+
+def _epsilon_basis_matrix(t):
+    """Rows are the epsilon-coordinate vectors of the fundamental weights."""
+    n = t.rank
+    half = Fraction(1, 2)
+    unit = [tuple(Fraction(int(k < i)) for k in range(n)) for i in range(1, n + 1)]
+    if t.family == "B":
+        return unit[: n - 1] + [(half,) * n]
+    if t.family == "C":
+        return unit
+    if t.family == "D":
+        return unit[: n - 2] + [(half,) * (n - 1) + (-half,), (half,) * n]
+    raise ValueError("epsilon coordinates are defined for types B, C, D only")
+
+
+def epsilon_coordinates(t, v):
+    """Exact epsilon coordinates of a weight-coordinate vector (types B/C/D)."""
+    rows = _epsilon_basis_matrix(t)
+    if len(v) != t.rank:
+        raise ValueError("dimension mismatch")
+    return tuple(sum((Fraction(x) * row[k] for x, row in zip(v, rows)), Fraction(0)) for k in range(t.rank))
+
+
+def in_epsilon_lattice(t, v):
+    """True iff the weight-coordinate vector v has integral epsilon coordinates."""
+    return all(x.denominator == 1 for x in epsilon_coordinates(t, v))
+
+
 def weight_coordinates_from_epsilon(t, eps):
     """Weight coordinates of an epsilon-coordinate vector (types B/C/D), in Fraction
     arithmetic: eps times the inverse of the epsilon basis of the fundamental weights."""
-    from spherical_models.rootdata import _epsilon_basis_matrix
-
     inv = _fraction_inverse(_epsilon_basis_matrix(t))
     return tuple(sum(Fraction(e) * row[i] for e, row in zip(eps, inv)) for i in range(t.rank))
 

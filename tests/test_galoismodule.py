@@ -7,27 +7,38 @@ from oracles import (
     FiniteModule,
     brute_force_h2_orders,
     build_cyclic_module as cyclic_module,
+    group_elements,
     group_order_multiset,
+    h2_cyclic,
+    hom_apply,
+    norm_subgroup,
 )
 from spherical_models import (
-    BrCharacter,
-    FgAbelianGroup,
     GaloisAction,
-    IntMatrix,
     PADIC,
     REAL,
     all_characters,
     based_root_datum,
-    br_vanishing_test,
     diagram_automorphism_group,
     galois_from_permutations,
-    h2_cyclic,
+)
+from spherical_models.galoismodule import (
+    BrCharacter,
+    br_vanishing_test,
     module_with_action,
-    norm_subgroup,
-    star_action_matrix,
     validate_br_character,
 )
-from spherical_models.lattice import GroupHom, apply_row, fixed_sublattice, group_invariants, quotient_group
+from spherical_models.lattice import (
+    FgAbelianGroup,
+    GroupHom,
+    IntMatrix,
+    apply_row,
+    fixed_sublattice,
+    group_invariants,
+    quotient_group,
+)
+from spherical_models.decision import center_invariants
+from spherical_models.rootdata import diagram_flip, star_action_matrix
 
 
 # -- GaloisAction construction ------------------------------------------------
@@ -113,7 +124,8 @@ def test_presentations_refuse_matrices_breaking_a_relator(rd_a5):
 
 
 def test_action_value_equality_and_hash(rd_a5):
-    from spherical_models import diagram_automorphism_group, star_action_matrix
+    from spherical_models import diagram_automorphism_group
+    from spherical_models.rootdata import star_action_matrix
 
     flip = [a for a in diagram_automorphism_group(rd_a5.type) if a.order() == 2][0]
     built = GaloisAction("cyclic2", [star_action_matrix(rd_a5, flip)])
@@ -132,7 +144,7 @@ def test_subaction_check(rd_a5, galois_a5_flip):
     assert not galois_a5_flip.is_subaction_of(triv)
 
 
-# -- norms --------------------------------------------------------------------
+# -- norms and H^2: the oracle of validate_br_character's norm check ------------
 
 
 def test_norm_trivial_group_is_identity():
@@ -144,14 +156,14 @@ def test_norm_trivial_group_is_identity():
 def test_norm_of_negation_on_z():
     mod, galois = cyclic_module((0,), [(-1,)], 2)
     sub, _ = norm_subgroup(mod, galois)
-    assert sub.is_trivial()
+    assert sub.order() == 1
 
 
 def test_norm_doubling_on_z6():
     mod, galois = cyclic_module((6,), [(1,)], 2)
     sub, incl = norm_subgroup(mod, galois)
     assert sub.invariant_factors == (3,)
-    assert sorted(incl.apply(e) for e in sub.elements()) == [(0,), (2,), (4,)]
+    assert sorted(hom_apply(incl, e) for e in group_elements(sub)) == [(0,), (2,), (4,)]
     h2, _ = h2_cyclic(mod, galois)
     assert h2.invariant_factors == (2,)
 
@@ -166,13 +178,10 @@ def test_norm_rejects_s3():
         h2_cyclic(mod, table_galois)
 
 
-# -- H^2 ----------------------------------------------------------------------
-
-
 def test_h2_trivial_group_vanishes():
     mod, galois = cyclic_module((2,), [(1,)], 1)
     h2, _ = h2_cyclic(mod, galois)
-    assert h2.is_trivial()
+    assert h2.order() == 1
 
 
 def test_h2_order2_trivial_action_on_z2():
@@ -184,7 +193,7 @@ def test_h2_order2_trivial_action_on_z2():
 def test_h2_negation_on_z_vanishes():
     mod, galois = cyclic_module((0,), [(-1,)], 2)
     h2, _ = h2_cyclic(mod, galois)
-    assert h2.is_trivial()
+    assert h2.order() == 1
     # truncation pattern: on Z/N the invariants are the 2-torsion, norms vanish
     for n in (2, 3, 4, 5, 6):
         modn, g2 = cyclic_module((n,), [(-1,)], 2)
@@ -215,11 +224,11 @@ def test_cohomology_class_representatives():
     mod, galois = cyclic_module((6,), [(1,)], 2)
     h2, cmap = h2_cyclic(mod, galois)
     _, incl = group_invariants(mod)
-    cls3 = cmap.apply(incl.preimage((3,)))
-    cls2 = cmap.apply(incl.preimage((2,)))  # a norm: 2 = 1 + g(1)
+    cls3 = hom_apply(cmap, incl.preimage((3,)))
+    cls2 = hom_apply(cmap, incl.preimage((2,)))  # a norm: 2 = 1 + g(1)
     assert any(cls3) and not any(cls2)
-    assert not any(h2.add(cls3, cls3))
-    assert h2.neg(cls3) == cls3  # order two
+    assert not any(h2.scale(cls3, 2))
+    assert h2.scale(cls3, -1) == cls3  # order two
     mod_neg, _ = cyclic_module((0,), [(-1,)], 2)
     assert group_invariants(mod_neg)[1].preimage((1,)) is None  # not a fixed point
 
@@ -228,8 +237,8 @@ def test_h2_class_map_is_surjective_onto_classes():
     mod, galois = cyclic_module((4,), [(1,)], 2)
     h2, cmap = h2_cyclic(mod, galois)
     assert h2.invariant_factors == (2,)
-    images = {cmap.apply(e) for e in cmap.source.elements()}
-    assert images == set(h2.elements())
+    images = {hom_apply(cmap, e) for e in group_elements(cmap.source)}
+    assert images == set(group_elements(h2))
 
 
 # -- Brauer characters --------------------------------------------------------
@@ -286,9 +295,45 @@ def test_validate_real_character_constant_on_norm_cosets(rd_a5, galois_a5_flip):
         for _ in range(20):
             a = tuple(rng.randrange(6) for _ in range(mod.rank))
             a = mod.reduce_reduced(a)
-            norm = mod.add(a, mod.reduce_reduced(apply_row(a, mod.action[1])))
+            norm = mod.reduce_reduced([x + y for x, y in zip(a, apply_row(a, mod.action[1]))])
             pre = incl.preimage(norm)
             assert pre is not None and t0.evaluate(pre) == 0
+
+
+def _order_two_images():
+    """The flip of A2-A7, D4-D6 and E6, and the order-2 group acting
+    trivially on each of A1-A7, D4-D6 and E6."""
+    out = []
+    for label in ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "D4", "D5", "D6", "E6"]:
+        rd = based_root_datum(label)
+        flip = diagram_flip(rd.type)
+        if flip is not None:
+            out.append((rd, galois_from_permutations(rd, [flip])))
+        identity = diagram_automorphism_group(rd.type)[0]
+        out.append((rd, galois_from_permutations(rd, [identity], group_name="cyclic2")))
+    return out
+
+
+def test_validate_real_agrees_with_the_h2_oracle():
+    # over the reals a character is valid exactly when it is half-integral
+    # and kills the fixed classes that are norms, the kernel of the class map
+    # onto fixed points modulo norms
+    norm_refused = valid = 0
+    for rd, galois in _order_two_images():
+        mod, inv, incl = center_invariants(rd, galois)
+        _, class_map = h2_cyclic(mod, galois)
+        assert class_map.source.invariant_factors == inv.invariant_factors
+        norms = [e for e in group_elements(inv) if not any(hom_apply(class_map, e))]
+        for t0 in all_characters(inv):
+            half = all((2 * v) % 1 == 0 for v in t0.values)
+            kills_norms = all(t0.evaluate(e) == 0 for e in norms)
+            problems = validate_br_character(t0, REAL, ambient=mod, galois=galois, embedding=incl)
+            assert (not problems) == (half and kills_norms), (rd.type, galois, t0.values)
+            valid += not problems
+            norm_refused += half and not kills_norms
+    # both directions are exercised: valid characters, and half-integral
+    # ones that only the norm check refuses (the D4 and D6 flips)
+    assert valid and norm_refused
 
 
 def test_vanishing_with_identity_hom_is_zero_test():

@@ -8,19 +8,17 @@ from spherical_models import (
     REAL,
     GaloisAction,
     HorosphericalDatum,
-    IntMatrix,
-    Lattice,
-    SimpleType,
     TitsClassSpec,
     all_characters,
-    aut_character_lattices,
     based_root_datum,
     decide_horospherical,
     diagram_automorphism_group,
     galois_from_permutations,
-    omega_sets,
     orbit_action,
 )
+from spherical_models.lattice import Lattice
+from spherical_models.rootdata import SimpleType
+from spherical_models.spherical import aut_character_lattices, omega_sets
 from spherical_models.cli import _build_payload
 from spherical_models.decision import center_invariants, resolve_local_character
 

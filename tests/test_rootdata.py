@@ -3,19 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from spherical_models import (
-    SimpleType,
-    based_root_datum,
-    cartan_matrix,
-    center_character_group,
-    diagram_automorphism_group,
-    epsilon_coordinates,
-    star_action_matrix,
-)
-from spherical_models.lattice import apply_row
-from spherical_models.rootdata import diagram_flip, in_epsilon_lattice
+from spherical_models import GaloisAction, based_root_datum, diagram_automorphism_group
+from spherical_models.decision import center_invariants
+from spherical_models.lattice import Lattice, apply_row
+from spherical_models.rootdata import SimpleType, cartan_matrix, diagram_flip, star_action_matrix
 
-from oracles import diagram_automorphisms_by_search, weight_coordinates_from_epsilon
+from oracles import (
+    _det,
+    diagram_automorphisms_by_search,
+    epsilon_coordinates,
+    in_epsilon_lattice,
+    weight_coordinates_from_epsilon,
+)
 
 ALL_TYPES_RANK8 = (
     [SimpleType("A", n) for n in range(1, 9)]
@@ -63,10 +62,9 @@ CENTER_EXCEPTIONAL = {"E6": (3,), "E7": (2,), "E8": (), "F4": (), "G2": ()}
 
 @pytest.mark.parametrize("t", ALL_TYPES_RANK8, ids=str)
 def test_center_structure_and_determinant(t):
-    g = center_character_group(t)
-    det = cartan_matrix(t).det()
-    order = g.order()
-    assert det == order
+    # the center characters P/Q, as the decisions build them
+    g = center_invariants(based_root_datum(t), GaloisAction.trivial(t.rank))[0]
+    assert _det(cartan_matrix(t).data) == g.order()
     if t.family in CENTER_TABLE:
         assert g.invariant_factors == CENTER_TABLE[t.family](t.rank)
     else:
@@ -170,7 +168,7 @@ def test_star_matrix_rejects_bad_permutation(rd_a5):
         star_action_matrix(rd_a5, bad)
 
 
-# -- epsilon coordinates ------------------------------------------------------
+# -- epsilon coordinates (an oracle: no decision reads them) --------------------
 
 
 def test_epsilon_d5_simple_root(rd_d5):
@@ -218,6 +216,14 @@ def test_epsilon_flip_is_sign_change(rd_d5):
 
 
 def test_epsilon_membership_is_exact(rd_d5):
+    # the *4 shortcut tests M inside Q + Z omega_1: that is the epsilon lattice
+    rng = random.Random(4)
+    for n in range(4, 9):
+        rd = based_root_datum("D%d" % n)
+        q_omega1 = rd.root_lattice.sum(Lattice(n, [rd.weight_lattice.basis.data[0]]))
+        for _ in range(300):
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            assert q_omega1.member(v) == in_epsilon_lattice(rd.type, v), (n, v)
     # omega5 is half-integral, its double is integral
     assert not in_epsilon_lattice(rd_d5.type, (0, 0, 0, 0, 1))
     assert in_epsilon_lattice(rd_d5.type, (0, 0, 0, 0, 2))
