@@ -259,8 +259,9 @@ def _check_problem(doc, path):
     """The kind of a problem document, checked against SCHEMA.
 
     Besides the shapes, it enforces the rules that are not types: the
-    field mode, number fields only for the horospherical and gu kinds, at
-    least two diagonal factors and a non-empty list of markers.
+    field mode, number fields only for the horospherical and gu kinds and
+    without a global ``tits``, at least two diagonal factors and a non-empty
+    list of markers.
     """
     if not isinstance(doc, dict):
         raise ProblemError("%s: document must be an object" % path)
@@ -285,12 +286,12 @@ def _check_problem(doc, path):
         _fail(path + ".field", "unsupported base field: %r" % (mode,))
     if mode == NUMBER_FIELD and kind not in ("horospherical", "gu"):
         _fail(path, "number_field mode is supported for horospherical and gu kinds only")
+    if mode == NUMBER_FIELD and "tits" in doc:
+        _fail(path + ".tits", "a number_field problem takes its characters from its sites")
     return kind
 
 
 def _build_common(doc, path):
-    if doc["kind"] == "diagonal":
-        return None, None, None, None
     try:
         rd = based_root_datum(doc["root_datum"])
     except ValueError as e:

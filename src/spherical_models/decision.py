@@ -5,16 +5,17 @@ Every decision procedure evaluates two kinds of facts: a stability condition
 condition (the degree-2 obstruction class, handed in as a Brauer character,
 must die under the pushforward to the automorphism group).  Over the reals
 and p-adic fields the pushforward vanishing is equivalent to the vanishing
-of the character on explicit fixed-point classes, which is what runs here;
-over number fields the horospherical problem localizes place by place.
+of the character on the center classes of one lattice: the points of the
+orbit lattice that the Galois generators fix modulo the doubled spherical
+roots (the fixed part of M for a horospherical pair).  Over number fields
+the horospherical problem localizes place by place.
 
 Verdicts carry machine-readable reasons, and a verdict's ``exists`` is the
 conjunction of their condition bits.
 
 Inner-twist cocycles are never represented; the inputs are the derived
 characters, and validation documents that the caller asserts existence of a
-form with that Tits datum.  The preimage lattice of the character kernel is
-taken inside the fixed points of the weight lattice.
+form with that Tits datum.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .galoismodule import (
     REAL,
     BrCharacter,
     GaloisAction,
-    br_vanishing_test,
     galois_from_permutations,
     module_with_action,
     validate_br_character,
@@ -55,7 +55,7 @@ from .rootdata import (
     diagram_flip,
 )
 from .embeddings import stabilizing_lift
-from .spherical import _aut_characters, _exact_rational, orbit_action
+from .spherical import _exact_rational, _extended_matrices, orbit_action
 
 NUMBER_FIELD = "number_field"
 _LOCAL_MODES = (REAL, PADIC)
@@ -214,7 +214,8 @@ def theta_lattice(rd, galois, t0):
 
     Returns (theta, theta_embedding, theta_p) where theta is the kernel
     subgroup of the fixed center characters and theta_p the sublattice of
-    the fixed weights whose center class the character kills.
+    the fixed weights whose center class the character kills.  The
+    invariants report prints them; no verdict reads them.
     """
     _, inv, _ = center_invariants(rd, galois)
     if t0.source.invariant_factors != inv.invariant_factors:
@@ -246,26 +247,6 @@ def _theta_lattice(t, galois, values):
     return theta, theta_incl, theta_p
 
 
-def kappa_on_invariants(datum, characters, local):
-    """The map from fixed automorphism characters to fixed center characters.
-
-    ``characters`` is one of the character groups of aut_character_lattices,
-    carrying the Galois action: that of the automorphism group, or that of
-    its color-fixing subgroup.  The orbit lattice sits inside the weight
-    lattice, so classes of orbit weights modulo the doubled spherical roots
-    push to classes modulo the root lattice; restricting to fixed points
-    gives the hom whose vanishing under ``local.t0`` (a LocalCharacter) is
-    the local existence condition.
-    """
-    xa_inv, xa_incl = group_invariants(characters)
-    images = []
-    for img in xa_incl.images:
-        coords = characters.lift(img)  # coordinates in the orbit-lattice basis
-        ambient = apply_row(coords, datum.lattice.basis)
-        images.append(local.class_of(ambient[: datum.rd.rank]))
-    return GroupHom(xa_inv, local.inv, images)
-
-
 # -- the decision procedures -------------------------------------------------
 
 
@@ -278,20 +259,36 @@ def _stability_reason(action):
     )
 
 
-def _kappa_cohomology(datum, galois, local):
+def _first_failing_row(local, lattice, mats, modulo=None):
+    """The first canonical basis row of the points of ``lattice`` that the
+    matrices fix modulo ``modulo`` whose center class ``local.t0`` does not
+    kill, or None when it kills them all.
+
+    Those points map onto the fixed classes of lattice/modulo, so their
+    center classes are the pushed-forward fixed classes: the weights of an
+    orbit lattice modulo its doubled spherical roots, or the fixed part of
+    the lattice of a horospherical pair (``modulo`` None).  The weight
+    coordinates come first; central-torus ones follow.
+    """
+    rank = local.mod.n_gens
+    rows = fixed_sublattice(lattice, mats, modulo).basis.data
+    return next((r for r in rows if local.t0.evaluate(local.class_of(r[:rank]))), None)
+
+
+def _spherical_cohomology(datum, galois, local):
     """The cohomology reason of a spherical orbit.
 
     The Tits character must vanish on the pushed-forward fixed automorphism
-    characters; the witness is the first pushed-forward class on which it
-    does not.
+    characters; the witness is the center class of the first failing row.
     """
-    t0 = local.t0
-    if t0.is_zero():
+    if local.t0.is_zero():
         return _reason("cohomology", True, rule="t0-trivial")
-    kappa = kappa_on_invariants(datum, _aut_characters(datum, galois), local)
-    ok = br_vanishing_test(t0, kappa)
-    bad = next((list(img) for img in kappa.images if t0.evaluate(img) != 0), None)
-    return _reason("cohomology", ok, rule="generic-theta", witness=bad)
+    bad = _first_failing_row(
+        local, datum.lattice, _extended_matrices(datum, galois),
+        Lattice(datum.ambient_dim, datum.sigma_n),
+    )
+    witness = None if bad is None else list(local.class_of(bad[: datum.rd.rank]))
+    return _reason("cohomology", bad is None, rule="generic-theta", witness=witness)
 
 
 def decide_local_general(datum, galois, tits, mode):
@@ -299,14 +296,14 @@ def decide_local_general(datum, galois, tits, mode):
 
     The verdict is the conjunction of invariant stability and the vanishing
     of the Tits character on the pushed-forward fixed automorphism
-    characters.
+    characters (_spherical_cohomology).
     """
     local = resolve_local_character(datum.rd, galois, tits, mode)
     reasons = [_stability_reason(orbit_action(datum, galois))]
     citations = ["necessary stability of the combinatorial invariants"]
     if not reasons[0]["ok"]:
         return Verdict(tuple(reasons), tuple(citations))
-    reasons.append(_kappa_cohomology(datum, galois, local))
+    reasons.append(_spherical_cohomology(datum, galois, local))
     citations.append("vanishing of the pushed-forward degree-2 obstruction")
     return Verdict(tuple(reasons), tuple(citations))
 
@@ -315,7 +312,7 @@ def _shortcut_label(rd, galois, local):
     """The tabulated condition, *1 to *5, covering a type, action and character.
 
     Returns None outside the table.  The label names the rule of a verdict;
-    the verdict itself always comes from the kernel-preimage test.
+    the verdict itself always comes from _first_failing_row.
     """
     fam, n = rd.type.family, rd.type.rank
     trivial = galois.is_trivial_action()
@@ -337,8 +334,8 @@ def _horospherical_fast_path(rd, galois, t0, m_lattice, mod, inv, incl):
 
     Returns (label, ok) when the type/action matches the table, else None.
     The labels are *1 through *5, as named by _shortcut_label; the
-    evaluation is a direct lattice test, kept as a cross-check of the
-    kernel-preimage test that decides.
+    evaluation is a direct lattice test, kept as a cross-check of
+    _first_failing_row, which decides.
     """
     local = LocalCharacter(mod, inv, incl, t0)
     label = _shortcut_label(rd, galois, local)
@@ -369,24 +366,22 @@ def _horospherical_fast_path(rd, galois, t0, m_lattice, mod, inv, incl):
 def _horospherical_cohomology(datum, galois, local):
     """(ok, rule, witness) of the cohomology condition of a stable pair.
 
-    For a nonzero character the fixed sublattice of M must lie inside the
-    preimage of the character kernel; the witness is the first basis row of
-    the fixed part outside it.
+    For a nonzero character its kernel must contain the center class of
+    every fixed point of M; the witness is the first basis row of the fixed
+    part whose class it does not kill.
     """
     if local.t0.is_zero():
         return True, "t0-trivial", None
-    theta_p = theta_lattice(datum.rd, galois, local.t0)[2]
-    m_fixed = fixed_sublattice(datum.M, galois.generator_matrices())
-    offender = next((list(r) for r in m_fixed.basis.data if not theta_p.member(r)), None)
+    offender = _first_failing_row(local, datum.M, galois.generator_matrices())
     rule = _shortcut_label(datum.rd, galois, local) or "generic-theta"
-    return offender is None, rule, offender
+    return offender is None, rule, None if offender is None else list(offender)
 
 
 def decide_horospherical(datum, galois, tits, mode):
     """Local-field existence test for a horospherical homogeneous space.
 
-    Stability of (I, M) first; then, for a nonzero character, the fixed
-    sublattice of M must land inside the preimage of the character kernel.
+    Stability of (I, M) first; then, for a nonzero character, the character
+    must kill the center class of every fixed point of M.
     When the simple type and action match the tabulated shortcut the reason
     names the matching condition.
     """
@@ -519,7 +514,7 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
             lift=None if lift is None else [list(p) for p in lift.generator_maps],
         )
     )
-    reasons.append(_kappa_cohomology(datum, galois, local))
+    reasons.append(_spherical_cohomology(datum, galois, local))
     return Verdict(tuple(reasons), tuple(citations))
 
 

@@ -259,21 +259,6 @@ def validate_br_character(t0, field_mode, ambient=None, galois=None, embedding=N
     return problems
 
 
-def br_vanishing_test(t0, phi_star):
-    """True iff t0 vanishes on the image of ``phi_star``.
-
-    ``phi_star`` is a GroupHom into the source of t0 (the fixed points of the
-    character module); by linearity it suffices to test the generator images.
-    With the identity hom this degenerates to "t0 is the zero character".
-    """
-    if (
-        phi_star.target is not t0.source
-        and phi_star.target.invariant_factors != t0.source.invariant_factors
-    ):
-        raise ValueError("homomorphism does not land in the character's source")
-    return all(t0.evaluate(img) == 0 for img in phi_star.images)
-
-
 def all_characters(group):
     """Every homomorphism group -> QQ/ZZ of a finite group, zero first."""
     if group.order() == 0:

@@ -400,14 +400,16 @@ def stabilizes(lattice, mats):
     )
 
 
-def fixed_sublattice(lattice, mats):
-    """The sublattice of points of ``lattice`` fixed by every matrix.
+def fixed_sublattice(lattice, mats, modulo=None):
+    """The sublattice of points x of ``lattice`` with x g - x in ``modulo``
+    for every matrix g: the fixed points when ``modulo`` is None.
 
-    ``lattice`` may be a Lattice or an integer n (meaning all of ZZ^n).  The
-    matrices must stabilize the lattice; that is checked, not assumed.  For a
-    finite group, its generator matrices give the same answer as all of its
-    elements: a lattice stable under the generators is stable under the group,
-    and a point fixed by the generators is fixed by the group.
+    ``lattice`` may be a Lattice or an integer n (meaning all of ZZ^n), and
+    ``modulo`` a Lattice in the same ZZ^n.  The matrices must stabilize both;
+    that is checked, not assumed.  For a finite group, its generator matrices
+    give the same answer as all of its elements: a lattice stable under the
+    generators is stable under the group, and a point fixed (modulo a stable
+    lattice) by the generators is fixed by the group.
     """
     if isinstance(lattice, int):
         lattice = Lattice.full(lattice)
@@ -417,21 +419,29 @@ def fixed_sublattice(lattice, mats):
             raise ValueError("action matrix has wrong size")
     if not stabilizes(lattice, mats):
         raise ValueError("action does not stabilize the lattice")
-    if not mats:
-        return Lattice(n, lattice.basis.data)
+    if modulo is not None and not stabilizes(modulo, mats):
+        raise ValueError("action does not stabilize the subgroup of relations")
     b = lattice.basis
-    if b.rows == 0:
-        return Lattice(n)
-    # condition on coefficient rows c:  c @ (B g - B) = 0 for all g
-    blocks = []
-    for g in mats:
-        diff = b * g - b
-        blocks.append(diff)
-    stacked = IntMatrix(
-        [sum((list(blk.data[i]) for blk in blocks), []) for i in range(b.rows)]
+    if not mats or b.rows == 0:
+        return Lattice(n, b.data)
+    # condition on coefficient rows c:  c @ (B g - B) lies in modulo, for all g
+    stacked = _side_by_side([b * g - b for g in mats], b.rows)
+    target = None if modulo is None else _blockwise(modulo.basis.data, n, len(mats))
+    return Lattice(n, [apply_row(c, b) for c in preimage_lattice(stacked, target)])
+
+
+def _side_by_side(blocks, rows):
+    """The matrices ``blocks``, each with ``rows`` rows, side by side."""
+    return IntMatrix([sum((list(m.data[i]) for m in blocks), []) for i in range(rows)])
+
+
+def _blockwise(rows, width, count):
+    """The lattice of ``count`` blocks of width ``width``, each spanned by ``rows``:
+    the target of a condition on ``count`` matrices placed side by side."""
+    return Lattice(
+        width * count,
+        [[0] * (i * width) + list(r) + [0] * ((count - 1 - i) * width) for i in range(count) for r in rows],
     )
-    coeff_rows = kernel_basis(stacked)
-    return Lattice(n, [apply_row(c, b) for c in coeff_rows])
 
 
 class FgAbelianGroup:
@@ -665,16 +675,8 @@ def group_invariants(group):
     if k == 0:
         sub = FgAbelianGroup(0, [])
         return sub, GroupHom(sub, group, [])
-    blocks = []
     ident = IntMatrix.identity(k)
-    for m in group.action:
-        blocks.append(m - ident)
-    stacked = IntMatrix([sum((list(b.data[i]) for b in blocks), []) for i in range(k)])
+    stacked = _side_by_side([m - ident for m in group.action], k)
     # the relations of the group, once per block
-    nblocks, rels = len(blocks), group.relations()
-    target = Lattice(
-        k * nblocks,
-        [[0] * (bi * k) + r + [0] * ((nblocks - 1 - bi) * k) for bi in range(nblocks) for r in rels],
-    )
-    lat_rows = preimage_lattice(stacked, target)
-    return _subquotient(group, lat_rows)
+    target = _blockwise(group.relations(), k, len(group.action))
+    return _subquotient(group, preimage_lattice(stacked, target))

@@ -254,19 +254,16 @@ def _double(v):
     return tuple(2 * x for x in v)
 
 
-def aut_character_lattices(datum, galois=None):
+def aut_character_lattices(datum):
     """Character groups of the automorphism group and its color-fixing kernel.
 
     Returns (xa, xa_ker, projection) where xa is the quotient of the orbit
     lattice by the span of the fully doubled roots, xa_ker the quotient by
     the span of the partially doubled ones, and projection the natural
-    surjection.  With ``galois`` given, both quotients carry the induced
-    action, one endomorphism per Galois generator: a quotient stable under
-    the generators is stable under the group, with the same fixed points.
+    surjection.
     """
-    mats = None if galois is None else _extended_matrices(datum, galois)
-    xa = _doubled_quotient(datum, datum.sigma_n, mats)
-    xa_ker = _doubled_quotient(datum, datum.sigma_sc, mats)
+    xa = _doubled_quotient(datum, datum.sigma_n)
+    xa_ker = _doubled_quotient(datum, datum.sigma_sc)
     images = []
     for i in range(xa.rank):
         e = tuple(1 if j == i else 0 for j in range(xa.rank))
@@ -275,14 +272,9 @@ def aut_character_lattices(datum, galois=None):
     return xa, xa_ker, proj
 
 
-def _aut_characters(datum, galois):
-    """The first group of aut_character_lattices alone, with its Galois action."""
-    return _doubled_quotient(datum, datum.sigma_n, _extended_matrices(datum, galois))
-
-
-def _doubled_quotient(datum, roots, mats):
-    """The orbit lattice modulo the span of ``roots``, with the induced action."""
-    return quotient_group(datum.lattice, Lattice(datum.ambient_dim, roots), action=mats)
+def _doubled_quotient(datum, roots):
+    """The orbit lattice modulo the span of ``roots``."""
+    return quotient_group(datum.lattice, Lattice(datum.ambient_dim, roots))
 
 
 def _extended_matrices(datum, galois):
@@ -375,6 +367,10 @@ def orbit_action(datum, galois):
     cone), or sends a color image to a non-image or to a fiber of another
     size; the moved-image map is injective, so the last two say exactly
     that the one- and two-color image sets are preserved.
+
+    The doubling flags are determined by the subgroup, so an action that
+    preserves everything else must preserve them too: ValueError, naming the
+    generator, when a stable action moves the flagged roots.
     """
     mats = _extended_matrices(datum, galois)
     fibers = datum.fibers
@@ -401,4 +397,8 @@ def orbit_action(datum, galois):
             perm[key] = dst
         perms.append(perm)
         r_invs.append(r_inv)
+    flagged = {datum.sigma[i] for i in datum.sigma234}
+    for k, m in enumerate(mats):
+        if {apply_row(s, m) for s in flagged} != flagged:
+            raise ValueError("generator %d moves the doubling flags (sigma234)" % (k + 1))
     return OrbitAction(None, fibers, tuple(perms), tuple(r_invs))

@@ -9,9 +9,12 @@ description, diagram automorphisms via a search over node permutations.
 
 Second routes to facts the engine decides some other way live here too:
 degree-2 cohomology of cyclic actions as fixed points modulo norms (the
-reference for the norm check of ``validate_br_character``), epsilon
-coordinates of the classical types (the reference for the ``*4`` shortcut),
-and element-by-element arithmetic in finite abelian groups.
+reference for the norm check of ``validate_br_character``), the local
+cohomology condition through the automorphism character groups with their
+Galois action and the pushforward map kappa (the reference for the engine's
+one lattice test), epsilon coordinates of the classical types (the reference
+for the ``*4`` shortcut), and element-by-element arithmetic in finite
+abelian groups.
 """
 
 from fractions import Fraction
@@ -748,6 +751,40 @@ def all_element_aut_character_lattices(datum, galois):
         quotient_group(datum.lattice, Lattice(ambient, n), action=mats),
         quotient_group(datum.lattice, Lattice(ambient, sc), action=mats),
     )
+
+
+def br_vanishing_test(t0, phi_star):
+    """True iff the Brauer character t0 vanishes on the image of ``phi_star``.
+
+    ``phi_star`` is a GroupHom into the source of t0 (the fixed points of the
+    character module); by linearity it suffices to test the generator images.
+    With the identity hom this degenerates to "t0 is the zero character".
+    """
+    if phi_star.target.invariant_factors != t0.source.invariant_factors:
+        raise ValueError("homomorphism does not land in the character's source")
+    return all(t0.evaluate(img) == 0 for img in phi_star.images)
+
+
+def kappa_on_invariants(datum, characters, local):
+    """The map from fixed automorphism characters to fixed center characters.
+
+    ``characters`` is one of the groups of all_element_aut_character_lattices,
+    carrying the action of every group element.  The orbit lattice sits
+    inside the weight lattice, so classes of orbit weights modulo the doubled
+    spherical roots push to classes modulo the root lattice; restricting to
+    fixed points gives the hom whose vanishing under ``local.t0`` (a
+    LocalCharacter) is the local existence condition.  This is the group
+    route the engine's one lattice test replaced.
+    """
+    from spherical_models.lattice import GroupHom, apply_row, group_invariants
+
+    xa_inv, xa_incl = group_invariants(characters)
+    images = []
+    for img in xa_incl.images:
+        coords = characters.lift(img)  # coordinates in the orbit-lattice basis
+        ambient = apply_row(coords, datum.lattice.basis)
+        images.append(local.class_of(ambient[: datum.rd.rank]))
+    return GroupHom(xa_inv, local.inv, images)
 
 
 def _fraction_restriction(datum, mat):

@@ -254,6 +254,47 @@ def test_decide_number_field_unsupported_kind(tmp_path, capsys):
             assert (code, out) == (2, "") and "horospherical and gu kinds" in err, (base["kind"], command)
 
 
+def test_number_field_refuses_a_global_tits(tmp_path, capsys):
+    # a number-field problem takes its characters from its sites; a global
+    # tits would be read by no verdict
+    gu = {
+        "version": 1, "kind": "gu", "root_datum": "A5", "galois": "flip",
+        "field": {"mode": "number_field", "sites": []}, "tits": {"values": ["1/3"]},
+    }
+    horo = dict(json.loads((PROBLEMS / "su6_number_field.json").read_text()), tits={"catalog": "SU(6)"})
+    for doc in (gu, horo):
+        path = write(tmp_path, doc)
+        for command in ("decide", "invariants"):
+            code, out, err = run(capsys, command, path)
+            assert (code, out) == (2, "") and err.startswith("error: %s.tits: " % path), err
+
+
+# A3 under the flip, which swaps the spherical roots alpha_1 and alpha_3 and
+# the colors over them, but only alpha_1 carries a doubling flag
+A3_UNSTABLE_FLAGS = {
+    "version": 1, "kind": "spherical", "root_datum": "A3", "galois": "flip",
+    "field": {"mode": "padic"}, "tits": "zero",
+    "X": [[2, -1, 0], [0, -1, 2], [0, 1, 0]], "sigma": [[2, -1, 0], [0, -1, 2]], "sigma234": [0],
+    "colors": [
+        {"id": "D1+", "rho": [1, 0, 1], "sigma_set": [1]},
+        {"id": "D1-", "rho": [1, 0, -1], "sigma_set": [1]},
+        {"id": "D3+", "rho": [0, 1, 1], "sigma_set": [3]},
+        {"id": "D3-", "rho": [0, 1, -1], "sigma_set": [3]},
+        {"id": "D2", "rho": [-1, -1, 1], "sigma_set": [2]},
+    ],
+}
+
+
+@pytest.mark.parametrize("tits", ["zero", {"values": ["1/2"]}])
+def test_galois_unstable_doubling_flags_exit_2_whatever_the_character(tmp_path, capsys, tits):
+    path = write(tmp_path, dict(A3_UNSTABLE_FLAGS, tits=tits))
+    code, out, err = run(capsys, "decide", "--json", path)
+    assert (code, out) == (2, "") and err == "error: %s: generator 1 moves the doubling flags (sigma234)\n" % path
+    # flagging both swapped roots is stable
+    both = write(tmp_path, dict(A3_UNSTABLE_FLAGS, tits=tits, sigma234=[0, 1]), "both.json")
+    assert run(capsys, "decide", both)[0] in (0, 1)
+
+
 # The exit code and stdout of each command on each demo problem.  They were
 # recorded once and are not regenerated from the code under test, so a
 # refactor that moves any verdict, reason or report line fails here; stdout

@@ -459,39 +459,48 @@ def test_verdict_reasons_replay_everywhere(sl6_fan, sl6_datum, galois_a5_flip, r
         assert doc["exists"] == all(r["ok"] for r in doc["reasons"])
 
 
-def test_local_decision_builds_only_the_automorphism_characters(monkeypatch, capsys):
-    # the color-fixing quotient and the projection are a second route to the
-    # same cohomology test; neither the local nor the embedding verdict builds them
+def test_local_decisions_build_no_quotient_group(
+    monkeypatch, capsys, rd_a5, galois_a5_flip, m_2p_plus_q
+):
+    # one lattice test decides every local cohomology condition: a warm
+    # spherical or embedding verdict builds no quotient group, and no
+    # horospherical verdict reads the kernel preimage of theta_lattice
     import json
     from pathlib import Path
 
-    from spherical_models import spherical
+    from spherical_models import decision, galoismodule, lattice, spherical
     from spherical_models.cli import main
 
     problems = Path(__file__).resolve().parent.parent / "demos" / "problems"
     expected = {}
     for name in ("so10_quaternionic.json", "sl6_embedding_su42.json"):
-        main(["decide", "--json", str(problems / name)])
+        main(["decide", "--json", str(problems / name)])  # warms the type-level caches
         expected[name] = capsys.readouterr().out
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("aut_character_lattices called")
 
     quotients = []
 
-    def counting(datum, roots, mats, _real=spherical._doubled_quotient):
-        quotients.append(roots)
-        return _real(datum, roots, mats)
+    def counting(*args, _real=lattice.quotient_group, **kwargs):
+        quotients.append(args)
+        return _real(*args, **kwargs)
 
-    monkeypatch.setattr(spherical, "aut_character_lattices", refuse)
-    monkeypatch.setattr(spherical, "_doubled_quotient", counting)
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta_lattice called")
+
+    for module in (lattice, galoismodule, spherical):
+        monkeypatch.setattr(module, "quotient_group", counting)
+    monkeypatch.setattr(decision, "theta_lattice", refuse)
     assert json.loads(expected["so10_quaternionic.json"])["reasons"][1]["rule"] == "generic-theta"
-    for name, code in (("so10_quaternionic.json", 1), ("sl6_embedding_su42.json", 1)):
-        del quotients[:]
-        assert main(["decide", "--json", str(problems / name)]) == code
+    for name in expected:
+        assert main(["decide", "--json", str(problems / name)]) == 1
         assert capsys.readouterr().out == expected[name]
-        # one quotient per verdict: the orbit lattice by the fully doubled roots
-        assert len(quotients) == 1
+    assert quotients == []
+    # nonzero characters, on a pair that passes and on one that fails
+    t0 = TitsClassSpec.from_values(["1/2"])
+    for m_rows, ok in ((m_2p_plus_q.basis.data, True), (rd_a5.weight_lattice.basis.data, False)):
+        h = HorosphericalDatum(rd_a5, [], m_rows)
+        assert decide_horospherical(h, galois_a5_flip, t0, REAL).exists == ok
+        site = LocalSite("inf", REAL, galois_a5_flip, (F(1, 2),))
+        assert decide_number_field(h, galois_a5_flip, [site]).exists == ok
 
 
 def _sl6_demo():
@@ -603,18 +612,36 @@ def test_kernel_route_agrees_on_the_sl6_datum(sl6_datum, rd_a5, action):
 
 
 def _assert_routes_agree(datum, galois, chars):
-    """The automorphism route and the color-fixing (kernel) route give the same
-    vanishing test for every character; returns the number of characters checked."""
-    from spherical_models.galoismodule import br_vanishing_test
-    from spherical_models.spherical import aut_character_lattices
-    from spherical_models.decision import LocalCharacter, kappa_on_invariants
+    """The engine's lattice test, modulo the fully doubled roots and modulo
+    the partially doubled ones (the color-fixing kernel), and the oracle's
+    group route through kappa push forward the same classes and agree for
+    every character, and each witness lies in the image of kappa; returns
+    the number of characters checked."""
+    from oracles import all_element_aut_character_lattices, br_vanishing_test, kappa_on_invariants
+
+    from spherical_models.decision import LocalCharacter, _first_failing_row
+    from spherical_models.lattice import FgAbelianGroup, GroupHom
+    from spherical_models.spherical import _extended_matrices
 
     mod, inv, incl = center_invariants(datum.rd, galois)
     # the map does not read the character, so the zero one stands in
-    local = LocalCharacter(mod, inv, incl, BrCharacter.zero(inv))
-    xa, xa_ker, _ = aut_character_lattices(datum, galois=galois)
-    kappa = kappa_on_invariants(datum, xa, local)
-    kappa_ker = kappa_on_invariants(datum, xa_ker, local)
+    zero = LocalCharacter(mod, inv, incl, BrCharacter.zero(inv))
+    xa, _ = all_element_aut_character_lattices(datum, galois)
+    kappa = kappa_on_invariants(datum, xa, zero)
+    mats = _extended_matrices(datum, galois)
+    spans = [Lattice(datum.ambient_dim, roots) for roots in (datum.sigma_n, datum.sigma_sc)]
+    for span in spans:
+        rows = fixed_sublattice(datum.lattice, mats, span).basis.data
+        classes = [zero.class_of(r[: datum.rd.rank]) for r in rows]
+        pushed = GroupHom(FgAbelianGroup(len(classes), []), inv, classes)
+        assert all(kappa.preimage(c) is not None for c in classes)
+        assert all(pushed.preimage(img) is not None for img in kappa.images)
     for t0 in chars:
-        assert br_vanishing_test(t0, kappa) == br_vanishing_test(t0, kappa_ker)
+        local = LocalCharacter(mod, inv, incl, t0)
+        exists = br_vanishing_test(t0, kappa)
+        for span in spans:
+            bad = _first_failing_row(local, datum.lattice, mats, span)
+            assert (bad is None) == exists, (t0.values, span)
+            if bad is not None:
+                assert kappa.preimage(local.class_of(bad[: datum.rd.rank])) is not None
     return len(chars)

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     FiniteModule,
+    br_vanishing_test,
     brute_force_h2_orders,
     build_cyclic_module as cyclic_module,
     group_elements,
@@ -24,7 +25,6 @@ from spherical_models import (
 )
 from spherical_models.galoismodule import (
     BrCharacter,
-    br_vanishing_test,
     module_with_action,
     validate_br_character,
 )

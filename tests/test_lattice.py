@@ -431,6 +431,47 @@ def test_fixed_sublattice_checks_stability_under_the_generators():
         fixed_sublattice(Lattice(3, [[1, 0, 0]]), list(flip.generator_matrices()))
 
 
+def test_fixed_sublattice_modulo_checks_stability_of_the_relations():
+    swap = IntMatrix([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="does not stabilize the subgroup of relations"):
+        fixed_sublattice(Lattice.full(2), [swap], Lattice(2, [(2, 0)]))
+
+
+def assert_fixed_classes(lattice, mats, modulo, fixed):
+    """``fixed`` is the preimage in ``lattice`` of the classes of lattice/modulo
+    that quotient_group and group_invariants find fixed under ``mats``."""
+    group = quotient_group(lattice, modulo, action=mats)
+    _, incl = group_invariants(group)
+    assert lattice.contains(fixed) and fixed.contains(modulo)
+    # every fixed class lifts into ``fixed`` ...
+    for img in incl.images:
+        assert fixed.member(apply_row(group.lift(img), lattice.basis))
+    # ... and every point of ``fixed`` has a fixed class
+    for row in fixed.basis.data:
+        assert incl.preimage(group.from_ambient(lattice.coords_of(row))) is not None
+
+
+_SMALL_GALOIS_CASES = [case for case in _galois_cases() if case[1].n <= 4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fixed_sublattice_modulo_matches_the_fixed_classes_of_the_quotient(data):
+    _, galois = data.draw(st.sampled_from(_SMALL_GALOIS_CASES))
+    n, elems = galois.n, list(galois.matrices)
+    vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    # the sum of the orbit of a lattice is stable; so is that of multiples
+    # of its points, which lie inside it
+    rows = data.draw(st.lists(vectors, min_size=1, max_size=3))
+    lattice = Lattice(n, [apply_row(r, g) for r in rows for g in elems])
+    coeffs = st.lists(st.integers(-2, 2), min_size=lattice.rank, max_size=lattice.rank)
+    scale = data.draw(st.integers(1, 3))
+    sub = [apply_row(c, lattice.basis) for c in data.draw(st.lists(coeffs, max_size=2))]
+    modulo = Lattice(n, [[scale * x for x in apply_row(r, g)] for r in sub for g in elems])
+    fixed = fixed_sublattice(lattice, list(galois.generator_matrices()), modulo)
+    assert_fixed_classes(lattice, elems, modulo, fixed)
+
+
 def test_node_permutation_returns_a_fresh_dict():
     rd = based_root_datum("A5")
     flip = galois_from_permutations(rd, [diagram_automorphism_group(rd.type)[1]])

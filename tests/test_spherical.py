@@ -23,7 +23,7 @@ from spherical_models import (
     orbit_action,
 )
 from spherical_models.cli import _build_payload
-from spherical_models.lattice import IntMatrix
+from spherical_models.lattice import IntMatrix, Lattice, fixed_sublattice
 from spherical_models.spherical import _exact_rational, aut_character_lattices, omega_sets
 from test_decision import KERNEL_ROUTE_TYPES, _stable_horospherical_lattice, diagram_actions
 
@@ -153,15 +153,12 @@ def test_aut_lattices_horospherical_is_m(rd_a5, m_2p_plus_q):
 
 
 def test_aut_lattice_flip_acts_by_negation(sl3_datum, rd_a2):
-    # the flip sends the free generator class to its negative, so nothing
-    # nonzero is fixed in the automorphism character group
-    from spherical_models.lattice import group_invariants
-
+    # the flip sends the free generator class of X/<sigma_N> to its negative,
+    # so the only points it fixes modulo the doubled roots are their span
     flip = diagram_automorphism_group(rd_a2.type)[1]
     g = galois_from_permutations(rd_a2, [flip])
-    xa, _, _ = aut_character_lattices(sl3_datum, galois=g)
-    inv, _ = group_invariants(xa)
-    assert inv.rank == 0
+    span = Lattice(2, sl3_datum.sigma_n)
+    assert fixed_sublattice(sl3_datum.lattice, g.generator_matrices(), span) == span
 
 
 def test_aut_lattices_full_quotient(rd_a2):
@@ -525,21 +522,21 @@ def _aut_cases(sl6_datum, sl3_datum, rd_a2, rd_a5):
 def test_aut_character_actions_from_generators_match_all_elements(
     case, sl6_datum, sl3_datum, rd_a2, rd_a5
 ):
-    from oracles import all_element_aut_character_lattices
+    # the points fixed modulo the doubled roots by the generators are those
+    # fixed by every element, and their classes are the fixed classes of the
+    # quotient with the action of every element
+    from oracles import all_element_matrices
 
-    from spherical_models.lattice import group_invariants
+    from test_lattice import assert_fixed_classes
 
     datum, g = _aut_cases(sl6_datum, sl3_datum, rd_a2, rd_a5)[case]
-    xa, xa_ker, _ = aut_character_lattices(datum, galois=g)
-    want = all_element_aut_character_lattices(datum, g)
-    for got, oracle in zip((xa, xa_ker), want):
-        assert len(got.action) == len(g.generators)
-        assert len(oracle.action) == g.order
-        assert got.invariant_factors == oracle.invariant_factors
-        inv, incl = group_invariants(got)
-        inv_o, incl_o = group_invariants(oracle)
-        assert inv.invariant_factors == inv_o.invariant_factors
-        assert incl.images == incl_o.images
+    mats = all_element_matrices(datum, g)
+    gens = [mats[i] for i in g.generators]
+    for roots in (datum.sigma_n, datum.sigma_sc):
+        span = Lattice(datum.ambient_dim, roots)
+        got = fixed_sublattice(datum.lattice, gens, span)
+        assert got == fixed_sublattice(datum.lattice, mats, span)
+        assert_fixed_classes(datum.lattice, mats, span, got)
 
 
 def test_generator_actions_refuse_an_ill_defined_quotient(rd_a2):
