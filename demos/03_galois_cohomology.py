@@ -27,7 +27,7 @@ def show(label, name, galois):
     print("%s, %s: center characters %s, fixed classes %s generated by %s"
           % (label, name, mod, inv, [list(img) for img in incl.images]))
     for t0 in all_characters(inv):
-        problems = validate_br_character(t0, REAL, ambient=mod, galois=galois, embedding=incl)
+        problems = validate_br_character(t0, REAL, embedding=incl)
         print("  values [%s] over the reals: %s"
               % (", ".join(map(str, t0.values)), "; ".join(problems) or "valid"))
 

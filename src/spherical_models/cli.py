@@ -49,6 +49,7 @@ from .spherical import (
     SphericalDatum,
     aut_character_lattices,
     omega_sets,
+    orbit_action,
 )
 
 
@@ -292,6 +293,11 @@ def _check_problem(doc, path):
 
 
 def _build_common(doc, path):
+    """(root datum, Galois image, field, Tits spec) of a non-diagonal problem.
+
+    A local problem's character is resolved here, so a refused one fails at
+    ``.tits``; the decision after it reads the resolver's cache.
+    """
     try:
         rd = based_root_datum(doc["root_datum"])
     except ValueError as e:
@@ -299,6 +305,11 @@ def _build_common(doc, path):
     galois = _parse_galois(doc.get("galois", "trivial"), rd, path + ".galois")
     field = _parse_field(doc["field"], rd, galois, path + ".field")
     tits = _parse_tits(doc.get("tits"), rd, path + ".tits")
+    if field.mode != NUMBER_FIELD:
+        try:
+            resolve_local_character(rd, galois, tits, field.mode)
+        except ValueError as e:
+            _fail(path + ".tits", str(e))
     return rd, galois, field, tits
 
 
@@ -336,16 +347,22 @@ def _build_payload(doc, rd, kind, path):
     return datum, fan
 
 
+def _diagonal_markers(doc, path):
+    """The markers of a diagonal problem; a refused factor fails at ``.factors``."""
+    if "factors" not in doc:
+        return doc["deltas"]
+    try:
+        return delta_markers_from_catalog(doc["factors"])
+    except KeyError as e:
+        _fail(path + ".factors", e.args[0])  # str() would quote it
+    except ValueError as e:
+        _fail(path + ".factors", str(e))
+
+
 def run_decide(doc, path):
     kind = doc["kind"]
     if kind == "diagonal":
-        if "factors" not in doc:
-            return decide_diagonal(len(doc["deltas"]) + 1, doc["deltas"])
-        try:
-            markers = delta_markers_from_catalog(doc["factors"])
-        except (KeyError, ValueError) as e:
-            _fail(path + ".factors", str(e))
-        return decide_diagonal(len(doc["factors"]), markers)
+        return decide_diagonal(_diagonal_markers(doc, path))
     rd, galois, field, tits = _build_common(doc, path)
     payload = _build_payload(doc, rd, kind, path)
     try:
@@ -382,6 +399,7 @@ def _fmt_vec(v):
 def invariants_report(doc, path):
     kind = doc["kind"]
     if kind == "diagonal":
+        _diagonal_markers(doc, path)
         return ["kind: diagonal", "nothing to derive (markers are input data)"]
     rd, galois, field, tits = _build_common(doc, path)
     lines = []
@@ -394,19 +412,14 @@ def invariants_report(doc, path):
     for i, img in enumerate(incl.images, start=1):
         lines.append("  generator %d image in P/Q: %s" % (i, _fmt_vec(img)))
     local_mode = field.mode if field.mode in (REAL, PADIC) else REAL
-    t0 = None
-    try:
-        _, _, _, t0 = resolve_local_character(rd, galois, tits, local_mode)
-    except ValueError:
-        pass
-    if t0 is not None:
-        lines.append("tits character values: [%s]" % ", ".join(map(str, t0.values)))
-        if not t0.is_zero():
-            theta, _, theta_p = theta_lattice(rd, galois, t0)
-            lines.append("character kernel: %s" % _fmt_group(theta))
-            lines.append("kernel preimage in fixed weights, basis:")
-            for r in theta_p.basis.data:
-                lines.append("  %s" % _fmt_vec(r))
+    t0 = resolve_local_character(rd, galois, tits, local_mode).t0
+    lines.append("tits character values: [%s]" % ", ".join(map(str, t0.values)))
+    if not t0.is_zero():
+        theta, _, theta_p = theta_lattice(rd, galois, t0)
+        lines.append("character kernel: %s" % _fmt_group(theta))
+        lines.append("kernel preimage in fixed weights, basis:")
+        for r in theta_p.basis.data:
+            lines.append("  %s" % _fmt_vec(r))
     if kind in ("horospherical", "gu"):
         h = _build_payload(doc, rd, kind, path)
         if kind == "horospherical":
@@ -432,6 +445,11 @@ def invariants_report(doc, path):
                     ", ".join(sorted(c.colors)),
                 )
             )
+    if kind in ("spherical", "embedding"):
+        try:
+            orbit_action(datum, galois)  # refuses moved doubling flags, as decide does
+        except ValueError as e:
+            _fail(path, str(e))
     lines.append("orbit lattice rank: %d" % datum.rank)
     for r in datum.basis.data:
         lines.append("  basis %s" % _fmt_vec(r))

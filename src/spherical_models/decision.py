@@ -115,11 +115,6 @@ class TitsClassSpec:
     def from_values(cls, values):
         return cls("values", tuple(map(_exact_rational, values)))
 
-    def resolve(self, inv_group):
-        if self.kind == "zero":
-            return BrCharacter.zero(inv_group)
-        return BrCharacter(inv_group, self.values)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -152,9 +147,9 @@ def _reason(condition, ok, **extra):
 # -- center-character plumbing ---------------------------------------------
 #
 # Everything derived from the type and the Galois image alone (and, for the
-# kernel preimage, the character values) is computed once per process.  The
-# caches sit on private helpers: the public names stay plain functions, which
-# is what perfbench/tracer.py can wrap and count.
+# resolved character and the kernel preimage, the character) is computed
+# once per process.  The caches sit on private helpers: the public names stay
+# plain functions, which is what perfbench/tracer.py can wrap and count.
 
 
 def center_invariants(rd, galois):
@@ -192,18 +187,20 @@ class LocalCharacter(NamedTuple):
 
 
 def resolve_local_character(rd, galois, tits, mode):
-    """Resolve and validate a Tits character on the center fixed points.
+    """The Tits character ``tits`` on the center fixed points, validated.
 
-    Over the reals the Galois group has order 2 even when the star action is
-    trivial.  Acting trivially, its norms are the doubles, which a
-    half-integral character kills, so the norm check needs a nontrivial
-    image only.
+    The one route from a TitsClassSpec to a BrCharacter.  Each (type, image,
+    spec, mode) is resolved once per process; a refused character raises
+    ValueError on every call, since nothing is cached for it.
     """
-    check_local_mode(mode)
-    mod, inv, incl = center_invariants(rd, galois)
-    t0 = tits.resolve(inv)
-    ambient = None if galois.is_trivial_group() else mod
-    problems = validate_br_character(t0, mode, ambient=ambient, galois=galois, embedding=incl)
+    return _resolve_local_character(rd.type, galois, tits, check_local_mode(mode))
+
+
+@lru_cache(maxsize=None)
+def _resolve_local_character(t, galois, tits, mode):
+    mod, inv, incl = center_invariants(based_root_datum(t), galois)
+    t0 = BrCharacter.zero(inv) if tits.kind == "zero" else BrCharacter(inv, tits.values)
+    problems = validate_br_character(t0, mode, embedding=incl)
     if problems:
         raise ValueError("invalid Tits character: " + "; ".join(problems))
     return LocalCharacter(mod, inv, incl, t0)
@@ -458,16 +455,14 @@ def decide_gu(rd, galois, tits, mode):
     return Verdict(reasons, ("triviality of the Tits class",))
 
 
-def decide_diagonal(n, deltas):
+def decide_diagonal(deltas):
     """Pure-inner-form test for products acting on a diagonal quotient.
 
     ``deltas`` holds one marker per non-base factor: the trivial marker (the
     factor is a pure inner form of the base factor) or a nonzero character.
     """
-    if n < 2:
+    if not deltas:
         raise ValueError("need at least two factors")
-    if len(deltas) != n - 1:
-        raise ValueError("need one marker per non-base factor")
     reasons = []
     for i, d in enumerate(deltas, start=2):
         trivial = d is None or d == "trivial" or (hasattr(d, "is_zero") and d.is_zero())
@@ -686,19 +681,25 @@ def delta_markers_from_catalog(names):
 
     The obstruction between a factor and the base factor is the difference
     of their Tits characters; all factors must share type and Galois image.
+    Each factor's character is resolved, and so validated, in that entry's
+    own mode.
     """
     entries = [catalog_lookup(n) for n in names]
     base = entries[0]
-    markers = []
     for e in entries[1:]:
         if e.type != base.type:
             raise ValueError("factors are models of different groups")
         if set(e.galois.matrices) != set(base.galois.matrices):
             raise ValueError("factors induce different Galois images")
-        rd = based_root_datum(e.type)
-        mod, inv, incl = center_invariants(rd, e.galois)
-        t_base = base.tits.resolve(inv)
-        t_e = e.tits.resolve(inv)
-        diff = tuple((a - b) % 1 for a, b in zip(t_e.values, t_base.values))
-        markers.append("trivial" if all(v == 0 for v in diff) else BrCharacter(inv, diff))
+    rd = based_root_datum(base.type)
+    chars = []
+    for name, e in zip(names, entries):
+        try:
+            chars.append(resolve_local_character(rd, e.galois, e.tits, e.mode).t0)
+        except ValueError as err:
+            raise ValueError("factor %s: %s" % (name, err)) from None
+    markers = []
+    for t_e in chars[1:]:
+        diff = tuple((a - b) % 1 for a, b in zip(t_e.values, chars[0].values))
+        markers.append("trivial" if not any(diff) else BrCharacter(t_e.source, diff))
     return markers

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product as _cartesian
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .lattice import FgAbelianGroup, IntMatrix, quotient_group
 from .rootdata import based_root_datum, star_action_matrix
@@ -92,13 +92,6 @@ class GaloisAction:
     def trivial(cls, n):
         return cls("trivial", [], n=n)
 
-    @property
-    def order(self):
-        return len(self.matrices)
-
-    def is_trivial_group(self):
-        return self.order == 1
-
     def is_trivial_action(self):
         """True iff every element acts as the identity; the generators decide it."""
         ident = IntMatrix.identity(self.n)
@@ -162,26 +155,10 @@ def module_with_action(lattice, sub, galois):
     """The quotient lattice/sub with one induced endomorphism per group element.
 
     The returned FgAbelianGroup's ``action`` tuple is aligned with
-    ``galois.matrices``; pairing the two is how the norm check of
+    ``galois.matrices``; summing it is how the norm check of
     validate_br_character sums over the abstract group.
     """
     return quotient_group(lattice, sub, action=list(galois.matrices))
-
-
-def _aligned_action(module, galois):
-    if module.action is None or len(module.action) != galois.order:
-        raise ValueError("module action is not aligned with the group elements")
-    return module.action
-
-
-def _norm_matrix(module, galois):
-    """Matrix of a -> sum over all group elements of g(a), reduced coords."""
-    mats = _aligned_action(module, galois)
-    k = module.rank
-    total = IntMatrix.zero(k, k)
-    for m in mats:
-        total = total + m
-    return total
 
 
 @dataclass(frozen=True)
@@ -227,35 +204,32 @@ class BrCharacter:
         return lcm(*(v.denominator for v in self.values))
 
 
-def validate_br_character(t0, field_mode, ambient=None, galois=None, embedding=None):
+def validate_br_character(t0, field_mode, embedding=None):
     """Diagnostics for a Brauer character; an empty list means valid.
 
     ``field_mode`` is REAL or PADIC.  Over the reals the values must lie in
-    (1/2)ZZ/ZZ and, when the ambient module (with the order-2 group) and the
-    embedding of the character's source into its fixed points are supplied,
-    the character must kill every norm a + g(a): that is what makes it a
-    genuine character of the Tate quotient.
+    (1/2)ZZ/ZZ and, given the ``embedding`` of the character's source into
+    the fixed points of its module, the character must kill every norm, the
+    sum of g(a) over the group: that is what makes it a genuine character
+    of the Tate quotient.  The module is ``embedding.target``, whose
+    ``action`` holds one endomorphism per group element; the norms are
+    checked for a group of order 2 or more only.  Under the order-2 group
+    acting trivially they are the doubles, which a half-integral character
+    kills.
     """
-    problems = []
     if field_mode not in (REAL, PADIC):
-        problems.append("unsupported base field: %r" % (field_mode,))
-        return problems
-    if field_mode == REAL:
-        for v in t0.values:
-            if (2 * v) % 1 != 0:
-                problems.append("value %s not in (1/2)Z/Z" % (v,))
-        if ambient is not None and galois is not None:
-            if embedding is None:
-                raise ValueError("norm check needs the embedding of the source")
-            for j, row in enumerate(_norm_matrix(ambient, galois).data):
-                pre = embedding.preimage(ambient.reduce_reduced(row))
-                if pre is None:
-                    problems.append("a norm element does not lie in the fixed points")
-                    continue
-                if t0.evaluate(pre) != 0:
-                    problems.append(
-                        "character does not vanish on the norm of generator %d" % (j + 1,)
-                    )
+        return ["unsupported base field: %r" % (field_mode,)]
+    if field_mode == PADIC:
+        return []
+    problems = ["value %s not in (1/2)Z/Z" % (v,) for v in t0.values if (2 * v) % 1 != 0]
+    if embedding is not None and len(embedding.target.action) > 1:
+        module = embedding.target
+        for j, row in enumerate(reduce(add, module.action).data):
+            pre = embedding.preimage(module.reduce_reduced(row))
+            if pre is None:
+                problems.append("a norm element does not lie in the fixed points")
+            elif t0.evaluate(pre) != 0:
+                problems.append("character does not vanish on the norm of generator %d" % (j + 1,))
     return problems
 
 

@@ -251,7 +251,7 @@ def hom_kernel(hom):
 
 def is_cyclic(galois):
     """True for the supported cyclic images: the trivial group, Z/2 and Z/3."""
-    return galois.order in (1, 2, 3)
+    return len(galois.matrices) in (1, 2, 3)
 
 
 def norm_rows(module):
@@ -289,7 +289,7 @@ def h2_cyclic(module, galois):
     if not is_cyclic(galois):
         raise ValueError("H^2 is computed for cyclic groups only")
     inv, incl = group_invariants(module)
-    if galois.order == 1:
+    if len(galois.matrices) == 1:
         triv = FgAbelianGroup(0, [])
         return triv, GroupHom(inv, triv, [() for _ in range(inv.rank)])
     norms = []

@@ -295,9 +295,9 @@ def test_criterion_09_center_tables():
 
 def test_criterion_10_diagonal_quotients():
     """Pure-inner-form criterion on the transporter examples."""
-    assert decide_diagonal(2, delta_markers_from_catalog(["SU(2,2)", "SU(4)"])).exists
+    assert decide_diagonal(delta_markers_from_catalog(["SU(2,2)", "SU(4)"])).exists
     for n in (2, 3, 4):
         for m in range(0, n + 1):
             markers = delta_markers_from_catalog(["Sp(%d,R)" % (2 * n), "Sp(%d,%d)" % (m, n - m)])
-            assert not decide_diagonal(2, markers).exists
+            assert not decide_diagonal(markers).exists
     _report(10, "unitary pair admits the model, symplectic pairs never do")

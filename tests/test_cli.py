@@ -288,11 +288,57 @@ A3_UNSTABLE_FLAGS = {
 @pytest.mark.parametrize("tits", ["zero", {"values": ["1/2"]}])
 def test_galois_unstable_doubling_flags_exit_2_whatever_the_character(tmp_path, capsys, tits):
     path = write(tmp_path, dict(A3_UNSTABLE_FLAGS, tits=tits))
-    code, out, err = run(capsys, "decide", "--json", path)
-    assert (code, out) == (2, "") and err == "error: %s: generator 1 moves the doubling flags (sigma234)\n" % path
+    # the embedding kind reads the same orbit datum
+    fan = [{"generators": [[-1, -1, 0]], "colors": []}]
+    embedding = write(tmp_path, dict(A3_UNSTABLE_FLAGS, tits=tits, kind="embedding", fan=fan), "fan.json")
     # flagging both swapped roots is stable
     both = write(tmp_path, dict(A3_UNSTABLE_FLAGS, tits=tits, sigma234=[0, 1]), "both.json")
-    assert run(capsys, "decide", both)[0] in (0, 1)
+    for command in ("decide", "invariants"):
+        for doc in (path, embedding):
+            code, out, err = run(capsys, command, doc)
+            assert (code, out, err) == (2, "", "error: %s: generator 1 moves the doubling flags (sigma234)\n" % doc)
+        assert run(capsys, command, both)[0] in (0, 1)
+
+
+@pytest.mark.parametrize("command", ["decide", "invariants"])
+def test_a_refused_character_exits_2_at_tits(tmp_path, capsys, command):
+    gu = {"version": 1, "kind": "gu", "root_datum": "A5", "galois": "flip", "field": {"mode": "real"}}
+    # the fixed center classes of A5 under the flip are Z/2, which 1/3 is no character of
+    path = write(tmp_path, dict(gu, tits={"values": ["1/3"]}))
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (2, "") and err == "error: %s.tits: value 1/3 is not killed by the generator order 2\n" % path
+    # the D4 flip fixes only the sum of the two spin classes, which is the
+    # norm of either: 1/2 is half-integral and fails the norm check alone
+    d4 = write(tmp_path, dict(gu, root_datum="D4", tits={"values": ["1/2"]}), "d4.json")
+    code, out, err = run(capsys, command, d4)
+    assert (code, out) == (2, "") and err.startswith("error: %s.tits: invalid Tits character: " % d4), err
+
+
+# 1/4 is a character of the fixed classes Z/4 of A3 under the trivial
+# order-2 image: a p-adic class, but not a real one
+BAD_FACTOR = {"BAD(4)": {"type": "A3", "galois": "trivial-c2", "t0": ["1/4"], "mode": "real"}}
+
+
+@pytest.mark.parametrize("command", ["decide", "invariants"])
+def test_a_diagonal_factor_is_validated_in_its_own_mode(tmp_path, capsys, monkeypatch, command):
+    catalog = tmp_path / "extra.json"
+    catalog.write_text(json.dumps(dict(BAD_FACTOR, **{"P(4)": dict(BAD_FACTOR["BAD(4)"], mode="padic")})))
+    monkeypatch.setenv("SPHERICAL_MODELS_CATALOG", str(catalog))
+    path = write(tmp_path, {"version": 1, "kind": "diagonal", "factors": ["SL(4,R)", "BAD(4)"]})
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (2, "") and err == (
+        "error: %s.factors: factor BAD(4): invalid Tits character: value 1/4 not in (1/2)Z/Z; "
+        "character does not vanish on the norm of generator 1\n" % path
+    )
+    padic = write(tmp_path, {"version": 1, "kind": "diagonal", "factors": ["SL(4,R)", "P(4)"]}, "padic.json")
+    assert run(capsys, command, padic)[0] == (1 if command == "decide" else 0)
+    unknown = write(tmp_path, {"version": 1, "kind": "diagonal", "factors": ["SL(4,R)", "BOGUS"]}, "unknown.json")
+    assert run(capsys, command, unknown) == (2, "", "error: %s.factors: unknown catalog name 'BOGUS'\n" % unknown)
+    # the same entry as the character of a local problem fails at .tits
+    gu = {"version": 1, "kind": "gu", "root_datum": "A3", "galois": "trivial",
+          "field": {"mode": "real"}, "tits": {"catalog": "BAD(4)"}}
+    code, out, err = run(capsys, command, write(tmp_path, gu, "gu.json"))
+    assert (code, out) == (2, "") and ".tits: invalid Tits character: value 1/4 not in" in err
 
 
 # The exit code and stdout of each command on each demo problem.  They were

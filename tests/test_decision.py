@@ -31,6 +31,7 @@ from spherical_models.decision import (
     catalog_names,
     center_invariants,
     check_local_mode,
+    resolve_local_character,
     theta_lattice,
 )
 from spherical_models.galoismodule import BrCharacter
@@ -366,19 +367,41 @@ def test_number_field_rejects_non_subaction(rd_a5, galois_a5_flip):
 
 
 def test_diagonal_all_trivial():
-    assert decide_diagonal(3, ["trivial", "trivial"]).exists
+    assert decide_diagonal(["trivial", "trivial"]).exists
 
 
 def test_diagonal_catalog_pairs():
-    assert decide_diagonal(2, delta_markers_from_catalog(["SU(2,2)", "SU(4)"])).exists
-    assert not decide_diagonal(
-        2, delta_markers_from_catalog(["Sp(4,R)", "Sp(2,0)"])
-    ).exists
+    assert decide_diagonal(delta_markers_from_catalog(["SU(2,2)", "SU(4)"])).exists
+    assert not decide_diagonal(delta_markers_from_catalog(["Sp(4,R)", "Sp(2,0)"])).exists
 
 
 def test_diagonal_marker_count():
-    with pytest.raises(ValueError):
-        decide_diagonal(2, [])
+    with pytest.raises(ValueError, match="at least two factors"):
+        decide_diagonal([])
+
+
+# -- the resolved Tits character -------------------------------------------------
+
+
+def test_equal_inputs_resolve_to_the_identical_character(rd_a5, galois_a5_flip):
+    first = resolve_local_character(rd_a5, galois_a5_flip, TitsClassSpec.from_values(["1/2"]), REAL)
+    again = resolve_local_character(
+        based_root_datum("A5"), galois_from_permutations(rd_a5, [diagram_flip(rd_a5.type)]),
+        TitsClassSpec.from_values([F(1, 2)]), REAL,
+    )
+    assert again is first
+    zero = resolve_local_character(rd_a5, galois_a5_flip, TitsClassSpec.zero(), PADIC)
+    assert zero is resolve_local_character(rd_a5, galois_a5_flip, TitsClassSpec(), PADIC)
+    assert zero is not resolve_local_character(rd_a5, galois_a5_flip, TitsClassSpec.zero(), REAL)
+
+
+def test_a_refused_character_raises_on_every_call(rd_a5):
+    trivial = GaloisAction.trivial(5)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="invalid Tits character: value 1/3 not in"):
+            resolve_local_character(rd_a5, trivial, TitsClassSpec.from_values(["1/3"]), REAL)
+        with pytest.raises(UnsupportedBaseField):
+            resolve_local_character(rd_a5, trivial, TitsClassSpec.zero(), "complex")
 
 
 # -- embedding ----------------------------------------------------------------------
@@ -451,7 +474,7 @@ def test_verdict_reasons_replay_everywhere(sl6_fan, sl6_datum, galois_a5_flip, r
             TitsClassSpec.from_values(["1/2"]),
             REAL,
         ),
-        decide_diagonal(2, ["trivial"]),
+        decide_diagonal(["trivial"]),
     ]
     for v in verdicts:
         # a reader of the JSON document recomputes the verdict from its reasons

@@ -131,8 +131,8 @@ def test_v_action_is_contragredient_and_functorial():
     datum = SphericalDatum(rd, [list(rd.simple_root(i)) for i in range(1, 5)], [], [])
     # no central torus, so every element matrix acts on the orbit lattice as is
     restr = {i: _restriction_to_basis(datum, m) for i, m in enumerate(g.matrices)}
-    for a in range(g.order):
-        for b in range(g.order):
+    for a in range(len(g.matrices)):
+        for b in range(len(g.matrices)):
             ab = g.matrices.index(g.matrices[a] * g.matrices[b])
             assert restr[a] * restr[b] == restr[ab]
             va, vb, vab = (_inverse_transpose(restr[i]) for i in (a, b, ab))
