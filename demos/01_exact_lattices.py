@@ -9,8 +9,8 @@ from spherical_models import based_root_datum, diagram_automorphism_group, galoi
 from spherical_models.lattice import (
     IntMatrix,
     Lattice,
+    apply_row,
     fixed_sublattice,
-    group_invariants,
     hnf,
     quotient_group,
     snf,
@@ -36,9 +36,13 @@ fixed = fixed_sublattice(5, list(galois.matrices))
 for row in fixed.basis.data:
     print("   ", row)
 
-pq = quotient_group(rd.weight_lattice, rd.root_lattice, action=list(galois.matrices))
-inv, incl = group_invariants(pq)
-print("\nFixed center classes under the flip:", inv, "generated by the class", incl.images[0])
+# a center class is fixed when its weights are fixed modulo the roots Q:
+# those weights form one lattice F, and the fixed classes are F/Q
+f_lat = fixed_sublattice(rd.weight_lattice, list(galois.matrices), modulo=rd.root_lattice)
+inv = quotient_group(f_lat, rd.root_lattice)
+generator = apply_row(inv.lift((1,)), f_lat.basis)
+pq = quotient_group(rd.weight_lattice, rd.root_lattice)
+print("\nFixed center classes under the flip:", inv, "generated by the class", pq.from_ambient(generator))
 print("(the classes 0 and 3 in Z/6, exactly the 2-torsion)")
 
 doubled = Lattice(5, [[2 if i == j else 0 for j in range(5)] for i in range(5)])

@@ -16,18 +16,28 @@ from spherical_models import (
     diagram_automorphism_group,
     galois_from_permutations,
 )
-from spherical_models.decision import TitsClassSpec, center_invariants, resolve_local_character
+from spherical_models.decision import (
+    LocalCharacter,
+    TitsClassSpec,
+    center_invariants,
+    resolve_local_character,
+)
 from spherical_models.galoismodule import PADIC, REAL, validate_br_character
+from spherical_models.lattice import apply_row
 from spherical_models.rootdata import diagram_flip
 
 
 def show(label, name, galois):
     rd = based_root_datum(label)
-    mod, inv, incl = center_invariants(rd, galois)
+    # the fixed classes are F/Q, for F the weights fixed modulo the roots;
+    # each generator of F/Q lifts to a weight of F, whose class lies in P/Q
+    mod, inv, fixed = center_invariants(rd, galois)
+    units = [(0,) * i + (1,) + (0,) * (inv.rank - i - 1) for i in range(inv.rank)]
+    images = [list(mod.from_ambient(apply_row(inv.lift(e), fixed.basis))) for e in units]
     print("%s, %s: center characters %s, fixed classes %s generated by %s"
-          % (label, name, mod, inv, [list(img) for img in incl.images]))
+          % (label, name, mod, inv, images))
     for t0 in all_characters(inv):
-        problems = validate_br_character(t0, REAL, embedding=incl)
+        problems = validate_br_character(t0, REAL, galois, LocalCharacter(mod, inv, fixed, t0))
         print("  values [%s] over the reals: %s"
               % (", ".join(map(str, t0.values)), "; ".join(problems) or "valid"))
 

@@ -35,10 +35,12 @@ from .decision import (
     delta_markers_from_catalog,
     resolve_local_character,
     theta_lattice,
+    _resolve_sites,
 )
 from .embeddings import ColoredCone, ColoredFan
 from .galoismodule import _GROUPS, PADIC, REAL, galois_from_permutations
 from .horospherical import HorosphericalDatum
+from .lattice import apply_row
 from .rootdata import (
     DiagramAutomorphism,
     based_root_datum,
@@ -237,7 +239,10 @@ def _parse_field(entry, rd, global_galois, path):
             values = None if t0 in ("trivial", None) else TitsClassSpec.from_values(t0).values
         except ValueError as e:
             _fail(spath + ".t0", "bad character value: %s" % e)
-        sites.append(LocalSite(s.get("label", "v%d" % k), s["mode"], sg, values))
+        label = s.get("label", "v%d" % k)
+        if any(site.label == label for site in sites):
+            _fail(spath + ".label", "duplicate site label %r" % label)
+        sites.append(LocalSite(label, s["mode"], sg, values))
     return FieldDescriptor(NUMBER_FIELD, tuple(sites))
 
 
@@ -295,8 +300,10 @@ def _check_problem(doc, path):
 def _build_common(doc, path):
     """(root datum, Galois image, field, Tits spec) of a non-diagonal problem.
 
-    A local problem's character is resolved here, so a refused one fails at
-    ``.tits``; the decision after it reads the resolver's cache.
+    Every character is resolved here, so a refused one fails at load: a
+    local problem's at ``.tits``, a site's at the document, naming the site,
+    as ``decide_number_field`` names it.  The decision after it reads the
+    resolver's cache.
     """
     try:
         rd = based_root_datum(doc["root_datum"])
@@ -305,11 +312,13 @@ def _build_common(doc, path):
     galois = _parse_galois(doc.get("galois", "trivial"), rd, path + ".galois")
     field = _parse_field(doc["field"], rd, galois, path + ".field")
     tits = _parse_tits(doc.get("tits"), rd, path + ".tits")
-    if field.mode != NUMBER_FIELD:
-        try:
+    try:
+        if field.mode == NUMBER_FIELD:
+            _resolve_sites(rd, galois, field.sites)
+        else:
             resolve_local_character(rd, galois, tits, field.mode)
-        except ValueError as e:
-            _fail(path + ".tits", str(e))
+    except ValueError as e:
+        _fail(path if field.mode == NUMBER_FIELD else path + ".tits", str(e))
     return rd, galois, field, tits
 
 
@@ -406,11 +415,12 @@ def invariants_report(doc, path):
     lines.append("kind: %s" % kind)
     lines.append("root datum: %s" % rd.type)
     lines.append("galois group: %s" % galois.group_name)
-    mod, inv, incl = center_invariants(rd, galois)
+    mod, inv, fixed = center_invariants(rd, galois)
     lines.append("center characters P/Q: %s" % _fmt_group(mod))
     lines.append("fixed center characters (P/Q)^G: %s" % _fmt_group(inv))
-    for i, img in enumerate(incl.images, start=1):
-        lines.append("  generator %d image in P/Q: %s" % (i, _fmt_vec(img)))
+    for i in range(inv.rank):
+        gen = apply_row(inv.lift((0,) * i + (1,) + (0,) * (inv.rank - i - 1)), fixed.basis)
+        lines.append("  generator %d image in P/Q: %s" % (i + 1, _fmt_vec(mod.from_ambient(gen))))
     local_mode = field.mode if field.mode in (REAL, PADIC) else REAL
     t0 = resolve_local_character(rd, galois, tits, local_mode).t0
     lines.append("tits character values: [%s]" % ", ".join(map(str, t0.values)))
@@ -467,7 +477,7 @@ def invariants_report(doc, path):
     lines.append("omega2 (%d):" % len(o2))
     for e in o2:
         lines.append("  rho %s moves %s" % (_fmt_vec(e.rho), sorted(e.sigma_set)))
-    xa, xa_ker, _ = aut_character_lattices(datum)
+    xa, xa_ker = aut_character_lattices(datum)
     lines.append("X*(A) = X/<sigma_N>: %s" % _fmt_group(xa))
     lines.append("X*(A^ker) = X/<sigma_sc>: %s" % _fmt_group(xa_ker))
     return lines

@@ -7,8 +7,11 @@ must die under the pushforward to the automorphism group).  Over the reals
 and p-adic fields the pushforward vanishing is equivalent to the vanishing
 of the character on the center classes of one lattice: the points of the
 orbit lattice that the Galois generators fix modulo the doubled spherical
-roots (the fixed part of M for a horospherical pair).  Over number fields
-the horospherical problem localizes place by place.
+roots (the fixed part of M for a horospherical pair).  The character lives
+on the fixed center classes (P/Q)^Γ, read the same way: F/Q for F the
+weights that the generators fix modulo the roots, so a weight's class is its
+coordinates on F taken modulo Q.  Over number fields the horospherical
+problem localizes place by place.
 
 Verdicts carry machine-readable reasons, and a verdict's ``exists`` is the
 conjunction of their condition bits.
@@ -33,19 +36,16 @@ from .galoismodule import (
     BrCharacter,
     GaloisAction,
     galois_from_permutations,
-    module_with_action,
     validate_br_character,
 )
 
 from .lattice import (
     FgAbelianGroup,
-    GroupHom,
     IntMatrix,
     Lattice,
     fixed_sublattice,
-    group_invariants,
     preimage_lattice,
-    _subquotient,
+    quotient_group,
     apply_row,
 )
 from .rootdata import (
@@ -153,10 +153,11 @@ def _reason(condition, ok, **extra):
 
 
 def center_invariants(rd, galois):
-    """(module, fixed subgroup, inclusion) for the center characters.
+    """(module, fixed subgroup, fixed lattice) of the center characters.
 
-    The module is the center character group (weights mod roots) with the
-    Galois action.
+    The module is P/Q, the center characters (weights modulo roots).  The
+    fixed lattice F holds the weights whose class every Galois generator
+    fixes, and the fixed subgroup is (P/Q)^Γ = F/Q.
     """
     return _center_invariants(rd.type, galois)
 
@@ -164,26 +165,26 @@ def center_invariants(rd, galois):
 @lru_cache(maxsize=None)
 def _center_invariants(t, galois):
     rd = based_root_datum(t)
-    mod = module_with_action(rd.weight_lattice, rd.root_lattice, galois)
-    inv, incl = group_invariants(mod)
-    return mod, inv, incl
+    p_lat, q_lat = rd.weight_lattice, rd.root_lattice
+    fixed = fixed_sublattice(p_lat, galois.generator_matrices(), q_lat)
+    return quotient_group(p_lat, q_lat), quotient_group(fixed, q_lat), fixed
 
 
 class LocalCharacter(NamedTuple):
-    """A Tits character ``t0`` on the fixed subgroup ``inv`` of the center
-    characters ``mod`` (with their Galois action), and the inclusion ``incl``."""
+    """A Tits character ``t0`` on the fixed subgroup ``inv`` = F/Q of the
+    center characters ``mod`` = P/Q, with F the lattice ``fixed``."""
 
     mod: FgAbelianGroup
     inv: FgAbelianGroup
-    incl: GroupHom
+    fixed: Lattice
     t0: BrCharacter
 
     def class_of(self, weight):
         """The class in ``inv`` of a weight; ValueError if its center class is not fixed."""
-        cls = self.incl.preimage(self.mod.from_ambient(weight))
-        if cls is None:
+        coords = self.fixed.coords_of(weight)
+        if coords is None:
             raise ValueError("weight %r has a non-fixed center class" % (list(weight),))
-        return cls
+        return self.inv.from_ambient(coords)
 
 
 def resolve_local_character(rd, galois, tits, mode):
@@ -198,20 +199,46 @@ def resolve_local_character(rd, galois, tits, mode):
 
 @lru_cache(maxsize=None)
 def _resolve_local_character(t, galois, tits, mode):
-    mod, inv, incl = center_invariants(based_root_datum(t), galois)
+    mod, inv, fixed = center_invariants(based_root_datum(t), galois)
     t0 = BrCharacter.zero(inv) if tits.kind == "zero" else BrCharacter(inv, tits.values)
-    problems = validate_br_character(t0, mode, embedding=incl)
+    local = LocalCharacter(mod, inv, fixed, t0)
+    problems = validate_br_character(t0, mode, galois, local)
     if problems:
         raise ValueError("invalid Tits character: " + "; ".join(problems))
-    return LocalCharacter(mod, inv, incl, t0)
+    return local
+
+
+def _resolve_sites(rd, galois, sites):
+    """The LocalCharacter of each site, None for a trivial one.
+
+    A site whose image is not inside the global image ``galois``, or whose
+    character is refused, raises ValueError naming the site.
+    """
+    out = []
+    for site in sites:
+        if not site.galois.is_subaction_of(galois):
+            raise ValueError(
+                "site %s: local image is not contained in the global image" % site.label
+            )
+        if site.t0_values is None:
+            out.append(None)
+            continue
+        try:
+            out.append(resolve_local_character(
+                rd, site.galois, TitsClassSpec.from_values(site.t0_values), site.mode
+            ))
+        except ValueError as e:
+            raise type(e)("site %s: %s" % (site.label, e)) from None
+    return out
 
 
 def theta_lattice(rd, galois, t0):
-    """Kernel of the character and its preimage in the fixed weight lattice.
+    """Kernel of the character, as a group and as lattices.
 
-    Returns (theta, theta_embedding, theta_p) where theta is the kernel
-    subgroup of the fixed center characters and theta_p the sublattice of
-    the fixed weights whose center class the character kills.  The
+    Returns (theta, kernel, theta_p): kernel is the lattice of the points of
+    the fixed lattice F whose center class the character kills, theta the
+    kernel subgroup kernel/Q of the fixed center characters, and theta_p
+    the sublattice of the fixed weights whose center class it kills.  The
     invariants report prints them; no verdict reads them.
     """
     _, inv, _ = center_invariants(rd, galois)
@@ -223,25 +250,24 @@ def theta_lattice(rd, galois, t0):
 @lru_cache(maxsize=None)
 def _theta_lattice(t, galois, values):
     rd = based_root_datum(t)
-    mod, inv, incl = center_invariants(rd, galois)
-    t0 = BrCharacter(inv, values)
-    local = LocalCharacter(mod, inv, incl, t0)
-    denom = t0.order()
-    # kernel inside the fixed subgroup
-    col = IntMatrix([[int(v * denom)] for v in t0.values], cols=1)
-    rows = preimage_lattice(col, Lattice(1, [[denom]]))
-    theta, theta_incl = _subquotient(inv, rows)
-    if not t0.is_zero() and theta.order() == inv.order():
+    mod, inv, fixed = center_invariants(rd, galois)
+    local = LocalCharacter(mod, inv, fixed, BrCharacter(inv, values))
+    kernel = _killed_points(local, fixed)
+    theta = quotient_group(kernel, rd.root_lattice)
+    if not local.t0.is_zero() and theta.order() == inv.order():
         raise ValueError("nonzero character with full kernel; inconsistent data")
-    # preimage in the fixed weights (the generators fix what the group fixes)
-    p_fixed = fixed_sublattice(rd.rank, galois.generator_matrices())
-    vals = [int(t0.evaluate(local.class_of(b)) * denom) for b in p_fixed.basis.data]
-    colp = IntMatrix([[v] for v in vals], cols=1)
-    coeff_rows = preimage_lattice(colp, Lattice(1, [[denom]]))
-    theta_p = Lattice(
-        rd.rank, [apply_row(c, p_fixed.basis) for c in coeff_rows]
-    )
-    return theta, theta_incl, theta_p
+    # the generators fix what the group fixes
+    theta_p = _killed_points(local, fixed_sublattice(rd.rank, galois.generator_matrices()))
+    return theta, kernel, theta_p
+
+
+def _killed_points(local, lattice):
+    """The sublattice of the points of ``lattice`` (whose center classes are
+    fixed) on whose class ``local.t0`` vanishes."""
+    denom = local.t0.order()
+    vals = [int(local.t0.evaluate(local.class_of(b)) * denom) for b in lattice.basis.data]
+    rows = preimage_lattice(IntMatrix([[v] for v in vals], cols=1), Lattice(1, [[denom]]))
+    return Lattice(lattice.ambient_rank, [apply_row(c, lattice.basis) for c in rows])
 
 
 # -- the decision procedures -------------------------------------------------
@@ -267,7 +293,7 @@ def _first_failing_row(local, lattice, mats, modulo=None):
     the lattice of a horospherical pair (``modulo`` None).  The weight
     coordinates come first; central-torus ones follow.
     """
-    rank = local.mod.n_gens
+    rank = local.fixed.ambient_rank
     rows = fixed_sublattice(lattice, mats, modulo).basis.data
     return next((r for r in rows if local.t0.evaluate(local.class_of(r[:rank]))), None)
 
@@ -326,7 +352,7 @@ def _shortcut_label(rd, galois, local):
     return None
 
 
-def _horospherical_fast_path(rd, galois, t0, m_lattice, mod, inv, incl):
+def _horospherical_fast_path(rd, galois, t0, m_lattice, mod, inv, fixed):
     """The tabulated shortcut conditions for simple types over local fields.
 
     Returns (label, ok) when the type/action matches the table, else None.
@@ -334,7 +360,7 @@ def _horospherical_fast_path(rd, galois, t0, m_lattice, mod, inv, incl):
     evaluation is a direct lattice test, kept as a cross-check of
     _first_failing_row, which decides.
     """
-    local = LocalCharacter(mod, inv, incl, t0)
+    local = LocalCharacter(mod, inv, fixed, t0)
     label = _shortcut_label(rd, galois, local)
     n = rd.rank
     q_lat = rd.root_lattice
@@ -411,21 +437,7 @@ def decide_number_field(datum, galois, sites):
     character, before any reason is given, as the local verdicts check
     theirs.
     """
-    site_chars = []
-    for site in sites:
-        if not site.galois.is_subaction_of(galois):
-            raise ValueError(
-                "site %s: local image is not contained in the global image" % site.label
-            )
-        try:
-            site_chars.append(
-                None if site.t0_values is None
-                else resolve_local_character(
-                    datum.rd, site.galois, TitsClassSpec.from_values(site.t0_values), site.mode
-                )
-            )
-        except ValueError as e:
-            raise type(e)("site %s: %s" % (site.label, e)) from None
+    site_chars = _resolve_sites(datum.rd, galois, sites)
     stable = datum.stable(galois)
     reasons = [_reason("pair-stability", stable)]
     citations = [

@@ -7,8 +7,11 @@ is kept separate from its matrix image because the representation need not
 be faithful: a quadratic extension acting trivially on weights still has
 nontrivial cohomology.  Degree-2 classes over a local field are never stored
 as cocycles: their computational avatar is the Brauer character, a
-homomorphism from the fixed-point group of the character module to QQ/ZZ,
-which is exactly the data the local vanishing tests consume.
+homomorphism to QQ/ZZ from the fixed center classes (P/Q)^Γ, which is
+exactly the data the local vanishing tests consume.  Those classes are one
+lattice quotient F/Q, with F the weights that the Galois image fixes modulo
+the roots (``decision.center_invariants``), so no group here carries an
+action.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import product as _cartesian
 from math import lcm
 from operator import add, mul
 
-from .lattice import FgAbelianGroup, IntMatrix, quotient_group
+from .lattice import FgAbelianGroup, IntMatrix, apply_row
 from .rootdata import based_root_datum, star_action_matrix
 
 REAL = "real"
@@ -151,16 +154,6 @@ def _galois_from_permutations(t, automorphisms, group_name):
     return GaloisAction(group_name, mats)
 
 
-def module_with_action(lattice, sub, galois):
-    """The quotient lattice/sub with one induced endomorphism per group element.
-
-    The returned FgAbelianGroup's ``action`` tuple is aligned with
-    ``galois.matrices``; summing it is how the norm check of
-    validate_br_character sums over the abstract group.
-    """
-    return quotient_group(lattice, sub, action=list(galois.matrices))
-
-
 @dataclass(frozen=True)
 class BrCharacter:
     """A homomorphism from a finite abelian group to QQ/ZZ.
@@ -204,31 +197,35 @@ class BrCharacter:
         return lcm(*(v.denominator for v in self.values))
 
 
-def validate_br_character(t0, field_mode, embedding=None):
+def validate_br_character(t0, field_mode, galois=None, local=None):
     """Diagnostics for a Brauer character; an empty list means valid.
 
     ``field_mode`` is REAL or PADIC.  Over the reals the values must lie in
-    (1/2)ZZ/ZZ and, given the ``embedding`` of the character's source into
-    the fixed points of its module, the character must kill every norm, the
-    sum of g(a) over the group: that is what makes it a genuine character
-    of the Tate quotient.  The module is ``embedding.target``, whose
-    ``action`` holds one endomorphism per group element; the norms are
-    checked for a group of order 2 or more only.  Under the order-2 group
-    acting trivially they are the doubles, which a half-integral character
-    kills.
+    (1/2)ZZ/ZZ and, given the Galois image ``galois`` and the center
+    characters ``local`` (a decision.LocalCharacter: the module ``mod`` and
+    its ``class_of``), the character must kill every norm: the weight
+    lift(e_j) times the sum of the element matrices, read through
+    ``class_of``, for each generator e_j of the module.  That is what makes
+    it a genuine character of the Tate quotient.  The norms are checked for
+    a group of order 2 or more only; under the order-2 group acting
+    trivially they are the doubles, which a half-integral character kills.
     """
     if field_mode not in (REAL, PADIC):
         return ["unsupported base field: %r" % (field_mode,)]
     if field_mode == PADIC:
         return []
     problems = ["value %s not in (1/2)Z/Z" % (v,) for v in t0.values if (2 * v) % 1 != 0]
-    if embedding is not None and len(embedding.target.action) > 1:
-        module = embedding.target
-        for j, row in enumerate(reduce(add, module.action).data):
-            pre = embedding.preimage(module.reduce_reduced(row))
-            if pre is None:
+    if galois is not None and len(galois.matrices) > 1:
+        norm = reduce(add, galois.matrices)
+        rank = local.mod.rank
+        for j in range(rank):
+            weight = apply_row(local.mod.lift((0,) * j + (1,) + (0,) * (rank - j - 1)), norm)
+            try:
+                cls = local.class_of(weight)
+            except ValueError:
                 problems.append("a norm element does not lie in the fixed points")
-            elif t0.evaluate(pre) != 0:
+                continue
+            if t0.evaluate(cls) != 0:
                 problems.append("character does not vanish on the norm of generator %d" % (j + 1,))
     return problems
 

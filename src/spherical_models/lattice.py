@@ -8,6 +8,8 @@ normal form, so lattice equality is just equality of canonical bases.
 Finitely generated abelian groups are presented by integer relation matrices
 and normalized through Smith normal form; their elements are coordinate
 tuples reduced modulo the invariant factors (0 encodes a free ZZ factor).
+No group carries an action: the classes of L/S that some matrices fix are
+one lattice quotient F/S, with F = fixed_sublattice(L, mats, modulo=S).
 """
 
 from __future__ import annotations
@@ -450,50 +452,29 @@ class FgAbelianGroup:
     Built as ZZ^n modulo the row space of a relation matrix.  Elements are
     tuples in the reduced SNF coordinates: one coordinate per invariant
     factor d (taken mod d when d > 0, a free integer when d == 0); factors
-    d == 1 are dropped.  ``action`` optionally carries endomorphism matrices
-    (in reduced coordinates) for a group acting on this group.
+    d == 1 are dropped.
     """
 
-    __slots__ = (
-        "n_gens",
-        "q",
-        "q_inv",
-        "moduli",
-        "keep",
-        "invariant_factors",
-        "action",
-    )
+    __slots__ = ("n_gens", "invariant_factors", "_cols", "_lifts")
 
-    def __init__(self, n_gens, relation_rows, action=None):
+    def __init__(self, n_gens, relation_rows):
         rel = IntMatrix(relation_rows) if relation_rows else IntMatrix.zero(0, n_gens)
         if rel.cols != n_gens:
             raise ValueError("relation width != generator count")
-        d, p, q = snf(rel)
+        d, _, q = snf(rel)
+        moduli = [d.data[j][j] if j < rel.rows else 0 for j in range(n_gens)]
+        keep = [j for j, m in enumerate(moduli) if m != 1]
         self.n_gens = n_gens
-        self.q = q
-        self.q_inv = _unimodular_inverse(q)
-        moduli = []
-        for j in range(n_gens):
-            moduli.append(d.data[j][j] if j < rel.rows else 0)
-        self.moduli = tuple(moduli)
-        self.keep = tuple(j for j, m in enumerate(moduli) if m != 1)
-        self.invariant_factors = tuple(moduli[j] for j in self.keep)
-        self.action = None
-        if action is not None:
-            self.action = tuple(self._reduce_endomorphism(m) for m in action)
-            for m in self.action:
-                self._check_endomorphism(m)
-
-    # -- element plumbing ------------------------------------------------
+        self.invariant_factors = tuple(moduli[j] for j in keep)
+        # only the kept SNF coordinates are read: the columns of q that map
+        # into them and the rows of q^-1 that lift out of them
+        self._cols = tuple(q.col(j) for j in keep)
+        q_inv = _unimodular_inverse(q)
+        self._lifts = _matrix([q_inv.data[j] for j in keep], n_gens)
 
     @property
     def rank(self):
-        return len(self.keep)
-
-    def relations(self):
-        """The rows d*e_j of the reduced coordinates, one per finite invariant factor d."""
-        k = self.rank
-        return [[d if i == j else 0 for i in range(k)] for j, d in enumerate(self.invariant_factors) if d > 0]
+        return len(self.invariant_factors)
 
     def order(self):
         """Group order; 0 means infinite."""
@@ -504,59 +485,25 @@ class FgAbelianGroup:
             total *= d
         return total
 
-    def reduce(self, coords):
-        out = []
-        for j in self.keep:
-            d = self.moduli[j]
-            out.append(coords[j] % d if d > 0 else coords[j])
-        return tuple(out)
-
     def from_ambient(self, x):
         """Class of a vector given in the original generator coordinates."""
         if len(x) != self.n_gens:
             raise ValueError("dimension mismatch")
-        y = apply_row(tuple(x), self.q)
-        return self.reduce(y)
+        out = []
+        for col, d in zip(self._cols, self.invariant_factors):
+            y = sum(map(mul, x, col))
+            out.append(y % d if d else y)
+        return tuple(out)
 
     def lift(self, element):
         """Some preimage in the original generator coordinates."""
-        y = [0] * self.n_gens
-        for idx, j in enumerate(self.keep):
-            y[j] = element[idx]
-        return apply_row(tuple(y), self.q_inv)
-
-    def scale(self, a, k):
-        return tuple((x * k) % d if d > 0 else x * k for x, d in zip(a, self.invariant_factors))
+        return apply_row(tuple(element), self._lifts)
 
     def __repr__(self):
         if not self.invariant_factors:
             return "FgAbelianGroup(trivial)"
         parts = ["Z" if d == 0 else "Z/%d" % d for d in self.invariant_factors]
         return "FgAbelianGroup(%s)" % " + ".join(parts)
-
-    # -- induced endomorphisms --------------------------------------------
-
-    def _reduce_endomorphism(self, m):
-        """Conjugate an endomorphism on generator coordinates into reduced ones."""
-        if m.rows != self.n_gens or m.cols != self.n_gens:
-            raise ValueError("endomorphism has wrong size")
-        full = self.q_inv * m * self.q
-        return IntMatrix([[full.data[i][j] for j in self.keep] for i in self.keep])
-
-    def _check_endomorphism(self, red):
-        for i, di in enumerate(self.invariant_factors):
-            for j, dj in enumerate(self.invariant_factors):
-                v = di * red.data[i][j]
-                if dj > 0:
-                    if v % dj:
-                        raise ValueError("action not well defined on the quotient")
-                elif v != 0:
-                    raise ValueError("action not well defined on the quotient")
-
-    def reduce_reduced(self, coords):
-        return tuple(
-            x % d if d > 0 else x for x, d in zip(coords, self.invariant_factors)
-        )
 
 
 def _unimodular_inverse(m):
@@ -567,116 +514,14 @@ def _unimodular_inverse(m):
     return u
 
 
-class GroupHom:
-    """A homomorphism between FgAbelianGroups, given on SNF generators.
-
-    ``images[i]`` is the image (an element of ``target``) of the i-th reduced
-    generator of ``source``.  Well-definedness (relations map to zero) is
-    checked at construction.
-    """
-
-    __slots__ = ("source", "target", "images", "_solver")
-
-    def __init__(self, source, target, images):
-        images = tuple(tuple(img) for img in images)
-        if len(images) != source.rank:
-            raise ValueError("one image per source generator required")
-        for d, img in zip(source.invariant_factors, images):
-            if d > 0 and any(target.scale(img, d)):
-                raise ValueError("homomorphism not well defined")
-        self.source = source
-        self.target = target
-        self.images = images
-        self._solver = None
-
-    def preimage(self, element):
-        """Some source element mapping to ``element``, or None.
-
-        The solving matrix (images over the target's moduli) is put in HNF
-        on the first call and reused by every later one.
-        """
-        if self._solver is None:
-            m = IntMatrix(list(self.images) + self.target.relations(), cols=self.target.rank)
-            self._solver = _RowSolver(m)
-        sol = self._solver.solve(element)
-        if sol is None:
-            return None
-        return self.source.reduce_reduced(sol[: self.source.rank])
-
-
-def quotient_group(lattice, sub, action=None):
-    """The quotient lattice/sub as an FgAbelianGroup, with induced action.
+def quotient_group(lattice, sub):
+    """The quotient lattice/sub as an FgAbelianGroup.
 
     Generators are the canonical basis rows of ``lattice``; relations are the
-    coordinates of the basis of ``sub`` in that basis.  Optional ``action`` is
-    a list of ambient matrices stabilizing both lattices; the induced
-    endomorphisms are verified to be well defined.
+    coordinates of the basis of ``sub`` in that basis.  With ``lattice`` the
+    fixed_sublattice of some matrices modulo ``sub``, this is the group of
+    the classes of lattice/sub that the matrices fix.
     """
     if not lattice.contains(sub):
         raise ValueError("not a sublattice")
-    rel = []
-    for row in sub.basis.data:
-        rel.append(list(lattice.coords_of(row)))
-    induced = None
-    if action is not None:
-        if not stabilizes(sub, action):
-            raise ValueError("action does not stabilize the subgroup of relations")
-        induced = [_restriction_matrix(lattice.basis, lattice.coords_of, g) for g in action]
-        if any(m is None for m in induced):
-            raise ValueError("action does not stabilize the lattice")
-    return FgAbelianGroup(lattice.rank, rel, action=induced)
-
-
-def _restriction_matrix(basis, solve, g):
-    """The matrix of g on the lattice spanned by the rows of ``basis``, in
-    that basis, or None when g does not map the lattice into itself.
-
-    ``solve(w)`` gives the coordinates of w in ``basis`` (None off the
-    lattice); row i holds those of basis row i moved by g.
-    """
-    rows = []
-    for row in basis.data:
-        c = solve(apply_row(row, g))
-        if c is None:
-            return None
-        rows.append(c)
-    return _matrix(rows, basis.rows)
-
-
-def _subquotient(group, lat_rows):
-    """Subgroup of ``group`` spanned (mod relations) by the rows ``lat_rows``.
-
-    The rows live in the reduced coordinate space ZZ^rank of ``group``.
-    Returns (subgroup, inclusion hom).
-    """
-    k = group.rank
-    mod_rows = group.relations()
-    span = Lattice(k, list(lat_rows) + mod_rows)
-    # the moduli lie in the span by construction
-    relations = [list(span.coords_of(tuple(row))) for row in mod_rows]
-    sub = FgAbelianGroup(span.rank, relations)
-    images = []
-    for idx in range(sub.rank):
-        amb = apply_row(sub.lift((0,) * idx + (1,) + (0,) * (sub.rank - idx - 1)), span.basis)
-        images.append(group.reduce_reduced(amb))
-    incl = GroupHom(sub, group, images)
-    return sub, incl
-
-
-def group_invariants(group):
-    """Fixed points of the action carried by ``group``.
-
-    Returns (subgroup, inclusion GroupHom).  The subgroup is presented in its
-    own SNF coordinates; the inclusion records generator images in ``group``.
-    """
-    if group.action is None:
-        raise ValueError("group carries no action")
-    k = group.rank
-    if k == 0:
-        sub = FgAbelianGroup(0, [])
-        return sub, GroupHom(sub, group, [])
-    ident = IntMatrix.identity(k)
-    stacked = _side_by_side([m - ident for m in group.action], k)
-    # the relations of the group, once per block
-    target = _blockwise(group.relations(), k, len(group.action))
-    return _subquotient(group, preimage_lattice(stacked, target))
+    return FgAbelianGroup(lattice.rank, [lattice.coords_of(row) for row in sub.basis.data])

@@ -25,11 +25,10 @@ from math import lcm
 from operator import mul
 
 from .lattice import (
-    GroupHom,
     IntMatrix,
     Lattice,
     _RowSolver,
-    _restriction_matrix,
+    _matrix,
     _unimodular_inverse,
     apply_row,
     quotient_group,
@@ -114,6 +113,8 @@ class SphericalDatum:
             raise ValueError("more than %d colors is out of scope" % MAX_COLORS)
         self.rd = rd
         self.torus_rank = int(torus_rank)
+        if self.torus_rank < 0:
+            raise ValueError("torus_rank must be at least 0, got %d" % self.torus_rank)
         ambient = rd.rank + self.torus_rank
         basis = IntMatrix([list(r) for r in basis], cols=ambient)
         if basis.cols != ambient:
@@ -257,19 +258,11 @@ def _double(v):
 def aut_character_lattices(datum):
     """Character groups of the automorphism group and its color-fixing kernel.
 
-    Returns (xa, xa_ker, projection) where xa is the quotient of the orbit
-    lattice by the span of the fully doubled roots, xa_ker the quotient by
-    the span of the partially doubled ones, and projection the natural
-    surjection.
+    Returns (xa, xa_ker) where xa is the quotient of the orbit lattice by the
+    span of the fully doubled roots and xa_ker the quotient by the span of
+    the partially doubled ones.
     """
-    xa = _doubled_quotient(datum, datum.sigma_n)
-    xa_ker = _doubled_quotient(datum, datum.sigma_sc)
-    images = []
-    for i in range(xa.rank):
-        e = tuple(1 if j == i else 0 for j in range(xa.rank))
-        images.append(xa_ker.from_ambient(xa.lift(e)))
-    proj = GroupHom(xa, xa_ker, images)
-    return xa, xa_ker, proj
+    return _doubled_quotient(datum, datum.sigma_n), _doubled_quotient(datum, datum.sigma_sc)
 
 
 def _doubled_quotient(datum, roots):
@@ -295,8 +288,18 @@ def _extended_matrices(datum, galois):
 
 
 def _restriction_to_basis(datum, mat):
-    """Matrix of the action on the orbit lattice in the chosen basis, or None."""
-    return _restriction_matrix(datum.basis, datum.lattice.solve, mat)
+    """Matrix of the action on the orbit lattice in the chosen basis, or None.
+
+    Row i holds the coordinates of basis row i moved by ``mat``; None when
+    some moved row leaves the lattice.
+    """
+    rows = []
+    for row in datum.basis.data:
+        c = datum.lattice.solve(apply_row(row, mat))
+        if c is None:
+            return None
+        rows.append(c)
+    return _matrix(rows, datum.basis.rows)
 
 
 @dataclass(frozen=True, eq=False)

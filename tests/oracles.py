@@ -7,19 +7,35 @@ questions via Fourier-Motzkin (in Fraction arithmetic, and fraction-free in
 integers) and pointedness via Caratheodory where the engine runs double
 description, diagram automorphisms via a search over node permutations.
 
-Second routes to facts the engine decides some other way live here too:
+Second routes to facts the engine decides some other way live here too.
+The group route: a quotient of lattices as an abstract group with one
+induced endomorphism per group element, its invariants as a subgroup with
+an inclusion homomorphism, and preimages under that inclusion solved as
+integer systems, where the engine reads fixed classes as one lattice
+quotient F/S with F = fixed_sublattice(L, mats, modulo=S).  On it stand the
+fixed center classes (P/Q)^Γ with their ``class_of`` and norm diagnostics,
 degree-2 cohomology of cyclic actions as fixed points modulo norms (the
-reference for the norm check of ``validate_br_character``), the local
-cohomology condition through the automorphism character groups with their
-Galois action and the pushforward map kappa (the reference for the engine's
-one lattice test), epsilon coordinates of the classical types (the reference
-for the ``*4`` shortcut), and element-by-element arithmetic in finite
-abelian groups.
+reference for the norm check of ``validate_br_character``), and the local
+cohomology condition through the automorphism character groups and the
+pushforward map kappa (the reference for the engine's one lattice test).
+Also: epsilon coordinates of the classical types (the reference for the
+``*4`` shortcut), and element-by-element arithmetic in finite abelian
+groups.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
+
+from spherical_models.lattice import (
+    FgAbelianGroup,
+    IntMatrix,
+    Lattice,
+    _RowSolver,
+    apply_row,
+    preimage_lattice,
+    stabilizes,
+)
 
 
 def naive_apply_row(v, rows, cols):
@@ -211,6 +227,152 @@ def group_order_multiset(group):
     return sorted(element_order(group, e) for e in group_elements(group))
 
 
+# -- abelian groups with a Galois action: the group route ----------------------
+#
+# The engine reads fixed classes of a quotient lattice/sub as one lattice,
+# fixed_sublattice(lattice, mats, modulo=sub), and its quotient by sub.  The
+# route it replaced lives here as the reference: the quotient as an abstract
+# group with one induced endomorphism per group element, its invariants as a
+# subgroup with an inclusion homomorphism, and preimages under that
+# inclusion solved as integer systems.
+
+
+def relations(group):
+    """The rows d*e_j of the reduced coordinates, one per finite invariant factor d."""
+    k = group.rank
+    return [[d if i == j else 0 for i in range(k)] for j, d in enumerate(group.invariant_factors) if d > 0]
+
+
+def reduce_reduced(group, coords):
+    """Reduced coordinates taken modulo the invariant factors."""
+    return tuple(x % d if d > 0 else x for x, d in zip(coords, group.invariant_factors))
+
+
+def scale(group, a, k):
+    """k times the element ``a``."""
+    return reduce_reduced(group, [x * k for x in a])
+
+
+class ActedGroup(FgAbelianGroup):
+    """An FgAbelianGroup with endomorphisms ``action`` in its reduced
+    coordinates, one per matrix on the generator coordinates, each checked
+    to be well defined on the quotient."""
+
+    __slots__ = ("action",)
+
+    def __init__(self, n_gens, relation_rows, mats):
+        super().__init__(n_gens, relation_rows)
+        k = self.rank
+        unit = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        action = []
+        for m in mats:
+            if m.rows != n_gens or m.cols != n_gens:
+                raise ValueError("endomorphism has wrong size")
+            red = IntMatrix([self.from_ambient(apply_row(self.lift(e), m)) for e in unit], cols=k)
+            for i, di in enumerate(self.invariant_factors):
+                for j, dj in enumerate(self.invariant_factors):
+                    v = di * red.data[i][j]
+                    if (v % dj if dj > 0 else v) != 0:
+                        raise ValueError("action not well defined on the quotient")
+            action.append(red)
+        self.action = tuple(action)
+
+
+def quotient_with_action(lattice, sub, mats):
+    """lattice/sub as an ActedGroup: the endomorphisms that the ambient
+    matrices ``mats``, which must stabilize both lattices, induce."""
+    if not lattice.contains(sub):
+        raise ValueError("not a sublattice")
+    if not stabilizes(sub, mats):
+        raise ValueError("action does not stabilize the subgroup of relations")
+    induced = []
+    for g in mats:
+        rows = [lattice.coords_of(apply_row(row, g)) for row in lattice.basis.data]
+        if any(r is None for r in rows):
+            raise ValueError("action does not stabilize the lattice")
+        induced.append(IntMatrix(rows, cols=lattice.rank))
+    return ActedGroup(lattice.rank, [lattice.coords_of(row) for row in sub.basis.data], induced)
+
+
+class GroupHom:
+    """A homomorphism between FgAbelianGroups, given on SNF generators.
+
+    ``images[i]`` is the image (an element of ``target``) of the i-th reduced
+    generator of ``source``; relations must map to zero.
+    """
+
+    def __init__(self, source, target, images):
+        images = tuple(tuple(img) for img in images)
+        if len(images) != source.rank:
+            raise ValueError("one image per source generator required")
+        for d, img in zip(source.invariant_factors, images):
+            if d > 0 and any(scale(target, img, d)):
+                raise ValueError("homomorphism not well defined")
+        self.source, self.target, self.images = source, target, images
+
+    def preimage(self, element):
+        """Some source element mapping to ``element``, or None: a solution of
+        the images, stacked over the target's moduli, as an integer system."""
+        m = IntMatrix(list(self.images) + relations(self.target), cols=self.target.rank)
+        sol = _RowSolver(m).solve(element)
+        return None if sol is None else reduce_reduced(self.source, sol[: self.source.rank])
+
+
+def subquotient(group, lat_rows):
+    """The subgroup of ``group`` spanned (mod relations) by the rows
+    ``lat_rows`` of its reduced coordinates, as (subgroup, inclusion)."""
+    k = group.rank
+    mod_rows = relations(group)
+    span = Lattice(k, list(lat_rows) + mod_rows)
+    sub = FgAbelianGroup(span.rank, [span.coords_of(tuple(row)) for row in mod_rows])
+    images = []
+    for idx in range(sub.rank):
+        amb = apply_row(sub.lift((0,) * idx + (1,) + (0,) * (sub.rank - idx - 1)), span.basis)
+        images.append(reduce_reduced(group, amb))
+    return sub, GroupHom(sub, group, images)
+
+
+def group_invariants(group):
+    """The fixed points of an ActedGroup as (subgroup, inclusion)."""
+    k = group.rank
+    if k == 0:
+        sub = FgAbelianGroup(0, [])
+        return sub, GroupHom(sub, group, [])
+    ident = IntMatrix.identity(k)
+    blocks = [m - ident for m in group.action]
+    stacked = IntMatrix([sum((list(m.data[i]) for m in blocks), []) for i in range(k)])
+    count = len(blocks)
+    target = Lattice(
+        k * count,
+        [[0] * (i * k) + r + [0] * ((count - 1 - i) * k) for i in range(count) for r in relations(group)],
+    )
+    return subquotient(group, preimage_lattice(stacked, target))
+
+
+def center_invariants_by_group(rd, galois):
+    """(module, fixed subgroup, inclusion): the center characters P/Q with
+    one endomorphism per group element, and their invariants."""
+    mod = quotient_with_action(rd.weight_lattice, rd.root_lattice, list(galois.matrices))
+    return (mod,) + group_invariants(mod)
+
+
+def norm_problems_by_group(t0, mod, incl):
+    """The norm diagnostics of a real character, read through the group
+    route: the norm of each generator of ``mod`` is the row of the sum of
+    its endomorphisms, pulled back through ``incl``."""
+    if len(mod.action) <= 1:
+        return []
+    problems = []
+    norm = [[sum(m.data[i][j] for m in mod.action) for j in range(mod.rank)] for i in range(mod.rank)]
+    for j, row in enumerate(norm):
+        pre = incl.preimage(reduce_reduced(mod, row))
+        if pre is None:
+            problems.append("a norm element does not lie in the fixed points")
+        elif t0.evaluate(pre) != 0:
+            problems.append("character does not vanish on the norm of generator %d" % (j + 1,))
+    return problems
+
+
 # -- finite abelian groups element by element ---------------------------------
 
 
@@ -224,7 +386,7 @@ def group_elements(group):
 def element_order(group, a):
     """The least k >= 1 with k*a = 0 in a finite FgAbelianGroup."""
     k = 1
-    while any(group.scale(a, k)):
+    while any(scale(group, a, k)):
         k += 1
     return k
 
@@ -234,16 +396,14 @@ def hom_apply(hom, element):
     total = [0] * hom.target.rank
     for x, img in zip(element, hom.images):
         total = [t + x * y for t, y in zip(total, img)]
-    return hom.target.reduce_reduced(total)
+    return reduce_reduced(hom.target, total)
 
 
 def hom_kernel(hom):
     """The kernel of a GroupHom as (subgroup, inclusion into its source)."""
-    from spherical_models.lattice import IntMatrix, Lattice, _subquotient, preimage_lattice
-
     m = IntMatrix(hom.images, cols=hom.target.rank)
-    rows = preimage_lattice(m, Lattice(hom.target.rank, hom.target.relations()))
-    return _subquotient(hom.source, rows)
+    rows = preimage_lattice(m, Lattice(hom.target.rank, relations(hom.target)))
+    return subquotient(hom.source, rows)
 
 
 # -- degree-2 cohomology of cyclic actions --------------------------------------
@@ -269,11 +429,9 @@ def norm_subgroup(module, galois):
     example a trivial action of Z/2) still gets the full norm (doubling in
     that example).
     """
-    from spherical_models.lattice import _subquotient
-
     if not is_cyclic(galois):
         raise ValueError("norms are defined for cyclic groups only")
-    return _subquotient(module, norm_rows(module))
+    return subquotient(module, norm_rows(module))
 
 
 def h2_cyclic(module, galois):
@@ -284,8 +442,6 @@ def h2_cyclic(module, galois):
     genuine H^2 for the supported orders; the trivial group yields the
     trivial group.
     """
-    from spherical_models.lattice import FgAbelianGroup, GroupHom, group_invariants
-
     if not is_cyclic(galois):
         raise ValueError("H^2 is computed for cyclic groups only")
     inv, incl = group_invariants(module)
@@ -294,24 +450,23 @@ def h2_cyclic(module, galois):
         return triv, GroupHom(inv, triv, [() for _ in range(inv.rank)])
     norms = []
     for row in norm_rows(module):
-        pre = incl.preimage(module.reduce_reduced(row))
+        pre = incl.preimage(reduce_reduced(module, row))
         if pre is None:
             raise ValueError("norm image is not fixed; inconsistent action")
         norms.append(list(pre))
-    h2 = FgAbelianGroup(inv.rank, norms + inv.relations())
+    h2 = FgAbelianGroup(inv.rank, norms + relations(inv))
     images = [h2.from_ambient(tuple(int(i == j) for i in range(inv.rank))) for j in range(inv.rank)]
     return h2, GroupHom(inv, h2, images)
 
 
 def build_cyclic_module(moduli, sigma_images, order):
-    """FgAbelianGroup ⊕Z/d carrying the cyclic action generated by the images.
+    """ActedGroup ⊕Z/d carrying the cyclic action generated by the images.
 
     The generator need only have the right order modulo the relations, so the
     per-element matrices are integer powers; the returned GaloisAction is the
     abstract-group tag (its own matrices are identities).
     """
     from spherical_models import GaloisAction
-    from spherical_models.lattice import FgAbelianGroup, IntMatrix
 
     k = len(moduli)
     rel = [
@@ -325,7 +480,7 @@ def build_cyclic_module(moduli, sigma_images, order):
         galois = GaloisAction.trivial(k)
     else:
         galois = GaloisAction("cyclic%d" % order, [IntMatrix.identity(k)])
-    return FgAbelianGroup(k, rel, action=mats), galois
+    return ActedGroup(k, rel, mats), galois
 
 
 def all_color_lifts_by_filter(datum, galois):
@@ -728,8 +883,6 @@ def _fraction_inverse(rows):
 def all_element_matrices(datum, galois):
     """Every element matrix of the Galois image, extended by the identity on the
     central torus of the datum (entry i belongs to group element i)."""
-    from spherical_models.lattice import IntMatrix
-
     t, n = datum.torus_rank, datum.rd.rank
     return [
         IntMatrix(
@@ -742,14 +895,12 @@ def all_element_matrices(datum, galois):
 
 def all_element_aut_character_lattices(datum, galois):
     """(xa, xa_ker) with one induced endomorphism per group element."""
-    from spherical_models.lattice import Lattice, quotient_group
-
     sc, n = datum.sigma_sc, datum.sigma_n
     mats = all_element_matrices(datum, galois)
     ambient = datum.ambient_dim
     return (
-        quotient_group(datum.lattice, Lattice(ambient, n), action=mats),
-        quotient_group(datum.lattice, Lattice(ambient, sc), action=mats),
+        quotient_with_action(datum.lattice, Lattice(ambient, n), mats),
+        quotient_with_action(datum.lattice, Lattice(ambient, sc), mats),
     )
 
 
@@ -776,8 +927,6 @@ def kappa_on_invariants(datum, characters, local):
     LocalCharacter) is the local existence condition.  This is the group
     route the engine's one lattice test replaced.
     """
-    from spherical_models.lattice import GroupHom, apply_row, group_invariants
-
     xa_inv, xa_incl = group_invariants(characters)
     images = []
     for img in xa_incl.images:

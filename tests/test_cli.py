@@ -371,10 +371,44 @@ def test_number_field_invalid_site_character(tmp_path, capsys):
     }
     path = write(tmp_path, doc)
     # the trivial group's norms over the reals are the doubles, so the
-    # half-integrality clause is the whole diagnosis
-    assert run(capsys, "decide", path) == (
-        2, "", "error: %s: site inf: invalid Tits character: value 1/6 not in (1/2)Z/Z\n" % path
-    )
+    # half-integrality clause is the whole diagnosis; the site's character
+    # is resolved at load, so the report refuses it as the verdict does
+    for command in ("decide", "invariants"):
+        assert run(capsys, command, path) == (
+            2, "", "error: %s: site inf: invalid Tits character: value 1/6 not in (1/2)Z/Z\n" % path
+        ), command
+    # a value the fixed center characters cannot carry, on a G/U problem
+    gu = {
+        "version": 1, "kind": "gu", "root_datum": "A5", "galois": "flip",
+        "field": {"mode": "number_field", "sites": [{"mode": "real", "galois": "flip", "t0": ["1/3"]}]},
+    }
+    path = write(tmp_path, gu)
+    for command in ("decide", "invariants"):
+        assert run(capsys, command, path) == (
+            2, "", "error: %s: site v0: value 1/3 is not killed by the generator order 2\n" % path
+        ), command
+
+
+@pytest.mark.parametrize(
+    "labels, k, label",
+    [(["x", "x"], 1, "x"), (["v1", None], 1, "v1"), (["p", None, "v1"], 2, "v1")],
+    ids=["twice", "explicit-then-default", "default-then-explicit"],
+)
+def test_duplicate_site_labels_exit_2(tmp_path, capsys, labels, k, label):
+    # labels are compared after the v<k> defaults are applied: each names
+    # one place in the reasons of a verdict
+    doc = _demo("su6_number_field.json")
+    doc["field"]["sites"] = [
+        dict({"mode": "padic", "galois": "flip", "t0": ["1/2"]}, **({} if x is None else {"label": x}))
+        for x in labels
+    ]
+    path = write(tmp_path, doc)
+    for command in ("decide", "invariants"):
+        assert run(capsys, command, path) == (
+            2, "", "error: %s.field.sites[%d].label: duplicate site label %r\n" % (path, k, label)
+        ), command
+    doc["field"]["sites"][k]["label"] = "elsewhere"
+    assert run(capsys, "decide", write(tmp_path, doc))[0] == 0
 
 
 def test_number_field_site_character_is_checked_before_pair_stability(tmp_path, capsys):
@@ -856,6 +890,11 @@ def test_trivial_group_refuses_a_generator_other_than_the_identity(tmp_path, cap
 # with exit 2 at the document's path, never exit 3.  The G/U verdict needs no
 # orbit datum, so only the invariants report meets the color cap on A20.
 _OVERLAP = _replaced(SL6, ["sigma234"], [0])
+# D5 with one central torus coordinate taken away: 4-entry rows of X
+_NEGATIVE_TORUS = {
+    "version": 1, "kind": "spherical", "root_datum": "D5", "galois": "trivial", "field": {"mode": "real"},
+    "tits": "zero", "torus_rank": -1, "X": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+}
 INVALID_DATA = [
     (_OVERLAP, "bad spherical datum: doubling flags overlap the colinear-color simple roots", 2),
     (dict(_OVERLAP, tits="zero"), "bad spherical datum: doubling flags overlap the colinear-color simple roots", 2),
@@ -865,11 +904,19 @@ INVALID_DATA = [
         2,
     ),
     ({"version": 1, "kind": "gu", "root_datum": "A20", "field": {"mode": "real"}}, "more than 16 colors is out of scope", 0),
+    (_NEGATIVE_TORUS, "bad spherical datum: torus_rank must be at least 0, got -1", 2),
+    (
+        dict(_NEGATIVE_TORUS, colors=[{"id": "D", "rho": ["1", "0", "0", "0"], "sigma_set": [1]}]),
+        "bad spherical datum: torus_rank must be at least 0, got -1",
+        2,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "doc, message, decide_code", INVALID_DATA, ids=["overlap", "overlap-zero-tits", "three-colors", "gu-A20"]
+    "doc, message, decide_code",
+    INVALID_DATA,
+    ids=["overlap", "overlap-zero-tits", "three-colors", "gu-A20", "negative-torus", "negative-torus-color"],
 )
 def test_invalid_data_of_valid_shape_exits_2(tmp_path, capsys, doc, message, decide_code):
     path = write(tmp_path, doc)

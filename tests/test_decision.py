@@ -35,7 +35,7 @@ from spherical_models.decision import (
     theta_lattice,
 )
 from spherical_models.galoismodule import BrCharacter
-from spherical_models.lattice import IntMatrix, Lattice, fixed_sublattice
+from spherical_models.lattice import IntMatrix, Lattice, apply_row, fixed_sublattice
 from spherical_models.rootdata import DiagramAutomorphism, diagram_flip
 
 
@@ -87,11 +87,55 @@ def test_center_invariant_coordinates_are_pinned():
         rd = based_root_datum(pin["type"])
         autos = [DiagramAutomorphism(tuple(i - 1 for i in g)) for g in pin["generators"]]
         galois = galois_from_permutations(rd, autos, group_name=pin["group"])
-        _, inv, incl = center_invariants(rd, galois)
-        got = (list(inv.invariant_factors), [list(img) for img in incl.images])
+        mod, inv, fixed = center_invariants(rd, galois)
+        # the image in P/Q of each generator of (P/Q)^G = F/Q, through F
+        gens = [tuple(int(i == j) for i in range(inv.rank)) for j in range(inv.rank)]
+        images = [list(mod.from_ambient(apply_row(inv.lift(e), fixed.basis))) for e in gens]
+        got = (list(inv.invariant_factors), images)
         if got != (pin["fixed_factors"], pin["images"]):
             moved.append((pin["type"], pin["generators"], got))
     assert len(pins) == 83 and moved == []
+
+
+def test_pinned_pairs_read_classes_and_norms_as_the_group_route():
+    # on every pinned (type, action) pair, class_of and the norm diagnostics
+    # of validate_br_character, both read through F = fixed_sublattice(P, gens,
+    # modulo=Q), agree with the oracle's abstract group with its induced
+    # action, its invariants and their inclusion
+    from oracles import center_invariants_by_group, norm_problems_by_group
+
+    from spherical_models.decision import LocalCharacter
+    from spherical_models.galoismodule import validate_br_character
+
+    pins = json.loads((Path(__file__).resolve().parent / "golden" / "center_invariants.json").read_text())
+    rng = random.Random(83)
+    refused = norm_refused = 0
+    for pin in pins:
+        rd = based_root_datum(pin["type"])
+        autos = [DiagramAutomorphism(tuple(i - 1 for i in g)) for g in pin["generators"]]
+        galois = galois_from_permutations(rd, autos, group_name=pin["group"])
+        mod, inv, fixed = center_invariants(rd, galois)
+        g_mod, g_inv, g_incl = center_invariants_by_group(rd, galois)
+        assert g_inv.invariant_factors == inv.invariant_factors
+        zero = LocalCharacter(mod, inv, fixed, BrCharacter.zero(inv))
+        units = [tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank)]
+        weights = units + [tuple(rng.randint(-9, 9) for _ in range(rd.rank)) for _ in range(40)]
+        for w in weights:
+            expect = g_incl.preimage(g_mod.from_ambient(w))  # None when not fixed
+            try:
+                got = zero.class_of(w)
+            except ValueError:
+                got = None
+            assert got == expect, (pin["type"], pin["generators"], w)
+            refused += got is None
+        for t0 in all_characters(inv):
+            local = LocalCharacter(mod, inv, fixed, t0)
+            halves = ["value %s not in (1/2)Z/Z" % (v,) for v in t0.values if (2 * v) % 1 != 0]
+            norms = norm_problems_by_group(t0, g_mod, g_incl)
+            assert validate_br_character(t0, REAL, galois, local) == halves + norms
+            assert validate_br_character(t0, PADIC, galois, local) == []
+            norm_refused += bool(norms)
+    assert len(pins) == 83 and refused and norm_refused
 
 
 def test_quadric_orthogonal_exists(so10_datum, galois_d5_flip):
@@ -189,7 +233,7 @@ def test_fast_path_matches_generic(label):
             if auto.is_identity()
             else galois_from_permutations(rd, [auto])
         )
-        mod, inv, incl = center_invariants(rd, galois)
+        mod, inv, fixed = center_invariants(rd, galois)
         chars = [c for c in all_characters(inv) if not c.is_zero()]
         thetas = {c.values: theta_lattice(rd, galois, c)[2] for c in chars}
         node_orbits = _node_orbits(auto, n)
@@ -197,7 +241,7 @@ def test_fast_path_matches_generic(label):
             m_lat = _random_stable_m(rng, galois, node_orbits, n)
             m_fix = fixed_sublattice(m_lat, list(galois.matrices))
             for c in chars:
-                fast = _horospherical_fast_path(rd, galois, c, m_lat, mod, inv, incl)
+                fast = _horospherical_fast_path(rd, galois, c, m_lat, mod, inv, fixed)
                 generic = thetas[c.values].contains(m_fix)
                 if fast is not None:
                     assert fast[1] == generic, (label, auto.one_line(), c.values)
@@ -491,7 +535,7 @@ def test_local_decisions_build_no_quotient_group(
     import json
     from pathlib import Path
 
-    from spherical_models import decision, galoismodule, lattice, spherical
+    from spherical_models import decision, lattice, spherical
     from spherical_models.cli import main
 
     problems = Path(__file__).resolve().parent.parent / "demos" / "problems"
@@ -509,7 +553,7 @@ def test_local_decisions_build_no_quotient_group(
     def refuse(*args, **kwargs):
         raise AssertionError("theta_lattice called")
 
-    for module in (lattice, galoismodule, spherical):
+    for module in (lattice, decision, spherical):
         monkeypatch.setattr(module, "quotient_group", counting)
     monkeypatch.setattr(decision, "theta_lattice", refuse)
     assert json.loads(expected["so10_quaternionic.json"])["reasons"][1]["rule"] == "generic-theta"
@@ -640,15 +684,20 @@ def _assert_routes_agree(datum, galois, chars):
     group route through kappa push forward the same classes and agree for
     every character, and each witness lies in the image of kappa; returns
     the number of characters checked."""
-    from oracles import all_element_aut_character_lattices, br_vanishing_test, kappa_on_invariants
+    from oracles import (
+        GroupHom,
+        all_element_aut_character_lattices,
+        br_vanishing_test,
+        kappa_on_invariants,
+    )
 
     from spherical_models.decision import LocalCharacter, _first_failing_row
-    from spherical_models.lattice import FgAbelianGroup, GroupHom
+    from spherical_models.lattice import FgAbelianGroup
     from spherical_models.spherical import _extended_matrices
 
-    mod, inv, incl = center_invariants(datum.rd, galois)
+    mod, inv, fixed = center_invariants(datum.rd, galois)
     # the map does not read the character, so the zero one stands in
-    zero = LocalCharacter(mod, inv, incl, BrCharacter.zero(inv))
+    zero = LocalCharacter(mod, inv, fixed, BrCharacter.zero(inv))
     xa, _ = all_element_aut_character_lattices(datum, galois)
     kappa = kappa_on_invariants(datum, xa, zero)
     mats = _extended_matrices(datum, galois)
@@ -660,7 +709,7 @@ def _assert_routes_agree(datum, galois, chars):
         assert all(kappa.preimage(c) is not None for c in classes)
         assert all(pushed.preimage(img) is not None for img in kappa.images)
     for t0 in chars:
-        local = LocalCharacter(mod, inv, incl, t0)
+        local = LocalCharacter(mod, inv, fixed, t0)
         exists = br_vanishing_test(t0, kappa)
         for span in spans:
             bad = _first_failing_row(local, datum.lattice, mats, span)

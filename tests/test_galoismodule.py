@@ -4,15 +4,20 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import (
+    ActedGroup,
     FiniteModule,
+    GroupHom,
     br_vanishing_test,
     brute_force_h2_orders,
     build_cyclic_module as cyclic_module,
+    center_invariants_by_group,
     group_elements,
+    group_invariants,
     group_order_multiset,
     h2_cyclic,
     hom_apply,
     norm_subgroup,
+    scale,
 )
 from spherical_models import (
     GaloisAction,
@@ -23,21 +28,15 @@ from spherical_models import (
     diagram_automorphism_group,
     galois_from_permutations,
 )
-from spherical_models.galoismodule import (
-    BrCharacter,
-    module_with_action,
-    validate_br_character,
-)
+from spherical_models.galoismodule import BrCharacter, validate_br_character
 from spherical_models.lattice import (
     FgAbelianGroup,
-    GroupHom,
     IntMatrix,
     apply_row,
     fixed_sublattice,
-    group_invariants,
     quotient_group,
 )
-from spherical_models.decision import center_invariants
+from spherical_models.decision import LocalCharacter, center_invariants
 from spherical_models.rootdata import diagram_flip, star_action_matrix
 
 
@@ -170,7 +169,7 @@ def test_norm_doubling_on_z6():
 
 def test_norm_rejects_s3():
     mats = [IntMatrix.identity(1)] * 6
-    mod = FgAbelianGroup(1, [[2]], action=mats)
+    mod = ActedGroup(1, [[2]], mats)
     table_galois = GaloisAction("s3", [IntMatrix.identity(1), IntMatrix.identity(1)])
     with pytest.raises(ValueError):
         norm_subgroup(mod, table_galois)
@@ -227,8 +226,8 @@ def test_cohomology_class_representatives():
     cls3 = hom_apply(cmap, incl.preimage((3,)))
     cls2 = hom_apply(cmap, incl.preimage((2,)))  # a norm: 2 = 1 + g(1)
     assert any(cls3) and not any(cls2)
-    assert not any(h2.scale(cls3, 2))
-    assert h2.scale(cls3, -1) == cls3  # order two
+    assert not any(scale(h2, cls3, 2))
+    assert scale(h2, cls3, -1) == cls3  # order two
     mod_neg, _ = cyclic_module((0,), [(-1,)], 2)
     assert group_invariants(mod_neg)[1].preimage((1,)) is None  # not a fixed point
 
@@ -270,40 +269,36 @@ def test_validate_real_half_integer_rule():
 def test_validate_real_norm_vanishing(rd_a5):
     # trivial order-2 action on Z/6: norms are the doubles, 1/2 kills them
     g2 = GaloisAction("cyclic2", [IntMatrix.identity(5)])
-    mod = module_with_action(rd_a5.weight_lattice, rd_a5.root_lattice, g2)
-    inv, incl = group_invariants(mod)
+    mod, inv, fixed = center_invariants(rd_a5, g2)
     ok = BrCharacter(inv, [F(1, 2)])
-    assert validate_br_character(ok, REAL, embedding=incl) == []
+    assert validate_br_character(ok, REAL, g2, LocalCharacter(mod, inv, fixed, ok)) == []
     # a character not constant on norm cosets is rejected: 1/6 has order 6
     bad = BrCharacter(inv, [F(1, 6)])
-    problems = validate_br_character(bad, REAL, embedding=incl)
+    problems = validate_br_character(bad, REAL, g2, LocalCharacter(mod, inv, fixed, bad))
     assert any("norm" in p for p in problems)
 
 
 def test_validate_real_has_no_norm_check_for_the_trivial_group(rd_a5):
     # over the order-1 group the norm map is the identity, which 1/2 does
     # not kill: the norm check runs for a group of order 2 or more only
-    mod = module_with_action(rd_a5.weight_lattice, rd_a5.root_lattice, GaloisAction.trivial(5))
-    inv, incl = group_invariants(mod)
-    assert validate_br_character(BrCharacter(inv, [F(1, 2)]), REAL, embedding=incl) == []
+    trivial = GaloisAction.trivial(5)
+    mod, inv, fixed = center_invariants(rd_a5, trivial)
+    t0 = BrCharacter(inv, [F(1, 2)])
+    assert validate_br_character(t0, REAL, trivial, LocalCharacter(mod, inv, fixed, t0)) == []
 
 
 def test_validate_real_character_constant_on_norm_cosets(rd_a5, galois_a5_flip):
     rng = random.Random(9)
-    mod = module_with_action(
-        rd_a5.weight_lattice, rd_a5.root_lattice, galois_a5_flip
-    )
-    inv, incl = group_invariants(mod)
+    mod, inv, fixed = center_invariants(rd_a5, galois_a5_flip)
+    norm = galois_a5_flip.matrices[0] + galois_a5_flip.matrices[1]
     for t0 in all_characters(inv):
-        if validate_br_character(t0, REAL, embedding=incl):
+        local = LocalCharacter(mod, inv, fixed, t0)
+        if validate_br_character(t0, REAL, galois_a5_flip, local):
             continue
-        # valid characters take one value on each norm coset
+        # valid characters vanish on the class of every norm a + g(a)
         for _ in range(20):
-            a = tuple(rng.randrange(6) for _ in range(mod.rank))
-            a = mod.reduce_reduced(a)
-            norm = mod.reduce_reduced([x + y for x, y in zip(a, apply_row(a, mod.action[1]))])
-            pre = incl.preimage(norm)
-            assert pre is not None and t0.evaluate(pre) == 0
+            a = tuple(rng.randrange(-6, 7) for _ in range(5))
+            assert t0.evaluate(local.class_of(apply_row(a, norm))) == 0
 
 
 def _order_two_images():
@@ -326,14 +321,14 @@ def test_validate_real_agrees_with_the_h2_oracle():
     # onto fixed points modulo norms
     norm_refused = valid = 0
     for rd, galois in _order_two_images():
-        mod, inv, incl = center_invariants(rd, galois)
-        _, class_map = h2_cyclic(mod, galois)
+        mod, inv, fixed = center_invariants(rd, galois)
+        _, class_map = h2_cyclic(center_invariants_by_group(rd, galois)[0], galois)
         assert class_map.source.invariant_factors == inv.invariant_factors
         norms = [e for e in group_elements(inv) if not any(hom_apply(class_map, e))]
         for t0 in all_characters(inv):
             half = all((2 * v) % 1 == 0 for v in t0.values)
             kills_norms = all(t0.evaluate(e) == 0 for e in norms)
-            problems = validate_br_character(t0, REAL, embedding=incl)
+            problems = validate_br_character(t0, REAL, galois, LocalCharacter(mod, inv, fixed, t0))
             assert (not problems) == (half and kills_norms), (rd.type, galois, t0.values)
             valid += not problems
             norm_refused += half and not kills_norms
@@ -352,11 +347,11 @@ def test_vanishing_with_identity_hom_is_zero_test():
 def test_vanishing_on_projection_witness(rd_a5):
     # trivial action: the generator weight maps onto a generator of Z/6
     galois = GaloisAction.trivial(5)
-    mod = module_with_action(rd_a5.weight_lattice, rd_a5.root_lattice, galois)
-    inv, incl = group_invariants(mod)
+    mod, inv, fixed = center_invariants(rd_a5, galois)
     t0 = BrCharacter(inv, [F(1, 6)])
+    local = LocalCharacter(mod, inv, fixed, t0)
     p_fix = fixed_sublattice(5, list(galois.matrices))
-    images = [incl.preimage(mod.from_ambient(r)) for r in p_fix.basis.data]
+    images = [local.class_of(r) for r in p_fix.basis.data]
     proj = GroupHom(
         quotient_group(p_fix, p_fix), inv, []
     )  # placeholder for empty-source sanity
@@ -368,10 +363,10 @@ def test_example_index_two_fixed_part_vanishes(rd_a5, galois_a5_flip, m_2p_plus_
     # fixed part of the index-2 lattice lies in the root lattice, so any
     # character kills its image
     mats = list(galois_a5_flip.matrices)
-    mod = module_with_action(rd_a5.weight_lattice, rd_a5.root_lattice, galois_a5_flip)
-    inv, incl = group_invariants(mod)
+    mod, inv, fixed = center_invariants(rd_a5, galois_a5_flip)
+    local = LocalCharacter(mod, inv, fixed, BrCharacter.zero(inv))
     m_fix = fixed_sublattice(m_2p_plus_q, mats)
-    images = [incl.preimage(mod.from_ambient(r)) for r in m_fix.basis.data]
+    images = [local.class_of(r) for r in m_fix.basis.data]
     hom = GroupHom(_free_group(len(images)), inv, images)
     for t0 in all_characters(inv):
         assert br_vanishing_test(t0, hom)

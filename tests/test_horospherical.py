@@ -116,7 +116,7 @@ def test_to_spherical_omega_shape(rd_a5):
 
 def test_character_lattice_is_m(rd_a5, m_2p_plus_q):
     h = HorosphericalDatum(rd_a5, [], m_2p_plus_q.basis.data)
-    xa, xa_ker, _ = aut_character_lattices(h.to_spherical())
+    xa, xa_ker = aut_character_lattices(h.to_spherical())
     assert xa.invariant_factors == (0,) * m_2p_plus_q.rank
     assert xa_ker.invariant_factors == (0,) * m_2p_plus_q.rank
 

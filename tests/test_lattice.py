@@ -1,27 +1,31 @@
 import random
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    group_elements,
-    hom_apply,
+    group_invariants,
     minor_gcd_invariant_factors,
     naive_apply_row,
     naive_product,
+    quotient_with_action,
+    reduce_reduced,
 )
-from spherical_models import based_root_datum, diagram_automorphism_group, galois_from_permutations
+from spherical_models import (
+    GaloisAction,
+    based_root_datum,
+    diagram_automorphism_group,
+    galois_from_permutations,
+)
+from spherical_models.decision import LocalCharacter, center_invariants
+from spherical_models.galoismodule import BrCharacter
 from spherical_models.lattice import (
-    FgAbelianGroup,
-    GroupHom,
     IntMatrix,
     Lattice,
     _RowSolver,
     apply_row,
     fixed_sublattice,
-    group_invariants,
     hnf,
     kernel_basis,
     quotient_group,
@@ -219,41 +223,38 @@ def test_quotient_rejects_non_sublattice():
 
 
 def test_invariants_of_center_under_flip(rd_a5, galois_a5_flip):
-    pq = quotient_group(
-        rd_a5.weight_lattice, rd_a5.root_lattice, action=list(galois_a5_flip.matrices)
-    )
-    inv, incl = group_invariants(pq)
+    mats = list(galois_a5_flip.matrices)
+    fixed = fixed_sublattice(rd_a5.weight_lattice, mats, rd_a5.root_lattice)
+    inv = quotient_group(fixed, rd_a5.root_lattice)
+    pq = quotient_group(rd_a5.weight_lattice, rd_a5.root_lattice)
     assert inv.invariant_factors == (2,)
-    assert sorted(hom_apply(incl, e) for e in group_elements(inv)) == [(0,), (3,)]
+    # the fixed classes of P/Q = Z/6 are 0 and 3
+    assert sorted({pq.from_ambient(r) for r in fixed.basis.data}) == [(0,), (3,)]
 
 
 def test_invariants_trivial_action():
-    g = FgAbelianGroup(2, [[4, 0]], action=[IntMatrix.identity(2)])
-    inv, _ = group_invariants(g)
-    assert inv.invariant_factors == g.invariant_factors
+    sub = Lattice(2, [[4, 0]])
+    fixed = fixed_sublattice(2, [IntMatrix.identity(2)], sub)
+    assert fixed == Lattice.full(2)
+    assert quotient_group(fixed, sub).invariant_factors == quotient_group(Lattice.full(2), sub).invariant_factors
 
 
 def test_invariants_of_free_rank_one_with_negation():
-    g = FgAbelianGroup(1, [], action=[IntMatrix([[-1]])])
-    inv, _ = group_invariants(g)
-    assert inv.rank == 0
+    fixed = fixed_sublattice(1, [IntMatrix([[-1]])], Lattice(1))
+    assert quotient_group(fixed, Lattice(1)).rank == 0
 
 
 def test_invariants_quotient_composition_consistency(rd_a5, galois_a5_flip, m_2p_plus_q):
     # image of M^G in (P/Q)^G computed two ways must agree
     mats = list(galois_a5_flip.matrices)
-    pq = quotient_group(rd_a5.weight_lattice, rd_a5.root_lattice, action=mats)
-    inv, incl = group_invariants(pq)
+    mod, inv, fixed = center_invariants(rd_a5, galois_a5_flip)
+    local = LocalCharacter(mod, inv, fixed, BrCharacter.zero(inv))
     # way 1: fixed sublattice first, then classes
     m_fix = fixed_sublattice(m_2p_plus_q, mats)
-    classes_1 = {incl.preimage(pq.from_ambient(r)) for r in m_fix.basis.data}
-    # way 2: quotient M/Q with action, invariants, then map into P/Q
-    mq = quotient_group(m_2p_plus_q, rd_a5.root_lattice, action=mats)
-    inv_mq, incl_mq = group_invariants(mq)
-    classes_2 = set()
-    for e in group_elements(inv_mq):
-        amb = apply_row(mq.lift(hom_apply(incl_mq, e)), m_2p_plus_q.basis)
-        classes_2.add(incl.preimage(pq.from_ambient(amb)))
+    classes_1 = {local.class_of(r) for r in m_fix.basis.data}
+    # way 2: the points of M fixed modulo Q, then classes
+    m_fix_mod_q = fixed_sublattice(m_2p_plus_q, mats, rd_a5.root_lattice)
+    classes_2 = {local.class_of(r) for r in m_fix_mod_q.basis.data}
     # both describe the image of the fixed part of M in the fixed center classes
     span_a = _generated(inv, classes_1)
     span_b = _generated(inv, classes_2)
@@ -268,7 +269,7 @@ def _generated(group, elements):
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = group.reduce_reduced([x + y for x, y in zip(cur, g)])
+            nxt = reduce_reduced(group, [x + y for x, y in zip(cur, g)])
             if nxt not in out:
                 out.add(nxt)
                 frontier.append(nxt)
@@ -353,43 +354,6 @@ def test_coords_of_agrees_with_solve_row(rows, v, data):
     assert lat.coords_of(member) == tuple(coeffs)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.sampled_from([0, 2, 3, 4, 6]), min_size=1, max_size=3),
-    st.lists(st.sampled_from([0, 2, 3, 4, 6]), min_size=1, max_size=3),
-    st.data(),
-)
-def test_repeated_preimage_agrees_with_fresh_solve(src_mod, tgt_mod, data):
-    source, target = (
-        FgAbelianGroup(len(mod), [[d if i == j else 0 for i in range(len(mod))] for j, d in enumerate(mod)])
-        for mod in (src_mod, tgt_mod)
-    )
-    images = []
-    for d in source.invariant_factors:
-        img = [data.draw(st.integers(-5, 5)) for _ in range(target.rank)]
-        if d:
-            # an element of order d maps into the d-torsion of the target
-            img = [0 if e == 0 else x * (e // gcd(e, d)) for x, e in zip(img, target.invariant_factors)]
-        images.append(target.reduce_reduced(img))
-    hom = GroupHom(source, target, images)
-    mod_rows = [
-        [d if i == j else 0 for i in range(target.rank)]
-        for j, d in enumerate(target.invariant_factors)
-        if d > 0
-    ]
-    m = IntMatrix([list(r) for r in images] + mod_rows, cols=target.rank)
-    for _ in range(4):
-        x = tuple(data.draw(st.integers(-6, 6)) for _ in range(source.rank))
-        for el in (hom_apply(hom, source.reduce_reduced(x)), tuple(data.draw(st.integers(-6, 6)) for _ in range(target.rank))):
-            el = target.reduce_reduced(el)
-            fresh = _RowSolver(m).solve(el)
-            expect = None if fresh is None else source.reduce_reduced(fresh[: source.rank])
-            got = hom.preimage(el)
-            assert got == expect
-            if got is not None:
-                assert hom_apply(hom, got) == el
-
-
 def _galois_cases():
     """(label, GaloisAction): trivial, Z/2, Z/3 and S3 images, D4 triality included."""
     cases = []
@@ -439,25 +403,47 @@ def test_fixed_sublattice_modulo_checks_stability_of_the_relations():
 
 def assert_fixed_classes(lattice, mats, modulo, fixed):
     """``fixed`` is the preimage in ``lattice`` of the classes of lattice/modulo
-    that quotient_group and group_invariants find fixed under ``mats``."""
-    group = quotient_group(lattice, modulo, action=mats)
-    _, incl = group_invariants(group)
+    that the oracle group route finds fixed under ``mats``, and
+    fixed/modulo has the invariant factors of the oracle's fixed subgroup."""
+    group = quotient_with_action(lattice, modulo, mats)
+    inv, incl = group_invariants(group)
     assert lattice.contains(fixed) and fixed.contains(modulo)
+    assert quotient_group(fixed, modulo).invariant_factors == inv.invariant_factors
     # every fixed class lifts into ``fixed`` ...
     for img in incl.images:
         assert fixed.member(apply_row(group.lift(img), lattice.basis))
-    # ... and every point of ``fixed`` has a fixed class
+    # ... and every point of ``fixed`` has a fixed class: the two sets of
+    # classes are the same subgroup of lattice/modulo
     for row in fixed.basis.data:
         assert incl.preimage(group.from_ambient(lattice.coords_of(row))) is not None
 
 
+def _permutation_matrix(perm, sign=1):
+    """The matrix sending e_i to sign * e_perm[i]."""
+    n = len(perm)
+    return IntMatrix([[sign if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+
+
+# beyond root data: cyclic and S3 actions by permutations of coordinates,
+# and one by signed permutations
+_PERMUTATION_CASES = [
+    ("swap", GaloisAction("cyclic2", [_permutation_matrix([1, 0])])),
+    ("negated swap", GaloisAction("cyclic2", [_permutation_matrix([1, 0], -1)])),
+    ("swap fixing one", GaloisAction("cyclic2", [_permutation_matrix([1, 0, 2])])),
+    ("two swaps", GaloisAction("cyclic2", [_permutation_matrix([1, 0, 3, 2])])),
+    ("3-cycle", GaloisAction("cyclic3", [_permutation_matrix([1, 2, 0])])),
+    ("3-cycle fixing one", GaloisAction("cyclic3", [_permutation_matrix([1, 2, 0, 3])])),
+    ("S3", GaloisAction("s3", [_permutation_matrix([1, 2, 0]), _permutation_matrix([1, 0, 2])])),
+    ("S3 fixing one", GaloisAction("s3", [_permutation_matrix([1, 2, 0, 3]), _permutation_matrix([1, 0, 2, 3])])),
+]
 _SMALL_GALOIS_CASES = [case for case in _galois_cases() if case[1].n <= 4]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_fixed_sublattice_modulo_matches_the_fixed_classes_of_the_quotient(data):
-    _, galois = data.draw(st.sampled_from(_SMALL_GALOIS_CASES))
+    cases = st.sampled_from(_SMALL_GALOIS_CASES) | st.sampled_from(_PERMUTATION_CASES)
+    _, galois = data.draw(cases)
     n, elems = galois.n, list(galois.matrices)
     vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
     # the sum of the orbit of a lattice is stable; so is that of multiples
@@ -470,6 +456,20 @@ def test_fixed_sublattice_modulo_matches_the_fixed_classes_of_the_quotient(data)
     modulo = Lattice(n, [[scale * x for x in apply_row(r, g)] for r in sub for g in elems])
     fixed = fixed_sublattice(lattice, list(galois.generator_matrices()), modulo)
     assert_fixed_classes(lattice, elems, modulo, fixed)
+
+
+def test_fixed_classes_under_s3_need_both_generators():
+    # S3 permuting the coordinates of ZZ^3, modulo the span S of the orbit
+    # of (-2, 1, 1): the 3-cycle alone fixes the classes of Z/3 + Z, the
+    # whole group those of Z
+    galois = dict(_PERMUTATION_CASES)["S3"]
+    sub = Lattice(3, [apply_row((-2, 1, 1), m) for m in galois.matrices])
+    fixed = fixed_sublattice(3, list(galois.generator_matrices()), sub)
+    assert fixed == Lattice(3, [(1, 1, 1), (0, 3, 0), (0, 0, 3)])
+    assert quotient_group(fixed, sub).invariant_factors == (0,)
+    by_rotation = fixed_sublattice(3, list(galois.generator_matrices())[:1], sub)
+    assert quotient_group(by_rotation, sub).invariant_factors == (3, 0)
+    assert_fixed_classes(Lattice.full(3), list(galois.matrices), sub, fixed)
 
 
 def test_node_permutation_returns_a_fresh_dict():

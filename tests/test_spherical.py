@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    GroupHom,
     all_color_lifts_by_filter,
     fraction_omega_perms,
     hom_kernel,
@@ -136,9 +137,12 @@ def test_sigma_variants_elementary_two_quotient(sl6_datum):
 
 
 def test_aut_lattices_sl6(sl6_datum):
-    xa, xa_ker, proj = aut_character_lattices(sl6_datum)
+    xa, xa_ker = aut_character_lattices(sl6_datum)
     assert xa.invariant_factors == (2, 2, 0)
     assert xa_ker.invariant_factors == (0,)
+    # the natural surjection X/<sigma_N> -> X/<sigma_sc>, on the generators
+    units = [tuple(int(i == j) for i in range(xa.rank)) for j in range(xa.rank)]
+    proj = GroupHom(xa, xa_ker, [xa_ker.from_ambient(xa.lift(e)) for e in units])
     k, _ = hom_kernel(proj)
     assert k.order() == 4 and set(k.invariant_factors) == {2}
 
@@ -147,7 +151,7 @@ def test_aut_lattices_horospherical_is_m(rd_a5, m_2p_plus_q):
     from spherical_models import HorosphericalDatum
 
     h = HorosphericalDatum(rd_a5, [], m_2p_plus_q.basis.data)
-    xa, xa_ker, _ = aut_character_lattices(h.to_spherical())
+    xa, xa_ker = aut_character_lattices(h.to_spherical())
     assert xa.invariant_factors == (0,) * 5
     assert xa_ker.invariant_factors == (0,) * 5
 
@@ -163,7 +167,7 @@ def test_aut_lattice_flip_acts_by_negation(sl3_datum, rd_a2):
 
 def test_aut_lattices_full_quotient(rd_a2):
     d = SphericalDatum(rd_a2, [[1, 1]], [(1, 1)], [])
-    xa, _, _ = aut_character_lattices(d)
+    xa, _ = aut_character_lattices(d)
     assert xa.rank == 0
 
 
@@ -541,12 +545,17 @@ def test_aut_character_actions_from_generators_match_all_elements(
 
 def test_generator_actions_refuse_an_ill_defined_quotient(rd_a2):
     # swapping the coordinates does not preserve the span of (2, 0): the
-    # generator alone must be refused, as the full element list is
-    from spherical_models.lattice import Lattice, quotient_group
+    # generator alone must be refused, by the engine's fixed classes and by
+    # the oracle's group route, as the full element list is
+    from oracles import quotient_with_action
 
-    swap = IntMatrix([[0, 1], [1, 0]])
-    with pytest.raises(ValueError):
-        quotient_group(Lattice.full(2), Lattice(2, [(2, 0)]), action=[swap])
+    from spherical_models.lattice import Lattice
+
+    swap, full, sub = IntMatrix([[0, 1], [1, 0]]), Lattice.full(2), Lattice(2, [(2, 0)])
+    with pytest.raises(ValueError, match="does not stabilize the subgroup of relations"):
+        fixed_sublattice(full, [swap], sub)
+    with pytest.raises(ValueError, match="does not stabilize the subgroup of relations"):
+        quotient_with_action(full, sub, [swap])
 
 
 # -- exact values: an int for each integral entry, never a float -------------
