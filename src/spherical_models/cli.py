@@ -25,7 +25,6 @@ from .decision import (
     TitsClassSpec,
     catalog_lookup,
     catalog_names,
-    center_invariants,
     decide_diagonal,
     decide_embedding,
     decide_gu,
@@ -50,7 +49,6 @@ from .spherical import (
     Color,
     SphericalDatum,
     aut_character_lattices,
-    omega_sets,
     orbit_action,
 )
 
@@ -71,7 +69,8 @@ class Required:
 # rationals), ``[item]`` (a list of items), ``{key: shape}`` (an object;
 # absent keys are not checked unless their shape is ``Required``), or a tuple
 # of alternatives: strings and ``None`` stand for those literals, and an
-# object alternative is told from another by its required keys.
+# object alternative is told from another by its required keys (an object
+# with the required keys of two alternatives fits neither).
 _GALOIS = (
     "trivial",
     "flip",
@@ -124,12 +123,15 @@ def _shape_error(value, shape):
     if isinstance(shape, tuple):
         if value in shape:  # a JSON value equals no alternative but a literal
             return None
-        for alt in shape:
+        fits = [
+            alt for alt in shape
             if alt is list and isinstance(value, list) or (
                 isinstance(alt, dict) and isinstance(value, dict)
                 and all(key in value for key in _required(alt))
-            ):
-                return _shape_error(value, alt)
+            )
+        ]
+        if len(fits) == 1:
+            return _shape_error(value, fits[0])
         words = [
             "null" if alt is None else "a list" if alt is list
             else 'an object with "%s"' % '", "'.join(_required(alt)) if isinstance(alt, dict)
@@ -212,8 +214,6 @@ def _parse_tits(entry, rd, path):
         name = entry["catalog"]
         try:
             form = catalog_lookup(name)
-        except KeyError as e:
-            _fail(path, e.args[0])
         except ValueError as e:
             _fail(path, str(e))
         if form.type != rd.type:
@@ -265,8 +265,9 @@ def _check_problem(doc, path):
     """The kind of a problem document, checked against SCHEMA.
 
     Besides the shapes, it enforces the rules that are not types: the
-    field mode, number fields only for the horospherical and gu kinds and
-    without a global ``tits``, at least two diagonal factors and a non-empty
+    field mode, sites only in a number field, number fields only for the
+    horospherical and gu kinds and without a global ``tits``, diagonal
+    factors or markers but not both, at least two factors and a non-empty
     list of markers.
     """
     if not isinstance(doc, dict):
@@ -282,6 +283,8 @@ def _check_problem(doc, path):
         _fail(path + err[0], err[1])
     if kind == "diagonal":
         if "factors" in doc:
+            if "deltas" in doc:
+                _fail(path + ".deltas", "give factors or deltas, not both")
             if len(doc["factors"]) < 2:
                 _fail(path + ".factors", "factors must be a list of at least two catalog names")
         elif not _need(doc, "deltas", path):
@@ -290,6 +293,8 @@ def _check_problem(doc, path):
     mode = doc["field"]["mode"]
     if mode not in (REAL, PADIC, NUMBER_FIELD):
         _fail(path + ".field", "unsupported base field: %r" % (mode,))
+    if mode != NUMBER_FIELD and "sites" in doc["field"]:
+        _fail(path + ".field.sites", "sites are read in number_field mode only")
     if mode == NUMBER_FIELD and kind not in ("horospherical", "gu"):
         _fail(path, "number_field mode is supported for horospherical and gu kinds only")
     if mode == NUMBER_FIELD and "tits" in doc:
@@ -362,8 +367,6 @@ def _diagonal_markers(doc, path):
         return doc["deltas"]
     try:
         return delta_markers_from_catalog(doc["factors"])
-    except KeyError as e:
-        _fail(path + ".factors", e.args[0])  # str() would quote it
     except ValueError as e:
         _fail(path + ".factors", str(e))
 
@@ -415,14 +418,13 @@ def invariants_report(doc, path):
     lines.append("kind: %s" % kind)
     lines.append("root datum: %s" % rd.type)
     lines.append("galois group: %s" % galois.group_name)
-    mod, inv, fixed = center_invariants(rd, galois)
+    local_mode = field.mode if field.mode in (REAL, PADIC) else REAL
+    mod, inv, fixed, t0 = resolve_local_character(rd, galois, tits, local_mode)
     lines.append("center characters P/Q: %s" % _fmt_group(mod))
     lines.append("fixed center characters (P/Q)^G: %s" % _fmt_group(inv))
     for i in range(inv.rank):
         gen = apply_row(inv.lift((0,) * i + (1,) + (0,) * (inv.rank - i - 1)), fixed.basis)
         lines.append("  generator %d image in P/Q: %s" % (i + 1, _fmt_vec(mod.from_ambient(gen))))
-    local_mode = field.mode if field.mode in (REAL, PADIC) else REAL
-    t0 = resolve_local_character(rd, galois, tits, local_mode).t0
     lines.append("tits character values: [%s]" % ", ".join(map(str, t0.values)))
     if not t0.is_zero():
         theta, _, theta_p = theta_lattice(rd, galois, t0)
@@ -470,13 +472,11 @@ def invariants_report(doc, path):
         ("sigma_N", datum.sigma_n),
     ):
         lines.append("%s: %s" % (label, "; ".join(_fmt_vec(s) for s in roots) or "none"))
-    o1, o2 = omega_sets(datum)
-    lines.append("omega1 (%d):" % len(o1))
-    for e in o1:
-        lines.append("  rho %s moves %s" % (_fmt_vec(e.rho), sorted(e.sigma_set)))
-    lines.append("omega2 (%d):" % len(o2))
-    for e in o2:
-        lines.append("  rho %s moves %s" % (_fmt_vec(e.rho), sorted(e.sigma_set)))
+    for size in (1, 2):  # the color images over one color, then over two
+        images = [key for key, ids in datum.fibers.items() if len(ids) == size]
+        lines.append("omega%d (%d):" % (size, len(images)))
+        for rho, sigma_set in images:
+            lines.append("  rho %s moves %s" % (_fmt_vec(rho), sorted(sigma_set)))
     xa, xa_ker = aut_character_lattices(datum)
     lines.append("X*(A) = X/<sigma_N>: %s" % _fmt_group(xa))
     lines.append("X*(A^ker) = X/<sigma_sc>: %s" % _fmt_group(xa_ker))
@@ -539,9 +539,8 @@ def cmd_catalog(args):
             lines = catalog_names()
         else:
             lines = [json.dumps(catalog_lookup(args.name).to_dict(), sort_keys=True, indent=2)]
-    except (KeyError, ValueError) as e:
-        # a KeyError's str() quotes its message
-        print("error: %s" % (e.args[0] if isinstance(e, KeyError) else e), file=sys.stderr)
+    except ValueError as e:
+        print("error: %s" % e, file=sys.stderr)
         return 2
     except Exception as e:
         return _internal_error(e)

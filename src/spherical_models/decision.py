@@ -58,16 +58,11 @@ from .embeddings import stabilizing_lift
 from .spherical import _exact_rational, _extended_matrices, orbit_action
 
 NUMBER_FIELD = "number_field"
-_LOCAL_MODES = (REAL, PADIC)
-
-
-class UnsupportedBaseField(ValueError):
-    pass
 
 
 def check_local_mode(mode):
-    if mode not in _LOCAL_MODES:
-        raise UnsupportedBaseField("unsupported base field: %r" % (mode,))
+    if mode not in (REAL, PADIC):
+        raise ValueError("unsupported base field: %r" % (mode,))
     return mode
 
 
@@ -147,9 +142,9 @@ def _reason(condition, ok, **extra):
 # -- center-character plumbing ---------------------------------------------
 #
 # Everything derived from the type and the Galois image alone (and, for the
-# resolved character and the kernel preimage, the character) is computed
-# once per process.  The caches sit on private helpers: the public names stay
-# plain functions, which is what perfbench/tracer.py can wrap and count.
+# resolved character, the character) is computed once per process.  The
+# caches sit on private helpers: the public names stay plain functions,
+# which is what perfbench/tracer.py can wrap and count.
 
 
 def center_invariants(rd, galois):
@@ -211,11 +206,14 @@ def _resolve_local_character(t, galois, tits, mode):
 def _resolve_sites(rd, galois, sites):
     """The LocalCharacter of each site, None for a trivial one.
 
-    A site whose image is not inside the global image ``galois``, or whose
-    character is refused, raises ValueError naming the site.
+    A site whose label repeats an earlier one, whose image is not inside the
+    global image ``galois``, or whose character is refused, raises
+    ValueError naming the site.
     """
     out = []
-    for site in sites:
+    for k, site in enumerate(sites):
+        if site.label in (s.label for s in sites[:k]):
+            raise ValueError("duplicate site label %r" % (site.label,))
         if not site.galois.is_subaction_of(galois):
             raise ValueError(
                 "site %s: local image is not contained in the global image" % site.label
@@ -239,23 +237,15 @@ def theta_lattice(rd, galois, t0):
     the fixed lattice F whose center class the character kills, theta the
     kernel subgroup kernel/Q of the fixed center characters, and theta_p
     the sublattice of the fixed weights whose center class it kills.  The
-    invariants report prints them; no verdict reads them.
+    invariants report prints them; no verdict reads them, so nothing is
+    cached.
     """
-    _, inv, _ = center_invariants(rd, galois)
+    mod, inv, fixed = center_invariants(rd, galois)
     if t0.source.invariant_factors != inv.invariant_factors:
         raise ValueError("character source does not match the fixed center characters")
-    return _theta_lattice(rd.type, galois, t0.values)
-
-
-@lru_cache(maxsize=None)
-def _theta_lattice(t, galois, values):
-    rd = based_root_datum(t)
-    mod, inv, fixed = center_invariants(rd, galois)
-    local = LocalCharacter(mod, inv, fixed, BrCharacter(inv, values))
+    local = LocalCharacter(mod, inv, fixed, t0)
     kernel = _killed_points(local, fixed)
     theta = quotient_group(kernel, rd.root_lattice)
-    if not local.t0.is_zero() and theta.order() == inv.order():
-        raise ValueError("nonzero character with full kernel; inconsistent data")
     # the generators fix what the group fixes
     theta_p = _killed_points(local, fixed_sublattice(rd.rank, galois.generator_matrices()))
     return theta, kernel, theta_p
@@ -564,23 +554,23 @@ def _su(p, q):
     return "A%d" % (n - 1), "flip", _HALF if half else (), _TABLE_CITATION
 
 
-# The built-in families: display name, pattern (read with re.match) and a
-# function from the pattern's integers to (type label, Galois image name,
-# t0 values, citation), or None outside the family.  All are real forms.
+# The built-in families: display name, pattern (matched against the whole
+# name) and a function from the pattern's integers to (type label, Galois
+# image name, t0 values, citation), or None outside the family.  All are
+# real forms.
 _FAMILIES = (
-    ("SU(p,q)", re.compile(r"^SU\((\d+),(\d+)\)$"), _su),
-    ("SU(n)", re.compile(r"^SU\((\d+)\)$"), lambda n: _su(n, 0)),
-    ("SL(n,R)", re.compile(r"^SL\((\d+),R\)$"),
+    ("SU(p,q)", re.compile(r"SU\((\d+),(\d+)\)"), _su),
+    ("SU(n)", re.compile(r"SU\((\d+)\)"), lambda n: _su(n, 0)),
+    ("SL(n,R)", re.compile(r"SL\((\d+),R\)"),
      lambda n: ("A%d" % (n - 1), "trivial-c2", (), _SPLIT_CITATION) if n >= 2 else None),
-    ("SL(m,H)", re.compile(r"^SL\((\d+),H\)$"),
+    ("SL(m,H)", re.compile(r"SL\((\d+),H\)"),
      lambda m: ("A%d" % (2 * m - 1), "trivial-c2", _HALF, _TABLE_CITATION) if m >= 1 else None),
-    ("Sp(2n,R)", re.compile(r"^Sp\((\d+),R\)$"),
+    ("Sp(2n,R)", re.compile(r"Sp\((\d+),R\)"),
      lambda two_n: ("C%d" % (two_n // 2), "trivial-c2", (), _SPLIT_CITATION)
      if two_n >= 4 and two_n % 2 == 0 else None),
-    ("Sp(p,q)", re.compile(r"^Sp\((\d+),(\d+)\)$"),
+    ("Sp(p,q)", re.compile(r"Sp\((\d+),(\d+)\)"),
      lambda p, q: ("C%d" % (p + q), "trivial-c2", _HALF, _TABLE_CITATION) if p + q >= 2 else None),
-    # \Z, not $: the name is matched exactly, without a trailing newline
-    ("SO*(10)", re.compile(r"^SO\*\(10\)\Z"), lambda: ("D5", "flip", _HALF, _TABLE_CITATION)),
+    ("SO*(10)", re.compile(r"SO\*\(10\)"), lambda: ("D5", "flip", _HALF, _TABLE_CITATION)),
 )
 
 _GALOIS_NAMES = ("trivial", "trivial-c2", "flip")
@@ -627,13 +617,13 @@ def catalog_lookup(name):
     if name in ext:
         return ext[name]
     for _, pattern, family in _FAMILIES:
-        m = pattern.match(name)
+        m = pattern.fullmatch(name)
         if m:
             row = family(*map(int, m.groups()))
             if row is not None:
                 return _catalog_entry(name, *row)
             break
-    raise KeyError("unknown catalog name %r" % (name,))
+    raise ValueError("unknown catalog name %r" % (name,))
 
 
 def catalog_names():

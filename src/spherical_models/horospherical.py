@@ -27,7 +27,7 @@ class HorosphericalDatum:
             "node %d pairs with %r" % (i, list(row))
             for row in self.M.basis.data
             for i in sorted(self.I)
-            if rd.coroot_pairing(row, i) != 0
+            if row[i - 1] != 0  # <row, alpha_i^vee>
         ]
         if bad:
             raise ValueError("invalid horospherical datum: " + "; ".join(bad))

@@ -70,8 +70,6 @@ class IntMatrix:
         return tuple(row[j] for row in self.data)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntMatrix([[x * other for x in row] for row in self.data])
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         bt = _columns(other)

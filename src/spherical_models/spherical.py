@@ -52,15 +52,6 @@ class Color:
 
 
 @dataclass(frozen=True)
-class OmegaElement:
-    """An element of the image of colors under (rho, sigma), with fiber size."""
-
-    rho: tuple
-    sigma_set: frozenset
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class ColorLift:
     """A lift of the Galois action on color images to the colors themselves.
 
@@ -240,15 +231,6 @@ def _fibers(colors):
             raise ValueError("three colors share the same image: %s" % ", ".join(ids))
         out[key] = ids
     return out
-
-
-def omega_sets(datum):
-    """Split the color image into one-preimage and two-preimage parts."""
-    elems = [OmegaElement(rho, sig, len(ids)) for (rho, sig), ids in datum.fibers.items()]
-    return (
-        tuple(e for e in elems if e.multiplicity == 1),
-        tuple(e for e in elems if e.multiplicity == 2),
-    )
 
 
 def _double(v):

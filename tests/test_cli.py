@@ -748,7 +748,7 @@ CATALOG_SHOW = {
     "SU(6)": ("A5", "flip", ["1/2"], _TABLES),
     "SU(65)": ("A64", "flip", [], _TABLES),
     "SU(66)": "rank 65 exceeds the supported maximum 64",
-    "SU(3,3)\n": ("A5", "flip", [], _TABLES),
+    "SU(3,3)\n": "unknown catalog name 'SU(3,3)\\n'",
     "SL(1,R)": "unknown catalog name 'SL(1,R)'",
     "SL(2,R)": ("A1", "trivial-c2", [], _SPLIT),
     "SL(65,R)": ("A64", "trivial-c2", [], _SPLIT),
@@ -845,6 +845,7 @@ def _replaced(doc, where, value):
 
 
 SL6 = _demo("sl6_embedding_su42.json")
+_GU_A5 = {"version": 1, "kind": "gu", "root_datum": "A5", "galois": "flip", "field": {"mode": "real"}}
 
 MALFORMED = [
     (_replaced(_demo("su6_number_field.json"), ["field", "sites"], 5), ".field.sites: expected a list"),
@@ -869,6 +870,17 @@ MALFORMED = [
         ".field.sites[0].label: expected a string",
     ),
     (_replaced(SL6, ["version"], True), ": unsupported version True"),
+    # a second form of the same input, which would be dropped
+    (
+        _replaced(_demo("sl3_slh.json"), ["tits"], {"catalog": "SU(3)", "values": ["1/3"]}),
+        '.tits: expected "zero", "trivial", null, an object with "catalog" or an object with "values"\n',
+    ),
+    (dict(_demo("diagonal_su.json"), deltas=["nontrivial"]), ".deltas: give factors or deltas, not both\n"),
+    (
+        _replaced(_GU_A5, ["field"], {"mode": "real", "sites": [{"mode": "real", "galois": "flip", "t0": ["1/3"]}]}),
+        ".field.sites: sites are read in number_field mode only\n",
+    ),
+    (_replaced(_GU_A5, ["field"], {"mode": "padic", "sites": []}), ".field.sites: sites are read in number_field mode only\n"),
 ]
 
 

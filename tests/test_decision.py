@@ -26,7 +26,6 @@ from spherical_models import (
     galois_from_permutations,
 )
 from spherical_models.decision import (
-    UnsupportedBaseField,
     _horospherical_fast_path,
     catalog_names,
     center_invariants,
@@ -162,7 +161,7 @@ def test_sl3_sl2_cases(sl3_datum, rd_a2):
     assert not decide_local_general(
         sl3_datum, g_in, TitsClassSpec.from_values(["1/3"]), PADIC
     ).exists
-    with pytest.raises(UnsupportedBaseField):
+    with pytest.raises(ValueError, match="^unsupported base field: 'general'$"):
         check_local_mode("general")
 
 
@@ -407,6 +406,21 @@ def test_number_field_rejects_non_subaction(rd_a5, galois_a5_flip):
         decide_number_field(h, GaloisAction.trivial(5), [site])
 
 
+def test_number_field_rejects_a_repeated_site_label(rd_a5, galois_a5_flip, m_2p_plus_q):
+    # each label names one reason of the verdict
+    h = HorosphericalDatum(rd_a5, [], m_2p_plus_q.basis.data)
+    sites = [
+        LocalSite("x", REAL, galois_a5_flip, ("1/2",)),
+        LocalSite("y", PADIC, galois_a5_flip, None),
+        LocalSite("x", PADIC, GaloisAction.trivial(5), None),
+    ]
+    with pytest.raises(ValueError, match="^duplicate site label 'x'$"):
+        decide_number_field(h, galois_a5_flip, sites)
+    sites[2] = LocalSite("z", PADIC, GaloisAction.trivial(5), None)
+    v = decide_number_field(h, galois_a5_flip, sites)
+    assert [r["condition"] for r in v.reasons] == ["pair-stability", "site:x", "site:y", "site:z"]
+
+
 # -- diagonal -----------------------------------------------------------------------
 
 
@@ -444,7 +458,7 @@ def test_a_refused_character_raises_on_every_call(rd_a5):
     for _ in range(3):
         with pytest.raises(ValueError, match="invalid Tits character: value 1/3 not in"):
             resolve_local_character(rd_a5, trivial, TitsClassSpec.from_values(["1/3"]), REAL)
-        with pytest.raises(UnsupportedBaseField):
+        with pytest.raises(ValueError, match="^unsupported base field: 'complex'$"):
             resolve_local_character(rd_a5, trivial, TitsClassSpec.zero(), "complex")
 
 
@@ -486,7 +500,7 @@ def test_catalog_su_values():
 
 
 def test_catalog_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown catalog name 'bogus'$"):
         catalog_lookup("bogus")
 
 

@@ -18,7 +18,7 @@ from spherical_models import (
 )
 from spherical_models.lattice import Lattice
 from spherical_models.rootdata import SimpleType
-from spherical_models.spherical import aut_character_lattices, omega_sets
+from spherical_models.spherical import aut_character_lattices
 from spherical_models.cli import _build_payload
 from spherical_models.decision import center_invariants, resolve_local_character
 
@@ -109,9 +109,8 @@ def test_to_spherical_omega_shape(rd_a5):
             rows.append(v)
         h = HorosphericalDatum(rd_a5, nodes, rows)
         d = h.to_spherical()
-        o1, o2 = omega_sets(d)
-        assert o2 == ()
-        assert len(o1) == len(set(range(1, 6)) - set(nodes))
+        assert all(len(ids) == 1 for ids in d.fibers.values())
+        assert len(d.fibers) == len(set(range(1, 6)) - set(nodes))
 
 
 def test_character_lattice_is_m(rd_a5, m_2p_plus_q):

@@ -3,7 +3,8 @@
 The benchmark corpora (``perfbench/corpus.py``) are pure functions of the
 index, and ``perfbench/expected/<workload>.json`` holds one code per index:
 "0" exists, "1" does not, "2" input error, "-" filtered out.  A change to
-the engine that flips any of them is a changed verdict.
+the engine that flips any of them is a changed verdict.  On the same
+corpora, ``invariants`` must refuse exactly the files ``decide`` refuses.
 """
 
 import importlib.util
@@ -16,9 +17,11 @@ from spherical_models import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-# the prefix of each corpus decided here, and the shorter one the recorder decides
+# the prefix of each corpus decided here, the shorter one the recorder
+# decides, and the one both commands run on
 PREFIX = 2000
 RECORDER_PREFIX = 200
+COMMANDS_PREFIX = 400
 
 
 def _load(name, filename):
@@ -92,3 +95,22 @@ def test_recorder_reaches_the_engine_names_it_imports():
                 mismatches.append((k, want, got))
         assert mismatches == [], "%s index, recorded, got: %s" % (workload, mismatches[:10])
     assert checks["horo_sweep"] > 0
+
+
+@pytest.mark.parametrize("workload", ["horo_sweep", "embed_fans"])
+def test_invariants_refuses_exactly_what_decide_refuses(tmp_path, capsys, workload):
+    # the report builds what the verdict builds: it refuses the same files
+    # with the same line, and a file that decide decides it reports
+    corpus = _corpus()
+    path = tmp_path / "problem.json"
+    refused = 0
+    for k in range(COMMANDS_PREFIX):
+        path.write_text(json.dumps(corpus.problem(workload, k)))
+        decided = cli.main(["decide", "--json", str(path)]), capsys.readouterr().err
+        reported = cli.main(["invariants", str(path)]), capsys.readouterr().err
+        if 2 in (decided[0], reported[0]):
+            assert reported == decided, k
+            refused += 1
+        else:
+            assert decided[0] in (0, 1) and reported == (0, ""), k
+    assert 0 < refused < COMMANDS_PREFIX

@@ -25,7 +25,7 @@ from spherical_models import (
 )
 from spherical_models.cli import _build_payload
 from spherical_models.lattice import IntMatrix, Lattice, fixed_sublattice
-from spherical_models.spherical import _exact_rational, aut_character_lattices, omega_sets
+from spherical_models.spherical import _exact_rational, aut_character_lattices
 from test_decision import KERNEL_ROUTE_TYPES, _stable_horospherical_lattice, diagram_actions
 
 
@@ -69,24 +69,22 @@ def test_two_colors_require_simple_spherical_root(rd_a2):
         SphericalDatum(rd_a2, [[1, 0], [0, 1]], [], cols)
 
 
-# -- omega sets ----------------------------------------------------------------
+# -- omega sets: the color images over one color and over two -------------------
 
 
 def test_omega_sets_quadric(so10_datum):
-    o1, o2 = omega_sets(so10_datum)
-    assert len(o1) == 1 and len(o2) == 0
-    assert o1[0].rho == (F(1),) and o1[0].sigma_set == frozenset({1})
+    ((rho, sigma_set), ids), = so10_datum.fibers.items()
+    assert len(ids) == 1
+    assert rho == (F(1),) and sigma_set == frozenset({1})
 
 
 def test_omega_sets_sl6(sl6_datum):
-    o1, o2 = omega_sets(sl6_datum)
-    assert len(o1) == 2 and len(o2) == 2
-    assert all(e.multiplicity == 2 for e in o2)
+    assert sorted(len(ids) for ids in sl6_datum.fibers.values()) == [1, 1, 2, 2]
 
 
 def test_omega_sets_no_colors(rd_a2):
     d = SphericalDatum(rd_a2, [[1, 1]], [], [])
-    assert omega_sets(d) == ((), ())
+    assert d.fibers == {}
 
 
 # -- doubled spherical roots ---------------------------------------------------
@@ -346,8 +344,8 @@ def test_lift_counts(sl6_datum, sl3_datum, galois_a5_flip, rd_a2):
 
 def test_lift_count_trivial_action_two_fibers(sl6_datum):
     g = GaloisAction("cyclic2", [IntMatrix.identity(5)])
-    o1, o2 = omega_sets(sl6_datum)
-    assert len(orbit_action(sl6_datum, g).lifts()) == 2 ** len(o2)
+    pairs = sum(len(ids) == 2 for ids in sl6_datum.fibers.values())
+    assert len(orbit_action(sl6_datum, g).lifts()) == 2 ** pairs
 
 
 def test_sl6_contains_cross_swap_lift(sl6_datum, galois_a5_flip):
