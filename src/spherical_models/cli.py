@@ -6,10 +6,12 @@ input or validation error, 3 on an internal error (a fault of the engine, so
 never read as a verdict), so shell pipelines can branch on the verdict.
 `load_problem` checks a document once, against its kind's entry of
 `SCHEMA` and the few rules that are not types, before any mathematics runs;
-the readers after it trust that check.  The schema is documented in the
-README; `invariants` prints the canonical
+the readers after it trust that check.  `_load` then builds the problem's
+objects and decides it, once, for both commands: `decide` prints the
+verdict, and `invariants` prints from the built objects the canonical
 presentations (including the fixed center characters) that Tits-character
-value lists refer to.
+value lists refer to, so it refuses exactly what `decide` refuses.  The
+schema is documented in the README.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .decision import (
     delta_markers_from_catalog,
     resolve_local_character,
     theta_lattice,
-    _resolve_sites,
 )
 from .embeddings import ColoredCone, ColoredFan
 from .galoismodule import _GROUPS, PADIC, REAL, galois_from_permutations
@@ -45,12 +46,7 @@ from .rootdata import (
     based_root_datum,
     diagram_flip,
 )
-from .spherical import (
-    Color,
-    SphericalDatum,
-    aut_character_lattices,
-    orbit_action,
-)
+from .spherical import Color, SphericalDatum, aut_character_lattices
 
 
 class Required:
@@ -104,6 +100,8 @@ SCHEMA = {
     "diagonal": {"factors": [str], "deltas": [("trivial", "nontrivial", None)]},
 }
 KINDS = tuple(SCHEMA)
+# the bound on a document's colors, which bounds the color-lift search
+MAX_COLORS = 16
 
 
 def _shape_error(value, shape):
@@ -228,7 +226,7 @@ def _parse_tits(entry, rd, path):
 def _parse_field(entry, rd, global_galois, path):
     if entry["mode"] != NUMBER_FIELD:
         return FieldDescriptor(entry["mode"])
-    sites = []
+    sites, labels = [], set()
     for k, s in enumerate(entry.get("sites", [])):
         spath = "%s.sites[%d]" % (path, k)
         sg = _parse_galois(s.get("galois", "trivial"), rd, spath + ".galois")
@@ -240,8 +238,9 @@ def _parse_field(entry, rd, global_galois, path):
         except ValueError as e:
             _fail(spath + ".t0", "bad character value: %s" % e)
         label = s.get("label", "v%d" % k)
-        if any(site.label == label for site in sites):
+        if label in labels:
             _fail(spath + ".label", "duplicate site label %r" % label)
+        labels.add(label)
         sites.append(LocalSite(label, s["mode"], sg, values))
     return FieldDescriptor(NUMBER_FIELD, tuple(sites))
 
@@ -256,7 +255,9 @@ def load_problem(path):
             doc = json.load(f, parse_float=reject_float, parse_constant=reject_float)
     except OSError as e:
         raise ProblemError("%s: cannot read (%s)" % (path, e))
-    except json.JSONDecodeError as e:
+    except ProblemError:
+        raise
+    except (ValueError, RecursionError) as e:  # also a huge integer, deep nesting, bad UTF-8
         raise ProblemError("%s: not valid JSON (%s)" % (path, e))
     return doc, _check_problem(doc, path)
 
@@ -305,10 +306,10 @@ def _check_problem(doc, path):
 def _build_common(doc, path):
     """(root datum, Galois image, field, Tits spec) of a non-diagonal problem.
 
-    Every character is resolved here, so a refused one fails at load: a
-    local problem's at ``.tits``, a site's at the document, naming the site,
-    as ``decide_number_field`` names it.  The decision after it reads the
-    resolver's cache.
+    A local problem's character is resolved here, so a refused one fails at
+    ``.tits`` before the payload is read; the decision after it reads the
+    resolver's cache.  A number field's site characters are resolved once,
+    by ``decide_number_field``, which names a refused site.
     """
     try:
         rd = based_root_datum(doc["root_datum"])
@@ -317,19 +318,19 @@ def _build_common(doc, path):
     galois = _parse_galois(doc.get("galois", "trivial"), rd, path + ".galois")
     field = _parse_field(doc["field"], rd, galois, path + ".field")
     tits = _parse_tits(doc.get("tits"), rd, path + ".tits")
-    try:
-        if field.mode == NUMBER_FIELD:
-            _resolve_sites(rd, galois, field.sites)
-        else:
+    if field.mode != NUMBER_FIELD:
+        try:
             resolve_local_character(rd, galois, tits, field.mode)
-    except ValueError as e:
-        _fail(path if field.mode == NUMBER_FIELD else path + ".tits", str(e))
+        except ValueError as e:
+            _fail(path + ".tits", str(e))
     return rd, galois, field, tits
 
 
 def _build_payload(doc, rd, kind, path):
     """The datum of a problem: a HorosphericalDatum (the full weight lattice
-    for ``gu``), a SphericalDatum, or a (SphericalDatum, ColoredFan) pair."""
+    for ``gu``), a SphericalDatum, or a (SphericalDatum, ColoredFan) pair.
+
+    A document with more than MAX_COLORS colors is refused here."""
     if kind == "gu":
         return HorosphericalDatum(rd, [], rd.weight_lattice.basis.data)
     if kind == "horospherical":
@@ -342,6 +343,8 @@ def _build_payload(doc, rd, kind, path):
             Color(str(c["id"]), c["rho"], c["sigma_set"])
             for c in doc.get("colors", [])
         ]
+        if len(colors) > MAX_COLORS:
+            raise ValueError("more than %d colors is out of scope" % MAX_COLORS)
         datum = SphericalDatum(
             rd, doc["X"], doc.get("sigma", []), colors,
             sigma234=doc.get("sigma234", []), torus_rank=doc.get("torus_rank", 0),
@@ -361,38 +364,46 @@ def _build_payload(doc, rd, kind, path):
     return datum, fan
 
 
-def _diagonal_markers(doc, path):
-    """The markers of a diagonal problem; a refused factor fails at ``.factors``."""
-    if "factors" not in doc:
-        return doc["deltas"]
-    try:
-        return delta_markers_from_catalog(doc["factors"])
-    except ValueError as e:
-        _fail(path + ".factors", str(e))
+def _load(doc, path):
+    """(verdict, built) of a checked document, for ``decide`` and ``invariants``.
 
-
-def run_decide(doc, path):
+    ``built`` is (root datum, Galois image, field, Tits spec, payload), or
+    None for a diagonal problem.  Every refusal, of the data or of the
+    decision, fails here with exit 2 at a path of the document.
+    """
     kind = doc["kind"]
     if kind == "diagonal":
-        return decide_diagonal(_diagonal_markers(doc, path))
+        markers = doc.get("deltas")
+        if "factors" in doc:
+            try:
+                markers = delta_markers_from_catalog(doc["factors"])
+            except ValueError as e:
+                _fail(path + ".factors", str(e))
+        return decide_diagonal(markers), None
     rd, galois, field, tits = _build_common(doc, path)
     payload = _build_payload(doc, rd, kind, path)
     try:
         if field.mode == NUMBER_FIELD:  # horospherical or gu, as load_problem checked
-            return decide_number_field(payload, galois, list(field.sites))
-        if kind == "horospherical":
-            return decide_horospherical(payload, galois, tits, field.mode)
-        if kind == "gu":
-            return decide_gu(rd, galois, tits, field.mode)
-        if kind == "spherical":
-            return decide_local_general(payload, galois, tits, field.mode)
-        datum, fan = payload
-        return decide_embedding(
-            fan, datum, galois, tits, field.mode,
-            quasi_projective=doc.get("quasi_projective", True),
-        )
+            verdict = decide_number_field(payload, galois, list(field.sites))
+        elif kind == "horospherical":
+            verdict = decide_horospherical(payload, galois, tits, field.mode)
+        elif kind == "gu":
+            verdict = decide_gu(rd, galois, tits, field.mode)
+        elif kind == "spherical":
+            verdict = decide_local_general(payload, galois, tits, field.mode)
+        else:
+            datum, fan = payload
+            verdict = decide_embedding(
+                fan, datum, galois, tits, field.mode,
+                quasi_projective=doc.get("quasi_projective", True),
+            )
     except ValueError as e:
         _fail(path, str(e))
+    return verdict, (rd, galois, field, tits, payload)
+
+
+def run_decide(doc, path):
+    return _load(doc, path)[0]
 
 
 # -- reports -----------------------------------------------------------------
@@ -409,16 +420,18 @@ def _fmt_vec(v):
 
 
 def invariants_report(doc, path):
-    kind = doc["kind"]
-    if kind == "diagonal":
-        _diagonal_markers(doc, path)
+    """The report lines of what ``_load`` built for the decision."""
+    _, built = _load(doc, path)
+    if built is None:
         return ["kind: diagonal", "nothing to derive (markers are input data)"]
-    rd, galois, field, tits = _build_common(doc, path)
+    rd, galois, field, tits, payload = built
+    kind = doc["kind"]
     lines = []
     lines.append("kind: %s" % kind)
     lines.append("root datum: %s" % rd.type)
     lines.append("galois group: %s" % galois.group_name)
-    local_mode = field.mode if field.mode in (REAL, PADIC) else REAL
+    # a number field's global character is zero, which every image admits over the reals
+    local_mode = REAL if field.mode == NUMBER_FIELD else field.mode
     mod, inv, fixed, t0 = resolve_local_character(rd, galois, tits, local_mode)
     lines.append("center characters P/Q: %s" % _fmt_group(mod))
     lines.append("fixed center characters (P/Q)^G: %s" % _fmt_group(inv))
@@ -432,22 +445,10 @@ def invariants_report(doc, path):
         lines.append("kernel preimage in fixed weights, basis:")
         for r in theta_p.basis.data:
             lines.append("  %s" % _fmt_vec(r))
-    if kind in ("horospherical", "gu"):
-        h = _build_payload(doc, rd, kind, path)
-        if kind == "horospherical":
-            lines.append("I: %s" % sorted(h.I))
-            lines.append("M basis:")
-            for r in h.M.basis.data:
-                lines.append("  %s" % _fmt_vec(r))
-            lines.append("derived orbit datum: one color per simple root outside I")
-        try:
-            datum = h.to_spherical()
-        except ValueError as e:
-            _fail(path, str(e))
-    elif kind == "spherical":
-        datum = _build_payload(doc, rd, kind, path)
-    else:
-        datum, fan = _build_payload(doc, rd, kind, path)
+    if kind == "spherical":
+        datum = payload
+    elif kind == "embedding":
+        datum, fan = payload
         lines.append("fan (canonical maximal colored cones):")
         for c in fan.cones:
             lines.append(
@@ -457,11 +458,14 @@ def invariants_report(doc, path):
                     ", ".join(sorted(c.colors)),
                 )
             )
-    if kind in ("spherical", "embedding"):
-        try:
-            orbit_action(datum, galois)  # refuses moved doubling flags, as decide does
-        except ValueError as e:
-            _fail(path, str(e))
+    else:
+        if kind == "horospherical":
+            lines.append("I: %s" % sorted(payload.I))
+            lines.append("M basis:")
+            for r in payload.M.basis.data:
+                lines.append("  %s" % _fmt_vec(r))
+            lines.append("derived orbit datum: one color per simple root outside I")
+        datum = payload.to_spherical()
     lines.append("orbit lattice rank: %d" % datum.rank)
     for r in datum.basis.data:
         lines.append("  basis %s" % _fmt_vec(r))

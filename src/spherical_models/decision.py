@@ -203,33 +203,6 @@ def _resolve_local_character(t, galois, tits, mode):
     return local
 
 
-def _resolve_sites(rd, galois, sites):
-    """The LocalCharacter of each site, None for a trivial one.
-
-    A site whose label repeats an earlier one, whose image is not inside the
-    global image ``galois``, or whose character is refused, raises
-    ValueError naming the site.
-    """
-    out = []
-    for k, site in enumerate(sites):
-        if site.label in (s.label for s in sites[:k]):
-            raise ValueError("duplicate site label %r" % (site.label,))
-        if not site.galois.is_subaction_of(galois):
-            raise ValueError(
-                "site %s: local image is not contained in the global image" % site.label
-            )
-        if site.t0_values is None:
-            out.append(None)
-            continue
-        try:
-            out.append(resolve_local_character(
-                rd, site.galois, TitsClassSpec.from_values(site.t0_values), site.mode
-            ))
-        except ValueError as e:
-            raise type(e)("site %s: %s" % (site.label, e)) from None
-    return out
-
-
 def theta_lattice(rd, galois, t0):
     """Kernel of the character, as a group and as lattices.
 
@@ -423,11 +396,25 @@ def decide_number_field(datum, galois, sites):
     The pair must be stable under the global action, and at every listed
     completion the local condition must hold; sites marked trivial impose
     none.  Each site's image must sit inside the global image, so the pair
-    is stable under it as well.  Every site is checked, its image and its
-    character, before any reason is given, as the local verdicts check
-    theirs.
+    is stable under it as well.  Every site is checked, its label, its image
+    and its character, before any reason is given, as the local verdicts
+    check theirs; a refused site raises ValueError naming it.
     """
-    site_chars = _resolve_sites(datum.rd, galois, sites)
+    labels, site_chars = set(), []
+    for site in sites:
+        if site.label in labels:
+            raise ValueError("duplicate site label %r" % (site.label,))
+        labels.add(site.label)
+        if not site.galois.is_subaction_of(galois):
+            raise ValueError(
+                "site %s: local image is not contained in the global image" % site.label
+            )
+        try:
+            site_chars.append(None if site.t0_values is None else resolve_local_character(
+                datum.rd, site.galois, TitsClassSpec.from_values(site.t0_values), site.mode
+            ))
+        except ValueError as e:
+            raise type(e)("site %s: %s" % (site.label, e)) from None
     stable = datum.stable(galois)
     reasons = [_reason("pair-stability", stable)]
     citations = [

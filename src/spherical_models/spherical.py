@@ -35,8 +35,6 @@ from .lattice import (
 )
 from .rootdata import node_permutation
 
-MAX_COLORS = 16
-
 
 @dataclass(frozen=True)
 class Color:
@@ -100,8 +98,6 @@ class SphericalDatum:
 
     def __init__(self, rd, basis, sigma, colors, sigma234=(), torus_rank=0):
         colors = tuple(colors)
-        if len(colors) > MAX_COLORS:
-            raise ValueError("more than %d colors is out of scope" % MAX_COLORS)
         self.rd = rd
         self.torus_rank = int(torus_rank)
         if self.torus_rank < 0:

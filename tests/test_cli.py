@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,24 @@ def test_decide_parse_error(tmp_path, capsys):
     p.write_text("{not json")
     code, _, err = run(capsys, "decide", str(p))
     assert code == 2 and "not valid JSON" in err
+
+
+# Files the JSON decoder refuses with an error other than JSONDecodeError
+DECODER_FAULTS = {
+    "huge-integer": b'{"version": 1, "kind": "gu", "root_datum": [' + b"1" * 5000 + b"]}",
+    "deep-nesting": b"[" * 100000,
+    "not-utf-8": b'{"version": 1, "kind": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("command", ["decide", "invariants"])
+@pytest.mark.parametrize("fault", sorted(DECODER_FAULTS))
+def test_decoder_faults_exit_2_as_invalid_json(tmp_path, capsys, fault, command):
+    path = tmp_path / "problem.json"
+    path.write_bytes(DECODER_FAULTS[fault])
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: %s: not valid JSON (" % path) and err.count("\n") == 1, err
 
 
 def test_decide_missing_file(capsys):
@@ -371,8 +390,8 @@ def test_number_field_invalid_site_character(tmp_path, capsys):
     }
     path = write(tmp_path, doc)
     # the trivial group's norms over the reals are the doubles, so the
-    # half-integrality clause is the whole diagnosis; the site's character
-    # is resolved at load, so the report refuses it as the verdict does
+    # half-integrality clause is the whole diagnosis; the report runs the
+    # decision that resolves the site's character, so it refuses it too
     for command in ("decide", "invariants"):
         assert run(capsys, command, path) == (
             2, "", "error: %s: site inf: invalid Tits character: value 1/6 not in (1/2)Z/Z\n" % path
@@ -409,6 +428,48 @@ def test_duplicate_site_labels_exit_2(tmp_path, capsys, labels, k, label):
         ), command
     doc["field"]["sites"][k]["label"] = "elsewhere"
     assert run(capsys, "decide", write(tmp_path, doc))[0] == 0
+
+
+def test_a_bad_pair_is_refused_before_a_bad_site_character(tmp_path, capsys):
+    # the decision resolves the sites, after the payload is built
+    doc = _demo("su6_number_field.json")
+    doc["I"], doc["M"] = [1], [[1, 0, 0, 0, 0]]
+    doc["field"]["sites"][0]["t0"] = ["1/3"]
+    path = write(tmp_path, doc)
+    for command in ("decide", "invariants"):
+        assert run(capsys, command, path) == (
+            2, "", "error: %s: invalid horospherical datum: node 1 pairs with [1, 0, 0, 0, 0]\n" % path
+        ), command
+
+
+def test_a_decision_resolves_each_site_character_once(capsys, monkeypatch):
+    from spherical_models import decision
+
+    calls = []
+    resolve = decision.resolve_local_character
+
+    def counted(*args):
+        calls.append(args[3])
+        return resolve(*args)
+
+    monkeypatch.setattr(decision, "resolve_local_character", counted)
+    assert run(capsys, "decide", str(PROBLEMS / "su6_number_field.json")) == (0, "exists\n", "")
+    # two of its three sites carry a character, one real and one p-adic
+    assert calls == ["real", "padic"]
+
+
+def test_many_sites_load_and_decide_in_linear_time(tmp_path):
+    from spherical_models.cli import load_problem, run_decide
+
+    sites = [{"mode": "real", "galois": "flip", "t0": ["1/2"]}, {"mode": "padic", "galois": "flip"}] * 5000
+    path = write(tmp_path, {
+        "version": 1, "kind": "gu", "root_datum": "A5", "galois": "flip",
+        "field": {"mode": "number_field", "sites": sites},
+    })
+    start = time.process_time()
+    verdict = run_decide(load_problem(path)[0], path)
+    assert time.process_time() - start < 5.0
+    assert len(verdict.reasons) == 10001 and not verdict.exists
 
 
 def test_number_field_site_character_is_checked_before_pair_stability(tmp_path, capsys):
@@ -899,8 +960,7 @@ def test_trivial_group_refuses_a_generator_other_than_the_identity(tmp_path, cap
 
 
 # Documents of a valid shape whose mathematics is invalid: each is refused
-# with exit 2 at the document's path, never exit 3.  The G/U verdict needs no
-# orbit datum, so only the invariants report meets the color cap on A20.
+# with exit 2 at the document's path, never exit 3.
 _OVERLAP = _replaced(SL6, ["sigma234"], [0])
 # D5 with one central torus coordinate taken away: 4-entry rows of X
 _NEGATIVE_TORUS = {
@@ -908,34 +968,62 @@ _NEGATIVE_TORUS = {
     "tits": "zero", "torus_rank": -1, "X": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
 }
 INVALID_DATA = [
-    (_OVERLAP, "bad spherical datum: doubling flags overlap the colinear-color simple roots", 2),
-    (dict(_OVERLAP, tits="zero"), "bad spherical datum: doubling flags overlap the colinear-color simple roots", 2),
+    (_OVERLAP, "bad spherical datum: doubling flags overlap the colinear-color simple roots"),
+    (dict(_OVERLAP, tits="zero"), "bad spherical datum: doubling flags overlap the colinear-color simple roots"),
     (
         dict(SL3_BASE, colors=SL3_BASE["colors"] + [{"id": "E%d" % i, "rho": ["1", "1"], "sigma_set": []} for i in range(3)]),
         "bad spherical datum: three colors share the same image: E0, E1, E2",
-        2,
     ),
-    ({"version": 1, "kind": "gu", "root_datum": "A20", "field": {"mode": "real"}}, "more than 16 colors is out of scope", 0),
-    (_NEGATIVE_TORUS, "bad spherical datum: torus_rank must be at least 0, got -1", 2),
+    (_NEGATIVE_TORUS, "bad spherical datum: torus_rank must be at least 0, got -1"),
     (
         dict(_NEGATIVE_TORUS, colors=[{"id": "D", "rho": ["1", "0", "0", "0"], "sigma_set": [1]}]),
         "bad spherical datum: torus_rank must be at least 0, got -1",
-        2,
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "doc, message, decide_code",
+    "doc, message",
     INVALID_DATA,
-    ids=["overlap", "overlap-zero-tits", "three-colors", "gu-A20", "negative-torus", "negative-torus-color"],
+    ids=["overlap", "overlap-zero-tits", "three-colors", "negative-torus", "negative-torus-color"],
 )
-def test_invalid_data_of_valid_shape_exits_2(tmp_path, capsys, doc, message, decide_code):
+def test_invalid_data_of_valid_shape_exits_2(tmp_path, capsys, doc, message):
     path = write(tmp_path, doc)
     refused = (2, "", "error: %s: %s\n" % (path, message))
-    decided = run(capsys, "decide", path)
-    assert decided == (refused if decide_code == 2 else (0, "exists\n", ""))
+    assert run(capsys, "decide", path) == refused
     assert run(capsys, "invariants", path) == refused
+
+
+def test_gu_above_the_color_bound_is_decided_and_reported(tmp_path, capsys):
+    # the bound is on a document's colors; the derived orbit datum of a pair
+    # has one color per image, so one lift, and is never bounded
+    path = write(tmp_path, {"version": 1, "kind": "gu", "root_datum": "A20", "field": {"mode": "real"}})
+    assert run(capsys, "decide", path) == (0, "exists\n", "")
+    code, out, err = run(capsys, "invariants", path)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    k = lines.index("omega1 (20):")
+    assert [line.split(" moves ")[1] for line in lines[k + 1 : k + 21]] == ["[%d]" % i for i in range(1, 21)]
+    assert lines[k + 21] == "omega2 (0):"
+
+
+def test_color_cap_is_checked_before_the_lattice(tmp_path, capsys):
+    # 17 colors and dependent X rows: the cap is reported, not the HNF result;
+    # at 16 colors the lattice is refused
+    def colors(n):
+        return [{"id": "c%d" % i, "rho": [0, i], "sigma_set": []} for i in range(n)]
+
+    doc = dict(SL3_BASE, X=[[1, 0], [2, 0]], sigma=[], colors=colors(17))
+    path = write(tmp_path, doc)
+    for command in ("decide", "invariants"):
+        assert run(capsys, command, path) == (
+            2, "", "error: %s: bad spherical datum: more than 16 colors is out of scope\n" % path
+        ), command
+    path = write(tmp_path, dict(doc, colors=colors(16)))
+    for command in ("decide", "invariants"):
+        assert run(capsys, command, path) == (
+            2, "", "error: %s: bad spherical datum: basis rows are not linearly independent\n" % path
+        ), command
 
 
 @pytest.mark.parametrize("doc, where", MALFORMED)

@@ -37,13 +37,6 @@ def test_rejects_dependent_basis(rd_a2):
         SphericalDatum(rd_a2, [[1, 0], [2, 0]], [], [])
 
 
-def test_color_cap_is_checked_before_the_lattice(rd_a2):
-    # 17 colors and dependent basis rows: the cap is reported, not the HNF result
-    cols = [Color("c%d" % i, (0, 0), frozenset()) for i in range(17)]
-    with pytest.raises(ValueError, match="more than 16 colors"):
-        SphericalDatum(rd_a2, [[1, 0], [2, 0]], [], cols)
-
-
 def test_rejects_root_outside_root_lattice(rd_a2):
     with pytest.raises(ValueError):
         SphericalDatum(rd_a2, [[1, 0], [0, 1]], [(1, 0)], [])  # omega1 is not in Q
