@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .decision import (
     NUMBER_FIELD,
@@ -104,67 +106,98 @@ KINDS = tuple(SCHEMA)
 MAX_COLORS = 16
 
 
-def _shape_error(value, shape):
-    """(path suffix, message) for the first misfit of ``value`` to ``shape``, or None."""
-    if shape is int:
-        if type(value) is int:  # no booleans, no strings
-            return None
-        return "", "expected an integer, got %s" % json.dumps(value, default=repr)
-    if shape is str:
-        return None if type(value) is str else ("", "expected a string")
-    if shape is bool:
-        return None if type(value) is bool else ("", "expected true or false")
-    if shape is object:
-        return None
-    if shape is list:
-        return None if isinstance(value, (list, tuple)) else ("", "expected a list")
-    if isinstance(shape, tuple):
-        if value in shape:  # a JSON value equals no alternative but a literal
-            return None
-        fits = [
-            alt for alt in shape
-            if alt is list and isinstance(value, list) or (
-                isinstance(alt, dict) and isinstance(value, dict)
-                and all(key in value for key in _required(alt))
-            )
+_INT = {int}
+# each type that is a shape: what fits it, and the message for a misfit
+_TYPES = {
+    int: (lambda value: type(value) is int,  # no booleans, no strings
+          lambda value: "expected an integer, got %s" % json.dumps(value, default=repr)),
+    str: (lambda value: type(value) is str, lambda value: "expected a string"),
+    bool: (lambda value: type(value) is bool, lambda value: "expected true or false"),
+    object: (lambda value: True, None),
+    list: (lambda value: isinstance(value, (list, tuple)), lambda value: "expected a list"),
+}
+
+
+def _compile(shape):
+    """A checker of values against ``shape``: it returns (path suffix,
+    message) for the first misfit, or None.  Each shape is walked once, here,
+    so a document's check runs only closures."""
+    if isinstance(shape, type):
+        fits, misfit = _TYPES[shape]
+
+        def check(value):
+            return None if fits(value) else ("", misfit(value))
+    elif isinstance(shape, tuple):
+        check = _compile_alternatives(shape)
+    elif isinstance(shape, dict):
+        fields = [
+            (key, type(sub) is Required, _compile(sub.shape if type(sub) is Required else sub))
+            for key, sub in shape.items()
         ]
-        if len(fits) == 1:
-            return _shape_error(value, fits[0])
-        words = [
-            "null" if alt is None else "a list" if alt is list
-            else 'an object with "%s"' % '", "'.join(_required(alt)) if isinstance(alt, dict)
-            else json.dumps(alt)
-            for alt in shape
-        ]
-        return "", "expected %s or %s" % (", ".join(words[:-1]), words[-1])
-    if isinstance(shape, dict):
-        if not isinstance(value, dict):
-            return "", "expected an object"
-        for key, sub in shape.items():
-            if type(sub) is Required:
-                if key not in value:
+
+        def check(value):
+            if not isinstance(value, dict):
+                return "", "expected an object"
+            for key, required, sub in fields:
+                if key in value:
+                    err = sub(value[key])
+                    if err is not None:
+                        return ".%s%s" % (key, err[0]), err[1]
+                elif required:
                     return "", "missing required key %r" % key
-                sub = sub.shape
-            if key in value:
-                err = _shape_error(value[key], sub)
-                if err is not None:
-                    return ".%s%s" % (key, err[0]), err[1]
-        return None
-    (item,) = shape
-    if not isinstance(value, (list, tuple)):
+            return None
+    else:
+        (item,) = shape
         of = " of integers" if item is int else " of integer rows" if item == [int] else ""
-        return "", "expected a list" + of
-    if item is int and all(type(x) is int for x in value):
-        return None  # the common case, without a call per entry
-    for k, x in enumerate(value):
-        err = _shape_error(x, item)
-        if err is not None:
-            return "[%d]%s" % (k, err[0]), err[1]
-    return None
+        sub = _compile(item)
+
+        def check(value):
+            if not isinstance(value, (list, tuple)):
+                return "", "expected a list" + of
+            if item is int and set(map(type, value)) <= _INT:
+                return None  # the common case, without a call per entry
+            for k, x in enumerate(value):
+                err = sub(x)
+                if err is not None:
+                    return "[%d]%s" % (k, err[0]), err[1]
+            return None
+    return check
+
+
+def _compile_alternatives(shape):
+    """The checker of a tuple of alternatives (see SCHEMA)."""
+    # a JSON value equals no alternative but a literal
+    literals = [alt for alt in shape if alt is None or type(alt) is str]
+    takes_list = list in shape
+    objects = [(_required(alt), _compile(alt)) for alt in shape if isinstance(alt, dict)]
+    words = [
+        "null" if alt is None else "a list" if alt is list
+        else 'an object with "%s"' % '", "'.join(_required(alt)) if isinstance(alt, dict)
+        else json.dumps(alt)
+        for alt in shape
+    ]
+    misfit = ("", "expected %s or %s" % (", ".join(words[:-1]), words[-1]))
+
+    def check(value):
+        if value in literals:
+            return None
+        fits = []
+        if takes_list and isinstance(value, list):
+            fits.append(None)
+        if isinstance(value, dict):
+            fits += [sub for keys, sub in objects if all(key in value for key in keys)]
+        if len(fits) != 1:
+            return misfit
+        return None if fits[0] is None else fits[0](value)
+    return check
 
 
 def _required(shape):
     return [key for key, sub in shape.items() if type(sub) is Required]
+
+
+# the checker of each kind's shape
+_CHECKS = {kind: _compile(shape) for kind, shape in SCHEMA.items()}
 
 
 class ProblemError(ValueError):
@@ -181,28 +214,47 @@ def _need(doc, key, path):
     return doc[key]
 
 
+# The type-level parses, each once per label or (type, entry).  The caches
+# are bounded because labels and entries come from documents.
+@lru_cache(maxsize=256)
+def _root_datum(label):
+    return based_root_datum(label)
+
+
 def _parse_galois(entry, rd, path):
+    if type(entry) is not str:
+        entry = (entry["group"], tuple(map(tuple, entry.get("generators", []))))
+    galois = _galois_entry(rd, entry)
+    if type(galois) is str:
+        _fail(path, galois)
+    return galois
+
+
+@lru_cache(maxsize=256)
+def _galois_entry(rd, entry):
+    """The Galois image that a document's entry names, or the refusal
+    message: "trivial", "flip" or a (group, generators) pair."""
     if entry == "trivial":
         return galois_from_permutations(rd, [])
     if entry == "flip":
         flip = diagram_flip(rd.type)
         if flip is None:
-            _fail(path, "type %s has no order-2 diagram automorphism" % rd.type)
+            return "type %s has no order-2 diagram automorphism" % rd.type
         return galois_from_permutations(rd, [flip])
-    group = entry["group"]
+    group, generators = entry
     autos = []
-    for k, one_line in enumerate(entry.get("generators", [])):
+    for k, one_line in enumerate(generators):
         if sorted(one_line) != list(range(1, rd.rank + 1)):
-            _fail(path, "generator %d is not a permutation of 1..%d" % (k + 1, rd.rank))
-        if group == "trivial" and one_line != sorted(one_line):
-            _fail(path, "generator %d of the trivial group is not the identity" % (k + 1))
+            return "generator %d is not a permutation of 1..%d" % (k + 1, rd.rank)
+        if group == "trivial" and one_line != tuple(sorted(one_line)):
+            return "generator %d of the trivial group is not the identity" % (k + 1)
         autos.append(DiagramAutomorphism(tuple(i - 1 for i in one_line)))
     if group == "trivial":
         return galois_from_permutations(rd, [])
     try:
         return galois_from_permutations(rd, autos, group_name=group)
     except ValueError as e:
-        _fail(path, str(e))
+        return str(e)
 
 
 def _parse_tits(entry, rd, path):
@@ -279,7 +331,7 @@ def _check_problem(doc, path):
     kind = _need(doc, "kind", path)
     if kind not in KINDS:
         raise ProblemError("%s: unknown kind %r (expected one of %s)" % (path, kind, ", ".join(KINDS)))
-    err = _shape_error(doc, SCHEMA[kind])
+    err = _CHECKS[kind](doc)
     if err is not None:
         _fail(path + err[0], err[1])
     if kind == "diagonal":
@@ -312,7 +364,7 @@ def _build_common(doc, path):
     by ``decide_number_field``, which names a refused site.
     """
     try:
-        rd = based_root_datum(doc["root_datum"])
+        rd = _root_datum(doc["root_datum"])
     except ValueError as e:
         _fail(path + ".root_datum", str(e))
     galois = _parse_galois(doc.get("galois", "trivial"), rd, path + ".galois")
@@ -490,6 +542,37 @@ def invariants_report(doc, path):
 # -- commands ----------------------------------------------------------------
 
 
+def _dumps(value, newline="\n"):
+    """``json.dumps(value, sort_keys=True, indent=2)`` of a verdict's values:
+    strings, integers, booleans, None, lists and objects with string keys.
+
+    The json encoder takes its pure-Python path whenever it indents; this
+    writes the same bytes directly.  ``newline`` is the line break with the
+    indentation of the current level.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_quote(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
 def _internal_error(e):
     """Exit 3 for a fault of the engine: 1 would read as "does not exist"."""
     print("internal error: %r" % (e,), file=sys.stderr)
@@ -506,7 +589,7 @@ def cmd_decide(args):
     except Exception as e:
         return _internal_error(e)
     if args.json:
-        print(json.dumps(verdict.to_dict(), sort_keys=True, indent=2))
+        print(_dumps(verdict.to_dict()))
     else:
         print("exists" if verdict.exists else "does not exist")
         if verdict.uniqueness_note:
@@ -542,7 +625,7 @@ def cmd_catalog(args):
         if args.action == "list":
             lines = catalog_names()
         else:
-            lines = [json.dumps(catalog_lookup(args.name).to_dict(), sort_keys=True, indent=2)]
+            lines = [_dumps(catalog_lookup(args.name).to_dict())]
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -28,6 +28,8 @@ import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .galoismodule import (
@@ -43,10 +45,12 @@ from .lattice import (
     FgAbelianGroup,
     IntMatrix,
     Lattice,
+    action_coordinates,
+    apply_row,
+    fixed_generators,
     fixed_sublattice,
     preimage_lattice,
     quotient_group,
-    apply_row,
 )
 from .rootdata import (
     DiagramAutomorphism,
@@ -186,21 +190,59 @@ def resolve_local_character(rd, galois, tits, mode):
     """The Tits character ``tits`` on the center fixed points, validated.
 
     The one route from a TitsClassSpec to a BrCharacter.  Each (type, image,
-    spec, mode) is resolved once per process; a refused character raises
-    ValueError on every call, since nothing is cached for it.
+    spec, mode) is resolved once per process, a refused one too: the cache
+    keeps its message, and every call raises ValueError with that text.
     """
-    return _resolve_local_character(rd.type, galois, tits, check_local_mode(mode))
+    local = _resolve_local_character(rd.type, galois, tits, check_local_mode(mode))
+    if type(local) is str:
+        raise ValueError(local)
+    return local
 
 
 @lru_cache(maxsize=None)
 def _resolve_local_character(t, galois, tits, mode):
+    """The LocalCharacter of resolve_local_character, or its refusal message."""
     mod, inv, fixed = center_invariants(based_root_datum(t), galois)
-    t0 = BrCharacter.zero(inv) if tits.kind == "zero" else BrCharacter(inv, tits.values)
+    try:
+        t0 = BrCharacter.zero(inv) if tits.kind == "zero" else BrCharacter(inv, tits.values)
+    except ValueError as e:
+        return str(e)
     local = LocalCharacter(mod, inv, fixed, t0)
     problems = validate_br_character(t0, mode, galois, local)
     if problems:
-        raise ValueError("invalid Tits character: " + "; ".join(problems))
+        return "invalid Tits character: " + "; ".join(problems)
     return local
+
+
+@lru_cache(maxsize=None)
+def _kill_test(local):
+    """(u, D), integers: ``local.t0`` kills the center class of a weight w
+    of F exactly when u . w is 0 modulo D.
+
+    With w = c B for B the canonical basis of F, the class of w is c taken
+    modulo Q, so the character's value on it is c . a modulo 1, for a_j its
+    value on the class of the j-th basis row.  B is triangular on its pivot
+    columns, so back-substitution solves B u = a with u zero off the pivots;
+    then u . w = c . a.  All in integers: a is kept times the character's
+    order, u as numerators over D, and D grows by what each (positive)
+    pivot leaves after cancelling.  Once per character.
+    """
+    fixed, inv, t0 = local.fixed, local.inv, local.t0
+    k, order = fixed.rank, t0.order()
+    scaled = [int(v * order) for v in t0.values]
+    a_times_order = [
+        sum(map(mul, inv.from_ambient((0,) * j + (1,) + (0,) * (k - j - 1)), scaled)) for j in range(k)
+    ]
+    d = order
+    u = [0] * fixed.ambient_rank
+    for row, p, a in reversed(list(zip(fixed.basis.data, fixed.pivots, a_times_order))):
+        x = a * (d // order) - sum(map(mul, row[p + 1 :], u[p + 1 :]))
+        g = gcd(x, row[p])
+        if row[p] != g:
+            u = [y * (row[p] // g) for y in u]
+            d *= row[p] // g
+        u[p] = x // g
+    return tuple(y % d for y in u), d
 
 
 def theta_lattice(rd, galois, t0):
@@ -245,34 +287,46 @@ def _stability_reason(action):
     )
 
 
-def _first_failing_row(local, lattice, mats, modulo=None):
-    """The first canonical basis row of the points of ``lattice`` that the
-    matrices fix modulo ``modulo`` whose center class ``local.t0`` does not
-    kill, or None when it kills them all.
+def _first_failing_row(local, rows):
+    """The first canonical basis row of the lattice L that ``rows`` generate
+    whose center class ``local.t0`` does not kill, or None when it kills
+    them all.
 
-    Those points map onto the fixed classes of lattice/modulo, so their
+    L is the points of a lattice that the Galois generators fix modulo some
+    lattice, which map onto the fixed classes of the quotient, so their
     center classes are the pushed-forward fixed classes: the weights of an
     orbit lattice modulo its doubled spherical roots, or the fixed part of
-    the lattice of a horospherical pair (``modulo`` None).  The weight
-    coordinates come first; central-torus ones follow.
+    the lattice of a horospherical pair.  Their weight coordinates lie in F
+    and come first; central-torus ones follow, and the kill test, which has
+    one entry per weight coordinate, does not read them.  The character is
+    a homomorphism, so it kills L when it kills the generators, and L's
+    canonical basis is built only when some generator fails.
     """
-    rank = local.fixed.ambient_rank
-    rows = fixed_sublattice(lattice, mats, modulo).basis.data
-    return next((r for r in rows if local.t0.evaluate(local.class_of(r[:rank]))), None)
+    u, d = _kill_test(local)
+
+    def fails(row):
+        return sum(map(mul, u, row)) % d
+
+    if not any(map(fails, rows)):
+        return None
+    return next(filter(fails, Lattice(len(rows[0]), rows).basis.data))
 
 
 def _spherical_cohomology(datum, galois, local):
-    """The cohomology reason of a spherical orbit.
+    """The cohomology reason of a spherical orbit, under a stable action.
 
     The Tits character must vanish on the pushed-forward fixed automorphism
     characters; the witness is the center class of the first failing row.
     """
     if local.t0.is_zero():
         return _reason("cohomology", True, rule="t0-trivial")
-    bad = _first_failing_row(
-        local, datum.lattice, _extended_matrices(datum, galois),
-        Lattice(datum.ambient_dim, datum.sigma_n),
-    )
+    # the orbit action is stable: it keeps the orbit lattice, the spherical
+    # roots, the doubling flags and the color images, so also the simple
+    # roots with colinear colors, the set sigma_N and its span
+    mats = _extended_matrices(datum, galois)
+    bad = _first_failing_row(local, fixed_generators(
+        datum.lattice, action_coordinates(datum.lattice, mats), Lattice(datum.ambient_dim, datum.sigma_n),
+    ))
     witness = None if bad is None else list(local.class_of(bad[: datum.rd.rank]))
     return _reason("cohomology", bad is None, rule="generic-theta", witness=witness)
 
@@ -294,11 +348,13 @@ def decide_local_general(datum, galois, tits, mode):
     return Verdict(tuple(reasons), tuple(citations))
 
 
+@lru_cache(maxsize=None)
 def _shortcut_label(rd, galois, local):
     """The tabulated condition, *1 to *5, covering a type, action and character.
 
     Returns None outside the table.  The label names the rule of a verdict;
-    the verdict itself always comes from _first_failing_row.
+    the verdict itself always comes from _first_failing_row.  Once per
+    (type, image, character).
     """
     fam, n = rd.type.family, rd.type.rank
     trivial = galois.is_trivial_action()
@@ -353,12 +409,12 @@ def _horospherical_cohomology(datum, galois, local):
     """(ok, rule, witness) of the cohomology condition of a stable pair.
 
     For a nonzero character its kernel must contain the center class of
-    every fixed point of M; the witness is the first basis row of the fixed
-    part whose class it does not kill.
+    every fixed point of M; the witness is the first canonical basis row of
+    the fixed part whose class it does not kill.
     """
     if local.t0.is_zero():
         return True, "t0-trivial", None
-    offender = _first_failing_row(local, datum.M, galois.generator_matrices())
+    offender = _first_failing_row(local, datum.fixed_points(galois))
     rule = _shortcut_label(datum.rd, galois, local) or "generic-theta"
     return offender is None, rule, None if offender is None else list(offender)
 
@@ -398,7 +454,9 @@ def decide_number_field(datum, galois, sites):
     none.  Each site's image must sit inside the global image, so the pair
     is stable under it as well.  Every site is checked, its label, its image
     and its character, before any reason is given, as the local verdicts
-    check theirs; a refused site raises ValueError naming it.
+    check theirs; a refused site raises ValueError naming it.  The fixed
+    part of M is computed once per distinct site image, and the condition
+    once per distinct image and character.
     """
     labels, site_chars = set(), []
     for site in sites:
@@ -423,11 +481,15 @@ def decide_number_field(datum, galois, sites):
     ]
     if not stable:
         return Verdict(tuple(reasons), tuple(citations))
+    answers = {}  # sites with equal images and characters have equal answers
     for site, local in zip(sites, site_chars):
         if local is None:
             reasons.append(_reason("site:%s" % site.label, True, rule="t0-trivial"))
             continue
-        ok, rule, witness = _horospherical_cohomology(datum, site.galois, local)
+        if (site.galois, local) not in answers:
+            answers[site.galois, local] = _horospherical_cohomology(datum, site.galois, local)
+        ok, rule, witness = answers[site.galois, local]
+        witness = None if witness is None else list(witness)
         reasons.append(_reason("site:%s" % site.label, ok, rule=rule, witness=witness))
     return Verdict(tuple(reasons), tuple(citations))
 

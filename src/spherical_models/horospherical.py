@@ -9,13 +9,13 @@ which the constructor checks.
 
 from __future__ import annotations
 
-from .lattice import Lattice, stabilizes
+from .lattice import Lattice, action_coordinates, fixed_generators
 from .rootdata import node_permutation
 from .spherical import Color, SphericalDatum
 
 
 class HorosphericalDatum:
-    __slots__ = ("rd", "I", "M")
+    __slots__ = ("rd", "I", "M", "_actions", "_fixed")
 
     def __init__(self, rd, nodes, m_rows):
         self.rd = rd
@@ -31,18 +31,33 @@ class HorosphericalDatum:
         ]
         if bad:
             raise ValueError("invalid horospherical datum: " + "; ".join(bad))
+        # per Galois image, what action() and fixed_points() derived
+        self._actions, self._fixed = {}, {}
 
     def stable(self, galois):
         """True iff every generator fixes I setwise and maps M onto M.
 
         A generator has finite order, so mapping M into M is mapping it onto M.
         """
-        mats = galois.generator_matrices()
-        for m in mats:
-            perm = node_permutation(self.rd, m)
-            if perm is None or {perm[i] for i in self.I} != self.I:
-                return False
-        return stabilizes(self.M, mats)
+        return self.action(galois) is not None
+
+    def action(self, galois):
+        """The generator matrices on M in its canonical basis, as
+        lattice.action_coordinates gives them, or None when the pair is not
+        stable.  Each image is checked once per datum."""
+        if galois not in self._actions:
+            mats = galois.generator_matrices()
+            perms = [node_permutation(self.rd, m) for m in mats]
+            keeps_i = all(p is not None and {p[i] for i in self.I} == self.I for p in perms)
+            self._actions[galois] = action_coordinates(self.M, mats) if keeps_i else None
+        return self._actions[galois]
+
+    def fixed_points(self, galois):
+        """Generating rows, not canonical, of the points of M that the image
+        fixes; the pair must be stable under it.  Once per image and datum."""
+        if galois not in self._fixed:
+            self._fixed[galois] = fixed_generators(self.M, self.action(galois))
+        return self._fixed[galois]
 
     def to_spherical(self):
         """The combinatorial invariants of the corresponding open orbit.

@@ -393,11 +393,51 @@ class _RowSolver(Lattice):
         return None if y is None else apply_row(y, self.u)
 
 
-def stabilizes(lattice, mats):
-    """True iff every matrix maps the lattice into itself."""
-    return all(
-        lattice.member(apply_row(row, g)) for g in mats for row in lattice.basis.data
-    )
+def action_coordinates(lattice, mats):
+    """The matrix of each of ``mats`` on ``lattice`` in its canonical basis,
+    or None when one of them does not map the lattice into itself.
+
+    Row i of a matrix holds the coordinates of b_i g, for b_i the i-th
+    canonical basis row; finding them is the stability test.
+    """
+    out = []
+    for g in mats:
+        rows = []
+        for row in lattice.basis.data:
+            c = lattice.coords_of(apply_row(row, g))
+            if c is None:
+                return None
+            rows.append(c)
+        out.append(rows)
+    return out
+
+
+def fixed_generators(lattice, action, modulo=None):
+    """Generating rows, not canonical, of the points x of ``lattice`` with
+    x g - x in ``modulo`` for each g, the fixed points when ``modulo`` is None.
+
+    ``action`` holds the matrices of the g on the lattice, as
+    action_coordinates gives them, and they must stabilize ``modulo``.  With
+    x = c B for B the canonical basis, x g - x = c (A_g - I) B, so the
+    condition reads in coordinates: c (A_g - I) lies in the part of
+    ``modulo`` inside the lattice, written in the same coordinates.
+    """
+    b = lattice.basis
+    k = b.rows
+    if not action or k == 0:
+        return b.data
+    blocks = [[[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)] for a in action]
+    stacked = IntMatrix([sum((blk[i] for blk in blocks), []) for i in range(k)])
+    target = None
+    if modulo is not None:
+        rel = [lattice.coords_of(row) for row in modulo.basis.data]
+        if None in rel:  # only the points of modulo inside the lattice are differences
+            rel = preimage_lattice(b, modulo)
+        target = Lattice(k * len(action), [
+            [0] * (i * k) + list(r) + [0] * ((len(action) - 1 - i) * k)
+            for i in range(len(action)) for r in rel
+        ])
+    return [apply_row(c, b) for c in preimage_lattice(stacked, target)]
 
 
 def fixed_sublattice(lattice, mats, modulo=None):
@@ -417,31 +457,12 @@ def fixed_sublattice(lattice, mats, modulo=None):
     for g in mats:
         if g.rows != n or g.cols != n:
             raise ValueError("action matrix has wrong size")
-    if not stabilizes(lattice, mats):
+    action = action_coordinates(lattice, mats)
+    if action is None:
         raise ValueError("action does not stabilize the lattice")
-    if modulo is not None and not stabilizes(modulo, mats):
+    if modulo is not None and action_coordinates(modulo, mats) is None:
         raise ValueError("action does not stabilize the subgroup of relations")
-    b = lattice.basis
-    if not mats or b.rows == 0:
-        return Lattice(n, b.data)
-    # condition on coefficient rows c:  c @ (B g - B) lies in modulo, for all g
-    stacked = _side_by_side([b * g - b for g in mats], b.rows)
-    target = None if modulo is None else _blockwise(modulo.basis.data, n, len(mats))
-    return Lattice(n, [apply_row(c, b) for c in preimage_lattice(stacked, target)])
-
-
-def _side_by_side(blocks, rows):
-    """The matrices ``blocks``, each with ``rows`` rows, side by side."""
-    return IntMatrix([sum((list(m.data[i]) for m in blocks), []) for i in range(rows)])
-
-
-def _blockwise(rows, width, count):
-    """The lattice of ``count`` blocks of width ``width``, each spanned by ``rows``:
-    the target of a condition on ``count`` matrices placed side by side."""
-    return Lattice(
-        width * count,
-        [[0] * (i * width) + list(r) + [0] * ((count - 1 - i) * width) for i in range(count) for r in rows],
-    )
+    return Lattice(n, fixed_generators(lattice, action, modulo))
 
 
 class FgAbelianGroup:

@@ -19,10 +19,13 @@ reference for the norm check of ``validate_br_character``), and the local
 cohomology condition through the automorphism character groups and the
 pushforward map kappa (the reference for the engine's one lattice test).
 Also: epsilon coordinates of the classical types (the reference for the
-``*4`` shortcut), and element-by-element arithmetic in finite abelian
-groups.
+``*4`` shortcut), element-by-element arithmetic in finite abelian groups,
+and the routes that a warm decision no longer takes: fixed points from
+the ambient matrices, the row scan through ``class_of``, the recursive
+walk of the problem schema and the indenting json encoder.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
@@ -32,9 +35,9 @@ from spherical_models.lattice import (
     IntMatrix,
     Lattice,
     _RowSolver,
+    action_coordinates,
     apply_row,
     preimage_lattice,
-    stabilizes,
 )
 
 
@@ -283,7 +286,7 @@ def quotient_with_action(lattice, sub, mats):
     matrices ``mats``, which must stabilize both lattices, induce."""
     if not lattice.contains(sub):
         raise ValueError("not a sublattice")
-    if not stabilizes(sub, mats):
+    if action_coordinates(sub, mats) is None:
         raise ValueError("action does not stabilize the subgroup of relations")
     induced = []
     for g in mats:
@@ -1078,3 +1081,115 @@ def diagram_automorphisms_by_search(t):
     extend([])
     found.sort(key=lambda p: (p != tuple(range(n)), p))
     return [DiagramAutomorphism(p) for p in found]
+
+
+# -- the routes a warm decision replaced ---------------------------------------
+#
+# The engine reads the fixed points of a lattice from the coordinates of the
+# action in its basis, tests a character on generators by one integer dot
+# product, checks documents with closures compiled from cli.SCHEMA and
+# writes the verdict JSON directly.  The routes it took before live here.
+
+
+def fixed_sublattice_by_ambient(lattice, mats, modulo=None):
+    """The points x of ``lattice`` with x g - x in ``modulo`` for every g, from
+    the ambient matrices: the coefficient rows c with c (B g - B) in
+    ``modulo``, all g side by side against a blockwise target, for B the
+    canonical basis.  The matrices must stabilize both lattices."""
+    if isinstance(lattice, int):
+        lattice = Lattice.full(lattice)
+    n = lattice.ambient_rank
+    if action_coordinates(lattice, mats) is None:
+        raise ValueError("action does not stabilize the lattice")
+    if modulo is not None and action_coordinates(modulo, mats) is None:
+        raise ValueError("action does not stabilize the subgroup of relations")
+    b = lattice.basis
+    if not mats or b.rows == 0:
+        return Lattice(n, b.data)
+    diffs = [[[x - y for x, y in zip(moved, row)] for moved, row in zip((b * g).data, b.data)] for g in mats]
+    stacked = IntMatrix([sum((d[i] for d in diffs), []) for i in range(b.rows)])
+    target = None
+    if modulo is not None:
+        count = len(mats)
+        target = Lattice(n * count, [
+            [0] * (i * n) + list(r) + [0] * ((count - 1 - i) * n)
+            for i in range(count) for r in modulo.basis.data
+        ])
+    return Lattice(n, [apply_row(c, b) for c in preimage_lattice(stacked, target)])
+
+
+def first_failing_row_by_class_of(local, lattice, mats, modulo=None):
+    """The first canonical basis row of the points of ``lattice`` fixed modulo
+    ``modulo`` whose center class, read by ``local.class_of`` from its weight
+    coordinates, ``local.t0`` does not kill; None when it kills them all."""
+    rank = local.fixed.ambient_rank
+    rows = fixed_sublattice_by_ambient(lattice, mats, modulo).basis.data
+    return next((r for r in rows if local.t0.evaluate(local.class_of(r[:rank]))), None)
+
+
+def shape_error_by_walk(value, shape):
+    """(path suffix, message) for the first misfit of ``value`` to a shape of
+    cli.SCHEMA, or None, by walking the shape recursively on every call."""
+    from spherical_models.cli import Required
+
+    def required(alt):
+        return [key for key, sub in alt.items() if type(sub) is Required]
+
+    if shape is int:
+        if type(value) is int:
+            return None
+        return "", "expected an integer, got %s" % json.dumps(value, default=repr)
+    if shape is str:
+        return None if type(value) is str else ("", "expected a string")
+    if shape is bool:
+        return None if type(value) is bool else ("", "expected true or false")
+    if shape is object:
+        return None
+    if shape is list:
+        return None if isinstance(value, (list, tuple)) else ("", "expected a list")
+    if isinstance(shape, tuple):
+        if value in shape:
+            return None
+        fits = [
+            alt for alt in shape
+            if alt is list and isinstance(value, list) or (
+                isinstance(alt, dict) and isinstance(value, dict)
+                and all(key in value for key in required(alt))
+            )
+        ]
+        if len(fits) == 1:
+            return shape_error_by_walk(value, fits[0])
+        words = [
+            "null" if alt is None else "a list" if alt is list
+            else 'an object with "%s"' % '", "'.join(required(alt)) if isinstance(alt, dict)
+            else json.dumps(alt)
+            for alt in shape
+        ]
+        return "", "expected %s or %s" % (", ".join(words[:-1]), words[-1])
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return "", "expected an object"
+        for key, sub in shape.items():
+            if type(sub) is Required:
+                if key not in value:
+                    return "", "missing required key %r" % key
+                sub = sub.shape
+            if key in value:
+                err = shape_error_by_walk(value[key], sub)
+                if err is not None:
+                    return ".%s%s" % (key, err[0]), err[1]
+        return None
+    (item,) = shape
+    if not isinstance(value, (list, tuple)):
+        of = " of integers" if item is int else " of integer rows" if item == [int] else ""
+        return "", "expected a list" + of
+    for k, x in enumerate(value):
+        err = shape_error_by_walk(x, item)
+        if err is not None:
+            return "[%d]%s" % (k, err[0]), err[1]
+    return None
+
+
+def verdict_json_by_encoder(doc):
+    """The verdict JSON as the json encoder writes it: sorted keys, indent 2."""
+    return json.dumps(doc, sort_keys=True, indent=2)

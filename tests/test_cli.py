@@ -616,7 +616,7 @@ def test_integer_documents_still_decide(tmp_path, capsys):
 
 def test_datum_with_doubling_flags_round_trips_through_cli(tmp_path, capsys):
     from spherical_models import based_root_datum
-    from spherical_models.cli import SCHEMA, _build_payload, _shape_error
+    from spherical_models.cli import _CHECKS, _build_payload
 
     rd = based_root_datum("D5")
     datum = _build_payload(dict(SO10_QUATERNIONIC, sigma234=[0]), rd, "spherical", "x")
@@ -625,7 +625,7 @@ def test_datum_with_doubling_flags_round_trips_through_cli(tmp_path, capsys):
     code, out, err = run(capsys, "decide", write(tmp_path, doc))
     assert code in (0, 1) and err == "", err
     # the schema refuses the same integer shapes at the same path
-    assert _shape_error(dict(doc, sigma234=["0"]), SCHEMA["spherical"])[0] == ".sigma234[0]"
+    assert _CHECKS["spherical"](dict(doc, sigma234=["0"]))[0] == ".sigma234[0]"
 
 
 def _embedding_doc(rho1, rho2, ray1, ray2):
@@ -1089,3 +1089,93 @@ def test_one_node_sweep_over_the_demo_files_never_exits_3(tmp_path, capsys):
                     if code == 3:
                         internal.append((demo.name, where, value, command, err))
     assert internal == []
+
+
+# -- the compiled schema and the verdict writer, against the routes they replaced
+
+
+def _corpus_documents(count, step=1):
+    """Every ``step``-th of the first ``count`` documents of each benchmark
+    corpus, with labels."""
+    from test_recorded_codes import _corpus
+
+    corpus = _corpus()
+    return [
+        ("%s[%d]" % (w, k), corpus.problem(w, k))
+        for w in ("horo_sweep", "embed_fans") for k in range(0, count, step)
+    ]
+
+
+WRITER_EDGES = [
+    [], {}, [[]], [[], [[]], {}], None, True, False, 0, -1, 10**40, -(10**40),
+    "", "non-ASCII: é ü ☃ \U0001d4b3, controls: \n\t\"\\ \x00",
+    {"b": [], "a": {"z": None, "é": [[-5, 7], []], "": [True, False]}},
+    {"exists": False, "reasons": [], "citations": []},
+]
+
+
+def test_verdict_writer_writes_what_the_encoder_writes():
+    from oracles import verdict_json_by_encoder
+
+    from spherical_models.cli import ProblemError, _check_problem, _dumps, run_decide
+    from spherical_models.decision import catalog_lookup
+
+    docs = list(WRITER_EDGES) + [catalog_lookup(n).to_dict() for n in ("SU(2,2)", "SO*(10)", "Sp(2,1)")]
+    problems = [(str(p), json.loads(p.read_text())) for p in sorted(PROBLEMS.glob("*.json"))]
+    problems += _corpus_documents(2000)
+    for path, doc in problems:
+        try:
+            _check_problem(doc, path)
+            docs.append(run_decide(doc, path).to_dict())
+        except ProblemError:
+            continue
+    assert len(docs) > 3000
+    for doc in docs:
+        assert _dumps(doc) == verdict_json_by_encoder(doc), doc
+
+
+# Values that one mutation puts in place of a member: each JSON type, lists of
+# integers, rows and rationals, and objects that fit one, none or two of the
+# object alternatives of an entry.
+_MUTANTS = (None, True, 0, -7, "x", "flip", [], {}, [1], [[1]], ["1/2"], {"group": "s3"},
+            {"catalog": "x", "values": []}, {"values": ["1/2"]})
+
+
+def _one_mutation_away(doc):
+    """Every document one mutation away from ``doc``: one member of an object
+    removed, or one value anywhere replaced by one of _MUTANTS."""
+    def walk(value, rebuild):
+        if isinstance(value, dict):
+            for key in value:
+                yield rebuild({k: v for k, v in value.items() if k != key})
+                yield from walk(value[key], lambda new, key=key: rebuild(dict(value, **{key: new})))
+        elif isinstance(value, list):
+            for i, x in enumerate(value):
+                yield from walk(x, lambda new, i=i: rebuild(value[:i] + [new] + value[i + 1 :]))
+        for new in _MUTANTS:
+            yield rebuild(new)
+
+    yield from walk(doc, lambda new: new)
+
+
+def test_compiled_schema_finds_what_the_walk_finds():
+    """The compiled checkers give the recursive walk's (path, message) on the
+    demos and a deterministic slice of each corpus, and on every document
+    one mutation away from them: a wrong type, a missing key, a bad
+    alternative."""
+    from oracles import shape_error_by_walk
+
+    from spherical_models.cli import _CHECKS, SCHEMA
+
+    docs = [json.loads(p.read_text()) for p in sorted(PROBLEMS.glob("*.json"))]
+    docs += [doc for _, doc in _corpus_documents(2000, step=200)]
+    checked = refused = 0
+    for doc in docs:
+        kind = doc["kind"]
+        assert _CHECKS[kind](doc) == shape_error_by_walk(doc, SCHEMA[kind]) is None
+        for mutant in _one_mutation_away(doc):
+            got = _CHECKS[kind](mutant)
+            assert got == shape_error_by_walk(mutant, SCHEMA[kind]), mutant
+            checked += 1
+            refused += got is not None
+    assert refused > 1000 and checked > refused

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherical_models import (
     GaloisAction,
@@ -453,13 +455,28 @@ def test_equal_inputs_resolve_to_the_identical_character(rd_a5, galois_a5_flip):
     assert zero is not resolve_local_character(rd_a5, galois_a5_flip, TitsClassSpec.zero(), REAL)
 
 
-def test_a_refused_character_raises_on_every_call(rd_a5):
+def test_a_refused_character_raises_on_every_call(rd_a5, monkeypatch):
+    """The same text on every call, and the validation runs at most once:
+    the refusal is cached with the character's inputs."""
+    import spherical_models.decision as decision
+
+    calls = []
+    validate = decision.validate_br_character
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(decision, "validate_br_character", counted)
     trivial = GaloisAction.trivial(5)
+    messages = set()
     for _ in range(3):
-        with pytest.raises(ValueError, match="invalid Tits character: value 1/3 not in"):
+        with pytest.raises(ValueError, match="invalid Tits character: value 1/3 not in") as refused:
             resolve_local_character(rd_a5, trivial, TitsClassSpec.from_values(["1/3"]), REAL)
+        messages.add(str(refused.value))
         with pytest.raises(ValueError, match="^unsupported base field: 'complex'$"):
             resolve_local_character(rd_a5, trivial, TitsClassSpec.zero(), "complex")
+    assert len(messages) == 1 and len(calls) <= 1
 
 
 # -- embedding ----------------------------------------------------------------------
@@ -726,8 +743,126 @@ def _assert_routes_agree(datum, galois, chars):
         local = LocalCharacter(mod, inv, fixed, t0)
         exists = br_vanishing_test(t0, kappa)
         for span in spans:
-            bad = _first_failing_row(local, datum.lattice, mats, span)
+            bad = _first_failing_row(local, fixed_sublattice(datum.lattice, mats, span).basis.data)
             assert (bad is None) == exists, (t0.values, span)
             if bad is not None:
                 assert kappa.preimage(local.class_of(bad[: datum.rd.rank])) is not None
     return len(chars)
+
+
+# -- the integer kill test ------------------------------------------------------------
+
+RANK_AT_MOST_8 = (
+    ["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
+    + ["C%d" % n for n in range(3, 9)] + ["D%d" % n for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", RANK_AT_MOST_8)
+def test_kill_test_is_the_character_on_the_center_classes(label):
+    """(u, D) reads t0 on the class of every point of F: the canonical basis
+    rows and random combinations of them, for every valid character under
+    every action (the order-2 group acting trivially too), in both modes."""
+    from spherical_models.decision import _kill_test
+
+    rd = based_root_datum(label)
+    rng = random.Random(label)
+    identity = DiagramAutomorphism(tuple(range(rd.rank)))
+    actions = diagram_actions(rd) + [galois_from_permutations(rd, [identity], "cyclic2")]
+    checked = 0
+    for galois in actions:
+        inv = center_invariants(rd, galois)[1]
+        for mode in (REAL, PADIC):
+            for t0 in all_characters(inv):
+                try:
+                    local = resolve_local_character(rd, galois, TitsClassSpec.from_values(t0.values), mode)
+                except ValueError:
+                    continue
+                u, d = _kill_test(local)
+                basis = local.fixed.basis
+                points = list(basis.data) + [
+                    apply_row([rng.randint(-9, 9) for _ in range(basis.rows)], basis) for _ in range(6)
+                ]
+                for w in points:
+                    want = local.t0.evaluate(local.class_of(w))
+                    assert F(sum(a * b for a, b in zip(u, w)) % d, d) == want, (galois, mode, t0.values, w)
+                checked += 1
+    assert checked > 0
+
+
+def _orbit_rows(rows, mats):
+    return [apply_row(r, g) for r in rows for g in mats]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_first_failing_row_is_the_class_of_scan(data):
+    """On generated lattices, the kill test on generators names the row that
+    the old route names: the canonical fixed points, each read through
+    class_of.  For a horospherical pair (the fixed points of M) and for an
+    orbit (the points fixed modulo a stable span of roots, with a central
+    torus coordinate that the Galois image fixes)."""
+    from oracles import first_failing_row_by_class_of
+
+    from spherical_models.decision import LocalCharacter, _first_failing_row
+    from spherical_models.lattice import action_coordinates, fixed_generators
+
+    rd = based_root_datum(data.draw(st.sampled_from(KERNEL_ROUTE_TYPES)))
+    galois = data.draw(st.sampled_from(diagram_actions(rd)))
+    mod, inv, fixed = center_invariants(rd, galois)
+    local = LocalCharacter(mod, inv, fixed, data.draw(st.sampled_from(all_characters(inv))))
+    n, elems, gens = rd.rank, galois.matrices, galois.generator_matrices()
+
+    def vectors(size, low=-3, high=3):
+        return st.lists(st.integers(low, high), min_size=size, max_size=size)
+
+    # a pair: an M that every element preserves, the orbit sums of a few rows
+    m = Lattice(n, _orbit_rows(data.draw(st.lists(vectors(n), min_size=1, max_size=3)), elems))
+    pair = HorosphericalDatum(rd, [], m.basis.data)
+    assert _first_failing_row(local, pair.fixed_points(galois)) == first_failing_row_by_class_of(local, m, gens)
+
+    # an orbit: X holds the span S of some doubled or scaled roots, and one
+    # torus coordinate follows the weights
+    torus = data.draw(st.integers(0, 1))
+
+    def extend(g):
+        return IntMatrix([list(row) + [0] * torus for row in g.data] + [[0] * n + [1]] * torus)
+
+    ext_elems, ext_gens = [extend(g) for g in elems], [extend(g) for g in gens]
+    roots = rd.root_lattice.basis
+    scale = data.draw(st.integers(1, 3))
+    s_rows = [
+        [scale * x for x in apply_row(c, roots)] + [0] * torus
+        for c in data.draw(st.lists(vectors(n, -2, 2), max_size=2))
+    ]
+    span = Lattice(n + torus, _orbit_rows(s_rows, ext_elems))
+    x_rows = data.draw(st.lists(vectors(n + torus), min_size=1, max_size=3))
+    x = Lattice(n + torus, _orbit_rows(x_rows, ext_elems) + list(span.basis.data))
+    got = _first_failing_row(local, fixed_generators(x, action_coordinates(x, ext_gens), span))
+    assert got == first_failing_row_by_class_of(local, x, ext_gens, span)
+
+
+def test_number_field_decides_each_image_and_character_once(rd_a5, galois_a5_flip, monkeypatch):
+    """Many sites with one image and one character: the fixed part of M is
+    computed once, each site still gets its own reason, and the witnesses
+    are separate lists."""
+    import spherical_models.horospherical as horospherical
+
+    calls = []
+    real = horospherical.fixed_generators
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(horospherical, "fixed_generators", counted)
+    # the pair of G/U, on which 1/2 fails at a real place
+    datum = HorosphericalDatum(rd_a5, [], rd_a5.weight_lattice.basis.data)
+    sites = [LocalSite("v%d" % k, REAL, galois_a5_flip, (F(1, 2),)) for k in range(50)]
+    site_reasons = decide_number_field(datum, galois_a5_flip, sites).reasons[1:]
+    assert len(calls) == 1
+    assert [r["condition"] for r in site_reasons] == ["site:v%d" % k for k in range(50)]
+    assert not any(r["ok"] for r in site_reasons)
+    witnesses = [r["witness"] for r in site_reasons]
+    assert witnesses == [witnesses[0]] * 50 and len({id(w) for w in witnesses}) == 50

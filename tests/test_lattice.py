@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    fixed_sublattice_by_ambient,
     group_invariants,
     minor_gcd_invariant_factors,
     naive_apply_row,
@@ -456,6 +457,22 @@ def test_fixed_sublattice_modulo_matches_the_fixed_classes_of_the_quotient(data)
     modulo = Lattice(n, [[scale * x for x in apply_row(r, g)] for r in sub for g in elems])
     fixed = fixed_sublattice(lattice, list(galois.generator_matrices()), modulo)
     assert_fixed_classes(lattice, elems, modulo, fixed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_fixed_sublattice_is_the_ambient_route(data):
+    """Fixed points read from the coordinates of the action in the lattice's
+    basis are those read from the ambient matrices, also modulo a stable
+    lattice that need not lie inside the lattice."""
+    cases = st.sampled_from(_SMALL_GALOIS_CASES) | st.sampled_from(_PERMUTATION_CASES)
+    _, galois = data.draw(cases)
+    n, elems, gens = galois.n, list(galois.matrices), list(galois.generator_matrices())
+    vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    lattice = Lattice(n, [apply_row(r, g) for r in data.draw(st.lists(vectors, min_size=1, max_size=3)) for g in elems])
+    modulo = Lattice(n, [apply_row(r, g) for r in data.draw(st.lists(vectors, max_size=2)) for g in elems])
+    assert fixed_sublattice(lattice, gens) == fixed_sublattice_by_ambient(lattice, gens)
+    assert fixed_sublattice(lattice, gens, modulo) == fixed_sublattice_by_ambient(lattice, gens, modulo)
 
 
 def test_fixed_classes_under_s3_need_both_generators():

@@ -28,13 +28,17 @@ CORPUS_PREFIX = 100
 
 # Entered by no run above, on purpose: the serializers of the two data
 # classes and the helpers only the recorder's build_tables uses are library
-# data for callers, and _internal_error runs only on a fault of the engine.
-# Dunders (which include Required.__init__, run at import, and the methods
+# data for callers, _internal_error runs only on a fault of the engine, and
+# the schema compiler runs at import, before the profiler is set.  Dunders
+# (which include Required.__init__, also run at import, and the methods
 # dataclasses and NamedTuple generate) are not counted.
 NOT_ENTERED = {
     "spherical.SphericalDatum.to_dict",
     "horospherical.HorosphericalDatum.to_dict",
     "cli._internal_error",
+    "cli._compile",
+    "cli._compile_alternatives",
+    "cli._required",
     "galoismodule.all_characters",
     "rootdata.DiagramAutomorphism.one_line",
 }
