@@ -45,7 +45,6 @@ from .lattice import (
     FgAbelianGroup,
     IntMatrix,
     Lattice,
-    action_coordinates,
     apply_row,
     fixed_generators,
     fixed_sublattice,
@@ -59,7 +58,7 @@ from .rootdata import (
     diagram_flip,
 )
 from .embeddings import stabilizing_lift
-from .spherical import _exact_rational, _extended_matrices, orbit_action
+from .spherical import _exact_rational, orbit_action
 
 NUMBER_FIELD = "number_field"
 
@@ -312,20 +311,20 @@ def _first_failing_row(local, rows):
     return next(filter(fails, Lattice(len(rows[0]), rows).basis.data))
 
 
-def _spherical_cohomology(datum, galois, local):
+def _spherical_cohomology(datum, action, local):
     """The cohomology reason of a spherical orbit, under a stable action.
 
     The Tits character must vanish on the pushed-forward fixed automorphism
     characters; the witness is the center class of the first failing row.
+    It reads the generator matrices that ``action``, the orbit_action, found.
     """
     if local.t0.is_zero():
         return _reason("cohomology", True, rule="t0-trivial")
     # the orbit action is stable: it keeps the orbit lattice, the spherical
     # roots, the doubling flags and the color images, so also the simple
     # roots with colinear colors, the set sigma_N and its span
-    mats = _extended_matrices(datum, galois)
     bad = _first_failing_row(local, fixed_generators(
-        datum.lattice, action_coordinates(datum.lattice, mats), Lattice(datum.ambient_dim, datum.sigma_n),
+        datum.lattice, action.restrictions, Lattice(datum.ambient_dim, datum.sigma_n),
     ))
     witness = None if bad is None else list(local.class_of(bad[: datum.rd.rank]))
     return _reason("cohomology", bad is None, rule="generic-theta", witness=witness)
@@ -339,11 +338,12 @@ def decide_local_general(datum, galois, tits, mode):
     characters (_spherical_cohomology).
     """
     local = resolve_local_character(datum.rd, galois, tits, mode)
-    reasons = [_stability_reason(orbit_action(datum, galois))]
+    action = orbit_action(datum, galois)
+    reasons = [_stability_reason(action)]
     citations = ["necessary stability of the combinatorial invariants"]
     if not reasons[0]["ok"]:
         return Verdict(tuple(reasons), tuple(citations))
-    reasons.append(_spherical_cohomology(datum, galois, local))
+    reasons.append(_spherical_cohomology(datum, action, local))
     citations.append("vanishing of the pushed-forward degree-2 obstruction")
     return Verdict(tuple(reasons), tuple(citations))
 
@@ -529,8 +529,9 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
     Condition one: some lift of the Galois action to the colors keeps the
     colored fan stable.  Condition two: the cohomological test of the open
     orbit, the same test and witness as decide_local_general.  The
-    orbit_action is derived once and serves both the stability check and the
-    lift search.
+    orbit_action is derived once and serves the stability check, the lift
+    search and the cohomology test, which reads its generator matrices on
+    the orbit lattice.
     """
     local = resolve_local_character(datum.rd, galois, tits, mode)
     action = orbit_action(datum, galois)
@@ -560,7 +561,7 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
             lift=None if lift is None else [list(p) for p in lift.generator_maps],
         )
     )
-    reasons.append(_spherical_cohomology(datum, galois, local))
+    reasons.append(_spherical_cohomology(datum, action, local))
     return Verdict(tuple(reasons), tuple(citations))
 
 

@@ -370,35 +370,37 @@ class Lattice:
         return "Lattice(%d, %r)" % (self.ambient_rank, list(map(list, self.basis.data)))
 
 
-class _RowSolver(Lattice):
-    """The row lattice of one fixed m, which also solves x @ m = v.
-
-    With u*m = h in HNF, the pivot rows of h are the canonical basis, so
-    coords_of gives y with y @ h = v, and x = y @ u; only the pivot rows of
-    h and u are kept.
+class _RowSolver:
+    """The row lattice of one fixed m, read in the rows of m (not a Lattice:
+    ``basis`` is m).  ``coords_of(v)`` is an x with x @ m = v, or None; it
+    is unique when ``rank`` is m.rows.  With u*m = h in HNF, the pivot rows
+    of h are the canonical basis, which gives y with y @ h = v, and
+    x = y @ u; only the pivot rows of h and u are kept.
     """
 
-    __slots__ = ("u",)
+    __slots__ = ("ambient_rank", "basis", "rank", "_canonical", "_u")
 
     def __init__(self, m):
         a, u, pivots = _hnf_with_transform(m)
         k = len(pivots)
-        self.ambient_rank = m.cols
-        self.basis = _matrix(a[:k], m.cols)
-        self.pivots = tuple(pivots)
-        self.u = _matrix(u[:k], m.rows)
+        canonical = self._canonical = object.__new__(Lattice)  # h is already canonical
+        canonical.ambient_rank, canonical.pivots = m.cols, tuple(pivots)
+        canonical.basis = _matrix(a[:k], m.cols)
+        self.ambient_rank, self.basis, self.rank = m.cols, m, k
+        self._u = _matrix(u[:k], m.rows)
 
-    def solve(self, v):
-        y = self.coords_of(v)
-        return None if y is None else apply_row(y, self.u)
+    def coords_of(self, v):
+        y = self._canonical.coords_of(v)
+        return None if y is None else apply_row(y, self._u)
 
 
 def action_coordinates(lattice, mats):
-    """The matrix of each of ``mats`` on ``lattice`` in its canonical basis,
-    or None when one of them does not map the lattice into itself.
+    """The matrix of each of ``mats`` on ``lattice`` in its basis, or None
+    when one of them does not map the lattice into itself.
 
-    Row i of a matrix holds the coordinates of b_i g, for b_i the i-th
-    canonical basis row; finding them is the stability test.
+    The basis is the canonical one of a Lattice, the rows of a _RowSolver.
+    Row i of a matrix holds the coordinates of b_i g, for b_i the i-th basis
+    row; finding them is the stability test.
     """
     out = []
     for g in mats:
@@ -418,8 +420,8 @@ def fixed_generators(lattice, action, modulo=None):
 
     ``action`` holds the matrices of the g on the lattice, as
     action_coordinates gives them, and they must stabilize ``modulo``.  With
-    x = c B for B the canonical basis, x g - x = c (A_g - I) B, so the
-    condition reads in coordinates: c (A_g - I) lies in the part of
+    x = c B for B the basis they are written in, x g - x = c (A_g - I) B, so
+    the condition reads in coordinates: c (A_g - I) lies in the part of
     ``modulo`` inside the lattice, written in the same coordinates.
     """
     b = lattice.basis
@@ -444,12 +446,13 @@ def fixed_sublattice(lattice, mats, modulo=None):
     """The sublattice of points x of ``lattice`` with x g - x in ``modulo``
     for every matrix g: the fixed points when ``modulo`` is None.
 
-    ``lattice`` may be a Lattice or an integer n (meaning all of ZZ^n), and
-    ``modulo`` a Lattice in the same ZZ^n.  The matrices must stabilize both;
-    that is checked, not assumed.  For a finite group, its generator matrices
-    give the same answer as all of its elements: a lattice stable under the
-    generators is stable under the group, and a point fixed (modulo a stable
-    lattice) by the generators is fixed by the group.
+    ``lattice`` may be a Lattice, a _RowSolver or an integer n (meaning all
+    of ZZ^n), and ``modulo`` a Lattice in the same ZZ^n.  The matrices must
+    stabilize both; that is checked, not assumed.  For a finite group, its
+    generator matrices give the same answer as all of its elements: a
+    lattice stable under the generators is stable under the group, and a
+    point fixed (modulo a stable lattice) by the generators is fixed by the
+    group.
     """
     if isinstance(lattice, int):
         lattice = Lattice.full(lattice)
@@ -536,11 +539,13 @@ def _unimodular_inverse(m):
 def quotient_group(lattice, sub):
     """The quotient lattice/sub as an FgAbelianGroup.
 
-    Generators are the canonical basis rows of ``lattice``; relations are the
-    coordinates of the basis of ``sub`` in that basis.  With ``lattice`` the
-    fixed_sublattice of some matrices modulo ``sub``, this is the group of
-    the classes of lattice/sub that the matrices fix.
+    Generators are the basis rows of ``lattice`` (a Lattice or a
+    _RowSolver); relations are the coordinates of the basis of ``sub`` in
+    that basis.  With ``lattice`` the fixed_sublattice of some matrices
+    modulo ``sub``, this is the group of the classes of lattice/sub that the
+    matrices fix.
     """
-    if not lattice.contains(sub):
+    rel = [lattice.coords_of(row) for row in sub.basis.data]
+    if None in rel:
         raise ValueError("not a sublattice")
-    return FgAbelianGroup(lattice.rank, [lattice.coords_of(row) for row in sub.basis.data])
+    return FgAbelianGroup(lattice.rank, rel)

@@ -30,6 +30,7 @@ from .lattice import (
     _RowSolver,
     _matrix,
     _unimodular_inverse,
+    action_coordinates,
     apply_row,
     quotient_group,
 )
@@ -78,6 +79,7 @@ class SphericalDatum:
     The constructor is the one place where a datum is checked and its
     combinatorics derived; ValueError on invalid data.  Derived attributes:
 
+    - ``lattice``: the orbit lattice read in the chosen basis (_RowSolver).
     - ``valuation_rows``: the coordinates of each spherical root in the
       chosen basis; the valuation cone is {v : a . v <= 0 for each row a}.
     - ``fibers``: the sorted color ids over each color image (rho,
@@ -120,7 +122,7 @@ class SphericalDatum:
                 raise ValueError("spherical roots have no central-torus component")
             if not root_lat.member(s[: rd.rank]):
                 raise ValueError("spherical root %r is not in the root lattice" % (s,))
-            coords = self.lattice.solve(s)
+            coords = self.lattice.coords_of(s)
             if coords is None:
                 raise ValueError("spherical root %r is not in the orbit lattice" % (s,))
             rows.append(coords)
@@ -265,21 +267,6 @@ def _extended_matrices(datum, galois):
     )
 
 
-def _restriction_to_basis(datum, mat):
-    """Matrix of the action on the orbit lattice in the chosen basis, or None.
-
-    Row i holds the coordinates of basis row i moved by ``mat``; None when
-    some moved row leaves the lattice.
-    """
-    rows = []
-    for row in datum.basis.data:
-        c = datum.lattice.solve(apply_row(row, mat))
-        if c is None:
-            return None
-        rows.append(c)
-    return _matrix(rows, datum.basis.rows)
-
-
 @dataclass(frozen=True, eq=False)
 class OrbitAction:
     """How the Galois generators move the combinatorial invariants of an orbit.
@@ -287,14 +274,16 @@ class OrbitAction:
     ``unstable`` is the index of the first generator that moves them, or
     None.  For a stable action, ``fibers`` maps each color image
     (rho, sigma_set) to its sorted color ids, ``perms[k]`` maps each image
-    to its image under the k-th generator, and ``r_invs[k]`` is the inverse
-    of that generator's restriction to the orbit lattice in the chosen
-    basis: it moves functionals and rays of the dual space contragrediently.
+    to its image under the k-th generator, ``restrictions[k]`` is the matrix
+    of that generator on the orbit lattice in the chosen basis, as
+    action_coordinates gives it, and ``r_invs[k]`` is its inverse: it moves
+    functionals and rays of the dual space contragrediently.
     """
 
     unstable: object
     fibers: dict
     perms: tuple = ()
+    restrictions: tuple = ()
     r_invs: tuple = ()
 
     def stable(self):
@@ -337,17 +326,18 @@ def orbit_action(datum, galois):
     """The Galois action on the invariants of an orbit, derived in one pass.
 
     Per generator: the permutation of the simple-root nodes, which moves the
-    moving sets, and the restriction to the orbit lattice, whose inverse
-    moves the functionals contragrediently (a generator has finite order,
-    so into is onto).  Each color image is moved once, its functional as
-    integer numerators over one common denominator of all functionals (a
-    unimodular change of coordinates moves the numerators exactly as it
-    moves the functionals).  A generator is unstable when
-    it does not permute the simple roots, does not map the orbit lattice
-    into itself, moves the spherical-root set (which pins the valuation
-    cone), or sends a color image to a non-image or to a fiber of another
-    size; the moved-image map is injective, so the last two say exactly
-    that the one- and two-color image sets are preserved.
+    moving sets, and the restriction to the orbit lattice in the chosen
+    basis (action_coordinates on ``datum.lattice``, kept for the cohomology
+    test), whose inverse moves the functionals contragrediently (a
+    generator has finite order, so into is onto).  Each color image is
+    moved once, its functional as integer numerators over one common
+    denominator of all functionals (a unimodular change of coordinates
+    moves the numerators exactly as it moves the functionals).  A generator
+    is unstable when it does not permute the simple roots, does not map the
+    orbit lattice into itself, moves the spherical-root set (which pins the
+    valuation cone), or sends a color image to a non-image or to a fiber of
+    another size; the moved-image map is injective, so the last two say
+    exactly that the one- and two-color image sets are preserved.
 
     The doubling flags are determined by the subgroup, so an action that
     preserves everything else must preserve them too: ValueError, naming the
@@ -362,13 +352,13 @@ def orbit_action(datum, galois):
     }
     key_of = {image: key for key, image in images.items()}
     sigma = set(datum.sigma)
-    perms, r_invs = [], []
+    perms, restrictions, r_invs = [], [], []
     for k, (g, m) in enumerate(zip(galois.generator_matrices(), mats)):
         node_perm = node_permutation(datum.rd, g)
-        restriction = _restriction_to_basis(datum, m)
+        restriction = action_coordinates(datum.lattice, (m,))
         if node_perm is None or restriction is None or {apply_row(s, m) for s in sigma} != sigma:
             return OrbitAction(k, fibers)
-        r_inv = _unimodular_inverse(restriction)
+        r_inv = _unimodular_inverse(_matrix(restriction[0], datum.rank))
         perm = {}
         for key, (nums, sig) in images.items():
             moved = tuple(sum(map(mul, row, nums)) for row in r_inv.data)
@@ -377,9 +367,10 @@ def orbit_action(datum, galois):
                 return OrbitAction(k, fibers)
             perm[key] = dst
         perms.append(perm)
+        restrictions.append(restriction[0])
         r_invs.append(r_inv)
     flagged = {datum.sigma[i] for i in datum.sigma234}
     for k, m in enumerate(mats):
         if {apply_row(s, m) for s in flagged} != flagged:
             raise ValueError("generator %d moves the doubling flags (sigma234)" % (k + 1))
-    return OrbitAction(None, fibers, tuple(perms), tuple(r_invs))
+    return OrbitAction(None, fibers, tuple(perms), tuple(restrictions), tuple(r_invs))

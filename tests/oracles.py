@@ -34,9 +34,9 @@ from spherical_models.lattice import (
     FgAbelianGroup,
     IntMatrix,
     Lattice,
-    _RowSolver,
     action_coordinates,
     apply_row,
+    hnf,
     preimage_lattice,
 )
 
@@ -281,10 +281,29 @@ class ActedGroup(FgAbelianGroup):
         self.action = tuple(action)
 
 
+def solve_rows(m, v):
+    """Some integer x with x @ m = v, or None; the rows of ``m`` may be
+    linearly dependent.  With u*m = h in Hermite form, back substitution on
+    the nonzero rows of h gives y with y @ h = v, and x = y @ u."""
+    h, u = hnf(m)
+    rest, y = list(v), [0] * m.rows
+    for i, row in enumerate(h.data):
+        j = next((j for j, x in enumerate(row) if x), None)
+        if j is None:
+            break
+        y[i], r = divmod(rest[j], row[j])
+        if r:
+            return None
+        rest = [a - y[i] * b for a, b in zip(rest, row)]
+    return None if any(rest) else apply_row(y, u)
+
+
 def quotient_with_action(lattice, sub, mats):
     """lattice/sub as an ActedGroup: the endomorphisms that the ambient
-    matrices ``mats``, which must stabilize both lattices, induce."""
-    if not lattice.contains(sub):
+    matrices ``mats``, which must stabilize both lattices, induce.
+    ``lattice`` is a Lattice or the _RowSolver of an orbit lattice; its
+    basis rows are the generators."""
+    if any(lattice.coords_of(row) is None for row in sub.basis.data):
         raise ValueError("not a sublattice")
     if action_coordinates(sub, mats) is None:
         raise ValueError("action does not stabilize the subgroup of relations")
@@ -317,7 +336,7 @@ class GroupHom:
         """Some source element mapping to ``element``, or None: a solution of
         the images, stacked over the target's moduli, as an integer system."""
         m = IntMatrix(list(self.images) + relations(self.target), cols=self.target.rank)
-        sol = _RowSolver(m).solve(element)
+        sol = solve_rows(m, element)
         return None if sol is None else reduce_reduced(self.source, sol[: self.source.rank])
 
 

@@ -149,7 +149,7 @@ def test_criterion_05_rank_five_embedding(sl6_fan, sl6_datum, rd_a5, galois_a5_f
     assert sl6_datum.sigma_n == (tuple(2 * x for x in a1), tuple(2 * x for x in a5))
     xa, xa_ker = aut_character_lattices(sl6_datum)
     assert xa_ker.invariant_factors == (0,)
-    omega3_coords = sl6_datum.lattice.solve((0, 0, 1, 0, 0))
+    omega3_coords = sl6_datum.lattice.coords_of((0, 0, 1, 0, 0))
     assert xa_ker.from_ambient(omega3_coords) in ((1,), (-1,))
     mod, galois_tag = build_cyclic_module((6,), [(1,)], 2)
     h2, _ = h2_cyclic(mod, galois_tag)

@@ -624,31 +624,36 @@ def test_embedding_cohomology_reason_is_the_local_one():
 
 
 def test_one_embedding_decision_restricts_each_generator_once(monkeypatch):
-    from spherical_models import spherical
+    """A whole decision, the cohomology test included, finds the matrix of
+    each generator on the orbit lattice once and solves each moved basis row
+    once; the cohomology test solves only the rows of the span of sigma_N."""
+    from collections import Counter
 
-    from test_embeddings import _d4_triality_case
+    from spherical_models.spherical import _extended_matrices
+
+    from test_embeddings import _d4_triality_case, moved_basis_rows, record_orbit_lattice_work
 
     fan, datum, galois, tits, mode = _sl6_demo()
     d4_fan, d4_datum, d4_galois = _d4_triality_case()
-    cases = [
-        (fan, datum, galois, tits, mode),
-        (d4_fan, d4_datum, d4_galois, TitsClassSpec.zero(), PADIC),
+    cases = [  # (decision, its arguments, does it reach a nonzero cohomology test)
+        (decide_embedding, (fan, datum, galois, tits, mode), True),
+        (decide_embedding, (d4_fan, d4_datum, d4_galois, TitsClassSpec.zero(), PADIC), False),
+        (decide_local_general, (datum, galois, tits, mode), True),
     ]
-    calls = []
-
-    def counting(datum, mat, _real=spherical._restriction_to_basis):
-        calls.append(mat)
-        return _real(datum, mat)
-
-    for case in cases:
-        decide_embedding(*case)  # warm the type-level caches
-    monkeypatch.setattr(spherical, "_restriction_to_basis", counting)
-    for case, generators in zip(cases, (1, 2)):
-        del calls[:]
-        verdict = decide_embedding(*case)
-        # stable, so the lift search ran too
-        assert verdict.reasons[0]["ok"] and verdict.reasons[3]["condition"] == "fan-stability"
-        assert len(calls) == generators
+    for decide, args, _ in cases:
+        decide(*args)  # warm the type-level caches
+    for decide, args, cohomology in cases:
+        orbit, image = args[-4:-2]  # the datum and the Galois image
+        mats = list(_extended_matrices(orbit, image))
+        with monkeypatch.context() as patch:
+            found, solved = record_orbit_lattice_work(patch, orbit)
+            verdict = decide(*args)
+        # stable, and the cohomology test ran to the end
+        assert verdict.reasons[0]["ok"] and verdict.reasons[-1]["condition"] == "cohomology"
+        assert verdict.reasons[-1]["rule"] == ("generic-theta" if cohomology else "t0-trivial")
+        assert found == mats
+        span_rows = Lattice(orbit.ambient_dim, orbit.sigma_n).basis.data if cohomology else ()
+        assert Counter(solved) == moved_basis_rows(orbit, mats) + Counter(span_rows)
 
 
 def _stable_horospherical_lattice(rng, rd, galois):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -19,8 +20,8 @@ from spherical_models import (
 )
 from spherical_models.cli import _build_payload
 from spherical_models.embeddings import cone_canonicalize
-from spherical_models.lattice import IntMatrix, _unimodular_inverse
-from spherical_models.spherical import _exact_rational, _restriction_to_basis
+from spherical_models.lattice import IntMatrix, _unimodular_inverse, action_coordinates, apply_row
+from spherical_models.spherical import _exact_rational, _extended_matrices
 
 
 def _move_ray(action, k, ray):
@@ -130,7 +131,7 @@ def test_v_action_is_contragredient_and_functorial():
     g = galois_from_permutations(rd, [three, two])
     datum = SphericalDatum(rd, [list(rd.simple_root(i)) for i in range(1, 5)], [], [])
     # no central torus, so every element matrix acts on the orbit lattice as is
-    restr = {i: _restriction_to_basis(datum, m) for i, m in enumerate(g.matrices)}
+    restr = dict(enumerate(map(IntMatrix, action_coordinates(datum.lattice, g.matrices))))
     for a in range(len(g.matrices)):
         for b in range(len(g.matrices)):
             ab = g.matrices.index(g.matrices[a] * g.matrices[b])
@@ -236,25 +237,53 @@ def test_fan_keys_hold_integer_rays(sl6_fan):
         assert all(type(x) is int for r in rays for x in r)
 
 
+def record_orbit_lattice_work(monkeypatch, datum):
+    """From here on, record the work done on the orbit lattice of ``datum``:
+    the generator matrices that action_coordinates finds on it, one entry
+    per matrix, and each vector whose coordinates are solved on it."""
+    import sys
+
+    from spherical_models import lattice
+
+    found, solved = [], []
+    real_action, real_coords = lattice.action_coordinates, lattice._RowSolver.coords_of
+
+    def counted_action(lat, mats):
+        if lat is datum.lattice:
+            found.extend(mats)
+        return real_action(lat, mats)
+
+    def counted_coords(self, v):
+        if self is datum.lattice:
+            solved.append(tuple(v))
+        return real_coords(self, v)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spherical_models") and getattr(module, "action_coordinates", None) is real_action:
+            monkeypatch.setattr(module, "action_coordinates", counted_action)
+    monkeypatch.setattr(lattice._RowSolver, "coords_of", counted_coords)
+    return found, solved
+
+
+def moved_basis_rows(datum, mats):
+    """Each chosen basis row of the orbit lattice moved by each matrix."""
+    return Counter(apply_row(row, m) for m in mats for row in datum.basis.data)
+
+
 def test_lift_search_checks_stability_and_computes_omega_once(
     sl6_fan, sl6_datum, galois_a5_flip, rd_a2, monkeypatch
 ):
-    from spherical_models import HorosphericalDatum, spherical
+    from spherical_models import HorosphericalDatum
 
-    # the action of the one generator on the orbit lattice is derived once
+    # the matrix of the one generator on the orbit lattice is found once
     # per search and serves the stability check, omega and the v matrices
-    calls = []
-
-    def counting(datum, mat, _real=spherical._restriction_to_basis):
-        calls.append(mat)
-        return _real(datum, mat)
-
-    monkeypatch.setattr(spherical, "_restriction_to_basis", counting)
+    mats = list(_extended_matrices(sl6_datum, galois_a5_flip))
+    found, solved = record_orbit_lattice_work(monkeypatch, sl6_datum)
     assert stabilizing_lift(sl6_fan, orbit_action(sl6_datum, galois_a5_flip)) is not None
-    assert len(calls) == 1
+    assert found == mats and Counter(solved) == moved_basis_rows(sl6_datum, mats)
     # on its own, the lift enumeration still checks stability itself
     assert len(orbit_action(sl6_datum, galois_a5_flip).lifts()) == 4
-    assert len(calls) == 2
+    assert found == mats * 2
     # an action that moves the orbit lattice is refused by the search too
     moved = HorosphericalDatum(rd_a2, [2], [[1, 0]]).to_spherical()
     flip = galois_from_permutations(rd_a2, [diagram_automorphism_group(rd_a2.type)[1]])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     fixed_sublattice_by_ambient,
+    solve_rows,
     group_invariants,
     minor_gcd_invariant_factors,
     naive_apply_row,
@@ -281,15 +282,19 @@ def _generated(group, elements):
 
 
 def test_solve_row_roundtrip():
+    # the reader of the rows of m, which may be dependent, and the oracle
+    # find a solution of x @ m = v exactly for the same v
     rng = random.Random(3)
     for _ in range(30):
         rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
         m = IntMatrix(rows)
         x = tuple(rng.randint(-3, 3) for _ in range(3))
-        v = apply_row(x, m)
-        sol = _RowSolver(m).solve(v)
-        assert sol is not None
-        assert apply_row(sol, m) == v
+        for v in (apply_row(x, m), tuple(rng.randint(-9, 9) for _ in range(3))):
+            sol, oracle = _RowSolver(m).coords_of(v), solve_rows(m, v)
+            assert (sol is None) == (oracle is None)
+            if sol is not None:
+                assert apply_row(sol, m) == apply_row(oracle, m) == v
+        assert _RowSolver(m).coords_of(apply_row(x, m)) is not None
 
 
 def test_kernel_basis_annihilates():
@@ -348,10 +353,8 @@ def test_coords_of_agrees_with_solve_row(rows, v, data):
     coeffs = [data.draw(st.integers(-3, 3)) for _ in range(lat.rank)]
     member = apply_row(tuple(coeffs), lat.basis) if lat.rank else (0,) * n
     for w in (member, tuple(v[:n])):
-        c = lat.coords_of(w)
-        sol = _RowSolver(lat.basis).solve(w) if lat.rank else (() if not any(w) else None)
         # the basis rows are independent, so a solution is unique
-        assert c == (None if sol is None else tuple(sol))
+        assert lat.coords_of(w) == _RowSolver(lat.basis).coords_of(w) == solve_rows(lat.basis, w)
     assert lat.coords_of(member) == tuple(coeffs)
 
 
@@ -408,7 +411,8 @@ def assert_fixed_classes(lattice, mats, modulo, fixed):
     fixed/modulo has the invariant factors of the oracle's fixed subgroup."""
     group = quotient_with_action(lattice, modulo, mats)
     inv, incl = group_invariants(group)
-    assert lattice.contains(fixed) and fixed.contains(modulo)
+    assert all(lattice.coords_of(row) is not None for row in fixed.basis.data)
+    assert fixed.contains(modulo)
     assert quotient_group(fixed, modulo).invariant_factors == inv.invariant_factors
     # every fixed class lifts into ``fixed`` ...
     for img in incl.images:
