@@ -2,8 +2,9 @@
 
 Two stories.  A two-cone fan in rank two whose cones are swapped by the
 outer action (no lift can help, since the underlying cones already move),
-and a one-cone fan in rank three where exactly one of four lifts of the
-action to the colors preserves the colored cone.
+and a one-cone fan in rank three whose colors fix the lift of the action to
+the colors: it is read off the fan, and the straight swap of the colors
+moves the colored cone.
 """
 
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from spherical_models import (
     orbit_action,
     stabilizing_lift,
 )
+from spherical_models.spherical import ColorLift
 
 # --- rank two: the product of two projective spaces ---------------------------
 rd2 = based_root_datum("A2")
@@ -50,7 +52,7 @@ print("two-cone fan, outer action: stabilizing lift =",
 v = decide_embedding(fan, orbit, outer, TitsClassSpec.zero(), REAL)
 print("embedding verdict:", "exists" if v.exists else "no model")
 
-# --- rank three: one maximal colored cone, four lifts --------------------------
+# --- rank three: one maximal colored cone, its colors fix the lift ------------
 rd6 = based_root_datum("A5")
 a1, a5 = rd6.simple_root(1), rd6.simple_root(5)
 orbit6 = SphericalDatum(
@@ -74,10 +76,16 @@ outer6 = galois_from_permutations(rd6, [diagram_automorphism_group(rd6.type)[1]]
 
 print("\none-cone fan in rank three; lifts of the outer action to the colors:")
 action6 = orbit_action(orbit6, outer6)
-for lift in action6.lifts():
+# the cone holds D1+ of the fiber {D1+, D1-} and D5- of its image {D5+, D5-},
+# so D1+ must go to D5-: the lift is read off the fan, no lift is enumerated
+read = stabilizing_lift(fan6, action6)
+straight = ColorLift((tuple(sorted(
+    [("D1+", "D5+"), ("D1-", "D5-"), ("D5+", "D1+"), ("D5-", "D1-"), ("D2", "D4"), ("D4", "D2")]
+)),))
+for name, lift in (("read off the fan", read), ("straight swap", straight)):
     tag = "stabilizes" if fan_stable(fan6, action6, lift) else "moves the colored cone"
     pairs = ", ".join("%s>%s" % p for p in lift.generator_maps[0] if p[0].startswith("D1"))
-    print("  %-22s %s" % (pairs, tag))
+    print("  %-17s %-22s %s" % (name, pairs, tag))
 
 print("\nverdicts over the unitary family (signature 6-j, j):")
 for j in range(4):

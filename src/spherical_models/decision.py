@@ -188,9 +188,9 @@ class LocalCharacter(NamedTuple):
 def resolve_local_character(rd, galois, tits, mode):
     """The Tits character ``tits`` on the center fixed points, validated.
 
-    The one route from a TitsClassSpec to a BrCharacter.  Each (type, image,
-    spec, mode) is resolved once per process, a refused one too: the cache
-    keeps its message, and every call raises ValueError with that text.
+    The one route from a TitsClassSpec to a BrCharacter.  A bounded cache
+    (specs come from documents) keeps each resolved (type, image, spec,
+    mode), a refused one as its message: every call raises ValueError with it.
     """
     local = _resolve_local_character(rd.type, galois, tits, check_local_mode(mode))
     if type(local) is str:
@@ -198,7 +198,7 @@ def resolve_local_character(rd, galois, tits, mode):
     return local
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _resolve_local_character(t, galois, tits, mode):
     """The LocalCharacter of resolve_local_character, or its refusal message."""
     mod, inv, fixed = center_invariants(based_root_datum(t), galois)

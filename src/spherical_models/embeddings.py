@@ -8,7 +8,7 @@ sorted primitive extreme rays of the merged cone, by integer double
 description, plus the sorted color ids: equal colored cones are equal keys.
 Fans are given by their maximal colored cones; face closure is not
 validated (stability testing only needs equality of colored cones), but
-strict convexity, distinctness, containment of color functionals, and
+strict convexity, distinct rays, containment of color functionals, and
 "relative interior meets the valuation cone" are checked.
 """
 
@@ -22,7 +22,7 @@ from .polyhedra import (
     extreme_rays,
     relative_interior_point_satisfies,
 )
-from .spherical import _exact_rational
+from .spherical import ColorLift, _exact_rational
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ def cone_canonicalize(cone, datum):
 class ColoredFan:
     """Maximal colored cones of an embedding, canonicalized and distinct.
 
-    Each cone's relative interior must meet the valuation cone of the datum.
+    Each cone's relative interior must meet the valuation cone of the datum;
+    two cones with the same rays would meet it at the same points.
 
     ``keys`` holds the canonical key of every maximal cone, with the rays
     as integer tuples (canonical rays are primitive integer vectors).
@@ -78,13 +79,15 @@ class ColoredFan:
     __slots__ = ("cones", "datum", "keys")
 
     def __init__(self, cones, datum):
-        canon = []
-        seen = set()
+        canon, seen, seen_rays = [], set(), set()
         for c in cones:
             cc = cone_canonicalize(c, datum)
             if cc.key() in seen:
                 raise ValueError("duplicate maximal colored cone")
+            if cc.rays in seen_rays:
+                raise ValueError("two maximal colored cones have the same rays")
             seen.add(cc.key())
+            seen_rays.add(cc.rays)
             canon.append(cc)
         self.cones = tuple(canon)
         self.datum = datum
@@ -130,8 +133,11 @@ def fan_stable(fan, action, lift):
 def _moved_key(key, rows, gmap):
     """Canonical key of the image of a canonical colored cone (see fan_stable)."""
     rays, colors = key
-    moved = sorted(tuple(sum(map(mul, row, r)) for row in rows) for r in rays)
-    return (tuple(moved), tuple(sorted(gmap[c] for c in colors)))
+    return (_moved_rays(rays, rows), tuple(sorted(gmap[c] for c in colors)))
+
+
+def _moved_rays(rays, rows):
+    return tuple(sorted(tuple(sum(map(mul, row, r)) for row in rows) for r in rays))
 
 
 def _check_lift_covers_omega(action, lift):
@@ -148,9 +154,32 @@ def _check_lift_covers_omega(action, lift):
 
 
 def stabilizing_lift(fan, action):
-    """First lift (in ``action.lifts()`` order) making the fan stable, or None.
+    """The color lift making the fan stable, read off the fan, or None.
 
-    ``action`` is the ``orbit_action`` of the fan's datum; an action that
-    does not preserve the invariants is refused.
+    ``action`` is the ``orbit_action`` of the fan's datum (an unstable one is
+    refused).  Rays name maximal cones, so the k-th generator must send a cone
+    C to the cone C' with C's rays moved by ``action.r_invs[k]``, and a fiber
+    with one color in C that color to its image fiber's color in C'.  Other
+    fibers keep the sorted pairing.  One ``fan_stable`` check decides (two
+    cones may force a fiber differently).  This is the first stabilizing lift
+    of the fiber-wise enumeration, sorted pairing first, and a Γ-action: a
+    relator fixes every ray, so every cone and every forced color.
     """
-    return next((lift for lift in action.lifts() if fan_stable(fan, action, lift)), None)
+    action = action.stable()
+    colors_at = dict(fan.keys)
+    maps = []
+    for r_inv, perm in zip(action.r_invs, action.perms):
+        gmap = {}
+        for key, src in action.fibers.items():
+            gmap.update(zip(src, action.fibers[perm[key]]))
+        for rays, colors in colors_at.items():
+            image = colors_at.get(_moved_rays(rays, r_inv.data))
+            if image is None:
+                return None
+            for key, src in action.fibers.items():
+                if len(src) == 2 and (src[0] in colors) != (src[1] in colors):
+                    (a, b), (c, d) = src, action.fibers[perm[key]]
+                    gmap[a], gmap[b] = (d, c) if (a in colors) != (c in image) else (c, d)
+        maps.append(tuple(sorted(gmap.items())))
+    lift = ColorLift(tuple(maps))
+    return lift if fan_stable(fan, action, lift) else None

@@ -5,8 +5,8 @@ the ambient weight coordinates), the spherical roots, and the colors with
 their valuation functionals and moving simple roots.  From these the engine
 derives the one- and two-fiber color images, the doubled spherical roots
 that present the character groups of the equivariant automorphism group and
-of its color-fixing subgroup, Galois stability, and lifts of the Galois
-action from color images to colors.
+of its color-fixing subgroup, and Galois stability.  A fan reads its lift
+of the Galois action to the colors off itself (``stabilizing_lift``).
 
 Functionals on the weight lattice of the orbit are exact rational row
 vectors in the coordinates dual to the chosen basis, with an ``int`` for
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _cartesian
 from math import lcm
 from operator import mul
 
@@ -277,7 +276,8 @@ class OrbitAction:
     to its image under the k-th generator, ``restrictions[k]`` is the matrix
     of that generator on the orbit lattice in the chosen basis, as
     action_coordinates gives it, and ``r_invs[k]`` is its inverse: it moves
-    functionals and rays of the dual space contragrediently.
+    functionals and rays of the dual space contragrediently.  A lift to the
+    colors maps each fiber onto its image's (``stabilizing_lift``).
     """
 
     unstable: object
@@ -295,31 +295,6 @@ class OrbitAction:
                 "color images" % (self.unstable + 1)
             )
         return self
-
-    def lifts(self):
-        """All lifts of the action on color images to the colors.
-
-        A lift assigns to each generator a bijection of colors covering that
-        generator's permutation of the images; fibers of size two contribute
-        an independent binary choice per generator.  Enumeration order is
-        deterministic: fibers in key order, identity pairing before the
-        swap.  The count is the number of fiber-wise bijection systems.
-        """
-        per_generator_choices = []
-        for perm in self.stable().perms:
-            fiber_options = []
-            for key, src in self.fibers.items():
-                dst = self.fibers[perm[key]]
-                if len(src) == 1:
-                    fiber_options.append([((src[0], dst[0]),)])
-                else:
-                    a, b = src
-                    c, d = dst
-                    fiber_options.append([((a, c), (b, d)), ((a, d), (b, c))])
-            per_generator_choices.append(
-                [tuple(sorted(sum(combo, ()))) for combo in _cartesian(*fiber_options)]
-            )
-        return [ColorLift(tuple(a)) for a in _cartesian(*per_generator_choices)]
 
 
 def orbit_action(datum, galois):

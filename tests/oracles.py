@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's own algorithms: matrix products
 entry by entry, invariant factors via gcds of minors, cohomology via literal
-cocycle enumeration, lift counting via filtering all permutations, cone
-questions via Fourier-Motzkin (in Fraction arithmetic, and fraction-free in
-integers) and pointedness via Caratheodory where the engine runs double
-description, diagram automorphisms via a search over node permutations.
+cocycle enumeration, color lifts enumerated fiber by fiber (with a relator
+filter for the Γ-actions) where the engine reads one off the fan, and
+counted via filtering all permutations, cone questions via Fourier-Motzkin
+(in Fraction arithmetic, and fraction-free in integers) and pointedness via
+Caratheodory where the engine runs double description, diagram
+automorphisms via a search over node permutations.
 
 Second routes to facts the engine decides some other way live here too.
 The group route: a quotient of lattices as an abstract group with one
@@ -30,6 +32,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
+from spherical_models.galoismodule import _GROUPS
 from spherical_models.lattice import (
     FgAbelianGroup,
     IntMatrix,
@@ -39,6 +42,7 @@ from spherical_models.lattice import (
     hnf,
     preimage_lattice,
 )
+from spherical_models.spherical import ColorLift
 
 
 def naive_apply_row(v, rows, cols):
@@ -503,6 +507,50 @@ def build_cyclic_module(moduli, sigma_images, order):
     else:
         galois = GaloisAction("cyclic%d" % order, [IntMatrix.identity(k)])
     return ActedGroup(k, rel, mats), galois
+
+
+def lifts(action, group=None):
+    """Every lift of a stable action on color images to the colors, the
+    reference that ``stabilizing_lift`` reads one of off a fan.
+
+    A lift assigns to each generator a bijection of colors covering that
+    generator's permutation of the images; a fiber of size two contributes
+    an independent binary choice per generator.  Enumeration order:
+    generator first, fibers in key order, sorted pairing before the swap.
+    With ``group``, a name of ``galoismodule._GROUPS``, only the Γ-actions
+    are kept: the lifts on which every relator acts as the identity.
+    """
+    per_generator_choices = []
+    for perm in action.stable().perms:
+        fiber_options = []
+        for key, src in action.fibers.items():
+            dst = action.fibers[perm[key]]
+            if len(src) == 1:
+                fiber_options.append([((src[0], dst[0]),)])
+            else:
+                a, b = src
+                c, d = dst
+                fiber_options.append([((a, c), (b, d)), ((a, d), (b, c))])
+        per_generator_choices.append(
+            [tuple(sorted(sum(combo, ()))) for combo in product(*fiber_options)]
+        )
+    out = [ColorLift(tuple(maps)) for maps in product(*per_generator_choices)]
+    return out if group is None else [lift for lift in out if is_gamma_action(lift, group)]
+
+
+def is_gamma_action(lift, group):
+    """Does every relator of ``group`` (a name of ``galoismodule._GROUPS``)
+    act on the colors as the identity under ``lift``?"""
+    letters, _, relators = _GROUPS[group]
+    maps = {letter: lift.mapping(k) for k, letter in enumerate(letters)}
+    for word in relators:
+        for color in maps[word[0]]:
+            image = color
+            for letter in word:
+                image = maps[letter][image]
+            if image != color:
+                return False
+    return True
 
 
 def all_color_lifts_by_filter(datum, galois):

@@ -17,6 +17,7 @@ from oracles import (
     build_cyclic_module,
     group_order_multiset,
     h2_cyclic,
+    lifts,
 )
 from spherical_models import (
     GaloisAction,
@@ -135,15 +136,15 @@ def test_criterion_05_rank_five_embedding(sl6_fan, sl6_datum, rd_a5, galois_a5_f
             decide_embedding(sl6_fan, sl6_datum, entry.galois, entry.tits, REAL).exists
         )
     assert got == [False, True, False, True]
-    lifts = orbit_action(sl6_datum, galois_a5_flip).lifts()
-    assert len(lifts) == 4
+    every = lifts(orbit_action(sl6_datum, galois_a5_flip))
+    assert len(every) == 4
     found = stabilizing_lift(sl6_fan, orbit_action(sl6_datum, galois_a5_flip))
     gmap = found.mapping(0)
     assert gmap["D1+"] == "D5-" and gmap["D5-"] == "D1+"
     from spherical_models import fan_stable
 
     action = orbit_action(sl6_datum, galois_a5_flip)
-    count = sum(1 for L in lifts if fan_stable(sl6_fan, action, L))
+    count = sum(1 for L in every if fan_stable(sl6_fan, action, L))
     assert count == 1
     a1, a5 = rd_a5.simple_root(1), rd_a5.simple_root(5)
     assert sl6_datum.sigma_n == (tuple(2 * x for x in a1), tuple(2 * x for x in a5))

@@ -945,6 +945,16 @@ MALFORMED = [
 ]
 
 
+def test_two_maximal_cones_with_the_same_rays_exit_2_at_the_fan(tmp_path, capsys):
+    # the demo's cone with its colors, and the same rays without colors
+    same_rays = {"generators": [[-1, 1, -1], [1, 0, 0], [0, 0, 1]], "colors": []}
+    path = write(tmp_path, _replaced(SL6, ["fan"], SL6["fan"] + [same_rays]))
+    for command in ("decide", "invariants"):
+        assert run(capsys, command, path) == (
+            2, "", "error: %s.fan: two maximal colored cones have the same rays\n" % path
+        ), command
+
+
 def test_trivial_group_refuses_a_generator_other_than_the_identity(tmp_path, capsys):
     flip = _replaced(SL6, ["galois"], {"group": "trivial", "generators": [[5, 4, 3, 2, 1]]})
     path = write(tmp_path, flip)

@@ -479,6 +479,19 @@ def test_a_refused_character_raises_on_every_call(rd_a5, monkeypatch):
     assert len(messages) == 1 and len(calls) <= 1
 
 
+def test_refused_characters_do_not_grow_the_cache_without_bound(rd_a5, galois_a5_flip):
+    """Each document may name a refused character of its own; the cache of
+    resolved characters keeps at most its constant bound of them."""
+    from spherical_models.decision import _resolve_local_character
+
+    bound = _resolve_local_character.cache_info().maxsize
+    assert bound is not None
+    for q in range(3, bound + 503):
+        with pytest.raises(ValueError, match="not killed by the generator order"):
+            decide_gu(rd_a5, galois_a5_flip, TitsClassSpec.from_values(["1/%d" % q]), REAL)
+    assert _resolve_local_character.cache_info().currsize == bound
+
+
 # -- embedding ----------------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_extreme_rays, fraction_rank
+from oracles import fraction_extreme_rays, fraction_rank, is_gamma_action, lifts
 from spherical_models import (
     ColoredCone,
     ColoredFan,
@@ -93,14 +93,14 @@ def test_fan_valuation_cone_toggle(sl3_datum):
 
 def test_fan_stable_trivial_action(sl3_fan, sl3_datum):
     action = orbit_action(sl3_datum, GaloisAction.trivial(2))
-    lift = action.lifts()[0]
+    lift = lifts(action)[0]
     assert fan_stable(sl3_fan, action, lift)
 
 
 def test_fan_not_stable_under_flip(sl3_fan, sl3_datum, rd_a2):
     flip = diagram_automorphism_group(rd_a2.type)[1]
     action = orbit_action(sl3_datum, galois_from_permutations(rd_a2, [flip]))
-    lift = action.lifts()[0]
+    lift = lifts(action)[0]
     assert not fan_stable(sl3_fan, action, lift)
     assert stabilizing_lift(sl3_fan, action) is None
 
@@ -115,7 +115,7 @@ def test_sl6_stabilizing_lift_is_cross_swap(sl6_fan, sl6_datum, galois_a5_flip):
     # the straight swap does not stabilize
     straight = [
         L
-        for L in action.lifts()
+        for L in lifts(action)
         if L.mapping(0)["D1+"] == "D5+" and L.mapping(0)["D5+"] == "D1+"
     ][0]
     assert not fan_stable(sl6_fan, action, straight)
@@ -164,7 +164,7 @@ def test_v_matrices_move_color_functionals_as_the_lift_moves_colors(
         datum = HorosphericalDatum(rd, [], [[int(i == j) for j in range(4)] for i in range(4)]).to_spherical()
     rho = {c.id: c.rho for c in datum.colors}
     action = orbit_action(datum, g)
-    for lift in action.lifts():
+    for lift in lifts(action):
         for k in range(len(g.generators)):
             for cid in rho:
                 assert _move_ray(action, k, rho[cid]) == rho[lift.mapping(k)[cid]]
@@ -220,7 +220,7 @@ def test_moved_canonical_cone_equals_recanonicalized(
     else:
         fan, datum, g = _d4_triality_case()
     action = orbit_action(datum, g)
-    for lift in action.lifts():
+    for lift in lifts(action):
         for k, r_inv in enumerate(action.r_invs):
             gmap = lift.mapping(k)
             for cone in fan.cones:
@@ -281,15 +281,15 @@ def test_lift_search_checks_stability_and_computes_omega_once(
     found, solved = record_orbit_lattice_work(monkeypatch, sl6_datum)
     assert stabilizing_lift(sl6_fan, orbit_action(sl6_datum, galois_a5_flip)) is not None
     assert found == mats and Counter(solved) == moved_basis_rows(sl6_datum, mats)
-    # on its own, the lift enumeration still checks stability itself
-    assert len(orbit_action(sl6_datum, galois_a5_flip).lifts()) == 4
+    # the reference enumeration counts the same four lifts, on an action of its own
+    assert len(lifts(orbit_action(sl6_datum, galois_a5_flip))) == 4
     assert found == mats * 2
     # an action that moves the orbit lattice is refused by the search too
     moved = HorosphericalDatum(rd_a2, [2], [[1, 0]]).to_spherical()
     flip = galois_from_permutations(rd_a2, [diagram_automorphism_group(rd_a2.type)[1]])
     fan = ColoredFan([ColoredCone(((1,),), frozenset())], moved)
     for search in (
-        lambda: orbit_action(moved, flip).lifts(),
+        lambda: lifts(orbit_action(moved, flip)),
         lambda: fan_stable(fan, orbit_action(moved, flip), None),
         lambda: stabilizing_lift(fan, orbit_action(moved, flip)),
     ):
@@ -332,3 +332,164 @@ def test_moved_rays_hold_no_float(sl3_fan, sl3_datum, rd_a2):
     assert _move_ray(action, 0, (F(1, 2), 3)) == (3, F(1, 2))
     assert _exact(_move_ray(action, 0, (F(1, 2), 3)))
     assert _exact(_move_ray(action, 0, (F(4, 2), 3)))
+
+
+# -- the lift read off the fan -------------------------------------------------
+
+
+def _a15_s3_document():
+    """A15 under an S3 image acting trivially on the nodes: X and the
+    spherical roots are the odd simple roots, each moving two colors with one
+    functional (8 two-color fibers), and one cone with the ray (-1, ..., -1).
+    The fiber-wise enumeration has 2**16 lifts; the first one stabilizes."""
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(15)] for i in range(15)]
+    odd = [cartan[i] for i in range(0, 15, 2)]
+    colors = [
+        {"id": "D%d%s" % (2 * j + 1, sign), "rho": [int(i == j) for i in range(8)], "sigma_set": [2 * j + 1]}
+        for j in range(8)
+        for sign in "+-"
+    ]
+    identity = list(range(1, 16))
+    return {
+        "version": 1, "kind": "embedding", "root_datum": "A15",
+        "galois": {"group": "s3", "generators": [identity, identity]},
+        "field": {"mode": "padic"}, "tits": "zero",
+        "X": odd, "sigma": odd, "colors": colors,
+        "fan": [{"generators": [[-1] * 8]}],
+    }
+
+
+def test_a15_s3_lift_is_built_once_and_checked_once(tmp_path, capsys, monkeypatch):
+    import json
+    import sys
+    import time
+
+    from spherical_models.cli import main
+    from spherical_models.spherical import ColorLift
+
+    built, checked = [], []
+
+    def counted_lift(*args):
+        built.append(ColorLift(*args))
+        return built[-1]
+
+    def counted_check(*args):
+        checked.append(args)
+        return fan_stable(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spherical_models"):
+            if getattr(module, "ColorLift", None) is ColorLift:
+                monkeypatch.setattr(module, "ColorLift", counted_lift)
+            if getattr(module, "fan_stable", None) is fan_stable:
+                monkeypatch.setattr(module, "fan_stable", counted_check)
+    path = tmp_path / "a15.json"
+    path.write_text(json.dumps(_a15_s3_document()))
+    t = time.process_time()
+    code = main(["decide", "--json", str(path)])
+    elapsed = time.process_time() - t
+    verdict = json.loads(capsys.readouterr().out)
+    assert (len(built), len(checked)) == (1, 1)
+    assert elapsed < 1.0
+    (stability,) = [r for r in verdict["reasons"] if r["condition"] == "fan-stability"]
+    colors = sorted(c["id"] for c in _a15_s3_document()["colors"])
+    assert code == 0 and stability["ok"]
+    assert stability["lift"] == [[[c, c] for c in colors]] * 2
+
+
+def test_two_cones_with_the_same_rays_are_refused(sl6_datum):
+    # the colors of the first cone add the rays (1, 0, 0) and (0, 0, 1): the second's rays
+    with pytest.raises(ValueError, match="^two maximal colored cones have the same rays$"):
+        ColoredFan(
+            [
+                ColoredCone(((-1, 1, -1),), frozenset({"D1+", "D5-"})),
+                ColoredCone(((-1, 1, -1), (1, 0, 0), (0, 0, 1)), frozenset()),
+            ],
+            sl6_datum,
+        )
+
+
+def _d4_outer_datum():
+    """D4 with X and the spherical roots the three outer simple roots, each
+    moving two colors with one functional: triality permutes the three
+    two-color fibers, so most lifts of S3 are not Γ-actions."""
+    from spherical_models import Color
+
+    rd = based_root_datum("D4")
+    outer = [1, 3, 4]
+    rows = [list(rd.simple_root(i)) for i in outer]
+    colors = [
+        Color("D%d%s" % (i, sign), tuple(int(i == j) for j in outer), frozenset({i}))
+        for i in outer
+        for sign in "+-"
+    ]
+    return SphericalDatum(rd, rows, rows, colors)
+
+
+def _lift_cases():
+    from spherical_models import HorosphericalDatum
+
+    d4 = based_root_datum("D4")
+    autos = diagram_automorphism_group(d4.type)
+    three = [a for a in autos if a.order() == 3][0]
+    two = [a for a in autos if a.order() == 2][0]
+    a5 = based_root_datum("A5")
+    horo_d4 = HorosphericalDatum(d4, [], [[int(i == j) for j in range(4)] for i in range(4)]).to_spherical()
+    horo_a5 = HorosphericalDatum(a5, [2, 4], [[1, 0, 0, 0, 1], [0, 0, 1, 0, 0]]).to_spherical()
+    triality, s3 = galois_from_permutations(d4, [three]), galois_from_permutations(d4, [three, two])
+    return {
+        "horo_a5_flip": (horo_a5, galois_from_permutations(a5, [diagram_automorphism_group(a5.type)[1]])),
+        "horo_d4_triality": (horo_d4, triality),
+        "horo_d4_s3": (horo_d4, s3),
+        "d4_outer_triality": (_d4_outer_datum(), triality),
+        "d4_outer_s3": (_d4_outer_datum(), s3),
+    }
+
+
+_LIFT_CASES = _lift_cases()
+
+
+def _closed_fan(datum, action, seeds, lift):
+    """A fan from the seed cones, closed under the generators moving colors by
+    ``lift`` (None: not closed); a cone that is not valid on its own, or
+    whose rays an earlier cone already has, is dropped."""
+    cones, queue = [], [ColoredCone(tuple(rays), frozenset(colors)) for rays, colors in seeds]
+    while queue and len(cones) < 24:
+        cone = queue.pop(0)
+        try:
+            cone = ColoredFan([cone], datum).cones[0]
+        except ValueError:
+            continue
+        if any(cone.rays == other.rays for other in cones):
+            continue
+        cones.append(cone)
+        if lift is not None:
+            for k in range(len(action.r_invs)):
+                gmap = lift.mapping(k)
+                moved = tuple(_move_ray(action, k, r) for r in cone.rays)
+                queue.append(ColoredCone(moved, frozenset(gmap[c] for c in cone.colors)))
+    return ColoredFan(cones, datum) if cones else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lift_read_off_the_fan_is_the_first_stabilizing_gamma_action(sl6_datum, galois_a5_flip, data):
+    case = data.draw(st.sampled_from(["sl6_flip"] + sorted(_LIFT_CASES)))
+    datum, galois = (sl6_datum, galois_a5_flip) if case == "sl6_flip" else _LIFT_CASES[case]
+    action = orbit_action(datum, galois)
+    every, gamma = lifts(action), lifts(action, galois.group_name)
+    ray = st.lists(st.integers(-2, 1), min_size=datum.rank, max_size=datum.rank)
+    # per fiber none, one or all of its colors, so that cones often split a fiber
+    picks = st.tuples(*(
+        st.sampled_from([()] + [(c,) for c in ids] + [ids] * (len(ids) == 2)) for ids in action.fibers.values()
+    ))
+    seed = st.tuples(st.lists(ray, min_size=1, max_size=3), picks.map(lambda p: sum(p, ())))
+    seeds = data.draw(st.lists(seed, min_size=1, max_size=3))
+    closing = data.draw(st.sampled_from(every + [None]))
+    fan = _closed_fan(datum, action, seeds, closing)
+    assume(fan is not None)
+    found = stabilizing_lift(fan, action)
+    first = next((L for L in every if fan_stable(fan, action, L)), None)
+    first_gamma = next((L for L in gamma if fan_stable(fan, action, L)), None)
+    assert found == first_gamma == first
+    assert found is None or is_gamma_action(found, galois.group_name)

@@ -11,6 +11,7 @@ from oracles import (
     all_color_lifts_by_filter,
     fraction_omega_perms,
     hom_kernel,
+    lifts,
     set_based_unstable_generator,
 )
 from spherical_models import (
@@ -329,29 +330,28 @@ def test_merged_stability_matches_set_oracle(case, sl3_datum, sl6_datum, so10_da
 
 
 def test_lift_counts(sl6_datum, sl3_datum, galois_a5_flip, rd_a2):
-    assert len(orbit_action(sl6_datum, galois_a5_flip).lifts()) == 4
+    assert len(lifts(orbit_action(sl6_datum, galois_a5_flip))) == 4
     flip3 = diagram_automorphism_group(rd_a2.type)[1]
-    assert len(orbit_action(sl3_datum, galois_from_permutations(rd_a2, [flip3])).lifts()) == 1
-    assert len(orbit_action(sl3_datum, GaloisAction.trivial(2)).lifts()) == 1
+    assert len(lifts(orbit_action(sl3_datum, galois_from_permutations(rd_a2, [flip3])))) == 1
+    assert len(lifts(orbit_action(sl3_datum, GaloisAction.trivial(2)))) == 1
 
 
 def test_lift_count_trivial_action_two_fibers(sl6_datum):
     g = GaloisAction("cyclic2", [IntMatrix.identity(5)])
     pairs = sum(len(ids) == 2 for ids in sl6_datum.fibers.values())
-    assert len(orbit_action(sl6_datum, g).lifts()) == 2 ** pairs
+    assert len(lifts(orbit_action(sl6_datum, g))) == 2 ** pairs
 
 
 def test_sl6_contains_cross_swap_lift(sl6_datum, galois_a5_flip):
-    lifts = orbit_action(sl6_datum, galois_a5_flip).lifts()
     wanted = {("D1+", "D5-"), ("D1-", "D5+"), ("D5+", "D1-"), ("D5-", "D1+")}
-    assert any(wanted <= set(L.generator_maps[0]) for L in lifts)
+    assert any(wanted <= set(L.generator_maps[0]) for L in lifts(orbit_action(sl6_datum, galois_a5_flip)))
 
 
 def test_lifts_cover_omega_action(sl6_datum, galois_a5_flip):
     action = orbit_action(sl6_datum, galois_a5_flip).stable()
     fibers, perms = action.fibers, action.perms
     color_fiber = {cid: key for key, ids in fibers.items() for cid in ids}
-    for L in action.lifts():
+    for L in lifts(action):
         gmap = L.mapping(0)
         for cid, img in gmap.items():
             assert color_fiber[img] == perms[0][color_fiber[cid]]
@@ -366,17 +366,22 @@ def test_lift_enumeration_matches_permutation_filter(case, sl6_datum, sl3_datum,
     else:
         flip3 = diagram_automorphism_group(rd_a2.type)[1]
         datum, galois = sl3_datum, galois_from_permutations(rd_a2, [flip3])
-    ours = {L.generator_maps for L in orbit_action(datum, galois).lifts()}
+    ours = {L.generator_maps for L in lifts(orbit_action(datum, galois))}
     oracle = all_color_lifts_by_filter(datum, galois)
     assert ours == oracle
 
 
 def test_lifts_require_stability(rd_a2):
+    from spherical_models import ColoredCone, ColoredFan, stabilizing_lift
+
     flip = diagram_automorphism_group(rd_a2.type)[1]
     g = galois_from_permutations(rd_a2, [flip])
     d = SphericalDatum(rd_a2, [[1, 0]], [], [])
-    with pytest.raises(ValueError):
-        orbit_action(d, g).lifts()
+    fan = ColoredFan([ColoredCone(((1,),), frozenset())], d)
+    with pytest.raises(ValueError, match="does not preserve"):
+        stabilizing_lift(fan, orbit_action(d, g))
+    with pytest.raises(ValueError, match="does not preserve"):
+        lifts(orbit_action(d, g))
 
 
 # -- integer color transforms and generator-only character actions ----------
