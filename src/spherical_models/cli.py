@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -239,7 +240,7 @@ def _galois_entry(rd, entry):
     if entry == "flip":
         flip = diagram_flip(rd.type)
         if flip is None:
-            return "type %s has no order-2 diagram automorphism" % rd.type
+            return "type %s has no order-2 diagram automorphism" % (rd.type,)
         return galois_from_permutations(rd, [flip])
     group, generators = entry
     autos = []
@@ -297,18 +298,30 @@ def _parse_field(entry, rd, global_galois, path):
     return FieldDescriptor(NUMBER_FIELD, tuple(sites))
 
 
+class _FloatLiteral(Exception):
+    """A float or a NaN/Infinity constant in a problem document (its literal)."""
+
+
+def _reject_float(literal):
+    raise _FloatLiteral(literal)
+
+
+# the one decoder of problem documents
+_DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
+
+
 def load_problem(path):
     """The problem document at ``path`` and its kind, checked by _check_problem."""
-    def reject_float(literal):
-        _fail(path, "float %s is not allowed; write rationals as \"p/q\" strings" % literal)
-
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f, parse_float=reject_float, parse_constant=reject_float)
+            text = f.read()
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except OSError as e:
         raise ProblemError("%s: cannot read (%s)" % (path, e))
-    except ProblemError:
-        raise
+    except _FloatLiteral as e:
+        _fail(path, "float %s is not allowed; write rationals as \"p/q\" strings" % e.args)
     except (ValueError, RecursionError) as e:  # also a huge integer, deep nesting, bad UTF-8
         raise ProblemError("%s: not valid JSON (%s)" % (path, e))
     return doc, _check_problem(doc, path)
@@ -480,7 +493,7 @@ def invariants_report(doc, path):
     kind = doc["kind"]
     lines = []
     lines.append("kind: %s" % kind)
-    lines.append("root datum: %s" % rd.type)
+    lines.append("root datum: %s" % (rd.type,))
     lines.append("galois group: %s" % galois.group_name)
     # a number field's global character is zero, which every image admits over the reals
     local_mode = REAL if field.mode == NUMBER_FIELD else field.mode
@@ -579,6 +592,19 @@ def _internal_error(e):
     return 3
 
 
+def _print(lines, code):
+    """Print ``lines`` and return the exit code ``code``, also when the reader
+    of stdout is gone: stdout then points at os.devnull, so that the final
+    flush of the interpreter cannot fail again."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 def cmd_decide(args):
     try:
         doc, kind = load_problem(args.path)
@@ -589,21 +615,20 @@ def cmd_decide(args):
     except Exception as e:
         return _internal_error(e)
     if args.json:
-        print(_dumps(verdict.to_dict()))
+        lines = [_dumps(verdict.to_dict())]
     else:
-        print("exists" if verdict.exists else "does not exist")
+        lines = ["exists" if verdict.exists else "does not exist"]
         if verdict.uniqueness_note:
-            print("note: %s" % verdict.uniqueness_note)
+            lines.append("note: %s" % verdict.uniqueness_note)
     if args.explain and not args.json:
         for r in verdict.reasons:
             extras = {
                 k: v for k, v in r.items() if k not in ("condition", "ok") and v is not None
             }
             suffix = (" " + json.dumps(extras, sort_keys=True)) if extras else ""
-            print("  [%s] %s%s" % ("ok" if r["ok"] else "FAIL", r["condition"], suffix))
-        for c in verdict.citations:
-            print("  via: %s" % c)
-    return 0 if verdict.exists else 1
+            lines.append("  [%s] %s%s" % ("ok" if r["ok"] else "FAIL", r["condition"], suffix))
+        lines += ["  via: %s" % c for c in verdict.citations]
+    return _print(lines, 0 if verdict.exists else 1)
 
 
 def cmd_invariants(args):
@@ -615,9 +640,7 @@ def cmd_invariants(args):
         return 2
     except Exception as e:
         return _internal_error(e)
-    for line in lines:
-        print(line)
-    return 0
+    return _print(lines, 0)
 
 
 def cmd_catalog(args):
@@ -631,9 +654,7 @@ def cmd_catalog(args):
         return 2
     except Exception as e:
         return _internal_error(e)
-    for line in lines:
-        print(line)
-    return 0
+    return _print(lines, 0)
 
 
 def main(argv=None):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 from operator import mul
@@ -69,8 +69,7 @@ def check_local_mode(mode):
     return mode
 
 
-@dataclass(frozen=True)
-class LocalSite:
+class LocalSite(namedtuple("LocalSite", "label mode galois t0_values")):
     """One completion of a number field: its mode, local image, and character.
 
     ``t0_values`` is None for a site with trivial obstruction (no condition),
@@ -78,23 +77,18 @@ class LocalSite:
     points of the center characters.
     """
 
-    label: str
-    mode: str
-    galois: GaloisAction
-    t0_values: tuple | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_local_mode(self.mode)
+    def __new__(cls, label, mode, galois, t0_values):
+        return tuple.__new__(cls, (label, check_local_mode(mode), galois, t0_values))
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(NamedTuple):
     mode: str
     sites: tuple = ()
 
 
-@dataclass(frozen=True)
-class TitsClassSpec:
+class TitsClassSpec(NamedTuple):
     """How the obstruction class is given: zero or explicit values.
 
     Explicit values are aligned with the SNF generators of the fixed-point
@@ -114,8 +108,7 @@ class TitsClassSpec:
         return cls("values", tuple(map(_exact_rational, values)))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     reasons: tuple
     citations: tuple = ()
     uniqueness_note: str | None = None
@@ -568,8 +561,7 @@ def decide_embedding(fan, datum, galois, tits, mode, quasi_projective=True):
 # -- catalog of literature-backed forms --------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     type: SimpleType
     galois: GaloisAction
@@ -605,22 +597,22 @@ def _su(p, q):
 
 
 # The built-in families: display name, pattern (matched against the whole
-# name) and a function from the pattern's integers to (type label, Galois
-# image name, t0 values, citation), or None outside the family.  All are
-# real forms.
+# name; compiled at the first lookup, not at import) and a function from the
+# pattern's integers to (type label, Galois image name, t0 values,
+# citation), or None outside the family.  All are real forms.
 _FAMILIES = (
-    ("SU(p,q)", re.compile(r"SU\((\d+),(\d+)\)"), _su),
-    ("SU(n)", re.compile(r"SU\((\d+)\)"), lambda n: _su(n, 0)),
-    ("SL(n,R)", re.compile(r"SL\((\d+),R\)"),
+    ("SU(p,q)", r"SU\((\d+),(\d+)\)", _su),
+    ("SU(n)", r"SU\((\d+)\)", lambda n: _su(n, 0)),
+    ("SL(n,R)", r"SL\((\d+),R\)",
      lambda n: ("A%d" % (n - 1), "trivial-c2", (), _SPLIT_CITATION) if n >= 2 else None),
-    ("SL(m,H)", re.compile(r"SL\((\d+),H\)"),
+    ("SL(m,H)", r"SL\((\d+),H\)",
      lambda m: ("A%d" % (2 * m - 1), "trivial-c2", _HALF, _TABLE_CITATION) if m >= 1 else None),
-    ("Sp(2n,R)", re.compile(r"Sp\((\d+),R\)"),
+    ("Sp(2n,R)", r"Sp\((\d+),R\)",
      lambda two_n: ("C%d" % (two_n // 2), "trivial-c2", (), _SPLIT_CITATION)
      if two_n >= 4 and two_n % 2 == 0 else None),
-    ("Sp(p,q)", re.compile(r"Sp\((\d+),(\d+)\)"),
+    ("Sp(p,q)", r"Sp\((\d+),(\d+)\)",
      lambda p, q: ("C%d" % (p + q), "trivial-c2", _HALF, _TABLE_CITATION) if p + q >= 2 else None),
-    ("SO*(10)", re.compile(r"SO\*\(10\)"), lambda: ("D5", "flip", _HALF, _TABLE_CITATION)),
+    ("SO*(10)", r"SO\*\(10\)", lambda: ("D5", "flip", _HALF, _TABLE_CITATION)),
 )
 
 _GALOIS_NAMES = ("trivial", "trivial-c2", "flip")
@@ -667,7 +659,7 @@ def catalog_lookup(name):
     if name in ext:
         return ext[name]
     for _, pattern, family in _FAMILIES:
-        m = pattern.fullmatch(name)
+        m = re.fullmatch(pattern, name)
         if m:
             row = family(*map(int, m.groups()))
             if row is not None:

@@ -14,7 +14,7 @@ strict convexity, distinct rays, containment of color functionals, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .polyhedra import (
@@ -25,18 +25,14 @@ from .polyhedra import (
 from .spherical import ColorLift, _exact_rational
 
 
-@dataclass(frozen=True)
-class ColoredCone:
+class ColoredCone(namedtuple("ColoredCone", "rays colors")):
     """A strictly convex cone with colors, in canonical form after cone_canonicalize."""
 
-    rays: tuple
-    colors: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "rays", tuple(tuple(map(_exact_rational, r)) for r in self.rays)
-        )
-        object.__setattr__(self, "colors", frozenset(str(c) for c in self.colors))
+    def __new__(cls, rays, colors):
+        rays = tuple(tuple(map(_exact_rational, r)) for r in rays)
+        return tuple.__new__(cls, (rays, frozenset(str(c) for c in colors)))
 
     def key(self):
         return (self.rays, tuple(sorted(self.colors)))

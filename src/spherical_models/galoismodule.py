@@ -16,14 +16,14 @@ action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product as _cartesian
 from math import lcm
 from operator import add, mul
 
-from .lattice import FgAbelianGroup, IntMatrix, apply_row
+from .lattice import IntMatrix, apply_row
 from .rootdata import based_root_datum, star_action_matrix
 
 REAL = "real"
@@ -57,7 +57,7 @@ class GaloisAction:
     trivially stay distinct.
     """
 
-    __slots__ = ("n", "group_name", "generators", "matrices", "_hash")
+    __slots__ = ("n", "group_name", "generators", "matrices", "_elements", "_hash")
 
     def __init__(self, group_name, generator_matrices, n=None):
         if group_name not in _GROUPS:
@@ -89,6 +89,7 @@ class GaloisAction:
         self.group_name = group_name
         self.generators = tuple(map(words.index, letters))
         self.matrices = tuple(map(rep, words))
+        self._elements = frozenset(self.matrices)
         self._hash = hash((group_name, self.matrices))
 
     @classmethod
@@ -105,7 +106,7 @@ class GaloisAction:
 
     def is_subaction_of(self, other):
         """True iff the image of this action sits inside the image of ``other``."""
-        return set(self.matrices).issubset(set(other.matrices))
+        return self._elements <= other._elements
 
     def __eq__(self, other):
         return (
@@ -154,8 +155,7 @@ def _galois_from_permutations(t, automorphisms, group_name):
     return GaloisAction(group_name, mats)
 
 
-@dataclass(frozen=True)
-class BrCharacter:
+class BrCharacter(namedtuple("BrCharacter", "source values")):
     """A homomorphism from a finite abelian group to QQ/ZZ.
 
     ``values[i]`` is the image of the i-th SNF generator of ``source``,
@@ -164,21 +164,20 @@ class BrCharacter:
     the cup-product pairing.
     """
 
-    source: FgAbelianGroup
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.source.order() == 0:
+    def __new__(cls, source, values):
+        if source.order() == 0:
             raise ValueError("Brauer characters live on finite groups")
-        vals = tuple(Fraction(v) % 1 for v in self.values)
-        if len(vals) != self.source.rank:
+        vals = tuple(Fraction(v) % 1 for v in values)
+        if len(vals) != source.rank:
             raise ValueError("one value per SNF generator required")
-        for d, v in zip(self.source.invariant_factors, vals):
+        for d, v in zip(source.invariant_factors, vals):
             if (d * v) % 1 != 0:
                 raise ValueError(
                     "value %s is not killed by the generator order %d" % (v, d)
                 )
-        object.__setattr__(self, "values", vals)
+        return tuple.__new__(cls, (source, vals))
 
     @classmethod
     def zero(cls, source):

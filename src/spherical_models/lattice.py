@@ -34,9 +34,9 @@ def _xgcd(a, b):
 
 
 class IntMatrix:
-    """An immutable matrix over ZZ."""
+    """An immutable matrix over ZZ; its hash is computed once, when first asked."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_hash")
 
     def __init__(self, data, cols=None):
         data = tuple(tuple(map(int, row)) for row in data)
@@ -44,7 +44,7 @@ class IntMatrix:
         self.cols = len(data[0]) if data else (0 if cols is None else cols)
         if any(len(row) != self.cols for row in data):
             raise ValueError("ragged rows")
-        self.data = data
+        self.data, self._hash = data, None
 
     @classmethod
     def _of(cls, data, cols):
@@ -54,7 +54,7 @@ class IntMatrix:
         so they skip the coercion and the shape check of ``__init__``.
         """
         m = object.__new__(cls)
-        m.rows, m.cols, m.data = len(data), cols, data
+        m.rows, m.cols, m.data, m._hash = len(data), cols, data, None
         return m
 
     @classmethod
@@ -92,7 +92,9 @@ class IntMatrix:
         return isinstance(other, IntMatrix) and self.data == other.data
 
     def __hash__(self):
-        return hash(self.data)
+        if self._hash is None:
+            self._hash = hash(self.data)
+        return self._hash
 
     def __repr__(self):
         return "IntMatrix(%r)" % (list(map(list, self.data)),)
@@ -303,9 +305,9 @@ def preimage_lattice(m, target):
 
 
 class Lattice:
-    """A sublattice of ZZ^n, stored by its canonical (HNF) basis."""
+    """A sublattice of ZZ^n, stored by its canonical (HNF) basis; hashed once."""
 
-    __slots__ = ("ambient_rank", "basis", "pivots")
+    __slots__ = ("ambient_rank", "basis", "pivots", "_hash")
 
     def __init__(self, ambient_rank, rows=()):
         rows = [list(map(int, r)) for r in rows]
@@ -316,7 +318,7 @@ class Lattice:
         self.ambient_rank = ambient_rank
         self.basis = _matrix(rows[: len(pivots)], ambient_rank)
         # the pivot column of each basis row
-        self.pivots = tuple(pivots)
+        self.pivots, self._hash = tuple(pivots), None
 
     @classmethod
     def full(cls, n):
@@ -364,7 +366,9 @@ class Lattice:
         )
 
     def __hash__(self):
-        return hash((self.ambient_rank, self.basis))
+        if self._hash is None:
+            self._hash = hash((self.ambient_rank, self.basis))
+        return self._hash
 
     def __repr__(self):
         return "Lattice(%d, %r)" % (self.ambient_rank, list(map(list, self.basis.data)))
@@ -384,7 +388,7 @@ class _RowSolver:
         a, u, pivots = _hnf_with_transform(m)
         k = len(pivots)
         canonical = self._canonical = object.__new__(Lattice)  # h is already canonical
-        canonical.ambient_rank, canonical.pivots = m.cols, tuple(pivots)
+        canonical.ambient_rank, canonical.pivots, canonical._hash = m.cols, tuple(pivots), None
         canonical.basis = _matrix(a[:k], m.cols)
         self.ambient_rank, self.basis, self.rank = m.cols, m, k
         self._u = _matrix(u[:k], m.rows)

@@ -8,9 +8,10 @@ Cartan matrix.  Bourbaki numbering throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 from .lattice import IntMatrix, Lattice, apply_row
 
@@ -23,33 +24,29 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
 MAX_RANK = 64
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class SimpleType(namedtuple("SimpleType", "family rank")):
     """A simple type label such as A5 or D4.
 
     C2 is accepted and normalized to the synonymous B2.  C_n for n >= 3 keeps
     its own family letter.  Ranks above MAX_RANK are refused.
     """
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        fam, rank = self.family, self.rank
-        if fam not in _FAMILIES:
-            raise ValueError("unknown family %r" % (fam,))
-        if fam == "E":
+    def __new__(cls, family, rank):
+        if family not in _FAMILIES:
+            raise ValueError("unknown family %r" % (family,))
+        if family == "E":
             if rank not in (6, 7, 8):
                 raise ValueError("rank of E must be 6, 7 or 8")
-        elif fam in ("F", "G"):
-            if rank != _MIN_RANK[fam]:
-                raise ValueError("invalid rank for %s" % fam)
-        elif rank < _MIN_RANK[fam]:
-            raise ValueError("rank too small for family %s" % fam)
+        elif family in ("F", "G"):
+            if rank != _MIN_RANK[family]:
+                raise ValueError("invalid rank for %s" % family)
+        elif rank < _MIN_RANK[family]:
+            raise ValueError("rank too small for family %s" % family)
         elif rank > MAX_RANK:
             raise ValueError("rank %d exceeds the supported maximum %d" % (rank, MAX_RANK))
-        if fam == "C" and rank == 2:
-            object.__setattr__(self, "family", "B")
+        return tuple.__new__(cls, ("B" if family == "C" and rank == 2 else family, rank))
 
     @classmethod
     def parse(cls, label):
@@ -103,8 +100,7 @@ def cartan_matrix(t: SimpleType) -> IntMatrix:
     return IntMatrix(a)
 
 
-@dataclass(frozen=True)
-class BasedRootDatum:
+class BasedRootDatum(NamedTuple):
     """Weight/root lattices of the simply connected group of a simple type.
 
     P is ZZ^rank in fundamental-weight coordinates; Q is the column lattice
@@ -150,8 +146,7 @@ def based_root_datum(label) -> BasedRootDatum:
     return BasedRootDatum(t)
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
+class DiagramAutomorphism(NamedTuple):
     """A permutation of the simple-root nodes preserving the Cartan matrix.
 
     ``permutation`` maps 0-based node index i to its image; exposed node

@@ -18,10 +18,11 @@ common denominator per datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .lattice import (
     IntMatrix,
@@ -36,21 +37,17 @@ from .lattice import (
 from .rootdata import node_permutation
 
 
-@dataclass(frozen=True)
-class Color:
+class Color(namedtuple("Color", "id rho sigma_set")):
     """A color: its valuation functional and the simple roots moving it."""
 
-    id: str
-    rho: tuple
-    sigma_set: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho", tuple(map(_exact_rational, self.rho)))
-        object.__setattr__(self, "sigma_set", frozenset(int(i) for i in self.sigma_set))
+    def __new__(cls, id, rho, sigma_set):
+        rho = tuple(map(_exact_rational, rho))
+        return tuple.__new__(cls, (id, rho, frozenset(int(i) for i in sigma_set)))
 
 
-@dataclass(frozen=True)
-class ColorLift:
+class ColorLift(NamedTuple):
     """A lift of the Galois action on color images to the colors themselves.
 
     One permutation of color ids per Galois generator, each compatible with
@@ -266,7 +263,6 @@ def _extended_matrices(datum, galois):
     )
 
 
-@dataclass(frozen=True, eq=False)
 class OrbitAction:
     """How the Galois generators move the combinatorial invariants of an orbit.
 
@@ -280,11 +276,21 @@ class OrbitAction:
     colors maps each fiber onto its image's (``stabilizing_lift``).
     """
 
-    unstable: object
-    fibers: dict
-    perms: tuple = ()
-    restrictions: tuple = ()
-    r_invs: tuple = ()
+    __slots__ = ("unstable", "fibers", "perms", "restrictions", "r_invs")
+
+    def __init__(self, unstable, fibers, perms=(), restrictions=(), r_invs=()):
+        init = object.__setattr__
+        init(self, "unstable", unstable)
+        init(self, "fibers", fibers)
+        init(self, "perms", perms)
+        init(self, "restrictions", restrictions)
+        init(self, "r_invs", r_invs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
     def stable(self):
         """The value itself; ValueError if the action moves the invariants."""

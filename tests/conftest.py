@@ -1,3 +1,8 @@
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
 import sys
 import warnings
 from fractions import Fraction as F
@@ -32,8 +37,15 @@ from spherical_models import (
     based_root_datum,
     galois_from_permutations,
 )
+from spherical_models import cli
 from spherical_models.lattice import Lattice
 from spherical_models.rootdata import diagram_flip
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS_WORKLOADS = ("horo_sweep", "embed_fans")
+# Each command of the corpus pass, with the prefix of each corpus it runs on:
+# the longest prefix that a check of it reads.
+CORPUS_COMMANDS = {("decide", "--json"): 2000, ("invariants",): 400, ("decide", "--explain"): 200}
 
 
 def flip_of(rd):
@@ -131,3 +143,73 @@ def galois_a5_flip(rd_a5):
 @pytest.fixture(scope="session")
 def galois_d5_flip(rd_d5):
     return flip_of(rd_d5)
+
+
+# -- one pass of the commands over the benchmark corpora -------------------
+
+
+def load_corpus():
+    """``perfbench/corpus.py``: each benchmark problem as a pure function of its index."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", ROOT / "perfbench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Each command as ``cli.main`` parses it; the pass calls the command itself,
+# which keeps argparse, most of the cost of ``main``, out of it.
+_PARSED = {
+    ("decide", "--json"): (cli.cmd_decide, {"json": True, "explain": False}),
+    ("decide", "--explain"): (cli.cmd_decide, {"json": False, "explain": True}),
+    ("invariants",): (cli.cmd_invariants, {}),
+}
+
+
+def command_outputs(doc, path, commands):
+    """(exit code, stdout, stderr) of each command of ``commands`` on ``doc``,
+    written to ``path``, with the path written as ``<path>``."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+    runs = []
+    for command in commands:
+        func, options = _PARSED[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = func(argparse.Namespace(path=path, **options))
+        runs.append((code, out.getvalue().replace(path, "<path>"), err.getvalue().replace(path, "<path>")))
+    return runs
+
+
+@pytest.fixture(scope="session")
+def corpus_runs(tmp_path_factory):
+    """The commands of CORPUS_COMMANDS, each run once on each document of
+    its prefix of each corpus, for every check that reads a corpus.
+
+    ``{workload: [record per index]}``; a record holds the ``doc``, the
+    ``runs`` as {command: (exit code, stdout, stderr)} and the ``verdict``
+    dict that ``decide --json`` wrote, None when it refused the document.
+    """
+    corpus = load_corpus()
+    path = str(tmp_path_factory.mktemp("corpus") / "problem.json")
+    verdicts = []
+
+    def run_decide(doc, at):
+        verdict = decide(doc, at)
+        verdicts.append(verdict.to_dict())
+        return verdict
+
+    decide = cli.run_decide
+    out = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run_decide", run_decide)
+        for workload in CORPUS_WORKLOADS:
+            records = out[workload] = []
+            for k in range(max(CORPUS_COMMANDS.values())):
+                doc = corpus.problem(workload, k)
+                commands = [c for c, prefix in CORPUS_COMMANDS.items() if k < prefix]
+                del verdicts[:]
+                outputs = command_outputs(doc, path, commands)
+                # decide --json runs first, so a verdict it wrote comes first
+                verdict = verdicts[0] if verdicts and outputs[0][0] in (0, 1) else None
+                records.append({"doc": doc, "runs": dict(zip(commands, outputs)), "verdict": verdict})
+    return out

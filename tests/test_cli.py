@@ -683,24 +683,69 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-def test_root_datum_above_the_rank_bound_exits_2_at_once(tmp_path):
+def _cli_process(argv, **kwargs):
+    """The interpreter run on ``argv`` with this checkout's ``src`` first on
+    its path; text output, and a minute at most."""
     import os
     import subprocess
     import sys
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *argv], text=True, timeout=60, env=env, **kwargs)
+
+
+def test_root_datum_above_the_rank_bound_exits_2_at_once(tmp_path):
     doc = dict(HORO_A3, root_datum="A99999", I=[], M=[])
     path = write(tmp_path, doc)
     # Without the bound the first matrix alone would need 10^10 entries: the
     # child's address space is capped, and the timeout catches a slow run,
     # so a missing bound fails this test instead of exhausting the machine.
-    proc = subprocess.run(
-        [sys.executable, "-m", "spherical_models.cli", "decide", path],
-        capture_output=True, text=True, timeout=60, env=env, preexec_fn=_limit_memory,
+    proc = _cli_process(
+        ["-m", "spherical_models.cli", "decide", path], capture_output=True, preexec_fn=_limit_memory,
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: " + path + ".root_datum: rank 99999 exceeds"), proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["decide", "--json", "sl6_embedding_su42.json"], 1),
+    (["decide", "--explain", "sl6_embedding_su42.json"], 1),
+    (["decide", "--json", "so10_orthogonal.json"], 0),
+    (["invariants", "sl6_embedding_su42.json"], 0),
+    (["catalog", "list"], 0),
+])
+def test_a_closed_stdout_changes_no_exit_code(argv, code):
+    # exit 1 means "the model does not exist": a reader of stdout that is
+    # gone before the first line turns no verdict or report into it, and
+    # leaves no traceback on stderr
+    import os
+    import subprocess
+
+    argv = [str(PROBLEMS / a) if a.endswith(".json") else a for a in argv]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process(["-m", "spherical_models.cli", *argv], stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
+def test_the_cli_imports_no_code_generation():
+    # the engine's records are named tuples and slot classes, so importing
+    # the CLI loads neither dataclasses nor what it imports; -S keeps the
+    # site hooks of the interpreter, which may import anything, out of it
+    import re
+    import subprocess
+
+    heavy = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
+    code = "import sys, spherical_models.cli; print(sorted(set(sys.modules) & set(%r)))" % heavy
+    proc = _cli_process(["-S", "-c", code], capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    src = Path(__file__).resolve().parent.parent / "src" / "spherical_models"
+    for path in sorted(src.glob("*.py")):
+        assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path.name
 
 
 def test_catalog_form_above_the_rank_bound_exits_2(capsys):
@@ -1104,18 +1149,6 @@ def test_one_node_sweep_over_the_demo_files_never_exits_3(tmp_path, capsys):
 # -- the compiled schema and the verdict writer, against the routes they replaced
 
 
-def _corpus_documents(count, step=1):
-    """Every ``step``-th of the first ``count`` documents of each benchmark
-    corpus, with labels."""
-    from test_recorded_codes import _corpus
-
-    corpus = _corpus()
-    return [
-        ("%s[%d]" % (w, k), corpus.problem(w, k))
-        for w in ("horo_sweep", "embed_fans") for k in range(0, count, step)
-    ]
-
-
 WRITER_EDGES = [
     [], {}, [[]], [[], [[]], {}], None, True, False, 0, -1, 10**40, -(10**40),
     "", "non-ASCII: é ü ☃ \U0001d4b3, controls: \n\t\"\\ \x00",
@@ -1124,7 +1157,9 @@ WRITER_EDGES = [
 ]
 
 
-def test_verdict_writer_writes_what_the_encoder_writes():
+def test_verdict_writer_writes_what_the_encoder_writes(corpus_runs):
+    # the corpus verdicts are those of the corpus pass, with what
+    # ``decide --json`` printed for each
     from oracles import verdict_json_by_encoder
 
     from spherical_models.cli import ProblemError, _check_problem, _dumps, run_decide
@@ -1132,16 +1167,23 @@ def test_verdict_writer_writes_what_the_encoder_writes():
 
     docs = list(WRITER_EDGES) + [catalog_lookup(n).to_dict() for n in ("SU(2,2)", "SO*(10)", "Sp(2,1)")]
     problems = [(str(p), json.loads(p.read_text())) for p in sorted(PROBLEMS.glob("*.json"))]
-    problems += _corpus_documents(2000)
     for path, doc in problems:
         try:
             _check_problem(doc, path)
             docs.append(run_decide(doc, path).to_dict())
         except ProblemError:
             continue
-    assert len(docs) > 3000
     for doc in docs:
         assert _dumps(doc) == verdict_json_by_encoder(doc), doc
+    decided = 0
+    for records in corpus_runs.values():
+        assert len(records) >= 2000
+        for record in records[:2000]:
+            if record["verdict"] is not None:
+                printed = record["runs"][("decide", "--json")][1]
+                assert printed == verdict_json_by_encoder(record["verdict"]) + "\n", record["doc"]
+                decided += 1
+    assert decided > 3000
 
 
 # Values that one mutation puts in place of a member: each JSON type, lists of
@@ -1168,7 +1210,7 @@ def _one_mutation_away(doc):
     yield from walk(doc, lambda new: new)
 
 
-def test_compiled_schema_finds_what_the_walk_finds():
+def test_compiled_schema_finds_what_the_walk_finds(corpus_runs):
     """The compiled checkers give the recursive walk's (path, message) on the
     demos and a deterministic slice of each corpus, and on every document
     one mutation away from them: a wrong type, a missing key, a bad
@@ -1178,7 +1220,7 @@ def test_compiled_schema_finds_what_the_walk_finds():
     from spherical_models.cli import _CHECKS, SCHEMA
 
     docs = [json.loads(p.read_text()) for p in sorted(PROBLEMS.glob("*.json"))]
-    docs += [doc for _, doc in _corpus_documents(2000, step=200)]
+    docs += [records[k]["doc"] for records in corpus_runs.values() for k in range(0, 2000, 200)]
     checked = refused = 0
     for doc in docs:
         kind = doc["kind"]

@@ -2,7 +2,8 @@
 
 A fresh interpreter (so no cache is warm) runs, under ``sys.setprofile``,
 the CLI on every demo problem (``decide --json``, ``decide --explain`` and
-``invariants``), ``catalog list`` and ``catalog show "SU(2,2)"``, and the
+``invariants``) and on a document with a float, which the decoder refuses,
+``catalog list`` and ``catalog show "SU(2,2)"``, and the
 benchmark recorder's ``decide_one`` on the first indices of each corpus.  It
 prints the functions and methods it never entered.  Run as a script, this
 file is that interpreter:
@@ -20,6 +21,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,8 +32,9 @@ CORPUS_PREFIX = 100
 # classes and the helpers only the recorder's build_tables uses are library
 # data for callers, _internal_error runs only on a fault of the engine, and
 # the schema compiler runs at import, before the profiler is set.  Dunders
-# (which include Required.__init__, also run at import, and the methods
-# dataclasses and NamedTuple generate) are not counted.
+# (which include Required.__init__, also run at import, the constructors of
+# the records, and the methods that namedtuple and NamedTuple generate) are
+# not counted.
 NOT_ENTERED = {
     "spherical.SphericalDatum.to_dict",
     "horospherical.HorosphericalDatum.to_dict",
@@ -93,6 +96,11 @@ def _exercise():
         for path in sorted((ROOT / "demos" / "problems").glob("*.json")):
             for argv in (["decide", "--json"], ["decide", "--explain"], ["invariants"]):
                 main(argv + [str(path)])
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "float.json")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write('{"version": 1, "kind": "gu", "root_datum": "A1", "field": {"mode": 0.5}}')
+            main(["decide", "--json", path])
         main(["catalog", "list"])
         main(["catalog", "show", "SU(2,2)"])
         for workload in ("horo_sweep", "embed_fans"):

@@ -5,6 +5,8 @@ index, and ``perfbench/expected/<workload>.json`` holds one code per index:
 "0" exists, "1" does not, "2" input error, "-" filtered out.  A change to
 the engine that flips any of them is a changed verdict.  On the same
 corpora, ``invariants`` must refuse exactly the files ``decide`` refuses.
+The corpus checks read the one pass of the commands over the corpora
+(``corpus_runs`` in ``conftest.py``).
 """
 
 import importlib.util
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_corpus as _corpus
 from spherical_models import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,10 +34,6 @@ def _load(name, filename):
     return module
 
 
-def _corpus():
-    return _load("perfbench_corpus", "corpus.py")
-
-
 def _recorded(name):
     with open(PERFBENCH / "expected" / (name + ".json"), encoding="utf-8") as f:
         return json.load(f)
@@ -50,14 +49,17 @@ def _code(doc, path):
 
 
 @pytest.mark.parametrize("workload", ["horo_sweep", "embed_fans"])
-def test_corpus_verdicts_match_the_recorded_codes(workload):
+def test_corpus_verdicts_match_the_recorded_codes(corpus_runs, workload):
+    # the exit code of ``sphmodels decide --json`` on each document
     corpus = _corpus()
     codes = _recorded(workload)["codes"][:PREFIX]
+    records = corpus_runs[workload]
+    assert len(records) >= PREFIX
     mismatches = []
     for k, want in enumerate(codes):
         if want == corpus.SKIP:
             continue
-        got = _code(corpus.problem(workload, k), "%s[%d]" % (workload, k))
+        got = str(records[k]["runs"][("decide", "--json")][0])
         if got != want:
             mismatches.append((k, want, got))
     assert any(c != corpus.SKIP for c in codes)
@@ -98,16 +100,17 @@ def test_recorder_reaches_the_engine_names_it_imports():
 
 
 @pytest.mark.parametrize("workload", ["horo_sweep", "embed_fans"])
-def test_invariants_refuses_exactly_what_decide_refuses(tmp_path, capsys, workload):
+def test_invariants_refuses_exactly_what_decide_refuses(corpus_runs, workload):
     # the report builds what the verdict builds: it refuses the same files
     # with the same line, and a file that decide decides it reports
-    corpus = _corpus()
-    path = tmp_path / "problem.json"
+    records = corpus_runs[workload][:COMMANDS_PREFIX]
+    assert len(records) == COMMANDS_PREFIX
     refused = 0
-    for k in range(COMMANDS_PREFIX):
-        path.write_text(json.dumps(corpus.problem(workload, k)))
-        decided = cli.main(["decide", "--json", str(path)]), capsys.readouterr().err
-        reported = cli.main(["invariants", str(path)]), capsys.readouterr().err
+    for k, record in enumerate(records):
+        code, _, err = record["runs"][("decide", "--json")]
+        decided = code, err
+        code, _, err = record["runs"][("invariants",)]
+        reported = code, err
         if 2 in (decided[0], reported[0]):
             assert reported == decided, k
             refused += 1
