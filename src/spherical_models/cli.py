@@ -657,7 +657,9 @@ def cmd_catalog(args):
     return _print(lines, 0)
 
 
-def main(argv=None):
+@lru_cache(maxsize=None)
+def _parser():
+    """The command-line parser, built at the first ``main`` call, not at import."""
     parser = argparse.ArgumentParser(
         prog="sphmodels",
         description="decide existence of equivariant models from combinatorial data",
@@ -678,7 +680,11 @@ def main(argv=None):
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("name", nargs="?")
     p.set_defaults(func=cmd_catalog)
+    return parser
 
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "catalog" and args.action == "show" and not args.name:
         parser.error("catalog show requires a name")

@@ -150,12 +150,11 @@ def center_invariants(rd, galois):
     fixed lattice F holds the weights whose class every Galois generator
     fixes, and the fixed subgroup is (P/Q)^Γ = F/Q.
     """
-    return _center_invariants(rd.type, galois)
+    return _center_invariants(rd, galois)
 
 
 @lru_cache(maxsize=None)
-def _center_invariants(t, galois):
-    rd = based_root_datum(t)
+def _center_invariants(rd, galois):
     p_lat, q_lat = rd.weight_lattice, rd.root_lattice
     fixed = fixed_sublattice(p_lat, galois.generator_matrices(), q_lat)
     return quotient_group(p_lat, q_lat), quotient_group(fixed, q_lat), fixed
@@ -182,19 +181,19 @@ def resolve_local_character(rd, galois, tits, mode):
     """The Tits character ``tits`` on the center fixed points, validated.
 
     The one route from a TitsClassSpec to a BrCharacter.  A bounded cache
-    (specs come from documents) keeps each resolved (type, image, spec,
+    (specs come from documents) keeps each resolved (datum, image, spec,
     mode), a refused one as its message: every call raises ValueError with it.
     """
-    local = _resolve_local_character(rd.type, galois, tits, check_local_mode(mode))
+    local = _resolve_local_character(rd, galois, tits, check_local_mode(mode))
     if type(local) is str:
         raise ValueError(local)
     return local
 
 
 @lru_cache(maxsize=4096)
-def _resolve_local_character(t, galois, tits, mode):
+def _resolve_local_character(rd, galois, tits, mode):
     """The LocalCharacter of resolve_local_character, or its refusal message."""
-    mod, inv, fixed = center_invariants(based_root_datum(t), galois)
+    mod, inv, fixed = center_invariants(rd, galois)
     try:
         t0 = BrCharacter.zero(inv) if tits.kind == "zero" else BrCharacter(inv, tits.values)
     except ValueError as e:
@@ -347,7 +346,7 @@ def _shortcut_label(rd, galois, local):
 
     Returns None outside the table.  The label names the rule of a verdict;
     the verdict itself always comes from _first_failing_row.  Once per
-    (type, image, character).
+    (root datum, image, character).
     """
     fam, n = rd.type.family, rd.type.rank
     trivial = galois.is_trivial_action()
@@ -398,17 +397,17 @@ def _horospherical_fast_path(rd, galois, t0, m_lattice, mod, inv, fixed):
     return None
 
 
-def _horospherical_cohomology(datum, galois, local):
+def _horospherical_cohomology(rd, galois, local, fixed):
     """(ok, rule, witness) of the cohomology condition of a stable pair.
 
     For a nonzero character its kernel must contain the center class of
-    every fixed point of M; the witness is the first canonical basis row of
-    the fixed part whose class it does not kill.
+    every fixed point of M, which the rows ``fixed`` generate; the witness is
+    the first canonical basis row of the fixed part whose class it does not kill.
     """
     if local.t0.is_zero():
         return True, "t0-trivial", None
-    offender = _first_failing_row(local, datum.fixed_points(galois))
-    rule = _shortcut_label(datum.rd, galois, local) or "generic-theta"
+    offender = _first_failing_row(local, fixed)
+    rule = _shortcut_label(rd, galois, local) or "generic-theta"
     return offender is None, rule, None if offender is None else list(offender)
 
 
@@ -421,12 +420,13 @@ def decide_horospherical(datum, galois, tits, mode):
     names the matching condition.
     """
     local = resolve_local_character(datum.rd, galois, tits, mode)
-    stable = datum.stable(galois)
-    reasons = [_reason("pair-stability", stable)]
+    action = datum.action(galois)
+    reasons = [_reason("pair-stability", action is not None)]
     citations = ["necessary stability of the horospherical pair"]
-    if not stable:
+    if action is None:
         return Verdict(tuple(reasons), tuple(citations))
-    ok, rule, witness = _horospherical_cohomology(datum, galois, local)
+    fixed = None if local.t0.is_zero() else fixed_generators(datum.M, action)
+    ok, rule, witness = _horospherical_cohomology(datum.rd, galois, local, fixed)
     extra = {} if ok else {"witness": witness}
     reasons.append(_reason("cohomology", ok, rule=rule, **extra))
     citations.append("fixed part of M inside the character-kernel preimage")
@@ -466,22 +466,27 @@ def decide_number_field(datum, galois, sites):
             ))
         except ValueError as e:
             raise type(e)("site %s: %s" % (site.label, e)) from None
-    stable = datum.stable(galois)
-    reasons = [_reason("pair-stability", stable)]
+    action = datum.action(galois)
+    reasons = [_reason("pair-stability", action is not None)]
     citations = [
         "necessary stability of the horospherical pair",
         "place-by-place vanishing for simply connected simple groups",
     ]
-    if not stable:
+    if action is None:
         return Verdict(tuple(reasons), tuple(citations))
-    answers = {}  # sites with equal images and characters have equal answers
+    # the fixed part of M per site image (the global one's action is known),
+    # and one answer per image and character
+    fixed, answers = {}, {}
     for site, local in zip(sites, site_chars):
         if local is None:
             reasons.append(_reason("site:%s" % site.label, True, rule="t0-trivial"))
             continue
-        if (site.galois, local) not in answers:
-            answers[site.galois, local] = _horospherical_cohomology(datum, site.galois, local)
-        ok, rule, witness = answers[site.galois, local]
+        g = site.galois
+        if (g, local) not in answers:
+            if g not in fixed and not local.t0.is_zero():
+                fixed[g] = fixed_generators(datum.M, action if g == galois else datum.action(g))
+            answers[g, local] = _horospherical_cohomology(datum.rd, g, local, fixed.get(g))
+        ok, rule, witness = answers[g, local]
         witness = None if witness is None else list(witness)
         reasons.append(_reason("site:%s" % site.label, ok, rule=rule, witness=witness))
     return Verdict(tuple(reasons), tuple(citations))

@@ -24,7 +24,7 @@ from math import lcm
 from operator import add, mul
 
 from .lattice import IntMatrix, apply_row
-from .rootdata import based_root_datum, star_action_matrix
+from .rootdata import star_action_matrix
 
 REAL = "real"
 PADIC = "padic"
@@ -130,22 +130,18 @@ def galois_from_permutations(rd, automorphisms, group_name=None):
     quadratic extension acting trivially.  Each distinct input is built (and
     its relators checked) once per process.
     """
-    return _galois_from_permutations(rd.type, tuple(automorphisms), group_name)
+    return _galois_from_permutations(rd, tuple(automorphisms), group_name)
 
 
 @lru_cache(maxsize=None)
-def _galois_from_permutations(t, automorphisms, group_name):
-    rd = based_root_datum(t)
+def _galois_from_permutations(rd, automorphisms, group_name):
     mats = [star_action_matrix(rd, a) for a in automorphisms]
     if group_name is None:
         if not automorphisms:
             group_name = "trivial"
         elif len(automorphisms) == 1:
-            group_name = {1: "trivial", 2: "cyclic2", 3: "cyclic3"}.get(
-                automorphisms[0].order()
-            )
-            if group_name is None:
-                raise ValueError("single generator of unsupported order")
+            # a diagram automorphism has order 1, 2 or 3 (Bourbaki, Plates I-IX)
+            group_name = ("trivial", "cyclic2", "cyclic3")[automorphisms[0].order() - 1]
             if group_name == "trivial":
                 mats = []
         else:

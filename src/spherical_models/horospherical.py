@@ -9,30 +9,30 @@ which the constructor checks.
 
 from __future__ import annotations
 
-from .lattice import Lattice, action_coordinates, fixed_generators
+from collections import namedtuple
+
+from .lattice import Lattice, action_coordinates
 from .rootdata import node_permutation
 from .spherical import Color, SphericalDatum
 
 
-class HorosphericalDatum:
-    __slots__ = ("rd", "I", "M", "_actions", "_fixed")
+class HorosphericalDatum(namedtuple("HorosphericalDatum", "rd I M")):
+    __slots__ = ()
 
-    def __init__(self, rd, nodes, m_rows):
-        self.rd = rd
-        self.I = frozenset(int(i) for i in nodes)
-        if not self.I <= set(range(1, rd.rank + 1)):
+    def __new__(cls, rd, nodes, m_rows):
+        nodes = frozenset(int(i) for i in nodes)
+        if not nodes <= set(range(1, rd.rank + 1)):
             raise ValueError("node set mentions unknown simple roots")
-        self.M = Lattice(rd.rank, [list(r) for r in m_rows])
+        m = Lattice(rd.rank, [list(r) for r in m_rows])
         bad = [
             "node %d pairs with %r" % (i, list(row))
-            for row in self.M.basis.data
-            for i in sorted(self.I)
+            for row in m.basis.data
+            for i in sorted(nodes)
             if row[i - 1] != 0  # <row, alpha_i^vee>
         ]
         if bad:
             raise ValueError("invalid horospherical datum: " + "; ".join(bad))
-        # per Galois image, what action() and fixed_points() derived
-        self._actions, self._fixed = {}, {}
+        return tuple.__new__(cls, (rd, nodes, m))
 
     def stable(self, galois):
         """True iff every generator fixes I setwise and maps M onto M.
@@ -44,20 +44,13 @@ class HorosphericalDatum:
     def action(self, galois):
         """The generator matrices on M in its canonical basis, as
         lattice.action_coordinates gives them, or None when the pair is not
-        stable.  Each image is checked once per datum."""
-        if galois not in self._actions:
-            mats = galois.generator_matrices()
-            perms = [node_permutation(self.rd, m) for m in mats]
-            keeps_i = all(p is not None and {p[i] for i in self.I} == self.I for p in perms)
-            self._actions[galois] = action_coordinates(self.M, mats) if keeps_i else None
-        return self._actions[galois]
-
-    def fixed_points(self, galois):
-        """Generating rows, not canonical, of the points of M that the image
-        fixes; the pair must be stable under it.  Once per image and datum."""
-        if galois not in self._fixed:
-            self._fixed[galois] = fixed_generators(self.M, self.action(galois))
-        return self._fixed[galois]
+        stable.  Computed on each call: a decision that reads it twice keeps
+        it."""
+        mats = galois.generator_matrices()
+        perms = [node_permutation(self.rd, m) for m in mats]
+        if all(p is not None and {p[i] for i in self.I} == self.I for p in perms):
+            return action_coordinates(self.M, mats)
+        return None
 
     def to_spherical(self):
         """The combinatorial invariants of the corresponding open orbit.

@@ -232,16 +232,15 @@ def node_permutation(rd: BasedRootDatum, mat: IntMatrix):
 
     Maps each 1-based node to the node whose simple root is the image of its
     simple root; None when ``mat`` does not permute the simple roots.  Each
-    (type, matrix) is computed once per process; every call returns a fresh
-    dict.
+    (root datum, matrix) is computed once per process; every call returns a
+    fresh dict.
     """
-    items = _node_permutation(rd.type, mat)
+    items = _node_permutation(rd, mat)
     return None if items is None else dict(items)
 
 
 @lru_cache(maxsize=None)
-def _node_permutation(t: SimpleType, mat: IntMatrix):
-    rd = BasedRootDatum(t)
+def _node_permutation(rd: BasedRootDatum, mat: IntMatrix):
     roots = {rd.simple_root(i): i for i in range(1, rd.rank + 1)}
     items = []
     for i in range(1, rd.rank + 1):

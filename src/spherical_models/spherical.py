@@ -263,7 +263,7 @@ def _extended_matrices(datum, galois):
     )
 
 
-class OrbitAction:
+class OrbitAction(NamedTuple):
     """How the Galois generators move the combinatorial invariants of an orbit.
 
     ``unstable`` is the index of the first generator that moves them, or
@@ -276,21 +276,11 @@ class OrbitAction:
     colors maps each fiber onto its image's (``stabilizing_lift``).
     """
 
-    __slots__ = ("unstable", "fibers", "perms", "restrictions", "r_invs")
-
-    def __init__(self, unstable, fibers, perms=(), restrictions=(), r_invs=()):
-        init = object.__setattr__
-        init(self, "unstable", unstable)
-        init(self, "fibers", fibers)
-        init(self, "perms", perms)
-        init(self, "restrictions", restrictions)
-        init(self, "r_invs", r_invs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
+    unstable: int | None
+    fibers: dict
+    perms: tuple = ()
+    restrictions: tuple = ()
+    r_invs: tuple = ()
 
     def stable(self):
         """The value itself; ValueError if the action moves the invariants."""

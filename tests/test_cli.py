@@ -371,8 +371,11 @@ DEMO_OUTPUTS = json.loads((Path(__file__).resolve().parent / "golden" / "demo_ou
 @pytest.mark.parametrize("name", sorted(p.name for p in PROBLEMS.glob("*.json")))
 def test_demo_outputs_match_the_goldens(capsys, name, command):
     want = DEMO_OUTPUTS[name][command]
-    code, out, _ = run(capsys, *command.split(), str(PROBLEMS / name))
+    code, out, err = run(capsys, *command.split(), str(PROBLEMS / name))
     assert (code, out) == (want["code"], want["stdout"])
+    if command == "invariants" and want["code"] == 2:
+        # the report refuses what decide refuses, with the same line
+        assert err == run(capsys, "decide", "--json", str(PROBLEMS / name))[2]
 
 
 def test_number_field_invalid_site_character(tmp_path, capsys):
@@ -1231,3 +1234,120 @@ def test_compiled_schema_finds_what_the_walk_finds(corpus_runs):
             checked += 1
             refused += got is not None
     assert refused > 1000 and checked > refused
+
+
+# -- every refusal a document can reach ------------------------------------------
+
+_A2 = {"version": 1, "kind": "spherical", "root_datum": "A2", "galois": "trivial",
+       "field": {"mode": "padic"}, "X": [[1, 0], [0, 1]]}
+
+
+def _gu(label, galois, **keys):
+    return dict({"version": 1, "kind": "gu", "root_datum": label, "galois": galois,
+                 "field": {"mode": "padic"}}, **keys)
+
+
+_SL4_REAL = {"tits": {"catalog": "SL(4,R)"}, "field": {"mode": "real"}}
+
+# name: (document, catalog file or None, stderr after "error: <path>")
+REFUSALS = {
+    "no-flip": (_gu("B3", "flip"), None, ".galois: type B3 has no order-2 diagram automorphism"),
+    "not-a-permutation": (
+        _gu("A3", {"group": "cyclic2", "generators": [[1, 1, 3]]}), None,
+        ".galois: generator 1 is not a permutation of 1..3",
+    ),
+    "relations": (
+        _gu("A3", {"group": "cyclic3", "generators": [[3, 2, 1]]}), None,
+        ".galois: matrices do not satisfy the group relations",
+    ),
+    "site-image": (
+        _gu("A3", "trivial", field={"mode": "number_field", "sites": [{"mode": "real", "galois": "flip"}]}),
+        None, ".field.sites[0]: site image is not contained in the global image",
+    ),
+    "torus-root": (
+        dict(_A2, torus_rank=1, X=[[1, 0, 0], [0, 1, 0], [0, 0, 1]], sigma=[[2, -1, 1]]), None,
+        ": bad spherical datum: spherical roots have no central-torus component",
+    ),
+    "dependent-roots": (
+        dict(_A2, sigma=[[2, -1], [4, -2]]), None,
+        ": bad spherical datum: spherical roots are not linearly independent",
+    ),
+    "repeated-color": (
+        dict(_A2, colors=[{"id": "a", "rho": ["1", "0"], "sigma_set": [1]},
+                          {"id": "a", "rho": ["0", "1"], "sigma_set": [2]}]), None,
+        ": bad spherical datum: duplicate color id 'a'",
+    ),
+    "flag-without-root": (
+        dict(_A2, sigma234=[0]), None,
+        ": bad spherical datum: doubling flags must index the spherical roots",
+    ),
+    "zero-functional": (
+        dict(_A2, kind="embedding", colors=[{"id": "a", "rho": ["0", "0"], "sigma_set": [1]}],
+             fan=[{"generators": [["1", "0"]], "colors": ["a"]}]), None,
+        ".fan: color a has zero functional",
+    ),
+    "dual-rank-over-cap": (
+        {"version": 1, "kind": "embedding", "root_datum": "A9", "galois": "trivial", "field": {"mode": "padic"},
+         "X": [[int(i == j) for j in range(9)] for i in range(9)], "fan": [{"generators": [["1"] + ["0"] * 8]}]},
+        None, ".fan: dual space dimension exceeds the supported cap",
+    ),
+    "different-groups": (
+        {"version": 1, "kind": "diagonal", "factors": ["SU(2,2)", "Sp(4,R)"]}, None,
+        ".factors: factors are models of different groups",
+    ),
+    "different-images": (
+        {"version": 1, "kind": "diagonal", "factors": ["SU(3)", "SL(3,R)"]}, None,
+        ".factors: factors induce different Galois images",
+    ),
+    "catalog-list": (
+        _gu("A3", "trivial", **_SL4_REAL), [],
+        ".tits: catalog file <catalog>: must be an object mapping names to entries",
+    ),
+    "catalog-galois": (
+        _gu("A3", "trivial", **_SL4_REAL), {"X(4)": {"type": "A3", "galois": "weird"}},
+        ".tits: catalog file <catalog>: entry X(4) has unknown galois 'weird'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_every_refusal_exits_2_with_its_line_from_both_commands(tmp_path, capsys, monkeypatch, name):
+    doc, catalog, message = REFUSALS[name]
+    if catalog is not None:
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(catalog))
+        monkeypatch.setenv("SPHERICAL_MODELS_CATALOG", str(catalog_path))
+        message = message.replace("<catalog>", str(catalog_path))
+    path = write(tmp_path, doc)
+    for command in (("decide", "--json"), ("invariants",)):
+        assert run(capsys, *command, path) == (2, "", "error: %s%s\n" % (path, message)), command
+
+
+def test_an_unstable_pair_does_not_exist(tmp_path, capsys):
+    # the flip of A2 moves M = <omega_1> to <omega_2>
+    doc = {"version": 1, "kind": "horospherical", "root_datum": "A2", "galois": "flip",
+           "field": {"mode": "padic"}, "I": [], "M": [[1, 0]]}
+    code, out, _ = run(capsys, "decide", "--json", write(tmp_path, doc))
+    assert code == 1
+    assert json.loads(out)["reasons"] == [{"condition": "pair-stability", "ok": False}]
+
+
+def test_a_second_main_call_builds_no_parser(capsys, monkeypatch):
+    import argparse
+
+    assert run(capsys, "catalog", "list")[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "catalog", "list")[0] == 0
+    # the parser it reuses still refuses a show without a name
+    with pytest.raises(SystemExit) as refused:
+        main(["catalog", "show"])
+    err = capsys.readouterr().err
+    assert refused.value.code == 2 and err.startswith("usage: sphmodels") and "show requires a name" in err
+    assert built == []

@@ -838,7 +838,8 @@ def test_first_failing_row_is_the_class_of_scan(data):
     # a pair: an M that every element preserves, the orbit sums of a few rows
     m = Lattice(n, _orbit_rows(data.draw(st.lists(vectors(n), min_size=1, max_size=3)), elems))
     pair = HorosphericalDatum(rd, [], m.basis.data)
-    assert _first_failing_row(local, pair.fixed_points(galois)) == first_failing_row_by_class_of(local, m, gens)
+    got = _first_failing_row(local, fixed_generators(pair.M, pair.action(galois)))
+    assert got == first_failing_row_by_class_of(local, m, gens)
 
     # an orbit: X holds the span S of some doubled or scaled roots, and one
     # torus coordinate follows the weights
@@ -865,16 +866,16 @@ def test_number_field_decides_each_image_and_character_once(rd_a5, galois_a5_fli
     """Many sites with one image and one character: the fixed part of M is
     computed once, each site still gets its own reason, and the witnesses
     are separate lists."""
-    import spherical_models.horospherical as horospherical
+    import spherical_models.decision as decision
 
     calls = []
-    real = horospherical.fixed_generators
+    real = decision.fixed_generators
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(horospherical, "fixed_generators", counted)
+    monkeypatch.setattr(decision, "fixed_generators", counted)
     # the pair of G/U, on which 1/2 fails at a real place
     datum = HorosphericalDatum(rd_a5, [], rd_a5.weight_lattice.basis.data)
     sites = [LocalSite("v%d" % k, REAL, galois_a5_flip, (F(1, 2),)) for k in range(50)]
@@ -884,3 +885,10 @@ def test_number_field_decides_each_image_and_character_once(rd_a5, galois_a5_fli
     assert not any(r["ok"] for r in site_reasons)
     witnesses = [r["witness"] for r in site_reasons]
     assert witnesses == [witnesses[0]] * 50 and len({id(w) for w in witnesses}) == 50
+
+
+def test_theta_lattice_refuses_a_character_on_another_group(rd_a5, galois_a5_flip):
+    from spherical_models.lattice import FgAbelianGroup
+
+    with pytest.raises(ValueError, match="character source does not match the fixed center characters"):
+        theta_lattice(rd_a5, galois_a5_flip, BrCharacter.zero(FgAbelianGroup(1, [[7]])))

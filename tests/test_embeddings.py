@@ -493,3 +493,16 @@ def test_lift_read_off_the_fan_is_the_first_stabilizing_gamma_action(sl6_datum, 
     first_gamma = next((L for L in gamma if fan_stable(fan, action, L)), None)
     assert found == first_gamma == first
     assert found is None or is_gamma_action(found, galois.group_name)
+
+
+@pytest.mark.parametrize(
+    "maps, match",
+    [((), "lift has the wrong number of generator maps"),
+     (((("D1+", "D1+"),),), "lift is not a permutation of the colors")],
+    ids=["count", "not-a-permutation"],
+)
+def test_fan_stable_refuses_a_lift_of_the_wrong_shape(sl6_fan, sl6_datum, galois_a5_flip, maps, match):
+    from spherical_models.spherical import ColorLift
+
+    with pytest.raises(ValueError, match=match):
+        fan_stable(sl6_fan, orbit_action(sl6_datum, galois_a5_flip), ColorLift(maps))

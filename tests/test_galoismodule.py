@@ -374,3 +374,30 @@ def test_example_index_two_fixed_part_vanishes(rd_a5, galois_a5_flip, m_2p_plus_
 
 def _free_group(rank):
     return FgAbelianGroup(rank, [])
+
+
+# -- refusals ------------------------------------------------------------------
+
+_Z = FgAbelianGroup(1, [])  # infinite cyclic
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: GaloisAction("klein4", []), "unsupported group 'klein4'"),
+        (lambda: GaloisAction("s3", [[[1]]]), "group s3 needs 2 generator matrices"),
+        (lambda: GaloisAction("trivial", []), "ambient rank required for the trivial group"),
+        (lambda: GaloisAction("cyclic2", [[[1, 0]]]), "must be square of equal size"),
+        (lambda: BrCharacter(_Z, [0]), "Brauer characters live on finite groups"),
+        (lambda: all_characters(_Z), "infinite group"),
+    ],
+    ids=["group", "generator-count", "trivial-without-n", "non-square", "br-infinite", "all-infinite"],
+)
+def test_galois_and_character_refusals(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_an_unsupported_mode_is_the_only_diagnostic():
+    t0 = BrCharacter.zero(FgAbelianGroup(1, [[2]]))
+    assert validate_br_character(t0, "complex") == ["unsupported base field: 'complex'"]

@@ -23,9 +23,11 @@ from spherical_models import (
 from spherical_models.decision import LocalCharacter, center_invariants
 from spherical_models.galoismodule import BrCharacter
 from spherical_models.lattice import (
+    FgAbelianGroup,
     IntMatrix,
     Lattice,
     _RowSolver,
+    _unimodular_inverse,
     apply_row,
     fixed_sublattice,
     hnf,
@@ -528,3 +530,21 @@ def test_identity_is_built_once_per_size():
     assert IntMatrix.identity(4) is IntMatrix.identity(4)
     _same_as_constructed(IntMatrix.identity(4))
     assert IntMatrix.identity(0).data == ()
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: IntMatrix([[1, 0]]) * IntMatrix([[1, 0]]), "shape mismatch"),
+        (lambda: apply_row((1,), IntMatrix.identity(2)), "dimension mismatch"),
+        (lambda: Lattice.full(2).sum(Lattice.full(3)), "ambient mismatch"),
+        (lambda: fixed_sublattice(2, [IntMatrix.identity(3)]), "action matrix has wrong size"),
+        (lambda: FgAbelianGroup(2, [[1, 2, 3]]), "relation width != generator count"),
+        (lambda: FgAbelianGroup(2, [[2, 0]]).from_ambient((1,)), "dimension mismatch"),
+        (lambda: _unimodular_inverse(IntMatrix([[2]])), "matrix is not unimodular"),
+    ],
+    ids=["product", "apply-row", "sum", "fixed-sublattice", "relations", "from-ambient", "unimodular"],
+)
+def test_shape_and_unimodularity_refusals(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

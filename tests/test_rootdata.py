@@ -98,7 +98,10 @@ ORACLE_TYPES = (
 
 @pytest.mark.parametrize("t", ORACLE_TYPES, ids=str)
 def test_diagram_automorphism_table_equals_search(t):
-    assert diagram_automorphism_group(t) == diagram_automorphisms_by_search(t)
+    found = diagram_automorphisms_by_search(t)
+    assert diagram_automorphism_group(t) == found
+    # so the order table of galois_from_permutations covers every generator
+    assert all(a.order() <= 3 for a in found)
 
 
 def test_diagram_automorphism_table_is_immediate_at_the_rank_bound():
@@ -247,3 +250,10 @@ def test_weight_lattice_is_built_once_per_type():
     assert rd.weight_lattice.basis.data == tuple(
         tuple(int(i == j) for j in range(5)) for i in range(5)
     )
+
+
+def test_unknown_family_and_wrong_rank_automorphism_are_refused():
+    with pytest.raises(ValueError, match="unknown family 'X'"):
+        SimpleType("X", 3)
+    with pytest.raises(ValueError, match="automorphism rank mismatch"):
+        star_action_matrix(based_root_datum("A3"), diagram_automorphism_group(SimpleType("A", 2))[1])

@@ -634,3 +634,8 @@ def test_exact_rational_refuses_what_is_no_rational(value):
 def test_exact_rational_names_a_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator in '1/0'"):
         _exact_rational("1/0")
+
+
+def test_orbit_action_refuses_an_image_on_another_lattice(sl3_datum):
+    with pytest.raises(ValueError, match="Galois action lives on the wrong lattice"):
+        orbit_action(sl3_datum, GaloisAction.trivial(3))
