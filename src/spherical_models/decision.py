@@ -23,8 +23,6 @@ form with that Tits datum.
 
 from __future__ import annotations
 
-import json
-import os
 import re
 from collections import namedtuple
 from functools import lru_cache
@@ -620,11 +618,8 @@ _FAMILIES = (
     ("SO*(10)", r"SO\*\(10\)", lambda: ("D5", "flip", _HALF, _TABLE_CITATION)),
 )
 
-_GALOIS_NAMES = ("trivial", "trivial-c2", "flip")
-
-
 def _named_galois(rd, name):
-    """The Galois image a catalog entry names, one of _GALOIS_NAMES.
+    """The Galois image a catalog entry names.
 
     "trivial-c2" is the order-2 group acting trivially; "flip" is the
     order-2 outer action, or trivial-c2 when the diagram has none (the
@@ -634,35 +629,29 @@ def _named_galois(rd, name):
     flip = diagram_flip(rd.type) if name == "flip" else None
     if flip is not None:
         return galois_from_permutations(rd, [flip])
-    if name == "trivial":
-        return galois_from_permutations(rd, [])
     identity = DiagramAutomorphism(tuple(range(rd.rank)))
     return galois_from_permutations(rd, [identity], group_name="cyclic2")
 
 
-def _catalog_entry(name, label, galois, t0, citation, mode=REAL):
-    """The one builder of catalog entries, built-in or read from a file.
+def _catalog_entry(name, label, galois, t0, citation):
+    """A built-in catalog entry, a real form.
 
-    Parses the type label (ValueError on a bad label or a rank over the
-    cap), resolves the Galois image by name and makes the Tits spec: zero
-    for an empty ``t0``.
+    Parses the type label (ValueError on a rank over the cap), resolves the
+    Galois image by name and makes the Tits spec: zero for an empty ``t0``.
     """
     t = SimpleType.parse(label)
     tits = TitsClassSpec.from_values(t0) if t0 else TitsClassSpec.zero()
-    return CatalogEntry(name, t, _named_galois(based_root_datum(t), galois), tits, mode, citation)
+    return CatalogEntry(name, t, _named_galois(based_root_datum(t), galois), tits, REAL, citation)
 
 
 def catalog_lookup(name):
     """A literature-backed form: its type, Galois image, and Tits character.
 
-    Supported names: the built-in families of _FAMILIES (SU(p,q) and SU(n)
-    over the reals, SL(n,R), SL(m,H), Sp(2n,R), Sp(p,q), SO*(10)), plus any
-    entries loaded from the files named by the SPHERICAL_MODELS_CATALOG
-    environment variable, which take precedence.
+    Supported names: the built-in families of _FAMILIES, all real forms
+    (SU(p,q) and SU(n), SL(n,R), SL(m,H), Sp(2n,R), Sp(p,q), SO*(10)).  A
+    form outside them is given by its Tits character values in the
+    problem document instead.
     """
-    ext = _extension_entries()
-    if name in ext:
-        return ext[name]
     for _, pattern, family in _FAMILIES:
         m = re.fullmatch(pattern, name)
         if m:
@@ -674,55 +663,7 @@ def catalog_lookup(name):
 
 
 def catalog_names():
-    return [display for display, _, _ in _FAMILIES] + sorted(_extension_entries())
-
-
-def _extension_entries():
-    """The entries of the catalog files named by SPHERICAL_MODELS_CATALOG.
-
-    A file that cannot be read, is not a JSON object, or holds an entry
-    without a "type", with a bad type label or rank, with an unknown
-    "galois", with a "t0" that is not a list of rationals or with a "mode"
-    other than real or padic raises ValueError naming the file, the entry
-    and the fault.
-    """
-    paths = os.environ.get("SPHERICAL_MODELS_CATALOG", "")
-    out = {}
-    for path in paths.split(os.pathsep):
-        if not path:
-            continue
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                doc = json.load(f)
-        except OSError as e:
-            raise ValueError("catalog file %s: cannot read (%s)" % (path, e)) from None
-        except ValueError as e:
-            raise ValueError("catalog file %s: not valid JSON (%s)" % (path, e)) from None
-        if not isinstance(doc, dict):
-            raise ValueError("catalog file %s: must be an object mapping names to entries" % path)
-        for name, entry in doc.items():
-            where = "catalog file %s: entry %s" % (path, name)
-            if not isinstance(entry, dict) or not isinstance(entry.get("type"), str):
-                raise ValueError('%s has no "type" label' % where)
-            gname = entry.get("galois", "trivial")
-            if gname not in _GALOIS_NAMES:
-                raise ValueError("%s has unknown galois %r" % (where, gname))
-            t0 = entry.get("t0", [])
-            try:
-                if not isinstance(t0, list) or any(type(v) not in (int, str) for v in t0):
-                    raise ValueError
-                vals = [_exact_rational(v) for v in t0]
-            except ValueError:
-                raise ValueError('%s has "t0" %r, not a list of rationals' % (where, t0)) from None
-            mode = entry.get("mode", REAL)
-            if mode not in (REAL, PADIC):
-                raise ValueError('%s has "mode" %r, not "real" or "padic"' % (where, mode))
-            citation = entry.get("citation", "user-supplied catalog extension")
-            try:
-                out[name] = _catalog_entry(name, entry["type"], gname, vals, citation, mode)
-            except ValueError as e:
-                raise ValueError("%s: %s" % (where, e)) from None
-    return out
+    return [display for display, _, _ in _FAMILIES]
 
 
 def delta_markers_from_catalog(names):
@@ -730,8 +671,8 @@ def delta_markers_from_catalog(names):
 
     The obstruction between a factor and the base factor is the difference
     of their Tits characters; all factors must share type and Galois image.
-    Each factor's character is resolved, and so validated, in that entry's
-    own mode.
+    Each factor's character is resolved, and so validated, over the reals:
+    every catalog form is real.
     """
     entries = [catalog_lookup(n) for n in names]
     base = entries[0]
@@ -744,7 +685,7 @@ def delta_markers_from_catalog(names):
     chars = []
     for name, e in zip(names, entries):
         try:
-            chars.append(resolve_local_character(rd, e.galois, e.tits, e.mode).t0)
+            chars.append(resolve_local_character(rd, e.galois, e.tits, REAL).t0)
         except ValueError as err:
             raise ValueError("factor %s: %s" % (name, err)) from None
     markers = []

@@ -19,6 +19,7 @@ from operator import mul
 
 from .polyhedra import (
     DIM_CAP,
+    GENERATOR_CAP,
     extreme_rays,
     relative_interior_point_satisfies,
 )
@@ -42,7 +43,8 @@ def cone_canonicalize(cone, datum):
     """Canonical form: primitive integer extreme rays of cone(rays + color functionals).
 
     Rejects generators whose length is not the orbit rank, non-strictly-convex
-    cones and colors with zero functional.
+    cones, colors with zero functional and more than GENERATOR_CAP generators
+    and colors.
     """
     for r in cone.rays:
         if len(r) != datum.rank:
@@ -58,6 +60,8 @@ def cone_canonicalize(cone, datum):
         gens.append(rho)
     if datum.rank > DIM_CAP:
         raise ValueError("dual space dimension exceeds the supported cap")
+    if len(gens) > GENERATOR_CAP:
+        raise ValueError("a cone has %d generators and colors, more than %d" % (len(gens), GENERATOR_CAP))
     rays = extreme_rays(gens)
     return ColoredCone(rays, cone.colors)
 

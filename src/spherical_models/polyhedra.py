@@ -20,6 +20,7 @@ from math import gcd, lcm
 from operator import mul
 
 DIM_CAP = 8
+GENERATOR_CAP = 24
 
 
 def _integer_row(values):

@@ -34,7 +34,7 @@ from .lattice import (
     apply_row,
     quotient_group,
 )
-from .rootdata import node_permutation
+from .rootdata import MAX_RANK, node_permutation
 
 
 class Color(namedtuple("Color", "id rho sigma_set")):
@@ -100,12 +100,16 @@ class SphericalDatum:
         self.torus_rank = int(torus_rank)
         if self.torus_rank < 0:
             raise ValueError("torus_rank must be at least 0, got %d" % self.torus_rank)
+        if self.torus_rank > MAX_RANK:
+            raise ValueError("torus_rank must be at most %d, got %d" % (MAX_RANK, self.torus_rank))
         ambient = rd.rank + self.torus_rank
         basis = IntMatrix([list(r) for r in basis], cols=ambient)
         if basis.cols != ambient:
             raise ValueError("basis rows must have the ambient length %d" % ambient)
-        self.lattice = _RowSolver(basis)
-        if self.lattice.rank != basis.rows:
+        # more rows than coordinates are dependent: refused before the
+        # solver, whose transform has rows x rows entries
+        self.lattice = _RowSolver(basis) if basis.rows <= ambient else None
+        if self.lattice is None or self.lattice.rank != basis.rows:
             raise ValueError("basis rows are not linearly independent")
         self.basis = basis
         sigma = tuple(tuple(int(x) for x in s) for s in sigma)

@@ -29,7 +29,6 @@ from spherical_models import (
 )
 from spherical_models.decision import (
     _horospherical_fast_path,
-    catalog_names,
     center_invariants,
     check_local_mode,
     resolve_local_character,
@@ -532,21 +531,6 @@ def test_catalog_su_values():
 def test_catalog_unknown_name():
     with pytest.raises(ValueError, match="^unknown catalog name 'bogus'$"):
         catalog_lookup("bogus")
-
-
-def test_catalog_extension_env(tmp_path, monkeypatch):
-    import json
-
-    path = tmp_path / "extra.json"
-    path.write_text(
-        json.dumps(
-            {"MyForm": {"type": "A3", "galois": "flip", "t0": ["1/2"], "mode": "real"}}
-        )
-    )
-    monkeypatch.setenv("SPHERICAL_MODELS_CATALOG", str(path))
-    entry = catalog_lookup("MyForm")
-    assert str(entry.type) == "A3" and entry.tits.values == (F(1, 2),)
-    assert "MyForm" in catalog_names()
 
 
 def test_verdict_reasons_replay_everywhere(sl6_fan, sl6_datum, galois_a5_flip, rd_a5, m_2p_plus_q):
