@@ -3,7 +3,7 @@
 A colored cone is a set of ray generators in Hom(orbit lattice, QQ)
 together with a set of color ids whose functionals are adjoined to the
 cone.  Ray entries are exact rationals, an ``int`` when integral and a
-``Fraction`` otherwise, like the color functionals.  Canonical form is the
+``Fraction`` otherwise; color functionals are integral.  Canonical form is the
 sorted primitive extreme rays of the merged cone, by integer double
 description, plus the sorted color ids: equal colored cones are equal keys.
 Fans are given by their maximal colored cones; face closure is not

@@ -8,19 +8,15 @@ that present the character groups of the equivariant automorphism group and
 of its color-fixing subgroup, and Galois stability.  A fan reads its lift
 of the Galois action to the colors off itself (``stabilizing_lift``).
 
-Functionals on the weight lattice of the orbit are exact rational row
-vectors in the coordinates dual to the chosen basis, with an ``int`` for
-each integral entry and a ``Fraction`` only for a proper fraction (equal
-values compare and hash the same either way); half-integral values are
-first class.  The Galois action moves them as integer numerators over one
-common denominator per datum.
+A color's functional restricts a valuation to the weight lattice of the
+orbit, so it is an integer row vector in the coordinates dual to the chosen
+basis; a proper fraction is refused.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -38,12 +34,14 @@ from .rootdata import MAX_RANK, node_permutation
 
 
 class Color(namedtuple("Color", "id rho sigma_set")):
-    """A color: its valuation functional and the simple roots moving it."""
+    """A color: its integral valuation functional and the simple roots moving it."""
 
     __slots__ = ()
 
     def __new__(cls, id, rho, sigma_set):
         rho = tuple(map(_exact_rational, rho))
+        if any(type(x) is not int for x in rho):
+            raise ValueError("functional of %s is not integral" % id)
         return tuple.__new__(cls, (id, rho, frozenset(int(i) for i in sigma_set)))
 
 
@@ -305,9 +303,7 @@ def orbit_action(datum, galois):
     basis (action_coordinates on ``datum.lattice``, kept for the cohomology
     test), whose inverse moves the functionals contragrediently (a
     generator has finite order, so into is onto).  Each color image is
-    moved once, its functional as integer numerators over one common
-    denominator of all functionals (a unimodular change of coordinates
-    moves the numerators exactly as it moves the functionals).  A generator
+    moved once, its integral functional by that inverse.  A generator
     is unstable when it does not permute the simple roots, does not map the
     orbit lattice into itself, moves the spherical-root set (which pins the
     valuation cone), or sends a color image to a non-image or to a fiber of
@@ -320,12 +316,6 @@ def orbit_action(datum, galois):
     """
     mats = _extended_matrices(datum, galois)
     fibers = datum.fibers
-    den = lcm(*(x.denominator for rho, _ in fibers for x in rho))
-    images = {
-        (rho, sig): (tuple(x.numerator * (den // x.denominator) for x in rho), sig)
-        for rho, sig in fibers
-    }
-    key_of = {image: key for key, image in images.items()}
     sigma = set(datum.sigma)
     perms, restrictions, r_invs = [], [], []
     for k, (g, m) in enumerate(zip(galois.generator_matrices(), mats)):
@@ -335,12 +325,12 @@ def orbit_action(datum, galois):
             return OrbitAction(k, fibers)
         r_inv = _unimodular_inverse(_matrix(restriction[0], datum.rank))
         perm = {}
-        for key, (nums, sig) in images.items():
-            moved = tuple(sum(map(mul, row, nums)) for row in r_inv.data)
-            dst = key_of.get((moved, frozenset(node_perm[i] for i in sig)))
-            if dst is None or len(fibers[dst]) != len(fibers[key]):
+        for (rho, sig), ids in fibers.items():
+            moved = tuple(sum(map(mul, row, rho)) for row in r_inv.data)
+            dst = (moved, frozenset(node_perm[i] for i in sig))
+            if len(fibers.get(dst, ())) != len(ids):
                 return OrbitAction(k, fibers)
-            perm[key] = dst
+            perm[(rho, sig)] = dst
         perms.append(perm)
         restrictions.append(restriction[0])
         r_invs.append(r_inv)

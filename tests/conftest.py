@@ -167,9 +167,10 @@ _PARSED = {
 
 def command_outputs(doc, path, commands):
     """(exit code, stdout, stderr) of each command of ``commands`` on ``doc``,
-    written to ``path``, with the path written as ``<path>``."""
+    a document or the text of one, written to ``path``, with the path
+    written as ``<path>``."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
+        f.write(doc if type(doc) is str else json.dumps(doc))
     runs = []
     for command in commands:
         func, options = _PARSED[command]

@@ -532,15 +532,21 @@ def test_problem_round_trip(tmp_path, capsys):
     from spherical_models.cli import _build_payload, load_problem, run_decide
 
     doc, kind = load_problem(str(PROBLEMS / "sl6_embedding_su42.json"))
-    rd = based_root_datum(doc["root_datum"])
-    datum = _build_payload(doc, rd, "spherical", "x")
-    doc2 = dict(doc)
-    doc2.update(datum.to_dict())
-    datum2 = _build_payload(doc2, rd, "spherical", "x")
-    assert datum2.to_dict() == datum.to_dict()
-    v1 = run_decide(doc, "x")
-    v2 = run_decide(doc2, "x")
-    assert v1.exists == v2.exists
+    # SL3_BASE with one central torus coordinate, which to_dict writes back
+    torus = dict(
+        SL3_BASE, torus_rank=1, X=[[1, 0, 0], [0, 1, 0], [0, 0, 1]], sigma=[[1, 1, 0]],
+        colors=[dict(c, rho=c["rho"] + ["0"]) for c in SL3_BASE["colors"]],
+    )
+    for doc in (doc, torus):
+        rd = based_root_datum(doc["root_datum"])
+        datum = _build_payload(doc, rd, "spherical", "x")
+        doc2 = {key: value for key, value in doc.items() if key != "torus_rank"}
+        doc2.update(datum.to_dict())
+        datum2 = _build_payload(doc2, rd, "spherical", "x")
+        assert datum2.to_dict() == datum.to_dict()
+        v1 = run_decide(doc, "x")
+        v2 = run_decide(doc2, "x")
+        assert v1.exists == v2.exists
 
 
 HORO_A3 = dict(HORO_A2, root_datum="A3", I=[2], M=[[1, 0, 0]])
@@ -626,8 +632,8 @@ def _embedding_doc(rho1, rho2, ray1, ray2):
 
 
 def test_integral_values_as_strings_or_integers_give_identical_output(tmp_path, capsys):
-    strings = _embedding_doc(["2", "1/2"], ["1/2", "2"], ["-2", "0"], ["0", "-2"])
-    ints = _embedding_doc([2, "1/2"], ["1/2", 2], [-2, 0], [0, -2])
+    strings = _embedding_doc(["2", "1"], ["1", "4/2"], ["-2", "0"], ["0", "-2"])
+    ints = _embedding_doc([2, 1], [1, 2], [-2, 0], [0, -2])
     a, b = write(tmp_path, strings, "s.json"), write(tmp_path, ints, "i.json")
     for command in (("decide", "--json"), ("decide", "--explain"), ("invariants",)):
         code_a, out_a, err_a = run(capsys, *command, a)
@@ -647,7 +653,7 @@ def test_rho_entries_that_are_not_rationals_exit_2(tmp_path, capsys):
 
 
 def test_zero_denominator_in_a_fan_generator_exits_2(tmp_path, capsys):
-    doc = _embedding_doc(["2", "1/2"], ["1/2", "2"], ["1/0", "0"], ["0", "-2"])
+    doc = _embedding_doc(["2", "1"], ["1", "2"], ["1/0", "0"], ["0", "-2"])
     code, out, err = run(capsys, "decide", write(tmp_path, doc))
     assert code == 2 and out == "" and "zero denominator" in err, err
 
@@ -1000,13 +1006,20 @@ INVALID_DATA = [
         "bad spherical datum: torus_rank must be at least 0, got -1",
     ),
     (dict(_NEGATIVE_TORUS, torus_rank=65, X=[]), "bad spherical datum: torus_rank must be at most 64, got 65"),
+    (
+        dict(SL3_BASE, colors=[dict(SL3_BASE["colors"][0], rho=["1/2", "0"]), SL3_BASE["colors"][1]]),
+        "bad spherical datum: functional of D1 is not integral",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "doc, message",
     INVALID_DATA,
-    ids=["overlap", "overlap-zero-tits", "three-colors", "negative-torus", "negative-torus-color", "torus-over-bound"],
+    ids=[
+        "overlap", "overlap-zero-tits", "three-colors", "negative-torus", "negative-torus-color",
+        "torus-over-bound", "non-integral-functional",
+    ],
 )
 def test_invalid_data_of_valid_shape_exits_2(tmp_path, capsys, doc, message):
     path = write(tmp_path, doc)

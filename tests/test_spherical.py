@@ -296,11 +296,11 @@ def _stability_cases(sl3_datum, sl6_datum, so10_datum, rd_a2, rd_a5, rd_d5):
         "sl6_torus_flip": (_sl6_with_torus(sl6_datum), flip_a5),
         "so10_trivial": (so10_datum, GaloisAction.trivial(5)),
         "so10_flip": (so10_datum, flip_d5),
-        "mixed_trivial": (_mixed_denominator_datum(rd_a2), GaloisAction.trivial(2)),
-        "mixed_flip": (_mixed_denominator_datum(rd_a2), flip_a2),
-        "mixed_flip_unstable": (_mixed_denominator_datum(rd_a2, (F(2, 3), F(1, 2))), flip_a2),
-        "d4_half_z3": (_d4_half_datum(), z3),
-        "d4_half_s3": (_d4_half_datum(), s3),
+        "mixed_trivial": (_collinear_datum(rd_a2), GaloisAction.trivial(2)),
+        "mixed_flip": (_collinear_datum(rd_a2), flip_a2),
+        "mixed_flip_unstable": (_collinear_datum(rd_a2, (2, 3)), flip_a2),
+        "d4_half_z3": (_d4_multiples_datum(), z3),
+        "d4_half_s3": (_d4_multiples_datum(), s3),
         "a3_moved_roots": (moved_roots, galois_from_permutations(rd_a3, [diagram_automorphism_group(rd_a3.type)[1]])),
         "a2_unequal_fibers": (unequal_fibers, flip_a2),
         "a2_unequal_free_fibers": (unequal_free_fibers, flip_a2),
@@ -387,35 +387,38 @@ def test_lifts_require_stability(rd_a2):
 # -- integer color transforms and generator-only character actions ----------
 
 
-def _mixed_denominator_datum(rd_a2, e2=(F(2, 3), F(1, 3))):
-    """Functionals with denominators 1, 2 and 3, including collinear ones."""
+def _collinear_datum(rd_a2, e2=(2, 1)):
+    """Functionals that are multiples of one another under one moving set.
+    The flip swaps E1 and E2 when ``e2`` is (2, 1), the flip of E1's (1, 2),
+    and sends E1 to a non-image otherwise."""
     return SphericalDatum(
         rd_a2,
         [[1, 0], [0, 1]],
         [],
         [
-            Color("D1", (F(1, 2), 0), frozenset({1})),
-            Color("D2", (0, F(1, 2)), frozenset({2})),
-            Color("E1", (F(1, 3), F(2, 3)), frozenset()),
+            Color("D1", (2, 0), frozenset({1})),
+            Color("D2", (0, 2), frozenset({2})),
+            Color("E1", (1, 2), frozenset()),
             Color("E2", e2, frozenset()),
             Color("F1", (1, 0), frozenset()),
             Color("F2", (0, 1), frozenset()),
-            # collinear with F1 and F2 under the same (empty) moving set: only
-            # one common denominator keeps their numerators apart
-            Color("H1", (F(1, 2), 0), frozenset()),
-            Color("H2", (0, F(1, 2)), frozenset()),
+            # twice F1 and F2 under the same (empty) moving set, and equal to
+            # D1 and D2 in all but the moving set: each an image of its own
+            Color("H1", (2, 0), frozenset()),
+            Color("H2", (0, 2), frozenset()),
         ],
     )
 
 
-def _d4_half_datum():
+def _d4_multiples_datum():
+    """Triality-symmetric functionals, two of them collinear over the empty moving set."""
     rd = based_root_datum("D4")
-    half = F(1, 2)
     colors = [
-        Color("C1", (half, 0, 0, 0), frozenset({1})),
-        Color("C3", (0, 0, half, 0), frozenset({3})),
-        Color("C4", (0, 0, 0, half), frozenset({4})),
-        Color("G", (F(1, 3), 0, F(1, 3), F(1, 3)), frozenset()),
+        Color("C1", (2, 0, 0, 0), frozenset({1})),
+        Color("C3", (0, 0, 2, 0), frozenset({3})),
+        Color("C4", (0, 0, 0, 2), frozenset({4})),
+        Color("G", (1, 0, 1, 1), frozenset()),
+        Color("G2", (2, 0, 2, 2), frozenset()),
     ]
     return SphericalDatum(rd, [[1 if i == j else 0 for j in range(4)] for i in range(4)], [], colors)
 
@@ -433,13 +436,12 @@ def test_color_transform_matches_fraction_oracle(case, rd_a2):
     from oracles import fraction_omega_perms
 
     if case.startswith("a2"):
-        e2 = (F(2, 3), F(1, 2)) if case == "a2_flip_unstable" else (F(2, 3), F(1, 3))
-        datum = _mixed_denominator_datum(rd_a2, e2)
+        datum = _collinear_datum(rd_a2, (2, 3) if case == "a2_flip_unstable" else (2, 1))
         g = GaloisAction.trivial(2) if case == "a2_trivial" else galois_from_permutations(
             rd_a2, [diagram_automorphism_group(rd_a2.type)[1]]
         )
     else:
-        datum = _d4_half_datum()
+        datum = _d4_multiples_datum()
         g = _d4_actions()[0 if case == "d4_z3" else 1]
     images = {(c.rho, c.sigma_set) for c in datum.colors}
     expected = fraction_omega_perms(datum, g)
@@ -563,17 +565,17 @@ _rationals = st.one_of(
 )
 
 
-def _exact(values):
-    return all(
-        type(x) is int or (type(x) is F and x.denominator != 1) for x in values
-    )
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_rationals, min_size=1, max_size=5))
 def test_color_functionals_are_ints_where_integral(values):
-    rho = Color("c", tuple(F(x) if isinstance(x, str) else x for x in values), frozenset()).rho
-    assert _exact(rho)
+    # a functional is integral (Luna): integral entries in any form come
+    # back as ints, and a proper fraction is refused
+    if any(F(x).denominator != 1 for x in values):
+        with pytest.raises(ValueError, match="functional of c is not integral"):
+            Color("c", values, frozenset())
+        return
+    rho = Color("c", values, frozenset()).rho
+    assert all(type(x) is int for x in rho)
     assert rho == tuple(F(x) for x in values)
 
 
@@ -582,13 +584,13 @@ def test_payload_reads_integer_strings_and_ints_alike(rd_a2):
         "X": [[1, 0], [0, 1]],
         "sigma": [[1, 1]],
         "colors": [
-            {"id": "D1", "rho": ["2", "1/2"], "sigma_set": [1]},
+            {"id": "D1", "rho": ["2", "1"], "sigma_set": [1]},
             {"id": "D2", "rho": [2, "-4/2"], "sigma_set": [2]},
         ],
     }
     d = _build_payload(doc, rd_a2, "spherical", "x")
-    assert [c.rho for c in d.colors] == [(2, F(1, 2)), (2, -2)]
-    assert all(_exact(c.rho) for c in d.colors)
+    assert [c.rho for c in d.colors] == [(2, 1), (2, -2)]
+    assert all(type(x) is int for c in d.colors for x in c.rho)
 
 
 # Strings at the edges of what Fraction(str(x)) accepts: signs, whitespace,
