@@ -43,7 +43,7 @@ from .decision import (
 from .embeddings import ColoredCone, ColoredFan
 from .galoismodule import _GROUPS, PADIC, REAL, galois_from_permutations
 from .horospherical import HorosphericalDatum
-from .lattice import apply_row
+from .lattice import apply_row, rational
 from .rootdata import (
     DiagramAutomorphism,
     based_root_datum,
@@ -474,12 +474,6 @@ def run_decide(doc, path):
 # -- reports -----------------------------------------------------------------
 
 
-def _fmt_group(g):
-    if not g.invariant_factors:
-        return "trivial"
-    return " + ".join("Z" if d == 0 else "Z/%d" % d for d in g.invariant_factors)
-
-
 def _fmt_vec(v):
     return "(" + ", ".join(str(x) for x in v) + ")"
 
@@ -498,15 +492,16 @@ def invariants_report(doc, path):
     # a number field's global character is zero, which every image admits over the reals
     local_mode = REAL if field.mode == NUMBER_FIELD else field.mode
     mod, inv, fixed, t0 = resolve_local_character(rd, galois, tits, local_mode)
-    lines.append("center characters P/Q: %s" % _fmt_group(mod))
-    lines.append("fixed center characters (P/Q)^G: %s" % _fmt_group(inv))
+    lines.append("center characters P/Q: %s" % mod)
+    lines.append("fixed center characters (P/Q)^G: %s" % inv)
     for i in range(inv.rank):
         gen = apply_row(inv.lift((0,) * i + (1,) + (0,) * (inv.rank - i - 1)), fixed.basis)
         lines.append("  generator %d image in P/Q: %s" % (i + 1, _fmt_vec(mod.from_ambient(gen))))
-    lines.append("tits character values: [%s]" % ", ".join(map(str, t0.values)))
+    values = map(str, map(rational, t0.residues, inv.invariant_factors))
+    lines.append("tits character values: [%s]" % ", ".join(values))
     if not t0.is_zero():
         theta, _, theta_p = theta_lattice(rd, galois, t0)
-        lines.append("character kernel: %s" % _fmt_group(theta))
+        lines.append("character kernel: %s" % theta)
         lines.append("kernel preimage in fixed weights, basis:")
         for r in theta_p.basis.data:
             lines.append("  %s" % _fmt_vec(r))
@@ -547,8 +542,8 @@ def invariants_report(doc, path):
         for rho, sigma_set in images:
             lines.append("  rho %s moves %s" % (_fmt_vec(rho), sorted(sigma_set)))
     xa, xa_ker = aut_character_lattices(datum)
-    lines.append("X*(A) = X/<sigma_N>: %s" % _fmt_group(xa))
-    lines.append("X*(A^ker) = X/<sigma_sc>: %s" % _fmt_group(xa_ker))
+    lines.append("X*(A) = X/<sigma_N>: %s" % xa)
+    lines.append("X*(A^ker) = X/<sigma_sc>: %s" % xa_ker)
     return lines
 
 

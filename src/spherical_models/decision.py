@@ -48,6 +48,7 @@ from .lattice import (
     fixed_sublattice,
     preimage_lattice,
     quotient_group,
+    read_rational,
 )
 from .rootdata import (
     DiagramAutomorphism,
@@ -56,7 +57,7 @@ from .rootdata import (
     diagram_flip,
 )
 from .embeddings import stabilizing_lift
-from .spherical import _exact_rational, orbit_action
+from .spherical import orbit_action
 
 NUMBER_FIELD = "number_field"
 
@@ -103,7 +104,7 @@ class TitsClassSpec(NamedTuple):
 
     @classmethod
     def from_values(cls, values):
-        return cls("values", tuple(map(_exact_rational, values)))
+        return cls("values", tuple(map(read_rational, values)))
 
 
 class Verdict(NamedTuple):
@@ -155,7 +156,8 @@ def center_invariants(rd, galois):
 def _center_invariants(rd, galois):
     p_lat, q_lat = rd.weight_lattice, rd.root_lattice
     fixed = fixed_sublattice(p_lat, galois.generator_matrices(), q_lat)
-    return quotient_group(p_lat, q_lat), quotient_group(fixed, q_lat), fixed
+    mod = quotient_group(p_lat, q_lat)
+    return mod, mod if fixed == p_lat else quotient_group(fixed, q_lat), fixed
 
 
 class LocalCharacter(NamedTuple):
@@ -218,10 +220,7 @@ def _kill_test(local):
     """
     fixed, inv, t0 = local.fixed, local.inv, local.t0
     k, order = fixed.rank, t0.order()
-    scaled = [int(v * order) for v in t0.values]
-    a_times_order = [
-        sum(map(mul, inv.from_ambient((0,) * j + (1,) + (0,) * (k - j - 1)), scaled)) for j in range(k)
-    ]
+    a_times_order = [t0.scaled(inv.from_ambient((0,) * j + (1,) + (0,) * (k - j - 1))) for j in range(k)]
     d = order
     u = [0] * fixed.ambient_rank
     for row, p, a in reversed(list(zip(fixed.basis.data, fixed.pivots, a_times_order))):
@@ -258,9 +257,8 @@ def theta_lattice(rd, galois, t0):
 def _killed_points(local, lattice):
     """The sublattice of the points of ``lattice`` (whose center classes are
     fixed) on whose class ``local.t0`` vanishes."""
-    denom = local.t0.order()
-    vals = [int(local.t0.evaluate(local.class_of(b)) * denom) for b in lattice.basis.data]
-    rows = preimage_lattice(IntMatrix([[v] for v in vals], cols=1), Lattice(1, [[denom]]))
+    vals = [local.t0.scaled(local.class_of(b)) for b in lattice.basis.data]
+    rows = preimage_lattice(IntMatrix([[v] for v in vals], cols=1), Lattice(1, [[local.t0.order()]]))
     return Lattice(lattice.ambient_rank, [apply_row(c, lattice.basis) for c in rows])
 
 
@@ -357,7 +355,7 @@ def _shortcut_label(rd, galois, local):
     if trivial and fam == "D":
         # the fundamental weights are the basis of the weight lattice
         spins = rd.weight_lattice.basis.data[n - 2 :]
-        return "*4" if all(local.t0.evaluate(local.class_of(w)) for w in spins) else "*5"
+        return "*4" if all(local.t0.scaled(local.class_of(w)) for w in spins) else "*5"
     return None
 
 
@@ -390,7 +388,7 @@ def _horospherical_fast_path(rd, galois, t0, m_lattice, mod, inv, fixed):
         # M in Q + Zw for the weight w whose class the character kills: a
         # spin weight (*5), or omega_1 when it kills neither (*4)
         weights = rd.weight_lattice.basis.data
-        w = next((s for s in weights[n - 2 :] if t0.evaluate(local.class_of(s)) == 0), weights[0])
+        w = next((s for s in weights[n - 2 :] if not t0.scaled(local.class_of(s))), weights[0])
         return label, q_lat.sum(Lattice(n, [w])).contains(m_lattice)
     return None
 
@@ -688,8 +686,8 @@ def delta_markers_from_catalog(names):
             chars.append(resolve_local_character(rd, e.galois, e.tits, REAL).t0)
         except ValueError as err:
             raise ValueError("factor %s: %s" % (name, err)) from None
-    markers = []
+    markers, base = [], chars[0].residues
     for t_e in chars[1:]:
-        diff = tuple((a - b) % 1 for a, b in zip(t_e.values, chars[0].values))
-        markers.append("trivial" if not any(diff) else BrCharacter(t_e.source, diff))
+        diff = tuple((a - b) % d for a, b, d in zip(t_e.residues, base, t_e.source.invariant_factors))
+        markers.append("trivial" if not any(diff) else BrCharacter._make((t_e.source, diff)))
     return markers

@@ -2,8 +2,8 @@
 
 A colored cone is a set of ray generators in Hom(orbit lattice, QQ)
 together with a set of color ids whose functionals are adjoined to the
-cone.  Ray entries are exact rationals, an ``int`` when integral and a
-``Fraction`` otherwise; color functionals are integral.  Canonical form is the
+cone.  A generator is read as exact rationals and held as the primitive
+integer vector on its ray; color functionals are integral.  Canonical form is the
 sorted primitive extreme rays of the merged cone, by integer double
 description, plus the sorted color ids: equal colored cones are equal keys.
 Fans are given by their maximal colored cones; face closure is not
@@ -15,15 +15,18 @@ strict convexity, distinct rays, containment of color functionals, and
 from __future__ import annotations
 
 from collections import namedtuple
+from math import lcm
 from operator import mul
 
+from .lattice import read_rational
 from .polyhedra import (
     DIM_CAP,
     GENERATOR_CAP,
     extreme_rays,
+    primitive,
     relative_interior_point_satisfies,
 )
-from .spherical import ColorLift, _exact_rational
+from .spherical import ColorLift
 
 
 class ColoredCone(namedtuple("ColoredCone", "rays colors")):
@@ -32,11 +35,18 @@ class ColoredCone(namedtuple("ColoredCone", "rays colors")):
     __slots__ = ()
 
     def __new__(cls, rays, colors):
-        rays = tuple(tuple(map(_exact_rational, r)) for r in rays)
-        return tuple.__new__(cls, (rays, frozenset(str(c) for c in colors)))
+        return tuple.__new__(cls, (tuple(map(_integer_ray, rays)), frozenset(str(c) for c in colors)))
 
     def key(self):
         return (self.rays, tuple(sorted(self.colors)))
+
+
+def _integer_ray(generator):
+    """The primitive integer vector on the ray of a generator read by
+    read_rational: a positive scaling moves no cone."""
+    row = [(x, 1) if type(x) is int else x for x in map(read_rational, generator)]
+    den = lcm(*(q for _, q in row))
+    return primitive([p * (den // q) for p, q in row])
 
 
 def cone_canonicalize(cone, datum):
@@ -62,8 +72,7 @@ def cone_canonicalize(cone, datum):
         raise ValueError("dual space dimension exceeds the supported cap")
     if len(gens) > GENERATOR_CAP:
         raise ValueError("a cone has %d generators and colors, more than %d" % (len(gens), GENERATOR_CAP))
-    rays = extreme_rays(gens)
-    return ColoredCone(rays, cone.colors)
+    return ColoredCone._make((extreme_rays(gens), cone.colors))
 
 
 class ColoredFan:

@@ -17,13 +17,12 @@ action.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product as _cartesian
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 
-from .lattice import IntMatrix, apply_row
+from .lattice import IntMatrix, apply_row, rational, read_rational
 from .rootdata import star_action_matrix
 
 REAL = "real"
@@ -151,11 +150,13 @@ def _galois_from_permutations(rd, automorphisms, group_name):
     return GaloisAction(group_name, mats)
 
 
-class BrCharacter(namedtuple("BrCharacter", "source values")):
+class BrCharacter(namedtuple("BrCharacter", "source residues")):
     """A homomorphism from a finite abelian group to QQ/ZZ.
 
-    ``values[i]`` is the image of the i-th SNF generator of ``source``,
-    stored as a reduced fraction p/q with 0 <= p < q.  This is the lossless
+    The i-th SNF generator of ``source``, of order d_i, goes to k_i/d_i, held
+    as the residue ``residues[i]`` = k_i in [0, d_i); the constructor reads
+    the images by read_rational, and ``values`` and ``evaluate`` give them
+    as rationals of ``fractions``, imported only then.  This is the lossless
     stand-in for a degree-2 local Galois cohomology class evaluated through
     the cup-product pairing.
     """
@@ -165,31 +166,39 @@ class BrCharacter(namedtuple("BrCharacter", "source values")):
     def __new__(cls, source, values):
         if source.order() == 0:
             raise ValueError("Brauer characters live on finite groups")
-        vals = tuple(Fraction(v) % 1 for v in values)
+        vals = [(v, 1) if type(v) is int else v for v in map(read_rational, values)]
         if len(vals) != source.rank:
             raise ValueError("one value per SNF generator required")
-        for d, v in zip(source.invariant_factors, vals):
-            if (d * v) % 1 != 0:
-                raise ValueError(
-                    "value %s is not killed by the generator order %d" % (v, d)
-                )
-        return tuple.__new__(cls, (source, vals))
+        for d, (p, q) in zip(source.invariant_factors, vals):
+            if d % q:
+                raise ValueError("value %s is not killed by the generator order %d" % (rational(p % q, q), d))
+        residues = tuple(d // q * p % d for d, (p, q) in zip(source.invariant_factors, vals))
+        return tuple.__new__(cls, (source, residues))
 
     @classmethod
     def zero(cls, source):
-        return cls(source, tuple(Fraction(0) for _ in range(source.rank)))
+        return cls(source, (0,) * source.rank)
+
+    def scaled(self, element):
+        """The image of ``element`` (SNF coordinates) times the order n, an int mod n."""
+        n = self.order()
+        return sum(x * (k * n // d) for x, k, d in zip(element, self.residues, self.source.invariant_factors)) % n
 
     def evaluate(self, element):
-        total = Fraction(0)
-        for x, v in zip(element, self.values):
-            total += x * v
-        return total % 1
+        """The image of ``element`` as a Fraction in [0, 1)."""
+        return sum(map(mul, element, self.values)) % 1
+
+    @property
+    def values(self):
+        """The images of the SNF generators as Fractions in [0, 1)."""
+        from fractions import Fraction
+        return tuple(map(Fraction, self.residues, self.source.invariant_factors))
 
     def is_zero(self):
-        return all(v == 0 for v in self.values)
+        return not any(self.residues)
 
     def order(self):
-        return lcm(*(v.denominator for v in self.values))
+        return lcm(*(d // gcd(k, d) for k, d in zip(self.residues, self.source.invariant_factors)))
 
 
 def validate_br_character(t0, field_mode, galois=None, local=None):
@@ -209,22 +218,20 @@ def validate_br_character(t0, field_mode, galois=None, local=None):
         return ["unsupported base field: %r" % (field_mode,)]
     if field_mode == PADIC:
         return []
-    problems = ["value %s not in (1/2)Z/Z" % (v,) for v in t0.values if (2 * v) % 1 != 0]
+    factors = t0.source.invariant_factors
+    problems = ["value %s not in (1/2)Z/Z" % (rational(k, d),) for k, d in zip(t0.residues, factors) if 2 * k % d]
     if galois is not None and len(galois.matrices) > 1:
         norm = reduce(add, galois.matrices)
         rank = local.mod.rank
         for j in range(rank):
             weight = apply_row(local.mod.lift((0,) * j + (1,) + (0,) * (rank - j - 1)), norm)
-            if t0.evaluate(local.class_of(weight)) != 0:
+            if t0.scaled(local.class_of(weight)):
                 problems.append("character does not vanish on the norm of generator %d" % (j + 1,))
     return problems
 
 
 def all_characters(group):
-    """Every homomorphism group -> QQ/ZZ of a finite group, zero first."""
+    """Every homomorphism group -> QQ/ZZ of a finite group, by residues in lexicographic order."""
     if group.order() == 0:
         raise ValueError("infinite group")
-    choices = [[Fraction(k, d) for k in range(d)] for d in group.invariant_factors]
-    out = [BrCharacter(group, combo) for combo in _cartesian(*choices)]
-    out.sort(key=lambda ch: (not ch.is_zero(), ch.values))
-    return out
+    return [BrCharacter._make((group, ks)) for ks in _cartesian(*map(range, group.invariant_factors))]

@@ -10,11 +10,15 @@ and normalized through Smith normal form; their elements are coordinate
 tuples reduced modulo the invariant factors (0 encodes a free ZZ factor).
 No group carries an action: the classes of L/S that some matrices fix are
 one lattice quotient F/S, with F = fixed_sublattice(L, mats, modulo=S).
+Every number of a document enters through ``read_rational``.
 """
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
 
@@ -525,11 +529,12 @@ class FgAbelianGroup:
         """Some preimage in the original generator coordinates."""
         return apply_row(tuple(element), self._lifts)
 
+    def __str__(self):
+        """The invariant factors, such as ``Z/2 + Z``, or ``trivial``."""
+        return " + ".join("Z" if d == 0 else "Z/%d" % d for d in self.invariant_factors) or "trivial"
+
     def __repr__(self):
-        if not self.invariant_factors:
-            return "FgAbelianGroup(trivial)"
-        parts = ["Z" if d == 0 else "Z/%d" % d for d in self.invariant_factors]
-        return "FgAbelianGroup(%s)" % " + ".join(parts)
+        return "FgAbelianGroup(%s)" % self
 
 
 def _unimodular_inverse(m):
@@ -553,3 +558,34 @@ def quotient_group(lattice, sub):
     if None in rel:
         raise ValueError("not a sublattice")
     return FgAbelianGroup(lattice.rank, rel)
+
+
+class Rational(namedtuple("Rational", "numerator denominator")):
+    """p/q in lowest terms with q > 1, written "p/q"."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        return "%d/%d" % self
+
+
+def read_rational(x):
+    """The one reader of exact numbers, giving ``rational(p, q)``: an int
+    (not a bool), an ASCII string -?[0-9]+ or -?[0-9]+/[0-9]+ with a nonzero
+    denominator, or an object with an int numerator and a positive int
+    denominator (a Fraction); ValueError for anything else, floats too."""
+    m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", x) if type(x) is str else None
+    if m and m[2] is None:
+        return int(m[1])
+    p, q = (int(m[1]), int(m[2])) if m else (getattr(x, "numerator", None), getattr(x, "denominator", None))
+    if m and q == 0:
+        raise ValueError("zero denominator in %r" % (x,))
+    if type(x) is bool or type(p) is not int or type(q) is not int or q < 1:
+        raise ValueError("%r is not an integer or a p/q string" % (x,))
+    return rational(p, q)
+
+
+def rational(p, q):
+    """p/q for q > 0 in lowest terms: an int when q divides p, else a Rational."""
+    g = gcd(p, q)
+    return p // g if g == q else Rational(p // g, q // g)

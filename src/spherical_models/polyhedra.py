@@ -5,7 +5,7 @@ here: a pointed cone, held as its extreme rays with an integer bitmask of
 the constraints each is tight on, is cut by a half-space h.x >= 0.  The
 rays on its side stay, and each adjacent pair across the hyperplane, told
 by the masks alone, gives a new primitive ray on it.  Only integer dot
-products run.  Inputs may be ints or Fractions; no floats, ever.
+products run.  Inputs are integer vectors; no floats, ever.
 ``extreme_rays`` cuts the facets of a simplicial subcone by the other
 generators, and ``relative_interior_point_satisfies`` cuts the orthant of
 combination coefficients by the inequalities.  A cone whose distinct
@@ -16,34 +16,23 @@ spans an extreme ray, and no step runs.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 DIM_CAP = 8
 GENERATOR_CAP = 24
 
 
-def _integer_row(values):
-    """A rational row times the lcm of its denominators, as a list of ints."""
-    den = lcm(*[x.denominator for x in values])
-    return [x.numerator * (den // x.denominator) for x in values]
-
-
-def _content_free(row):
-    """An integer row divided by the gcd of its entries (same sign)."""
+def primitive(row):
+    """An integer row divided by the gcd of its entries, as a tuple (same ray)."""
     g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
 def _pivot_out(row, pivot_row, p, col):
     """p * row - row[col] * pivot_row, which clears column col."""
     f = row[col]
     return [p * x - f * y for x, y in zip(row, pivot_row)]
-
-
-def primitive(vec):
-    """Scale a rational row to a primitive integer vector (same ray)."""
-    return tuple(_content_free(_integer_row(tuple(vec))))
 
 
 def _basis(rows):
@@ -58,7 +47,7 @@ def _basis(rows):
         col = next((j for j, x in enumerate(row) if x), None)
         if col is not None:
             picked.append(i)
-            pivots.append((_content_free(row), col))
+            pivots.append((primitive(row), col))
     return picked, [col for _, col in pivots]
 
 
@@ -88,7 +77,7 @@ def _dd_step(gens, h, bit, dim):
             if common.bit_count() >= dim - 2 and not any(
                 (m & common) == common and m != mp and m != mn for m in masks
             ):
-                w = _content_free([xp * a - xn * b for a, b in zip(vn, vp)])
+                w = primitive([xp * a - xn * b for a, b in zip(vn, vp)])
                 out.append((w, common | bit))
     return out
 
@@ -107,9 +96,9 @@ def _simplex_facets(rows):
         prow = a[c]
         for r in range(k):
             if r != c and a[r][c]:
-                a[r] = _content_free(_pivot_out(a[r], prow, prow[c], c))
+                a[r] = primitive(_pivot_out(a[r], prow, prow[c], c))
     # row j is [d_j e_j | E_j] with E_j.rows[i] = d_j delta_ij
-    return [_content_free(row[k:] if row[j] > 0 else [-x for x in row[k:]]) for j, row in enumerate(a)]
+    return [primitive(row[k:] if row[j] > 0 else [-x for x in row[k:]]) for j, row in enumerate(a)]
 
 
 def extreme_rays(generators):
@@ -157,12 +146,9 @@ def relative_interior_point_satisfies(rays, inequalities):
     """
     if not rays or not inequalities:
         return True  # a relative interior is never empty, and that of {0} is {0}
-    # positive rescaling moves neither the relative interior nor a.x <= 0
-    rays = [primitive(r) for r in rays]
     m = len(rays)
     axes = (1 << m) - 1
     gens = [([int(i == j) for j in range(m)], axes & ~(1 << i)) for i in range(m)]
     for t, a in enumerate(inequalities):
-        a = primitive(a)
         gens = _dd_step(gens, [-sum(map(mul, r, a)) for r in rays], 1 << (m + t), m)
     return all(any(v[i] for v, _ in gens) for i in range(m))

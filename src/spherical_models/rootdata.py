@@ -136,6 +136,12 @@ def _weight_lattice(t: SimpleType) -> Lattice:
 
 
 @lru_cache(maxsize=None)
+def simple_nodes(rd: BasedRootDatum) -> dict:
+    """The 1-based node of each simple root, keyed by its weight coordinates."""
+    return {rd.simple_root(i): i for i in range(1, rd.rank + 1)}
+
+
+@lru_cache(maxsize=None)
 def _root_lattice(t: SimpleType) -> Lattice:
     c = cartan_matrix(t)
     return Lattice(t.rank, [c.col(j) for j in range(t.rank)])
@@ -241,11 +247,6 @@ def node_permutation(rd: BasedRootDatum, mat: IntMatrix):
 
 @lru_cache(maxsize=None)
 def _node_permutation(rd: BasedRootDatum, mat: IntMatrix):
-    roots = {rd.simple_root(i): i for i in range(1, rd.rank + 1)}
-    items = []
-    for i in range(1, rd.rank + 1):
-        j = roots.get(apply_row(rd.simple_root(i), mat))
-        if j is None:
-            return None
-        items.append((i, j))
-    return tuple(items)
+    nodes = simple_nodes(rd)
+    items = tuple((i, nodes.get(apply_row(root, mat))) for root, i in nodes.items())
+    return None if any(j is None for _, j in items) else items

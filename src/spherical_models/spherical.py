@@ -16,7 +16,6 @@ basis; a proper fraction is refused.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
@@ -29,8 +28,9 @@ from .lattice import (
     action_coordinates,
     apply_row,
     quotient_group,
+    read_rational,
 )
-from .rootdata import MAX_RANK, node_permutation
+from .rootdata import MAX_RANK, node_permutation, simple_nodes
 
 
 class Color(namedtuple("Color", "id rho sigma_set")):
@@ -39,7 +39,7 @@ class Color(namedtuple("Color", "id rho sigma_set")):
     __slots__ = ()
 
     def __new__(cls, id, rho, sigma_set):
-        rho = tuple(map(_exact_rational, rho))
+        rho = tuple(map(read_rational, rho))
         if any(type(x) is not int for x in rho):
             raise ValueError("functional of %s is not integral" % id)
         return tuple.__new__(cls, (id, rho, frozenset(int(i) for i in sigma_set)))
@@ -145,9 +145,9 @@ class SphericalDatum:
             raise ValueError("doubling flags must index the spherical roots")
         self.sigma234 = sigma234
         # a node moves two colors exactly when its simple root is spherical
-        torus = (0,) * self.torus_rank
-        simple = {tuple(rd.simple_root(i)) + torus: i for i in range(1, rd.rank + 1)}
-        root_at = {simple[s]: s for s in sigma if s in simple}
+        # (the central-torus coordinates of a spherical root are zero)
+        node_of = simple_nodes(rd)
+        root_at = {node_of[s[: rd.rank]]: s for s in sigma if s[: rd.rank] in node_of}
         two = set()
         for i in range(1, rd.rank + 1):
             moved = [c for c in colors if i in c.sigma_set]
@@ -194,23 +194,6 @@ class SphericalDatum:
         if self.torus_rank:
             doc["torus_rank"] = self.torus_rank
         return doc
-
-
-def _exact_rational(x):
-    """The one reader of exact rationals: ``x`` as an int when it is integral,
-    otherwise as a reduced Fraction.  An int is kept, a ``"[sign]digits"``
-    string becomes an int, and any other value but a Fraction is read through
-    its string as Fraction reads a ``"p/q"`` string; ValueError if it is none."""
-    if type(x) is int:
-        return x
-    if type(x) is str and (x[1:] if x[:1] in "+-" else x).isdecimal():
-        return int(x)  # exactly the strings Fraction reads as [sign]digits
-    if not isinstance(x, Fraction):
-        try:
-            x = Fraction(str(x))
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in %r" % (x,)) from None
-    return x.numerator if x.denominator == 1 else x
 
 
 def _fibers(colors):

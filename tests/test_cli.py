@@ -749,6 +749,24 @@ def test_the_cli_imports_no_code_generation():
         assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path.name
 
 
+def test_the_cli_imports_no_rational_arithmetic():
+    # every number below the document reader is an int, so neither importing
+    # the CLI nor deciding a number-field or an embedding problem loads the
+    # standard library's rationals or decimals; -X importtime names every
+    # module that a run imports, in its stderr
+    heavy = {"decimal", "fractions", "numbers"}
+    proc = _cli_process(["-S", "-X", "importtime", "-c", "import spherical_models.cli"], capture_output=True)
+    runs = [(proc, 0)]
+    for name, code in (("su6_number_field.json", 0), ("sl6_embedding_su42.json", 1)):
+        argv = ["-S", "-X", "importtime", "-m", "spherical_models.cli", "decide", "--json", str(PROBLEMS / name)]
+        runs.append((_cli_process(argv, capture_output=True), code))
+    for proc, code in runs:
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == code and lines and all(line.startswith("import time:") for line in lines), proc
+        assert "spherical_models.lattice" in proc.stderr
+        assert heavy.isdisjoint(line.rsplit("|", 1)[-1].strip() for line in lines), proc.stderr
+
+
 def test_no_module_reads_the_environment():
     # a verdict depends on its document alone: no setting of the process
     # environment reaches the engine or the CLI

@@ -35,7 +35,7 @@ from spherical_models.decision import (
     theta_lattice,
 )
 from spherical_models.galoismodule import BrCharacter
-from spherical_models.lattice import IntMatrix, Lattice, apply_row, fixed_sublattice
+from spherical_models.lattice import IntMatrix, Lattice, Rational, apply_row, fixed_sublattice
 from spherical_models.rootdata import DiagramAutomorphism, diagram_flip
 
 
@@ -524,7 +524,7 @@ def test_embedding_sl3_fan_fails_on_lift(sl3_fan, sl3_datum, rd_a2):
 def test_catalog_su_values():
     assert catalog_lookup("SU(2,2)").tits.kind == "zero"
     assert catalog_lookup("SU(5,1)").tits.kind == "zero"
-    assert catalog_lookup("SU(6)").tits.values == (F(1, 2),)
+    assert catalog_lookup("SU(6)").tits.values == (Rational(1, 2),)
     assert catalog_lookup("Sp(4,R)").tits.kind == "zero"
 
 

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -19,14 +20,14 @@ from spherical_models import (
     stabilizing_lift,
 )
 from spherical_models.cli import _build_payload
-from spherical_models.embeddings import cone_canonicalize
+from spherical_models.embeddings import _moved_rays, cone_canonicalize
 from spherical_models.lattice import IntMatrix, _unimodular_inverse, action_coordinates, apply_row
-from spherical_models.spherical import _exact_rational, _extended_matrices
+from spherical_models.spherical import _extended_matrices
 
 
 def _move_ray(action, k, ray):
     """A ray moved contragrediently by the k-th generator of a stable action."""
-    return tuple(_exact_rational(sum(a * b for a, b in zip(row, ray))) for row in action.r_invs[k].data)
+    return tuple(sum(a * b for a, b in zip(row, ray)) for row in action.r_invs[k].data)
 
 
 def test_canonicalize_collinear(sl3_datum):
@@ -297,21 +298,29 @@ def test_lift_search_checks_stability_and_computes_omega_once(
             search()
 
 
-# -- exact values: an int for each integral entry, never a float -------------
+# -- exact values: rational generators become primitive integer rays ---------
 
 _entries = st.one_of(st.integers(-4, 4), st.builds(F, st.integers(-6, 6), st.integers(1, 3)))
 
 
-def _exact(values):
-    return all(type(x) is int or (type(x) is F and x.denominator != 1) for x in values)
+def _same_ray(ray, generator):
+    """Is the integer ``ray`` primitive and a positive multiple of ``generator``?"""
+    if not all(type(x) is int for x in ray) or math.gcd(*ray) > 1:
+        return False
+    if not any(generator):
+        return not any(ray)
+    pairs = list(zip(ray, map(F, generator)))
+    collinear = all(a * y == b * x for a, x in pairs for b, y in pairs)
+    return collinear and sum(a * x for a, x in pairs) > 0
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_entries, _entries), min_size=1, max_size=4), st.sets(st.sampled_from(["D1", "D2"])))
 def test_cone_rays_are_ints_where_integral(sl3_datum, rays, colors):
     cone = ColoredCone(tuple(rays), frozenset(colors))
-    assert all(_exact(r) for r in cone.rays)
-    assert cone.rays == tuple(tuple(F(x) for x in r) for r in rays)
+    assert all(map(_same_ray, cone.rays, rays))
+    # a string spelling of each entry reads the same
+    assert ColoredCone(tuple(tuple(map(str, r)) for r in rays), colors) == cone
     rho = {c.id: c.rho for c in sl3_datum.colors}
     gens = list(cone.rays) + [rho[c] for c in sorted(colors)]
     assume(all(any(r) for r in rays) and fraction_extreme_rays(gens) is not None)
@@ -329,9 +338,14 @@ def test_fan_from_doc_reads_integer_strings_and_ints_alike(sl3_datum):
 def test_moved_rays_hold_no_float(sl3_fan, sl3_datum, rd_a2):
     flip = diagram_automorphism_group(rd_a2.type)[1]
     action = orbit_action(sl3_datum, galois_from_permutations(rd_a2, [flip]))
-    assert _move_ray(action, 0, (F(1, 2), 3)) == (3, F(1, 2))
-    assert _exact(_move_ray(action, 0, (F(1, 2), 3)))
-    assert _exact(_move_ray(action, 0, (F(4, 2), 3)))
+    moved = _moved_rays(((1, 6), (-2, 3)), action.r_invs[0].data)
+    assert moved == ((3, -2), (6, 1)) and all(type(x) is int for r in moved for x in r)
+
+
+def test_a_cone_holds_the_primitive_integer_vector_of_each_generator():
+    assert ColoredCone(((F(2, 3), F(-4, 3)), ("2/3", "-4/3"), (6, -12), (0, 0)), ()).rays == (
+        (1, -2), (1, -2), (1, -2), (0, 0),
+    )
 
 
 # -- the lift read off the fan -------------------------------------------------

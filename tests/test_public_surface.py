@@ -39,7 +39,7 @@ def _records():
     )
     from spherical_models.decision import FieldDescriptor, resolve_local_character
     from spherical_models.galoismodule import BrCharacter
-    from spherical_models.lattice import FgAbelianGroup
+    from spherical_models.lattice import FgAbelianGroup, read_rational
     from spherical_models.rootdata import SimpleType
     from spherical_models.spherical import ColorLift
 
@@ -53,6 +53,7 @@ def _records():
         "ColorLift": lambda: ColorLift(((("D1", "D1"),),)),
         "ColoredCone": lambda: ColoredCone([["1", "0"]], ["D1"]),
         "BrCharacter": lambda: BrCharacter.zero(FgAbelianGroup(1, [[2]])),
+        "Rational": lambda: read_rational("1/2"),
         "TitsClassSpec": TitsClassSpec.zero,
         "Verdict": lambda: Verdict(({"condition": "cohomology", "ok": True},)),
         "LocalSite": lambda: LocalSite("v0", "real", trivial, None),

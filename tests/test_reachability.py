@@ -29,7 +29,8 @@ SRC = ROOT / "src"
 CORPUS_PREFIX = 100
 
 # Entered by no run above, on purpose: the serializers of the two data
-# classes and the helpers only the recorder's build_tables uses are library
+# classes, the helpers only the recorder's build_tables uses and the rational
+# view of a Brauer character (the engine reads its residues) are library
 # data for callers, _internal_error runs only on a fault of the engine, and
 # the schema compiler runs at import, before the profiler is set.  Dunders
 # (which include Required.__init__, also run at import, the constructors of
@@ -43,6 +44,8 @@ NOT_ENTERED = {
     "cli._compile_alternatives",
     "cli._required",
     "galoismodule.all_characters",
+    "galoismodule.BrCharacter.evaluate",
+    "galoismodule.BrCharacter.values",
     "rootdata.DiagramAutomorphism.one_line",
 }
 

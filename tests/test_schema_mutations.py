@@ -3,7 +3,9 @@
 Each example starts from a valid document (a demo problem or one of a slice
 of each benchmark corpus) and applies one mutation: a value of the wrong
 type, a missing or an unknown key, ``"1/0"``, a proper fraction in place of
-a number, a 5,000-digit integer, deep nesting, or a value at a bound or one past it (``MAX_RANK``, ``MAX_COLORS``,
+a number, a number spelled outside the grammar ``-?[0-9]+`` and
+``-?[0-9]+/[0-9]+`` (``BAD_SPELLINGS``), a 5,000-digit integer, deep
+nesting, or a value at a bound or one past it (``MAX_RANK``, ``MAX_COLORS``,
 ``GENERATOR_CAP`` and the bounds of ``torus_rank``).  The document is
 written to a file and run through ``decide --json``, ``decide --explain``
 and ``invariants`` as ``conftest.command_outputs`` runs them, so the
@@ -12,7 +14,9 @@ decoder's refusals count too.  Then:
 - no command exits 3, which would be a fault of the engine;
 - a refusal (exit 2) names a path that exists in the document;
 - ``decide`` and ``invariants`` refuse the same documents with the same line;
-- ``decide --explain`` exits as ``decide --json`` does.
+- ``decide --explain`` exits as ``decide --json`` does;
+- a bad spelling in place of a number exits 2, and when the document was
+  decided before, at a path that leads to the spelling.
 
 Run as a script, the property runs with a larger example count:
 
@@ -79,16 +83,20 @@ def _replaced(doc, path, value):
 
 
 _OTHER_TYPES = (0, "x", [], {}, True, None, "1/2")
+# strings that read as numbers to a lenient parser, not to the README grammar
+BAD_SPELLINGS = ("0.5", "1e1", "2.0", "1_0", "\u0663", " 3 ", "+1", "1/-2")
 
 
 def _mutations(data, doc):
     """(document, raw text or None, name) for one mutation of ``doc``; the
-    raw text stands for each RAW string of the document."""
+    raw text stands for each RAW string of the document.  The name of a bad
+    spelling is ("bad-spelling", its path), or "bad-spelling" when the
+    document holds no number."""
     inner = list(_nodes(doc))[1:]
     objects = [p for p in _nodes(doc) if isinstance(_at(doc, p), dict)]
     name = data.draw(st.sampled_from(
-        ["wrong-type", "missing-key", "unknown-key", "zero-denominator", "proper-fraction", "huge-integer",
-         "deep-nesting", "bound"]
+        ["wrong-type", "missing-key", "unknown-key", "zero-denominator", "proper-fraction", "bad-spelling",
+         "huge-integer", "deep-nesting", "bound"]
     ))
     if name == "wrong-type":
         path = data.draw(st.sampled_from(inner))
@@ -109,6 +117,12 @@ def _mutations(data, doc):
     if name == "proper-fraction":
         numbers = [p for p in inner if _is_number(_at(doc, p))]
         return _replaced(doc, data.draw(st.sampled_from(numbers or inner)), "1/2"), None, name
+    if name == "bad-spelling":
+        # a color id is a name, whatever it spells
+        numbers = [p for p in inner if _is_number(_at(doc, p)) and p[-1] != "id"]
+        path = data.draw(st.sampled_from(numbers or inner))
+        spelling = data.draw(st.sampled_from(BAD_SPELLINGS))
+        return _replaced(doc, path, spelling), None, (name, path) if numbers else name
     if name == "huge-integer":
         return _replaced(doc, data.draw(st.sampled_from(inner)), RAW), "9" * 5000, name
     if name == "deep-nesting":
@@ -165,6 +179,19 @@ def _times(n, x):
     return str(n * Fraction(x)) if type(x) is str else n * x
 
 
+def _suffix(path):
+    """The path tuple as the ".key" and "[k]" steps that a refusal prints."""
+    return "".join("[%d]" % step if type(step) is int else ".%s" % step for step in path)
+
+
+@lru_cache(maxsize=None)
+def _decided(text):
+    """Does ``decide --json`` decide the document ``text`` (exit 0 or 1)?"""
+    with tempfile.TemporaryDirectory() as directory:
+        (code, _, _), = command_outputs(text, os.path.join(directory, "problem.json"), COMMANDS[:1])
+    return code in (0, 1)
+
+
 def _exists(doc, suffix):
     """Does the path ``suffix`` (".key" and "[k]" steps) name a value of ``doc``?"""
     for key, index in re.findall(r"\.(\w+)|\[(\d+)\]", suffix):
@@ -185,7 +212,8 @@ def mutation_property(examples):
     @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
     @given(st.data())
     def check(data):
-        doc, raw, name = _mutations(data, data.draw(st.sampled_from(valid_documents())))
+        original = data.draw(st.sampled_from(valid_documents()))
+        doc, raw, name = _mutations(data, original)
         text = json.dumps(doc)
         if raw is not None:
             text = text.replace(json.dumps(RAW), raw)
@@ -199,6 +227,11 @@ def mutation_property(examples):
             assert err == report_err and err.count("\n") == 1, (name, runs)
             where = REFUSAL.match(err)
             assert where is not None and _exists(doc, where.group(1)), (name, err)
+        if type(name) is tuple:
+            assert code == 2, (name, runs)
+            if _decided(json.dumps(original)):
+                at, where = _suffix(name[1]), where.group(1)
+                assert at == where or at.startswith((where + ".", where + "[")), (name, err)
 
     return check
 

@@ -25,8 +25,8 @@ from spherical_models import (
     orbit_action,
 )
 from spherical_models.cli import _build_payload
-from spherical_models.lattice import IntMatrix, Lattice, fixed_sublattice
-from spherical_models.spherical import _exact_rational, aut_character_lattices
+from spherical_models.lattice import IntMatrix, Lattice, Rational, fixed_sublattice, read_rational
+from spherical_models.spherical import aut_character_lattices
 from test_decision import KERNEL_ROUTE_TYPES, _stable_horospherical_lattice, diagram_actions
 
 
@@ -593,9 +593,9 @@ def test_payload_reads_integer_strings_and_ints_alike(rd_a2):
     assert all(type(x) is int for c in d.colors for x in c.rho)
 
 
-# Strings at the edges of what Fraction(str(x)) accepts: signs, whitespace,
-# underscores, other scripts' digits, decimals, exponents, zero denominators
-# (which Fraction refuses with ZeroDivisionError and the parser with ValueError).
+# Strings at the edges of the number grammar -?[0-9]+ and -?[0-9]+/[0-9]+:
+# signs, whitespace, underscores, other scripts' digits, decimals, exponents
+# and zero or negative denominators.
 _EDGE_STRINGS = [
     "0", "-0", "+7", "007", " 12 ", "\t-3\n", "\u00a05\u2003", "\x1c9", "6/2", "-4/2",
     "3 / 1", "1/0", "1.5", "1.", ".5", "1e2", "1E-2", "2.5e1", "1_0", "1__0", "_1",
@@ -604,38 +604,48 @@ _EDGE_STRINGS = [
 ]
 
 
+def _grammar_reading(text):
+    """The grammar's reading of ``text``, character by character: the
+    Fraction of an optional minus sign, ASCII digits and an optional slash
+    with ASCII digits that are not all zeros, or "refused"."""
+    parts = (text[1:] if text[:1] == "-" else text).split("/")
+    if len(parts) > 2 or not all(part and set(part) <= set("0123456789") for part in parts):
+        return "refused"
+    if len(parts) == 2 and set(parts[1]) == {"0"}:
+        return "refused"
+    return F(text)
+
+
 @pytest.mark.parametrize("text", _EDGE_STRINGS)
 def test_json_rational_matches_fraction_of_the_string(text):
-    def outcome(parse):
-        try:
-            return parse(text)
-        except (ValueError, ZeroDivisionError):
-            return "refused"
-
-    got = outcome(_exact_rational)
-    assert got == outcome(lambda x: F(str(x)))
-    if re.fullmatch(r"[-+]?\d+", text):
-        assert type(got) is int
+    try:
+        got = read_rational(text)
+    except ValueError:
+        got = "refused"
+    want = _grammar_reading(text)
+    assert (got if got == "refused" else F(str(got))) == want
+    if want != "refused":
+        assert (type(got) is int) == (want.denominator == 1), got
 
 
 @pytest.mark.parametrize(
     "value, want",
-    [(7, 7), (-(10**30), -(10**30)), (F(4, 2), 2), (F(-6, 3), -2), (F(1, 2), F(1, 2))],
+    [(7, 7), (-(10**30), -(10**30)), (F(4, 2), 2), (F(-6, 3), -2), (F(1, 2), Rational(1, 2))],
 )
 def test_exact_rational_keeps_ints_and_reduces_fractions(value, want):
-    got = _exact_rational(value)
+    got = read_rational(value)
     assert got == want and type(got) is type(want)
 
 
-@pytest.mark.parametrize("value", [True, False, None, [1], {"p": 1}])
+@pytest.mark.parametrize("value", [True, False, None, [1], {"p": 1}, 0.5, 2.0])
 def test_exact_rational_refuses_what_is_no_rational(value):
     with pytest.raises(ValueError):
-        _exact_rational(value)
+        read_rational(value)
 
 
 def test_exact_rational_names_a_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator in '1/0'"):
-        _exact_rational("1/0")
+        read_rational("1/0")
 
 
 def test_orbit_action_refuses_an_image_on_another_lattice(sl3_datum):
