@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lattice import Lattice, action_coordinates
+from .lattice import Lattice, action_coordinates, integers
 from .rootdata import node_permutation
 from .spherical import Color, SphericalDatum
 
@@ -20,10 +20,10 @@ class HorosphericalDatum(namedtuple("HorosphericalDatum", "rd I M")):
     __slots__ = ()
 
     def __new__(cls, rd, nodes, m_rows):
-        nodes = frozenset(int(i) for i in nodes)
+        nodes = frozenset(integers(nodes))
         if not nodes <= set(range(1, rd.rank + 1)):
             raise ValueError("node set mentions unknown simple roots")
-        m = Lattice(rd.rank, [list(r) for r in m_rows])
+        m = Lattice(rd.rank, m_rows)
         bad = [
             "node %d pairs with %r" % (i, list(row))
             for row in m.basis.data

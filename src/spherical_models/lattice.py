@@ -21,6 +21,9 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
+_INT = {int}
+_QUOTIENT = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
 
 def _xgcd(a, b):
     """Return (g, x, y) with g = gcd(a, b) = a*x + b*y and g >= 0."""
@@ -43,7 +46,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data", "_hash")
 
     def __init__(self, data, cols=None):
-        data = tuple(tuple(map(int, row)) for row in data)
+        data = tuple(map(integers, data))
         self.rows = len(data)
         self.cols = len(data[0]) if data else (0 if cols is None else cols)
         if any(len(row) != self.cols for row in data):
@@ -61,14 +64,11 @@ class IntMatrix:
         m.rows, m.cols, m.data, m._hash = len(data), cols, data, None
         return m
 
-    @classmethod
-    def identity(cls, n):
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def identity(n):
         """The n x n identity, built once per n (matrices are immutable)."""
-        return _identity(n)
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     def col(self, j):
         return tuple(row[j] for row in self.data)
@@ -104,9 +104,16 @@ class IntMatrix:
         return "IntMatrix(%r)" % (list(map(list, self.data)),)
 
 
-@lru_cache(maxsize=None)
-def _identity(n):
-    return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+def integers(values):
+    """``values`` as a tuple of ints, read by int(); ValueError for a float,
+    a bool or anything else that int() would change, such as 1.5 or True."""
+    values = tuple(values)
+    if set(map(type, values)) <= _INT:
+        return values
+    for x in values:
+        if isinstance(x, (bool, float)) or int(x) != x:
+            raise ValueError("%r is not an integer" % (x,))
+    return tuple(map(int, values))
 
 
 def _matrix(rows, cols):
@@ -314,7 +321,7 @@ class Lattice:
     __slots__ = ("ambient_rank", "basis", "pivots", "_hash")
 
     def __init__(self, ambient_rank, rows=()):
-        rows = [list(map(int, r)) for r in rows]
+        rows = list(map(integers, rows))  # the elimination replaces rows, never edits one
         for r in rows:
             if len(r) != ambient_rank:
                 raise ValueError("row length != ambient rank")
@@ -488,7 +495,7 @@ class FgAbelianGroup:
     __slots__ = ("n_gens", "invariant_factors", "_cols", "_lifts")
 
     def __init__(self, n_gens, relation_rows):
-        rel = IntMatrix(relation_rows) if relation_rows else IntMatrix.zero(0, n_gens)
+        rel = IntMatrix(relation_rows, cols=n_gens)
         if rel.cols != n_gens:
             raise ValueError("relation width != generator count")
         d, _, q = snf(rel)
@@ -574,9 +581,12 @@ def read_rational(x):
     (not a bool), an ASCII string -?[0-9]+ or -?[0-9]+/[0-9]+ with a nonzero
     denominator, or an object with an int numerator and a positive int
     denominator (a Fraction); ValueError for anything else, floats too."""
-    m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", x) if type(x) is str else None
-    if m and m[2] is None:
-        return int(m[1])
+    if type(x) is int:
+        return x
+    digits = x[1:] if type(x) is str and x[:1] == "-" else x
+    if type(x) is str and digits.isascii() and digits.isdigit():  # on ASCII, isdigit is [0-9]
+        return int(x)
+    m = _QUOTIENT.fullmatch(x) if type(x) is str else None
     p, q = (int(m[1]), int(m[2])) if m else (getattr(x, "numerator", None), getattr(x, "denominator", None))
     if m and q == 0:
         raise ValueError("zero denominator in %r" % (x,))

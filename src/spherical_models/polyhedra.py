@@ -6,12 +6,11 @@ the constraints each is tight on, is cut by a half-space h.x >= 0.  The
 rays on its side stay, and each adjacent pair across the hyperplane, told
 by the masks alone, gives a new primitive ray on it.  Only integer dot
 products run.  Inputs are integer vectors; no floats, ever.
-``extreme_rays`` cuts the facets of a simplicial subcone by the other
-generators, and ``relative_interior_point_satisfies`` cuts the orthant of
-combination coefficients by the inequalities.  A cone whose distinct
-primitive generators are linearly independent (an exact rank test by
-fraction-free elimination) is simplicial: it is pointed, every generator
-spans an extreme ray, and no step runs.
+``extreme_rays`` cuts the orthant of coefficients in a basis of the
+generators by the other generators, ``relative_interior_point_satisfies``
+the orthant of combination coefficients by the inequalities.  The forward
+half of one fraction-free elimination finds the basis and is an exact rank
+test: a cone of independent generators is simplicial, and no step runs.
 """
 
 from __future__ import annotations
@@ -35,20 +34,23 @@ def _pivot_out(row, pivot_row, p, col):
     return [p * x - f * y for x, y in zip(row, pivot_row)]
 
 
-def _basis(rows):
-    """Indices and pivot columns of the first maximal independent subset of
-    integer rows, by fraction-free elimination: each row keeps a pivot iff
-    one is left after the earlier pivots are cleared from it."""
-    picked, pivots = [], []
-    for i, row in enumerate(rows):
-        for prow, col in pivots:
-            if row[col]:
-                row = _pivot_out(row, prow, prow[col], col)
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is not None:
-            picked.append(i)
-            pivots.append((primitive(row), col))
-    return picked, [col for _, col in pivots]
+def _column_echelon(columns):
+    """Row echelon form of the matrix whose columns are ``columns``, by
+    fraction-free elimination, and the index of each pivot column: the first
+    maximal independent subset of the columns; zero rows are dropped."""
+    a, picked = list(zip(*columns)), []
+    for c in range(len(columns)):
+        t = len(picked)
+        piv = next((i for i in range(t, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[t], a[piv] = a[piv], a[t]
+        prow = a[t]
+        for i in range(t + 1, len(a)):
+            if a[i][c]:
+                a[i] = primitive(_pivot_out(a[i], prow, prow[c], c))
+        picked.append(c)
+    return a[: len(picked)], picked
 
 
 def _dd_step(gens, h, bit, dim):
@@ -82,52 +84,39 @@ def _dd_step(gens, h, bit, dim):
     return out
 
 
-def _simplex_facets(rows):
-    """Primitive f_j with rows[i].f_j = 0 for i != j and rows[j].f_j > 0.
-
-    The rows of D (B^T)^-1, that is the columns of D B^-1, for the square
-    invertible B of ``rows``, by fraction-free Gauss-Jordan on [B^T | I].
-    """
-    k = len(rows)
-    a = [[b[r] for b in rows] + [int(r == c) for c in range(k)] for r in range(k)]
-    for c in range(k):
-        piv = next(r for r in range(c, k) if a[r][c])
-        a[c], a[piv] = a[piv], a[c]
-        prow = a[c]
-        for r in range(k):
-            if r != c and a[r][c]:
-                a[r] = primitive(_pivot_out(a[r], prow, prow[c], c))
-    # row j is [d_j e_j | E_j] with E_j.rows[i] = d_j delta_ij
-    return [primitive(row[k:] if row[j] > 0 else [-x for x in row[k:]]) for j, row in enumerate(a)]
-
-
 def extreme_rays(generators):
     """The extreme rays of a strictly convex cone, primitive and sorted.
 
     Collinear duplicates are merged first.  Linearly independent generators
     span a simplicial cone, which is pointed with every generator extreme.
-    Otherwise the cone's span is coordinatized by the pivot columns of a
-    basis B of the rays, and double description on the dual cone starts
-    from the facets of cone(B) and adds every other ray r as the half-space
-    r.f >= 0; when no facet is positive on r, -r lies in the cone, which is
-    then not strictly convex.  The final facets carry the mask of rays tight
-    on them, and a ray is extreme iff no other ray is tight on all of its
-    facets.
+    Otherwise each ray is r = c B in the first basis B of the rays, and
+    double description on the dual cone, in the coordinates (b.f for b in B)
+    scaled by any positive factors, starts from the orthant (the facets of
+    cone(B)) and adds every other ray as the half-space c.g >= 0; when no
+    facet is positive on it, -r lies in the cone, which is then not strictly
+    convex.  The final facets carry the mask of rays tight on them, and a
+    ray is extreme iff no other ray is tight on all of its facets.
     """
     rays = [p for p in dict.fromkeys(map(primitive, generators)) if any(p)]
-    basis, cols = _basis(rays)
+    rows, basis = _column_echelon(rays)
     if len(basis) == len(rays):
         return tuple(sorted(rays))
     d = len(rays[0])
     if d > DIM_CAP:
         raise ValueError("dimension %d exceeds the supported cap %d" % (d, DIM_CAP))
     k = len(basis)
-    points = [[r[c] for c in cols] for r in rays]
+    # back substitution leaves s_t alone in basis column t, on row t, so
+    # column i holds (s_t c_t) for ray i = sum_t c_t B_t: times the sign of
+    # s_t, that is c with coordinate t scaled by |s_t|
+    for t in range(k - 1, 0, -1):
+        for i in range(t):
+            if rows[i][basis[t]]:
+                rows[i] = primitive(_pivot_out(rows[i], rows[t], rows[t][basis[t]], basis[t]))
+    signs = [1 if row[c] > 0 else -1 for row, c in zip(rows, basis)]
     tight = sum(1 << i for i in basis)
-    facets = _simplex_facets([points[i] for i in basis])
-    gens = [(f, tight & ~(1 << i)) for i, f in zip(basis, facets)]
-    for i in [i for i in range(len(rays)) if i not in basis]:
-        gens = _dd_step(gens, points[i], 1 << i, k)
+    gens = [(tuple(int(j == t) for j in range(k)), tight & ~(1 << c)) for t, c in enumerate(basis)]
+    for i in [i for i in range(len(rays)) if not tight >> i & 1]:
+        gens = _dd_step(gens, [s * row[i] for s, row in zip(signs, rows)], 1 << i, k)
         if all(m >> i & 1 for _, m in gens):
             raise ValueError("cone is not strictly convex")
     facets_of = [sum(1 << j for j, (_, m) in enumerate(gens) if m >> i & 1) for i in range(len(rays))]

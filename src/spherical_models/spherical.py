@@ -27,6 +27,7 @@ from .lattice import (
     _unimodular_inverse,
     action_coordinates,
     apply_row,
+    integers,
     quotient_group,
     read_rational,
 )
@@ -42,7 +43,7 @@ class Color(namedtuple("Color", "id rho sigma_set")):
         rho = tuple(map(read_rational, rho))
         if any(type(x) is not int for x in rho):
             raise ValueError("functional of %s is not integral" % id)
-        return tuple.__new__(cls, (id, rho, frozenset(int(i) for i in sigma_set)))
+        return tuple.__new__(cls, (id, rho, frozenset(integers(sigma_set))))
 
 
 class ColorLift(NamedTuple):
@@ -95,13 +96,13 @@ class SphericalDatum:
     def __init__(self, rd, basis, sigma, colors, sigma234=(), torus_rank=0):
         colors = tuple(colors)
         self.rd = rd
-        self.torus_rank = int(torus_rank)
+        (self.torus_rank,) = integers((torus_rank,))
         if self.torus_rank < 0:
             raise ValueError("torus_rank must be at least 0, got %d" % self.torus_rank)
         if self.torus_rank > MAX_RANK:
             raise ValueError("torus_rank must be at most %d, got %d" % (MAX_RANK, self.torus_rank))
         ambient = rd.rank + self.torus_rank
-        basis = IntMatrix([list(r) for r in basis], cols=ambient)
+        basis = IntMatrix(basis, cols=ambient)
         if basis.cols != ambient:
             raise ValueError("basis rows must have the ambient length %d" % ambient)
         # more rows than coordinates are dependent: refused before the
@@ -110,7 +111,7 @@ class SphericalDatum:
         if self.lattice is None or self.lattice.rank != basis.rows:
             raise ValueError("basis rows are not linearly independent")
         self.basis = basis
-        sigma = tuple(tuple(int(x) for x in s) for s in sigma)
+        sigma = tuple(map(integers, sigma))
         root_lat = rd.root_lattice
         rows = []
         for s in sigma:
@@ -130,17 +131,21 @@ class SphericalDatum:
                 raise ValueError("spherical roots are not linearly independent")
         self.sigma = sigma
         self.valuation_rows = tuple(rows)
-        seen = set()
+        seen, fibers = set(), {}
+        moved_by = {i: [] for i in range(1, rd.rank + 1)}  # the colors each node moves, in order
         for c in colors:
             if c.id in seen:
                 raise ValueError("duplicate color id %r" % (c.id,))
             seen.add(c.id)
             if len(c.rho) != basis.rows:
                 raise ValueError("functional of %s has wrong length" % c.id)
-            if not c.sigma_set <= set(range(1, rd.rank + 1)):
+            if not moved_by.keys() >= c.sigma_set:
                 raise ValueError("moving set of %s mentions unknown nodes" % c.id)
+            for i in c.sigma_set:
+                moved_by[i].append(c)
+            fibers.setdefault((c.rho, c.sigma_set), []).append(c.id)
         self.colors = colors
-        sigma234 = frozenset(int(i) for i in sigma234)
+        sigma234 = frozenset(integers(sigma234))
         if not sigma234 <= set(range(len(sigma))):
             raise ValueError("doubling flags must index the spherical roots")
         self.sigma234 = sigma234
@@ -149,8 +154,7 @@ class SphericalDatum:
         node_of = simple_nodes(rd)
         root_at = {node_of[s[: rd.rank]]: s for s in sigma if s[: rd.rank] in node_of}
         two = set()
-        for i in range(1, rd.rank + 1):
-            moved = [c for c in colors if i in c.sigma_set]
+        for i, moved in moved_by.items():
             if len(moved) > 2:
                 raise ValueError("more than two colors moved by node %d" % i)
             if (len(moved) == 2) != (i in root_at):
@@ -160,7 +164,11 @@ class SphericalDatum:
                 )
             if i in root_at and moved[0].rho == moved[1].rho:
                 two.add(root_at[i])
-        self.fibers = _fibers(colors)
+        self.fibers = {}
+        for key in sorted(fibers, key=lambda k: (sorted(k[1]), k[0])):
+            ids = self.fibers[key] = tuple(sorted(fibers[key]))
+            if len(ids) > 2:
+                raise ValueError("three colors share the same image: %s" % ", ".join(ids))
         self.sigma_two = tuple(s for s in sigma if s in two)
         flagged = {sigma[i] for i in sigma234}
         if flagged & two:
@@ -194,22 +202,6 @@ class SphericalDatum:
         if self.torus_rank:
             doc["torus_rank"] = self.torus_rank
         return doc
-
-
-def _fibers(colors):
-    """The sorted color ids over each color image (rho, sigma_set), as
-    ``SphericalDatum.fibers`` describes; three colors over one image are
-    refused."""
-    fibers = {}
-    for c in colors:
-        fibers.setdefault((c.rho, c.sigma_set), []).append(c.id)
-    out = {}
-    for key in sorted(fibers, key=lambda k: (sorted(k[1]), k[0])):
-        ids = tuple(sorted(fibers[key]))
-        if len(ids) > 2:
-            raise ValueError("three colors share the same image: %s" % ", ".join(ids))
-        out[key] = ids
-    return out
 
 
 def _double(v):

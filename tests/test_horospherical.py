@@ -47,6 +47,13 @@ def test_validate_unknown_node(rd_a2):
         HorosphericalDatum(rd_a2, [3], [])
 
 
+@pytest.mark.parametrize("nodes", [[1.7], [True]])
+def test_a_node_that_is_no_integer_is_refused(rd_a2, nodes):
+    # int() would read either as node 1, which pairs to zero with [0, 1]
+    with pytest.raises(ValueError, match="is not an integer$"):
+        HorosphericalDatum(rd_a2, nodes, [[0, 1]])
+
+
 def test_stable_index_two_sublattice(rd_a5, galois_a5_flip, m_2p_plus_q):
     h = HorosphericalDatum(rd_a5, [], m_2p_plus_q.basis.data)
     assert h.stable(galois_a5_flip)

@@ -108,7 +108,7 @@ def test_snf_cartan_d4():
 
 
 def test_snf_zero_matrix():
-    d, _, _ = snf(IntMatrix.zero(2, 2))
+    d, _, _ = snf(IntMatrix([[0, 0], [0, 0]]))
     assert d.data == ((0, 0), (0, 0))
 
 
@@ -154,6 +154,19 @@ def test_membership_fundamental_weight_not_in_root_lattice(rd_a2):
 def test_membership_dimension_mismatch(rd_a2):
     with pytest.raises(ValueError):
         rd_a2.root_lattice.member((1, 0, 0))
+
+
+@pytest.mark.parametrize("rows", [[[1.5, 0]], [[2.0, 0]], [[0, True]]])
+def test_lattice_refuses_a_float_or_a_bool(rows):
+    # int() would truncate 1.5 and read 2.0 and True as integers
+    with pytest.raises(ValueError, match="is not an integer$"):
+        Lattice(2, rows)
+
+
+@pytest.mark.parametrize("data", [[[1.9, 1]], [[1, True]]])
+def test_int_matrix_refuses_a_float_or_a_bool(data):
+    with pytest.raises(ValueError, match="is not an integer$"):
+        IntMatrix(data)
 
 
 # -- fixed sublattices --------------------------------------------------------

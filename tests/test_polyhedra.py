@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction as F
 from math import lcm
@@ -189,23 +190,41 @@ def test_cone_member_matches_fraction_oracle(cone, data):
     assert cone_member(v, gens) == fraction_cone_member(v, gens)
 
 
-@settings(max_examples=100, deadline=None)
-@given(cones())
-# a pointed cone on which Fourier-Motzkin for a functional positive on every
-# generator ran for seconds
-@example(
-    (6, [(-1, 3, 3, -3, 1, -2), (1, -1, 2, -2, -2, -1), (0, -1, -3, 3, -2, -3), (2, 1, 1, -2, 1, 0),
-         (0, 2, 0, 1, 3, 0), (-2, 0, -3, 2, 3, 2), (4, 2, 2, -4, 2, 0), (-2, 3, 2, 2, 2, -2), (-3, 2, 2, -1, 0, -2)])
-)
-def test_extreme_rays_match_fraction_oracle(cone):
-    _, gens = cone
-    expected = fraction_extreme_rays(gens)
-    assert fm_extreme_rays(gens) == expected
-    if expected is None:
-        with pytest.raises(ValueError, match="^cone is not strictly convex$"):
-            extreme_rays(list(map(integral, gens)))
-    else:
-        assert extreme_rays(list(map(integral, gens))) == expected
+CONE_EXAMPLES = 100
+
+
+def extreme_rays_property(examples):
+    """Double description against both oracles, on ``examples`` cones."""
+
+    @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
+    @given(cones())
+    # a pointed cone on which Fourier-Motzkin for a functional positive on
+    # every generator ran for seconds
+    @example(
+        (6, [(-1, 3, 3, -3, 1, -2), (1, -1, 2, -2, -2, -1), (0, -1, -3, 3, -2, -3), (2, 1, 1, -2, 1, 0),
+             (0, 2, 0, 1, 3, 0), (-2, 0, -3, 2, 3, 2), (4, 2, 2, -4, 2, 0), (-2, 3, 2, 2, 2, -2), (-3, 2, 2, -1, 0, -2)])
+    )
+    # one generator beyond a basis of the space
+    @example((2, [(1, 0), (0, 1), (1, 1)]))
+    # a plane in 3-space with four generators, whose elimination keeps a
+    # negative pivot
+    @example((3, [(0, -2, 2), (1, 0, 1), (1, -1, 2), (2, -1, 3)]))
+    # a cone that is not pointed
+    @example((2, [(1, 0), (0, 1), (-1, -1)]))
+    def check(cone):
+        _, gens = cone
+        expected = fraction_extreme_rays(gens)
+        assert fm_extreme_rays(gens) == expected
+        if expected is None:
+            with pytest.raises(ValueError, match="^cone is not strictly convex$"):
+                extreme_rays(list(map(integral, gens)))
+        else:
+            assert extreme_rays(list(map(integral, gens))) == expected
+
+    return check
+
+
+test_extreme_rays_match_fraction_oracle = extreme_rays_property(CONE_EXAMPLES)
 
 
 @settings(max_examples=100, deadline=None)
@@ -316,3 +335,8 @@ def test_random_pointed_cones_at_the_dimension_cap(seed):
     assert extreme_rays(scaled) == rays
     # every generator that is not extreme is dropped again beside the extreme rays
     assert extreme_rays(list(rays) + gens[:4]) == rays
+
+
+if __name__ == "__main__":
+    extreme_rays_property(int(sys.argv[1]) if len(sys.argv) > 1 else 2000)()
+    print("ok")

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -36,6 +37,24 @@ from test_decision import KERNEL_ROUTE_TYPES, _stable_horospherical_lattice, dia
 def test_rejects_dependent_basis(rd_a2):
     with pytest.raises(ValueError):
         SphericalDatum(rd_a2, [[1, 0], [2, 0]], [], [])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("sigma", [(1.0, 1)]), ("sigma", [(True, 1)]), ("sigma234", [0.0]), ("sigma234", [False]),
+     ("torus_rank", 0.9), ("torus_rank", True)],
+)
+def test_datum_refuses_a_float_or_a_bool(rd_a2, key, value):
+    # int() would read each of them as an integer and build a datum
+    args = {"basis": [[1, 0], [0, 1]], "sigma": [(1, 1)], "colors": [], key: value}
+    with pytest.raises(ValueError, match="is not an integer$"):
+        SphericalDatum(rd_a2, **args)
+
+
+@pytest.mark.parametrize("sigma_set", [[1.0], [1.7], [True]])
+def test_color_refuses_a_moving_node_that_is_no_integer(sigma_set):
+    with pytest.raises(ValueError, match="is not an integer$"):
+        Color("c", (1, 0), sigma_set)
 
 
 def test_rejects_root_outside_root_lattice(rd_a2):
@@ -616,16 +635,42 @@ def _grammar_reading(text):
     return F(text)
 
 
-@pytest.mark.parametrize("text", _EDGE_STRINGS)
-def test_json_rational_matches_fraction_of_the_string(text):
+def _assert_read_as_the_grammar_reads(text):
     try:
         got = read_rational(text)
     except ValueError:
         got = "refused"
     want = _grammar_reading(text)
-    assert (got if got == "refused" else F(str(got))) == want
+    assert (got if got == "refused" else F(str(got))) == want, text
     if want != "refused":
         assert (type(got) is int) == (want.denominator == 1), got
+
+
+@pytest.mark.parametrize("text", _EDGE_STRINGS)
+def test_json_rational_matches_fraction_of_the_string(text):
+    _assert_read_as_the_grammar_reads(text)
+
+
+# The reader has two routes, int() after an isascii/isdigit test and a
+# pattern for p/q, so the text mixes the grammar's characters with those of
+# signs, decimals, exponents, separators and whitespace, and with digits of
+# other scripts, which isdigit() accepts ("\u00b2".isdigit() is True).
+_READER_TEXT = st.text(st.sampled_from("0123456789-+/.e_ \t\n\u00a0\u00b2\u0663\uff11"), max_size=10)
+READER_EXAMPLES = 500
+
+
+def reader_property(examples):
+    """The property, run on ``examples`` generated strings."""
+
+    @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
+    @given(_READER_TEXT)
+    def check(text):
+        _assert_read_as_the_grammar_reads(text)
+
+    return check
+
+
+test_read_rational_reads_generated_text_as_the_grammar_does = reader_property(READER_EXAMPLES)
 
 
 @pytest.mark.parametrize(
@@ -651,3 +696,8 @@ def test_exact_rational_names_a_zero_denominator():
 def test_orbit_action_refuses_an_image_on_another_lattice(sl3_datum):
     with pytest.raises(ValueError, match="Galois action lives on the wrong lattice"):
         orbit_action(sl3_datum, GaloisAction.trivial(3))
+
+
+if __name__ == "__main__":
+    reader_property(int(sys.argv[1]) if len(sys.argv) > 1 else 20000)()
+    print("ok")
