@@ -392,12 +392,12 @@ def _build_common(doc, path):
 
 
 def _build_payload(doc, rd, kind, path):
-    """The datum of a problem: a HorosphericalDatum (the full weight lattice
-    for ``gu``), a SphericalDatum, or a (SphericalDatum, ColoredFan) pair.
+    """The datum of a problem: a HorosphericalDatum (for ``gu`` the cached
+    weight lattice), a SphericalDatum, or a (SphericalDatum, ColoredFan) pair.
 
     A document with more than MAX_COLORS colors is refused here."""
     if kind == "gu":
-        return HorosphericalDatum(rd, [], rd.weight_lattice.basis.data)
+        return HorosphericalDatum._make((rd, frozenset(), rd.weight_lattice))
     if kind == "horospherical":
         try:
             return HorosphericalDatum(rd, doc.get("I", []), doc["M"])

@@ -287,13 +287,15 @@ def _first_failing_row(local, rows):
     and come first; central-torus ones follow, and the kill test, which has
     one entry per weight coordinate, does not read them.  The character is
     a homomorphism, so it kills L when it kills the generators, and L's
-    canonical basis is built only when some generator fails.
+    canonical basis is built only when some generator fails, unless ``rows`` is L.
     """
     u, d = _kill_test(local)
 
     def fails(row):
         return sum(map(mul, u, row)) % d
 
+    if isinstance(rows, Lattice):
+        return next(filter(fails, rows.basis.data), None)
     if not any(map(fails, rows)):
         return None
     return next(filter(fails, Lattice(len(rows[0]), rows).basis.data))
@@ -397,8 +399,8 @@ def _horospherical_cohomology(rd, galois, local, fixed):
     """(ok, rule, witness) of the cohomology condition of a stable pair.
 
     For a nonzero character its kernel must contain the center class of
-    every fixed point of M, which the rows ``fixed`` generate; the witness is
-    the first canonical basis row of the fixed part whose class it does not kill.
+    every fixed point of M, which ``fixed`` generates (rows, or M); the witness
+    is the first canonical basis row of the fixed part whose class it does not kill.
     """
     if local.t0.is_zero():
         return True, "t0-trivial", None
@@ -421,7 +423,7 @@ def decide_horospherical(datum, galois, tits, mode):
     citations = ["necessary stability of the horospherical pair"]
     if action is None:
         return Verdict(tuple(reasons), tuple(citations))
-    fixed = None if local.t0.is_zero() else fixed_generators(datum.M, action)
+    fixed = None if local.t0.is_zero() else fixed_generators(datum.M, action) if action else datum.M
     ok, rule, witness = _horospherical_cohomology(datum.rd, galois, local, fixed)
     extra = {} if ok else {"witness": witness}
     reasons.append(_reason("cohomology", ok, rule=rule, **extra))
@@ -480,7 +482,8 @@ def decide_number_field(datum, galois, sites):
         g = site.galois
         if (g, local) not in answers:
             if g not in fixed and not local.t0.is_zero():
-                fixed[g] = fixed_generators(datum.M, action if g == galois else datum.action(g))
+                act = action if g == galois else datum.action(g)
+                fixed[g] = fixed_generators(datum.M, act) if act else datum.M
             answers[g, local] = _horospherical_cohomology(datum.rd, g, local, fixed.get(g))
         ok, rule, witness = answers[g, local]
         witness = None if witness is None else list(witness)

@@ -10,6 +10,7 @@ and normalized through Smith normal form; their elements are coordinate
 tuples reduced modulo the invariant factors (0 encodes a free ZZ factor).
 No group carries an action: the classes of L/S that some matrices fix are
 one lattice quotient F/S, with F = fixed_sublattice(L, mats, modulo=S).
+A star action, built as a _PermutationMatrix, moves a row by gathering.
 Every number of a document enters through ``read_rational``.
 """
 
@@ -44,6 +45,7 @@ class IntMatrix:
     """An immutable matrix over ZZ; its hash is computed once, when first asked."""
 
     __slots__ = ("rows", "cols", "data", "_hash")
+    _src = None  # the source of each column of a _PermutationMatrix
 
     def __init__(self, data, cols=None):
         data = tuple(map(integers, data))
@@ -104,6 +106,18 @@ class IntMatrix:
         return "IntMatrix(%r)" % (list(map(list, self.data)),)
 
 
+class _PermutationMatrix(IntMatrix):
+    """The permutation matrix with v @ m = (v[src[0]], v[src[1]], ...): apply_row gathers."""
+
+    __slots__ = ("_src",)
+
+    def __init__(self, src):
+        if sorted(src) != list(range(len(src))):
+            raise ValueError("not a permutation of 0..%d" % (len(src) - 1))
+        super().__init__([[int(s == i) for s in src] for i in range(len(src))], len(src))
+        self._src = tuple(src)
+
+
 def integers(values):
     """``values`` as a tuple of ints, read by int(); ValueError for a float,
     a bool or anything else that int() would change, such as 1.5 or True."""
@@ -130,6 +144,8 @@ def apply_row(v, m):
     """Image of the row vector ``v`` under the matrix ``m`` (v @ m)."""
     if len(v) != m.rows:
         raise ValueError("dimension mismatch")
+    if m._src is not None:
+        return tuple(map(v.__getitem__, m._src))
     return tuple(sum(map(mul, v, col)) for col in _columns(m))
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
-from .lattice import IntMatrix, Lattice, apply_row
+from .lattice import IntMatrix, Lattice, _PermutationMatrix, apply_row
 
 _FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -224,12 +224,11 @@ def star_action_matrix(rd: BasedRootDatum, a: DiagramAutomorphism) -> IntMatrix:
     n = rd.rank
     if len(a.permutation) != n:
         raise ValueError("automorphism rank mismatch")
-    m = IntMatrix(
-        [[1 if j == a.permutation[i] else 0 for j in range(n)] for i in range(n)]
-    )
-    for j in range(1, n + 1):
-        if apply_row(rd.simple_root(j), m) != rd.simple_root(a.image(j)):
-            raise ValueError("permutation does not preserve the Cartan matrix")
+    m = _PermutationMatrix(sorted(range(n), key=a.permutation.__getitem__))
+    if sorted(a.permutation) != list(range(n)) or any(
+        apply_row(rd.simple_root(j), m) != rd.simple_root(a.image(j)) for j in range(1, n + 1)
+    ):
+        raise ValueError("permutation does not preserve the Cartan matrix")
     return m
 
 

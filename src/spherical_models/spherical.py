@@ -22,6 +22,7 @@ from typing import NamedTuple
 from .lattice import (
     IntMatrix,
     Lattice,
+    _PermutationMatrix,
     _RowSolver,
     _matrix,
     _unimodular_inverse,
@@ -235,7 +236,8 @@ def _extended_matrices(datum, galois):
         return galois.generator_matrices()
     torus = [[0] * n + [int(i == j) for j in range(t)] for i in range(t)]
     return tuple(
-        IntMatrix([list(row) + [0] * t for row in m.data] + torus)
+        _PermutationMatrix(m._src + tuple(range(n, n + t))) if m._src is not None
+        else IntMatrix([list(row) + [0] * t for row in m.data] + torus)
         for m in galois.generator_matrices()
     )
 

@@ -434,6 +434,56 @@ def test_a_decision_resolves_each_site_character_once(capsys, monkeypatch):
     assert calls == ["real", "padic"]
 
 
+def _count_hnfs(monkeypatch):
+    """A list that gains an entry at each row-style HNF from here on."""
+    from spherical_models import lattice
+
+    calls = []
+    hnf_in_place = lattice._hnf_in_place
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return hnf_in_place(*args)
+
+    monkeypatch.setattr(lattice, "_hnf_in_place", counted)
+    return calls
+
+
+def test_a_warm_gu_decision_runs_no_hnf(tmp_path, monkeypatch):
+    from spherical_models.cli import load_problem, run_decide
+
+    path = write(tmp_path, {
+        "version": 1, "kind": "gu", "root_datum": "A15", "galois": "flip",
+        "field": {"mode": "real"}, "tits": {"values": ["1/2"]},
+    })
+    doc = load_problem(path)[0]
+    want = run_decide(doc, path)  # warms the caches of the type and the image
+    calls = _count_hnfs(monkeypatch)
+    assert run_decide(doc, path) == want and not want.exists
+    assert calls == []
+
+
+def test_a_trivial_image_failing_row_is_read_off_the_basis_of_m(tmp_path, monkeypatch):
+    """Under the trivial image the fixed part of M is M: the decision names
+    the first failing row of its canonical basis, here not its first row,
+    without a second HNF."""
+    from spherical_models.cli import load_problem, run_decide
+
+    path = write(tmp_path, {
+        "version": 1, "kind": "horospherical", "root_datum": "A3", "galois": "trivial",
+        "field": {"mode": "padic"}, "tits": {"values": ["1/4"]},
+        "I": [], "M": [[4, 0, 0], [2, 2, 0], [1, 0, 1], [0, 0, 2]],
+    })
+    doc = load_problem(path)[0]
+    run_decide(doc, path)  # warms the caches of the type and the image
+    calls = _count_hnfs(monkeypatch)
+    verdict = run_decide(doc, path)
+    assert calls == [4]  # the four rows of M
+    assert verdict.reasons[-1] == {
+        "condition": "cohomology", "ok": False, "rule": "*3", "witness": [0, 0, 2],
+    }
+
+
 def test_many_sites_load_and_decide_in_linear_time(tmp_path):
     from spherical_models.cli import load_problem, run_decide
 

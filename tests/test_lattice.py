@@ -1,4 +1,6 @@
 import random
+import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from oracles import (
 )
 from spherical_models import (
     GaloisAction,
+    SphericalDatum,
     based_root_datum,
     diagram_automorphism_group,
     galois_from_permutations,
@@ -26,6 +29,7 @@ from spherical_models.lattice import (
     FgAbelianGroup,
     IntMatrix,
     Lattice,
+    _PermutationMatrix,
     _RowSolver,
     _unimodular_inverse,
     apply_row,
@@ -35,7 +39,8 @@ from spherical_models.lattice import (
     quotient_group,
     snf,
 )
-from spherical_models.rootdata import node_permutation
+from spherical_models.rootdata import DiagramAutomorphism, node_permutation, star_action_matrix
+from spherical_models.spherical import _extended_matrices
 
 
 def small_matrices(max_dim=4, lo=-5, hi=5):
@@ -561,3 +566,110 @@ def test_identity_is_built_once_per_size():
 def test_shape_and_unimodularity_refusals(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+# -- rows moved by a permutation: the gathered route against the dense one
+
+
+@lru_cache(maxsize=None)
+def star_action_cases():
+    """(label, matrix, rows): for every type of rank <= 16 and every element
+    of its diagram automorphism group, the star action matrix and its
+    extensions by the identity on a central torus of rank 1, 2 and 3, each
+    with the rows of the matrix built here entry by entry."""
+    labels = ["A%d" % n for n in range(1, 17)] + ["B%d" % n for n in range(2, 17)]
+    labels += ["C%d" % n for n in range(3, 17)] + ["D%d" % n for n in range(3, 17)]
+    labels += ["E6", "E7", "E8", "F4", "G2"]
+    cases = []
+    for label in labels:
+        rd = based_root_datum(label)
+        n = rd.rank
+        orbits = [
+            SphericalDatum(rd, IntMatrix.identity(n + t).data, [], [], torus_rank=t)
+            for t in (1, 2, 3)
+        ]
+        for a in diagram_automorphism_group(rd.type):
+            name = "%s %s" % (label, a.one_line())
+            # row i of a star action has its 1 in column a.permutation[i]
+            rows = [[int(j == a.permutation[i]) for j in range(n)] for i in range(n)]
+            cases.append((name, star_action_matrix(rd, a), rows))
+            # the identity generates a Z/2 acting trivially
+            galois = galois_from_permutations(rd, [a], ("cyclic2", "cyclic2", "cyclic3")[a.order() - 1])
+            for orbit in orbits:
+                t = orbit.torus_rank
+                extended = [row + [0] * t for row in rows] + [[int(j == n + i) for j in range(n + t)] for i in range(t)]
+                (m,) = _extended_matrices(orbit, galois)
+                cases.append(("%s, torus rank %d" % (name, t), m, extended))
+    return cases
+
+
+def test_every_star_action_gathers_as_the_dense_product_moves():
+    rng = random.Random(35)
+    for label, m, rows in star_action_cases():
+        assert type(m) is _PermutationMatrix, label  # it carries its permutation
+        assert m == IntMatrix(rows), label
+        for _ in range(3):
+            v = [rng.randint(-10**6, 10**6) for _ in range(m.rows)]
+            assert apply_row(v, m) == apply_row(tuple(v), m) == naive_apply_row(v, rows, m.cols), label
+
+
+def gather_property(examples):
+    """The property, run on ``examples`` drawn star actions and rows."""
+
+    @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        label, m, rows = data.draw(st.sampled_from(star_action_cases()))
+        v = data.draw(st.lists(st.integers(-(10**30), 10**30), min_size=m.rows, max_size=m.rows))
+        assert apply_row(v, m) == naive_apply_row(v, rows, m.cols)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_row(v + [0], m)
+
+    return check
+
+
+GATHER_EXAMPLES = 300
+test_gathered_rows_equal_dense_products = gather_property(GATHER_EXAMPLES)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        _permutation_matrix([1, 0], -1),
+        IntMatrix([[1, 1], [0, 1]]),
+        IntMatrix([[2, 0], [0, 1]]),
+        IntMatrix([[0, 1, 0], [1, 0, 0]]),
+        _permutation_matrix([1, 2, 0]),
+    ],
+    ids=["signed swap", "row with two ones", "two on the diagonal", "not square", "a 3-cycle built by entries"],
+)
+def test_other_matrices_take_the_dense_route(m):
+    """Only a _PermutationMatrix gathers; a permutation matrix built from
+    its entries takes the dense route too."""
+    assert type(m) is IntMatrix and m._src is None
+    rng = random.Random(repr(m))
+    for _ in range(5):
+        v = [rng.randint(-99, 99) for _ in range(m.rows)]
+        assert apply_row(v, m) == naive_apply_row(v, m.data, m.cols)
+
+
+def test_a_permutation_matrix_is_the_matrix_it_names():
+    m = _PermutationMatrix((2, 0, 1))
+    assert m == IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert apply_row((5, 6, 7), m) == (7, 5, 6) == naive_apply_row((5, 6, 7), m.data, 3)
+    _same_as_constructed(m)
+    assert _PermutationMatrix(()).data == ()
+    for src in ([0, 0], [1, 2], [-1, 0]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            _PermutationMatrix(src)
+
+
+@pytest.mark.parametrize("permutation", [(0, 0), (1, 1), (-1, 0), (0, 2), (2, 0)])
+def test_star_action_refuses_what_is_no_permutation_of_the_nodes(permutation):
+    with pytest.raises(ValueError, match="does not preserve the Cartan matrix"):
+        star_action_matrix(based_root_datum("A2"), DiagramAutomorphism(permutation))
+
+
+if __name__ == "__main__":
+    gather_property(int(sys.argv[1]) if len(sys.argv) > 1 else 1000)()
+    print("ok")
